@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet verify agreement bench metrics-smoke crash-smoke server-smoke optimize-smoke fleet-smoke incremental-smoke mt-smoke bench-server bench-optimize bench-fleet bench-incremental bench-mt
+.PHONY: build test vet verify agreement bench hippobench metrics-smoke crash-smoke server-smoke optimize-smoke fleet-smoke incremental-smoke mt-smoke bench-server bench-optimize bench-fleet bench-incremental bench-mt
 
 build:
 	$(GO) build ./...
@@ -112,6 +112,14 @@ verify: vet build
 bench:
 	$(GO) test -bench=. -benchmem ./...
 	BENCH_CRASHSIM_OUT=$(CURDIR)/BENCH_crashsim.json $(GO) test -run '^TestWriteCrashSweepJSON$$' -count=1 -v ./internal/bench/
+
+# hippobench runs the seeded end-to-end benchmark declared in
+# BENCHMARK.json. cmd/hippobench and internal/benchmark are their own Go
+# modules, so `go run ./cmd/hippobench` fails from the repo root; run.sh
+# builds them offline under .bench_build/. Pass flags through ARGS, e.g.
+# make hippobench ARGS='-seed 1 -out bench-out'.
+hippobench:
+	bash cmd/hippobench/run.sh $(ARGS)
 
 # bench-server replays the crashsim-able corpus (cold + warm rounds) against
 # an in-process daemon and writes throughput/latency/speedup, per-round

@@ -33,9 +33,6 @@
 //	                  (default invariant_check; "-" disables)
 //	-recovery NAME    durability-promise recovery entry for -crashcheck
 //	                  (default crash_check; "-" disables)
-//	-no-dedup         disable content-addressed verdict dedup for
-//	                  -crashcheck: boot recovery on every schedule even
-//	                  when its image is byte-identical to one already judged
 //	-threads          interleaving-aware repair: explore the workload's
 //	                  thread schedules (bounded, with persistence-aware
 //	                  partial-order reduction), repair the union of every
@@ -85,7 +82,6 @@ func main() {
 	crashCheck := flag.Bool("crashcheck", false, "crash-schedule validation of the repaired module")
 	invariant := flag.String("invariant", "", "structural recovery entry for -crashcheck (default invariant_check)")
 	recovery := flag.String("recovery", "", "durability-promise recovery entry for -crashcheck (default crash_check)")
-	noDedup := flag.Bool("no-dedup", false, "disable verdict dedup for -crashcheck (debug escape hatch)")
 	optimizeFlag := flag.Bool("optimize", false, "prove-and-apply redundant flush/fence elimination after repair")
 	threads := flag.Bool("threads", false, "interleaving-aware repair across explored thread schedules")
 	maxSchedules := flag.Int("max-schedules", 0, "schedule budget for -threads (0 = default)")
@@ -107,9 +103,6 @@ func main() {
 		}
 		if *recovery != "" {
 			usage("-recovery only applies with -crashcheck")
-		}
-		if *noDedup {
-			usage("-no-dedup only applies with -crashcheck")
 		}
 	} else if *tracePath != "" {
 		usage("-crashcheck re-executes the program; it cannot be combined with -trace")
@@ -158,7 +151,6 @@ func main() {
 		CrashCheck: *crashCheck,
 		Invariant:  *invariant,
 		Recovery:   *recovery,
-		NoDedup:    *noDedup,
 		Optimize:   *optimizeFlag,
 		StepLimit:  limits.StepLimit,
 	}

@@ -21,9 +21,6 @@
 //	                 (default crash_check; "-" disables)
 //	-crash-points N  crash-point budget for -crash (default 256)
 //	-crash-images N  per-point schedule budget for -crash (default 16)
-//	-no-dedup        disable content-addressed verdict dedup for -crash:
-//	                 boot recovery on every schedule even when its image
-//	                 is byte-identical to one already judged
 //	-threads         interleaving-aware mode: explore the workload's
 //	                 thread schedules (bounded, with persistence-aware
 //	                 partial-order reduction) and report the verdict per
@@ -65,7 +62,6 @@ func main() {
 	recovery := flag.String("recovery", "", "durability-promise recovery entry for -crash (default crash_check)")
 	crashPoints := flag.Int("crash-points", 0, "crash-point budget for -crash (0 = default)")
 	crashImages := flag.Int("crash-images", 0, "per-point schedule budget for -crash (0 = default)")
-	noDedup := flag.Bool("no-dedup", false, "disable verdict dedup for -crash (debug escape hatch)")
 	threads := flag.Bool("threads", false, "explore thread interleavings instead of one round-robin run")
 	maxSchedules := flag.Int("max-schedules", 0, "schedule budget for -threads (0 = default)")
 	sched := flag.String("sched", "", "replay one interleaving on the plain run (\"rr\" or a \"c:…\" id)")
@@ -93,8 +89,6 @@ func main() {
 			usage("-crash-points only applies with -crash")
 		case *crashImages != 0:
 			usage("-crash-images only applies with -crash")
-		case *noDedup:
-			usage("-no-dedup only applies with -crash")
 		}
 	} else {
 		if *crashPoints < 0 {
@@ -135,7 +129,7 @@ func main() {
 	cfg := runCfg{
 		entry: *entry, traceOut: *traceOut, printIR: *printIR, crash: *crash,
 		invariant: *invariant, recovery: *recovery,
-		crashPoints: *crashPoints, crashImages: *crashImages, noDedup: *noDedup,
+		crashPoints: *crashPoints, crashImages: *crashImages,
 		threads: *threads, maxSchedules: *maxSchedules,
 		schedID: *sched, schedChoices: schedChoices,
 	}
@@ -152,7 +146,6 @@ type runCfg struct {
 	invariant, recovery string
 	crashPoints         int
 	crashImages         int
-	noDedup             bool
 	threads             bool
 	maxSchedules        int
 	schedID             string
@@ -187,7 +180,6 @@ func run(path string, argStrs []string, cfg runCfg,
 		Recovery:     cfg.recovery,
 		CrashPoints:  cfg.crashPoints,
 		CrashImages:  cfg.crashImages,
-		NoDedup:      cfg.noDedup,
 		Threads:      cfg.threads,
 		MaxSchedules: cfg.maxSchedules,
 		StepLimit:    limits.StepLimit,

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 
 	"hippocrates/internal/ir"
+	"hippocrates/internal/lru"
 )
 
 // ObjKind classifies an abstract object by its allocation mechanism.
@@ -126,7 +127,7 @@ func Analyze(mod *ir.Module) *Analysis {
 	return AnalyzeWithStore(mod, nil)
 }
 
-// AnalyzeWithStore is Analyze with a constraint store: each function's
+// AnalyzeWithStore is Analyze with a constraint cache: each function's
 // canonical constraint list is fetched by body fingerprint when cached
 // and generated (and stored) otherwise. The solve is always whole-module
 // — a one-function edit can change any function's points-to sets — but
@@ -134,7 +135,7 @@ func Analyze(mod *ir.Module) *Analysis {
 // skipped for every unchanged function. A nil store generates every
 // list; the result is identical either way because cold and warm runs
 // share the apply step. Per-run traffic is reported by ConsStatsOf.
-func AnalyzeWithStore(mod *ir.Module, store ConstraintStore) *Analysis {
+func AnalyzeWithStore(mod *ir.Module, store *lru.Cache[string, []Cons]) *Analysis {
 	a := &Analysis{
 		mod:        mod,
 		nodeOf:     make(map[ir.Value]int),
@@ -216,7 +217,7 @@ func allocKind(name string) (ObjKind, bool) {
 // collect seeds the global objects, then replays every function's
 // canonical constraint list (cached by body fingerprint when a store is
 // present, generated otherwise).
-func (a *Analysis) collect(store ConstraintStore) {
+func (a *Analysis) collect(store *lru.Cache[string, []Cons]) {
 	// Globals: the value @g points to the object g.
 	for _, g := range a.mod.Globals {
 		o := a.newObject(ObjGlobal, g, nil, g.PM)
@@ -232,13 +233,12 @@ func (a *Analysis) collect(store ConstraintStore) {
 		var cons []Cons
 		if store != nil {
 			fp := a.Fingerprint(f)
-			if cached, ok := store.GetCons(fp); ok {
+			if cached, ok := store.Get(fp); ok {
 				a.consHits++
 				cons = cached
 			} else {
 				a.consMisses++
-				cons = genConstraints(f)
-				store.PutCons(fp, cons)
+				cons = store.Add(fp, genConstraints(f))
 			}
 		} else {
 			cons = genConstraints(f)

@@ -5,7 +5,7 @@
 // canonical form references values positionally (instruction IDs, arg
 // indices, callee parameter indices), so a list generated from one
 // module instance applies to any other instance whose function body
-// fingerprints equal — which is what lets a daemon-wide ConstraintStore
+// fingerprints equal — which is what lets a daemon-wide constraint cache
 // skip the generate step for every function an edit did not touch. Cold
 // and warm runs share the apply step, so equal constraint lists produce
 // identical analyses by construction.
@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"sync"
 
 	"hippocrates/internal/ir"
 )
@@ -73,76 +72,6 @@ type Cons struct {
 	Kind   ConsKind
 	A, B   VRef
 	Callee string // CSeedAlloc / CRetCopy
-}
-
-// ConstraintStore caches canonical constraint lists keyed by function
-// body fingerprint (ir.FuncFingerprint). Implementations must be safe
-// for concurrent use; stored slices are immutable.
-type ConstraintStore interface {
-	GetCons(fp string) ([]Cons, bool)
-	PutCons(fp string, cons []Cons)
-}
-
-// Store is the bounded, concurrency-safe ConstraintStore the daemon
-// shares across jobs. Eviction is FIFO: fingerprints are content hashes,
-// so recency matters less than simply bounding memory.
-type Store struct {
-	mu     sync.Mutex
-	max    int
-	m      map[string][]Cons
-	order  []string
-	hits   int64
-	misses int64
-}
-
-// NewStore returns a Store bounded to max entries (<=0 selects 8192).
-func NewStore(max int) *Store {
-	if max <= 0 {
-		max = 8192
-	}
-	return &Store{max: max, m: make(map[string][]Cons)}
-}
-
-// GetCons implements ConstraintStore.
-func (s *Store) GetCons(fp string) ([]Cons, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cons, ok := s.m[fp]
-	if ok {
-		s.hits++
-	} else {
-		s.misses++
-	}
-	return cons, ok
-}
-
-// PutCons implements ConstraintStore.
-func (s *Store) PutCons(fp string, cons []Cons) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.m[fp]; ok {
-		return
-	}
-	s.m[fp] = cons
-	s.order = append(s.order, fp)
-	for len(s.order) > s.max {
-		delete(s.m, s.order[0])
-		s.order = s.order[1:]
-	}
-}
-
-// Stats returns the cumulative hit/miss counters.
-func (s *Store) Stats() (hits, misses int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.hits, s.misses
-}
-
-// Len returns the number of cached constraint lists.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.m)
 }
 
 // genConstraints walks one function body and produces its canonical

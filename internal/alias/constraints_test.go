@@ -5,6 +5,7 @@ import (
 
 	"hippocrates/internal/ir"
 	"hippocrates/internal/lang"
+	"hippocrates/internal/lru"
 )
 
 func compileCons(t *testing.T, src string) *ir.Module {
@@ -65,7 +66,7 @@ func requireSameDigests(t *testing.T, cold, warm *Analysis) {
 // A warm run over an identical module must hit the store for every
 // defined function and solve to the identical points-to relation.
 func TestConstraintStoreWarmMatchesCold(t *testing.T) {
-	store := NewStore(0)
+	store := lru.New[string, []Cons](64)
 	cold := Analyze(compileCons(t, consSrc))
 	first := AnalyzeWithStore(compileCons(t, consSrc), store)
 	if s := first.ConsStatsOf(); s.Hits != 0 || s.Misses != 3 {
@@ -113,7 +114,7 @@ int main() {
 	return cell[0];
 }
 `
-	store := NewStore(0)
+	store := lru.New[string, []Cons](64)
 	AnalyzeWithStore(compileCons(t, consSrc), store)
 	warm := AnalyzeWithStore(compileCons(t, edited), store)
 	if s := warm.ConsStatsOf(); s.Hits != 2 || s.Misses != 1 {

@@ -78,8 +78,6 @@ type Request struct {
 	// schedule budgets (0 = crashsim defaults).
 	CrashPoints int `json:"crash_points,omitempty"`
 	CrashImages int `json:"crash_images,omitempty"`
-	// NoDedup disables content-addressed verdict dedup (debug hatch).
-	NoDedup bool `json:"no_dedup,omitempty"`
 	// Threads switches repair/check/crash to the interleaving-aware
 	// pipeline: the workload's thread schedules are explored (bounded,
 	// with persistence-aware partial-order reduction), the detector runs
@@ -194,9 +192,6 @@ func (q *Request) Validate() error {
 				return fmt.Errorf("crash_images only applies with crashcheck or optimize")
 			}
 		}
-		if q.NoDedup {
-			return fmt.Errorf("no_dedup only applies with crashcheck")
-		}
 	}
 	if q.CrashCheck && q.ReplayTrace != nil {
 		return fmt.Errorf("crashcheck re-executes the program; it cannot consume a trace")
@@ -306,7 +301,6 @@ func (q *Request) crashOptions() *crashsim.Options {
 		Recovery:  q.Recovery,
 		MaxPoints: q.CrashPoints,
 		MaxImages: q.CrashImages,
-		NoDedup:   q.NoDedup,
 		Cache:     q.CrashCache,
 		Workers:   q.CrashWorkers,
 		StepLimit: q.StepLimit,

@@ -262,7 +262,7 @@ func NewFixer(mod *ir.Module, tr *trace.Trace, opts Options) *Fixer {
 	asp := opts.Obs.Start("alias-analyze")
 	var an *alias.Analysis
 	if opts.SummaryStore != nil {
-		an = alias.AnalyzeWithStore(mod, opts.SummaryStore.Alias())
+		an = alias.AnalyzeWithStore(mod, opts.SummaryStore.Constraints)
 	} else {
 		an = alias.Analyze(mod)
 	}

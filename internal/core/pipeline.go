@@ -155,7 +155,7 @@ func crashOpts(opts Options, entry string, args []uint64) *crashsim.Options {
 	if copts.Deadline.IsZero() {
 		copts.Deadline = opts.Deadline
 	}
-	if copts.Cache == nil && !copts.NoDedup {
+	if copts.Cache == nil {
 		copts.Cache = crashsim.NewVerdictCache()
 	}
 	return &copts

@@ -125,8 +125,9 @@ type Options struct {
 	// schedule materializes its image and boots recovery even when a
 	// byte-identical image was already judged. Point selection, schedule
 	// enumeration, and verdicts are unchanged — dedup only skips
-	// provably redundant boots — so this is purely an escape hatch for
-	// debugging suspected image divergence.
+	// provably redundant boots. It is the reference path the dedup ≡
+	// no-dedup oracle (TestDedupVerdictsIdentical) and the crash-sweep
+	// ablation benchmark compare against; no command exposes it.
 	NoDedup bool
 	// Cache, when non-nil, carries memoized recovery verdicts across
 	// Validate calls (the incremental-revalidation hook core.RunAndRepair

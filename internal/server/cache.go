@@ -3,10 +3,8 @@ package server
 import (
 	"sync"
 
-	"hippocrates/internal/cli"
 	"hippocrates/internal/crashsim"
 	"hippocrates/internal/ir"
-	"hippocrates/internal/obs"
 )
 
 // artifact is everything memoizable about one program source: the
@@ -40,137 +38,4 @@ func (a *artifact) retireVerdicts(old *crashsim.VerdictCache) {
 	if a.vc == old {
 		a.vc = nil
 	}
-}
-
-// verdictStats sums the hit/miss counters (zero when no crash job ran).
-func (a *artifact) verdictStats() (hits, misses int64) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.vc == nil {
-		return 0, 0
-	}
-	return a.vc.Stats()
-}
-
-// artifactCache memoizes compiles keyed by the request's source hash,
-// with LRU eviction. Compiles happen under the cache lock: same-source
-// jobs land on one shard anyway (see shardOf), so there is no benefit in
-// letting two workers duplicate the same front-end run.
-type artifactCache struct {
-	mu     sync.Mutex
-	max    int
-	m      map[string]*artifact
-	order  []string // LRU, most recent last
-	hits   int64
-	misses int64
-}
-
-func newArtifactCache(max int) *artifactCache {
-	return &artifactCache{max: max, m: make(map[string]*artifact)}
-}
-
-// get returns the artifact for the request's source, compiling on miss.
-// Front-end telemetry of a fresh compile is recorded under rec so the
-// aggregate metrics still see lex/parse/lower costs.
-func (c *artifactCache) get(req *cli.Request, rec *obs.Recorder) (*artifact, error) {
-	key := req.SourceKey()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if art, ok := c.m[key]; ok {
-		c.hits++
-		c.touch(key)
-		return art, nil
-	}
-	c.misses++
-	sp := rec.StartSpan("compile")
-	sp.SetAttr("program", req.Program)
-	mod, err := cli.CompileRequest(req, sp)
-	sp.End()
-	if err != nil {
-		return nil, err
-	}
-	art := &artifact{mod: mod}
-	c.m[key] = art
-	c.order = append(c.order, key)
-	for len(c.order) > c.max {
-		delete(c.m, c.order[0])
-		c.order = c.order[1:]
-	}
-	return art, nil
-}
-
-func (c *artifactCache) touch(key string) {
-	for i, k := range c.order {
-		if k == key {
-			c.order = append(append(c.order[:i:i], c.order[i+1:]...), key)
-			return
-		}
-	}
-}
-
-// stats returns lookup counters plus the verdict-cache totals of every
-// retained artifact.
-func (c *artifactCache) stats() (hits, misses, vHits, vMisses int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, art := range c.m {
-		h, m := art.verdictStats()
-		vHits += h
-		vMisses += m
-	}
-	return c.hits, c.misses, vHits, vMisses
-}
-
-// responseCache memoizes serialized responses keyed by the canonical
-// request hash, with LRU eviction. The pipeline is deterministic, so the
-// cached bytes are exactly what a fresh run would produce.
-type responseCache struct {
-	mu     sync.Mutex
-	max    int
-	m      map[string][]byte
-	order  []string
-	hits   int64
-	misses int64
-}
-
-func newResponseCache(max int) *responseCache {
-	return &responseCache{max: max, m: make(map[string][]byte)}
-}
-
-func (c *responseCache) get(key string) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	data, ok := c.m[key]
-	if ok {
-		c.hits++
-		for i, k := range c.order {
-			if k == key {
-				c.order = append(append(c.order[:i:i], c.order[i+1:]...), key)
-				break
-			}
-		}
-	} else {
-		c.misses++
-	}
-	return data, ok
-}
-
-func (c *responseCache) put(key string, data []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.m[key]; ok {
-		return
-	}
-	c.m[key] = data
-	c.order = append(c.order, key)
-	for len(c.order) > c.max {
-		delete(c.m, c.order[0])
-		c.order = c.order[1:]
-	}
-}
-
-func (c *responseCache) stats() (hits, misses int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
 }

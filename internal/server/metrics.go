@@ -166,13 +166,13 @@ func (s *Server) Metrics() *MetricsDoc {
 	if doc.Windows == nil {
 		doc.Windows = []PhaseWindowDoc{}
 	}
-	rh, rm := s.responses.stats()
-	ah, am, vh, vm := s.artifacts.stats()
+	rh, rm := s.responses.Stats()
+	ah, am := s.artifacts.Stats()
 	ss := s.summaries.Stats()
 	doc.Cache = CacheDoc{
 		ResponseHits: rh, ResponseMisses: rm,
 		ArtifactHits: ah, ArtifactMisses: am,
-		VerdictHits: vh, VerdictMisses: vm,
+		VerdictHits: s.verdictHits.Load(), VerdictMisses: s.verdictMisses.Load(),
 		SummaryHits: ss.SummaryHits, SummaryMisses: ss.SummaryMisses,
 		ConstraintHits: ss.ConsHits, ConstraintMisses: ss.ConsMisses,
 	}

@@ -38,6 +38,7 @@ import (
 
 	"hippocrates/internal/cli"
 	"hippocrates/internal/ir"
+	"hippocrates/internal/lru"
 	"hippocrates/internal/obs"
 	"hippocrates/internal/static"
 )
@@ -53,10 +54,6 @@ type Config struct {
 	// Retention bounds how many finished jobs stay retrievable by ID
 	// (default 256; oldest evicted first).
 	Retention int
-	// ResponseCacheSize / ArtifactCacheSize bound the two content caches
-	// (defaults 512 and 64 entries).
-	ResponseCacheSize int
-	ArtifactCacheSize int
 	// DefaultTimeout applies to jobs that specify no timeout_ms;
 	// MaxTimeout clamps jobs that ask for more (defaults 60s / 5m).
 	DefaultTimeout time.Duration
@@ -83,6 +80,14 @@ type Config struct {
 	// Log receives one line per job (nil = silent).
 	Log io.Writer
 }
+
+// Bounds of the two content caches (LRU eviction): serialized responses
+// keyed by canonical request hash, and compiled artifacts keyed by source
+// hash.
+const (
+	responseCacheSize = 512
+	artifactCacheSize = 64
+)
 
 // Submission errors the HTTP layer maps to status codes.
 var (
@@ -168,8 +173,15 @@ type Server struct {
 	shards []chan *Job
 	wg     sync.WaitGroup
 
-	responses *responseCache
-	artifacts *artifactCache
+	responses *lru.Cache[string, []byte]
+	artifacts *lru.Cache[string, *artifact]
+
+	// verdictHits / verdictMisses accumulate every job's lookups in its
+	// artifact's shared crash-verdict cache. They are counted per job, not
+	// read off the retained artifacts, so evicting an artifact or retiring
+	// its verdict cache never takes counts back.
+	verdictHits   atomic.Int64
+	verdictMisses atomic.Int64
 
 	// summaries is the daemon-wide incremental-analysis store: static jobs
 	// share canonicalized function summaries and alias constraints keyed by
@@ -232,12 +244,6 @@ func New(cfg Config) *Server {
 	if cfg.Retention <= 0 {
 		cfg.Retention = 256
 	}
-	if cfg.ResponseCacheSize <= 0 {
-		cfg.ResponseCacheSize = 512
-	}
-	if cfg.ArtifactCacheSize <= 0 {
-		cfg.ArtifactCacheSize = 64
-	}
 	if cfg.DefaultTimeout <= 0 {
 		cfg.DefaultTimeout = 60 * time.Second
 	}
@@ -246,8 +252,8 @@ func New(cfg Config) *Server {
 	}
 	s := &Server{
 		cfg:        cfg,
-		responses:  newResponseCache(cfg.ResponseCacheSize),
-		artifacts:  newArtifactCache(cfg.ArtifactCacheSize),
+		responses:  lru.New[string, []byte](responseCacheSize),
+		artifacts:  lru.New[string, *artifact](artifactCacheSize),
 		summaries:  static.NewStore(0),
 		rec:        obs.New(),
 		flight:     newFlightRecorder(cfg.FlightSlow, cfg.FlightFailed, cfg.FlightRejected),
@@ -315,7 +321,7 @@ func (s *Server) SubmitTraced(req *cli.Request, traceID string) (*Job, error) {
 	// Response-cache fast path: an identical request (canonical hash) was
 	// already answered, and the pipeline is deterministic — serve the
 	// bytes without queueing.
-	if data, ok := s.responses.get(req.Key()); ok {
+	if data, ok := s.responses.Get(req.Key()); ok {
 		job.mu.Lock()
 		job.state = StateDone
 		job.respJSON = data
@@ -539,7 +545,7 @@ func (s *Server) runJob(job *Job) {
 
 	// Artifact cache: compile once per (program, source), clone per job —
 	// repair mutates the module, the cached master stays pristine.
-	art, err := s.artifacts.get(req, s.rec)
+	art, err := s.artifactFor(req)
 	if err != nil {
 		finish(nil, err)
 		return
@@ -553,10 +559,11 @@ func (s *Server) runJob(job *Job) {
 	// generation) and we retire the shared instance — its surviving
 	// entries would describe the repaired module's recovery code, not the
 	// original's.
-	var gen int64
-	if req.CrashCheck && !req.NoDedup && req.CrashCache == nil {
+	var gen, vHits, vMisses int64
+	if req.CrashCheck && req.CrashCache == nil {
 		req.CrashCache = art.verdicts()
 		gen = req.CrashCache.Generation()
+		vHits, vMisses = req.CrashCache.Stats()
 	}
 
 	// Static jobs run against the daemon-wide summary store: functions any
@@ -570,6 +577,11 @@ func (s *Server) runJob(job *Job) {
 	resp, err := cli.RunModule(req, mod, root)
 	req.SummaryStore = nil
 	if req.CrashCache != nil {
+		// Reset keeps the cumulative stats and same-source jobs serialize,
+		// so the delta is exactly this job's lookups.
+		h, m := req.CrashCache.Stats()
+		s.verdictHits.Add(h - vHits)
+		s.verdictMisses.Add(m - vMisses)
 		if req.CrashCache.Generation() != gen {
 			art.retireVerdicts(req.CrashCache)
 		}
@@ -589,8 +601,28 @@ func (s *Server) runJob(job *Job) {
 		finish(nil, err)
 		return
 	}
-	s.responses.put(req.Key(), data)
+	s.responses.Add(req.Key(), data)
 	finish(data, nil)
+}
+
+// artifactFor returns the artifact for the request's source, compiling on
+// a miss. The compile runs outside the cache lock: same-source jobs land on
+// one shard (see shardOf), so two workers never race to compile one
+// source. Front-end telemetry of a fresh compile is recorded on the
+// aggregate recorder so the metrics still see lex/parse/lower costs.
+func (s *Server) artifactFor(req *cli.Request) (*artifact, error) {
+	key := req.SourceKey()
+	if art, ok := s.artifacts.Get(key); ok {
+		return art, nil
+	}
+	sp := s.rec.StartSpan("compile")
+	sp.SetAttr("program", req.Program)
+	mod, err := cli.CompileRequest(req, sp)
+	sp.End()
+	if err != nil {
+		return nil, err
+	}
+	return s.artifacts.Add(key, &artifact{mod: mod}), nil
 }
 
 // BeginDrain flips the daemon into drain mode without waiting: new

@@ -7,6 +7,7 @@ import (
 
 	"hippocrates/internal/alias"
 	"hippocrates/internal/ir"
+	"hippocrates/internal/lru"
 	"hippocrates/internal/pmem"
 )
 
@@ -21,7 +22,7 @@ type analyzer struct {
 	// runs; sumHash holds each function's summary content hash for this
 	// run (cache keys of callers chain it in, which is what makes
 	// invalidation transitive without any explicit tracking).
-	store     SummaryStore
+	store     *lru.Cache[string, *FuncSummary]
 	sumHash   map[*ir.Func]string
 	sumHits   int
 	sumMisses int
@@ -112,7 +113,7 @@ func (az *analyzer) runSingle(fn *ir.Func, succs map[*ir.Func][]*ir.Func) {
 	var key string
 	if az.store != nil {
 		key = az.keyOf(fn, succs)
-		if ps, ok := az.store.GetSummary(key); ok {
+		if ps, ok := az.store.Get(key); ok {
 			if s := instantiate(ps, fn, az); s != nil {
 				az.sumHits++
 				az.sums[fn] = s
@@ -132,7 +133,7 @@ func (az *analyzer) runSingle(fn *ir.Func, succs map[*ir.Func][]*ir.Func) {
 	if ps := canonicalize(fa.sum, az); ps != nil {
 		az.sumHash[fn] = ps.Hash
 		if az.store != nil {
-			az.store.PutSummary(key, ps)
+			az.store.Add(key, ps)
 		}
 	} else {
 		az.sumHash[fn] = az.freshHash(fn)

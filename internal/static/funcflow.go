@@ -2,7 +2,7 @@
 // block-level fixpoint and emits the function's summary (reports, lints,
 // flush effects, checkpoint chains, exit facts). Split out of analyze.go
 // so the driver — which decides per function whether to run this pass at
-// all or replay a cached summary from a SummaryStore — reads on its own.
+// all or replay a cached summary from the Store — reads on its own.
 package static
 
 import (

@@ -270,8 +270,8 @@ func AnalyzeWithStore(mod *ir.Module, entry string, store *Store) (*Result, erro
 		escapeCache: make(map[*ir.Instr]bool),
 	}
 	if store != nil {
-		an = alias.AnalyzeWithStore(mod, store.Alias())
-		az.store = store
+		an = alias.AnalyzeWithStore(mod, store.Constraints)
+		az.store = store.Summaries
 	} else {
 		an = alias.Analyze(mod)
 	}

@@ -24,23 +24,13 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"sort"
-	"sync"
 
 	"hippocrates/internal/alias"
 	"hippocrates/internal/ir"
+	"hippocrates/internal/lru"
 	"hippocrates/internal/pmcheck"
 	"hippocrates/internal/trace"
 )
-
-// SummaryStore caches canonicalized function summaries across analysis
-// runs. Keys chain the function's body fingerprint, its alias-slice
-// digest, and every direct callee's summary hash (see analyzer.keyOf).
-// Implementations must be safe for concurrent use; stored summaries are
-// immutable.
-type SummaryStore interface {
-	GetSummary(key string) (*FuncSummary, bool)
-	PutSummary(key string, ps *FuncSummary)
-}
 
 // pVal names an ir.Value across modules: a global by name, an instruction
 // by (function, ID). The zero pVal names nil.
@@ -595,58 +585,25 @@ func (ps *FuncSummary) contentHash() string {
 	return hex.EncodeToString(sum[:])
 }
 
-// Store is the bounded, concurrency-safe summary store a daemon shares
-// across jobs, bundling the alias constraint store so one handle caches
-// both layers. Eviction is FIFO: keys are content hashes, so recency
-// matters less than bounding memory.
+// Store is the bounded, concurrency-safe cache a daemon shares across
+// analysis runs: canonical function summaries keyed as described at
+// analyzer.keyOf, and the alias layer's constraint lists keyed by body
+// fingerprint. Both are content-addressed, so a hit replays exactly what
+// a recompute would produce.
 type Store struct {
-	mu     sync.Mutex
-	max    int
-	m      map[string]*FuncSummary
-	order  []string
-	hits   int64
-	misses int64
-
-	cons *alias.Store
+	Summaries   *lru.Cache[string, *FuncSummary]
+	Constraints *lru.Cache[string, []alias.Cons]
 }
 
-// NewStore returns a Store bounded to max summaries (<=0 selects 8192);
-// the embedded alias constraint store gets the same bound.
+// NewStore returns a Store bounded to max summaries and max constraint
+// lists (<=0 selects 8192).
 func NewStore(max int) *Store {
 	if max <= 0 {
 		max = 8192
 	}
-	return &Store{max: max, m: make(map[string]*FuncSummary), cons: alias.NewStore(max)}
-}
-
-// Alias returns the embedded alias constraint store.
-func (s *Store) Alias() *alias.Store { return s.cons }
-
-// GetSummary implements SummaryStore.
-func (s *Store) GetSummary(key string) (*FuncSummary, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ps, ok := s.m[key]
-	if ok {
-		s.hits++
-	} else {
-		s.misses++
-	}
-	return ps, ok
-}
-
-// PutSummary implements SummaryStore.
-func (s *Store) PutSummary(key string, ps *FuncSummary) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.m[key]; ok {
-		return
-	}
-	s.m[key] = ps
-	s.order = append(s.order, key)
-	for len(s.order) > s.max {
-		delete(s.m, s.order[0])
-		s.order = s.order[1:]
+	return &Store{
+		Summaries:   lru.New[string, *FuncSummary](max),
+		Constraints: lru.New[string, []alias.Cons](max),
 	}
 }
 
@@ -659,14 +616,12 @@ type StoreStats struct {
 
 // Stats snapshots the cumulative counters and sizes.
 func (s *Store) Stats() StoreStats {
-	s.mu.Lock()
-	hits, misses, n := s.hits, s.misses, len(s.m)
-	s.mu.Unlock()
-	ch, cm := s.cons.Stats()
+	sh, sm := s.Summaries.Stats()
+	ch, cm := s.Constraints.Stats()
 	return StoreStats{
-		SummaryHits: hits, SummaryMisses: misses,
+		SummaryHits: sh, SummaryMisses: sm,
 		ConsHits: ch, ConsMisses: cm,
-		Summaries: n, Constraints: s.cons.Len(),
+		Summaries: s.Summaries.Len(), Constraints: s.Constraints.Len(),
 	}
 }
 
