@@ -242,7 +242,8 @@ func BenchmarkAndersen(b *testing.B) {
 	}
 }
 
-// BenchmarkDetector measures pmcheck's trace replay.
+// BenchmarkDetector measures pmcheck's trace replay on flush-free Redis,
+// where pending stores only grow between durability points.
 func BenchmarkDetector(b *testing.B) {
 	p := corpus.ByName("redis-flushfree")
 	m := p.MustCompile()
@@ -250,11 +251,13 @@ func BenchmarkDetector(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pmcheck.Check(tr)
 	}
 	b.ReportMetric(float64(len(tr.Events)), "events")
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(tr.Events)), "ns/event")
 }
 
 // BenchmarkFixPass measures Hippocrates's repair pass alone (analysis,

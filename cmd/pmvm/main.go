@@ -274,7 +274,7 @@ func run(path string, argStrs []string, cfg runCfg,
 		fmt.Printf("pmvm: replayed schedule %s\n", cfg.schedID)
 	}
 	fmt.Printf("pmvm: %d instructions, %.0f simulated ns\n", mach.Steps(), mach.SimTime())
-	if n := len(mach.Violations); n > 0 {
+	if n := mach.NumViolations(); n > 0 {
 		fmt.Printf("pmvm: %d durability violation(s) observed (run pmcheck for details)\n", n)
 	} else {
 		fmt.Println("pmvm: all PM stores durable at every durability point")

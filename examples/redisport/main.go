@@ -60,7 +60,7 @@ func main() {
 			}
 		}
 		aNS := mach.SimTime() - t0
-		if n := len(mach.Violations); n > 0 {
+		if n := mach.NumViolations(); n > 0 {
 			log.Fatalf("%s: %d durability violations!", pair.name, n)
 		}
 		fmt.Printf("%s  load: %7.0f ops/s   workload A: %7.0f ops/s   (durability-clean)\n",

@@ -39,7 +39,7 @@ func TestDiagPerOp(t *testing.T) {
 		measure("overwrite", func(i int) { mch.Run("cmd_set", uint64(i), 9) })
 		measure("get", func(i int) { mch.Run("cmd_get", uint64(i)) })
 		measure("rmw", func(i int) { mch.Run("cmd_rmw", uint64(i)) })
-		if n := len(mch.Violations); n > 0 {
+		if n := mch.NumViolations(); n > 0 {
 			t.Errorf("%s: %d violations", pair.name, n)
 		}
 	}

@@ -213,7 +213,7 @@ func runYCSB(mod *ir.Module, cfg Fig4Config) (map[string][]float64, error) {
 		}
 		// Every measured build must be durability-clean: each command is
 		// a durability point (the implicit per-run checkpoint).
-		if n := len(mach.Violations); n > 0 {
+		if n := mach.NumViolations(); n > 0 {
 			return nil, fmt.Errorf("workload %s: %d durability violations in a measured build", wl.Name, n)
 		}
 	}

@@ -30,7 +30,7 @@ func runModule(t *testing.T, m *ir.Module, entry string, args ...uint64) (string
 	if _, err := mach.Run(entry, args...); err != nil {
 		t.Fatalf("run @%s: %v", entry, err)
 	}
-	return out.String(), mach.SimTime(), len(mach.Violations)
+	return out.String(), mach.SimTime(), mach.NumViolations()
 }
 
 // buildListing1 is the paper's Listing 1: an intraprocedural

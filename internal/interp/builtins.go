@@ -147,7 +147,9 @@ func (m *Machine) pmStoreChunks(addr uint64, buf []byte, callIn *ir.Instr) error
 		a := addr + off
 		data := buf[off : off+chunk]
 		seq := m.emit(callIn, trace.Event{Kind: trace.KindStore, Addr: a, Size: int(chunk)})
-		m.Track.OnStoreT(seq, m.curTid(), a, data)
+		if m.Track != nil {
+			m.Track.OnStoreT(seq, m.curTid(), a, data)
+		}
 		m.Clock.Advance(m.cost.StorePM)
 		if err := m.pmEvent(EvStore); err != nil {
 			return err
@@ -233,7 +235,9 @@ func biFlushRange(m *Machine, args []uint64) (uint64, error) {
 			continue
 		}
 		seq := m.emit(callIn, trace.Event{Kind: trace.KindFlush, FlushK: ir.CLWB, Addr: line})
-		m.Track.OnFlushT(seq, m.curTid(), false, line) // weakly ordered: pays at the fence
+		if m.Track != nil {
+			m.Track.OnFlushT(seq, m.curTid(), false, line) // weakly ordered: pays at the fence
+		}
 		if err := m.pmEvent(EvFlush); err != nil {
 			return 0, err
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hippocrates/internal/ir"
+	"hippocrates/internal/pmcheck"
 	"hippocrates/internal/pmem"
 	"hippocrates/internal/trace"
 )
@@ -32,6 +33,22 @@ func run(t *testing.T, m *ir.Module, entry string, args ...uint64) (*Machine, ui
 		t.Fatalf("run: %v", err)
 	}
 	return mach, ret
+}
+
+// runChecked is run with a trace recorded and handed to the offline
+// detector, for tests that assert what the violations are rather than
+// how many the machine counted online.
+func runChecked(t *testing.T, m *ir.Module, entry string) (*Machine, *pmcheck.Result) {
+	t.Helper()
+	tr := &trace.Trace{Program: m.Name}
+	mach, err := New(m, Options{Trace: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mach.Run(entry); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	return mach, pmcheck.Check(tr)
 }
 
 func TestArithmetic(t *testing.T) {
@@ -218,8 +235,8 @@ func buildPersistStore(flush, fence bool) *ir.Module {
 func TestPMStoreTracked(t *testing.T) {
 	m := buildPersistStore(true, true)
 	mach, _ := run(t, m, "main")
-	if len(mach.Violations) != 0 {
-		t.Fatalf("violations = %+v, want none", mach.Violations)
+	if n := mach.NumViolations(); n != 0 {
+		t.Fatalf("violations = %d, want none", n)
 	}
 	addr := mach.GlobalAddr("cell")
 	if got := mach.Track.DurableImage().ReadUint(addr, 8); got != 42 {
@@ -229,17 +246,23 @@ func TestPMStoreTracked(t *testing.T) {
 
 func TestPMStoreMissingFlushFence(t *testing.T) {
 	m := buildPersistStore(false, false)
-	mach, _ := run(t, m, "main")
-	if len(mach.Violations) != 1 || mach.Violations[0].Class != pmem.MissingFlushFence {
-		t.Fatalf("violations = %+v, want one missing-flush&fence", mach.Violations)
+	mach, res := runChecked(t, m, "main")
+	if n := mach.NumViolations(); n != 1 {
+		t.Fatalf("violations = %d, want one", n)
+	}
+	if len(res.Reports) != 1 || res.Reports[0].Occurrences != 1 || res.Reports[0].Class() != pmem.MissingFlushFence {
+		t.Fatalf("reports = %v, want one missing-flush&fence", res.Reports)
 	}
 }
 
 func TestPMStoreMissingFence(t *testing.T) {
 	m := buildPersistStore(true, false)
-	mach, _ := run(t, m, "main")
-	if len(mach.Violations) != 1 || mach.Violations[0].Class != pmem.MissingFence {
-		t.Fatalf("violations = %+v, want one missing-fence", mach.Violations)
+	mach, res := runChecked(t, m, "main")
+	if n := mach.NumViolations(); n != 1 {
+		t.Fatalf("violations = %d, want one", n)
+	}
+	if len(res.Reports) != 1 || res.Reports[0].Occurrences != 1 || res.Reports[0].Class() != pmem.MissingFence {
+		t.Fatalf("reports = %v, want one missing-fence", res.Reports)
 	}
 }
 
@@ -365,8 +388,8 @@ func TestBuiltinsAllocAndMemops(t *testing.T) {
 	if got != want {
 		t.Errorf("main() = %#x, want %#x", got, want)
 	}
-	if len(mach.Violations) != 0 {
-		t.Errorf("violations = %+v", mach.Violations)
+	if n := mach.NumViolations(); n != 0 {
+		t.Errorf("violations = %d", n)
 	}
 	// PM allocations are cache-line aligned.
 	if a := mach.Track.DurableImage(); a == nil {
@@ -407,15 +430,16 @@ func TestCheckpointBuiltin(t *testing.T) {
 	b.Call(m.Func("pm_checkpoint"))
 	b.Ret(nil)
 	f.Renumber()
-	mach, _ := run(t, m, "main")
-	if len(mach.Violations) != 2 { // once at checkpoint, once at exit
-		t.Fatalf("violations = %+v, want 2 (same store at two durability points)", mach.Violations)
+	mach, res := runChecked(t, m, "main")
+	if n := mach.NumViolations(); n != 2 { // once at checkpoint, once at exit
+		t.Fatalf("violations = %d, want 2 (same store at two durability points)", n)
 	}
 	addrB := mach.GlobalAddr("b")
-	for _, v := range mach.Violations {
-		if v.Store.Addr != addrB {
-			t.Errorf("violation for %#x, want %#x", v.Store.Addr, addrB)
-		}
+	if len(res.Reports) != 1 || res.Reports[0].Occurrences != 2 {
+		t.Fatalf("reports = %v, want one store seen at both durability points", res.Reports)
+	}
+	if a := res.Reports[0].Store.Addr; a != addrB {
+		t.Errorf("violation for %#x, want %#x", a, addrB)
 	}
 }
 
@@ -732,11 +756,51 @@ func TestFlushRangeBuiltin(t *testing.T) {
 	b.Ret(nil)
 	f.Renumber()
 	mach, _ := run(t, m, "main")
-	if n := len(mach.Violations); n != 0 {
+	if n := mach.NumViolations(); n != 0 {
 		t.Errorf("violations = %d after flush_range+fence", n)
 	}
 	if mach.Track.NumPending() != 0 {
 		t.Errorf("pending = %d", mach.Track.NumPending())
+	}
+}
+
+// TestPMBuiltinsUntracked: memcpy, memset and flush_range on PM behave the
+// same with durability tracking off (as in crash-recovery boots) as with
+// it on.
+func TestPMBuiltinsUntracked(t *testing.T) {
+	m := newModule("memops")
+	f := ir.NewFunc("main", ir.I64)
+	m.AddFunc(f)
+	b := ir.NewBuilder(f)
+	pm := b.Call(m.Func("pm_alloc"), ir.ConstInt(128))
+	heap := b.Call(m.Func("malloc"), ir.ConstInt(16))
+	b.Store(ir.I64, ir.ConstInt(0x1122334455667788), heap)
+	b.Call(m.Func("memset"), pm, ir.ConstInt(0xAB), ir.ConstInt(100))
+	b.Call(m.Func("memcpy"), b.PtrAdd(pm, ir.ConstInt(0), 0, 120), heap, ir.ConstInt(8))
+	b.Call(m.Func("flush_range"), pm, ir.ConstInt(128))
+	b.Fence(ir.SFENCE)
+	b.Ret(b.Load(ir.I64, b.PtrAdd(pm, ir.ConstInt(0), 0, 120)))
+	f.Renumber()
+	if err := ir.Verify(m); err != nil {
+		t.Fatal(err)
+	}
+	var mems []*pmem.Memory
+	for _, noTrack := range []bool{false, true} {
+		mach, err := New(m, Options{NoTrack: noTrack})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ret, err := mach.Run("main")
+		if err != nil {
+			t.Fatalf("NoTrack=%v: %v", noTrack, err)
+		}
+		if ret != 0x1122334455667788 {
+			t.Errorf("NoTrack=%v: main() = %#x", noTrack, ret)
+		}
+		mems = append(mems, mach.Mem)
+	}
+	if !pmem.EqualRange(mems[0], mems[1], pmem.PMBase, 4096) {
+		t.Error("untracked run left different PM contents than the tracked run")
 	}
 }
 

@@ -152,10 +152,6 @@ type Machine struct {
 	Track *pmem.Tracker
 	Clock pmem.Clock
 
-	// Violations collects durability violations observed online at
-	// checkpoints (the detector recomputes them offline from the trace).
-	Violations []pmem.Violation
-
 	opts     Options
 	cost     *pmem.CostModel
 	builtins map[string]Builtin
@@ -184,6 +180,10 @@ type Machine struct {
 	deadline    time.Time
 	hasDeadline bool
 	checkpoints int
+	// violations counts the pending stores seen at durability points:
+	// the online verdict. internal/pmcheck recomputes the violations
+	// themselves offline from the trace.
+	violations int
 
 	// pmEventLog records the kind of every PM event boundary, one byte
 	// per event; its length is the CrashAtEvent coordinate space.
@@ -577,9 +577,9 @@ func (m *Machine) checkpoint(in *ir.Instr) error {
 	if err := m.yieldPM(PendCheckpoint, 0); err != nil {
 		return err
 	}
-	seq := m.emit(in, trace.Event{Kind: trace.KindCheckpoint})
+	m.emit(in, trace.Event{Kind: trace.KindCheckpoint})
 	if m.Track != nil {
-		m.Violations = append(m.Violations, m.Track.OnCheckpoint(seq)...)
+		m.violations += m.Track.NumPending()
 	}
 	m.checkpoints++
 	if m.opts.CrashAtCheckpoint > 0 && m.checkpoints == m.opts.CrashAtCheckpoint {
@@ -591,6 +591,12 @@ func (m *Machine) checkpoint(in *ir.Instr) error {
 
 // Checkpoints returns the number of durability points passed so far.
 func (m *Machine) Checkpoints() int { return m.checkpoints }
+
+// NumViolations returns the durability violations observed online so far:
+// the stores found non-durable, summed over the durability points passed
+// (a store pending at two points counts twice). It is 0 when tracking is
+// off. Run internal/pmcheck on the trace for the violations themselves.
+func (m *Machine) NumViolations() int { return m.violations }
 
 // pmEvent logs one PM event boundary, fires Options.OnPMEvent, then
 // Options.CrashAtEvent. Callers invoke it after applying the event's

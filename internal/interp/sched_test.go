@@ -48,8 +48,8 @@ func TestSpawnJoin(t *testing.T) {
 	if n := mach.ThreadCount(); n != 2 {
 		t.Errorf("ThreadCount() = %d, want 2", n)
 	}
-	if len(mach.Violations) != 0 {
-		t.Errorf("unexpected violations: %v", mach.Violations)
+	if n := mach.NumViolations(); n != 0 {
+		t.Errorf("unexpected violations: %d", n)
 	}
 	if got := mach.Mem.ReadUint(mach.GlobalAddr("cell"), 8); got != 41 {
 		t.Errorf("cell = %d, want 41", got)
@@ -255,7 +255,7 @@ func TestAtomicPMStoreIsTracked(t *testing.T) {
 	mach, _ := run(t, m, "main")
 	// Atomicity does not persist: the store must show up as a violation
 	// at the implicit final durability point.
-	if len(mach.Violations) == 0 {
+	if mach.NumViolations() == 0 {
 		t.Fatal("atomic PM store without flush/fence should violate durability")
 	}
 }

@@ -303,7 +303,7 @@ void persistAll() {
 	if _, err := mach.Run("persistAll"); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(mach.Violations); n != 0 {
+	if n := mach.NumViolations(); n != 0 {
 		t.Errorf("violations = %d", n)
 	}
 }
@@ -325,7 +325,7 @@ void buggy() {
 	if _, err := mach.Run("buggy"); err != nil {
 		t.Fatal(err)
 	}
-	if len(mach.Violations) == 0 {
+	if mach.NumViolations() == 0 {
 		t.Error("expected a durability violation")
 	}
 }

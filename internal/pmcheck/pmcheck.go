@@ -9,6 +9,7 @@ package pmcheck
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -160,15 +161,12 @@ func (res *Result) Summary() string {
 
 // Check replays the trace and aggregates durability violations by store
 // site. Reports are ordered by the first violating store's sequence.
+//
+// The replay orders events by their position in the trace (which is
+// sequence order for every recorded trace): the tracker is fed event
+// indices as sequence numbers, so a violation's store and flush map back
+// to their events by slice indexing.
 func Check(t *trace.Trace) *Result {
-	// Reports deduplicate by (store site, call stack): the same static
-	// store reached through two different call chains is two bugs — each
-	// chain needs its own (possibly hoisted) fix, and the persistent
-	// subprogram transformation naturally shares clones between them.
-	type reportKey struct {
-		site  SiteKey
-		stack string
-	}
 	res := &Result{}
 	tracker := pmem.NewTracker()
 	lines := make(map[uint64]bool)
@@ -181,21 +179,7 @@ func Check(t *trace.Trace) *Result {
 			lines[l] = true
 		}
 	}
-	bySeq := make(map[int]*trace.Event)
-	reports := make(map[reportKey]*Report)
-	ckptSeen := make(map[reportKey]map[SiteKey]bool)
-	flushSeen := make(map[reportKey]map[SiteKey]bool)
-	// Stack keys are built once per event: a pending store is re-examined
-	// at every later durability point.
-	stackKeys := make(map[*trace.Event]string)
-	keyOf := func(e *trace.Event) string {
-		if k, ok := stackKeys[e]; ok {
-			return k
-		}
-		k := stackKey(e.Stack)
-		stackKeys[e] = k
-		return k
-	}
+	in := newInterner(len(t.Events))
 
 	maxTid := 0
 	seeTid := func(tid int) {
@@ -205,9 +189,15 @@ func Check(t *trace.Trace) *Result {
 	}
 	// storeData reconstructs a store's payload for replay: bytes are zero
 	// except when the event carries a value (8-byte stores of PM addresses
-	// record Val so publish detection can follow the pointer).
+	// record Val so publish detection can follow the pointer). The tracker
+	// copies the payload, so one buffer serves every store.
+	var buf []byte
 	storeData := func(e *trace.Event) []byte {
-		data := make([]byte, e.Size)
+		if cap(buf) < e.Size {
+			buf = make([]byte, e.Size)
+		}
+		data := buf[:e.Size]
+		clear(data)
 		if e.Val != 0 && e.Size == 8 {
 			v := e.Val
 			for i := 0; i < 8; i++ {
@@ -218,26 +208,23 @@ func Check(t *trace.Trace) *Result {
 		return data
 	}
 
-	for _, e := range t.Events {
+	for i, e := range t.Events {
 		switch e.Kind {
 		case trace.KindStore:
 			res.Stores++
-			bySeq[e.Seq] = e
 			touch(e.Addr, e.Size)
 			seeTid(e.Tid)
-			tracker.OnStoreT(e.Seq, e.Tid, e.Addr, storeData(e))
+			tracker.OnStoreT(i, e.Tid, e.Addr, storeData(e))
 		case trace.KindNTStore:
 			res.Stores++
-			bySeq[e.Seq] = e
 			touch(e.Addr, e.Size)
 			seeTid(e.Tid)
-			tracker.OnNTStoreT(e.Seq, e.Tid, e.Addr, storeData(e))
+			tracker.OnNTStoreT(i, e.Tid, e.Addr, storeData(e))
 		case trace.KindFlush:
 			res.Flushes++
-			bySeq[e.Seq] = e
 			seeTid(e.Tid)
 			before := len(tracker.RedundantFlushes)
-			tracker.OnFlushT(e.Seq, e.Tid, e.FlushK.Ordered(), e.Addr)
+			tracker.OnFlushT(i, e.Tid, e.FlushK.Ordered(), e.Addr)
 			if len(tracker.RedundantFlushes) > before {
 				res.RedundantFlushes = append(res.RedundantFlushes, e)
 			}
@@ -245,28 +232,16 @@ func Check(t *trace.Trace) *Result {
 			res.Fences++
 			seeTid(e.Tid)
 			before := tracker.RedundantFences
-			tracker.OnFenceT(e.Seq, e.Tid)
+			tracker.OnFenceT(i, e.Tid)
 			if tracker.RedundantFences > before {
 				res.RedundantFences = append(res.RedundantFences, e)
 			}
 		case trace.KindCheckpoint:
 			res.Checkpoints++
-			for _, v := range tracker.OnCheckpoint(e.Seq) {
-				se := bySeq[v.Store.Seq]
-				if se == nil {
-					continue
-				}
-				site := reportKey{
-					site:  SiteKey{Func: se.Site().Func, InstrID: se.Site().InstrID},
-					stack: keyOf(se),
-				}
-				rep := reports[site]
-				if rep == nil {
-					rep = &Report{Store: se, Stacks: [][]trace.Frame{se.Stack}}
-					reports[site] = rep
-					ckptSeen[site] = make(map[SiteKey]bool)
-					flushSeen[site] = make(map[SiteKey]bool)
-				}
+			ck := in.site(t.Events, i)
+			for _, v := range tracker.OnCheckpoint(i) {
+				id := in.report(t.Events, v.Store.Seq)
+				rep := in.reports[id]
 				rep.Occurrences++
 				switch v.Class {
 				case pmem.MissingFlush:
@@ -278,18 +253,12 @@ func Check(t *trace.Trace) *Result {
 					rep.NeedFence = true
 				}
 				if v.Class == pmem.MissingFence && v.Store.FlushSeq >= 0 {
-					if fe := bySeq[v.Store.FlushSeq]; fe != nil {
-						fs := fe.Site()
-						fk := SiteKey{Func: fs.Func, InstrID: fs.InstrID}
-						if !flushSeen[site][fk] {
-							flushSeen[site][fk] = true
-							rep.FlushSites = append(rep.FlushSites, fs)
-						}
+					fs := in.site(t.Events, v.Store.FlushSeq)
+					if in.flushSeen.add(fs, id) {
+						rep.FlushSites = append(rep.FlushSites, t.Events[v.Store.FlushSeq].Site())
 					}
 				}
-				ck := SiteKey{Func: e.Site().Func, InstrID: e.Site().InstrID}
-				if !ckptSeen[site][ck] {
-					ckptSeen[site][ck] = true
+				if in.ckptSeen.add(ck, id) {
 					rep.Checkpoints = append(rep.Checkpoints, e)
 				}
 			}
@@ -303,21 +272,7 @@ func Check(t *trace.Trace) *Result {
 	// program order alone never exposes it.
 	res.CrossThreadPublishes = len(tracker.Publishes)
 	for _, p := range tracker.Publishes {
-		se := bySeq[p.Referent.Seq]
-		if se == nil {
-			continue
-		}
-		site := reportKey{
-			site:  SiteKey{Func: se.Site().Func, InstrID: se.Site().InstrID},
-			stack: keyOf(se),
-		}
-		rep := reports[site]
-		if rep == nil {
-			rep = &Report{Store: se, Stacks: [][]trace.Frame{se.Stack}}
-			reports[site] = rep
-			ckptSeen[site] = make(map[SiteKey]bool)
-			flushSeen[site] = make(map[SiteKey]bool)
-		}
+		rep := in.reports[in.report(t.Events, p.Referent.Seq)]
 		rep.Occurrences++
 		rep.NeedFlush = true
 		rep.NeedFence = true
@@ -325,15 +280,132 @@ func Check(t *trace.Trace) *Result {
 		rep.Tid = p.Referent.Tid
 		rep.PubTid = p.PubTid
 	}
-	for _, r := range reports {
-		res.Reports = append(res.Reports, r)
-	}
+	res.Reports = in.reports
 	sort.Slice(res.Reports, func(i, j int) bool {
 		return res.Reports[i].Store.Seq < res.Reports[j].Store.Seq
 	})
 	res.LinesTouched = len(lines)
 	res.Threads = maxTid + 1
 	return res
+}
+
+// interner gives Check's per-violation work dense integer ids. Reports
+// deduplicate by (store site, call stack): the same static store reached
+// through two different call chains is two bugs — each chain needs its
+// own (possibly hoisted) fix, and the persistent subprogram
+// transformation naturally shares clones between them. The site is the
+// stack's innermost frame, so the stack alone is the key. A store event's
+// report id is interned at its first violation, by a hash of its stack;
+// every later violation of the same pending store is a slice index.
+type interner struct {
+	// reportOf / siteOf memoize, per event index, the event's report id
+	// and site id (-1 until first asked).
+	reportOf []int32
+	siteOf   []int32
+	reports  []*Report
+	// byStack maps a stackHash to the reports whose stacks hash to it.
+	byStack map[uint64][]int32
+	siteID  map[SiteKey]int32
+	// ckptSeen / flushSeen record which checkpoint and flush sites each
+	// report already lists.
+	ckptSeen, flushSeen pairSet
+}
+
+func newInterner(events int) *interner {
+	in := &interner{
+		reportOf: make([]int32, events),
+		siteOf:   make([]int32, events),
+		byStack:  make(map[uint64][]int32),
+		siteID:   make(map[SiteKey]int32),
+	}
+	for i := range in.reportOf {
+		in.reportOf[i] = -1
+		in.siteOf[i] = -1
+	}
+	return in
+}
+
+// report returns the id of the report for store event i, creating the
+// report at the first violation of its (site, stack).
+func (in *interner) report(events []*trace.Event, i int) int32 {
+	if id := in.reportOf[i]; id >= 0 {
+		return id
+	}
+	se := events[i]
+	h := stackHash(se.Stack)
+	for _, id := range in.byStack[h] {
+		if sameStack(in.reports[id].Store.Stack, se.Stack) {
+			in.reportOf[i] = id
+			return id
+		}
+	}
+	id := int32(len(in.reports))
+	in.byStack[h] = append(in.byStack[h], id)
+	in.reports = append(in.reports, &Report{Store: se, Stacks: [][]trace.Frame{se.Stack}})
+	in.reportOf[i] = id
+	return id
+}
+
+// stackHash is FNV-1a over the (Func, InstrID) frames stackKey renders.
+func stackHash(stack []trace.Frame) uint64 {
+	h := uint64(14695981039346656037)
+	mix := func(b byte) {
+		h ^= uint64(b)
+		h *= 1099511628211
+	}
+	for _, f := range stack {
+		for i := 0; i < len(f.Func); i++ {
+			mix(f.Func[i])
+		}
+		for id, k := uint64(f.InstrID), 0; k < 8; k++ {
+			mix(byte(id >> (8 * k)))
+		}
+	}
+	return h
+}
+
+// sameStack reports whether two stacks have the same stackKey.
+func sameStack(a, b []trace.Frame) bool {
+	return slices.EqualFunc(a, b, func(x, y trace.Frame) bool {
+		return x.Func == y.Func && x.InstrID == y.InstrID
+	})
+}
+
+// site returns the id of event i's static site.
+func (in *interner) site(events []*trace.Event, i int) int32 {
+	if id := in.siteOf[i]; id >= 0 {
+		return id
+	}
+	s := events[i].Site()
+	k := SiteKey{Func: s.Func, InstrID: s.InstrID}
+	id, ok := in.siteID[k]
+	if !ok {
+		id = int32(len(in.siteID))
+		in.siteID[k] = id
+	}
+	in.siteOf[i] = id
+	return id
+}
+
+// pairSet is a dense set of (site id, report id) pairs.
+type pairSet [][]bool
+
+// add inserts the pair and reports whether it was absent.
+func (s *pairSet) add(site, report int32) bool {
+	for int(site) >= len(*s) {
+		*s = append(*s, nil)
+	}
+	row := (*s)[site]
+	if int(report) >= len(row) {
+		n := max(int(report)+1, 2*len(row))
+		row = append(row, make([]bool, n-len(row))...)
+		(*s)[site] = row
+	}
+	if row[report] {
+		return false
+	}
+	row[report] = true
+	return true
 }
 
 // Needs records which durability mechanisms a store site lacks, with the

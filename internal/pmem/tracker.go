@@ -1,8 +1,9 @@
 package pmem
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // StoreState is the durability state of a tracked PM store, following the
@@ -49,6 +50,10 @@ type TrackedStore struct {
 	FlushSeq int
 	// NT marks a non-temporal store (born flushed).
 	NT bool
+	// logIdx is the store's slot in Tracker.log while it is pending, and
+	// -1 once it has left pending (committed or exactly overwritten). It
+	// sits in NT's padding, so records stay 80 bytes.
+	logIdx int32
 	// Tid is the simulated thread that issued the store (0 = main).
 	Tid int
 	// FlushTid is the thread that issued the flush that moved the store
@@ -130,9 +135,32 @@ type CrossThreadPublish struct {
 // Tracker implements the pmemcheck durability state machine over a stream
 // of PM events. It maintains the durable shadow image used to generate
 // crash images.
+//
+// Callers pass strictly increasing sequence numbers; every ordered query
+// (OnCheckpoint, CrashImage, PendingLines, fence commit order) relies on
+// it instead of sorting. Each event costs O(the stores it touches): a store
+// or flush O(stores pending on its line), a fence O(stores it commits,
+// plus the pending stores on their lines), a checkpoint O(pending).
 type Tracker struct {
-	// pending maps a cache-line base to the non-durable stores on it.
-	pending map[uint64][]*TrackedStore
+	// lines maps a cache-line base to its non-durable stores, in sequence
+	// order. Lines leave the map when they empty; their records go to
+	// freeLines so the store slices are reused.
+	lines     map[uint64]*pendingList
+	freeLines []*pendingList
+	// log holds every non-durable store in sequence order. A store leaves
+	// it by tombstone (nil entry, logIdx -1); compactLog squeezes the
+	// tombstones out once they outnumber the live entries, so walking the
+	// log costs O(pending).
+	log      []*TrackedStore
+	nPending int
+	// flushed is the per-thread fence queue (index = tid): the stores the
+	// thread's weakly-ordered flushes and NT stores moved to StoreFlushed,
+	// in flush order. A fence drains only its own thread's queue. Entries
+	// whose store left pending since (CLFLUSH, exact overwrite) are stale
+	// and skipped.
+	flushed [][]*TrackedStore
+	// fenceEpoch stamps the lines a fence drains, so each counts once.
+	fenceEpoch int
 	// durable is the shadow image holding only durable bytes.
 	durable *Memory
 
@@ -142,7 +170,6 @@ type Tracker struct {
 	// thread's flushes, so it cannot turn missing-flush&fence into
 	// missing-flush — a flush-only fix would park the line forever.
 	lastFence []int
-	nPending  int
 
 	// storeArena / dataArena back TrackedStore records and their payload
 	// copies in chunks, so the per-store cost on the interpreter hot path
@@ -151,9 +178,10 @@ type Tracker struct {
 	// the tracker's lifetime.
 	storeArena []TrackedStore
 	dataArena  []byte
-	// commitScratch is reused across fences so OnFenceT's two-phase
-	// commit stays allocation-free on the hot path.
+	// commitScratch and violations are reused across fences and
+	// checkpoints, so neither allocates in steady state.
 	commitScratch []*TrackedStore
+	violations    []Violation
 
 	// Diagnostics and statistics.
 	RedundantFlushes []RedundantFlush
@@ -165,10 +193,12 @@ type Tracker struct {
 	Publishes []CrossThreadPublish
 }
 
-// newStore bump-allocates one TrackedStore from the arena.
+// newStore bump-allocates one TrackedStore from the arena. Chunks grow
+// with the stores seen so far, from 16 up to 256 records, so the many
+// short runs of crash validation do not each pay for a full chunk.
 func (t *Tracker) newStore() *TrackedStore {
 	if len(t.storeArena) == 0 {
-		t.storeArena = make([]TrackedStore, 256)
+		t.storeArena = make([]TrackedStore, min(max(t.TotalStores, 16), 256))
 	}
 	st := &t.storeArena[0]
 	t.storeArena = t.storeArena[1:]
@@ -179,10 +209,8 @@ func (t *Tracker) newStore() *TrackedStore {
 // bytes in this model, but any line-sized chunk fits).
 func (t *Tracker) copyData(data []byte) []byte {
 	if len(t.dataArena) < len(data) {
-		n := 4096
-		if len(data) > n {
-			n = len(data)
-		}
+		// Chunks grow like the store arena's, from 128 bytes up to 4 KiB.
+		n := max(min(max(8*t.TotalStores, 128), 4096), len(data))
 		t.dataArena = make([]byte, n)
 	}
 	out := t.dataArena[:len(data):len(data)]
@@ -191,12 +219,86 @@ func (t *Tracker) copyData(data []byte) []byte {
 	return out
 }
 
+// pendingList is one cache line's non-durable stores, sequence-ordered.
+type pendingList struct {
+	stores []*TrackedStore
+	// epoch is the fenceEpoch of the last fence that drained the line.
+	epoch int
+}
+
 // NewTracker returns an empty tracker.
 func NewTracker() *Tracker {
 	return &Tracker{
-		pending: make(map[uint64][]*TrackedStore),
+		lines:   make(map[uint64]*pendingList),
 		durable: NewMemory(),
 	}
+}
+
+// lineFor returns line's pending list, creating an empty one if needed.
+func (t *Tracker) lineFor(line uint64) *pendingList {
+	if pl := t.lines[line]; pl != nil {
+		return pl
+	}
+	var pl *pendingList
+	if n := len(t.freeLines); n > 0 {
+		pl = t.freeLines[n-1]
+		t.freeLines = t.freeLines[:n-1]
+	} else {
+		pl = &pendingList{}
+	}
+	t.lines[line] = pl
+	return pl
+}
+
+// releaseLine keeps the record of a line just deleted from lines for
+// reuse.
+func (t *Tracker) releaseLine(pl *pendingList) {
+	pl.stores = pl.stores[:0]
+	t.freeLines = append(t.freeLines, pl)
+}
+
+// unlink tombstones st's log entry: st is no longer pending.
+func (t *Tracker) unlink(st *TrackedStore) {
+	t.log[st.logIdx] = nil
+	st.logIdx = -1
+	t.nPending--
+}
+
+// compactLog squeezes the tombstones out of the log once they outnumber
+// the live entries. Each compaction costs at most twice the tombstones it
+// removes, so it is amortized O(1) per unlink.
+func (t *Tracker) compactLog() {
+	if len(t.log)-t.nPending <= t.nPending {
+		return
+	}
+	live := t.log[:0]
+	for _, st := range t.log {
+		if st != nil {
+			st.logIdx = int32(len(live))
+			live = append(live, st)
+		}
+	}
+	t.log = live
+}
+
+// enqueueFlushed appends st to tid's fence queue. A full queue first
+// drops its stale entries, so a thread that rarely fences cannot grow
+// its queue past twice its live entries.
+func (t *Tracker) enqueueFlushed(tid int, st *TrackedStore) {
+	for len(t.flushed) <= tid {
+		t.flushed = append(t.flushed, nil)
+	}
+	q := t.flushed[tid]
+	if len(q) == cap(q) {
+		live := q[:0]
+		for _, s := range q {
+			if s.logIdx >= 0 {
+				live = append(live, s)
+			}
+		}
+		q = live
+	}
+	t.flushed[tid] = append(q, st)
 }
 
 // OnStore records a store of data at addr in persistent memory issued by
@@ -212,13 +314,14 @@ func (t *Tracker) OnStoreT(seq, tid int, addr uint64, data []byte) *TrackedStore
 		panic(fmt.Sprintf("pmem: store at %#x size %d spans cache lines", addr, len(data)))
 	}
 	t.TotalStores++
-	line := LineOf(addr)
-	list := t.pending[line]
-	for i, old := range list {
+	pl := t.lineFor(LineOf(addr))
+	overwrote := false
+	for i, old := range pl.stores {
 		if old.Addr == addr && old.Size() == len(data) {
 			// Exact overwrite: drop the stale pending store.
-			list = append(list[:i], list[i+1:]...)
-			t.nPending--
+			pl.stores = append(pl.stores[:i], pl.stores[i+1:]...)
+			t.unlink(old)
+			overwrote = true
 			break
 		}
 	}
@@ -231,9 +334,14 @@ func (t *Tracker) OnStoreT(seq, tid int, addr uint64, data []byte) *TrackedStore
 		FlushSeq: -1,
 		Tid:      tid,
 		FlushTid: -1,
+		logIdx:   int32(len(t.log)),
 	}
-	t.pending[line] = append(list, st)
+	t.log = append(t.log, st)
+	pl.stores = append(pl.stores, st)
 	t.nPending++
+	if overwrote {
+		t.compactLog()
+	}
 	return st
 }
 
@@ -250,6 +358,7 @@ func (t *Tracker) OnNTStoreT(seq, tid int, addr uint64, data []byte) *TrackedSto
 	st.FlushSeq = seq
 	st.FlushTid = tid
 	st.NT = true
+	t.enqueueFlushed(tid, st)
 	return st
 }
 
@@ -268,28 +377,32 @@ func (t *Tracker) OnFlush(seq int, ordered bool, addr uint64) int {
 func (t *Tracker) OnFlushT(seq, tid int, ordered bool, addr uint64) int {
 	line := LineOf(addr)
 	moved := 0
-	list := t.pending[line]
-	if ordered {
+	pl := t.lines[line]
+	switch {
+	case pl == nil:
+	case ordered:
 		// CLFLUSH retires both dirty and previously flushed stores.
 		// Remove the line from pending before committing so publish
 		// detection never sees a same-pass store as still pending.
-		delete(t.pending, line)
-		t.nPending -= len(list)
-		for _, st := range list {
+		delete(t.lines, line)
+		for _, st := range pl.stores {
+			t.unlink(st)
+		}
+		for _, st := range pl.stores {
 			t.commit(st)
 			moved++
 		}
-		if moved == 0 {
-			t.RedundantFlushes = append(t.RedundantFlushes, RedundantFlush{Addr: addr, Seq: seq})
-		}
-		return moved
-	}
-	for _, st := range list {
-		if st.State == StoreDirty {
-			st.State = StoreFlushed
-			st.FlushSeq = seq
-			st.FlushTid = tid
-			moved++
+		t.releaseLine(pl)
+		t.compactLog()
+	default:
+		for _, st := range pl.stores {
+			if st.State == StoreDirty {
+				st.State = StoreFlushed
+				st.FlushSeq = seq
+				st.FlushTid = tid
+				t.enqueueFlushed(tid, st)
+				moved++
+			}
 		}
 	}
 	if moved == 0 {
@@ -315,51 +428,56 @@ func (t *Tracker) OnFenceT(seq, tid int) int {
 		t.lastFence = append(t.lastFence, -1)
 	}
 	t.lastFence[tid] = seq
-	drained := 0
-	lines := 0
-	// Two passes: collect and detach every store this fence commits,
-	// then commit them. Publish detection inside commit scans pending,
-	// so same-fence commits must not be observable as pending. The
-	// scratch buffer and in-place filtering keep the hot path free of
-	// per-fence allocations.
 	commits := t.commitScratch[:0]
-	for line, list := range t.pending {
-		keep := list[:0]
-		lineDrained := false
-		for _, st := range list {
-			if st.State == StoreFlushed && st.FlushTid == tid {
+	if tid < len(t.flushed) {
+		q := t.flushed[tid]
+		for _, st := range q {
+			if st.logIdx >= 0 {
 				commits = append(commits, st)
-				drained++
-				lineDrained = true
-			} else {
-				keep = append(keep, st)
 			}
 		}
-		if lineDrained {
-			lines++
-		}
-		if len(keep) == 0 {
-			delete(t.pending, line)
-		} else {
-			t.pending[line] = keep
-		}
+		t.flushed[tid] = q[:0]
 	}
-	t.nPending -= drained
-	// Insertion sort by Seq: commit order must be global store order (so
-	// later overwrites win in the durable image), and fences typically
-	// drain a handful of stores.
-	for i := 1; i < len(commits); i++ {
-		for j := i; j > 0 && commits[j-1].Seq > commits[j].Seq; j-- {
-			commits[j-1], commits[j] = commits[j], commits[j-1]
+	if len(commits) == 0 {
+		t.RedundantFences++
+		return 0
+	}
+	// Commit order must be global store order, so later overwrites win in
+	// the durable image; the queue is in flush order.
+	slices.SortFunc(commits, func(a, b *TrackedStore) int { return cmp.Compare(a.Seq, b.Seq) })
+	// Two passes: detach every store this fence commits, then commit
+	// them. Publish detection inside commit scans pending, so same-fence
+	// commits must not be observable as pending.
+	for _, st := range commits {
+		t.unlink(st)
+	}
+	t.fenceEpoch++
+	lines := 0
+	for _, st := range commits {
+		line := LineOf(st.Addr)
+		pl := t.lines[line]
+		if pl == nil || pl.epoch == t.fenceEpoch {
+			continue // line already drained by this fence
+		}
+		pl.epoch = t.fenceEpoch
+		lines++
+		keep := pl.stores[:0]
+		for _, s := range pl.stores {
+			if s.logIdx >= 0 {
+				keep = append(keep, s)
+			}
+		}
+		pl.stores = keep
+		if len(keep) == 0 {
+			delete(t.lines, line)
+			t.releaseLine(pl)
 		}
 	}
 	for _, st := range commits {
 		t.commit(st)
 	}
 	t.commitScratch = commits[:0]
-	if drained == 0 {
-		t.RedundantFences++
-	}
+	t.compactLog()
 	return lines
 }
 
@@ -385,7 +503,11 @@ func (t *Tracker) checkPublish(st *TrackedStore) {
 	if !IsPM(val) {
 		return
 	}
-	for _, ref := range t.pending[LineOf(val)] {
+	pl := t.lines[LineOf(val)]
+	if pl == nil {
+		return
+	}
+	for _, ref := range pl.stores {
 		if ref.Tid != st.Tid {
 			t.Publishes = append(t.Publishes, CrossThreadPublish{
 				PubAddr: st.Addr, PubSeq: st.Seq, PubTid: st.Tid, Val: val, Referent: ref,
@@ -403,36 +525,28 @@ func (t *Tracker) lastFenceOf(tid int) int {
 }
 
 // OnCheckpoint evaluates a durability point: every pending store is a
-// violation, classified per the paper's bug taxonomy. Pending stores are
-// kept (the program may still persist them later; the detector
-// deduplicates reports by program location).
+// violation, classified per the paper's bug taxonomy, in sequence order.
+// Pending stores are kept (the program may still persist them later; the
+// detector deduplicates reports by program location). The returned slice
+// belongs to the tracker and is overwritten by the next OnCheckpoint.
 func (t *Tracker) OnCheckpoint(seq int) []Violation {
-	out := make([]Violation, 0, t.nPending)
-	for _, list := range t.pending {
-		for _, st := range list {
-			v := Violation{Store: st, CheckpointSeq: seq}
-			switch {
-			case st.State == StoreFlushed:
-				v.Class = MissingFence
-			case t.lastFenceOf(st.Tid) > st.Seq:
-				v.Class = MissingFlush
-			default:
-				v.Class = MissingFlushFence
-			}
-			out = append(out, v)
+	out := t.violations[:0]
+	for _, st := range t.log {
+		if st == nil {
+			continue
 		}
+		v := Violation{Store: st, CheckpointSeq: seq}
+		switch {
+		case st.State == StoreFlushed:
+			v.Class = MissingFence
+		case t.lastFenceOf(st.Tid) > st.Seq:
+			v.Class = MissingFlush
+		default:
+			v.Class = MissingFlushFence
+		}
+		out = append(out, v)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Store.Seq < out[j].Store.Seq })
-	return out
-}
-
-// Pending returns the non-durable stores ordered by sequence number.
-func (t *Tracker) Pending() []*TrackedStore {
-	out := make([]*TrackedStore, 0, t.nPending)
-	for _, list := range t.pending {
-		out = append(out, list...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	t.violations = out
 	return out
 }
 
@@ -458,8 +572,8 @@ func (t *Tracker) DurableImage() *Memory { return t.durable.Snapshot() }
 // overwrites win, matching store order within a line.
 func (t *Tracker) CrashImage(keep func(*TrackedStore) bool) *Memory {
 	img := t.durable.Clone()
-	for _, st := range t.Pending() {
-		if keep(st) {
+	for _, st := range t.log {
+		if st != nil && keep(st) {
 			img.Write(st.Addr, st.Data)
 		}
 	}
@@ -484,13 +598,16 @@ type PendingLine struct {
 // deterministic for a given tracker state, so an index into it is a
 // stable coordinate for crash-schedule enumeration.
 func (t *Tracker) PendingLines() []PendingLine {
-	out := make([]PendingLine, 0, len(t.pending))
-	for line, list := range t.pending {
-		stores := append([]*TrackedStore(nil), list...)
-		sort.Slice(stores, func(i, j int) bool { return stores[i].Seq < stores[j].Seq })
-		out = append(out, PendingLine{Line: line, Stores: stores})
+	out := make([]PendingLine, 0, len(t.lines))
+	// One backing array holds every line's stores; each line's slice is
+	// capacity-clipped so an append by the caller cannot clobber the next.
+	all := make([]*TrackedStore, 0, t.nPending)
+	for line, pl := range t.lines {
+		n := len(all)
+		all = append(all, pl.stores...)
+		out = append(out, PendingLine{Line: line, Stores: all[n:len(all):len(all)]})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Line < out[j].Line })
+	slices.SortFunc(out, func(a, b PendingLine) int { return cmp.Compare(a.Line, b.Line) })
 	return out
 }
 

@@ -327,10 +327,10 @@ func (s *Server) SubmitTraced(req *cli.Request, traceID string) (*Job, error) {
 		job.respJSON = data
 		job.cacheHit = true
 		job.mu.Unlock()
-		close(job.done)
 		s.cached.Add(1)
 		s.completed.Add(1)
 		s.rec.Add("server.jobs.response_cache_hits", 1)
+		close(job.done)
 		s.remember(job)
 		s.logf("%s trace=%s %s %s: response cache hit", job.ID, job.TraceID, req.Mode, req.Program)
 		return job, nil
@@ -506,7 +506,6 @@ func (s *Server) runJob(job *Job) {
 			job.respJSON = data
 		}
 		job.mu.Unlock()
-		close(job.done)
 		elapsed := time.Since(started)
 		if err != nil {
 			s.failed.Add(1)
@@ -541,6 +540,9 @@ func (s *Server) runJob(job *Job) {
 			}
 			return spans, rec.AuditTrail()
 		})
+		// Done last: a waiter must see the job's effect on the server's
+		// counters and aggregates.
+		close(job.done)
 	}
 
 	// Artifact cache: compile once per (program, source), clone per job —
