@@ -7,6 +7,7 @@
 package repro_test
 
 import (
+	"runtime"
 	"testing"
 
 	"hippocrates/internal/alias"
@@ -17,6 +18,8 @@ import (
 	"hippocrates/internal/ir"
 	"hippocrates/internal/lang"
 	"hippocrates/internal/pmcheck"
+	"hippocrates/internal/progen"
+	"hippocrates/internal/schedule"
 	"hippocrates/internal/study"
 	"hippocrates/internal/trace"
 	"hippocrates/internal/ycsb"
@@ -258,6 +261,43 @@ func BenchmarkDetector(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(tr.Events)), "events")
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(tr.Events)), "ns/event")
+}
+
+// BenchmarkExplore measures interleaving exploration, the many short
+// traced runs of threads repair: schedule.Explore over the concurrent
+// corpus plus a few generated threaded programs. B/run is the heap bytes
+// one explored interleaving costs (machine, trace, tracker, and the
+// detector's replay), the quantity the small first arena chunks and the
+// deferred durable image keep proportional to what a run records.
+func BenchmarkExplore(b *testing.B) {
+	type target struct {
+		m     *ir.Module
+		entry string
+	}
+	var targets []target
+	for _, p := range corpus.MTPrograms() {
+		targets = append(targets, target{p.MustCompile(), p.Entry})
+	}
+	for s := int64(0); s < 6; s++ {
+		targets = append(targets, target{progen.Generate(s, progen.ThreadedConfig(s)), "main"})
+	}
+	var before, after runtime.MemStats
+	runs := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < b.N; i++ {
+		for _, t := range targets {
+			res, err := schedule.Explore(t.m, t.entry, nil, schedule.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			runs += res.Explored
+		}
+	}
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(runs)/float64(b.N), "runs/op")
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(runs), "B/run")
 }
 
 // BenchmarkFixPass measures Hippocrates's repair pass alone (analysis,

@@ -419,8 +419,9 @@ func (fx *Fixer) finish(asp *obs.Span) error {
 // plan is the computed fix for one report before application.
 type plan struct {
 	report *pmcheck.Report
-	// storeIn is the offending instruction (store, ntstore, or a call to
-	// builtin memcpy/memset).
+	// storeIn is the offending instruction (a store-like instruction —
+	// store, ntstore, or an atomic write — or a call to builtin
+	// memcpy/memset).
 	storeIn *ir.Instr
 	// hoist selects the interprocedural transformation; nil means
 	// intraprocedural.
@@ -446,9 +447,9 @@ func (fx *Fixer) plan(rep *pmcheck.Report) (*plan, error) {
 	if in == nil {
 		return nil, fmt.Errorf("hippocrates: cannot locate %s in module (was the module renumbered after tracing?)", site)
 	}
-	switch in.Op {
-	case ir.OpStore, ir.OpNTStore:
-	case ir.OpCall:
+	switch {
+	case in.Op.IsStoreLike():
+	case in.Op == ir.OpCall:
 		if n := in.Callee.Name; n != "memcpy" && n != "memset" {
 			return nil, fmt.Errorf("hippocrates: store event points at call to @%s", n)
 		}

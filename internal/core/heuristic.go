@@ -112,10 +112,10 @@ func (fx *Fixer) debugScore(rep *pmcheck.Report, c candidate) {
 // of a builtin memcpy/memset.
 func (fx *Fixer) storePointers(rep *pmcheck.Report) []ir.Value {
 	in := fx.resolve(rep.Store.Site())
-	switch in.Op {
-	case ir.OpStore, ir.OpNTStore:
+	switch {
+	case in.Op.IsStoreLike():
 		return []ir.Value{in.StorePtr()}
-	case ir.OpCall:
+	case in.Op == ir.OpCall:
 		return []ir.Value{in.Args[0]}
 	}
 	return nil

@@ -52,15 +52,16 @@ func (fx *Fixer) apply(p *plan) error {
 }
 
 // insertFlushAfter inserts the flush that makes in's PM modification
-// durable: a single cache-line flush of the store's own address operand,
-// or a flush_range call for bulk builtin copies. It returns the
+// durable: a single cache-line flush of the store's own address operand
+// (plain or atomic: atomicity orders visibility, not persistence), or a
+// flush_range call for bulk builtin copies. It returns the
 // instruction that provides the flush — the newly inserted one, or the
 // identical existing flush the insertion was reduced against (a paired
 // fence must go after it either way).
 func (fx *Fixer) insertFlushAfter(in *ir.Instr) *ir.Instr {
 	blk := in.Block()
-	switch in.Op {
-	case ir.OpStore, ir.OpNTStore:
+	switch {
+	case in.Op.IsStoreLike():
 		ptr := in.StorePtr()
 		if next := instrAfter(blk, in); !fx.opts.DisableReduction &&
 			next != nil && next.Op == ir.OpFlush && next.Args[0] == ptr {
@@ -72,7 +73,7 @@ func (fx *Fixer) insertFlushAfter(in *ir.Instr) *ir.Instr {
 		blk.InsertAfter(in, fl)
 		fx.audit("insert-flush", fl.FlushK.String(), fl)
 		return fl
-	case ir.OpCall:
+	case in.Op == ir.OpCall:
 		// Builtin memcpy/memset: flush the destination range.
 		fr := fx.flushRangeFunc()
 		dst, n := in.Args[0], in.Args[2]
@@ -234,15 +235,15 @@ func (fx *Fixer) persistentClone(fn *ir.Func) (*ir.Func, error) {
 	var edits []edit
 	for _, b := range fn.Blocks {
 		for _, in := range b.Instrs {
-			switch in.Op {
-			case ir.OpStore, ir.OpNTStore:
+			switch {
+			case in.Op.IsStoreLike():
 				if fx.marks.PM(in.StorePtr()) {
 					if k, ok := storeGroup[in]; ok && lineLeader[k] != in {
 						continue // covered by the group leader's flush
 					}
 					edits = append(edits, edit{id: in.ID, kind: 0})
 				}
-			case ir.OpCall:
+			case in.Op == ir.OpCall:
 				callee := in.Callee
 				switch {
 				case callee.IsDecl():
@@ -307,12 +308,12 @@ func (fx *Fixer) modifiesPM(fn *ir.Func) bool {
 	sawCycle := false
 	for _, b := range fn.Blocks {
 		for _, in := range b.Instrs {
-			switch in.Op {
-			case ir.OpStore, ir.OpNTStore:
+			switch {
+			case in.Op.IsStoreLike():
 				if fx.marks.PM(in.StorePtr()) {
 					found = true
 				}
-			case ir.OpCall:
+			case in.Op == ir.OpCall:
 				callee := in.Callee
 				if callee.IsDecl() {
 					if (callee.Name == "memcpy" || callee.Name == "memset") && fx.marks.PM(in.Args[0]) {

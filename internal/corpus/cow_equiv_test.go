@@ -13,7 +13,7 @@ import (
 // the whole corpus: for sampled crash points of every crashsim-able
 // target, the copy-on-write image a captured CrashState's builder
 // produces must be byte-identical to the deep-clone reference image a
-// dedicated crash-at-event re-execution builds (CrashImageCuts), for the
+// dedicated crash-at-event re-execution builds (crashImageCuts), for the
 // corner schedules and a seeded sample of interior ones. It runs under
 // -race in `make verify`, so the frozen-base sharing between captures
 // and builder overlays is also exercised for data races.
@@ -100,7 +100,7 @@ func TestCowImagesMatchDeepClones(t *testing.T) {
 				for _, cuts := range schedules {
 					builder.Seek(cuts)
 					got := builder.Image()
-					wantImg := ref.CrashImageCuts(cuts)
+					wantImg := crashImageCuts(ref, cuts)
 					if d := pmem.DiffPM(got, wantImg); d != 0 {
 						t.Fatalf("event %d cuts %v: COW image differs from deep clone in %d PM byte(s)", k, cuts, d)
 					}
@@ -111,4 +111,16 @@ func TestCowImagesMatchDeepClones(t *testing.T) {
 			}
 		})
 	}
+}
+
+// crashImageCuts is the deep-clone reference image for one crash
+// schedule of a machine stopped at a crash point: the tracker's
+// per-line-prefix image (Tracker.CrashImagePrefix) with the allocator's
+// metadata line carried over intact, as the simulated hardware keeps it.
+func crashImageCuts(m *interp.Machine, cuts []int) *pmem.Memory {
+	img := m.Track.CrashImagePrefix(cuts)
+	meta := make([]byte, pmem.LineSize)
+	m.Mem.Read(pmem.PMBase, meta)
+	img.Write(pmem.PMBase, meta)
+	return img
 }

@@ -164,3 +164,54 @@ func TestFlushFreeAllocsLinear(t *testing.T) {
 		t.Errorf("400 checkpoints allocate %d bytes, over 6x the %d at 100: super-linear", large, small)
 	}
 }
+
+// runBytes measures the heap bytes one full run (machine construction
+// included) of main(iters) allocates, averaged over runs.
+func runBytes(t *testing.T, m *ir.Module, iters uint64, traced bool) (uint64, int) {
+	t.Helper()
+	const runs = 20
+	var before, after runtime.MemStats
+	events := 0
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		var tr *trace.Trace
+		if traced {
+			tr = &trace.Trace{Program: "alloc"}
+		}
+		mach, err := New(m, Options{Trace: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mach.Run("main", iters); err != nil {
+			t.Fatal(err)
+		}
+		if traced {
+			events = len(tr.Events)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / runs, events
+}
+
+// TestShortTracedRunBytes: a traced run of a short program allocates in
+// proportion to the events it records, not a long trace's fixed chunks.
+// Trace events, stack frames and tracker records come from arenas whose
+// first chunks are small, and a tracker nobody asks for a crash image
+// never materializes a durable page. A run recording 26 events measures
+// about 21 KB on amd64, most of it the machine's own memory pages and
+// builtin table; with full-size first chunks (512 events, 1,024 frames)
+// and an eagerly written durable image it measured about 124 KB.
+func TestShortTracedRunBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race runtime")
+	}
+	m := buildPMLoop(t)
+	bytes, events := runBytes(t, m, 8, true)
+	t.Logf("traced run of %d events: %d bytes", events, bytes)
+	if events > 50 {
+		t.Fatalf("short program recorded %d events, want <= 50", events)
+	}
+	if bytes > 32<<10 {
+		t.Errorf("traced run of %d events allocates %d bytes, want <= 32 KiB", events, bytes)
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"io"
 	"time"
 
+	"hippocrates/internal/arena"
 	"hippocrates/internal/ir"
 	"hippocrates/internal/pmem"
 	"hippocrates/internal/trace"
@@ -71,11 +72,11 @@ type Options struct {
 	Schedule []int
 	// NoTrack disables durability tracking: the machine runs with a nil
 	// Track, records no violations, and cannot capture crash images
-	// (CrashImage, CrashImageCuts, CaptureCrashState panic). Memory
-	// semantics are unchanged — stores still hit Mem — only the shadow
-	// durability state is skipped. Crash-validation recovery boots use
-	// this: they only need the entry's verdict, and the tracker's
-	// per-store records are the bulk of a boot's allocation.
+	// (CrashImage and CaptureCrashState panic). Memory semantics are
+	// unchanged — stores still hit Mem — only the shadow durability
+	// state is skipped. Crash-validation recovery boots use this: they
+	// only need the entry's verdict, and the tracker's per-store records
+	// are the bulk of a boot's allocation.
 	NoTrack bool
 }
 
@@ -189,14 +190,16 @@ type Machine struct {
 	// per event; its length is the CrashAtEvent coordinate space.
 	pmEventLog []PMEventKind
 
-	// events and frameArena are chunked arenas for trace recording:
-	// Event records and stack-frame slices are carved from block
-	// allocations, so a traced run pays amortized chunk allocations
-	// instead of two heap allocations per PM event. Untraced runs touch
-	// neither (emit elides the Event entirely).
-	events    eventArena
-	frameBuf  []trace.Frame
-	frameUsed int
+	// events and frameArena are the trace-recording arenas: Event records
+	// and stack-frame slices are carved from chunk allocations, so a
+	// traced run pays a few chunk allocations instead of two heap
+	// allocations per PM event. Chunks start small (16 events, 32 frames)
+	// and double up to 512 events and 1,024 frames, so the short runs of
+	// interleaving exploration pay for about what they record while long
+	// traces amortize to full-size chunks. Untraced runs touch neither
+	// (emit elides the Event entirely).
+	events     arena.Chunks[trace.Event]
+	frameArena arena.Chunks[trace.Frame]
 
 	// ops counts executed instructions per opcode. A dense array indexed
 	// by ir.Op keeps the dispatch-loop cost to one increment; the map view
@@ -269,6 +272,8 @@ func New(mod *ir.Module, opts Options) (*Machine, error) {
 		deadline:   opts.Deadline,
 		stackBase:  pmem.StackBase,
 		stackLimit: pmem.StackBase - pmem.StackMax,
+		events:     arena.New[trace.Event](16, 512),
+		frameArena: arena.New[trace.Frame](32, 1024),
 	}
 	if !opts.NoTrack {
 		m.Track = pmem.NewTracker()
@@ -441,15 +446,6 @@ func (m *Machine) CrashImage(keep func(*pmem.TrackedStore) bool) *pmem.Memory {
 	return m.stampMeta(img)
 }
 
-// CrashImageCuts builds the post-crash PM image for one specific crash
-// schedule under the per-line prefix model: cuts[i] is how many of the
-// i-th pending line's stores (in Track.PendingLines order) reached PM
-// before the crash. Like CrashImage, the allocator's reserved metadata
-// line is carried over intact.
-func (m *Machine) CrashImageCuts(cuts []int) *pmem.Memory {
-	return m.stampMeta(m.Track.CrashImagePrefix(cuts))
-}
-
 // CaptureCrashState snapshots the machine's current durability state —
 // the copy-on-write durable image, the pending lines, and the allocator
 // metadata line — for deferred crash-image construction. Capturing at a
@@ -492,24 +488,6 @@ func (m *Machine) stack(in *ir.Instr) []trace.Frame {
 	return out
 }
 
-// eventArena hands out trace.Event records carved from chunk
-// allocations. Records are used once; earlier pointers stay valid when a
-// new chunk starts.
-type eventArena struct {
-	buf []trace.Event
-	n   int
-}
-
-func (a *eventArena) next() *trace.Event {
-	if a.n == len(a.buf) {
-		a.buf = make([]trace.Event, 512)
-		a.n = 0
-	}
-	e := &a.buf[a.n]
-	a.n++
-	return e
-}
-
 // emit advances the global PM event sequence and returns the assigned
 // number. When tracing is on, it also records the event with the current
 // call stack (in is the active instruction of the top frame; nil for
@@ -522,7 +500,7 @@ func (m *Machine) emit(in *ir.Instr, e trace.Event) int {
 	if tr == nil {
 		return seq
 	}
-	ev := m.events.next()
+	ev := &m.events.Take(1)[0]
 	*ev = e
 	ev.Seq = seq
 	ev.Tid = m.curTid()
@@ -532,23 +510,12 @@ func (m *Machine) emit(in *ir.Instr, e trace.Event) int {
 }
 
 // stackFrames is stack carved from the frame arena: same contents,
-// amortized allocation. Slices are capacity-clipped so a consumer's
-// append cannot clobber a neighbor.
+// amortized allocation.
 func (m *Machine) stackFrames(in *ir.Instr) []trace.Frame {
-	n := len(m.frames)
-	if n == 0 {
+	if len(m.frames) == 0 {
 		return nil
 	}
-	if m.frameUsed+n > len(m.frameBuf) {
-		sz := 1024
-		if n > sz {
-			sz = n
-		}
-		m.frameBuf = make([]trace.Frame, sz)
-		m.frameUsed = 0
-	}
-	out := m.frameBuf[m.frameUsed : m.frameUsed+n : m.frameUsed+n]
-	m.frameUsed += n
+	out := m.frameArena.Take(len(m.frames))
 	m.fillStack(out, in)
 	return out
 }

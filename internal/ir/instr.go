@@ -135,6 +135,17 @@ func (op Op) IsTerminator() bool { return op == OpBr || op == OpJmp || op == OpR
 // IsAtomic reports whether op is an atomic memory operation.
 func (op Op) IsAtomic() bool { return op >= OpAtomicLoad && op <= OpAtomicCAS }
 
+// IsStoreLike reports whether op writes memory through a pointer operand:
+// store, ntstore, and the atomic writes (atomicstore, atomicrmw,
+// atomiccas). StorePtr returns that operand.
+func (op Op) IsStoreLike() bool {
+	switch op {
+	case OpStore, OpNTStore, OpAtomicStore, OpAtomicRMW, OpAtomicCAS:
+		return true
+	}
+	return false
+}
+
 // FlushKind selects the cache-flush instruction flavour. CLFLUSH is
 // strongly ordered with respect to other memory operations; CLFLUSHOPT and
 // CLWB are weakly ordered and require a subsequent fence for durability
@@ -294,13 +305,13 @@ func (in *Instr) HasResult() bool {
 	return in.Ty != nil && in.Ty != Void
 }
 
-// StorePtr returns the address operand of a store-like instruction
-// (store, ntstore, atomicstore).
+// StorePtr returns the address operand of a store-like instruction (see
+// Op.IsStoreLike): the last operand of every form.
 func (in *Instr) StorePtr() Value {
-	if in.Op != OpStore && in.Op != OpNTStore && in.Op != OpAtomicStore {
+	if !in.Op.IsStoreLike() {
 		panic("ir: StorePtr on " + in.Op.String())
 	}
-	return in.Args[1]
+	return in.Args[len(in.Args)-1]
 }
 
 // StoreVal returns the value operand of a store-like instruction

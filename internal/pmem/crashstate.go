@@ -32,7 +32,7 @@ type CrashState struct {
 // crash-image construction (Meta is filled in by the interpreter, which
 // owns the metadata line).
 func (t *Tracker) CaptureCrashState() *CrashState {
-	return &CrashState{Durable: t.durable.Snapshot(), Lines: t.PendingLines()}
+	return &CrashState{Durable: t.snapshotDurable(), Lines: t.PendingLines()}
 }
 
 // FNV-1a 64-bit parameters.

@@ -4,6 +4,8 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+
+	"hippocrates/internal/arena"
 )
 
 // StoreState is the durability state of a tracked PM store, following the
@@ -134,7 +136,8 @@ type CrossThreadPublish struct {
 
 // Tracker implements the pmemcheck durability state machine over a stream
 // of PM events. It maintains the durable shadow image used to generate
-// crash images.
+// crash images, materializing it only when a reader asks for it (see
+// syncDurable).
 //
 // Callers pass strictly increasing sequence numbers; every ordered query
 // (OnCheckpoint, CrashImage, PendingLines, fence commit order) relies on
@@ -161,8 +164,20 @@ type Tracker struct {
 	flushed [][]*TrackedStore
 	// fenceEpoch stamps the lines a fence drains, so each counts once.
 	fenceEpoch int
-	// durable is the shadow image holding only durable bytes.
-	durable *Memory
+	// durable is the shadow image holding only durable bytes. Writes to
+	// it are deferred: commit and SeedDurable queue (addr, data) in
+	// durableQ, which is applied in order when it fills and by syncDurable
+	// at the start of every durable reader. A run whose image nobody reads
+	// and that commits fewer stores than the queue holds (every explored
+	// interleaving of a short program) never materializes a durable page.
+	durable  *Memory
+	durableQ []durableWrite
+	// writeThrough is set once the durable image has been snapshotted;
+	// later writes skip the queue. Before the first snapshot no page is
+	// shared, so queued writes copy no page; after it, writing through
+	// makes every snapshot family pay exactly the copy-on-write page
+	// copies eager writes would.
+	writeThrough bool
 
 	// lastFence records the sequence of the latest fence per issuing
 	// thread (index = tid). Checkpoint classification consults the
@@ -171,13 +186,15 @@ type Tracker struct {
 	// missing-flush — a flush-only fix would park the line forever.
 	lastFence []int
 
-	// storeArena / dataArena back TrackedStore records and their payload
+	// stores and payloads back TrackedStore records and their payload
 	// copies in chunks, so the per-store cost on the interpreter hot path
-	// is two bump allocations instead of two heap allocations. Records
-	// are handed out once and never recycled; pointers stay valid for
-	// the tracker's lifetime.
-	storeArena []TrackedStore
-	dataArena  []byte
+	// is two bump allocations instead of two heap allocations. Chunks
+	// grow from 16 to 256 records and from 128 bytes to 4 KiB, so the
+	// many short runs of crash validation and exploration do not each
+	// pay for a full chunk. Pointers stay valid for the tracker's
+	// lifetime.
+	stores   arena.Chunks[TrackedStore]
+	payloads arena.Chunks[byte]
 	// commitScratch and violations are reused across fences and
 	// checkpoints, so neither allocates in steady state.
 	commitScratch []*TrackedStore
@@ -193,31 +210,16 @@ type Tracker struct {
 	Publishes []CrossThreadPublish
 }
 
-// newStore bump-allocates one TrackedStore from the arena. Chunks grow
-// with the stores seen so far, from 16 up to 256 records, so the many
-// short runs of crash validation do not each pay for a full chunk.
-func (t *Tracker) newStore() *TrackedStore {
-	if len(t.storeArena) == 0 {
-		t.storeArena = make([]TrackedStore, min(max(t.TotalStores, 16), 256))
-	}
-	st := &t.storeArena[0]
-	t.storeArena = t.storeArena[1:]
-	return st
+// durableWrite is one queued write to the durable image. data is the
+// store's arena copy (or the caller's seed), never modified afterwards.
+type durableWrite struct {
+	addr uint64
+	data []byte
 }
 
-// copyData bump-allocates a private copy of a store payload (at most 8
-// bytes in this model, but any line-sized chunk fits).
-func (t *Tracker) copyData(data []byte) []byte {
-	if len(t.dataArena) < len(data) {
-		// Chunks grow like the store arena's, from 128 bytes up to 4 KiB.
-		n := max(min(max(8*t.TotalStores, 128), 4096), len(data))
-		t.dataArena = make([]byte, n)
-	}
-	out := t.dataArena[:len(data):len(data)]
-	t.dataArena = t.dataArena[len(data):]
-	copy(out, data)
-	return out
-}
+// durableQueueLen bounds the deferred durable-image writes a tracker
+// holds before applying them.
+const durableQueueLen = 16
 
 // pendingList is one cache line's non-durable stores, sequence-ordered.
 type pendingList struct {
@@ -229,9 +231,43 @@ type pendingList struct {
 // NewTracker returns an empty tracker.
 func NewTracker() *Tracker {
 	return &Tracker{
-		lines:   make(map[uint64]*pendingList),
-		durable: NewMemory(),
+		lines:    make(map[uint64]*pendingList),
+		durable:  NewMemory(),
+		durableQ: make([]durableWrite, 0, durableQueueLen),
+		stores:   arena.New[TrackedStore](16, 256),
+		payloads: arena.New[byte](128, 4096),
 	}
+}
+
+// writeDurable makes data at addr part of the durable image, queueing the
+// write unless the image has been snapshotted.
+func (t *Tracker) writeDurable(addr uint64, data []byte) {
+	if t.writeThrough {
+		t.durable.Write(addr, data)
+		return
+	}
+	if len(t.durableQ) == cap(t.durableQ) {
+		t.syncDurable()
+	}
+	t.durableQ = append(t.durableQ, durableWrite{addr: addr, data: data})
+}
+
+// syncDurable applies the queued durable writes in order. Every reader of
+// t.durable calls it first, so it sees the bytes eager writes would have
+// left.
+func (t *Tracker) syncDurable() {
+	for _, w := range t.durableQ {
+		t.durable.Write(w.addr, w.data)
+	}
+	t.durableQ = t.durableQ[:0]
+}
+
+// snapshotDurable returns a copy-on-write snapshot of the up-to-date
+// durable image and switches the tracker to writing through.
+func (t *Tracker) snapshotDurable() *Memory {
+	t.syncDurable()
+	t.writeThrough = true
+	return t.durable.Snapshot()
 }
 
 // lineFor returns line's pending list, creating an empty one if needed.
@@ -325,10 +361,12 @@ func (t *Tracker) OnStoreT(seq, tid int, addr uint64, data []byte) *TrackedStore
 			break
 		}
 	}
-	st := t.newStore()
+	payload := t.payloads.Take(len(data))
+	copy(payload, data)
+	st := &t.stores.Take(1)[0]
 	*st = TrackedStore{
 		Addr:     addr,
-		Data:     t.copyData(data),
+		Data:     payload,
 		Seq:      seq,
 		State:    StoreDirty,
 		FlushSeq: -1,
@@ -483,7 +521,7 @@ func (t *Tracker) OnFenceT(seq, tid int) int {
 
 func (t *Tracker) commit(st *TrackedStore) {
 	st.State = StoreDurable
-	t.durable.Write(st.Addr, st.Data)
+	t.writeDurable(st.Addr, st.Data)
 	t.DurableStores++
 	t.checkPublish(st)
 }
@@ -555,15 +593,16 @@ func (t *Tracker) NumPending() int { return t.nPending }
 
 // SeedDurable marks pre-existing PM content (e.g. persistent-global
 // initializers, or an image surviving a restart) as durable without
-// counting it as a program store.
+// counting it as a program store. The tracker may apply the write later,
+// so the caller must not modify data afterwards.
 func (t *Tracker) SeedDurable(addr uint64, data []byte) {
-	t.durable.Write(addr, data)
+	t.writeDurable(addr, data)
 }
 
 // DurableImage returns a snapshot of the durable PM contents. The
 // snapshot is copy-on-write: both the tracker and the caller may keep
 // writing, each privatizing the pages it touches.
-func (t *Tracker) DurableImage() *Memory { return t.durable.Snapshot() }
+func (t *Tracker) DurableImage() *Memory { return t.snapshotDurable() }
 
 // CrashImage builds a possible post-crash PM image: the durable bytes plus
 // any subset of the pending stores chosen by keep (cache lines may be
@@ -571,6 +610,7 @@ func (t *Tracker) DurableImage() *Memory { return t.durable.Snapshot() }
 // reached PM). Chosen stores are applied in sequence order so later
 // overwrites win, matching store order within a line.
 func (t *Tracker) CrashImage(keep func(*TrackedStore) bool) *Memory {
+	t.syncDurable()
 	img := t.durable.Clone()
 	for _, st := range t.log {
 		if st != nil && keep(st) {
@@ -620,6 +660,7 @@ func (t *Tracker) PendingLines() []PendingLine {
 // reflects the line's current pending sequence, not every historical
 // intermediate value — the same approximation CrashImage makes.
 func (t *Tracker) CrashImagePrefix(cuts []int) *Memory {
+	t.syncDurable()
 	img := t.durable.Clone()
 	for i, pl := range t.PendingLines() {
 		cut := 0

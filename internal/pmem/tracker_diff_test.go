@@ -143,6 +143,7 @@ func TestTrackerMatchesReference(t *testing.T) {
 			if g, w := linesView(got.PendingLines()), linesView(want.PendingLines()); !reflect.DeepEqual(g, w) {
 				t.Fatalf("%s: pending lines\n got %v\nwant %v", where(), g, w)
 			}
+			got.syncDurable()
 			got.durable.Read(PMBase, gotImg[:])
 			want.durable.Read(PMBase, wantImg[:])
 			if gotImg != wantImg {

@@ -128,7 +128,7 @@ func (fa *funcAnalysis) transfer(st factState, in *ir.Instr, emit bool) bool {
 		// cache line is dirty until flushed and fenced like any other
 		// (atomicity orders visibility, not persistence). The pointer is
 		// the last operand for all three forms. Atomic loads write nothing.
-		ptr := in.Args[len(in.Args)-1]
+		ptr := in.StorePtr()
 		if fa.mayPM(ptr) {
 			f := fa.internStoreFact(in, ptr, 8)
 			st[f] |= stDirty

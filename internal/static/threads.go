@@ -80,7 +80,7 @@ func (az *analyzer) threadBlanketReports(have map[pmcheck.SiteKey]pmcheck.Needs)
 				case ir.OpStore, ir.OpNTStore:
 					ptr, size, nt = in.StorePtr(), in.StoreTy.Size(), in.Op == ir.OpNTStore
 				case ir.OpAtomicStore, ir.OpAtomicRMW, ir.OpAtomicCAS:
-					ptr, size = in.Args[len(in.Args)-1], 8
+					ptr, size = in.StorePtr(), 8
 				case ir.OpCall:
 					if n := in.Callee.Name; n != "memcpy" && n != "memset" {
 						continue
