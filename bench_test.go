@@ -12,6 +12,7 @@ import (
 
 	"hippocrates/internal/alias"
 	"hippocrates/internal/bench"
+	"hippocrates/internal/cli"
 	"hippocrates/internal/core"
 	"hippocrates/internal/corpus"
 	"hippocrates/internal/interp"
@@ -335,6 +336,43 @@ func BenchmarkTraceRoundTrip(b *testing.B) {
 		if _, err := trace.ParseString(text); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// layeredModule is the default layered progen module: the shape of the
+// daemon's static-edits requests, about 400 KB of IR text.
+func layeredModule() *ir.Module { return progen.Layered(progen.DefaultLayeredConfig()) }
+
+// BenchmarkCloneModule measures the private copy the daemon takes of its
+// cached compile for every job.
+func BenchmarkCloneModule(b *testing.B) {
+	m := layeredModule()
+	b.ReportAllocs()
+	for b.Loop() {
+		ir.CloneModule(m)
+	}
+}
+
+// BenchmarkPrint measures printing a module as IR text, as a repair
+// response does with its repaired module.
+func BenchmarkPrint(b *testing.B) {
+	m := layeredModule()
+	b.SetBytes(int64(len(ir.Print(m))))
+	b.ReportAllocs()
+	for b.Loop() {
+		ir.Print(m)
+	}
+}
+
+// BenchmarkRequestKey measures the two content keys the daemon hashes per
+// job: the response-cache Key and the artifact-cache SourceKey.
+func BenchmarkRequestKey(b *testing.B) {
+	q := &cli.Request{Program: "layered.pmir", Source: ir.Print(layeredModule()), Static: true}
+	b.SetBytes(int64(len(q.Source)))
+	b.ReportAllocs()
+	for b.Loop() {
+		q.Key()
+		q.SourceKey()
 	}
 }
 

@@ -227,11 +227,12 @@ func (q *Request) Validate() error {
 	return nil
 }
 
-// Key is the request's content-address: the SHA-256 of its canonical
-// JSON encoding (defaults applied). Two requests with equal keys demand
-// identical work and — the pipeline being deterministic — yield
-// byte-identical responses, which is what lets the daemon serve the
-// second one from its response cache.
+// Key is the request's content-address: the SHA-256 of its SourceKey and
+// of its canonical JSON encoding (defaults applied, Source left out since
+// SourceKey covers it, in-process fields dropped). Two requests with equal
+// keys demand identical work and — the pipeline being deterministic —
+// yield byte-identical responses, which is what lets the daemon serve the
+// second one from its response cache. The key never leaves the process.
 func (q *Request) Key() string {
 	c := *q
 	c.DebugScores = nil
@@ -241,24 +242,39 @@ func (q *Request) Key() string {
 	c.SummaryStore = nil
 	c.ReplayTrace = nil
 	_ = c.Validate() // normalize defaults; an invalid request still hashes
+	sk := c.SourceKey()
+	c.Source = ""
 	data, _ := json.Marshal(&c)
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
+	return sha256Hex(sk, "\x00", string(data))
 }
 
 // SourceKey is the content-address of the program alone (name + text):
 // the artifact-cache key under which compiled modules and crash-verdict
-// caches are shared across requests that differ only in options.
+// caches are shared across requests that differ only in options, and the
+// key the fleet router hashes onto its ring.
 func (q *Request) SourceKey() string {
 	name := q.Program
 	if name == "" {
 		name = "request.pmc"
 	}
+	return sha256Hex(name, "\x00", q.Source)
+}
+
+// sha256Hex returns the hex SHA-256 of the concatenated parts. They are
+// streamed through a stack buffer: the hash takes bytes, and converting a
+// whole program source would copy it.
+func sha256Hex(parts ...string) string {
 	h := sha256.New()
-	io.WriteString(h, name)
-	h.Write([]byte{0})
-	io.WriteString(h, q.Source)
-	return hex.EncodeToString(h.Sum(nil))
+	var buf [4096]byte
+	for _, s := range parts {
+		for len(s) > 0 {
+			n := copy(buf[:], s)
+			h.Write(buf[:n])
+			s = s[n:]
+		}
+	}
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0]))
 }
 
 // IsIR reports whether Source is textual IR rather than pmc.

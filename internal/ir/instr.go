@@ -295,7 +295,7 @@ type Instr struct {
 func (in *Instr) Type() Type { return in.Ty }
 
 // OperandString implements Value.
-func (in *Instr) OperandString() string { return "%" + in.Name }
+func (in *Instr) OperandString() string { return operandString(in) }
 
 // Block returns the containing basic block (nil if detached).
 func (in *Instr) Block() *Block { return in.blk }

@@ -3,6 +3,7 @@ package ir
 import (
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // Module is a whole program: struct type definitions, globals and
@@ -247,15 +248,9 @@ func (f *Func) NumInstrs() int {
 
 // Sig renders the signature, e.g. "@f(%p: ptr, %n: i64) -> i64".
 func (f *Func) Sig() string {
-	s := "@" + f.Name + "("
-	for i, p := range f.Params {
-		if i > 0 {
-			s += ", "
-		}
-		s += fmt.Sprintf("%%%s: %s", p.Name, p.Ty)
-	}
-	s += ") -> " + f.Ret.String()
-	return s
+	var b strings.Builder
+	writeSig(&b, f)
+	return b.String()
 }
 
 // Block is a basic block: a straight-line instruction sequence ending in a

@@ -6,14 +6,12 @@
 // CLFLUSH), memory fences (SFENCE, MFENCE) and non-temporal stores.
 //
 // The package provides construction (Builder), verification (Verify),
-// a stable textual form (Print/ParseModule round-trip), and function
-// cloning (CloneFunc) used by the persistent subprogram transformation.
+// a stable textual form (Print/ParseModule round-trip), and structural
+// cloning: CloneFunc for the persistent subprogram transformation,
+// CloneModule for a private copy of a whole module.
 package ir
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Type is the type of an IR value or of an allocated object. SSA values
 // only ever have scalar types (void, i1, i8, i64, ptr); aggregate types
@@ -126,9 +124,7 @@ func (t *ArrayType) Size() int64 { return t.Elem.Size() * t.Len }
 // Align implements Type.
 func (t *ArrayType) Align() int64 { return t.Elem.Align() }
 
-func (t *ArrayType) String() string {
-	return fmt.Sprintf("[%d x %s]", t.Len, t.Elem)
-}
+func (t *ArrayType) String() string { return typeString(t) }
 
 // Field is one member of a struct type, with its computed byte offset.
 type Field struct {
@@ -180,7 +176,7 @@ func (t *StructType) Size() int64 { return t.size }
 // Align implements Type.
 func (t *StructType) Align() int64 { return t.align }
 
-func (t *StructType) String() string { return "%" + t.Name }
+func (t *StructType) String() string { return typeString(t) }
 
 // FieldByName returns the field with the given name, or nil.
 func (t *StructType) FieldByName(name string) *Field {
@@ -207,18 +203,4 @@ func TypeEqual(a, b Type) bool {
 		return ok && x.Name == y.Name
 	}
 	return false
-}
-
-// typeDefString renders a struct definition line: "struct %Name { ... }".
-func typeDefString(t *StructType) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "struct %%%s {", t.Name)
-	for i, f := range t.Fields {
-		if i > 0 {
-			b.WriteString(",")
-		}
-		fmt.Fprintf(&b, " %s: %s", f.Name, f.Type)
-	}
-	b.WriteString(" }")
-	return b.String()
 }

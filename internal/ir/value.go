@@ -1,10 +1,5 @@
 package ir
 
-import (
-	"fmt"
-	"strconv"
-)
-
 // Value is anything that can appear as an instruction operand: constants,
 // globals, function parameters, and instruction results.
 type Value interface {
@@ -41,15 +36,7 @@ func Null() *Const { return &Const{Ty: Ptr, Val: 0} }
 func (c *Const) Type() Type { return c.Ty }
 
 // OperandString implements Value.
-func (c *Const) OperandString() string {
-	if IsPtr(c.Ty) {
-		if c.Val == 0 {
-			return "null"
-		}
-		return fmt.Sprintf("ptraddr:%d", c.Val)
-	}
-	return strconv.FormatInt(c.Val, 10)
-}
+func (c *Const) OperandString() string { return operandString(c) }
 
 // Global is a module-level variable. Its value is the address of the
 // underlying object, so its type as an operand is always ptr. PM globals
@@ -69,7 +56,7 @@ type Global struct {
 func (g *Global) Type() Type { return Ptr }
 
 // OperandString implements Value.
-func (g *Global) OperandString() string { return "@" + g.Name }
+func (g *Global) OperandString() string { return operandString(g) }
 
 // Param is a function parameter.
 type Param struct {
@@ -82,4 +69,4 @@ type Param struct {
 func (p *Param) Type() Type { return p.Ty }
 
 // OperandString implements Value.
-func (p *Param) OperandString() string { return "%" + p.Name }
+func (p *Param) OperandString() string { return operandString(p) }

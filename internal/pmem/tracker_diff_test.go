@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -157,13 +158,52 @@ func TestTrackerMatchesReference(t *testing.T) {
 	}
 }
 
-// mallocs returns the heap allocations f performs.
-func mallocs(f func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
+// trackerAllocs returns the heap allocations tracker code makes while f
+// runs: objects in a rate-1 memory profile whose allocating stack passes
+// through non-test code of internal/pmem or internal/arena. A
+// process-wide counter would also count the runtime's own allocations,
+// such as an OS thread started when a stop-the-world ends, which no
+// tracker change can remove.
+func trackerAllocs(f func()) int64 {
+	defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+	runtime.MemProfileRate = 1
+	runtime.GC() // publish everything allocated so far
+	before := profiledTrackerAllocs()
 	f()
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
+	runtime.GC()
+	return profiledTrackerAllocs() - before
+}
+
+func profiledTrackerAllocs() int64 {
+	var recs []runtime.MemProfileRecord
+	for n := 256; ; n *= 2 {
+		recs = make([]runtime.MemProfileRecord, n)
+		if got, ok := runtime.MemProfile(recs, true); ok {
+			recs = recs[:got]
+			break
+		}
+	}
+	var total int64
+	for _, r := range recs {
+		frames := runtime.CallersFrames(r.Stack())
+		for {
+			fr, more := frames.Next()
+			if isTrackerCode(fr) {
+				total += r.AllocObjects
+				break
+			}
+			if !more {
+				break
+			}
+		}
+	}
+	return total
+}
+
+func isTrackerCode(fr runtime.Frame) bool {
+	return (strings.HasPrefix(fr.Function, "hippocrates/internal/pmem.") ||
+		strings.HasPrefix(fr.Function, "hippocrates/internal/arena.")) &&
+		!strings.HasSuffix(fr.File, "_test.go")
 }
 
 // TestCheckpointAllocFree: a checkpoint over ~1k pending stores reuses
@@ -215,10 +255,10 @@ func TestFenceAllocFree(t *testing.T) {
 	for i := 0; i < 3; i++ { // warm up the scratch buffers
 		round()()
 	}
-	var total uint64
+	var total int64
 	for i := 0; i < rounds; i++ {
 		fence := round()
-		total += mallocs(fence)
+		total += trackerAllocs(fence)
 	}
 	if total != 0 {
 		t.Errorf("%d fences committing %d stores allocated %d times, want 0", rounds, k, total)

@@ -122,6 +122,10 @@ type Job struct {
 	done     chan struct{}
 	req      *cli.Request
 	created  time.Time
+	// key and sourceKey are req.Key() and req.SourceKey(), hashed once
+	// at submission (after the budgets are clamped) for the response
+	// cache, shard choice, and artifact cache.
+	key, sourceKey string
 }
 
 // State returns the job's current lifecycle state.
@@ -306,11 +310,13 @@ func (s *Server) SubmitTraced(req *cli.Request, traceID string) (*Job, error) {
 		req.StepLimit = s.cfg.StepLimit
 	}
 	job := &Job{
-		TraceID: traceID,
-		state:   StateQueued,
-		done:    make(chan struct{}),
-		req:     req,
-		created: time.Now(),
+		TraceID:   traceID,
+		state:     StateQueued,
+		done:      make(chan struct{}),
+		req:       req,
+		created:   time.Now(),
+		key:       req.Key(),
+		sourceKey: req.SourceKey(),
 	}
 	s.mu.Lock()
 	s.seq++
@@ -321,7 +327,7 @@ func (s *Server) SubmitTraced(req *cli.Request, traceID string) (*Job, error) {
 	// Response-cache fast path: an identical request (canonical hash) was
 	// already answered, and the pipeline is deterministic — serve the
 	// bytes without queueing.
-	if data, ok := s.responses.Get(req.Key()); ok {
+	if data, ok := s.responses.Get(job.key); ok {
 		job.mu.Lock()
 		job.state = StateDone
 		job.respJSON = data
@@ -336,7 +342,7 @@ func (s *Server) SubmitTraced(req *cli.Request, traceID string) (*Job, error) {
 		return job, nil
 	}
 
-	shard := s.shards[shardOf(req.SourceKey(), len(s.shards))]
+	shard := s.shards[shardOf(job.sourceKey, len(s.shards))]
 	select {
 	case shard <- job:
 		s.remember(job)
@@ -547,7 +553,7 @@ func (s *Server) runJob(job *Job) {
 
 	// Artifact cache: compile once per (program, source), clone per job —
 	// repair mutates the module, the cached master stays pristine.
-	art, err := s.artifactFor(req)
+	art, err := s.artifactFor(req, job.sourceKey)
 	if err != nil {
 		finish(nil, err)
 		return
@@ -603,17 +609,17 @@ func (s *Server) runJob(job *Job) {
 		finish(nil, err)
 		return
 	}
-	s.responses.Add(req.Key(), data)
+	s.responses.Add(job.key, data)
 	finish(data, nil)
 }
 
-// artifactFor returns the artifact for the request's source, compiling on
-// a miss. The compile runs outside the cache lock: same-source jobs land on
-// one shard (see shardOf), so two workers never race to compile one
-// source. Front-end telemetry of a fresh compile is recorded on the
-// aggregate recorder so the metrics still see lex/parse/lower costs.
-func (s *Server) artifactFor(req *cli.Request) (*artifact, error) {
-	key := req.SourceKey()
+// artifactFor returns the artifact for the request's source (key is its
+// SourceKey), compiling on a miss. The compile runs outside the cache
+// lock: same-source jobs land on one shard (see shardOf), so two workers
+// never race to compile one source. Front-end telemetry of a fresh
+// compile is recorded on the aggregate recorder so the metrics still see
+// lex/parse/lower costs.
+func (s *Server) artifactFor(req *cli.Request, key string) (*artifact, error) {
 	if art, ok := s.artifacts.Get(key); ok {
 		return art, nil
 	}
