@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet verify agreement bench hippobench metrics-smoke crash-smoke server-smoke optimize-smoke fleet-smoke incremental-smoke mt-smoke bench-server bench-optimize bench-fleet bench-incremental bench-mt
+.PHONY: build test vet verify agreement bench bench-smoke hippobench metrics-smoke crash-smoke server-smoke optimize-smoke fleet-smoke incremental-smoke mt-smoke bench-server bench-optimize bench-fleet bench-incremental bench-mt
 
 build:
 	$(GO) build ./...
@@ -94,10 +94,16 @@ mt-smoke:
 	$(GO) test ./internal/schedule/ -count=1
 	$(GO) test ./internal/static/ -run TestProgenThreadedAgreement -count=1
 
+# bench-smoke runs every benchmark once, so a benchmark that no longer
+# builds or fails its own checks breaks the gate. It measures nothing;
+# `make bench` does.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
 # verify is the tier-1 gate (referenced from ROADMAP.md): vet, build, the
 # full suite under the race detector, the agreement harness, and the
-# telemetry, crash-validation, interleaving, incremental-analysis, and
-# repair-service smoke tests.
+# telemetry, crash-validation, interleaving, incremental-analysis,
+# repair-service and benchmark smoke tests.
 verify: vet build
 	$(GO) test -race ./...
 	$(MAKE) agreement
@@ -108,6 +114,7 @@ verify: vet build
 	$(MAKE) mt-smoke
 	$(MAKE) server-smoke
 	$(MAKE) fleet-smoke
+	$(MAKE) bench-smoke
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

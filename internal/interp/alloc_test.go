@@ -198,9 +198,10 @@ func runBytes(t *testing.T, m *ir.Module, iters uint64, traced bool) (uint64, in
 // Trace events, stack frames and tracker records come from arenas whose
 // first chunks are small, and a tracker nobody asks for a crash image
 // never materializes a durable page. A run recording 26 events measures
-// about 21 KB on amd64, most of it the machine's own memory pages and
-// builtin table; with full-size first chunks (512 events, 1,024 frames)
-// and an eagerly written durable image it measured about 124 KB.
+// about 12.9 KB on amd64; with 4 KiB memory pages and a builtin table
+// per machine it measured about 21 KB, and with full-size first chunks
+// (512 events, 1,024 frames) and an eagerly written durable image about
+// 124 KB.
 func TestShortTracedRunBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race runtime")

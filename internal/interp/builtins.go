@@ -35,19 +35,27 @@ import (
 // instruction as their innermost frame (there is no IR body to point
 // into); corpus code that wants fixable per-store events uses the
 // pmc-level copy loops from the mini-libpmem instead.
-func registerStdBuiltins(m *Machine) {
-	m.RegisterBuiltin("pm_alloc", biPMAlloc)
-	m.RegisterBuiltin("pm_root", biPMRoot)
-	m.RegisterBuiltin("malloc", biMalloc)
-	m.RegisterBuiltin("free", func(*Machine, []uint64) (uint64, error) { return 0, nil })
-	m.RegisterBuiltin("memcpy", biMemcpy)
-	m.RegisterBuiltin("memset", biMemset)
-	m.RegisterBuiltin("flush_range", biFlushRange)
-	m.RegisterBuiltin("pm_checkpoint", biCheckpoint)
-	m.RegisterBuiltin("pm_assert", biPMAssert)
-	m.RegisterBuiltin("print_int", biPrintInt)
-	m.RegisterBuiltin("print_str", biPrintStr)
-	m.RegisterBuiltin("abort_msg", biAbort)
+var stdBuiltins map[string]builtin
+
+// The table is filled in init rather than by a map literal: the handlers
+// reach exec, which reads the table, so a literal would be an
+// initialization cycle. It is never written afterwards, so every machine
+// shares it.
+func init() {
+	stdBuiltins = map[string]builtin{
+		"pm_alloc":      biPMAlloc,
+		"pm_root":       biPMRoot,
+		"malloc":        biMalloc,
+		"free":          func(*Machine, []uint64) (uint64, error) { return 0, nil },
+		"memcpy":        biMemcpy,
+		"memset":        biMemset,
+		"flush_range":   biFlushRange,
+		"pm_checkpoint": biCheckpoint,
+		"pm_assert":     biPMAssert,
+		"print_int":     biPrintInt,
+		"print_str":     biPrintStr,
+		"abort_msg":     biAbort,
+	}
 }
 
 // StdDecls returns fresh declarations for the standard externals, for

@@ -74,9 +74,12 @@ type Options struct {
 	// Track, records no violations, and cannot capture crash images
 	// (CrashImage and CaptureCrashState panic). Memory semantics are
 	// unchanged — stores still hit Mem — only the shadow durability
-	// state is skipped. Crash-validation recovery boots use this: they
-	// only need the entry's verdict, and the tracker's per-store records
-	// are the bulk of a boot's allocation.
+	// state is skipped. The trace, the decision log and the return value
+	// are the same as a tracked run's. Crash-validation recovery boots
+	// use this: they only need the entry's verdict. So do the runs of
+	// interleaving exploration (internal/schedule): the detector replays
+	// each run's trace with its own tracker. In both, the tracker's
+	// per-store records would be the bulk of a run's allocation.
 	NoTrack bool
 }
 
@@ -143,8 +146,8 @@ func (k PMEventKind) String() string {
 	return fmt.Sprintf("event(%d)", int(k))
 }
 
-// Builtin is the signature of a registered external function.
-type Builtin func(m *Machine, args []uint64) (uint64, error)
+// builtin is the signature of a standard external function handler.
+type builtin func(m *Machine, args []uint64) (uint64, error)
 
 // Machine executes one module instance.
 type Machine struct {
@@ -153,9 +156,8 @@ type Machine struct {
 	Track *pmem.Tracker
 	Clock pmem.Clock
 
-	opts     Options
-	cost     *pmem.CostModel
-	builtins map[string]Builtin
+	opts Options
+	cost *pmem.CostModel
 
 	globalAddr map[string]uint64
 	heapNext   uint64
@@ -259,13 +261,12 @@ func (e *RuntimeError) Error() string {
 }
 
 // New prepares a machine: lays out globals, seeds PM initializers as
-// durable content, and registers the standard builtins.
+// durable content.
 func New(mod *ir.Module, opts Options) (*Machine, error) {
 	m := &Machine{
 		Mod:        mod,
 		opts:       opts,
 		cost:       opts.Cost,
-		builtins:   make(map[string]Builtin),
 		globalAddr: make(map[string]uint64),
 		heapNext:   pmem.HeapBase,
 		max:        opts.StepLimit,
@@ -290,7 +291,6 @@ func New(mod *ir.Module, opts Options) (*Machine, error) {
 	} else {
 		m.Mem = pmem.NewMemory()
 	}
-	registerStdBuiltins(m)
 
 	// The interpreter addresses values by their dense Renumber slots;
 	// normalize any function mutated (or never numbered) since its last
@@ -366,9 +366,6 @@ func alignUp(n, a uint64) uint64 {
 	}
 	return (n + a - 1) / a * a
 }
-
-// RegisterBuiltin installs (or overrides) an external function handler.
-func (m *Machine) RegisterBuiltin(name string, fn Builtin) { m.builtins[name] = fn }
 
 // GlobalAddr returns the simulated address of a global.
 func (m *Machine) GlobalAddr(name string) uint64 {
@@ -775,7 +772,7 @@ func (m *Machine) exec(f *frame, in *ir.Instr) error {
 		var ret uint64
 		var err error
 		if in.Callee.IsDecl() {
-			b, ok := m.builtins[in.Callee.Name]
+			b, ok := stdBuiltins[in.Callee.Name]
 			if !ok {
 				return m.fault("call to unregistered external @%s", in.Callee.Name)
 			}

@@ -68,14 +68,16 @@ func (k PendKind) String() string {
 	return fmt.Sprintf("pend(%d)", int(k))
 }
 
-// PendingOp is a thread's announced next visible operation.
+// PendingOp is a thread's announced next visible operation. Every
+// decision point copies one per runnable thread into the decision log,
+// so the fields are ordered to pack into 24 bytes.
 type PendingOp struct {
-	Tid  int
-	Kind PendKind
+	Tid int
 	// Addr is the target address for store/nt-store/flush/atomic
 	// operations (its cache line decides commutativity in the explorer),
 	// the target thread id for join, and 0 otherwise.
 	Addr uint64
+	Kind PendKind
 	// Ordered marks a flush that commits its line immediately (CLFLUSH /
 	// ordered flush_range). Ordered flushes change the durable image
 	// mid-interleaving, so the explorer must treat them as conflicting
@@ -172,8 +174,11 @@ type mtState struct {
 	choices    []int     // replayed decision prefix (Options.Schedule)
 	nextChoice int
 	decisions  []Decision
-	killed     bool
-	err        error // first error from any thread; the run's verdict
+	// runnable is pick's scratch list of runnable threads, reused
+	// across decisions.
+	runnable []*thread
+	killed   bool
+	err      error // first error from any thread; the run's verdict
 	// ack serializes the kill sweep: non-nil only while killThreads
 	// wakes parked threads one at a time.
 	ack chan struct{}
@@ -322,12 +327,13 @@ func (m *Machine) schedNext() error {
 // every point with two or more runnable threads.
 func (m *Machine) pick() (*thread, error) {
 	mt := m.mt
-	var run []*thread
+	run := mt.runnable[:0]
 	for _, t := range mt.threads {
 		if t.state == thRunnable {
 			run = append(run, t)
 		}
 	}
+	mt.runnable = run
 	if len(run) == 0 {
 		return nil, m.deadlockErr()
 	}
@@ -342,7 +348,7 @@ func (m *Machine) pick() (*thread, error) {
 	if mt.nextChoice < len(mt.choices) {
 		idx = mt.choices[mt.nextChoice]
 		if idx < 0 || idx >= len(run) {
-			return nil, m.fault("schedule choice %d of %d out of range (%d runnable threads)",
+			return nil, m.fault("schedule decision %d: choice %d out of range (%d runnable threads)",
 				mt.nextChoice, idx, len(run))
 		}
 	} else {

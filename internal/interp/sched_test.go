@@ -1,9 +1,11 @@
 package interp
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"hippocrates/internal/ir"
 	"hippocrates/internal/trace"
@@ -323,5 +325,44 @@ func TestScheduleIDRoundTrip(t *testing.T) {
 		if _, err := ParseScheduleID(bad); err == nil {
 			t.Errorf("ParseScheduleID(%q) succeeded, want error", bad)
 		}
+	}
+}
+
+// TestScheduleChoiceOutOfRange: a replayed schedule whose choice names
+// no runnable thread (pmvm -sched c:9) faults with a message naming the
+// decision index, the requested choice and the runnable count.
+func TestScheduleChoiceOutOfRange(t *testing.T) {
+	m := buildTwoWriters(t)
+	mach, _, _ := runSched(t, m, nil)
+	ds := mach.Decisions()
+	if len(ds) < 2 {
+		t.Fatalf("round-robin run took %d decisions, want >= 2", len(ds))
+	}
+	for _, tc := range []struct {
+		id       string
+		decision int
+	}{{"c:9", 0}, {"c:0.9", 1}} {
+		choices, err := ParseScheduleID(tc.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mach, err := New(m, Options{Schedule: choices})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = mach.Run("main")
+		want := fmt.Sprintf("schedule decision %d: choice 9 out of range (%d runnable threads)",
+			tc.decision, len(ds[tc.decision].Runnable))
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("schedule %s: error %v, want it to contain %q", tc.id, err, want)
+		}
+	}
+}
+
+// TestPendingOpSize: every decision point copies one PendingOp per
+// runnable thread into the decision log, so the struct stays packed.
+func TestPendingOpSize(t *testing.T) {
+	if got := unsafe.Sizeof(PendingOp{}); got != 24 {
+		t.Errorf("PendingOp is %d bytes, want 24", got)
 	}
 }

@@ -57,6 +57,7 @@ func TestSnapshotTwiceStaysIsolated(t *testing.T) {
 func TestOverlayReadsThroughWritesUp(t *testing.T) {
 	base := NewMemory()
 	base.Write(PMBase, []byte{10, 20, 30})
+	base.Store8(PMBase+pageSize, 40)
 
 	ov := base.Overlay()
 	if got := ov.Load8(PMBase + 1); got != 20 {
@@ -68,6 +69,11 @@ func TestOverlayReadsThroughWritesUp(t *testing.T) {
 	}
 	if got := ov.Load8(PMBase); got != 10 {
 		t.Errorf("copy-up lost neighbouring bytes: %d", got)
+	}
+	// The copied-up page's neighbour in the same chunk still reads
+	// through to the base.
+	if got := ov.Load8(PMBase + pageSize); got != 40 {
+		t.Errorf("overlay read of a neighbouring page = %d, want 40", got)
 	}
 	// A write to a page absent from the base materializes fresh (no copy).
 	before := base.stats.PagesCopied.Load()

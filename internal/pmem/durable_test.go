@@ -22,7 +22,7 @@ func TestUnreadDurableImageStaysEmpty(t *testing.T) {
 	if tr.DurableStores != durableQueueLen-1 {
 		t.Fatalf("durable stores = %d, want %d", tr.DurableStores, durableQueueLen-1)
 	}
-	if n := len(tr.durable.pages); n != 0 {
+	if n := len(tr.durable.chunks); n != 0 {
 		t.Fatalf("unread tracker holds %d durable pages, want 0", n)
 	}
 	img := tr.DurableImage()

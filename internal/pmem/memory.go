@@ -5,8 +5,38 @@ import (
 	"sync/atomic"
 )
 
-// pageSize is the granularity of the sparse backing store.
-const pageSize = 1 << 12
+// pageSize is the granularity of allocation and copy-on-write. It is a
+// multiple of LineSize, so a cache line never straddles two pages. Small
+// pages keep a short run's footprint proportional to the lines it
+// touches: a run that writes a few scattered lines pays a few 256-byte
+// pages, not a 4 KiB page per line, and a copy-on-write fault copies
+// 256 bytes. Larger pages cost short runs more; smaller ones cost more
+// in chunk pointers than they save (DESIGN.md has the sweep).
+const pageSize = 1 << 8
+
+// The page map is keyed by 4 KiB chunk, not by page, so it holds as
+// few keys as it did with 4 KiB pages: a short run's map stays within
+// the runtime's small-map fast path, and a long run's lookups hash no
+// more keys. Each chunk holds its chunkPages pages.
+const (
+	chunkSize  = 1 << 12
+	chunkPages = chunkSize / pageSize
+)
+
+// The build fails if pageSize stops being a multiple of LineSize, or if
+// a chunk has more pages than chunk.shared has bits.
+var (
+	_ [pageSize % LineSize]struct{} = [0]struct{}{}
+	_ [16 - chunkPages]struct{}
+)
+
+// chunk holds one chunk's materialized pages.
+type chunk struct {
+	pages [chunkPages]*[pageSize]byte
+	// shared has bit i set while pages[i] is co-owned with a snapshot:
+	// a write must copy the page before mutating it.
+	shared uint16
+}
 
 // CowStats aggregates copy-on-write page accounting for one snapshot
 // family (every Memory derived from the same root shares one). The
@@ -33,10 +63,7 @@ type CowStats struct {
 // many images can share one durable base; the base must not be written
 // while overlays of it are live.
 type Memory struct {
-	pages map[uint64]*[pageSize]byte
-	// shared marks pages co-owned with a snapshot: a write must copy the
-	// page before mutating it. Allocated lazily.
-	shared map[uint64]bool
+	chunks map[uint64]*chunk
 	// base is the frozen lower layer for overlays (nil for roots).
 	// Reads fall through to it; writes copy the page up.
 	base *Memory
@@ -46,38 +73,54 @@ type Memory struct {
 
 // NewMemory returns an empty memory.
 func NewMemory() *Memory {
-	return &Memory{pages: make(map[uint64]*[pageSize]byte), stats: new(CowStats)}
+	return &Memory{chunks: make(map[uint64]*chunk), stats: new(CowStats)}
 }
 
 // Stats returns the COW accounting shared by this memory's whole
 // snapshot family.
 func (m *Memory) Stats() *CowStats { return m.stats }
 
-// lookup finds the page through the base chain without materializing or
+// lookup finds page pn through the base chain without materializing or
 // privatizing anything.
 func (m *Memory) lookup(pn uint64) *[pageSize]byte {
 	for mm := m; mm != nil; mm = mm.base {
-		if pg, ok := mm.pages[pn]; ok {
-			return pg
+		if c := mm.chunks[pn/chunkPages]; c != nil {
+			if pg := c.pages[pn%chunkPages]; pg != nil {
+				return pg
+			}
 		}
 	}
 	return nil
 }
 
+// chunkFor returns chunk cn, creating it if absent.
+func (m *Memory) chunkFor(cn uint64) *chunk {
+	c := m.chunks[cn]
+	if c == nil {
+		c = new(chunk)
+		m.chunks[cn] = c
+	}
+	return c
+}
+
 func (m *Memory) page(addr uint64, create bool) (*[pageSize]byte, uint64) {
 	pn := addr / pageSize
 	off := addr % pageSize
-	if pg, ok := m.pages[pn]; ok {
-		if create && m.shared[pn] {
-			// Copy-on-write: privatize the page co-owned with a snapshot.
-			cp := new([pageSize]byte)
-			*cp = *pg
-			m.pages[pn] = cp
-			delete(m.shared, pn)
-			m.stats.PagesCopied.Add(1)
-			return cp, off
+	cn, i := pn/chunkPages, pn%chunkPages
+	c := m.chunks[cn]
+	if c != nil {
+		if pg := c.pages[i]; pg != nil {
+			if create && c.shared&(1<<i) != 0 {
+				// Copy-on-write: privatize the page co-owned with a snapshot.
+				cp := new([pageSize]byte)
+				*cp = *pg
+				c.pages[i] = cp
+				c.shared &^= 1 << i
+				m.stats.PagesCopied.Add(1)
+				return cp, off
+			}
+			return pg, off
 		}
-		return pg, off
 	}
 	if m.base != nil {
 		if bp := m.base.lookup(pn); bp != nil {
@@ -87,7 +130,7 @@ func (m *Memory) page(addr uint64, create bool) (*[pageSize]byte, uint64) {
 			// Copy-up: writes never reach the frozen base.
 			cp := new([pageSize]byte)
 			*cp = *bp
-			m.pages[pn] = cp
+			m.chunkFor(cn).pages[i] = cp
 			m.stats.PagesCopied.Add(1)
 			return cp, off
 		}
@@ -95,8 +138,11 @@ func (m *Memory) page(addr uint64, create bool) (*[pageSize]byte, uint64) {
 	if !create {
 		return nil, off
 	}
+	if c == nil {
+		c = m.chunkFor(cn)
+	}
 	pg := new([pageSize]byte)
-	m.pages[pn] = pg
+	c.pages[i] = pg
 	return pg, off
 }
 
@@ -106,23 +152,25 @@ func (m *Memory) page(addr uint64, create bool) (*[pageSize]byte, uint64) {
 // be used from a single goroutine each unless neither is written.
 func (m *Memory) Snapshot() *Memory {
 	nm := &Memory{
-		pages: make(map[uint64]*[pageSize]byte, len(m.pages)),
-		base:  m.base,
-		stats: m.stats,
+		chunks: make(map[uint64]*chunk, len(m.chunks)),
+		base:   m.base,
+		stats:  m.stats,
 	}
-	if len(m.pages) > 0 {
-		nm.shared = make(map[uint64]bool, len(m.pages))
-		if m.shared == nil {
-			m.shared = make(map[uint64]bool, len(m.pages))
+	shared := 0
+	for cn, c := range m.chunks {
+		var mask uint16
+		for i, pg := range c.pages {
+			if pg != nil {
+				mask |= 1 << i
+				shared++
+			}
 		}
-		for pn, pg := range m.pages {
-			nm.pages[pn] = pg
-			nm.shared[pn] = true
-			m.shared[pn] = true
-		}
+		c.shared = mask
+		nc := *c
+		nm.chunks[cn] = &nc
 	}
 	m.stats.Snapshots.Add(1)
-	m.stats.PagesShared.Add(int64(len(m.pages)))
+	m.stats.PagesShared.Add(int64(shared))
 	return nm
 }
 
@@ -131,7 +179,7 @@ func (m *Memory) Snapshot() *Memory {
 // be written while the overlay is live; a frozen base may back any
 // number of concurrent overlays (each overlay is single-goroutine).
 func (m *Memory) Overlay() *Memory {
-	return &Memory{pages: make(map[uint64]*[pageSize]byte), base: m, stats: m.stats}
+	return &Memory{chunks: make(map[uint64]*chunk), base: m, stats: m.stats}
 }
 
 // forEachPage calls fn once per materialized page whose base address is
@@ -143,14 +191,17 @@ func (m *Memory) forEachPage(from uint64, fn func(pageAddr uint64, pg *[pageSize
 		seen = make(map[uint64]bool)
 	}
 	for mm := m; mm != nil; mm = mm.base {
-		for pn, pg := range mm.pages {
-			if pn*pageSize < from || seen[pn] {
-				continue
+		for cn, c := range mm.chunks {
+			for i, pg := range c.pages {
+				pn := cn*chunkPages + uint64(i)
+				if pg == nil || pn*pageSize < from || seen[pn] {
+					continue
+				}
+				if seen != nil {
+					seen[pn] = true
+				}
+				fn(pn*pageSize, pg)
 			}
-			if seen != nil {
-				seen[pn] = true
-			}
-			fn(pn*pageSize, pg)
 		}
 	}
 }
@@ -251,7 +302,8 @@ func (m *Memory) Clone() *Memory {
 	m.forEachPage(0, func(addr uint64, pg *[pageSize]byte) {
 		cp := new([pageSize]byte)
 		*cp = *pg
-		nm.pages[addr/pageSize] = cp
+		pn := addr / pageSize
+		nm.chunkFor(pn / chunkPages).pages[pn%chunkPages] = cp
 	})
 	return nm
 }

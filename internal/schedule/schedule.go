@@ -60,9 +60,12 @@ type Options struct {
 	// bounded-exhaustive. The equivalence test uses this to pin POR's
 	// soundness: both modes must produce the same verdict set.
 	NoPOR bool
-	// Interp is the per-run interpreter option template. Trace and
-	// Schedule are overwritten for every run; everything else (step
-	// limit, deadline, cost model) passes through.
+	// Interp is the per-run interpreter option template. Trace, Schedule
+	// and NoTrack are overwritten for every run; everything else (step
+	// limit, deadline, cost model) passes through. Explored runs are
+	// always untracked: the detector replays each run's trace with its
+	// own durability tracker, and no exploration result reads what an
+	// online tracker would add (the simulated clock).
 	Interp interp.Options
 	// Obs, when non-nil, receives schedule.explored / schedule.pruned /
 	// schedule.truncated counters.
@@ -180,10 +183,14 @@ func Explore(mod *ir.Module, entry string, args []uint64, opts Options) (*Result
 		max = DefaultMaxSchedules
 	}
 	res := &Result{}
-	frontier := [][]int{nil}
-	for len(frontier) > 0 && res.Explored < max {
-		prefix := frontier[0]
-		frontier = frontier[1:]
+	// The frontier is a FIFO queue advanced by index; its first entry
+	// (no parent) is the round-robin run.
+	frontier := []branch{{}}
+	head := 0
+	var prefix []int
+	for head < len(frontier) && res.Explored < max {
+		prefix = frontier[head].prefix(prefix[:0])
+		head++
 		run, err := runOne(mod, entry, args, prefix, &opts.Interp)
 		if err != nil {
 			return nil, err
@@ -202,13 +209,11 @@ func Explore(mod *ir.Module, entry string, args []uint64, opts Options) (*Result
 					res.Pruned++
 					continue
 				}
-				np := make([]int, i+1)
-				copy(np, run.Choices[:i])
-				np[i] = alt
-				frontier = append(frontier, np)
+				frontier = append(frontier, branch{parent: run, at: i, alt: alt})
 			}
 		}
 	}
+	frontier = frontier[head:]
 	res.Truncated = len(frontier) > 0
 	if sp := opts.Obs; sp != nil {
 		sp.Add("schedule.explored", int64(res.Explored))
@@ -220,12 +225,32 @@ func Explore(mod *ir.Module, entry string, args []uint64, opts Options) (*Result
 	return res, nil
 }
 
-// runOne executes a single interleaving from a choice prefix.
+// branch is one unexplored alternative: the run that discovered it,
+// the decision index at, and the choice alt taken there instead. Its
+// schedule prefix, parent.Choices[:at] followed by alt, is built only
+// when the branch is popped; most branches never run under a budget.
+type branch struct {
+	parent  *Run
+	at, alt int
+}
+
+// prefix appends the branch's schedule prefix to buf. The root branch
+// has the empty prefix.
+func (b branch) prefix(buf []int) []int {
+	if b.parent == nil {
+		return buf
+	}
+	return append(append(buf, b.parent.Choices[:b.at]...), b.alt)
+}
+
+// runOne executes a single interleaving from a choice prefix, untracked
+// (see Options.Interp). The machine does not keep prefix past the run.
 func runOne(mod *ir.Module, entry string, args []uint64, prefix []int, tmpl *interp.Options) (*Run, error) {
 	io := *tmpl
 	tr := &trace.Trace{Program: mod.Name}
 	io.Trace = tr
 	io.Schedule = prefix
+	io.NoTrack = true
 	m, err := interp.New(mod, io)
 	if err != nil {
 		return nil, err
