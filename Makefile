@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet verify agreement bench bench-smoke hippobench metrics-smoke crash-smoke server-smoke optimize-smoke fleet-smoke incremental-smoke mt-smoke bench-server bench-optimize bench-fleet bench-incremental bench-mt
+.PHONY: build test vet verify agreement bench bench-smoke hippobench hippobench-build metrics-smoke crash-smoke server-smoke optimize-smoke fleet-smoke incremental-smoke mt-smoke
 
 build:
 	$(GO) build ./...
@@ -95,15 +95,32 @@ mt-smoke:
 	$(GO) test ./internal/static/ -run TestProgenThreadedAgreement -count=1
 
 # bench-smoke runs every benchmark once, so a benchmark that no longer
-# builds or fails its own checks breaks the gate. It measures nothing;
-# `make bench` does.
+# builds or fails its own checks breaks the gate (BenchmarkCrashSweep/dedup
+# fails above a fifth of the pre-fast-path wall time). It measures
+# nothing; `make bench` does.
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+# hippobench-build vets and builds the benchmark's own Go modules
+# (internal/benchmark and cmd/hippobench), which the root `go build ./...`
+# does not reach, offline and under the environment run.sh sets.
+hb_build = $(CURDIR)/.bench_build
+hb_env = HOME=$(hb_build)/home XDG_CONFIG_HOME=$(hb_build)/home/.config \
+	XDG_CACHE_HOME=$(hb_build)/home/.cache TMPDIR=$(hb_build)/tmp GOTMPDIR=$(hb_build)/tmp \
+	GOCACHE=$(hb_build)/gocache GOMODCACHE=$(hb_build)/gomodcache GOPATH=$(hb_build)/gopath \
+	GOTOOLCHAIN=local GOPROXY=off GOWORK=off GOENV=off GOFLAGS=
+hippobench-build:
+	mkdir -p $(hb_build)/home $(hb_build)/tmp
+	for mod in internal/benchmark cmd/hippobench; do \
+		env $(hb_env) $(GO) -C $$mod vet ./... && \
+		env $(hb_env) $(GO) -C $$mod build -o /dev/null ./... || exit 1; \
+	done
 
 # verify is the tier-1 gate (referenced from ROADMAP.md): vet, build, the
 # full suite under the race detector, the agreement harness, and the
 # telemetry, crash-validation, interleaving, incremental-analysis,
-# repair-service and benchmark smoke tests.
+# repair-service and benchmark smoke tests, and the hippobench modules'
+# vet and build.
 verify: vet build
 	$(GO) test -race ./...
 	$(MAKE) agreement
@@ -115,10 +132,10 @@ verify: vet build
 	$(MAKE) server-smoke
 	$(MAKE) fleet-smoke
 	$(MAKE) bench-smoke
+	$(MAKE) hippobench-build
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
-	BENCH_CRASHSIM_OUT=$(CURDIR)/BENCH_crashsim.json $(GO) test -run '^TestWriteCrashSweepJSON$$' -count=1 -v ./internal/bench/
 
 # hippobench runs the seeded end-to-end benchmark declared in
 # BENCHMARK.json. cmd/hippobench and internal/benchmark are their own Go
@@ -127,41 +144,3 @@ bench:
 # make hippobench ARGS='-seed 1 -out bench-out'.
 hippobench:
 	bash cmd/hippobench/run.sh $(ARGS)
-
-# bench-server replays the crashsim-able corpus (cold + warm rounds) against
-# an in-process daemon and writes throughput/latency/speedup, per-round
-# cache hit ratios, and the per-round time series (throughput + daemon
-# queue depth) to BENCH_server.json.
-bench-server:
-	$(GO) run ./cmd/hippocratesd -selftest -quiet -bench-out $(CURDIR)/BENCH_server.json
-
-# bench-optimize sweeps the optimize pass over the corpus and writes the
-# per-target simulated-cost deltas (pmem.CostModel) of the proven edit
-# set to BENCH_optimize.json.
-bench-optimize:
-	BENCH_OPTIMIZE_OUT=$(CURDIR)/BENCH_optimize.json $(GO) test -run '^TestWriteOptSweepJSON$$' -count=1 -v ./internal/bench/
-
-# bench-incremental replays the deterministic layered edit sequence
-# (51 functions, 6 edits) comparing a cold whole-module static analysis
-# against a warm summary-store-backed one per edit, and writes per-edit
-# cold/warm times, speedups, hit counts, and the byte-identity bit to
-# BENCH_incremental.json.
-bench-incremental:
-	BENCH_INCREMENTAL_OUT=$(CURDIR)/BENCH_incremental.json $(GO) test -run '^TestWriteIncrSweepJSON$$' -count=1 -v ./internal/bench/
-
-# bench-mt sweeps the bounded interleaving search over the concurrent
-# corpus — POR vs bounded-exhaustive explored counts (the pruning
-# factor), schedules/second, and the end-to-end interleaving-aware
-# repair time including the per-schedule crash sweep — and writes
-# BENCH_mt.json.
-bench-mt:
-	BENCH_MT_OUT=$(CURDIR)/BENCH_mt.json $(GO) test -run '^TestWriteMTSweepJSON$$' -count=1 -v ./internal/bench/
-
-# bench-fleet measures routed cold/warm corpus throughput at 1, 2, and 3
-# backends plus a kill drill (one backend killed mid-load: zero accepted
-# jobs lost, zero mismatched bytes, client-observed p99) and writes
-# BENCH_fleet.json. Cold throughput scales with spare CPU, not backend
-# count — the report records gomaxprocs so the scaling numbers read in
-# context.
-bench-fleet:
-	$(GO) run ./cmd/hippocratesfleet -bench -bench-out $(CURDIR)/BENCH_fleet.json

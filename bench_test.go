@@ -121,6 +121,8 @@ func BenchmarkSizeImpact(b *testing.B) {
 // quantity the COW/dedup fast path optimizes. The dedup sub-benchmark is
 // the shipped configuration; no-dedup is the ablation arm that boots
 // every image from scratch. Repair happens once, outside the timed loop.
+// The dedup arm fails if it is not at least 5x faster per sweep than the
+// pre-fast-path baseline.
 func BenchmarkCrashSweep(b *testing.B) {
 	targets, err := bench.PrepareCrashSweep()
 	if err != nil {
@@ -139,6 +141,12 @@ func BenchmarkCrashSweep(b *testing.B) {
 					b.Fatal(err)
 				}
 				last = out
+			}
+			if !cfg.noDedup {
+				ns := b.Elapsed().Nanoseconds() / int64(b.N)
+				if limit := int64(bench.CrashSweepBaselineNsPerOp / 5); ns > limit {
+					b.Fatalf("dedup sweep took %d ns/op, want <= %d (a fifth of the pre-fast-path baseline)", ns, limit)
+				}
 			}
 			if last != nil {
 				b.ReportMetric(float64(last.Schedules), "schedules")

@@ -223,7 +223,7 @@ func run(path, out, tracePath string, showFixes, showDiff bool,
 		fix = resp.StaticResult.Fix
 	}
 	if fix != nil {
-		fmt.Printf("hippocrates: applied %d fix(es): %d interprocedural, %d reduced away, %d persistent subprogram(s)\n",
+		fmt.Printf("hippocrates: applied %d fix(es): %d interprocedural, %d insertion(s) elided by reduction, %d persistent subprogram(s)\n",
 			len(fix.Fixes), fix.InterprocFixes(), fix.ReducedFixes, fix.ClonesCreated)
 		fmt.Printf("hippocrates: module grew %d -> %d instructions (+%.3f%%) using %s marks\n",
 			fix.InstrsBefore, fix.InstrsAfter,

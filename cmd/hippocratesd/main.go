@@ -9,8 +9,6 @@
 // Usage:
 //
 //	hippocratesd [flags]              serve until SIGTERM (graceful drain)
-//	hippocratesd -selftest            replay the corpus against an
-//	                                  in-process daemon, write BENCH_server.json
 //	hippocratesd -smoke               boot, round-trip one buggy corpus
 //	                                  program, schema-validate, exit
 //
@@ -34,8 +32,6 @@
 //	-track-allocs     per-span allocation tracking on every job, so
 //	                  /metrics serves per-phase alloc totals (overhead:
 //	                  two ReadMemStats per span)
-//	-concurrency N    -selftest client workers (default 8)
-//	-bench-out FILE   -selftest report path (default BENCH_server.json)
 //	-quiet            suppress the per-job log line
 //
 // API: POST /api/v1/repair (synchronous), POST /api/v1/jobs (async 202),
@@ -47,6 +43,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -78,10 +75,7 @@ func main() {
 	stepLimit := flag.Int64("steplimit", 0, "default instruction budget per interpreter run (0 = 100M)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (empty = off)")
 	trackAllocs := flag.Bool("track-allocs", false, "per-span allocation tracking (per-phase alloc totals on /metrics)")
-	selftest := flag.Bool("selftest", false, "replay the corpus against an in-process daemon and write the bench report")
 	smoke := flag.Bool("smoke", false, "boot, round-trip one corpus program, schema-validate, exit")
-	concurrency := flag.Int("concurrency", 8, "client workers for -selftest")
-	benchOut := flag.String("bench-out", "BENCH_server.json", "report path for -selftest")
 	quiet := flag.Bool("quiet", false, "suppress the per-job log line")
 	flag.Parse()
 
@@ -110,12 +104,9 @@ func main() {
 	}
 
 	var err error
-	switch {
-	case *selftest:
-		err = runSelftest(cfg, *concurrency, *benchOut)
-	case *smoke:
+	if *smoke {
 		err = runSmoke(cfg)
-	default:
+	} else {
 		err = serve(cfg, *addr, *pprofAddr)
 	}
 	if err != nil {
@@ -182,13 +173,13 @@ func pprofMux() *http.ServeMux {
 	return mux
 }
 
-// boot starts an in-process daemon on an ephemeral port for the selftest
-// and smoke paths and returns its base URL plus a shutdown func.
-func boot(cfg server.Config) (*server.Server, string, func(), error) {
+// boot starts an in-process daemon on an ephemeral port for the smoke
+// path and returns its base URL plus a shutdown func.
+func boot(cfg server.Config) (string, func(), error) {
 	srv := server.New(cfg)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return nil, "", nil, err
+		return "", nil, err
 	}
 	httpSrv := &http.Server{Handler: srv.Handler()}
 	go httpSrv.Serve(ln)
@@ -198,39 +189,7 @@ func boot(cfg server.Config) (*server.Server, string, func(), error) {
 		srv.Shutdown(ctx)
 		httpSrv.Shutdown(ctx)
 	}
-	return srv, "http://" + ln.Addr().String(), stop, nil
-}
-
-// runSelftest is the load harness: cold + warm corpus replay against an
-// in-process daemon, report written to benchOut.
-func runSelftest(cfg server.Config, concurrency int, benchOut string) error {
-	_, base, stop, err := boot(cfg)
-	if err != nil {
-		return err
-	}
-	defer stop()
-	rep, err := loadgen.WriteJSON(benchOut, loadgen.Options{
-		BaseURL:     base,
-		Concurrency: concurrency,
-		Log:         os.Stderr,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Printf("hippocratesd: selftest: %d targets x2 rounds at concurrency %d\n",
-		rep.Targets, rep.Concurrency)
-	fmt.Printf("hippocratesd: cold: %.1f jobs/s (p50 %.1f ms, p99 %.1f ms), hit ratio %.2f\n",
-		rep.Cold.Throughput, rep.Cold.P50MS, rep.Cold.P99MS, rep.Cold.HitRatio)
-	fmt.Printf("hippocratesd: warm: %.1f jobs/s (p50 %.1f ms, p99 %.1f ms), %.1fx speedup, hit ratio %.2f (aggregate %.2f)\n",
-		rep.Warm.Throughput, rep.Warm.P50MS, rep.Warm.P99MS, rep.WarmSpeedup, rep.Warm.HitRatio, rep.CacheHitRatio)
-	fmt.Printf("hippocratesd: wrote %s\n", benchOut)
-	if rep.Warm.CacheHits == 0 {
-		return fmt.Errorf("selftest: warm round hit the response cache 0 times")
-	}
-	if rep.WarmSpeedup <= 1 {
-		return fmt.Errorf("selftest: warm round was not faster than cold (%.2fx)", rep.WarmSpeedup)
-	}
-	return nil
+	return "http://" + ln.Addr().String(), stop, nil
 }
 
 // runSmoke boots the daemon, round-trips one buggy corpus program with
@@ -242,12 +201,11 @@ func runSelftest(cfg server.Config, concurrency int, benchOut string) error {
 // /metrics.json (must show a non-zero cache hit ratio), and the flight
 // recorder. It is the engine behind `make server-smoke`.
 func runSmoke(cfg server.Config) error {
-	srv, base, stop, err := boot(cfg)
+	base, stop, err := boot(cfg)
 	if err != nil {
 		return err
 	}
 	defer stop()
-	_ = srv
 
 	reqs := loadgen.CorpusRequests()
 	if len(reqs) == 0 {
@@ -458,7 +416,7 @@ func runSmoke(cfg server.Config) error {
 // postOnce submits one synchronous repair (under the given trace ID when
 // non-empty) and returns body + headers.
 func postOnce(client *http.Client, base string, body []byte, traceID string) ([]byte, http.Header, error) {
-	httpReq, err := http.NewRequest(http.MethodPost, base+"/api/v1/repair", bytesReader(body))
+	httpReq, err := http.NewRequest(http.MethodPost, base+"/api/v1/repair", bytes.NewReader(body))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -479,17 +437,4 @@ func postOnce(client *http.Client, base string, body []byte, traceID string) ([]
 		return nil, nil, fmt.Errorf("POST /api/v1/repair: HTTP %d: %s", resp.StatusCode, data)
 	}
 	return data, resp.Header, nil
-}
-
-func bytesReader(b []byte) io.Reader { return &sliceReader{b: b} }
-
-type sliceReader struct{ b []byte }
-
-func (r *sliceReader) Read(p []byte) (int, error) {
-	if len(r.b) == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b)
-	r.b = r.b[n:]
-	return n, nil
 }

@@ -18,10 +18,6 @@
 //	                                         reset; zero harm required)
 //	                                         + lint the router's /metrics
 //	hippocratesfleet -chaos                  chaos suite, verbose JSON
-//	hippocratesfleet -bench                  cold/warm throughput at
-//	                                         N=1,2,3 backends plus a
-//	                                         kill drill; writes
-//	                                         BENCH_fleet.json
 //
 // Flags:
 //
@@ -31,15 +27,13 @@
 //	-workers N         per-spawned-backend worker pool (default 2)
 //	-hedge-after DUR   duplicate slow requests after DUR (default off)
 //	-probe-interval D  health-poll period (default 500ms)
-//	-bench-out FILE    -bench report path (default BENCH_fleet.json)
 //	-quiet             suppress progress lines
 //
 // Router API: POST /api/v1/repair and POST /api/v1/jobs (proxied),
 // GET /healthz (per-backend verdicts), GET /metrics (Prometheus text,
-// hippocratesfleet_* families), GET /metrics.json (fleet-aggregated
-// queue state, loadgen-sampler compatible). When no backend can take a
-// job the router answers 503 + jittered Retry-After — the same contract
-// a draining daemon gives, so clients need no router-specific handling.
+// hippocratesfleet_* families). When no backend can take a job the
+// router answers 503 + jittered Retry-After — the same contract a
+// draining daemon gives, so clients need no router-specific handling.
 package main
 
 import (
@@ -72,8 +66,6 @@ func main() {
 		probeInterval = flag.Duration("probe-interval", 500*time.Millisecond, "health-poll period")
 		smoke         = flag.Bool("smoke", false, "run the chaos suite as a pass/fail gate")
 		chaosMode     = flag.Bool("chaos", false, "run the chaos suite, print verbose JSON results")
-		bench         = flag.Bool("bench", false, "measure fleet throughput and the kill drill")
-		benchOut      = flag.String("bench-out", "BENCH_fleet.json", "-bench report path")
 		quiet         = flag.Bool("quiet", false, "suppress progress lines")
 	)
 	flag.Parse()
@@ -88,8 +80,6 @@ func main() {
 		os.Exit(runSmoke(logw))
 	case *chaosMode:
 		os.Exit(runChaos(logw))
-	case *bench:
-		os.Exit(runBench(logw, *benchOut, *workers))
 	}
 
 	if err := serve(*addr, *backends, *spawn, *workers, *hedgeAfter, *probeInterval, logw); err != nil {

@@ -24,7 +24,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("detector: %d unique buggy store sites (the paper found 10)\n", res.Before.UniqueSites())
-	fmt.Printf("fixer: %d fixes, %d interprocedural, %d persistent subprogram(s), %d reduced\n\n",
+	fmt.Printf("fixer: %d fixes, %d interprocedural, %d persistent subprogram(s), %d insertion(s) elided by reduction\n\n",
 		len(res.Fix.Fixes), res.Fix.InterprocFixes(), res.Fix.ClonesCreated, res.Fix.ReducedFixes)
 	for i, fx := range res.Fix.Fixes {
 		fmt.Printf("[%2d] %s\n", i+1, fx)

@@ -390,25 +390,6 @@ func (a *Analysis) MayPointToNonPM(v ir.Value) bool {
 	return false
 }
 
-// MayPointToExtern reports whether v may reference the opaque extern
-// object (memory materialized through inttoptr). Clients that need sound
-// may-alias answers against PM must treat such pointers as potentially
-// reaching anything: the corpus prelude's pmem_flush computes its target
-// through a ptr→int→ptr round trip, so its points-to set is only extern.
-func (a *Analysis) MayPointToExtern(v ir.Value) bool {
-	a.queries.Add(1)
-	n, ok := a.nodeOf[v]
-	if !ok {
-		return false
-	}
-	for o := range a.pts[n] {
-		if a.objects[o].Kind == ObjExtern {
-			return true
-		}
-	}
-	return false
-}
-
 // PointsToSet returns the IDs of the objects v may reference and whether
 // the analysis tracked v at all. An untracked value (known == false) must
 // be treated as possibly pointing anywhere; a tracked value with an empty

@@ -1,12 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
-	"testing"
 
 	"hippocrates/internal/core"
 	"hippocrates/internal/corpus"
@@ -23,29 +20,20 @@ const (
 	CrashSweepStepLimit = 50_000_000
 )
 
-// CrashSweepBaseline records the sweep's cost BEFORE the fast path
+// CrashSweepBaseline* record the sweep's cost BEFORE the fast path
 // (copy-on-write images, incremental prefix replay, verdict dedup)
 // landed: the engine then re-executed the workload once per crash point
 // and deep-cloned the durable image once per schedule. Measured with
 // `go test -bench BenchmarkCrashSweep -benchmem` (3 iterations) at
-// commit 244922d; Schedules/Failures pin the work and verdicts the fast
-// path must reproduce exactly.
-var CrashSweepBaseline = CrashSweepCost{
-	NsPerOp:     1_064_171_529,
-	BytesPerOp:  463_059_176,
-	AllocsPerOp: 5_710_603,
-	Schedules:   1034,
-	Failures:    88,
-}
-
-// CrashSweepCost is one measured (or recorded) cost of the full sweep.
-type CrashSweepCost struct {
-	NsPerOp     int64 `json:"ns_per_op"`
-	BytesPerOp  int64 `json:"bytes_per_op"`
-	AllocsPerOp int64 `json:"allocs_per_op"`
-	Schedules   int   `json:"schedules"`
-	Failures    int   `json:"failures"`
-}
+// commit 244922d. The fast path must reproduce Schedules and Failures
+// exactly; TestCrashSweepDedupVerdictsIdentical and BenchmarkCrashSweep
+// hold it to a tenth of the bytes and a fifth of the wall time.
+const (
+	CrashSweepBaselineNsPerOp    = 1_064_171_529
+	CrashSweepBaselineBytesPerOp = 463_059_176
+	CrashSweepBaselineSchedules  = 1034
+	CrashSweepBaselineFailures   = 88
+)
 
 // CrashSweepTarget is one corpus program prepared for the sweep: the
 // buggy build and its Hippocrates-repaired twin.
@@ -132,106 +120,4 @@ func RunCrashSweep(targets []CrashSweepTarget, noDedup bool) (*CrashSweepOutcome
 	}
 	sort.Strings(out.FailureKeys)
 	return out, nil
-}
-
-// CrashSweepReport is the JSON document `make bench` writes to
-// BENCH_crashsim.json: the pre-fast-path baseline, the current
-// measurement, and the derived ratios the PR acceptance criteria quote.
-type CrashSweepReport struct {
-	Benchmark string `json:"benchmark"`
-	Config    struct {
-		MaxPoints int   `json:"max_points"`
-		MaxImages int   `json:"max_images"`
-		StepLimit int64 `json:"step_limit"`
-		Targets   int   `json:"targets"`
-	} `json:"config"`
-	Baseline CrashSweepCost `json:"baseline_pre_cow"`
-	Current  CrashSweepCost `json:"current"`
-	Dedup    struct {
-		ImagesBuilt      int   `json:"images_built"`
-		DedupedSchedules int   `json:"deduped_schedules"`
-		CacheHits        int64 `json:"cache_hits"`
-		CacheMisses      int64 `json:"cache_misses"`
-	} `json:"dedup"`
-	SpeedupNs         float64 `json:"speedup_ns"`
-	BytesReduction    float64 `json:"bytes_reduction"`
-	VerdictsIdentical bool    `json:"verdicts_identical_to_no_dedup"`
-}
-
-// MeasureCrashSweep benchmarks the sweep with the fast path on, checks
-// verdict identity against the no-dedup ablation, and returns the
-// filled report. It is the engine behind `make bench`'s
-// BENCH_crashsim.json artifact.
-func MeasureCrashSweep() (*CrashSweepReport, error) {
-	targets, err := PrepareCrashSweep()
-	if err != nil {
-		return nil, err
-	}
-	var last *CrashSweepOutcome
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			out, err := RunCrashSweep(targets, false)
-			if err != nil {
-				b.Fatal(err)
-			}
-			last = out
-		}
-	})
-	if last == nil {
-		return nil, fmt.Errorf("benchmark made no runs")
-	}
-	ablation, err := RunCrashSweep(targets, true)
-	if err != nil {
-		return nil, err
-	}
-
-	rep := &CrashSweepReport{Benchmark: "BenchmarkCrashSweep"}
-	rep.Config.MaxPoints = CrashSweepMaxPoints
-	rep.Config.MaxImages = CrashSweepMaxImages
-	rep.Config.StepLimit = CrashSweepStepLimit
-	rep.Config.Targets = len(targets)
-	rep.Baseline = CrashSweepBaseline
-	rep.Current = CrashSweepCost{
-		NsPerOp:     res.NsPerOp(),
-		BytesPerOp:  res.AllocedBytesPerOp(),
-		AllocsPerOp: res.AllocsPerOp(),
-		Schedules:   last.Schedules,
-		Failures:    last.Failures,
-	}
-	rep.Dedup.ImagesBuilt = last.ImagesBuilt
-	rep.Dedup.DedupedSchedules = last.DedupedSchedules
-	rep.Dedup.CacheHits = last.CacheHits
-	rep.Dedup.CacheMisses = last.CacheMisses
-	rep.SpeedupNs = float64(rep.Baseline.NsPerOp) / float64(rep.Current.NsPerOp)
-	rep.BytesReduction = float64(rep.Baseline.BytesPerOp) / float64(rep.Current.BytesPerOp)
-	rep.VerdictsIdentical = equalStrings(last.FailureKeys, ablation.FailureKeys) &&
-		last.Schedules == ablation.Schedules
-	return rep, nil
-}
-
-// WriteCrashSweepJSON runs MeasureCrashSweep and writes the report to
-// path as indented JSON.
-func WriteCrashSweepJSON(path string) (*CrashSweepReport, error) {
-	rep, err := MeasureCrashSweep()
-	if err != nil {
-		return nil, err
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return rep, os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

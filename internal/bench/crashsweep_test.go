@@ -1,14 +1,17 @@
 package bench
 
 import (
-	"os"
+	"runtime"
+	"slices"
 	"testing"
 )
 
 // TestCrashSweepDedupVerdictsIdentical is the corpus-scale ablation: the
 // content-addressed fast path must report exactly the schedules and
 // failures the dedup-off sweep reports, while actually booting fewer
-// images.
+// images. Both sweeps must reproduce the pre-fast-path baseline's
+// schedule and failure counts, and the dedup sweep must allocate at most
+// a tenth of the baseline's bytes.
 func TestCrashSweepDedupVerdictsIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full corpus sweep")
@@ -20,18 +23,30 @@ func TestCrashSweepDedupVerdictsIdentical(t *testing.T) {
 	if len(targets) == 0 {
 		t.Fatal("no crash-sweep targets in corpus")
 	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	on, err := RunCrashSweep(targets, false)
+	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(CrashSweepBaselineBytesPerOp/10); got > limit {
+		t.Errorf("dedup sweep allocated %d bytes, want <= %d (a tenth of the pre-fast-path baseline)", got, limit)
 	}
 	off, err := RunCrashSweep(targets, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if on.Schedules != off.Schedules {
-		t.Errorf("schedule counts differ: dedup on %d, off %d", on.Schedules, off.Schedules)
+	for _, sw := range []struct {
+		name string
+		out  *CrashSweepOutcome
+	}{{"dedup", on}, {"no-dedup", off}} {
+		if sw.out.Schedules != CrashSweepBaselineSchedules || sw.out.Failures != CrashSweepBaselineFailures {
+			t.Errorf("%s sweep: %d schedules, %d failures; baseline pins %d and %d",
+				sw.name, sw.out.Schedules, sw.out.Failures, CrashSweepBaselineSchedules, CrashSweepBaselineFailures)
+		}
 	}
-	if !equalStrings(on.FailureKeys, off.FailureKeys) {
+	if !slices.Equal(on.FailureKeys, off.FailureKeys) {
 		t.Errorf("verdicts differ across dedup modes:\non:  %v\noff: %v", on.FailureKeys, off.FailureKeys)
 	}
 	if on.DedupedSchedules == 0 && on.CacheHits == 0 {
@@ -43,30 +58,5 @@ func TestCrashSweepDedupVerdictsIdentical(t *testing.T) {
 	if off.DedupedSchedules != 0 || off.CacheHits != 0 || off.CacheMisses != 0 {
 		t.Errorf("no-dedup sweep touched the verdict cache: %d deduped, %d/%d hits/misses",
 			off.DedupedSchedules, off.CacheHits, off.CacheMisses)
-	}
-}
-
-// TestWriteCrashSweepJSON regenerates BENCH_crashsim.json when the
-// BENCH_CRASHSIM_OUT environment variable names the output path; `make
-// bench` drives it. Skipped otherwise — it runs a timed benchmark.
-func TestWriteCrashSweepJSON(t *testing.T) {
-	path := os.Getenv("BENCH_CRASHSIM_OUT")
-	if path == "" {
-		t.Skip("set BENCH_CRASHSIM_OUT to write the crash-sweep report")
-	}
-	rep, err := WriteCrashSweepJSON(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("crash sweep: %d targets, %d schedules, %d failures, %.1fx ns speedup, %.1fx bytes reduction",
-		rep.Config.Targets, rep.Current.Schedules, rep.Current.Failures, rep.SpeedupNs, rep.BytesReduction)
-	if !rep.VerdictsIdentical {
-		t.Error("dedup sweep verdicts differ from the no-dedup ablation")
-	}
-	if rep.SpeedupNs < 5 {
-		t.Errorf("wall-clock speedup %.2fx, want >= 5x vs pre-COW baseline", rep.SpeedupNs)
-	}
-	if rep.BytesReduction < 10 {
-		t.Errorf("allocated-bytes reduction %.2fx, want >= 10x vs pre-COW baseline", rep.BytesReduction)
 	}
 }

@@ -87,11 +87,6 @@ type Fig4Config struct {
 	Seed    int64
 }
 
-// DefaultFig4Config mirrors the paper's setup.
-func DefaultFig4Config() Fig4Config {
-	return Fig4Config{Records: 10000, Ops: 10000, Trials: 20, Seed: 1}
-}
-
 // QuickFig4Config is a reduced configuration with the same shape.
 func QuickFig4Config() Fig4Config {
 	return Fig4Config{Records: 600, Ops: 600, Trials: 5, Seed: 1}

@@ -42,13 +42,8 @@ func (c *ObsFlags) NewRecorder() *obs.Recorder {
 	if !c.Enabled() {
 		return nil
 	}
-	return c.configure(obs.New())
-}
-
-func (c *ObsFlags) configure(r *obs.Recorder) *obs.Recorder {
-	if c.MetricsPath != "" {
-		r.SetTrackAllocs(true)
-	}
+	r := obs.New()
+	r.SetTrackAllocs(c.MetricsPath != "")
 	return r
 }
 

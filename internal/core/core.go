@@ -40,13 +40,6 @@ const (
 	TraceAA
 )
 
-func (m MarksMode) String() string {
-	if m == TraceAA {
-		return "trace-aa"
-	}
-	return "full-aa"
-}
-
 // Options configures the fixer. The zero value is the paper's default
 // configuration (Full-AA marks, hoisting enabled, CLWB flushes).
 type Options struct {

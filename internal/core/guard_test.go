@@ -27,6 +27,9 @@ func TestGuardConvertsPanics(t *testing.T) {
 	if pe.Phase != "trace" || len(pe.Stack) == 0 {
 		t.Errorf("PanicError = phase %q, %d stack bytes", pe.Phase, len(pe.Stack))
 	}
+	if want := "hippocrates: internal panic in trace: operand kind 37"; err.Error() != want {
+		t.Errorf("PanicError message = %q, want %q", err.Error(), want)
+	}
 
 	outer := func() (err error) {
 		defer guard("repair", &err)

@@ -66,13 +66,3 @@ func MTPrograms() []*MTProgram {
 		},
 	}
 }
-
-// MTByName returns the named concurrent program, or nil.
-func MTByName(name string) *MTProgram {
-	for _, p := range MTPrograms() {
-		if p.Name == name {
-			return p
-		}
-	}
-	return nil
-}

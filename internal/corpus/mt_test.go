@@ -6,6 +6,7 @@ import (
 	"hippocrates/internal/core"
 	"hippocrates/internal/crashsim"
 	"hippocrates/internal/interp"
+	"hippocrates/internal/schedule"
 	"hippocrates/internal/trace"
 )
 
@@ -103,6 +104,50 @@ func TestMTSmoke(t *testing.T) {
 				t.Fatalf("crash sweeps = %d, want one per explored schedule (%d)", got, want)
 			}
 		})
+	}
+}
+
+// TestMTExplorationPrunes pins what the interleaving search does over
+// the concurrent corpus, independent of timing: there are at least three
+// MT programs, each reaches at least two threads, partial-order
+// reduction prunes real work on at least one of them at 64 schedules,
+// and where both the POR search (64) and the bounded-exhaustive one
+// (1,024) finish, POR explored no more than exhaustive did.
+func TestMTExplorationPrunes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("bounded-exhaustive exploration")
+	}
+	const porCap, exhaustiveCap = 64, 1024
+	progs := MTPrograms()
+	if len(progs) < 3 {
+		t.Fatalf("%d concurrent corpus programs, want >= 3", len(progs))
+	}
+	anyPruned := false
+	for _, p := range progs {
+		por, err := schedule.Explore(p.MustCompile(), p.Entry, nil, schedule.Options{MaxSchedules: porCap})
+		if err != nil {
+			t.Fatalf("%s: explore: %v", p.Name, err)
+		}
+		threads := 0
+		for _, r := range por.Runs {
+			threads = max(threads, r.Threads)
+		}
+		if threads < 2 {
+			t.Errorf("%s: reached %d thread(s), want >= 2", p.Name, threads)
+		}
+		anyPruned = anyPruned || por.Pruned > 0
+		ex, err := schedule.Explore(p.MustCompile(), p.Entry, nil, schedule.Options{MaxSchedules: exhaustiveCap, NoPOR: true})
+		if err != nil {
+			t.Fatalf("%s: exhaustive explore: %v", p.Name, err)
+		}
+		if !por.Truncated && !ex.Truncated && ex.Explored < por.Explored {
+			t.Errorf("%s: exhaustive search explored %d < POR's %d", p.Name, ex.Explored, por.Explored)
+		}
+		t.Logf("%s: %d thread(s), POR %d explored / %d pruned, exhaustive %d explored (truncated %v/%v)",
+			p.Name, threads, por.Explored, por.Pruned, ex.Explored, por.Truncated, ex.Truncated)
+	}
+	if !anyPruned {
+		t.Errorf("partial-order reduction pruned nothing across the concurrent corpus at %d schedules", porCap)
 	}
 }
 

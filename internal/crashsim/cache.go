@@ -63,13 +63,6 @@ func (c *VerdictCache) store(k verdictKey, v cachedVerdict) {
 	c.m[k] = v
 }
 
-// Len returns the number of memoized verdicts.
-func (c *VerdictCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
 // Stats returns the cumulative lookup hit / miss counts.
 func (c *VerdictCache) Stats() (hits, misses int64) {
 	c.mu.Lock()

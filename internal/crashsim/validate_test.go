@@ -1,6 +1,7 @@
 package crashsim_test
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -8,6 +9,7 @@ import (
 
 	"hippocrates/internal/core"
 	"hippocrates/internal/crashsim"
+	"hippocrates/internal/interp"
 	"hippocrates/internal/ir"
 	"hippocrates/internal/lang"
 )
@@ -60,6 +62,54 @@ func TestValidateFindsPublishBug(t *testing.T) {
 	}
 	if f.Event < 1 || f.Event > rep.TotalEvents {
 		t.Errorf("failure event %d outside [1, %d]", f.Event, rep.TotalEvents)
+	}
+}
+
+// TestValidatePMAssertFailure: a recovery entry that states its
+// invariant with pm_assert fails the schedule with a typed
+// *interp.AssertError, and the failure renders only the assertion's
+// first line — the message, not the stack that follows it.
+func TestValidatePMAssertFailure(t *testing.T) {
+	const src = `
+pm int payload;
+pm int flag;
+
+int crash_check(int completed) {
+	int intact = 1;
+	if (flag == 1) {
+		if (payload != 42) { intact = 0; }
+	}
+	pm_assert(intact, "published payload lost");
+	return 0;
+}
+
+int main() {
+	payload = 42; // missing flush
+	flag = 1;
+	clwb(&flag);
+	sfence();
+	pm_checkpoint();
+	return 0;
+}
+`
+	rep, err := crashsim.Validate(lang.MustCompile("assert.pmc", src), crashsim.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Passed() {
+		t.Fatalf("buggy publish survived %d schedules over %d points", rep.Schedules, rep.Points)
+	}
+	f := rep.Failures[0]
+	var ae *interp.AssertError
+	if !errors.As(f.Err, &ae) || ae.Msg != "published payload lost" {
+		t.Fatalf("failure error = %v, want a pm_assert failure", f.Err)
+	}
+	const want = "@crash_check interp: pm_assert failed: published payload lost"
+	if got := f.String(); !strings.HasSuffix(got, want) {
+		t.Errorf("failure renders as %q, want suffix %q", got, want)
+	}
+	if got := rep.Doc().Failures[0].Error; got != "interp: pm_assert failed: published payload lost" {
+		t.Errorf("failure doc error = %q, want the assertion's first line", got)
 	}
 }
 

@@ -116,20 +116,6 @@ func NewTestFleet(opts FleetOptions) (*TestFleet, error) {
 // RouterURL is the fleet's front door.
 func (tf *TestFleet) RouterURL() string { return "http://" + tf.routerLn.Addr().String() }
 
-// BackendURLs lists the addresses the router sees (proxied when proxies
-// are on) — what a sampler should probe.
-func (tf *TestFleet) BackendURLs() []string {
-	out := make([]string, len(tf.Backends))
-	for i, n := range tf.Backends {
-		if n.Proxy != nil {
-			out[i] = n.Proxy.URL()
-		} else {
-			out[i] = "http://" + n.ln.Addr().String()
-		}
-	}
-	return out
-}
-
 // Kill hard-stops backend i: the HTTP server closes abruptly, active
 // connections die mid-flight, the port starts refusing. The worker pool
 // is NOT drained — this models a crashed process, and the router must

@@ -68,11 +68,11 @@ func Normalize(data []byte) (string, error) {
 	return string(out), nil
 }
 
-// Baselines computes the sequential ground truth: one cli.Run per
+// baselines computes the sequential ground truth: one cli.Run per
 // corpus target, normalized — what every accepted fleet response must
 // byte-match. Returns the truth keyed by program name plus the pinned
 // request set the scenarios replay.
-func Baselines() (map[string]string, []*cli.Request, error) {
+func baselines() (map[string]string, []*cli.Request, error) {
 	base := loadgen.CorpusRequests()
 	want := make(map[string]string, len(base))
 	for _, req := range base {
@@ -125,13 +125,13 @@ func Scenarios() []string {
 // scenario against it. Any returned error is a harness failure; chaos
 // verdicts live in the per-scenario Results.
 func RunAll(logw io.Writer) ([]*Result, error) {
-	want, base, err := Baselines()
+	want, base, err := baselines()
 	if err != nil {
 		return nil, err
 	}
 	var out []*Result
 	for _, name := range Scenarios() {
-		res, err := RunScenario(name, want, base, logw)
+		res, err := runScenario(name, want, base, logw)
 		if err != nil {
 			return out, fmt.Errorf("%s: %w", name, err)
 		}
@@ -149,8 +149,8 @@ func RunAll(logw io.Writer) ([]*Result, error) {
 	return out, nil
 }
 
-// RunScenario executes one named scenario and returns its verdict.
-func RunScenario(name string, want map[string]string, base []*cli.Request, logw io.Writer) (*Result, error) {
+// runScenario executes one named scenario and returns its verdict.
+func runScenario(name string, want map[string]string, base []*cli.Request, logw io.Writer) (*Result, error) {
 	switch name {
 	case "kill-backend":
 		return runKill(want, base)
@@ -201,7 +201,6 @@ func drive(tf *TestFleet, name string, want map[string]string, reqs []*cli.Reque
 		Concurrency: 8,
 		Requests:    reqs,
 		Client:      &http.Client{Timeout: 5 * time.Minute},
-		SampleEvery: -1,
 		Schedule:    schedule,
 		Retry503:    true,
 		OnResult:    check,

@@ -187,7 +187,6 @@ func (rt *Router) Handler() http.Handler {
 	mux.HandleFunc("POST /api/v1/jobs", rt.handleProxy)
 	mux.HandleFunc("GET /healthz", rt.handleHealthz)
 	mux.HandleFunc("GET /metrics", rt.handleMetrics)
-	mux.HandleFunc("GET /metrics.json", rt.handleMetricsJSON)
 	return mux
 }
 
@@ -500,57 +499,4 @@ func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	obs.WriteProm(w, fams)
-}
-
-// handleMetricsJSON aggregates queue state across live backends into
-// the same minimal shape hippocratesd serves, so the loadgen sampler
-// can point at the router unchanged.
-func (rt *Router) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
-	type queueDoc struct {
-		Depth    int   `json:"depth"`
-		InFlight int64 `json:"in_flight"`
-	}
-	var (
-		q          queueDoc
-		hits, miss int64
-		mu         sync.Mutex
-		wg         sync.WaitGroup
-	)
-	for _, b := range rt.backends {
-		wg.Add(1)
-		go func(url string) {
-			defer wg.Done()
-			resp, err := rt.probe.Get(url + "/metrics.json")
-			if err != nil {
-				return
-			}
-			defer resp.Body.Close()
-			var doc struct {
-				Queue queueDoc `json:"queue"`
-				Cache struct {
-					ResponseHits   int64 `json:"response_hits"`
-					ResponseMisses int64 `json:"response_misses"`
-				} `json:"cache"`
-			}
-			if json.NewDecoder(resp.Body).Decode(&doc) == nil {
-				mu.Lock()
-				q.Depth += doc.Queue.Depth
-				q.InFlight += doc.Queue.InFlight
-				hits += doc.Cache.ResponseHits
-				miss += doc.Cache.ResponseMisses
-				mu.Unlock()
-			}
-		}(b.url)
-	}
-	wg.Wait()
-	cache := map[string]any{"response_hits": hits, "response_misses": miss}
-	if hits+miss > 0 {
-		cache["hit_ratio"] = float64(hits) / float64(hits+miss)
-	} else {
-		cache["hit_ratio"] = 0.0
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(map[string]any{
-		"queue": q, "cache": cache, "router_in_flight": rt.inFlight.Load(),
-	})
 }

@@ -204,8 +204,8 @@ type Machine struct {
 	frameArena arena.Chunks[trace.Frame]
 
 	// ops counts executed instructions per opcode. A dense array indexed
-	// by ir.Op keeps the dispatch-loop cost to one increment; the map view
-	// is built on demand by OpcodeCounts.
+	// by ir.Op keeps the dispatch-loop cost to one increment; RecordObs
+	// publishes it once per run.
 	ops [ir.NumOps]int64
 }
 

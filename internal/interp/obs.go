@@ -7,25 +7,6 @@ import (
 	"hippocrates/internal/obs"
 )
 
-// OpcodeCounts returns how many times each opcode was executed, keyed by
-// the opcode's mnemonic. Opcodes that never executed are omitted.
-func (m *Machine) OpcodeCounts() map[string]int64 {
-	out := make(map[string]int64)
-	for op, n := range m.ops {
-		if n > 0 {
-			out[ir.Op(op).String()] = n
-		}
-	}
-	return out
-}
-
-// ThreadEventCounts returns per-thread PM event counters: entry [tid][k]
-// is how many boundaries of PMEventKind k thread tid produced. Threads
-// that produced no PM events may be absent from the tail.
-func (m *Machine) ThreadEventCounts() [][numPMEventKinds]int64 {
-	return m.threadEv
-}
-
 // RecordObs flushes the machine's run statistics into the span's
 // recorder: total steps, checkpoints, and the per-opcode execution
 // counters (namespaced under obs.OpcodeCounterPrefix, which feeds the

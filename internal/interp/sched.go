@@ -56,18 +56,6 @@ const (
 	PendJoin
 )
 
-var pendNames = [...]string{
-	"start", "store", "nt-store", "flush", "fence", "checkpoint",
-	"atomic", "spawn", "join",
-}
-
-func (k PendKind) String() string {
-	if int(k) < len(pendNames) {
-		return pendNames[k]
-	}
-	return fmt.Sprintf("pend(%d)", int(k))
-}
-
 // PendingOp is a thread's announced next visible operation. Every
 // decision point copies one per runnable thread into the decision log,
 // so the fields are ordered to pack into 24 bytes.
@@ -191,10 +179,6 @@ func (m *Machine) curTid() int {
 	}
 	return m.mt.cur
 }
-
-// CurrentThread returns the id of the thread holding the baton (0 for
-// single-threaded runs).
-func (m *Machine) CurrentThread() int { return m.curTid() }
 
 // ThreadCount returns the number of threads the run has created,
 // including main. Single-threaded runs report 1.

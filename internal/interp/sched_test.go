@@ -221,6 +221,36 @@ func TestDoubleJoinFaults(t *testing.T) {
 	}
 }
 
+// TestJoinCycleDeadlocks: a worker joining its own handle (the first
+// spawn is always thread 1) while main joins the worker leaves no
+// runnable thread; the run must fault naming every blocked join instead
+// of hanging.
+func TestJoinCycleDeadlocks(t *testing.T) {
+	m := newModule("deadlock")
+	w := ir.NewFunc("w", ir.I64)
+	m.AddFunc(w)
+	wb := ir.NewBuilder(w)
+	wb.Ret(wb.Join(ir.ConstInt(1)))
+	w.Renumber()
+	f := ir.NewFunc("main", ir.I64)
+	m.AddFunc(f)
+	fb := ir.NewBuilder(f)
+	fb.Ret(fb.Join(fb.Spawn(w)))
+	f.Renumber()
+	if err := ir.Verify(m); err != nil {
+		t.Fatal(err)
+	}
+	mach, err := New(m, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = mach.Run("main")
+	const want = "deadlock: no runnable thread (thread 0 joins 1, thread 1 joins 1)"
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("want %q, got %v", want, err)
+	}
+}
+
 func TestAtomicOps(t *testing.T) {
 	m := newModule("atomics")
 	m.AddGlobal(&ir.Global{Name: "v", Elem: ir.I64})

@@ -28,9 +28,6 @@ func NewBuilder(fn *Func) *Builder {
 	return b
 }
 
-// Func returns the function under construction.
-func (b *Builder) Func() *Func { return b.fn }
-
 // Block returns the current insertion block.
 func (b *Builder) Block() *Block { return b.blk }
 

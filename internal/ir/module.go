@@ -173,16 +173,6 @@ func (f *Func) Block(name string) *Block {
 	return nil
 }
 
-// Param returns the parameter with the given name, or nil.
-func (f *Func) Param(name string) *Param {
-	for _, p := range f.Params {
-		if p.Name == name {
-			return p
-		}
-	}
-	return nil
-}
-
 // Renumber assigns sequential IDs to every instruction in block order,
 // and dense value slots (parameters first, then result-producing
 // instructions) that the interpreter uses as register-file indices.

@@ -437,6 +437,7 @@ func TestCompileErrors(t *testing.T) {
 		{"unknown field", `struct s { int a; }; int main() { s v; return v.b; }`, "no field"},
 		{"dot on non-struct", `int main() { int a; return a.b; }`, "non-struct"},
 		{"deref int", `int main() { int a; return *a; }`, "dereference"},
+		{"assign to null", `int main() { null = 5; return 0; }`, "t.pmc:1: expression is not assignable"},
 		{"void return value", `void f() { return 5; }`, "void function returns"},
 		{"missing return value", `int f() { return; }`, "missing return value"},
 		{"not assignable", `int main() { 5 = 6; return 0; }`, "not assignable"},

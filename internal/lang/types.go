@@ -119,20 +119,3 @@ func (t *Type) equal(o *Type) bool {
 	}
 	return true
 }
-
-// assignableTo reports whether a value of type t can be assigned (or
-// passed, or returned) where type want is expected, possibly with an
-// implicit conversion: int<->byte, any-pointer <-> byte*, null to any
-// pointer (handled by the caller via isNull).
-func (t *Type) assignableTo(want *Type) bool {
-	if t.equal(want) {
-		return true
-	}
-	if t.IsInteger() && want.IsInteger() {
-		return true
-	}
-	if t.Kind == TPtr && want.Kind == TPtr && (t.isBytePtr() || want.isBytePtr()) {
-		return true
-	}
-	return false
-}

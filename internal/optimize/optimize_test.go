@@ -1,9 +1,11 @@
 package optimize
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"hippocrates/internal/crashsim"
 	"hippocrates/internal/ir"
 	"hippocrates/internal/lang"
 	"hippocrates/internal/obs"
@@ -192,6 +194,7 @@ int main() {
 	if rej == nil {
 		t.Fatalf("no rejected delete-fence edit among %d edits", len(res.Edits))
 	}
+	t.Logf("%srefused: %s", res.Summary(), rej)
 	if !strings.Contains(rej.Reason, "report") {
 		t.Errorf("rejection reason %q does not mention detector reports", rej.Reason)
 	}
@@ -329,5 +332,64 @@ int main() {
 	}
 	if got := countOps(mod, ir.OpFence); got != 1 {
 		t.Errorf("fences = %d, want 1", got)
+	}
+}
+
+// TestCrashCompareRefusesNewFailures drives the proof's last check
+// directly. The candidate sources nominate only edits that cannot change
+// a crash verdict, so no corpus program reaches this refusal; the check
+// stays as the backstop against a source that one day does. Compared
+// against a current build that failed no schedule, a build whose
+// recovery pm_assert fails must be refused, naming both failure counts.
+func TestCrashCompareRefusesNewFailures(t *testing.T) {
+	mod := mustModule(t, `
+pm int payload;
+pm int flag;
+
+int crash_check(int completed) {
+	int intact = 1;
+	if (flag == 1) {
+		if (payload != 42) { intact = 0; }
+	}
+	pm_assert(intact, "published payload lost");
+	return 0;
+}
+
+int main() {
+	payload = 42;
+	flag = 1;
+	clwb(&flag);
+	sfence();
+	pm_checkpoint();
+	return 0;
+}
+`)
+	sig, err := measure(mod, "main", Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := alignKeys(sig.events, 0, false, definedFn(mod, "crash_check"))
+	pts, err := keysToPoints(sig.events, keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := crashsim.Validate(mod, csOptions(Options{}, "main", pts, nil, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	failures := failureSig(rep, sig.events)
+	if len(failures) == 0 {
+		t.Fatal("unflushed payload failed no crash schedule")
+	}
+	for key := range failures {
+		if !strings.HasSuffix(key, "|@crash_check|interp: pm_assert failed: published payload lost") {
+			t.Errorf("failure signature %q does not end with the assertion's first line", key)
+		}
+	}
+	c := &candidate{fn: definedFn(mod, "main")}
+	got, reason := crashCompare(mod, sig, keys, map[string]int{}, c, recoverySet(mod), crashsim.NewVerdictCache(), Options{}, "main")
+	want := fmt.Sprintf("crashsim verdicts changed: 0 failing schedule(s) before, %d after", total(failures))
+	if got != nil || reason != want {
+		t.Errorf("crashCompare = (%v, %q), want a refusal %q", got, reason, want)
 	}
 }

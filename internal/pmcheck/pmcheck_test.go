@@ -316,3 +316,26 @@ func TestDedupeByClassKeepsEarliestStore(t *testing.T) {
 		t.Errorf("representative store seq = %d, want 0 (earliest)", out[0].Store.Seq)
 	}
 }
+
+// TestNeedsCoversAndString pins the agreement harness's unit: a need set
+// covers another when it provides every mechanism the other needs, and
+// renders as the mechanisms it names.
+func TestNeedsCoversAndString(t *testing.T) {
+	none, flush, fence, both := Needs{}, Needs{Flush: true}, Needs{Fence: true}, Needs{Flush: true, Fence: true}
+	for _, c := range []struct {
+		n, o Needs
+		want bool
+	}{
+		{both, flush, true}, {both, fence, true}, {flush, none, true},
+		{flush, fence, false}, {fence, both, false}, {none, flush, false},
+	} {
+		if got := c.n.Covers(c.o); got != c.want {
+			t.Errorf("%s.Covers(%s) = %v, want %v", c.n, c.o, got, c.want)
+		}
+	}
+	for n, want := range map[Needs]string{none: "none", flush: "flush", fence: "fence", both: "flush+fence"} {
+		if got := n.String(); got != want {
+			t.Errorf("%+v renders as %q, want %q", n, got, want)
+		}
+	}
+}

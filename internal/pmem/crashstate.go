@@ -187,10 +187,6 @@ func (b *ImageBuilder) Seek(cuts []int) {
 	}
 }
 
-// Cuts returns the builder's current schedule (clamped). Callers must
-// not mutate it.
-func (b *ImageBuilder) Cuts() []int { return b.cuts }
-
 // Hash returns the content hash of the current schedule's image.
 func (b *ImageBuilder) Hash() uint64 { return b.cs.HashCuts(b.cuts) }
 

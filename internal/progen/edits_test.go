@@ -3,6 +3,7 @@ package progen
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"hippocrates/internal/ir"
 	"hippocrates/internal/static"
@@ -83,6 +84,69 @@ func TestEditSequenceWarmIdentical(t *testing.T) {
 			t.Errorf("%s: warm run replayed nothing (incr=%+v)", e, warm.Incr)
 		}
 	}
+}
+
+// TestEditSequenceWarmSpeedup times the same edit sequence at
+// DefaultLayeredConfig scale (at least 50 functions): summed over all
+// edits, a warm re-analysis backed by the primed store must be at least
+// 3x faster than a storeless cold one, and at least 4x over the
+// summary-neutral edits alone. Each warm run is timed once, since its
+// first execution is what an editor loop sees; each cold run is the best
+// of three. The floors sit well below the ~10x a quiet machine measures,
+// so the test catches regressions, not scheduler noise.
+// TestEditSequenceWarmIdentical holds the identity and miss counts.
+func TestEditSequenceWarmSpeedup(t *testing.T) {
+	if testing.Short() {
+		t.Skip("timed edit sweep")
+	}
+	cfg := DefaultLayeredConfig()
+	m := Layered(cfg)
+	defined := 0
+	for _, f := range m.Funcs {
+		if !f.IsDecl() {
+			defined++
+		}
+	}
+	if defined < 50 {
+		t.Fatalf("layered module has %d functions, want >= 50", defined)
+	}
+	timed := func(store *static.Store) time.Duration {
+		start := time.Now()
+		if _, err := static.AnalyzeWithStore(m, "main", store); err != nil {
+			t.Fatal(err)
+		}
+		return time.Since(start)
+	}
+	store := static.NewStore(0)
+	timed(store)
+	var cold, warm, neutralCold, neutralWarm time.Duration
+	for _, e := range Edits(cfg) {
+		if err := ApplyEdit(m, e); err != nil {
+			t.Fatal(err)
+		}
+		// Warm first, from the store the earlier runs primed; the cold
+		// runs afterwards are storeless and cannot pollute it.
+		w := timed(store)
+		c := timed(nil)
+		for i := 1; i < 3; i++ {
+			c = min(c, timed(nil))
+		}
+		t.Logf("%s: cold %v, warm %v", e, c, w)
+		cold += c
+		warm += w
+		if e.Kind != EditAddPersist {
+			neutralCold += c
+			neutralWarm += w
+		}
+	}
+	total, neutral := float64(cold)/float64(warm), float64(neutralCold)/float64(neutralWarm)
+	if total < 3 {
+		t.Errorf("total warm speedup %.1fx, want >= 3x", total)
+	}
+	if neutral < 4 {
+		t.Errorf("summary-neutral warm speedup %.1fx, want >= 4x", neutral)
+	}
+	t.Logf("warm speedup: total %.1fx, summary-neutral %.1fx", total, neutral)
 }
 
 // TestApplyEditMovesFingerprint: every edit kind must change its

@@ -170,6 +170,19 @@ func TestPORPreservesVerdictSet(t *testing.T) {
 	}{
 		{"masked-publish", maskedPublish},
 		{"disjoint-writers", disjointWriters},
+		// Every interleaving deadlocks: faulting runs compare by the first
+		// line of their error.
+		{"join-cycle", `
+int worker() {
+	join(1);
+	return 0;
+}
+int main() {
+	int t = spawn(worker);
+	join(t);
+	return 0;
+}
+`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			mod := compile(t, tc.src)

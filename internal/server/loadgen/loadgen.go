@@ -1,13 +1,11 @@
-// Package loadgen is the hippocratesd load harness: it replays the
-// crashsim-able corpus (the 15 non-redis buggy targets, each with full
-// repair + crash-schedule validation) against a live daemon at a
-// configurable concurrency, twice — a cold round that must do all the
-// work, then a warm round that should ride the response cache — and
-// reports throughput, client-observed p50/p99 latency, per-round cache
-// hit ratios, the warm-over-cold speedup, and a per-round time series of
-// throughput and daemon queue depth. `hippocratesd -selftest` runs it
-// against an in-process daemon and writes the result to
-// BENCH_server.json.
+// Package loadgen drives a live daemon or fleet router over HTTP. It
+// builds the crashsim-able corpus replay (CorpusRequests: the 15
+// non-redis buggy targets, each with full repair and crash-schedule
+// validation) and pushes a request set through an endpoint once per
+// Round at a configurable concurrency, retrying backpressure
+// rejections, firing scheduled fault-injection events, and handing
+// every outcome to the caller. The chaos suite, the daemon's soak and
+// cache tests, hippocratesd -smoke and hippobench use it.
 package loadgen
 
 import (
@@ -16,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"sort"
 	"strconv"
 	"sync"
@@ -71,13 +68,6 @@ type Options struct {
 	Requests []*cli.Request
 	// Client overrides the HTTP client (default: 5-minute timeout).
 	Client *http.Client
-	// SampleEvery sets the time-series sampling interval (default 250ms;
-	// negative disables sampling).
-	SampleEvery time.Duration
-	// ProbeURLs overrides where the sampler reads queue state from
-	// (default: BaseURL). Driving a fleet, list every backend here: the
-	// sample carries the summed depth/in-flight across the fleet.
-	ProbeURLs []string
 	// Schedule fires fault-injection (or any other) events while a round
 	// runs — the chaos harness's kill/drain/latency triggers. Each event
 	// fires once, on completion count or wall clock, whichever its fields
@@ -92,8 +82,6 @@ type Options struct {
 	// chaos harness's hook for byte-comparing accepted responses against
 	// the sequential ground truth.
 	OnResult func(req *cli.Request, res *Outcome)
-	// Log receives progress lines (nil = silent).
-	Log io.Writer
 }
 
 // Event is one scheduled action inside a round: Run fires once when
@@ -129,112 +117,25 @@ type Outcome struct {
 	Err          error
 }
 
-// Sample is one time-series observation taken while a round runs: the
-// client's own progress plus the daemon's queue state from /metrics.json
-// at that instant. The series shows how the run actually unfolded —
-// ramp-up, queue saturation under backpressure, the cache-hit cliff on
-// the warm round — which the round aggregates average away.
-type Sample struct {
-	OffsetMS   float64 `json:"offset_ms"`
-	Done       int     `json:"done"`
-	Throughput float64 `json:"throughput_jobs_per_sec"`
-	QueueDepth int     `json:"queue_depth"`
-	InFlight   int64   `json:"in_flight"`
-}
-
-// RoundStats is one replay round as the client observed it. HitRatio is
-// this round's own cache-hit fraction (hits/jobs): the cold round's
-// should be ~0 and the warm round's ~1 — the aggregate ratio the daemon
-// reports (~0.5 after both rounds) hides exactly that distinction.
+// RoundStats is one round as the client observed it.
 type RoundStats struct {
-	Jobs       int     `json:"jobs"`
-	Failures   int     `json:"failures"`
-	Retries429 int     `json:"retries_429"`
-	Retries503 int     `json:"retries_503,omitempty"`
-	CacheHits  int     `json:"cache_hits"`
-	HitRatio   float64 `json:"hit_ratio"`
-	WallMS     float64 `json:"wall_ms"`
-	Throughput float64 `json:"throughput_jobs_per_sec"`
-	P50MS      float64 `json:"p50_ms"`
-	P99MS      float64 `json:"p99_ms"`
-	MaxMS      float64 `json:"max_ms"`
+	Jobs       int
+	Failures   int
+	Retries429 int
+	Retries503 int
+	// CacheHits counts accepted jobs the response cache answered.
+	CacheHits int
+	WallMS    float64
+	P99MS     float64
 	// Backends counts accepted jobs per answering backend identity — only
 	// populated when the daemons were booted with -id (fleet runs).
-	Backends map[string]int `json:"backends,omitempty"`
-	Samples  []Sample       `json:"samples"`
-}
-
-// Report is the BENCH_server.json document.
-type Report struct {
-	Targets     int `json:"targets"`
-	Concurrency int `json:"concurrency"`
-	Config      struct {
-		CrashPoints int   `json:"crash_points"`
-		CrashImages int   `json:"crash_images"`
-		StepLimit   int64 `json:"step_limit"`
-	} `json:"config"`
-	Cold RoundStats `json:"cold"`
-	Warm RoundStats `json:"warm"`
-	// WarmSpeedup is cold wall time over warm wall time — the headline
-	// the response cache must earn.
-	WarmSpeedup float64 `json:"warm_speedup"`
-	// CacheHitRatio is the daemon's /metrics.json service-level ratio
-	// after both rounds — an aggregate over cold+warm; the per-round
-	// Cold.HitRatio / Warm.HitRatio are the interpretable numbers.
-	CacheHitRatio float64 `json:"cache_hit_ratio"`
-}
-
-// Run replays the request set cold then warm and collects the report.
-func Run(opts Options) (*Report, error) {
-	if opts.Concurrency <= 0 {
-		opts.Concurrency = 8
-	}
-	if opts.Requests == nil {
-		opts.Requests = CorpusRequests()
-	}
-	if opts.Client == nil {
-		opts.Client = &http.Client{Timeout: 5 * time.Minute}
-	}
-	rep := &Report{Targets: len(opts.Requests), Concurrency: opts.Concurrency}
-	rep.Config.CrashPoints = CrashPoints
-	rep.Config.CrashImages = CrashImages
-	rep.Config.StepLimit = StepLimit
-
-	for i, name := range []string{"cold", "warm"} {
-		if opts.Log != nil {
-			fmt.Fprintf(opts.Log, "loadgen: %s round: %d jobs at concurrency %d\n",
-				name, len(opts.Requests), opts.Concurrency)
-		}
-		rs, err := Round(opts)
-		if err != nil {
-			return nil, fmt.Errorf("%s round: %w", name, err)
-		}
-		if i == 0 {
-			rep.Cold = *rs
-		} else {
-			rep.Warm = *rs
-		}
-		if opts.Log != nil {
-			fmt.Fprintf(opts.Log, "loadgen: %s round: %.0f ms wall, %.1f jobs/s, p50 %.1f ms, p99 %.1f ms, %d cache hit(s)\n",
-				name, rs.WallMS, rs.Throughput, rs.P50MS, rs.P99MS, rs.CacheHits)
-		}
-	}
-	if rep.Warm.WallMS > 0 {
-		rep.WarmSpeedup = rep.Cold.WallMS / rep.Warm.WallMS
-	}
-	ratio, err := fetchHitRatio(opts)
-	if err != nil {
-		return nil, err
-	}
-	rep.CacheHitRatio = ratio
-	return rep, nil
+	Backends map[string]int
 }
 
 // Round pushes every request through the endpoint once, opts.Concurrency
 // at a time, retrying 429 backpressure rejections (and, with Retry503,
 // 503 rejections) with a short backoff, firing scheduled events as the
-// round progresses. Exported so the chaos harness can drive single
-// instrumented rounds instead of the cold/warm pair Run hard-codes.
+// round progresses.
 func Round(opts Options) (*RoundStats, error) {
 	if opts.Concurrency <= 0 {
 		opts.Concurrency = 8
@@ -264,7 +165,6 @@ func Round(opts Options) (*RoundStats, error) {
 		}()
 	}
 	start := time.Now()
-	stopSampler := startSampler(opts, start, &done)
 	stopSchedule := startSchedule(opts, start, &done)
 	for _, req := range opts.Requests {
 		jobs <- req
@@ -272,11 +172,10 @@ func Round(opts Options) (*RoundStats, error) {
 	close(jobs)
 	wg.Wait()
 	wall := time.Since(start)
-	samples := stopSampler()
 	stopSchedule()
 	close(results)
 
-	rs := &RoundStats{Jobs: len(opts.Requests), WallMS: float64(wall.Nanoseconds()) / 1e6, Samples: samples}
+	rs := &RoundStats{Jobs: len(opts.Requests), WallMS: float64(wall.Nanoseconds()) / 1e6}
 	var lats []float64
 	for o := range results {
 		rs.Retries429 += o.Retries429
@@ -301,70 +200,9 @@ func Round(opts Options) (*RoundStats, error) {
 	}
 	sort.Float64s(lats)
 	if len(lats) > 0 {
-		rs.P50MS = lats[len(lats)/2]
 		rs.P99MS = lats[(len(lats)*99)/100]
-		rs.MaxMS = lats[len(lats)-1]
-	}
-	if rs.Jobs > 0 {
-		rs.HitRatio = float64(rs.CacheHits) / float64(rs.Jobs)
-	}
-	if wall > 0 {
-		rs.Throughput = float64(rs.Jobs) / wall.Seconds()
 	}
 	return rs, nil
-}
-
-// startSampler spawns the time-series sampler and returns the function
-// that stops it and yields the collected samples. Each tick records
-// client progress plus the daemon's queue state; a failed /metrics.json
-// probe keeps the client-side fields (the daemon may be saturated —
-// that's exactly when the series is interesting).
-func startSampler(opts Options, start time.Time, done *atomic.Int64) func() []Sample {
-	every := opts.SampleEvery
-	if every < 0 {
-		return func() []Sample { return nil }
-	}
-	if every == 0 {
-		every = 250 * time.Millisecond
-	}
-	var (
-		samples []Sample
-		stop    = make(chan struct{})
-		fin     = make(chan struct{})
-	)
-	go func() {
-		defer close(fin)
-		tick := time.NewTicker(every)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case now := <-tick.C:
-				elapsed := now.Sub(start)
-				s := Sample{
-					OffsetMS: float64(elapsed.Nanoseconds()) / 1e6,
-					Done:     int(done.Load()),
-				}
-				if elapsed > 0 {
-					s.Throughput = float64(s.Done) / elapsed.Seconds()
-				}
-				if depth, inFlight, err := probeQueue(opts); err == nil {
-					s.QueueDepth = depth
-					s.InFlight = inFlight
-				}
-				samples = append(samples, s)
-			}
-		}
-	}()
-	return func() []Sample {
-		close(stop)
-		<-fin
-		if samples == nil {
-			samples = []Sample{}
-		}
-		return samples
-	}
 }
 
 // startSchedule arms the round's scheduled events (if any) and returns
@@ -411,49 +249,6 @@ func startSchedule(opts Options, start time.Time, done *atomic.Int64) func() {
 		close(stop)
 		<-fin
 	}
-}
-
-// probeQueue reads current queue depth and in-flight count — summed over
-// ProbeURLs when set (a fleet's backends), else from BaseURL. Endpoints
-// that refuse the probe (killed backends mid-chaos) contribute zero.
-func probeQueue(opts Options) (depth int, inFlight int64, err error) {
-	urls := opts.ProbeURLs
-	if len(urls) == 0 {
-		urls = []string{opts.BaseURL}
-	}
-	ok := false
-	for _, u := range urls {
-		d, f, perr := probeOne(opts.Client, u)
-		if perr != nil {
-			err = perr
-			continue
-		}
-		ok = true
-		depth += d
-		inFlight += f
-	}
-	if ok {
-		return depth, inFlight, nil
-	}
-	return 0, 0, err
-}
-
-func probeOne(client *http.Client, baseURL string) (depth int, inFlight int64, err error) {
-	resp, err := client.Get(baseURL + "/metrics.json")
-	if err != nil {
-		return 0, 0, err
-	}
-	defer resp.Body.Close()
-	var doc struct {
-		Queue struct {
-			Depth    int   `json:"depth"`
-			InFlight int64 `json:"in_flight"`
-		} `json:"queue"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		return 0, 0, err
-	}
-	return doc.Queue.Depth, doc.Queue.InFlight, nil
 }
 
 // post submits one request synchronously, honoring 429 (and, when
@@ -510,35 +305,4 @@ func post(opts Options, req *cli.Request) *Outcome {
 			return o
 		}
 	}
-}
-
-// fetchHitRatio reads the daemon's service-level cache hit ratio.
-func fetchHitRatio(opts Options) (float64, error) {
-	resp, err := opts.Client.Get(opts.BaseURL + "/metrics.json")
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	var doc struct {
-		Cache struct {
-			HitRatio float64 `json:"hit_ratio"`
-		} `json:"cache"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
-		return 0, err
-	}
-	return doc.Cache.HitRatio, nil
-}
-
-// WriteJSON runs the load and writes the report to path.
-func WriteJSON(path string, opts Options) (*Report, error) {
-	rep, err := Run(opts)
-	if err != nil {
-		return nil, err
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return rep, os.WriteFile(path, append(data, '\n'), 0o644)
 }

@@ -136,6 +136,32 @@ func TestPromLiveExposition(t *testing.T) {
 	}
 }
 
+// TestPromPhaseAllocs: with TrackAllocs (hippocratesd -track-allocs)
+// every job's per-phase allocation bytes accumulate into
+// hippocratesd_phase_alloc_bytes_total; without it the family is absent.
+func TestPromPhaseAllocs(t *testing.T) {
+	for _, track := range []bool{false, true} {
+		s := New(Config{Workers: 1, TrackAllocs: track})
+		j, err := s.Submit(publishReq())
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, j)
+		prom, err := s.PromText()
+		shutdown(t, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := obs.LintProm(prom); err != nil {
+			t.Fatalf("exposition fails the linter: %v\n%s", err, prom)
+		}
+		const family = `hippocratesd_phase_alloc_bytes_total{phase="trace"} `
+		if got := strings.Contains(string(prom), family); got != track {
+			t.Errorf("TrackAllocs=%v: exposition carries %q = %v", track, family, got)
+		}
+	}
+}
+
 // TestFlightRecorderRetention drives offer/recordReject directly: slow
 // ranking, failed ring, rejected ring, and the lazy capture contract.
 func TestFlightRecorderRetention(t *testing.T) {

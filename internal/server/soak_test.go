@@ -180,6 +180,42 @@ func TestSoakConcurrentMatchesSequential(t *testing.T) {
 // normalizeResponse strips the crashsim stats accounting — the one
 // deliberately non-deterministic corner of the response — and re-marshals
 // with sorted keys, so equal pipelines compare equal regardless of cache
+// TestCorpusReplayWarmRoundHitsCache replays the crashsim-able corpus
+// against a live daemon twice: the warm round must be answered entirely
+// from the response cache, and must finish in less wall time than the
+// cold round that did the work.
+func TestCorpusReplayWarmRoundHitsCache(t *testing.T) {
+	if testing.Short() {
+		t.Skip("corpus replay in -short mode")
+	}
+	s := New(Config{})
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		if err := s.Shutdown(ctx); err != nil {
+			t.Error(err)
+		}
+	}()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	opts := loadgen.Options{BaseURL: ts.URL, Requests: loadgen.CorpusRequests()}
+	cold, err := loadgen.Round(opts)
+	if err != nil {
+		t.Fatalf("cold round: %v", err)
+	}
+	warm, err := loadgen.Round(opts)
+	if err != nil {
+		t.Fatalf("warm round: %v", err)
+	}
+	if warm.CacheHits != warm.Jobs {
+		t.Errorf("warm round: %d of %d jobs hit the response cache, want all", warm.CacheHits, warm.Jobs)
+	}
+	if warm.WallMS >= cold.WallMS {
+		t.Errorf("warm round took %.1f ms, not less than the cold round's %.1f ms", warm.WallMS, cold.WallMS)
+	}
+	t.Logf("%d jobs: cold %.1f ms (%d hits), warm %.1f ms", cold.Jobs, cold.WallMS, cold.CacheHits, warm.WallMS)
+}
+
 // sharing.
 func normalizeResponse(t *testing.T, data []byte) string {
 	t.Helper()

@@ -96,6 +96,98 @@ func TestCorpusStaticRepairBothClean(t *testing.T) {
 	}
 }
 
+// TestRecursiveSCCAgreement runs the agreement harness on recursive
+// programs, the only ones that take the analyzer's SCC fixpoint path
+// (fence flags, then summaries, iterated until they stop changing): a
+// self-recursive walker storing to successive PM cells, and a ping/pong
+// mutual recursion whose ping arm flushes its store and whose pong arm
+// does not. Static must stay a superset of dynamic, and static-driven
+// repair must leave both detectors clean without changing the result.
+func TestRecursiveSCCAgreement(t *testing.T) {
+	for _, tc := range []struct {
+		name, src string
+		want      uint64
+	}{
+		{"self-recursive-walker", `
+pm int cells[16];
+void walk(int i) {
+	if (i >= 16) { return; }
+	cells[i] = i + 1;
+	walk(i + 1);
+}
+int main() {
+	walk(0);
+	pm_checkpoint();
+	return cells[3];
+}
+`, 4},
+		{"mutual-ping-pong", `
+pm int slots[16];
+void ping(int i) {
+	if (i >= 16) { return; }
+	slots[i] = i;
+	clwb(&slots[i]);
+	pong(i + 1);
+}
+void pong(int i) {
+	if (i >= 16) { return; }
+	slots[i] = 2 * i;
+	ping(i + 1);
+}
+int main() {
+	ping(0);
+	sfence();
+	pm_checkpoint();
+	return slots[5];
+}
+`, 10},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := lang.Compile(tc.name+".pmc", tc.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, err := core.TraceModule(m, "main")
+			if err != nil {
+				t.Fatal(err)
+			}
+			dyn := pmcheck.Check(tr)
+			if dyn.Clean() {
+				t.Fatal("dynamic detector found no bug in a seeded-buggy program")
+			}
+			sres, err := static.Analyze(m, "main")
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSuperset(t, sres, dyn)
+			t.Logf("static %d report(s) at %d site(s), dynamic %d report(s) at %d site(s)",
+				len(sres.Reports), sres.UniqueSites(), len(dyn.Reports), dyn.UniqueSites())
+
+			res, err := core.StaticRepair(m, "main", core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.After.Clean() {
+				t.Errorf("static re-analysis not clean after static-driven repair:\n%s", res.After.Summary())
+			}
+			tr, err = core.TraceModule(m, "main")
+			if err != nil {
+				t.Fatalf("repaired module failed to run: %v", err)
+			}
+			if dyn := pmcheck.Check(tr); !dyn.Clean() {
+				t.Errorf("dynamic detector not clean after static-driven repair:\n%s", dyn.Summary())
+			}
+			mach, err := interp.New(m, interp.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ret, err := mach.Run("main"); err != nil || ret != tc.want {
+				t.Errorf("repaired run: ret=%d err=%v, want %d (repair did harm)", ret, err, tc.want)
+			}
+		})
+	}
+}
+
 // TestInterprocLintCallerContextGating covers the interprocedural lint
 // contract: a callee's redundant-flush lint survives only when every
 // caller context proves the redundancy argument (no dirty fact can be

@@ -3,7 +3,6 @@ package static
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"strconv"
 
 	"hippocrates/internal/alias"
 	"hippocrates/internal/ir"
@@ -26,7 +25,6 @@ type analyzer struct {
 	sumHash   map[*ir.Func]string
 	sumHits   int
 	sumMisses int
-	nonce     int
 	// objsCache interns resolved object-ID sets by their canonical refs
 	// key. Facts never mutate their objs maps after creation, and one
 	// points-to set recurs across most facts of a function, so warm runs
@@ -130,13 +128,10 @@ func (az *analyzer) runSingle(fn *ir.Func, succs map[*ir.Func][]*ir.Func) {
 	fa := newFuncAnalysis(az, fn)
 	fa.run()
 	az.sums[fn] = fa.sum
-	if ps := canonicalize(fa.sum, az); ps != nil {
-		az.sumHash[fn] = ps.Hash
-		if az.store != nil {
-			az.store.Add(key, ps)
-		}
-	} else {
-		az.sumHash[fn] = az.freshHash(fn)
+	ps := canonicalize(fa.sum, az)
+	az.sumHash[fn] = ps.Hash
+	if az.store != nil {
+		az.store.Add(key, ps)
 	}
 }
 
@@ -144,18 +139,7 @@ func (az *analyzer) runSingle(fn *ir.Func, succs map[*ir.Func][]*ir.Func) {
 // fixpoint, so non-recursive callers above it can still cache. The
 // summary itself is not stored.
 func (az *analyzer) finishHash(fn *ir.Func) {
-	if ps := canonicalize(az.sums[fn], az); ps != nil {
-		az.sumHash[fn] = ps.Hash
-		return
-	}
-	az.sumHash[fn] = az.freshHash(fn)
-}
-
-// freshHash is a per-run-unique stand-in for a summary that could not be
-// canonicalized: every caller keyed on it misses, which is always sound.
-func (az *analyzer) freshHash(fn *ir.Func) string {
-	az.nonce++
-	return "!" + fn.Name + "#" + strconv.Itoa(az.nonce)
+	az.sumHash[fn] = canonicalize(az.sums[fn], az).Hash
 }
 
 // fenceFlags solves the may/must-fence booleans for one SCC. Must starts

@@ -1,7 +1,6 @@
 package static
 
 import (
-	"sort"
 	"strconv"
 	"strings"
 
@@ -30,23 +29,6 @@ const (
 	// awaiting the fence that makes it durable (missing-fence).
 	stFlushed
 )
-
-func (s stateBits) String() string {
-	var parts []string
-	if s&stDirty != 0 {
-		parts = append(parts, "dirty")
-	}
-	if s&stDirtyFenced != 0 {
-		parts = append(parts, "dirty-fenced")
-	}
-	if s&stFlushed != 0 {
-		parts = append(parts, "flushed")
-	}
-	if len(parts) == 0 {
-		return "durable"
-	}
-	return strings.Join(parts, "|")
-}
 
 // needs maps a state set to the mechanisms a fix must provide, matching
 // pmem.Tracker.OnCheckpoint's classification of each micro-state.
@@ -126,20 +108,6 @@ func (f *fact) addFlushSite(fr trace.Frame) {
 	if _, ok := f.flushSites[k]; !ok {
 		f.flushSites[k] = fr
 	}
-}
-
-func (f *fact) sortedFlushSites() []trace.Frame {
-	out := make([]trace.Frame, 0, len(f.flushSites))
-	for _, fr := range f.flushSites {
-		out = append(out, fr)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Func != out[j].Func {
-			return out[i].Func < out[j].Func
-		}
-		return out[i].InstrID < out[j].InstrID
-	})
-	return out
 }
 
 // factState maps live facts to their possible-state sets. Facts with zero

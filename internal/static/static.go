@@ -132,11 +132,6 @@ func (r *Report) Key() pmcheck.SiteKey {
 	return pmcheck.SiteKey{Func: r.Func, InstrID: r.InstrID}
 }
 
-// Needs returns the mechanism needs of the report.
-func (r *Report) Needs() pmcheck.Needs {
-	return pmcheck.Needs{Flush: r.NeedFlush, Fence: r.NeedFence}
-}
-
 func (r *Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s at %s", r.Class(), r.Site())

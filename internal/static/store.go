@@ -23,6 +23,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"sort"
 
 	"hippocrates/internal/alias"
@@ -179,16 +180,18 @@ func objsFromRefs(az *analyzer, refs []string, key string) (map[int]bool, bool) 
 	return m, true
 }
 
-func pvalOf(v ir.Value) (pVal, bool) {
+// pvalOf names a fact root. Roots come only from resolveRange and
+// resolveVal, which yield nil, a PM global, or a pm_alloc/pm_root call.
+func pvalOf(v ir.Value) pVal {
 	switch x := v.(type) {
 	case nil:
-		return pVal{}, true
+		return pVal{}
 	case *ir.Global:
-		return pVal{Global: x.Name}, true
+		return pVal{Global: x.Name}
 	case *ir.Instr:
-		return pVal{Func: x.Block().Func().Name, ID: x.ID}, true
+		return pVal{Func: x.Block().Func().Name, ID: x.ID}
 	}
-	return pVal{}, false
+	panic(fmt.Sprintf("static: fact root %T is not a global or an instruction", v))
 }
 
 func resolveVal(az *analyzer, p pVal) (ir.Value, bool) {
@@ -288,9 +291,7 @@ func chainList(m map[string][]trace.Frame) ([][]trace.Frame, []string) {
 
 // canonicalize deep-converts a finished live summary into its portable
 // snapshot and computes the content hash. Map-shaped fields are sorted so
-// the encoding (and so the hash) is deterministic. Returns nil when some
-// value cannot be named canonically; callers then fall back to a
-// per-run-unique hash, disabling caching above this function.
+// the encoding (and so the hash) is deterministic.
 func canonicalize(s *summary, az *analyzer) *FuncSummary {
 	ps := &FuncSummary{
 		Fn:        s.fn.Name,
@@ -317,10 +318,6 @@ func canonicalize(s *summary, az *analyzer) *FuncSummary {
 	sort.Strings(exitKeys)
 	for _, k := range exitKeys {
 		f := byKey[k]
-		root, ok := pvalOf(f.root)
-		if !ok {
-			return nil
-		}
 		refs := refsOf(az.an, f.objs)
 		ps.Exit = append(ps.Exit, PFact{
 			Stack:      f.stack,
@@ -330,7 +327,7 @@ func canonicalize(s *summary, az *analyzer) *FuncSummary {
 			Objs:       refs,
 			AnyObj:     f.anyObj,
 			LineOK:     f.lineOK,
-			Root:       root,
+			Root:       pvalOf(f.root),
 			LineLo:     f.lineLo,
 			LineHi:     f.lineHi,
 			FlushSites: siteList(f.flushSites),
