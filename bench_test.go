@@ -361,6 +361,39 @@ func BenchmarkCloneModule(b *testing.B) {
 	}
 }
 
+// BenchmarkParseModule measures parsing a module's IR text, as the daemon
+// does once per static-repair request.
+func BenchmarkParseModule(b *testing.B) {
+	text := ir.Print(layeredModule())
+	b.SetBytes(int64(len(text)))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := ir.ParseModule(text); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkStaticRepair measures one static repair of the layered module
+// as a daemon job runs it: on a private clone of a parsed module, with no
+// fingerprint memoized and no summary store shared between runs.
+func BenchmarkStaticRepair(b *testing.B) {
+	parsed, err := ir.ParseModule(ir.Print(layeredModule()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		res, err := core.StaticRepair(ir.CloneModule(parsed), "main", core.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Fix == nil || !res.After.Clean() {
+			b.Fatal("static repair did not leave the layered module clean")
+		}
+	}
+}
+
 // BenchmarkPrint measures printing a module as IR text, as a repair
 // response does with its repaired module.
 func BenchmarkPrint(b *testing.B) {

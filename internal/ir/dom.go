@@ -7,14 +7,19 @@ package ir
 // when it reads register slots without initialization).
 type Dominators struct {
 	fn    *Func
-	index map[*Block]int
-	// dom[i] is the set of block indices dominating block i, as a bitset.
-	dom []bitset
+	index scratchMap[*Block, int]
+	// dom[i] is the set of block indices dominating block i, as a bitset;
+	// every set is a window of slab.
+	dom  []bitset
+	slab []uint64
+	// Scratch kept for the next compute: block i's predecessors are
+	// preds[predAt[i]:predAt[i+1]], and work is the set being recomputed.
+	predAt []int
+	preds  []int
+	work   bitset
 }
 
 type bitset []uint64
-
-func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 
 func (b bitset) set(i int)      { b[i/64] |= 1 << (i % 64) }
 func (b bitset) has(i int) bool { return b[i/64]&(1<<(i%64)) != 0 }
@@ -40,40 +45,71 @@ func (b bitset) intersectWith(o bitset) bool {
 
 // ComputeDominators analyzes fn's CFG.
 func ComputeDominators(fn *Func) *Dominators {
+	d := &Dominators{}
+	d.compute(fn)
+	return d
+}
+
+// compute analyzes fn's CFG into d, reusing the storage of d's previous
+// analysis: the verifier keeps one Dominators for a whole module.
+func (d *Dominators) compute(fn *Func) {
 	n := len(fn.Blocks)
-	d := &Dominators{fn: fn, index: make(map[*Block]int, n), dom: make([]bitset, n)}
+	w := (n + 63) / 64
+	d.fn = fn
+	index := d.index.reset(n)
 	for i, b := range fn.Blocks {
-		d.index[b] = i
+		index[b] = i
 	}
-	preds := make([][]int, n)
-	for i, b := range fn.Blocks {
+	// Predecessor lists in one slab: count each block's, turn the counts
+	// into list ends, then fill back to front, leaving every entry of
+	// predAt at its list's start and each list in block order.
+	d.predAt = resize(d.predAt, n+1)
+	clear(d.predAt)
+	for _, b := range fn.Blocks {
 		if term := b.Terminator(); term != nil {
 			for _, s := range term.Succs {
-				j := d.index[s]
-				preds[j] = append(preds[j], i)
+				d.predAt[index[s]]++
 			}
 		}
 	}
+	for i := 1; i <= n; i++ {
+		d.predAt[i] += d.predAt[i-1]
+	}
+	d.preds = resize(d.preds, d.predAt[n])
+	for i := n - 1; i >= 0; i-- {
+		if term := fn.Blocks[i].Terminator(); term != nil {
+			for k := len(term.Succs) - 1; k >= 0; k-- {
+				j := index[term.Succs[k]]
+				d.predAt[j]--
+				d.preds[d.predAt[j]] = i
+			}
+		}
+	}
+	d.slab = resize(d.slab, n*w)
+	d.dom = resize(d.dom, n)
 	for i := range d.dom {
-		d.dom[i] = newBitset(n)
+		d.dom[i] = d.slab[i*w : (i+1)*w : (i+1)*w]
 		if i == 0 {
+			clear(d.dom[i])
 			d.dom[i].set(0)
 		} else {
 			d.dom[i].fill()
 		}
 	}
+	d.work = resize(d.work, w)
 	changed := true
 	for changed {
 		changed = false
 		for i := 1; i < n; i++ {
-			nv := newBitset(n)
-			nv.fill()
-			if len(preds[i]) == 0 {
+			preds := d.preds[d.predAt[i]:d.predAt[i+1]]
+			if len(preds) == 0 {
 				// Unreachable from the entry: keep "dominated by all"
 				// (vacuously true; such blocks never execute).
 				continue
 			}
-			for _, p := range preds[i] {
+			nv := d.work
+			nv.fill()
+			for _, p := range preds {
 				nv.intersectWith(d.dom[p])
 			}
 			nv.set(i)
@@ -84,28 +120,28 @@ func ComputeDominators(fn *Func) *Dominators {
 			}
 		}
 	}
-	return d
 }
 
 // Dominates reports whether block a dominates block b.
 func (d *Dominators) Dominates(a, b *Block) bool {
-	ia, ok := d.index[a]
+	ia, ok := d.index.m[a]
 	if !ok {
 		return false
 	}
-	ib, ok := d.index[b]
+	ib, ok := d.index.m[b]
 	if !ok {
 		return false
 	}
 	return d.dom[ib].has(ia)
 }
 
-// verifyDominance checks that every instruction-result operand is defined
+// dominance checks that every instruction-result operand is defined
 // in a position that dominates its use.
-func verifyDominance(f *Func) error {
-	doms := ComputeDominators(f)
+func (v *verifier) dominance(f *Func, nInstrs int) error {
+	doms := &v.doms
+	doms.compute(f)
 	// Position of each instruction within its block for same-block checks.
-	pos := make(map[*Instr]int)
+	pos := v.pos.reset(nInstrs)
 	for _, b := range f.Blocks {
 		for i, in := range b.Instrs {
 			pos[in] = i

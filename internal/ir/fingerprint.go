@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"hash"
 )
 
 // FuncFingerprint content-hashes one function body in a canonical,
@@ -29,7 +30,7 @@ func FuncFingerprint(f *Func) string {
 	if f.fp != "" {
 		return f.fp
 	}
-	h := newFpHasher()
+	h := fpHasher{d: sha256.New(), buf: make([]byte, 0, fpScratchSize)}
 	h.str(f.Name)
 	for _, p := range f.Params {
 		h.str(p.Name)
@@ -52,7 +53,7 @@ func FuncFingerprint(f *Func) string {
 	}
 
 	for _, b := range f.Blocks {
-		h.str("^" + b.Name)
+		h.str2("^", b.Name)
 		for _, in := range b.Instrs {
 			h.u64(uint64(in.ID))
 			h.u64(uint64(in.Op))
@@ -75,14 +76,14 @@ func FuncFingerprint(f *Func) string {
 			h.u64(uint64(in.Order))
 			h.u64(uint64(in.RMWK))
 			if in.Callee != nil {
-				h.str("@" + in.Callee.Name)
+				h.str2("@", in.Callee.Name)
 				if !seenF[in.Callee] {
 					seenF[in.Callee] = true
 					callees = append(callees, in.Callee)
 				}
 			}
 			for _, s := range in.Succs {
-				h.str("^" + s.Name)
+				h.str2("^", s.Name)
 			}
 			h.str(in.Loc.File)
 			h.u64(uint64(in.Loc.Line))
@@ -96,7 +97,7 @@ func FuncFingerprint(f *Func) string {
 		if g.PM {
 			h.str("pm")
 		}
-		h.buf = append(h.buf, g.Init...)
+		h.raw(g.Init)
 		h.u64(uint64(len(g.Init)))
 	}
 	h.str("callees")
@@ -106,31 +107,78 @@ func FuncFingerprint(f *Func) string {
 			h.str("decl")
 		}
 	}
-	sum := sha256.Sum256(h.buf)
-	f.fp = hex.EncodeToString(sum[:])
+	h.flush()
+	var hx [2 * sha256.Size]byte
+	hex.Encode(hx[:], h.d.Sum(h.buf))
+	f.fp = string(hx[:])
 	return f.fp
 }
 
-// fpHasher accumulates the canonical byte encoding. Every field is
-// length- or tag-delimited so adjacent fields cannot be confused.
+// fpScratchSize is the fingerprint's scratch buffer: the digest is fed
+// in writes of about this size, however long the body.
+const fpScratchSize = 512
+
+// fpHasher streams the canonical byte encoding into a SHA-256 digest.
+// Every field is length- or tag-delimited so adjacent fields cannot be
+// confused. Fields are encoded into buf, which never outgrows the
+// scratch array it starts on: it is written to the digest whenever the
+// next field might not fit. The digest sees the same bytes a whole
+// encoding built first would hold, so the value does not depend on
+// where the writes split. The digest is written through hash.Hash, so
+// the scratch lives on the heap: one fixed allocation per fingerprint.
 type fpHasher struct {
+	d   hash.Hash
 	buf []byte
 }
 
-func newFpHasher() *fpHasher {
-	return &fpHasher{buf: make([]byte, 0, 4096)}
+// flush writes the buffered bytes to the digest.
+func (h *fpHasher) flush() {
+	h.d.Write(h.buf)
+	h.buf = h.buf[:0]
+}
+
+// room makes space for n more bytes (n ≤ fpScratchSize).
+func (h *fpHasher) room(n int) {
+	if cap(h.buf)-len(h.buf) < n {
+		h.flush()
+	}
+}
+
+// text appends s, flushing as often as it fills the buffer.
+func (h *fpHasher) text(s string) {
+	for len(s) > 0 {
+		h.room(1)
+		n := copy(h.buf[len(h.buf):cap(h.buf)], s)
+		h.buf = h.buf[:len(h.buf)+n]
+		s = s[n:]
+	}
+}
+
+// raw appends p unframed.
+func (h *fpHasher) raw(p []byte) {
+	h.flush()
+	h.d.Write(p)
 }
 
 func (h *fpHasher) str(s string) {
-	h.buf = binary.AppendUvarint(h.buf, uint64(len(s)))
-	h.buf = append(h.buf, s...)
+	h.u64(uint64(len(s)))
+	h.text(s)
+}
+
+// str2 encodes the concatenation a+b as one str field, without building it.
+func (h *fpHasher) str2(a, b string) {
+	h.u64(uint64(len(a) + len(b)))
+	h.text(a)
+	h.text(b)
 }
 
 func (h *fpHasher) u64(v uint64) {
+	h.room(binary.MaxVarintLen64)
 	h.buf = binary.AppendUvarint(h.buf, v)
 }
 
 func (h *fpHasher) i64(v int64) {
+	h.room(binary.MaxVarintLen64)
 	h.buf = binary.AppendVarint(h.buf, v)
 }
 
@@ -140,8 +188,14 @@ func (h *fpHasher) typ(t Type) {
 		return
 	}
 	// The type string plus its computed size: struct types print by name,
-	// so the size pins the layout the analyses actually consume.
-	h.str(t.String())
+	// so the size pins the layout the analyses actually consume. Basic
+	// types spell as constants and structs as "%" plus their name, so
+	// neither builds a string; array types are rare in bodies.
+	if st, ok := t.(*StructType); ok {
+		h.str2("%", st.Name)
+	} else {
+		h.str(t.String())
+	}
 	h.i64(t.Size())
 }
 
@@ -150,20 +204,20 @@ func (h *fpHasher) typ(t Type) {
 func (h *fpHasher) operand(v Value) {
 	switch x := v.(type) {
 	case *Const:
-		h.buf = append(h.buf, 'c')
+		h.text("c")
 		h.typ(x.Ty)
 		h.i64(x.Val)
 	case *Global:
-		h.buf = append(h.buf, 'g')
+		h.text("g")
 		h.str(x.Name)
 	case *Param:
-		h.buf = append(h.buf, 'p')
+		h.text("p")
 		h.u64(uint64(x.Index))
 	case *Instr:
-		h.buf = append(h.buf, 'r')
+		h.text("r")
 		h.u64(uint64(x.ID))
 	default:
-		h.buf = append(h.buf, '?')
+		h.text("?")
 		h.str(v.OperandString())
 	}
 }

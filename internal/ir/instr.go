@@ -3,7 +3,7 @@ package ir
 import "fmt"
 
 // Op enumerates the instruction opcodes.
-type Op int
+type Op uint8
 
 // The instruction opcodes.
 const (
@@ -150,7 +150,7 @@ func (op Op) IsStoreLike() bool {
 // strongly ordered with respect to other memory operations; CLFLUSHOPT and
 // CLWB are weakly ordered and require a subsequent fence for durability
 // ordering. CLWB retains the line in cache (preferred for performance).
-type FlushKind int
+type FlushKind uint8
 
 // The flush flavours.
 const (
@@ -177,7 +177,7 @@ func (k FlushKind) Ordered() bool { return k == CLFLUSH }
 
 // FenceKind selects the fence instruction flavour. SFENCE orders stores
 // and weakly-ordered flushes; MFENCE additionally orders loads.
-type FenceKind int
+type FenceKind uint8
 
 // The fence flavours.
 const (
@@ -199,7 +199,7 @@ func (k FenceKind) String() string {
 // runs threads one at a time (sequential consistency by construction),
 // so the orders do not change execution today; they are carried so the
 // IR states intent and so a weaker scheduler can honor them later.
-type MemOrder int
+type MemOrder uint8
 
 // The memory orders.
 const (
@@ -221,7 +221,7 @@ func (o MemOrder) String() string {
 }
 
 // RMWKind selects the read-modify-write operation of an OpAtomicRMW.
-type RMWKind int
+type RMWKind uint8
 
 // The RMW flavours.
 const (
@@ -260,22 +260,25 @@ func (l Loc) String() string {
 // operand slice) keeps cloning, printing, parsing and interpretation
 // simple; opcode-specific fields are only meaningful for their opcode.
 type Instr struct {
-	Op   Op
+	// The one-byte opcode and its attributes sit together at the top,
+	// so they pack into one word and Instr stays at 192 bytes.
+	Op     Op
+	FlushK FlushKind // OpFlush
+	FenceK FenceKind // OpFence
+	Order  MemOrder  // atomic ops: memory ordering
+	RMWK   RMWKind   // OpAtomicRMW
+
 	Name string // result name without '%'; empty for void results
 	Ty   Type   // result type; for load, the loaded type; void if none
 
 	Args []Value // operands
 
 	// Opcode-specific attributes.
-	AllocTy     Type      // OpAlloca: layout of the allocated object
-	StoreTy     Type      // OpStore/OpNTStore: type of the stored value
-	Scale, Disp int64     // OpPtrAdd: %q = base + index*Scale + Disp
-	Callee      *Func     // OpCall / OpSpawn
-	Succs       []*Block  // OpBr (then, else) / OpJmp (dest)
-	FlushK      FlushKind // OpFlush
-	FenceK      FenceKind // OpFence
-	Order       MemOrder  // atomic ops: memory ordering
-	RMWK        RMWKind   // OpAtomicRMW
+	AllocTy     Type     // OpAlloca: layout of the allocated object
+	StoreTy     Type     // OpStore/OpNTStore: type of the stored value
+	Scale, Disp int64    // OpPtrAdd: %q = base + index*Scale + Disp
+	Callee      *Func    // OpCall / OpSpawn
+	Succs       []*Block // OpBr (then, else) / OpJmp (dest)
 
 	// Loc is the source location the instruction was lowered from.
 	Loc Loc

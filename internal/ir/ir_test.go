@@ -3,6 +3,7 @@ package ir
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 func TestBasicTypeSizes(t *testing.T) {
@@ -258,7 +259,7 @@ func TestVerifyCatchesErrors(t *testing.T) {
 	mk := func(mut func(m *Module)) error {
 		m := buildSample(t)
 		mut(m)
-		return Verify(m)
+		return verifyBoth(t, m)
 	}
 	cases := []struct {
 		name string
@@ -337,6 +338,43 @@ func TestVerifyCatchesErrors(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), c.want) {
 				t.Errorf("error %q does not mention %q", err, c.want)
+			}
+		})
+	}
+}
+
+// TestInstrSize: every parse, lowering and clone allocates one Instr per
+// instruction, so the one-byte opcode and kind fields stay packed into
+// one word at the top of the struct.
+func TestInstrSize(t *testing.T) {
+	if got := unsafe.Sizeof(Instr{}); got != 192 {
+		t.Errorf("Instr is %d bytes, want 192", got)
+	}
+}
+
+// TestParseSkipsTrailingBodyComments: blank and comment lines right
+// before a function's closing brace are skipped like everywhere else.
+// The body parser once read past them into the brace and failed with
+// `unknown mnemonic "}"`.
+func TestParseSkipsTrailingBodyComments(t *testing.T) {
+	const clean = "module m\n\nfunc @f() -> i64 {\nentry:\n  ret i64 0\n}\n\nfunc @g() -> void {\nentry:\n  ret void\n}\n"
+	for name, tail := range map[string]string{
+		"comment":              "  ; note\n",
+		"blank line":           "\n",
+		"comment and blanks":   "\n  ; note\n\n",
+		"unindented comment":   "; note\n",
+		"several comments":     "; a\n; b\n",
+		"whitespace-only line": "   \t\n",
+	} {
+		t.Run(name, func(t *testing.T) {
+			src := strings.Replace(clean, "  ret i64 0\n", "  ret i64 0\n"+tail, 1)
+			src = strings.Replace(src, "  ret void\n", "  ret void\n"+tail, 1)
+			m, err := ParseModule(src)
+			if err != nil {
+				t.Fatalf("ParseModule: %v\n%s", err, src)
+			}
+			if got := Print(m); got != clean {
+				t.Errorf("parsed module prints as\n%s\nwant\n%s", got, clean)
 			}
 		})
 	}
@@ -480,7 +518,7 @@ func TestVerifyCatchesDominanceViolation(t *testing.T) {
 	b.SetBlock(merge)
 	b.Ret(onlyHere) // not dominated by its definition
 	f.Renumber()
-	err := Verify(m)
+	err := verifyBoth(t, m)
 	if err == nil || !strings.Contains(err.Error(), "dominate") {
 		t.Errorf("Verify = %v, want dominance violation", err)
 	}
@@ -498,7 +536,7 @@ func TestVerifyCatchesUseBeforeDefSameBlock(t *testing.T) {
 	// Swap x and y: y now uses x before x is defined.
 	blk := f.Entry()
 	blk.Instrs[0], blk.Instrs[1] = blk.Instrs[1], blk.Instrs[0]
-	err := Verify(m)
+	err := verifyBoth(t, m)
 	if err == nil || !strings.Contains(err.Error(), "precedes definition") {
 		t.Errorf("Verify = %v, want use-before-def", err)
 	}

@@ -32,6 +32,9 @@ type irParser struct {
 	lines []string
 	ln    int // 1-based index of the line being parsed
 	mod   *Module
+	// body is the per-body state, reused from one function body to the
+	// next so a module parse allocates it once.
+	body bodyEnv
 }
 
 func (p *irParser) next() (string, bool) {
@@ -267,12 +270,15 @@ func (p *irParser) parseType(s string) (Type, error) {
 	return nil, fmt.Errorf("unknown type %q", s)
 }
 
-// bodyParser state for one function.
+// bodyEnv is the parser state for one function body.
 type bodyEnv struct {
 	fn   *Func
-	vals map[string]Value
-	// blockRefs are (^name, instr, succ-slot) fixups resolved at the end.
+	vals scratchMap[string, Value]
+	// fixups are (^name, instr, succ-slot) block references resolved at
+	// the end of the body.
 	fixups []blockFixup
+	// parts backs splitArgs' result.
+	parts []string
 }
 
 type blockFixup struct {
@@ -282,14 +288,19 @@ type blockFixup struct {
 }
 
 func (p *irParser) parseBody(fn *Func, start, end int) error {
-	env := &bodyEnv{fn: fn, vals: make(map[string]Value)}
+	env := &p.body
+	env.fn = fn
+	vals := env.vals.reset(len(fn.Params) + end - start)
+	env.fixups = env.fixups[:0]
 	for _, prm := range fn.Params {
-		env.vals[prm.Name] = prm
+		vals[prm.Name] = prm
 	}
 	var cur *Block
 	for p.ln = start; p.ln < end; {
-		line, _ := p.next()
-		if line == "" {
+		line, ok := p.next()
+		if !ok || p.ln > end {
+			// Only blank and comment lines were left before the
+			// closing brace, and next skipped to it.
 			break
 		}
 		if strings.HasSuffix(line, ":") && !strings.Contains(line, " ") {
@@ -306,10 +317,10 @@ func (p *irParser) parseBody(fn *Func, start, end int) error {
 		}
 		cur.Append(in)
 		if in.HasResult() {
-			if _, dup := env.vals[in.Name]; dup {
+			if _, dup := vals[in.Name]; dup {
 				return fmt.Errorf("in @%s: duplicate value %%%s", fn.Name, in.Name)
 			}
-			env.vals[in.Name] = in
+			vals[in.Name] = in
 		}
 	}
 	p.ln = end + 1
@@ -364,7 +375,7 @@ func (p *irParser) parseInstr(env *bodyEnv, line string) (*Instr, error) {
 		}
 		in.Op, in.Ty, in.AllocTy = OpAlloca, Ptr, ty
 	case "load":
-		parts := splitArgs(rest)
+		parts := env.splitArgs(rest)
 		if len(parts) != 2 {
 			return nil, fmt.Errorf("malformed load %q", rest)
 		}
@@ -378,7 +389,7 @@ func (p *irParser) parseInstr(env *bodyEnv, line string) (*Instr, error) {
 		}
 		in.Op, in.Ty, in.Args = OpLoad, ty, []Value{ptr}
 	case "store", "ntstore":
-		parts := splitArgs(rest)
+		parts := env.splitArgs(rest)
 		if len(parts) != 2 {
 			return nil, fmt.Errorf("malformed store %q", rest)
 		}
@@ -395,7 +406,7 @@ func (p *irParser) parseInstr(env *bodyEnv, line string) (*Instr, error) {
 			in.Op = OpNTStore
 		}
 	case "ptradd":
-		parts := splitArgs(rest)
+		parts := env.splitArgs(rest)
 		if len(parts) != 4 {
 			return nil, fmt.Errorf("malformed ptradd %q", rest)
 		}
@@ -428,7 +439,9 @@ func (p *irParser) parseInstr(env *bodyEnv, line string) (*Instr, error) {
 		}
 		var args []Value
 		if inner := strings.TrimSpace(rest[open+1 : close]); inner != "" {
-			for _, part := range splitArgs(inner) {
+			parts := env.splitArgs(inner)
+			args = make([]Value, 0, len(parts))
+			for _, part := range parts {
 				a, err := p.parseOperand(env, part)
 				if err != nil {
 					return nil, err
@@ -438,7 +451,7 @@ func (p *irParser) parseInstr(env *bodyEnv, line string) (*Instr, error) {
 		}
 		in.Op, in.Ty, in.Callee, in.Args = OpCall, callee.Ret, callee, args
 	case "br":
-		parts := splitArgs(rest)
+		parts := env.splitArgs(rest)
 		if len(parts) != 3 {
 			return nil, fmt.Errorf("malformed br %q", rest)
 		}
@@ -469,7 +482,7 @@ func (p *irParser) parseInstr(env *bodyEnv, line string) (*Instr, error) {
 			in.Args = []Value{v}
 		}
 	case "flush":
-		parts := splitArgs(rest)
+		parts := env.splitArgs(rest)
 		if len(parts) != 2 {
 			return nil, fmt.Errorf("malformed flush %q", rest)
 		}
@@ -510,7 +523,9 @@ func (p *irParser) parseInstr(env *bodyEnv, line string) (*Instr, error) {
 		}
 		var args []Value
 		if inner := strings.TrimSpace(rest[open+1 : close]); inner != "" {
-			for _, part := range splitArgs(inner) {
+			parts := env.splitArgs(inner)
+			args = make([]Value, 0, len(parts))
+			for _, part := range parts {
 				a, err := p.parseOperand(env, part)
 				if err != nil {
 					return nil, err
@@ -526,7 +541,7 @@ func (p *irParser) parseInstr(env *bodyEnv, line string) (*Instr, error) {
 		}
 		in.Op, in.Ty, in.Args = OpJoin, I64, []Value{t}
 	case "atomicload":
-		parts := splitArgs(rest)
+		parts := env.splitArgs(rest)
 		if len(parts) != 2 {
 			return nil, fmt.Errorf("malformed atomicload %q", rest)
 		}
@@ -556,7 +571,7 @@ func (p *irParser) parseInstr(env *bodyEnv, line string) (*Instr, error) {
 		if err != nil {
 			return nil, err
 		}
-		parts := splitArgs(strings.TrimSpace(rest[sp2+1:]))
+		parts := env.splitArgs(strings.TrimSpace(rest[sp2+1:]))
 		if len(parts) != 2 {
 			return nil, fmt.Errorf("malformed atomicstore %q", rest)
 		}
@@ -587,7 +602,7 @@ func (p *irParser) parseInstr(env *bodyEnv, line string) (*Instr, error) {
 		if err != nil {
 			return nil, err
 		}
-		parts := splitArgs(strings.TrimSpace(strings.TrimPrefix(strings.TrimPrefix(rest, fields[0]), " "+fields[1])))
+		parts := env.splitArgs(strings.TrimSpace(strings.TrimPrefix(strings.TrimPrefix(rest, fields[0]), " "+fields[1])))
 		if len(parts) != 2 {
 			return nil, fmt.Errorf("malformed atomicrmw operands %q", rest)
 		}
@@ -609,7 +624,7 @@ func (p *irParser) parseInstr(env *bodyEnv, line string) (*Instr, error) {
 		if err != nil {
 			return nil, err
 		}
-		parts := splitArgs(strings.TrimSpace(rest[sp2+1:]))
+		parts := env.splitArgs(strings.TrimSpace(rest[sp2+1:]))
 		if len(parts) != 3 {
 			return nil, fmt.Errorf("malformed atomiccas %q", rest)
 		}
@@ -664,7 +679,7 @@ func (p *irParser) parseInstr(env *bodyEnv, line string) (*Instr, error) {
 		if err != nil {
 			return nil, err
 		}
-		parts := splitArgs(rest[sp+1:])
+		parts := env.splitArgs(rest[sp+1:])
 		if len(parts) != 2 {
 			return nil, fmt.Errorf("malformed %s operands %q", mnemonic, rest)
 		}
@@ -708,9 +723,10 @@ func opByName(s string) Op {
 }
 
 // splitArgs splits on top-level commas (the grammar has no nested commas
-// outside call argument lists, which are handled separately).
-func splitArgs(s string) []string {
-	var out []string
+// outside call argument lists, which are handled separately). The result
+// shares one buffer and is valid until the next call.
+func (env *bodyEnv) splitArgs(s string) []string {
+	out := env.parts[:0]
 	depth := 0
 	last := 0
 	for i := 0; i < len(s); i++ {
@@ -727,6 +743,7 @@ func splitArgs(s string) []string {
 		}
 	}
 	out = append(out, strings.TrimSpace(s[last:]))
+	env.parts = out
 	return out
 }
 
@@ -754,7 +771,7 @@ func (p *irParser) parseBare(env *bodyEnv, s string, ty Type) (Value, error) {
 	case s == "null":
 		return Null(), nil
 	case strings.HasPrefix(s, "%"):
-		v, ok := env.vals[s[1:]]
+		v, ok := env.vals.m[s[1:]]
 		if !ok {
 			return nil, fmt.Errorf("undefined value %s", s)
 		}

@@ -9,26 +9,42 @@ import (
 // its end, operand types consistent, operands defined in the same function,
 // call signatures matched, and branch targets within the function. The fix
 // pass runs it after every transformation ("do no harm" starts with not
-// corrupting the IR).
+// corrupting the IR). One verifier's scratch serves every function of the
+// module, so a verify allocates in proportion to its largest function,
+// not to the module.
 func Verify(m *Module) error {
+	var v verifier
 	var errs []error
 	for _, f := range m.Funcs {
 		if f.IsDecl() {
 			continue
 		}
-		if err := verifyFunc(f); err != nil {
+		if err := v.function(f); err != nil {
 			errs = append(errs, err)
 		}
 	}
 	return errors.Join(errs...)
 }
 
-func verifyFunc(f *Func) error {
+// verifier holds the scratch of one Verify call. function resets it
+// before each use; nothing in it outlives the function it describes.
+type verifier struct {
+	// defined holds f's parameters and result-producing instructions.
+	defined scratchMap[Value, bool]
+	// names holds the result names seen so far.
+	names scratchMap[string, bool]
+	// pos is each instruction's index within its block.
+	pos  scratchMap[*Instr, int]
+	doms Dominators
+}
+
+func (v *verifier) function(f *Func) error {
 	ctx := func(b *Block, in *Instr, format string, args ...any) error {
 		return fmt.Errorf("@%s/^%s: %s: %s", f.Name, b.Name, FormatInstr(in), fmt.Sprintf(format, args...))
 	}
+	n := f.NumInstrs()
 	// Collect all values defined in this function for scoping checks.
-	defined := map[Value]bool{}
+	defined, seenNames := v.defined.reset(len(f.Params)+n), v.names.reset(n)
 	for _, p := range f.Params {
 		defined[p] = true
 	}
@@ -39,7 +55,6 @@ func verifyFunc(f *Func) error {
 			}
 		}
 	}
-	seenNames := map[string]bool{}
 	for _, b := range f.Blocks {
 		if len(b.Instrs) == 0 {
 			return fmt.Errorf("@%s/^%s: empty block", f.Name, b.Name)
@@ -62,11 +77,11 @@ func verifyFunc(f *Func) error {
 				seenNames[in.Name] = true
 			}
 			for _, a := range in.Args {
-				switch v := a.(type) {
+				switch x := a.(type) {
 				case *Const, *Global:
 					// Always fine.
 				case *Param, *Instr:
-					if !defined[v] {
+					if !defined[x] {
 						return ctx(b, in, "operand %s defined outside @%s", a.OperandString(), f.Name)
 					}
 				default:
@@ -81,7 +96,7 @@ func verifyFunc(f *Func) error {
 			}
 		}
 	}
-	return verifyDominance(f)
+	return v.dominance(f, n)
 }
 
 func verifyInstr(f *Func, in *Instr) error {

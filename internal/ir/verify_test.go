@@ -75,7 +75,7 @@ func TestVerifyPersistencyHardening(t *testing.T) {
 		{
 			name: "fence kind out of range",
 			mut: func(m *Module) {
-				findInstr(t, m, "store_key", OpFence).FenceK = FenceKind(-1)
+				findInstr(t, m, "store_key", OpFence).FenceK = FenceKind(255)
 			},
 			want: "fence kind",
 		},
@@ -125,12 +125,48 @@ func TestVerifyPersistencyHardening(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			m := buildSample(t)
 			c.mut(m)
-			err := Verify(m)
+			err := verifyBoth(t, m)
 			if err == nil {
 				t.Fatal("Verify accepted a malformed persistence primitive")
 			}
 			if !strings.Contains(err.Error(), c.want) {
 				t.Errorf("error %q does not mention %q", err, c.want)
+			}
+		})
+	}
+}
+
+// TestVerifyScratchDoesNotLeak: the verifier reuses its scratch from one
+// function to the next, so neither a value nor a parameter of an earlier
+// function may count as defined in a later one, however much of the
+// scratch the earlier one filled.
+func TestVerifyScratchDoesNotLeak(t *testing.T) {
+	for _, use := range []string{"value", "param"} {
+		t.Run(use, func(t *testing.T) {
+			m := NewModule("leak")
+			big := NewFunc("big", I64, &Param{Name: "p", Ty: I64})
+			m.AddFunc(big)
+			b := NewBuilder(big)
+			acc := Value(big.Params[0])
+			for i := 0; i < 500; i++ {
+				acc = b.Bin(OpAdd, I64, acc, ConstInt(int64(i)))
+			}
+			b.Ret(acc)
+			big.Renumber()
+
+			foreign := acc
+			if use == "param" {
+				foreign = big.Params[0]
+			}
+			small := NewFunc("small", I64)
+			m.AddFunc(small)
+			sb := NewBuilder(small)
+			sb.Ret(sb.Bin(OpAdd, I64, foreign, ConstInt(1)))
+			small.Renumber()
+
+			err := verifyBoth(t, m)
+			if err == nil || !strings.Contains(err.Error(), "defined outside @small") {
+				t.Errorf("Verify = %v, want an operand defined outside @small", err)
 			}
 		})
 	}
