@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet verify agreement bench bench-smoke hippobench hippobench-build metrics-smoke crash-smoke server-smoke optimize-smoke fleet-smoke incremental-smoke mt-smoke
+.PHONY: build test vet verify agreement bench bench-smoke hippobench hippobench-build metrics-smoke usage-smoke crash-smoke server-smoke optimize-smoke fleet-smoke incremental-smoke mt-smoke
 
 build:
 	$(GO) build ./...
@@ -30,6 +30,30 @@ metrics-smoke:
 	status=$$?; rm -rf $$dir; exit $$status
 	$(GO) test ./internal/obs/ -run 'TestWriteProm|TestLintProm|TestPromName' -count=1
 	$(GO) test ./internal/server/ -run 'TestPromGolden|TestFlightRecorder' -count=1
+
+# usage-smoke pins the commands' exit codes on built binaries (`go run`
+# folds every failure into exit 1): a flag combination
+# cli.Request.Validate rejects is a usage error (exit 2) in each of
+# hippocrates, pmcheck and pmvm, a clean run exits 0 and a buggy one 1.
+# It also drives pmcheck's in-memory shadow repair with every telemetry
+# flag on and requires its span tree to hold plan, apply and revalidate.
+usage-smoke:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o $$dir/ ./cmd/hippocrates ./cmd/pmcheck ./cmd/pmvm && \
+	want_exit() { want=$$1 cmd=$$2; shift 2; "$$dir/$$cmd" "$$@" >/dev/null 2>&1; got=$$?; \
+		if [ $$got -ne $$want ]; then echo "usage-smoke: $$cmd $$* exited $$got, want $$want"; exit 1; fi; } && \
+	want_exit 2 hippocrates -max-schedules 3 testdata/metrics_smoke.pmc && \
+	want_exit 2 hippocrates -marks bogus testdata/metrics_smoke.pmc && \
+	want_exit 2 pmcheck -threads -static testdata/metrics_smoke.pmc && \
+	want_exit 2 pmvm -crash-points 4 testdata/metrics_smoke.pmc && \
+	want_exit 0 hippocrates -o $$dir/fixed.pmir testdata/metrics_smoke.pmc && \
+	want_exit 0 pmcheck $$dir/fixed.pmir && \
+	want_exit 1 pmcheck testdata/metrics_smoke.pmc && \
+	want_exit 1 pmcheck -metrics $$dir/metrics.json -spans $$dir/spans.json -audit testdata/metrics_smoke.pmc && \
+	for span in plan apply revalidate; do \
+		grep -q "\"name\": \"$$span\"" $$dir/spans.json || \
+			{ echo "usage-smoke: pmcheck shadow-repair spans lack $$span"; exit 1; }; \
+	done && echo "usage-smoke: exit codes and shadow-repair spans as expected"
 
 # crash-smoke proves the crash-injection validation engine end to end on
 # testdata/crash_smoke.pmc: the buggy build must FAIL `pmvm -crash`
@@ -118,13 +142,14 @@ hippobench-build:
 
 # verify is the tier-1 gate (referenced from ROADMAP.md): vet, build, the
 # full suite under the race detector, the agreement harness, and the
-# telemetry, crash-validation, interleaving, incremental-analysis,
+# telemetry, exit-code, crash-validation, interleaving, incremental-analysis,
 # repair-service and benchmark smoke tests, and the hippobench modules'
 # vet and build.
 verify: vet build
 	$(GO) test -race ./...
 	$(MAKE) agreement
 	$(MAKE) metrics-smoke
+	$(MAKE) usage-smoke
 	$(MAKE) crash-smoke
 	$(MAKE) optimize-smoke
 	$(MAKE) incremental-smoke

@@ -53,7 +53,11 @@
 // hippocratesd serves over HTTP, so the command and the daemon cannot
 // drift.
 //
-// Exit status is 1 on failure to repair.
+// The flags fill one cli.Request, and its Validate decides which
+// combinations are valid: a rejected combination is a usage error naming
+// the request field (e.g. "max_schedules only applies with threads").
+//
+// Exit status is 1 on failure to repair and 2 on a usage error.
 package main
 
 import (
@@ -63,7 +67,6 @@ import (
 	"path/filepath"
 
 	"hippocrates/internal/cli"
-	"hippocrates/internal/core"
 	"hippocrates/internal/ir"
 	"hippocrates/internal/obs"
 )
@@ -90,86 +93,58 @@ func main() {
 	var obsFlags cli.ObsFlags
 	obsFlags.Register()
 	flag.Parse()
-	usage := func(msg string) {
-		fmt.Fprintln(os.Stderr, "hippocrates:", msg)
-		os.Exit(2)
-	}
-	if err := limits.Validate(); err != nil {
-		usage(err.Error())
-	}
-	if !*crashCheck {
-		if *invariant != "" {
-			usage("-invariant only applies with -crashcheck")
-		}
-		if *recovery != "" {
-			usage("-recovery only applies with -crashcheck")
-		}
-	} else if *tracePath != "" {
-		usage("-crashcheck re-executes the program; it cannot be combined with -trace")
-	}
-	if *staticMode {
-		if *tracePath != "" {
-			usage("-static analyzes without a trace; it cannot be combined with -trace")
-		}
-		if *crashCheck {
-			usage("-crashcheck executes the program; it cannot be combined with -static")
-		}
-		if *optimizeFlag {
-			usage("-optimize measures executions; it cannot be combined with -static")
-		}
-	}
-	if *optimizeFlag && *tracePath != "" {
-		usage("-optimize re-executes the program; it cannot be combined with -trace")
-	}
-	if *threads {
-		switch {
-		case *staticMode:
-			usage("-threads needs dynamic execution; it cannot be combined with -static")
-		case *tracePath != "":
-			usage("-threads explores interleavings; it cannot be combined with -trace")
-		case *optimizeFlag:
-			usage("-optimize measures single-schedule executions; it cannot be combined with -threads")
-		}
-	} else if *maxSchedules != 0 {
-		usage("-max-schedules only applies with -threads")
-	}
-	if *maxSchedules < 0 {
-		usage("-max-schedules must be >= 0")
-	}
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: hippocrates [flags] program.pmc")
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
-	req := &cli.Request{
-		Mode:       cli.ModeRepair,
-		Entry:      *entry,
-		Static:     *staticMode,
-		Marks:      *marks,
-		IntraOnly:  *intraOnly,
-		Flush:      *flushKind,
-		CrashCheck: *crashCheck,
-		Invariant:  *invariant,
-		Recovery:   *recovery,
-		Optimize:   *optimizeFlag,
-		StepLimit:  limits.StepLimit,
+	fail := func(err error) {
+		fmt.Fprintln(os.Stderr, "hippocrates:", err)
+		os.Exit(1)
 	}
-	req.Threads = *threads
-	req.MaxSchedules = *maxSchedules
+	path := flag.Arg(0)
+	src, err := os.ReadFile(path)
+	if err != nil {
+		fail(err)
+	}
+	req := &cli.Request{
+		Program:      filepath.Base(path),
+		Source:       string(src),
+		Mode:         cli.ModeRepair,
+		Entry:        *entry,
+		Static:       *staticMode,
+		Marks:        *marks,
+		IntraOnly:    *intraOnly,
+		Flush:        *flushKind,
+		CrashCheck:   *crashCheck,
+		Invariant:    *invariant,
+		Recovery:     *recovery,
+		Optimize:     *optimizeFlag,
+		Threads:      *threads,
+		MaxSchedules: *maxSchedules,
+		StepLimit:    limits.StepLimit,
+	}
+	if *tracePath != "" {
+		if req.ReplayTrace, err = cli.LoadTrace(*tracePath); err != nil {
+			fail(err)
+		}
+	}
+	if err := req.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "hippocrates:", err)
+		os.Exit(2)
+	}
 	if *showScores {
 		req.DebugScores = os.Stderr
 	}
 	if *crashCheck {
 		req.CrashLog = os.Stdout
 	}
-	if err := run(flag.Arg(0), *out, *tracePath, *showFixes, *showDiff, req, obsFlags); err != nil {
-		fmt.Fprintln(os.Stderr, "hippocrates:", err)
-		os.Exit(1)
+	if err := run(req, *out, *showFixes, *showDiff, obsFlags); err != nil {
+		fail(err)
 	}
 }
 
-func run(path, out, tracePath string, showFixes, showDiff bool,
-	req *cli.Request, obsFlags cli.ObsFlags) error {
+func run(req *cli.Request, out string, showFixes, showDiff bool, obsFlags cli.ObsFlags) error {
 	// The recorder is always on: the default end-of-run summary needs the
 	// phase timings, and a CLI run only creates phase-level spans.
 	rec := obs.New()
@@ -177,19 +152,6 @@ func run(path, out, tracePath string, showFixes, showDiff bool,
 		rec.SetTrackAllocs(true)
 	}
 	root := rec.StartSpan("pipeline")
-
-	src, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	req.Program = filepath.Base(path)
-	req.Source = string(src)
-	if tracePath != "" {
-		req.ReplayTrace, err = cli.LoadTrace(tracePath)
-		if err != nil {
-			return err
-		}
-	}
 	mod, err := cli.CompileRequest(req, root)
 	if err != nil {
 		return err
@@ -213,16 +175,7 @@ func run(path, out, tracePath string, showFixes, showDiff bool,
 			fmt.Printf("hippocrates: first buggy schedule %s (replay with pmvm -sched)\n", s.BuggySchedule)
 		}
 	}
-	var fix *core.Result
-	switch {
-	case resp.Pipeline != nil:
-		fix = resp.Pipeline.Fix
-	case resp.MT != nil:
-		fix = resp.MT.Fix
-	case resp.StaticResult != nil:
-		fix = resp.StaticResult.Fix
-	}
-	if fix != nil {
+	if fix := resp.Fix; fix != nil {
 		fmt.Printf("hippocrates: applied %d fix(es): %d interprocedural, %d insertion(s) elided by reduction, %d persistent subprogram(s)\n",
 			len(fix.Fixes), fix.InterprocFixes(), fix.ReducedFixes, fix.ClonesCreated)
 		fmt.Printf("hippocrates: module grew %d -> %d instructions (+%.3f%%) using %s marks\n",
@@ -235,7 +188,7 @@ func run(path, out, tracePath string, showFixes, showDiff bool,
 			}
 		}
 	}
-	if showDiff && fix != nil {
+	if showDiff && resp.Fix != nil {
 		fmt.Println("hippocrates: repair diff:")
 		fmt.Print(cli.DiffLines(before, ir.Print(mod)))
 	}

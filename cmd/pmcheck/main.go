@@ -26,20 +26,22 @@
 //	-spans FILE    write the span tree as Chrome trace_event JSON
 //	-audit         print the repair audit trail
 //
-// -replay analyzes a trace with no program: it cannot honor -entry, a
-// positional program argument, or -audit, and rejects those combinations
-// instead of silently ignoring them. (-static does honor -entry: it
-// selects the analysis root.)
+// -replay analyzes a trace with no program: it accepts only -trace and
+// the -metrics/-spans outputs, and rejects every other flag and a
+// positional program argument instead of silently ignoring them.
+// (-static does honor -entry: it selects the analysis root.)
 //
 // When an observability flag is set and bugs are found, pmcheck runs the
-// repair pipeline on the in-memory module — never writing it anywhere —
-// so the exported spans and audit trail cover the full
-// parse→trace→detect→plan→apply→revalidate tree, not just detection.
+// rest of the repair pipeline (core.RepairTrace) on the in-memory module
+// — never writing it anywhere — so the exported spans and audit trail
+// cover the full parse→trace→detect→plan→apply→revalidate tree, not just
+// detection.
 //
 // Detection runs through cli.Run, the same entrypoint hippocrates and
-// hippocratesd use, so the front ends cannot drift.
+// hippocratesd use, so the front ends cannot drift; cli.Request.Validate
+// decides which flag combinations are valid.
 //
-// Exit status is 1 when durability bugs are found.
+// Exit status is 1 when durability bugs are found and 2 on a usage error.
 package main
 
 import (
@@ -68,65 +70,15 @@ func main() {
 	flag.Parse()
 
 	usage := func(msg string) {
-		fmt.Fprintln(os.Stderr, msg)
+		fmt.Fprintln(os.Stderr, "pmcheck:", msg)
 		os.Exit(2)
 	}
-	if err := limits.Validate(); err != nil {
-		usage("pmcheck: " + err.Error())
-	}
-	stepLimitSet := false
-	flag.Visit(func(f *flag.Flag) { stepLimitSet = stepLimitSet || f.Name == "steplimit" })
-	if *replay != "" {
-		// A replayed trace carries no program, so flags that select or
-		// inspect one cannot be honored; reject them rather than letting
-		// them pass without effect (mirroring the -static checks below).
-		entrySet := false
-		flag.Visit(func(f *flag.Flag) { entrySet = entrySet || f.Name == "entry" })
-		switch {
-		case *staticMode:
-			usage("pmcheck: -replay and -static are mutually exclusive")
-		case entrySet:
-			usage("pmcheck: -replay analyzes a saved trace; -entry has no effect (drop it)")
-		case stepLimitSet:
-			usage("pmcheck: -replay never executes; -steplimit has no effect (drop it)")
-		case flag.NArg() > 0:
-			usage("pmcheck: -replay takes no program argument (got " + flag.Arg(0) + ")")
-		case obsFlags.Audit:
-			usage("pmcheck: -audit needs the program to repair; it cannot be combined with -replay")
-		case *optimizeFlag:
-			usage("pmcheck: -optimize re-executes the program; it cannot be combined with -replay")
-		}
-	}
-	if *staticMode && stepLimitSet {
-		usage("pmcheck: -static never executes; -steplimit has no effect (drop it)")
-	}
-	if *staticMode && *optimizeFlag {
-		usage("pmcheck: -optimize measures executions; it cannot be combined with -static")
-	}
-	if *threads {
-		switch {
-		case *replay != "":
-			usage("pmcheck: -threads explores interleavings; it cannot be combined with -replay")
-		case *staticMode:
-			usage("pmcheck: -threads needs dynamic execution; it cannot be combined with -static")
-		case *optimizeFlag:
-			usage("pmcheck: -optimize measures single-schedule executions; it cannot be combined with -threads")
-		case *saveTrace != "":
-			usage("pmcheck: -trace captures a single run; it cannot be combined with -threads")
-		}
-	} else if *maxSchedules != 0 {
-		usage("pmcheck: -max-schedules only applies with -threads")
-	}
-	if *maxSchedules < 0 {
-		usage("pmcheck: -max-schedules must be >= 0")
-	}
-
-	rec := obsFlags.NewRecorder()
-	root := rec.StartSpan("pmcheck")
 	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "pmcheck:", err)
 		os.Exit(1)
 	}
+	rec := obsFlags.NewRecorder()
+	root := rec.StartSpan("pmcheck")
 	finish := func() {
 		root.End()
 		if err := obsFlags.Finish(rec, os.Stdout); err != nil {
@@ -137,6 +89,19 @@ func main() {
 	// -replay is the one path with no program behind it: analyze the
 	// trace directly, there is nothing for cli.Run to compile or repair.
 	if *replay != "" {
+		// A replayed trace carries no program, so a flag that selects,
+		// runs or inspects one cannot be honored; reject it rather than
+		// let it pass without effect.
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "replay", "trace", "metrics", "spans":
+			default:
+				usage("-replay analyzes a saved trace; -" + f.Name + " has no effect (drop it)")
+			}
+		})
+		if flag.NArg() > 0 {
+			usage("-replay takes no program argument (got " + flag.Arg(0) + ")")
+		}
 		tr, err := cli.LoadTrace(*replay)
 		if err != nil {
 			fail(err)
@@ -155,16 +120,22 @@ func main() {
 		return
 	}
 
-	if flag.NArg() != 1 {
-		if *staticMode {
-			usage("usage: pmcheck -static [-entry NAME] program.pmc")
-		}
-		fmt.Fprintln(os.Stderr, "usage: pmcheck [flags] program.pmc | pmcheck -replay trace.pmtrace")
-		flag.PrintDefaults()
-		os.Exit(2)
+	stepLimitSet := false
+	flag.Visit(func(f *flag.Flag) { stepLimitSet = stepLimitSet || f.Name == "steplimit" })
+	switch {
+	case *staticMode && stepLimitSet:
+		usage("-static never executes; -steplimit has no effect (drop it)")
+	case *threads && *saveTrace != "":
+		usage("-trace captures a single run; it cannot be combined with -threads")
 	}
-	if *staticMode && *saveTrace != "" {
-		usage("usage: pmcheck -static [-entry NAME] program.pmc")
+	if flag.NArg() != 1 || (*staticMode && *saveTrace != "") {
+		if *staticMode {
+			fmt.Fprintln(os.Stderr, "usage: pmcheck -static [-entry NAME] program.pmc")
+		} else {
+			fmt.Fprintln(os.Stderr, "usage: pmcheck [flags] program.pmc | pmcheck -replay trace.pmtrace")
+			flag.PrintDefaults()
+		}
+		os.Exit(2)
 	}
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
@@ -180,6 +151,9 @@ func main() {
 		Threads:      *threads,
 		MaxSchedules: *maxSchedules,
 		StepLimit:    limits.StepLimit,
+	}
+	if err := req.Validate(); err != nil {
+		usage(err.Error())
 	}
 	// With observability on, detection alone would leave the exported
 	// spans and audit trail covering half the pipeline; run the full
@@ -238,16 +212,9 @@ func main() {
 	// plan→apply→revalidate. Failures here are reported but do not change
 	// the detection exit status.
 	if obsFlags.Enabled() && !clean && resp.Check != nil {
-		if _, rerr := core.Repair(resp.Module, resp.Trace, resp.Check, core.Options{Obs: root}); rerr != nil {
-			fmt.Fprintln(os.Stderr, "pmcheck: shadow repair:", rerr)
-		} else {
-			rsp := root.Start("revalidate")
-			if tr2, terr := core.TraceModuleOpts(rsp, resp.Module, *entry, core.Options{StepLimit: limits.StepLimit}); terr != nil {
-				fmt.Fprintln(os.Stderr, "pmcheck: shadow revalidation:", terr)
-			} else {
-				pmcheck.CheckObs(rsp, tr2)
-			}
-			rsp.End()
+		opts := core.Options{Obs: root, StepLimit: limits.StepLimit}
+		if _, err := core.RepairTrace(resp.Module, resp.Trace, resp.Check, req.Entry, opts); err != nil {
+			fmt.Fprintln(os.Stderr, "pmcheck: shadow repair:", err)
 		}
 	}
 	finish()

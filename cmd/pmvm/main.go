@@ -34,8 +34,12 @@
 //	-audit           print the repair audit trail (always empty here: pmvm
 //	                 executes, it never repairs)
 //
-// The -crash path runs through cli.Run, the same entrypoint hippocrates
-// and hippocratesd use.
+// The -crash and -threads paths run through cli.Run, the same entrypoint
+// hippocrates and hippocratesd use, and every invocation fills one
+// cli.Request whose Validate decides which flag combinations are valid.
+//
+// Exit status is 1 when a run fails or a crash point fails recovery, and
+// 2 on a usage error.
 package main
 
 import (
@@ -46,10 +50,8 @@ import (
 	"strconv"
 
 	"hippocrates/internal/cli"
-	"hippocrates/internal/core"
 	"hippocrates/internal/interp"
 	"hippocrates/internal/ir"
-	"hippocrates/internal/schedule"
 	"hippocrates/internal/trace"
 )
 
@@ -74,36 +76,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pmvm:", msg)
 		os.Exit(2)
 	}
-	if err := limits.Validate(); err != nil {
-		usage(err.Error())
-	}
-	if !*crash {
-		// The crash-validation knobs configure a mode that is off; reject
-		// them rather than silently ignoring them.
-		switch {
-		case *invariant != "":
-			usage("-invariant only applies with -crash")
-		case *recovery != "":
-			usage("-recovery only applies with -crash")
-		case *crashPoints != 0:
-			usage("-crash-points only applies with -crash")
-		case *crashImages != 0:
-			usage("-crash-images only applies with -crash")
-		}
-	} else {
-		if *crashPoints < 0 {
-			usage("-crash-points must be >= 0")
-		}
-		if *crashImages < 0 {
-			usage("-crash-images must be >= 0")
-		}
-	}
-	if !*threads && *maxSchedules != 0 {
-		usage("-max-schedules only applies with -threads")
-	}
-	if *maxSchedules < 0 {
-		usage("-max-schedules must be >= 0")
-	}
 	var schedChoices []int
 	if *sched != "" {
 		if *threads {
@@ -126,78 +98,79 @@ func main() {
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
-	cfg := runCfg{
-		entry: *entry, traceOut: *traceOut, printIR: *printIR, crash: *crash,
-		invariant: *invariant, recovery: *recovery,
-		crashPoints: *crashPoints, crashImages: *crashImages,
-		threads: *threads, maxSchedules: *maxSchedules,
-		schedID: *sched, schedChoices: schedChoices,
-	}
-	if err := run(flag.Arg(0), flag.Args()[1:], cfg, limits, obsFlags); err != nil {
+	fail := func(err error) {
 		fmt.Fprintln(os.Stderr, "pmvm:", err)
 		os.Exit(1)
 	}
-}
-
-// runCfg carries the parsed, validated flag set into run.
-type runCfg struct {
-	entry, traceOut     string
-	printIR, crash      bool
-	invariant, recovery string
-	crashPoints         int
-	crashImages         int
-	threads             bool
-	maxSchedules        int
-	schedID             string
-	schedChoices        []int
-}
-
-func run(path string, argStrs []string, cfg runCfg,
-	limits cli.LimitFlags, obsFlags cli.ObsFlags) error {
-	rec := obsFlags.NewRecorder()
-	root := rec.StartSpan("pmvm")
-	root.SetAttr("program", path)
-
-	args := make([]uint64, len(argStrs))
-	for i, s := range argStrs {
+	path := flag.Arg(0)
+	args := make([]uint64, flag.NArg()-1)
+	for i, s := range flag.Args()[1:] {
 		v, err := strconv.ParseInt(s, 0, 64)
 		if err != nil {
-			return fmt.Errorf("argument %q is not an integer", s)
+			fail(fmt.Errorf("argument %q is not an integer", s))
 		}
 		args[i] = uint64(v)
 	}
 	src, err := os.ReadFile(path)
 	if err != nil {
-		return err
+		fail(err)
 	}
+	// Crash mode runs the whole pipeline behind cli.Run; check mode is
+	// the compile-only request shape of the plain run (which executes the
+	// module itself: stdout, violations, simulated time) and the request
+	// -threads explores.
 	req := &cli.Request{
 		Program:      filepath.Base(path),
 		Source:       string(src),
-		Mode:         cli.ModeCrash,
-		Entry:        cfg.entry,
+		Mode:         cli.ModeCheck,
+		Entry:        *entry,
 		Args:         args,
-		Invariant:    cfg.invariant,
-		Recovery:     cfg.recovery,
-		CrashPoints:  cfg.crashPoints,
-		CrashImages:  cfg.crashImages,
-		Threads:      cfg.threads,
-		MaxSchedules: cfg.maxSchedules,
+		Invariant:    *invariant,
+		Recovery:     *recovery,
+		CrashPoints:  *crashPoints,
+		CrashImages:  *crashImages,
+		Threads:      *threads,
+		MaxSchedules: *maxSchedules,
 		StepLimit:    limits.StepLimit,
-		CrashLog:     os.Stdout,
 	}
-	if !cfg.crash {
-		// Compile-only request shape: the plain run below executes the
-		// module itself (stdout, violations, simulated time).
-		req.Mode = cli.ModeCheck
+	if *crash {
+		req.Mode = cli.ModeCrash
+		req.CrashLog = os.Stdout
+	}
+	if err := req.Validate(); err != nil {
+		usage(err.Error())
+	}
+	cfg := runCfg{printIR: *printIR, traceOut: *traceOut, schedID: *sched, schedChoices: schedChoices}
+	if err := run(req, path, cfg, obsFlags); err != nil {
+		fail(err)
+	}
+}
+
+// runCfg carries the plain-run flags that have no cli.Request field.
+type runCfg struct {
+	printIR      bool
+	traceOut     string
+	schedID      string
+	schedChoices []int
+}
+
+func run(req *cli.Request, path string, cfg runCfg, obsFlags cli.ObsFlags) error {
+	rec := obsFlags.NewRecorder()
+	root := rec.StartSpan("pmvm")
+	root.SetAttr("program", path)
+	finish := func() error {
+		root.End()
+		return obsFlags.Finish(rec, os.Stdout)
 	}
 
-	if cfg.crash {
+	switch {
+	case req.Mode == cli.ModeCrash:
 		resp, err := cli.Run(req, root)
 		if err != nil {
 			return err
 		}
 		var failed int
-		if cfg.threads {
+		if req.Threads {
 			// Threads mode sweeps every explored interleaving; the
 			// per-schedule reports replace the single CrashReport.
 			failed = printScheduleCrash(resp)
@@ -205,14 +178,23 @@ func run(path string, argStrs []string, cfg runCfg,
 			fmt.Print(resp.CrashReport.Summary())
 			failed = len(resp.CrashReport.Failures)
 		}
-		root.End()
-		if err := obsFlags.Finish(rec, os.Stdout); err != nil {
+		if err := finish(); err != nil {
 			return err
 		}
 		if !resp.Fixed {
 			return fmt.Errorf("%d crash point(s) failed recovery", failed)
 		}
 		return nil
+	case req.Threads && !cfg.printIR:
+		// Exploration run: execute the workload under every schedule the
+		// bounded search (with persistence-aware POR) reaches, and report
+		// the verdict per interleaving.
+		resp, err := cli.Run(req, root)
+		if err != nil {
+			return err
+		}
+		printExploration(req.Entry, resp)
+		return finish()
 	}
 
 	mod, err := cli.CompileRequest(req, root)
@@ -224,38 +206,23 @@ func run(path string, argStrs []string, cfg runCfg,
 		return nil
 	}
 
-	if cfg.threads {
-		// Exploration run: execute the workload under every schedule the
-		// bounded search (with persistence-aware POR) reaches, and report
-		// the verdict per interleaving.
-		ex, err := core.ExploreModule(mod, cfg.entry, core.Options{
-			Obs: root, StepLimit: limits.StepLimit, MaxSchedules: cfg.maxSchedules,
-		}, args...)
-		if err != nil {
-			return err
-		}
-		printExploration(cfg.entry, ex)
-		root.End()
-		return obsFlags.Finish(rec, os.Stdout)
-	}
-
 	var tr *trace.Trace
 	if cfg.traceOut != "" || obsFlags.Enabled() {
 		tr = &trace.Trace{Program: mod.Name}
 	}
 	mach, err := interp.New(mod, interp.Options{
-		Trace: tr, Stdout: os.Stdout, StepLimit: limits.StepLimit,
+		Trace: tr, Stdout: os.Stdout, StepLimit: req.StepLimit,
 		Schedule: cfg.schedChoices,
 	})
 	if err != nil {
 		return err
 	}
 	xsp := root.Start("execute")
-	xsp.SetAttr("entry", cfg.entry)
+	xsp.SetAttr("entry", req.Entry)
 	if cfg.schedID != "" {
 		xsp.SetAttr("schedule", cfg.schedID)
 	}
-	ret, err := mach.Run(cfg.entry, args...)
+	ret, err := mach.Run(req.Entry, req.Args...)
 	mach.RecordObs(xsp)
 	if tr != nil {
 		xsp.Add("trace.events", int64(len(tr.Events)))
@@ -269,7 +236,7 @@ func run(path string, argStrs []string, cfg runCfg,
 	if err != nil {
 		return err
 	}
-	fmt.Printf("pmvm: @%s returned %d\n", cfg.entry, int64(ret))
+	fmt.Printf("pmvm: @%s returned %d\n", req.Entry, int64(ret))
 	if cfg.schedID != "" {
 		fmt.Printf("pmvm: replayed schedule %s\n", cfg.schedID)
 	}
@@ -285,21 +252,16 @@ func run(path string, argStrs []string, cfg runCfg,
 		}
 		fmt.Printf("pmvm: wrote %d trace events to %s\n", len(tr.Events), cfg.traceOut)
 	}
-	root.End()
-	return obsFlags.Finish(rec, os.Stdout)
+	return finish()
 }
 
-// printExploration renders a plain -threads run: one verdict line per
-// explored interleaving plus the search accounting.
-func printExploration(entry string, ex *schedule.Result) {
-	maxThreads := 0
-	for _, r := range ex.Runs {
-		if r.Threads > maxThreads {
-			maxThreads = r.Threads
-		}
-	}
+// printExploration renders a plain -threads run from its check-mode
+// response: one verdict line per explored interleaving plus the search
+// accounting.
+func printExploration(entry string, resp *cli.Response) {
+	ex, s := resp.Exploration, resp.Schedules
 	fmt.Printf("pmvm: explored %d interleaving(s) (%d pruned by POR, %d thread(s))\n",
-		ex.Explored, ex.Pruned, maxThreads)
+		s.Stats.SchedulesExplored, s.Stats.SchedulesPruned, s.Threads)
 	for _, r := range ex.Runs {
 		verdict := "clean"
 		if r.Check != nil && !r.Check.Clean() {
@@ -307,11 +269,11 @@ func printExploration(entry string, ex *schedule.Result) {
 		}
 		fmt.Printf("pmvm:   %-16s @%s returned %d: %s\n", r.ID, entry, int64(r.Ret), verdict)
 	}
-	if ex.Truncated {
+	if s.Truncated {
 		fmt.Println("pmvm: schedule budget exhausted with interleavings unexplored (raise -max-schedules)")
 	}
-	if bad := ex.FirstBuggy(); bad != nil {
-		fmt.Printf("pmvm: first buggy schedule %s (replay with -sched %s)\n", bad.ID, bad.ID)
+	if bad := s.BuggySchedule; bad != "" {
+		fmt.Printf("pmvm: first buggy schedule %s (replay with -sched %s)\n", bad, bad)
 	} else {
 		fmt.Println("pmvm: all explored interleavings clean")
 	}

@@ -1,6 +1,8 @@
-// Package cli carries the small amount of plumbing the command-line tools
-// share: loading programs from pmc source or textual IR, and writing
-// artifacts back to disk.
+// Package cli is what the command-line tools and the hippocratesd daemon
+// share: the Request they fill and Validate, the Run entrypoint that
+// compiles its pmc source or textual IR and executes the pipeline, the
+// Response it returns, and the on-disk module writer and trace loader
+// and writer.
 package cli
 
 import (
@@ -8,44 +10,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"hippocrates/internal/ir"
-	"hippocrates/internal/lang"
-	"hippocrates/internal/obs"
 	"hippocrates/internal/trace"
 )
-
-// LoadModule reads a program from disk: a .pmc file is compiled, a .pmir
-// file is parsed as textual IR.
-func LoadModule(path string) (*ir.Module, error) {
-	return LoadModuleObs(path, nil)
-}
-
-// LoadModuleObs is LoadModule with front-end telemetry: a .pmc compile
-// records lex/parse/lower child spans under sp, a .pmir file records a
-// single parse-ir span. A nil span records nothing.
-func LoadModuleObs(path string, sp *obs.Span) (*ir.Module, error) {
-	src, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	switch strings.ToLower(filepath.Ext(path)) {
-	case ".pmc":
-		return lang.CompileObs(filepath.Base(path), string(src), sp)
-	case ".pmir":
-		psp := sp.Start("parse-ir")
-		defer psp.End()
-		m, err := ir.ParseModule(string(src))
-		if m != nil {
-			psp.Add("ir.instrs", int64(m.NumInstrs()))
-		}
-		return m, err
-	default:
-		return nil, fmt.Errorf("cli: %s: unknown extension (want .pmc or .pmir)", path)
-	}
-}
 
 // WriteModule saves a module in textual IR form.
 func WriteModule(m *ir.Module, path string) error {

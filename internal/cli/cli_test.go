@@ -20,13 +20,9 @@ int main() {
 }
 `
 
+// TestLoadModulePMC: a program named *.pmc is compiled as pmc source.
 func TestLoadModulePMC(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "prog.pmc")
-	if err := os.WriteFile(path, []byte(sampleSrc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	m, err := LoadModule(path)
+	m, err := CompileRequest(&Request{Program: "prog.pmc", Source: sampleSrc}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,21 +31,22 @@ func TestLoadModulePMC(t *testing.T) {
 	}
 }
 
+// TestModuleRoundTripThroughDisk: a module written as textual IR and read
+// back as a *.pmir program is the module that was written.
 func TestModuleRoundTripThroughDisk(t *testing.T) {
-	dir := t.TempDir()
-	src := filepath.Join(dir, "prog.pmc")
-	if err := os.WriteFile(src, []byte(sampleSrc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	m, err := LoadModule(src)
+	m, err := CompileRequest(&Request{Program: "prog.pmc", Source: sampleSrc}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	irPath := filepath.Join(dir, "prog.pmir")
+	irPath := filepath.Join(t.TempDir(), "prog.pmir")
 	if err := WriteModule(m, irPath); err != nil {
 		t.Fatal(err)
 	}
-	back, err := LoadModule(irPath)
+	text, err := os.ReadFile(irPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := CompileRequest(&Request{Program: filepath.Base(irPath), Source: string(text)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,24 +73,24 @@ func TestTraceRoundTripThroughDisk(t *testing.T) {
 	}
 }
 
+// TestLoadModuleErrors: an empty program, broken pmc source and broken
+// textual IR are errors, not modules.
 func TestLoadModuleErrors(t *testing.T) {
-	if _, err := LoadModule("/does/not/exist.pmc"); err == nil {
-		t.Error("missing file must error")
-	}
-	dir := t.TempDir()
-	bad := filepath.Join(dir, "prog.txt")
-	if err := os.WriteFile(bad, []byte("x"), 0o644); err != nil {
+	m, err := CompileRequest(&Request{Program: "prog.pmc", Source: sampleSrc}, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadModule(bad); err == nil {
-		t.Error("unknown extension must error")
-	}
-	broken := filepath.Join(dir, "broken.pmc")
-	if err := os.WriteFile(broken, []byte("int main( {"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadModule(broken); err == nil {
-		t.Error("broken source must error")
+	for _, q := range []*Request{
+		{Program: "empty.pmc", Source: " \n"},
+		{Program: "broken.pmc", Source: "int main( {"},
+		{Program: "broken.pmir", Source: sampleSrc},
+		// Only a .pmir name selects the IR parser: IR text under any
+		// other name is compiled as pmc source, and fails.
+		{Program: "prog.txt", Source: ir.Print(m)},
+	} {
+		if _, err := CompileRequest(q, nil); err == nil {
+			t.Errorf("%s: want a compile error", q.Program)
+		}
 	}
 }
 

@@ -1,14 +1,11 @@
 package cli
 
-import (
-	"flag"
-	"fmt"
-)
+import "flag"
 
 // LimitFlags is the shared resource-limit flag every executing command
 // registers: an instruction budget for the interpreter runs the command
 // makes. Exceeding the budget surfaces as a typed *interp.LimitError
-// instead of a hang.
+// instead of a hang; a negative budget is rejected by Request.Validate.
 type LimitFlags struct {
 	// StepLimit is the per-run instruction budget (0 keeps the
 	// interpreter's 100M default).
@@ -19,13 +16,4 @@ type LimitFlags struct {
 func (l *LimitFlags) Register() {
 	flag.Int64Var(&l.StepLimit, "steplimit", 0,
 		"instruction budget per interpreter run (0 = default 100M)")
-}
-
-// Validate rejects unusable values; call it after flag.Parse and treat a
-// non-nil error as a usage error (exit 2).
-func (l *LimitFlags) Validate() error {
-	if l.StepLimit < 0 {
-		return fmt.Errorf("-steplimit must be >= 0, got %d", l.StepLimit)
-	}
-	return nil
 }

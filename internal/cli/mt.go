@@ -4,7 +4,6 @@ import (
 	"hippocrates/internal/core"
 	"hippocrates/internal/crashsim"
 	"hippocrates/internal/ir"
-	"hippocrates/internal/pmcheck"
 	"hippocrates/internal/schedule"
 )
 
@@ -72,6 +71,17 @@ func scheduleDoc(final, buggy *schedule.Result, crashPoints int) *ScheduleDoc {
 	return d
 }
 
+// scheduleCrashDocs renders per-interleaving crash sweeps for the wire and
+// reports whether every sweep passed.
+func scheduleCrashDocs(crash []core.ScheduleCrash) (docs []ScheduleCrashDoc, passed bool) {
+	passed = true
+	for _, c := range crash {
+		docs = append(docs, ScheduleCrashDoc{Schedule: c.ID, Report: c.Report.Doc()})
+		passed = passed && c.Report.Passed()
+	}
+	return docs, passed
+}
+
 // runRepairMT is repair mode under Threads: explore, repair the union
 // verdict, re-explore, and crash-sweep every explored interleaving.
 func runRepairMT(q *Request, mod *ir.Module, opts core.Options, resp *Response) error {
@@ -92,36 +102,25 @@ func runRepairMT(q *Request, mod *ir.Module, opts core.Options, resp *Response) 
 		resp.RepairedIR = ir.Print(mod)
 	}
 	resp.Schedules = scheduleDoc(res.FinalExploration(), res.Exploration, res.CrashPoints)
-	for _, c := range res.Crash {
-		resp.CrashBySchedule = append(resp.CrashBySchedule, ScheduleCrashDoc{
-			Schedule: c.ID, Report: c.Report.Doc(),
-		})
-	}
+	resp.CrashBySchedule, _ = scheduleCrashDocs(res.Crash)
 	return nil
 }
 
 // runCheckMT is check mode under Threads: explore and report the union
-// verdict without mutating the module.
+// verdict — the one the MT repair pipeline would repair — without
+// mutating the module.
 func runCheckMT(q *Request, mod *ir.Module, opts core.Options, resp *Response) error {
 	ex, err := core.ExploreModule(mod, q.Entry, opts, q.Args...)
 	if err != nil {
 		return err
 	}
 	resp.Exploration = ex
-	// The union verdict counts reports the way the MT repair pipeline
-	// would see them: class-deduplicated across every explored schedule.
-	var all []*pmcheck.Report
-	for _, run := range ex.Runs {
-		all = append(all, run.Check.Reports...)
-	}
-	union := pmcheck.DedupeByClass(all)
-	sites := map[pmcheck.SiteKey]bool{}
-	for _, r := range union {
+	union := core.UnionCheck(ex)
+	for _, r := range union.Reports {
 		resp.Reports = append(resp.Reports, r.String())
-		sites[r.Key()] = true
 	}
-	resp.BugsBefore = len(union)
-	resp.SitesBefore = len(sites)
+	resp.BugsBefore = len(union.Reports)
+	resp.SitesBefore = union.UniqueSites()
 	resp.Fixed = ex.AllClean()
 	resp.Schedules = scheduleDoc(ex, ex, 0)
 	return nil
@@ -135,30 +134,11 @@ func runCrashMT(q *Request, mod *ir.Module, opts core.Options, resp *Response) e
 		return err
 	}
 	resp.Exploration = ex
-	copts := *opts.CrashCheck
-	copts.Obs = opts.Obs
-	copts.Deadline = opts.Deadline
-	if copts.Entry == "" {
-		copts.Entry = q.Entry
+	crash, points, err := core.CrashSweep(mod, ex, q.Entry, opts, q.Args...)
+	if err != nil {
+		return err
 	}
-	passed := true
-	points := 0
-	for _, run := range ex.Runs {
-		round := copts
-		round.Schedule = run.Choices
-		rep, err := crashsim.Validate(mod, round)
-		if err != nil {
-			return err
-		}
-		resp.CrashBySchedule = append(resp.CrashBySchedule, ScheduleCrashDoc{
-			Schedule: run.ID, Report: rep.Doc(),
-		})
-		points += rep.Points
-		if !rep.Passed() {
-			passed = false
-		}
-	}
-	resp.Fixed = passed
+	resp.CrashBySchedule, resp.Fixed = scheduleCrashDocs(crash)
 	resp.Schedules = scheduleDoc(ex, ex, points)
 	return nil
 }

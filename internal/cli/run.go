@@ -122,6 +122,9 @@ type Response struct {
 
 	// Module is the (possibly repaired) module.
 	Module *ir.Module `json:"-"`
+	// Fix is the applied repair of repair mode, whichever pipeline ran
+	// (nil when the program was already clean).
+	Fix *core.Result `json:"-"`
 	// Pipeline / StaticResult is the raw pipeline outcome of repair mode
 	// (exactly one is set, by Static).
 	Pipeline     *core.PipelineResult       `json:"-"`
@@ -272,8 +275,8 @@ func runOptimize(q *Request, mod *ir.Module, root *obs.Span, resp *Response) err
 func runRepair(q *Request, mod *ir.Module, opts core.Options, resp *Response) error {
 	var res *core.PipelineResult
 	var err error
-	if q.ReplayTrace != nil {
-		res, err = repairFromTrace(q, mod, opts)
+	if tr := q.ReplayTrace; tr != nil {
+		res, err = core.RepairTrace(mod, tr, pmcheck.CheckObs(opts.Obs, tr), q.Entry, opts, q.Args...)
 	} else {
 		res, err = core.RunAndRepair(mod, q.Entry, opts, q.Args...)
 	}
@@ -297,31 +300,6 @@ func runRepair(q *Request, mod *ir.Module, opts core.Options, resp *Response) er
 		resp.CrashRounds = append(resp.CrashRounds, round.Doc())
 	}
 	return nil
-}
-
-// repairFromTrace is the -trace replay variant of the repair pipeline:
-// detect against the pre-recorded trace, repair, re-trace to revalidate.
-func repairFromTrace(q *Request, mod *ir.Module, opts core.Options) (*core.PipelineResult, error) {
-	root := opts.Obs
-	check := pmcheck.CheckObs(root, q.ReplayTrace)
-	res := &core.PipelineResult{Trace: q.ReplayTrace, Before: check}
-	if check.Clean() {
-		res.After = check
-		return res, nil
-	}
-	fixRes, err := core.Repair(mod, q.ReplayTrace, check, opts)
-	if err != nil {
-		return nil, err
-	}
-	res.Fix = fixRes
-	rsp := root.Start("revalidate")
-	defer rsp.End()
-	tr2, err := core.TraceModuleOpts(rsp, mod, q.Entry, opts, q.Args...)
-	if err != nil {
-		return nil, err
-	}
-	res.After = pmcheck.CheckObs(rsp, tr2)
-	return res, nil
 }
 
 func runStaticRepair(q *Request, mod *ir.Module, opts core.Options, resp *Response) error {
@@ -394,6 +372,7 @@ func runCrash(q *Request, mod *ir.Module, opts core.Options, resp *Response) err
 
 // fillFixResult publishes a fixer result into the response.
 func fillFixResult(resp *Response, fix *core.Result) {
+	resp.Fix = fix
 	resp.InstrsBefore = fix.InstrsBefore
 	resp.InstrsAfter = fix.InstrsAfter
 	resp.Clones = fix.ClonesCreated
@@ -414,16 +393,12 @@ func fillFixResult(resp *Response, fix *core.Result) {
 
 // FixSummaryLines renders the -show-fixes listing.
 func (r *Response) FixSummaryLines() []string {
-	var out []string
-	var fixes []*core.Fix
-	switch {
-	case r.Pipeline != nil && r.Pipeline.Fix != nil:
-		fixes = r.Pipeline.Fix.Fixes
-	case r.StaticResult != nil && r.StaticResult.Fix != nil:
-		fixes = r.StaticResult.Fix.Fixes
+	if r.Fix == nil {
+		return nil
 	}
-	for i, fx := range fixes {
-		out = append(out, fmt.Sprintf("  [%d] %s", i+1, fx))
+	out := make([]string, len(r.Fix.Fixes))
+	for i, fx := range r.Fix.Fixes {
+		out[i] = fmt.Sprintf("  [%d] %s", i+1, fx)
 	}
 	return out
 }

@@ -1,19 +1,23 @@
 package cli_test
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
 
 	"hippocrates/internal/cli"
 	"hippocrates/internal/core"
+	"hippocrates/internal/corpus"
 	"hippocrates/internal/lang"
 )
 
 // TestReplayTraceRepairsLikeTracedRun: repair mode fed a pre-recorded
-// trace (hippocrates -trace) must apply exactly the fixes a traced run
-// applies, and revalidate clean; FixSummaryLines is the -show-fixes
-// listing of those fixes.
+// trace (hippocrates -trace, core.RepairTrace) must apply exactly the
+// fixes a traced run (core.RunAndRepair) applies, and revalidate clean;
+// FixSummaryLines is the -show-fixes listing of those fixes. Across every
+// buggy corpus target, the two paths must agree on the fixes, the After
+// verdict and the printed repaired IR.
 func TestReplayTraceRepairsLikeTracedRun(t *testing.T) {
 	tr, err := core.TraceModule(lang.MustCompile("publish.pmc", goldenPublish), "main")
 	if err != nil {
@@ -25,19 +29,72 @@ func TestReplayTraceRepairsLikeTracedRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !resp.Fixed {
-			t.Fatalf("repair (replayed trace: %v) did not fix the program", q.ReplayTrace != nil)
-		}
 		return resp
 	}
 	traced := run(&cli.Request{Program: "publish.pmc", Source: goldenPublish, Mode: cli.ModeRepair})
 	replayed := run(&cli.Request{Program: "publish.pmc", Source: goldenPublish, Mode: cli.ModeRepair, ReplayTrace: tr})
+	if !traced.Fixed || !replayed.Fixed {
+		t.Fatalf("repair did not fix the program (traced: %v, replayed trace: %v)", traced.Fixed, replayed.Fixed)
+	}
 	want, got := traced.FixSummaryLines(), replayed.FixSummaryLines()
 	if len(want) != 1 || !strings.HasPrefix(want[0], "  [1] ") {
 		t.Errorf("traced -show-fixes listing = %q, want one numbered fix", want)
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("replayed-trace fixes %q differ from the traced run's %q", got, want)
+	}
+
+	targets := 0
+	for _, p := range corpus.All() {
+		if len(p.Bugs) == 0 {
+			continue
+		}
+		targets++
+		tr, err := core.TraceModule(p.MustCompile(), p.Entry)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		q := cli.Request{Program: p.Name + ".pmc", Source: p.Source(), Mode: cli.ModeRepair, Entry: p.Entry}
+		traced := run(&q)
+		q.ReplayTrace = tr
+		replayed := run(&q)
+		if len(traced.Fixes) == 0 {
+			t.Errorf("%s: the traced run applied no fix", p.Name)
+		}
+		if got, want := replayed.FixSummaryLines(), traced.FixSummaryLines(); !slices.Equal(got, want) {
+			t.Errorf("%s: replayed-trace fixes %q differ from the traced run's %q", p.Name, got, want)
+		}
+		if got, want := replayed.Pipeline.After.Summary(), traced.Pipeline.After.Summary(); got != want || replayed.Fixed != traced.Fixed {
+			t.Errorf("%s: replayed-trace After verdict (fixed %v)\n%s\ndiffers from the traced run's (fixed %v)\n%s",
+				p.Name, replayed.Fixed, got, traced.Fixed, want)
+		}
+		if replayed.RepairedIR != traced.RepairedIR {
+			t.Errorf("%s: replayed-trace repaired IR differs from the traced run's", p.Name)
+		}
+	}
+	if targets < 15 {
+		t.Errorf("compared %d buggy corpus targets, want all 15", targets)
+	}
+}
+
+// TestThreadsRepairListsFixes: -show-fixes lists every fix a threaded
+// repair applied, one summary line per fix.
+func TestThreadsRepairListsFixes(t *testing.T) {
+	resp, err := cli.Run(&cli.Request{
+		Program: "mtpublish.pmc", Source: goldenMT, Mode: cli.ModeRepair,
+		Threads: true, MaxSchedules: 16,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := resp.FixSummaryLines()
+	if len(resp.Fixes) == 0 || len(lines) != len(resp.Fixes) {
+		t.Fatalf("threaded repair applied %d fix(es) but -show-fixes lists %d: %q", len(resp.Fixes), len(lines), lines)
+	}
+	for i, line := range lines {
+		if want := fmt.Sprintf("  [%d] ", i+1); !strings.HasPrefix(line, want) {
+			t.Errorf("fix line %d = %q, want prefix %q", i+1, line, want)
+		}
 	}
 }
 

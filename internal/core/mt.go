@@ -6,7 +6,6 @@ import (
 	"hippocrates/internal/crashsim"
 	"hippocrates/internal/interp"
 	"hippocrates/internal/ir"
-	"hippocrates/internal/obs"
 	"hippocrates/internal/pmcheck"
 	"hippocrates/internal/schedule"
 )
@@ -87,16 +86,14 @@ func (r *MTResult) FinalExploration() *schedule.Result {
 func RunAndRepairMT(mod *ir.Module, entry string, opts Options, args ...uint64) (out *MTResult, err error) {
 	defer guard("pipeline", &err)
 	sp := opts.Obs
-	copts := crashOpts(opts, entry, args)
-
 	ex, err := exploreModule(mod, entry, opts, "explore", args)
 	if err != nil {
 		return nil, err
 	}
-	out = &MTResult{Exploration: ex, Before: unionCheck(ex)}
+	out = &MTResult{Exploration: ex, Before: UnionCheck(ex)}
 	if out.Before.Clean() {
 		out.After = out.Before
-		return crashValidateMT(mod, copts, sp, out)
+		return crashValidateMT(mod, entry, opts, args, out)
 	}
 
 	// Repair the union. The default-schedule trace stands in for the
@@ -113,11 +110,11 @@ func RunAndRepairMT(mod *ir.Module, entry string, opts Options, args ...uint64) 
 		return nil, fmt.Errorf("re-exploring repaired module: %w", err)
 	}
 	out.ReExploration = re
-	out.After = unionCheck(re)
+	out.After = UnionCheck(re)
 	if sp != nil {
 		sp.Add("revalidate.remaining_reports", int64(len(out.After.Reports)))
 	}
-	return crashValidateMT(mod, copts, sp, out)
+	return crashValidateMT(mod, entry, opts, args, out)
 }
 
 // ExploreModule is the exploration phase alone: the bounded
@@ -150,10 +147,12 @@ func exploreModule(mod *ir.Module, entry string, opts Options, span string, args
 	return ex, nil
 }
 
-// unionCheck folds the per-schedule detector results into one: counters
-// from the default-schedule run, reports class-deduplicated across every
-// explored interleaving, thread/publish tallies maximized.
-func unionCheck(ex *schedule.Result) *pmcheck.Result {
+// UnionCheck folds the per-schedule detector results of an exploration
+// into one verdict: counters from the default-schedule run, reports
+// class-deduplicated across every explored interleaving, thread/publish
+// tallies maximized. It is the verdict the concurrent pipeline repairs
+// and the one threaded check mode reports.
+func UnionCheck(ex *schedule.Result) *pmcheck.Result {
 	u := *ex.Runs[0].Check
 	var all []*pmcheck.Report
 	threads, publishes := 0, 0
@@ -172,25 +171,40 @@ func unionCheck(ex *schedule.Result) *pmcheck.Result {
 	return &u
 }
 
-// crashValidateMT sweeps crash validation over every explored
-// interleaving of the final module, sharing one verdict cache so images
-// common to several interleavings are judged once.
-func crashValidateMT(mod *ir.Module, copts *crashsim.Options, sp *obs.Span, out *MTResult) (*MTResult, error) {
-	if copts == nil {
-		return out, nil
-	}
-	for _, run := range out.FinalExploration().Runs {
+// CrashSweep crash-validates mod under every interleaving ex explored, in
+// exploration order. Options.CrashCheck (which must be set) is resolved
+// against entry, args and the pipeline's limits and span as RunAndRepair
+// resolves it, and every sweep shares one verdict cache, so images that
+// several interleavings produce identically are judged once. It returns
+// one report per schedule and the total crash-point count.
+func CrashSweep(mod *ir.Module, ex *schedule.Result, entry string, opts Options, args ...uint64) ([]ScheduleCrash, int, error) {
+	copts := crashOpts(opts, entry, args)
+	out := make([]ScheduleCrash, 0, len(ex.Runs))
+	points := 0
+	for _, run := range ex.Runs {
 		round := *copts
 		round.Schedule = run.Choices
 		rep, err := crashsim.Validate(mod, round)
 		if err != nil {
-			return nil, fmt.Errorf("crash validation under schedule %s: %w", run.ID, err)
+			return nil, 0, fmt.Errorf("crash validation under schedule %s: %w", run.ID, err)
 		}
-		out.Crash = append(out.Crash, ScheduleCrash{ID: run.ID, Report: rep})
-		out.CrashPoints += rep.Points
+		out = append(out, ScheduleCrash{ID: run.ID, Report: rep})
+		points += rep.Points
 	}
-	if sp != nil {
-		sp.Add("schedule.crash_points", int64(out.CrashPoints))
+	return out, points, nil
+}
+
+// crashValidateMT runs the optional crash sweep over every explored
+// interleaving of the final module and attaches the reports.
+func crashValidateMT(mod *ir.Module, entry string, opts Options, args []uint64, out *MTResult) (*MTResult, error) {
+	if opts.CrashCheck == nil {
+		return out, nil
 	}
+	crash, points, err := CrashSweep(mod, out.FinalExploration(), entry, opts, args...)
+	if err != nil {
+		return nil, err
+	}
+	out.Crash, out.CrashPoints = crash, points
+	opts.Obs.Add("schedule.crash_points", int64(points))
 	return out, nil
 }

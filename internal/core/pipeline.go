@@ -45,20 +45,14 @@ func (p *PipelineResult) Fixed() bool {
 // the recorded PM trace. As the paper does for trace generation (§5.1),
 // the module is used as-is, unoptimized.
 func TraceModule(mod *ir.Module, entry string, args ...uint64) (*trace.Trace, error) {
-	return TraceModuleObs(nil, mod, entry, args...)
+	return TraceModuleOpts(nil, mod, entry, Options{}, args...)
 }
 
-// TraceModuleObs is TraceModule under a "trace" child span of sp: the
+// TraceModuleOpts is TraceModule under a "trace" child span of sp, with
+// the pipeline's resource limits applied to the interpreter run: the
 // interpreter's run statistics (steps, per-opcode counts) and the trace's
-// PM-event breakdown are published into the span's recorder. A nil span
-// records nothing.
-func TraceModuleObs(sp *obs.Span, mod *ir.Module, entry string, args ...uint64) (*trace.Trace, error) {
-	return TraceModuleOpts(sp, mod, entry, Options{}, args...)
-}
-
-// TraceModuleOpts is TraceModuleObs with the pipeline's resource
-// limits applied to the interpreter run. Interpreter panics are
-// recovered into a *PanicError.
+// PM-event breakdown are published into the span's recorder (a nil span
+// records nothing). Interpreter panics are recovered into a *PanicError.
 func TraceModuleOpts(sp *obs.Span, mod *ir.Module, entry string, opts Options, args ...uint64) (out *trace.Trace, err error) {
 	defer guard("trace", &err)
 	tsp := sp.Start("trace")
@@ -86,40 +80,50 @@ func TraceModuleOpts(sp *obs.Span, mod *ir.Module, entry string, opts Options, a
 }
 
 // RunAndRepair runs the whole Hippocrates workflow on mod, mutating it in
-// place: trace the entry point, detect durability bugs, compute and apply
-// fixes, then re-trace and re-check to validate that the bugs are gone
-// (the validation step of §6.1). With Options.CrashCheck set, a fourth
-// stage crash-injects the repaired module at every sampled PM event
-// boundary and runs its recovery entries on each feasible post-crash
-// image (the report lands in PipelineResult.Crash; schedule failures are
-// data, not an error). When opts.Obs is set, the phases record spans
-// under it: trace, detect, plan, apply, a revalidate span whose children
-// are the second trace and detect, and crashsim. Panics from any phase
-// are recovered into a *PanicError: the pipeline returns errors, it
-// never takes the process down.
+// place: trace the entry point, detect durability bugs, then RepairTrace
+// the recorded trace — compute and apply fixes, re-trace and re-check to
+// validate that the bugs are gone (the validation step of §6.1), and, with
+// Options.CrashCheck set, crash-validate the repaired module. When
+// opts.Obs is set, the phases record spans under it: trace, detect, then
+// RepairTrace's. Panics from any phase are recovered into a *PanicError:
+// the pipeline returns errors, it never takes the process down.
 func RunAndRepair(mod *ir.Module, entry string, opts Options, args ...uint64) (out *PipelineResult, err error) {
 	defer guard("pipeline", &err)
-	sp := opts.Obs
-	copts := crashOpts(opts, entry, args)
-	tr, err := TraceModuleOpts(sp, mod, entry, opts, args...)
+	tr, err := TraceModuleOpts(opts.Obs, mod, entry, opts, args...)
 	if err != nil {
 		return nil, err
 	}
-	res := pmcheck.CheckObs(sp, tr)
-	out = &PipelineResult{Trace: tr, Before: res}
-	if res.Clean() {
-		out.After = res
+	return RepairTrace(mod, tr, pmcheck.CheckObs(opts.Obs, tr), entry, opts, args...)
+}
+
+// RepairTrace is the pipeline after its trace and detect steps: tr is a
+// recorded run of mod's entry (traced here or loaded from disk) and before
+// the detector's verdict on it. It repairs mod in place — interleaved with
+// crash validation after each fix when Options.CrashCheck is set — then
+// re-traces and re-checks the repaired module under a revalidate span, and
+// finally runs the crash-schedule validation stage: with CrashCheck set,
+// the module is crash-injected at every sampled PM event boundary and its
+// recovery entries run on each feasible post-crash image (the report
+// lands in PipelineResult.Crash; schedule failures are data, not an
+// error). Spans under opts.Obs: plan, apply, revalidate (the second trace
+// and detect), and crashsim. Panics are recovered into a *PanicError.
+func RepairTrace(mod *ir.Module, tr *trace.Trace, before *pmcheck.Result, entry string, opts Options, args ...uint64) (out *PipelineResult, err error) {
+	defer guard("pipeline", &err)
+	copts := crashOpts(opts, entry, args)
+	out = &PipelineResult{Trace: tr, Before: before}
+	if before.Clean() {
+		out.After = before
 		return crashValidate(mod, copts, out)
 	}
 	if copts != nil {
-		err = repairIncremental(mod, tr, res, opts, copts, out)
+		err = repairIncremental(mod, tr, before, opts, copts, out)
 	} else {
-		out.Fix, err = Repair(mod, tr, res, opts)
+		out.Fix, err = Repair(mod, tr, before, opts)
 	}
 	if err != nil {
 		return nil, err
 	}
-	rsp := sp.Start("revalidate")
+	rsp := opts.Obs.Start("revalidate")
 	tr2, err := TraceModuleOpts(rsp, mod, entry, opts, args...)
 	if err != nil {
 		rsp.End()

@@ -76,7 +76,13 @@ func TestCowImagesMatchDeepClones(t *testing.T) {
 					t.Fatalf("no capture at event %d", k)
 				}
 				// Reference machine: re-execute to the same boundary.
-				ref, err := interp.New(mod, interp.Options{StepLimit: 50_000_000, CrashAtEvent: k})
+				ref, err := interp.New(mod, interp.Options{StepLimit: 50_000_000,
+					OnPMEvent: func(n int, _ interp.PMEventKind) error {
+						if n == k {
+							return interp.ErrSimulatedCrash
+						}
+						return nil
+					}})
 				if err != nil {
 					t.Fatal(err)
 				}

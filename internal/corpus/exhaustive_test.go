@@ -67,7 +67,13 @@ func TestExhaustiveCrashConsistency(t *testing.T) {
 // invariant_check on the resulting image.
 func crashAndCheck(t *testing.T, m *ir.Module, entry string, k int) uint64 {
 	t.Helper()
-	mach, err := interp.New(m, interp.Options{CrashAtCheckpoint: k})
+	var mach *interp.Machine
+	mach, err := interp.New(m, interp.Options{OnPMEvent: func(_ int, kind interp.PMEventKind) error {
+		if kind == interp.EvCheckpoint && mach.Checkpoints() == k {
+			return interp.ErrSimulatedCrash
+		}
+		return nil
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

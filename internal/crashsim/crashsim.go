@@ -359,8 +359,8 @@ func Validate(mod *ir.Module, opts Options) (rep *Report, err error) {
 	// Capture run: one more workload execution snapshots the frozen
 	// durability state at every selected boundary, replacing the
 	// re-execution per crash point the first engine did. The interpreter
-	// is deterministic, so a capture at event k is the exact state a
-	// CrashAtEvent=k run would crash with.
+	// is deterministic, so a capture at event k is the exact state a run
+	// crashed at event k would hold.
 	captures := make([]*pmem.CrashState, len(points))
 	want := make(map[int]int, len(points))
 	for i, p := range points {

@@ -694,12 +694,26 @@ func TestCrashAtCheckpoint(t *testing.T) {
 	b.Ret(nil)
 	f.Renumber()
 
-	// Crash at the first checkpoint: only the first store is durable.
-	mach, err := New(m, Options{CrashAtCheckpoint: 1})
-	if err != nil {
-		t.Fatal(err)
+	// crashAt crashes the run at its nth durability point through the
+	// PM-event hook.
+	crashAt := func(n int) *Machine {
+		t.Helper()
+		var mach *Machine
+		mach, err := New(m, Options{OnPMEvent: func(_ int, kind PMEventKind) error {
+			if kind == EvCheckpoint && mach.Checkpoints() == n {
+				return ErrSimulatedCrash
+			}
+			return nil
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mach
 	}
-	_, err = mach.Run("main")
+
+	// Crash at the first checkpoint: only the first store is durable.
+	mach := crashAt(1)
+	_, err := mach.Run("main")
 	if err == nil || !strings.Contains(err.Error(), "simulated crash") {
 		t.Fatalf("err = %v, want simulated crash", err)
 	}
@@ -712,10 +726,7 @@ func TestCrashAtCheckpoint(t *testing.T) {
 	}
 
 	// Crash at the second: the unflushed second store is lost.
-	mach2, err := New(m, Options{CrashAtCheckpoint: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	mach2 := crashAt(2)
 	if _, err := mach2.Run("main"); err == nil {
 		t.Fatal("expected crash at checkpoint 2")
 	}

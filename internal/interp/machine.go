@@ -40,28 +40,17 @@ type Options struct {
 	// hardware.
 	Memory   *pmem.Memory
 	ResumePM bool
-	// CrashAtCheckpoint, when positive, aborts execution with
-	// ErrSimulatedCrash at the Nth durability point (1-based). The
-	// machine's tracker then holds the exact durability state at the
-	// crash, ready for CrashImage — the Yat-style exhaustive
-	// crash-testing hook.
-	CrashAtCheckpoint int
-	// CrashAtEvent, when positive, aborts execution with
-	// ErrSimulatedCrash immediately after the Nth PM event boundary
-	// (1-based over stores, NT-stores, flushes, fences, and durability
-	// points — the numbering PMEventLog reports). The event's tracker
-	// effect has already been applied when the crash fires, so the
-	// machine holds the exact durability state an eviction-order
-	// enumerator needs (see internal/crashsim).
-	CrashAtEvent int
 	// OnPMEvent, when non-nil, is called at every PM event boundary
-	// after the event's tracker effect has been applied (and before
-	// CrashAtEvent is considered): k is the 1-based event index — the
-	// CrashAtEvent coordinate — and kind the event's kind. Returning a
-	// non-nil error aborts the run with it. The hook may capture
-	// durability state (CaptureCrashState) but must not otherwise mutate
-	// the machine; it lets one workload execution stand in for a
-	// re-execution per crash point.
+	// after the event's tracker effect has been applied: k is the 1-based
+	// event index (the numbering PMEventLog reports, over stores,
+	// NT-stores, flushes, fences, and durability points) and kind the
+	// event's kind. Returning a non-nil error aborts the run with it;
+	// returning ErrSimulatedCrash crashes the run right there, leaving
+	// the machine holding the exact durability state at that boundary,
+	// ready for CrashImage. The hook may capture durability state
+	// (CaptureCrashState) but must not otherwise mutate the machine; it
+	// lets one workload execution stand in for a re-execution per crash
+	// point.
 	OnPMEvent func(k int, kind PMEventKind) error
 	// Schedule replays a scheduling-decision prefix for multi-threaded
 	// programs: entry i is the choice taken at the i-th decision point
@@ -83,8 +72,9 @@ type Options struct {
 	NoTrack bool
 }
 
-// ErrSimulatedCrash is returned by Run when Options.CrashAtCheckpoint or
-// Options.CrashAtEvent fires. The machine remains inspectable.
+// ErrSimulatedCrash is the error an Options.OnPMEvent hook returns to
+// crash the run at a PM event boundary; Run returns it and the machine
+// remains inspectable.
 var ErrSimulatedCrash = fmt.Errorf("interp: simulated crash at durability point")
 
 // LimitError reports that execution exceeded a configured resource
@@ -189,7 +179,7 @@ type Machine struct {
 	violations int
 
 	// pmEventLog records the kind of every PM event boundary, one byte
-	// per event; its length is the CrashAtEvent coordinate space.
+	// per event; its length is the OnPMEvent coordinate space.
 	pmEventLog []PMEventKind
 
 	// events and frameArena are the trace-recording arenas: Event records
@@ -447,7 +437,7 @@ func (m *Machine) CrashImage(keep func(*pmem.TrackedStore) bool) *pmem.Memory {
 // the copy-on-write durable image, the pending lines, and the allocator
 // metadata line — for deferred crash-image construction. Capturing at a
 // PM event boundary (from an Options.OnPMEvent hook) yields exactly the
-// state a CrashAtEvent run would hold at that boundary, at the cost of a
+// state a run crashed at that boundary would hold, at the cost of a
 // page-map copy instead of a whole re-execution.
 func (m *Machine) CaptureCrashState() *pmem.CrashState {
 	cs := m.Track.CaptureCrashState()
@@ -546,10 +536,6 @@ func (m *Machine) checkpoint(in *ir.Instr) error {
 		m.violations += m.Track.NumPending()
 	}
 	m.checkpoints++
-	if m.opts.CrashAtCheckpoint > 0 && m.checkpoints == m.opts.CrashAtCheckpoint {
-		m.pmEventLog = append(m.pmEventLog, EvCheckpoint)
-		return ErrSimulatedCrash
-	}
 	return m.pmEvent(EvCheckpoint)
 }
 
@@ -562,10 +548,10 @@ func (m *Machine) Checkpoints() int { return m.checkpoints }
 // off. Run internal/pmcheck on the trace for the violations themselves.
 func (m *Machine) NumViolations() int { return m.violations }
 
-// pmEvent logs one PM event boundary, fires Options.OnPMEvent, then
-// Options.CrashAtEvent. Callers invoke it after applying the event's
-// tracker effect, so both the hook and a simulated crash observe the
-// post-event durability state.
+// pmEvent logs one PM event boundary and fires Options.OnPMEvent.
+// Callers invoke it after applying the event's tracker effect, so the
+// hook (and a crash it simulates) observes the post-event durability
+// state.
 func (m *Machine) pmEvent(k PMEventKind) error {
 	m.pmEventLog = append(m.pmEventLog, k)
 	if tid := m.curTid(); tid < len(m.threadEv) {
@@ -577,22 +563,17 @@ func (m *Machine) pmEvent(k PMEventKind) error {
 		m.threadEv[tid][k]++
 	}
 	if m.opts.OnPMEvent != nil {
-		if err := m.opts.OnPMEvent(len(m.pmEventLog), k); err != nil {
-			return err
-		}
-	}
-	if m.opts.CrashAtEvent > 0 && len(m.pmEventLog) == m.opts.CrashAtEvent {
-		return ErrSimulatedCrash
+		return m.opts.OnPMEvent(len(m.pmEventLog), k)
 	}
 	return nil
 }
 
 // PMEvents returns the number of PM event boundaries passed so far —
-// the coordinate space Options.CrashAtEvent indexes (1-based).
+// the coordinate space Options.OnPMEvent's k indexes (1-based).
 func (m *Machine) PMEvents() int { return len(m.pmEventLog) }
 
 // PMEventLog returns the kind of every PM event boundary passed so far,
-// in order. Entry i corresponds to CrashAtEvent = i+1. The slice is the
+// in order. Entry i is OnPMEvent's k = i+1. The slice is the
 // machine's own log; callers must not mutate it.
 func (m *Machine) PMEventLog() []PMEventKind { return m.pmEventLog }
 

@@ -5,16 +5,11 @@ import (
 	"hippocrates/internal/obs"
 )
 
-// AnalyzeObs runs Analyze under a "static-analyze" child span of sp,
-// publishing the analysis statistics as static.* counters. With a nil
-// span it is exactly Analyze.
-func AnalyzeObs(mod *ir.Module, entry string, sp *obs.Span) (*Result, error) {
-	return AnalyzeObsStore(mod, entry, nil, sp)
-}
-
-// AnalyzeObsStore is AnalyzeObs backed by a summary store; the run's
-// summary and constraint hit/miss counts are published as static.sum_* /
-// static.cons_* counters.
+// AnalyzeObsStore runs AnalyzeWithStore under a "static-analyze" child
+// span of sp, publishing the analysis statistics as static.* counters;
+// with a store, the run's summary and constraint hit/miss counts are
+// published as static.sum_* / static.cons_* counters. With a nil store
+// and a nil span it is exactly Analyze.
 func AnalyzeObsStore(mod *ir.Module, entry string, store *Store, sp *obs.Span) (*Result, error) {
 	asp := sp.Start("static-analyze")
 	defer asp.End()

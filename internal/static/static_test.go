@@ -391,7 +391,7 @@ int main() {
 	}
 }
 
-// TestLintCountersPerKind checks that AnalyzeObs splits the aggregate
+// TestLintCountersPerKind checks that AnalyzeObsStore splits the aggregate
 // static.lints counter by lint kind.
 func TestLintCountersPerKind(t *testing.T) {
 	m, err := lang.Compile("t.pmc", `
@@ -414,7 +414,7 @@ int main() {
 	}
 	rec := obs.New()
 	sp := rec.StartSpan("test")
-	res, err := static.AnalyzeObs(m, "main", sp)
+	res, err := static.AnalyzeObsStore(m, "main", nil, sp)
 	sp.End()
 	if err != nil {
 		t.Fatal(err)
