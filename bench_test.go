@@ -233,6 +233,31 @@ func BenchmarkInterpreter(b *testing.B) {
 	b.ReportMetric(float64(steps)*float64(b.N)/b.Elapsed().Seconds(), "instrs/s")
 }
 
+// BenchmarkTracedRun measures one traced, tracked run of a corpus
+// workload as the pipeline's trace step makes it: machine, durability
+// tracker, trace events and their call stacks. B/op is what a check
+// request's interpreter run allocates; interned call stacks keep the
+// frames at one copy per distinct stack instead of one per event.
+func BenchmarkTracedRun(b *testing.B) {
+	for _, name := range []string{"redis-pmem", "pclht", "memcached"} {
+		b.Run(name, func(b *testing.B) {
+			p := corpus.ByName(name)
+			m := p.MustCompile()
+			events := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tr, err := core.TraceModule(m, p.Entry)
+				if err != nil {
+					b.Fatal(err)
+				}
+				events = len(tr.Events)
+			}
+			b.ReportMetric(float64(events), "events")
+		})
+	}
+}
+
 // BenchmarkCompiler measures the pmc front end on the Redis source.
 func BenchmarkCompiler(b *testing.B) {
 	p := corpus.ByName("redis-pmem")

@@ -6,7 +6,6 @@ import (
 	"hippocrates/internal/core"
 	"hippocrates/internal/corpus"
 	"hippocrates/internal/optimize"
-	"hippocrates/internal/pmcheck"
 )
 
 // Optimize-sweep caps, the same as `make optimize-smoke`.
@@ -31,12 +30,12 @@ func TestOptSweepFindsProvenSavings(t *testing.T) {
 	flushfreeRepaired := false
 	for _, p := range corpus.All() {
 		mod := p.MustCompile()
-		tr, err := core.TraceModuleOpts(nil, mod, p.Entry, core.Options{StepLimit: optSweepStepLimit})
+		run, err := core.TraceAndCheck(nil, mod, p.Entry, core.Options{StepLimit: optSweepStepLimit})
 		if err != nil {
 			t.Fatalf("%s: trace: %v", p.Name, err)
 		}
 		repaired := false
-		if !pmcheck.Check(tr).Clean() {
+		if !run.Check.Clean() {
 			pr, err := core.RunAndRepair(mod, p.Entry, core.Options{StepLimit: optSweepStepLimit})
 			if err != nil {
 				t.Fatalf("%s: repair: %v", p.Name, err)

@@ -139,6 +139,11 @@ type Response struct {
 	// mode); Exploration the raw search of check/crash Threads modes.
 	MT          *core.MTResult   `json:"-"`
 	Exploration *schedule.Result `json:"-"`
+
+	// final is the pipeline's own run of the module it returns, when the
+	// mode made one (single-threaded check and repair): optimize's
+	// baseline.
+	final *core.Run
 }
 
 // EncodeJSON renders the response's wire form: indented, deterministic,
@@ -224,7 +229,7 @@ func RunModule(q *Request, mod *ir.Module, root *obs.Span) (*Response, error) {
 		case q.Threads:
 			err = runCheckMT(q, mod, opts, resp)
 		default:
-			err = runCheck(q, mod, root, opts, resp)
+			err = runCheck(q, mod, opts, resp)
 		}
 	case ModeCrash:
 		if q.Threads {
@@ -241,7 +246,7 @@ func RunModule(q *Request, mod *ir.Module, root *obs.Span) (*Response, error) {
 	// check mode (the proof preserves the detectors' verdicts either
 	// way, so a buggy program stays exactly as buggy).
 	if q.Optimize && (q.Mode == ModeCheck || resp.Fixed) {
-		if err := runOptimize(q, mod, root, resp); err != nil {
+		if err := runOptimize(q, mod, opts, resp); err != nil {
 			return nil, err
 		}
 	}
@@ -249,7 +254,7 @@ func RunModule(q *Request, mod *ir.Module, root *obs.Span) (*Response, error) {
 	return resp, nil
 }
 
-func runOptimize(q *Request, mod *ir.Module, root *obs.Span, resp *Response) error {
+func runOptimize(q *Request, mod *ir.Module, opts core.Options, resp *Response) error {
 	res, err := optimize.Optimize(mod, optimize.Options{
 		Entry:     q.Entry,
 		Args:      q.Args,
@@ -257,8 +262,10 @@ func runOptimize(q *Request, mod *ir.Module, root *obs.Span, resp *Response) err
 		MaxImages: q.CrashImages,
 		Workers:   q.CrashWorkers,
 		StepLimit: q.StepLimit,
+		Deadline:  opts.Deadline,
+		Baseline:  resp.final,
 		Cache:     q.CrashCache,
-		Obs:       root,
+		Obs:       opts.Obs,
 		Log:       q.CrashLog,
 	})
 	if err != nil {
@@ -284,6 +291,7 @@ func runRepair(q *Request, mod *ir.Module, opts core.Options, resp *Response) er
 		return err
 	}
 	resp.Pipeline = res
+	resp.final = res.Final
 	resp.BugsBefore = len(res.Before.Reports)
 	resp.SitesBefore = res.Before.UniqueSites()
 	resp.BugsAfter = len(res.After.Reports)
@@ -323,13 +331,14 @@ func runStaticRepair(q *Request, mod *ir.Module, opts core.Options, resp *Respon
 	return nil
 }
 
-func runCheck(q *Request, mod *ir.Module, root *obs.Span, opts core.Options, resp *Response) error {
-	tr, err := core.TraceModuleOpts(root, mod, q.Entry, opts, q.Args...)
+func runCheck(q *Request, mod *ir.Module, opts core.Options, resp *Response) error {
+	run, err := core.TraceAndCheck(opts.Obs, mod, q.Entry, opts, q.Args...)
 	if err != nil {
 		return err
 	}
-	res := pmcheck.CheckObs(root, tr)
-	resp.Trace = tr
+	res := run.Check
+	resp.final = run
+	resp.Trace = run.Trace
 	resp.Check = res
 	resp.BugsBefore = len(res.Reports)
 	resp.SitesBefore = res.UniqueSites()

@@ -21,6 +21,11 @@ type PipelineResult struct {
 	After  *pmcheck.Result
 	// Fix describes the applied fixes (nil when Before was already clean).
 	Fix *Result
+	// Final is the pipeline's run of the module it returns: the
+	// revalidate run after a repair, the first run when nothing needed
+	// fixing. It is nil when the pipeline never ran that module (a
+	// replayed trace that was already clean).
+	Final *Run
 	// Crash is the crash-schedule validation report, when
 	// Options.CrashCheck requested the stage (nil otherwise).
 	Crash *crashsim.Report
@@ -45,15 +50,38 @@ func (p *PipelineResult) Fixed() bool {
 // the recorded PM trace. As the paper does for trace generation (§5.1),
 // the module is used as-is, unoptimized.
 func TraceModule(mod *ir.Module, entry string, args ...uint64) (*trace.Trace, error) {
-	return TraceModuleOpts(nil, mod, entry, Options{}, args...)
+	tr, _, err := traceModule(nil, mod, entry, Options{}, args)
+	return tr, err
 }
 
-// TraceModuleOpts is TraceModule under a "trace" child span of sp, with
-// the pipeline's resource limits applied to the interpreter run: the
-// interpreter's run statistics (steps, per-opcode counts) and the trace's
-// PM-event breakdown are published into the span's recorder (a nil span
-// records nothing). Interpreter panics are recovered into a *PanicError.
-func TraceModuleOpts(sp *obs.Span, mod *ir.Module, entry string, opts Options, args ...uint64) (out *trace.Trace, err error) {
+// Run is one traced, tracked execution of a module's entry as the
+// pipeline makes it (default cost model, the pipeline's step limit): the
+// trace, the detector's verdict on it, and the simulated time the run
+// took. optimize.Options.Baseline takes it, so the pass does not repeat
+// a run the pipeline just made.
+type Run struct {
+	Trace *trace.Trace
+	Check *pmcheck.Result
+	SimNs float64
+}
+
+// TraceAndCheck is TraceModule under a "trace" child span of sp, with
+// the pipeline's resource limits applied to the interpreter run, followed
+// by the detector under a "detect" child span. The interpreter's run
+// statistics (steps, per-opcode counts) and the trace's PM-event
+// breakdown are published into the span's recorder (a nil span records
+// nothing). Interpreter panics are recovered into a *PanicError.
+func TraceAndCheck(sp *obs.Span, mod *ir.Module, entry string, opts Options, args ...uint64) (*Run, error) {
+	tr, simNs, err := traceModule(sp, mod, entry, opts, args)
+	if err != nil {
+		return nil, err
+	}
+	return &Run{Trace: tr, Check: pmcheck.CheckObs(sp, tr), SimNs: simNs}, nil
+}
+
+// traceModule runs mod's entry traced and tracked under a "trace" child
+// span of sp, returning the trace and the run's simulated time.
+func traceModule(sp *obs.Span, mod *ir.Module, entry string, opts Options, args []uint64) (out *trace.Trace, simNs float64, err error) {
 	defer guard("trace", &err)
 	tsp := sp.Start("trace")
 	defer tsp.End()
@@ -63,7 +91,7 @@ func TraceModuleOpts(sp *obs.Span, mod *ir.Module, entry string, opts Options, a
 		Trace: tr, StepLimit: opts.StepLimit, Deadline: opts.Deadline,
 	})
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	_, err = mach.Run(entry, args...)
 	mach.RecordObs(tsp)
@@ -74,9 +102,9 @@ func TraceModuleOpts(sp *obs.Span, mod *ir.Module, entry string, opts Options, a
 		}
 	}
 	if err != nil {
-		return nil, fmt.Errorf("tracing @%s: %w", entry, err)
+		return nil, 0, fmt.Errorf("tracing @%s: %w", entry, err)
 	}
-	return tr, nil
+	return tr, mach.SimTime(), nil
 }
 
 // RunAndRepair runs the whole Hippocrates workflow on mod, mutating it in
@@ -89,11 +117,16 @@ func TraceModuleOpts(sp *obs.Span, mod *ir.Module, entry string, opts Options, a
 // the pipeline returns errors, it never takes the process down.
 func RunAndRepair(mod *ir.Module, entry string, opts Options, args ...uint64) (out *PipelineResult, err error) {
 	defer guard("pipeline", &err)
-	tr, err := TraceModuleOpts(opts.Obs, mod, entry, opts, args...)
+	run, err := TraceAndCheck(opts.Obs, mod, entry, opts, args...)
 	if err != nil {
 		return nil, err
 	}
-	return RepairTrace(mod, tr, pmcheck.CheckObs(opts.Obs, tr), entry, opts, args...)
+	out, err = RepairTrace(mod, run.Trace, run.Check, entry, opts, args...)
+	if err == nil && out.Final == nil {
+		// Nothing needed fixing: the first run is also of the final module.
+		out.Final = run
+	}
+	return out, err
 }
 
 // RepairTrace is the pipeline after its trace and detect steps: tr is a
@@ -124,12 +157,12 @@ func RepairTrace(mod *ir.Module, tr *trace.Trace, before *pmcheck.Result, entry 
 		return nil, err
 	}
 	rsp := opts.Obs.Start("revalidate")
-	tr2, err := TraceModuleOpts(rsp, mod, entry, opts, args...)
+	out.Final, err = TraceAndCheck(rsp, mod, entry, opts, args...)
 	if err != nil {
 		rsp.End()
 		return nil, fmt.Errorf("re-tracing repaired module: %w", err)
 	}
-	out.After = pmcheck.CheckObs(rsp, tr2)
+	out.After = out.Final.Check
 	rsp.Add("revalidate.remaining_reports", int64(len(out.After.Reports)))
 	rsp.End()
 	return crashValidate(mod, copts, out)

@@ -3,6 +3,7 @@ package interp
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"hippocrates/internal/ir"
 	"hippocrates/internal/trace"
@@ -65,10 +66,11 @@ func runAllocs(t *testing.T, m *ir.Module, iters uint64, traced bool) float64 {
 }
 
 // TestRunAllocsPerEvent guards the interpreter's per-PM-event allocation
-// budget: store payloads, tracker records, trace events, and stack-frame
-// slices all come from arenas, and the tracker reuses its per-line lists,
-// fence queues and scratch buffers, so what is left is arena chunk
-// refills (~0.006 per event untraced, ~0.011 traced on this workload).
+// budget: store payloads, tracker records and trace events come from
+// arenas, call stacks are interned once per distinct stack, and the
+// tracker reuses its per-line lists, fence queues and scratch buffers, so
+// what is left is arena chunk refills (~0.007 per event untraced, ~0.013
+// traced on this workload).
 // The bounds have headroom over the measured values but sit far below
 // one heap allocation per store — they fail `make verify` if someone
 // reintroduces per-event allocation, without pinning exact counts.
@@ -97,6 +99,39 @@ func TestRunAllocsPerEvent(t *testing.T) {
 	t.Logf("traced: %.0f allocs total, %.4f per PM event (fixed %.0f)", traced, perEventTraced, fixedTraced)
 	if perEventTraced > 0.1 {
 		t.Errorf("traced hot path allocates %.4f objects per PM event, want <= 0.1 (arena-backed trace recording)", perEventTraced)
+	}
+
+	// Tracing's bytes per event, over what the untraced run allocates:
+	// the Event record and its amortized slot in the trace's pointer
+	// slice (~126 B on amd64). The loop's three stacks are interned in
+	// its first iteration, so frames add nothing per event after it; a
+	// private one-frame copy per event measured ~174 B.
+	tracedBytes := func(n uint64) (uint64, int) {
+		b, events := runBytes(t, m, n, true)
+		u, _ := runBytes(t, m, n, false)
+		return b - u, events
+	}
+	b1, e1 := tracedBytes(iters / 2)
+	b2, e2 := tracedBytes(iters)
+	bytesPerEvent := float64(b2-b1) / float64(e2-e1)
+	maxBytes := float64(unsafe.Sizeof(trace.Event{})) + 40
+	t.Logf("traced: %.1f bytes per PM event over untraced (bound %.0f)", bytesPerEvent, maxBytes)
+	if bytesPerEvent > maxBytes {
+		t.Errorf("tracing costs %.1f bytes per PM event, want <= %.0f (an event record and its trace slot, no frames)", bytesPerEvent, maxBytes)
+	}
+	stacksAfter := func(n uint64) int {
+		tab := NewStackTable()
+		mach, err := New(m, Options{Trace: &trace.Trace{}, Stacks: tab})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := mach.Run("main", n); err != nil {
+			t.Fatal(err)
+		}
+		return len(tab.stacks)
+	}
+	if one, all := stacksAfter(1), stacksAfter(iters); one != all {
+		t.Errorf("stack table holds %d stacks after one iteration but %d after %d", one, all, iters)
 	}
 }
 
@@ -198,7 +233,7 @@ func runBytes(t *testing.T, m *ir.Module, iters uint64, traced bool) (uint64, in
 // Trace events, stack frames and tracker records come from arenas whose
 // first chunks are small, and a tracker nobody asks for a crash image
 // never materializes a durable page. A run recording 26 events measures
-// about 12.9 KB on amd64; with 4 KiB memory pages and a builtin table
+// about 13.1 KB on amd64 (12.7 KB before it had a stack table to build); with 4 KiB memory pages and a builtin table
 // per machine it measured about 21 KB, and with full-size first chunks
 // (512 events, 1,024 frames) and an eagerly written durable image about
 // 124 KB.

@@ -1,0 +1,15 @@
+package interp
+
+import "hippocrates/internal/ir"
+
+// NewPrivateStacks is New for a machine that copies the call stack into
+// every traced event instead of interning it: the oracle the external
+// stack-table tests compare against.
+func NewPrivateStacks(mod *ir.Module, opts Options) (*Machine, error) {
+	m, err := New(mod, opts)
+	if err != nil {
+		return nil, err
+	}
+	m.privateStacks = true
+	return m, nil
+}

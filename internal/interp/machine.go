@@ -70,6 +70,12 @@ type Options struct {
 	// each run's trace with its own tracker. In both, the tracker's
 	// per-store records would be the bulk of a run's allocation.
 	NoTrack bool
+	// Stacks, when non-nil, is the table a traced run interns its call
+	// stacks in; nil gives the machine a table of its own on its first
+	// traced event. Runs that share a table share its stacks, so share
+	// one only between runs of one unchanged module, one run at a time
+	// (see StackTable). Untraced runs never touch it.
+	Stacks *StackTable
 }
 
 // ErrSimulatedCrash is the error an Options.OnPMEvent hook returns to
@@ -182,16 +188,20 @@ type Machine struct {
 	// per event; its length is the OnPMEvent coordinate space.
 	pmEventLog []PMEventKind
 
-	// events and frameArena are the trace-recording arenas: Event records
-	// and stack-frame slices are carved from chunk allocations, so a
-	// traced run pays a few chunk allocations instead of two heap
-	// allocations per PM event. Chunks start small (16 events, 32 frames)
-	// and double up to 512 events and 1,024 frames, so the short runs of
-	// interleaving exploration pay for about what they record while long
-	// traces amortize to full-size chunks. Untraced runs touch neither
-	// (emit elides the Event entirely).
-	events     arena.Chunks[trace.Event]
-	frameArena arena.Chunks[trace.Frame]
+	// events is the trace-recording arena: Event records are carved from
+	// chunk allocations, so a traced run pays a few chunk allocations
+	// instead of a heap allocation per PM event. Chunks start at 16
+	// events and double up to 512, so the short runs of interleaving
+	// exploration pay for about what they record while long traces
+	// amortize to full-size chunks. Untraced runs never touch it (emit
+	// elides the Event entirely).
+	events arena.Chunks[trace.Event]
+	// stacks interns the call stacks events record (Options.Stacks, or
+	// the machine's own table, made on the first traced event).
+	stacks *StackTable
+	// privateStacks makes emit copy the stack per event instead of
+	// interning it: the pre-table behaviour, kept as the tests' oracle.
+	privateStacks bool
 
 	// ops counts executed instructions per opcode. A dense array indexed
 	// by ir.Op keeps the dispatch-loop cost to one increment; RecordObs
@@ -205,6 +215,11 @@ type frame struct {
 	// result-producing instructions, indexed by ir's Renumber slots.
 	regs []uint64
 	cur  *ir.Instr // instruction being executed (for stack traces)
+	// outer is the interned stack of the frame's callers, valid once
+	// outerSet; internStack fills it on the first event recorded at or
+	// below this frame.
+	outer    []trace.Frame
+	outerSet bool
 
 	// Stack allocation bookkeeping: allocas carve from
 	// [stackTop-stackUsed, stackTop); storage is reclaimed on return.
@@ -226,6 +241,8 @@ func (m *Machine) getFrame(fn *ir.Func) *frame {
 	}
 	f.fn = fn
 	f.cur = nil
+	f.outer = nil
+	f.outerSet = false
 	f.stackTop = 0
 	f.stackUsed = 0
 	if cap(f.regs) >= fn.NumSlots() {
@@ -264,7 +281,7 @@ func New(mod *ir.Module, opts Options) (*Machine, error) {
 		stackBase:  pmem.StackBase,
 		stackLimit: pmem.StackBase - pmem.StackMax,
 		events:     arena.New[trace.Event](16, 512),
-		frameArena: arena.New[trace.Frame](32, 1024),
+		stacks:     opts.Stacks,
 	}
 	if !opts.NoTrack {
 		m.Track = pmem.NewTracker()
@@ -467,7 +484,7 @@ func (m *Machine) fault(format string, args ...any) error {
 }
 
 // stack builds the current call stack, innermost first, as a private
-// allocation (error paths; hot paths use stackFrames). When in is
+// allocation (error paths; traced events use internStack). When in is
 // non-nil it is the active instruction of the top frame.
 func (m *Machine) stack(in *ir.Instr) []trace.Frame {
 	out := make([]trace.Frame, len(m.frames))
@@ -477,9 +494,9 @@ func (m *Machine) stack(in *ir.Instr) []trace.Frame {
 
 // emit advances the global PM event sequence and returns the assigned
 // number. When tracing is on, it also records the event with the current
-// call stack (in is the active instruction of the top frame; nil for
-// machine-setup events). Untraced runs pay only the increment: no Event
-// or stack is materialized.
+// call stack, interned in the machine's stack table (in is the active
+// instruction of the top frame; nil for machine-setup events). Untraced
+// runs pay only the increment: no Event or stack is materialized.
 func (m *Machine) emit(in *ir.Instr, e trace.Event) int {
 	seq := m.seq
 	m.seq++
@@ -491,20 +508,15 @@ func (m *Machine) emit(in *ir.Instr, e trace.Event) int {
 	*ev = e
 	ev.Seq = seq
 	ev.Tid = m.curTid()
-	ev.Stack = m.stackFrames(in)
+	if m.privateStacks {
+		if len(m.frames) > 0 {
+			ev.Stack = m.stack(in)
+		}
+	} else {
+		ev.Stack = m.internStack(in)
+	}
 	tr.Events = append(tr.Events, ev)
 	return seq
-}
-
-// stackFrames is stack carved from the frame arena: same contents,
-// amortized allocation.
-func (m *Machine) stackFrames(in *ir.Instr) []trace.Frame {
-	if len(m.frames) == 0 {
-		return nil
-	}
-	out := m.frameArena.Take(len(m.frames))
-	m.fillStack(out, in)
-	return out
 }
 
 // fillStack writes the call stack, innermost first, into out (length
@@ -518,12 +530,7 @@ func (m *Machine) fillStack(out []trace.Frame, in *ir.Instr) {
 		if i == top && in != nil {
 			cur = in
 		}
-		fr := trace.Frame{Func: f.fn.Name}
-		if cur != nil {
-			fr.InstrID = cur.ID
-			fr.Loc = cur.Loc
-		}
-		out[top-i] = fr
+		out[top-i] = frameAt(f.fn, cur)
 	}
 }
 

@@ -30,7 +30,9 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"time"
 
+	"hippocrates/internal/core"
 	"hippocrates/internal/crashsim"
 	"hippocrates/internal/ir"
 	"hippocrates/internal/obs"
@@ -50,8 +52,20 @@ type Options struct {
 	MaxImages int
 	Workers   int
 	Seed      int64
-	// StepLimit bounds every interpreter run the pass makes.
+	// StepLimit bounds every interpreter run the pass makes; Deadline,
+	// when non-zero, bounds them and every crashsim validation by wall
+	// clock. Past it, the pass fails with the interpreter's deadline
+	// *interp.LimitError.
 	StepLimit int64
+	Deadline  time.Time
+	// Baseline, when non-nil, is the caller's own run of mod exactly as
+	// passed in, made with the same entry, args and step limit under the
+	// default cost model (core.TraceAndCheck makes such runs). The pass
+	// takes its trace, detector verdict and simulated time instead of
+	// running the module again. It runs the module only when a candidate
+	// needs the rest of the baseline (return value, PM event log and
+	// durability-point signatures).
+	Baseline *core.Run
 	// Cache, when non-nil, carries crashsim recovery verdicts across
 	// candidate validations (and across a preceding repair run). It is
 	// bypassed for any candidate that edits recovery-reachable code and
@@ -210,7 +224,19 @@ func Optimize(mod *ir.Module, opts Options) (*Result, error) {
 
 	res := &Result{Entry: entry}
 
-	base, err := measure(mod, entry, opts)
+	// optimize.baseline_runs counts the runs the baseline cost: none when
+	// the caller's run serves and no candidate needs more of it.
+	baselineRuns := int64(0)
+	defer func() { sp.Add("optimize.baseline_runs", baselineRuns) }()
+	var base *progSig
+	var err error
+	if b := opts.Baseline; b != nil {
+		base = &progSig{simNs: b.SimNs, tr: b.Trace, dyn: dynSig(b.Check)}
+		err = base.analyze(mod, entry)
+	} else {
+		baselineRuns++
+		base, err = measure(mod, entry, opts)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("optimize: baseline run: %w", err)
 	}
@@ -231,6 +257,14 @@ func Optimize(mod *ir.Module, opts Options) (*Result, error) {
 	if len(cands) == 0 {
 		publishEditCounters(sp, res)
 		return res, nil
+	}
+	if opts.Baseline != nil {
+		// The proofs compare return values, PM event logs and durability
+		// states, which the caller's run does not carry.
+		baselineRuns++
+		if err := base.execute(mod, entry, opts); err != nil {
+			return nil, fmt.Errorf("optimize: baseline run: %w", err)
+		}
 	}
 
 	// Crashsim baseline: one verdict set at aligned points, refreshed on

@@ -43,12 +43,28 @@ type progSig struct {
 // measure executes mod's workload once under full instrumentation and
 // runs both detectors on the result.
 func measure(mod *ir.Module, entry string, opts Options) (*progSig, error) {
+	sig := &progSig{}
+	if err := sig.execute(mod, entry, opts); err != nil {
+		return nil, err
+	}
+	sig.dyn = dynSig(pmcheck.Check(sig.tr))
+	if err := sig.analyze(mod, entry); err != nil {
+		return nil, err
+	}
+	return sig, nil
+}
+
+// execute runs mod's workload once, traced and tracked, filling the
+// signature's trace, return value, simulated time, PM event log and
+// durability-point signatures.
+func (sig *progSig) execute(mod *ir.Module, entry string, opts Options) error {
 	tr := &trace.Trace{Program: mod.Name}
-	sig := &progSig{tr: tr}
+	sig.tr = tr
 	var m *interp.Machine
 	m, err := interp.New(mod, interp.Options{
 		Trace:     tr,
 		StepLimit: opts.StepLimit,
+		Deadline:  opts.Deadline,
 		OnPMEvent: func(k int, kind interp.PMEventKind) error {
 			if kind == interp.EvCheckpoint {
 				sig.ckpts = append(sig.ckpts, stateSig(m.CaptureCrashState()))
@@ -57,26 +73,34 @@ func measure(mod *ir.Module, entry string, opts Options) (*progSig, error) {
 		},
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	ret, err := m.Run(entry, opts.Args...)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	sig.ret = ret
 	sig.simNs = m.SimTime()
 	sig.events = append([]interp.PMEventKind(nil), m.PMEventLog()...)
+	return nil
+}
 
-	dyn := pmcheck.Check(tr)
-	sig.dyn = make(map[string]int, len(dyn.Reports))
-	for _, r := range dyn.Reports {
+// dynSig is the dynamic detector's report multiset (progSig.dyn).
+func dynSig(res *pmcheck.Result) map[string]int {
+	dyn := make(map[string]int, len(res.Reports))
+	for _, r := range res.Reports {
 		s := r.Store.Site()
-		sig.dyn[reportKey(s.Func, s.Loc, r.NeedFlush, r.NeedFence)]++
+		dyn[reportKey(s.Func, s.Loc, r.NeedFlush, r.NeedFence)]++
 	}
+	return dyn
+}
 
+// analyze runs the static analyzer, filling the signature's lints and
+// static report set.
+func (sig *progSig) analyze(mod *ir.Module, entry string) error {
 	sres, err := static.Analyze(mod, entry)
 	if err != nil {
-		return nil, fmt.Errorf("static analysis: %w", err)
+		return fmt.Errorf("static analysis: %w", err)
 	}
 	sig.lints = sres.Lints
 	type siteAgg struct {
@@ -99,7 +123,7 @@ func measure(mod *ir.Module, entry string, opts Options) (*progSig, error) {
 	for k, a := range agg {
 		sig.stat[fmt.Sprintf("%s|%t|%t", k, a.needFlush, a.needFence)] = a.count
 	}
-	return sig, nil
+	return nil
 }
 
 func reportKey(fn string, loc ir.Loc, needFlush, needFence bool) string {
@@ -315,6 +339,7 @@ func csOptions(opts Options, entry string, pts []int, cache *crashsim.VerdictCac
 		Workers:   opts.Workers,
 		Seed:      opts.Seed,
 		StepLimit: opts.StepLimit,
+		Deadline:  opts.Deadline,
 		Cache:     cache,
 		Obs:       sp,
 	}

@@ -10,7 +10,6 @@ import (
 	"hippocrates/internal/interp"
 	"hippocrates/internal/ir"
 	"hippocrates/internal/optimize"
-	"hippocrates/internal/pmcheck"
 )
 
 // Smoke caps mirror the corpus crashsim acceptance test so the
@@ -47,11 +46,11 @@ func runAndCheck(t *testing.T, mod *ir.Module, entry string) (uint64, []string) 
 	if err != nil {
 		t.Fatalf("workload: %v", err)
 	}
-	tr, err := core.TraceModuleOpts(nil, mod, entry, core.Options{StepLimit: smokeStepLimit})
+	run, err := core.TraceAndCheck(nil, mod, entry, core.Options{StepLimit: smokeStepLimit})
 	if err != nil {
 		t.Fatalf("trace: %v", err)
 	}
-	res := pmcheck.Check(tr)
+	res := run.Check
 	keys := make([]string, 0, len(res.Reports))
 	for _, r := range res.Reports {
 		keys = append(keys, r.String())

@@ -60,9 +60,9 @@ type Options struct {
 	// bounded-exhaustive. The equivalence test uses this to pin POR's
 	// soundness: both modes must produce the same verdict set.
 	NoPOR bool
-	// Interp is the per-run interpreter option template. Trace, Schedule
-	// and NoTrack are overwritten for every run; everything else (step
-	// limit, deadline, cost model) passes through. Explored runs are
+	// Interp is the per-run interpreter option template. Trace, Schedule,
+	// NoTrack and Stacks are overwritten for every run; everything else
+	// (step limit, deadline, cost model) passes through. Explored runs are
 	// always untracked: the detector replays each run's trace with its
 	// own durability tracker, and no exploration result reads what an
 	// online tracker would add (the simulated clock).
@@ -183,6 +183,13 @@ func Explore(mod *ir.Module, entry string, args []uint64, opts Options) (*Result
 		max = DefaultMaxSchedules
 	}
 	res := &Result{}
+	// Every run of this call interns its call stacks in one table: the
+	// module does not change during the call and its runs are
+	// sequential, so the schedules share the stacks they have in common.
+	// The table never leaves the call, so concurrent calls on one module
+	// never share one.
+	tmpl := opts.Interp
+	tmpl.Stacks = interp.NewStackTable()
 	// The frontier is a FIFO queue advanced by index; its first entry
 	// (no parent) is the round-robin run.
 	frontier := []branch{{}}
@@ -191,7 +198,7 @@ func Explore(mod *ir.Module, entry string, args []uint64, opts Options) (*Result
 	for head < len(frontier) && res.Explored < max {
 		prefix = frontier[head].prefix(prefix[:0])
 		head++
-		run, err := runOne(mod, entry, args, prefix, &opts.Interp)
+		run, err := runOne(mod, entry, args, prefix, &tmpl)
 		if err != nil {
 			return nil, err
 		}
