@@ -35,7 +35,9 @@ metrics-smoke:
 # folds every failure into exit 1): a flag combination
 # cli.Request.Validate rejects is a usage error (exit 2) in each of
 # hippocrates, pmcheck and pmvm, a clean run exits 0 and a buggy one 1.
-# It also drives pmcheck's in-memory shadow repair with every telemetry
+# A replayed trace holding a store the durability model cannot hold
+# (testdata/bad_store.trace crosses a cache line) is an input error, exit
+# 1; a panic would exit 2. It also drives pmcheck's in-memory shadow repair with every telemetry
 # flag on and requires its span tree to hold plan, apply and revalidate.
 usage-smoke:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
@@ -49,6 +51,7 @@ usage-smoke:
 	want_exit 0 hippocrates -o $$dir/fixed.pmir testdata/metrics_smoke.pmc && \
 	want_exit 0 pmcheck $$dir/fixed.pmir && \
 	want_exit 1 pmcheck testdata/metrics_smoke.pmc && \
+	want_exit 1 hippocrates -trace testdata/bad_store.trace testdata/metrics_smoke.pmc && \
 	want_exit 1 pmcheck -metrics $$dir/metrics.json -spans $$dir/spans.json -audit testdata/metrics_smoke.pmc && \
 	for span in plan apply revalidate; do \
 		grep -q "\"name\": \"$$span\"" $$dir/spans.json || \

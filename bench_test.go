@@ -258,6 +258,27 @@ func BenchmarkTracedRun(b *testing.B) {
 	}
 }
 
+// BenchmarkTraceAndCheck measures the pipeline's trace and detect steps
+// together, as core.TraceAndCheck makes them for a check request: the
+// traced interpreter run with the detector running on its tracker. B/op
+// is the allocation of both steps; redis-flushfree keeps every store
+// pending until a durability point, the detector's worst case.
+func BenchmarkTraceAndCheck(b *testing.B) {
+	for _, name := range []string{"redis-flushfree", "pclht", "memcached"} {
+		b.Run(name, func(b *testing.B) {
+			p := corpus.ByName(name)
+			m := p.MustCompile()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.TraceAndCheck(nil, m, p.Entry, core.Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkCompiler measures the pmc front end on the Redis source.
 func BenchmarkCompiler(b *testing.B) {
 	p := corpus.ByName("redis-pmem")
@@ -300,9 +321,10 @@ func BenchmarkDetector(b *testing.B) {
 // BenchmarkExplore measures interleaving exploration, the many short
 // traced runs of threads repair: schedule.Explore over the concurrent
 // corpus plus a few generated threaded programs. B/run is the heap bytes
-// one explored interleaving costs (machine, trace, tracker, and the
-// detector's replay), the quantity the small first arena chunks and the
-// deferred durable image keep proportional to what a run records.
+// one explored interleaving costs (machine, trace, and the online
+// detector the call's runs share), the quantity the small first arena
+// chunks and the deferred durable image keep proportional to what a run
+// records.
 func BenchmarkExplore(b *testing.B) {
 	type target struct {
 		m     *ir.Module

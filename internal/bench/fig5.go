@@ -66,12 +66,12 @@ func RunFig5() (*Fig5Result, error) {
 		for _, p := range programs {
 			row.KLOC += float64(strings.Count(p.Source(), "\n")) / 1000
 			m := p.MustCompile()
-			tr, err := core.TraceModule(m, p.Entry)
+			run, err := core.TraceAndCheck(nil, m, p.Entry, core.Options{})
 			if err != nil {
 				return nil, fmt.Errorf("%s: %w", p.Name, err)
 			}
-			row.TraceEvents += len(tr.Events)
-			preps = append(preps, prepared{p: p, mod: moduleWithTrace{m, tr, pmcheck.Check(tr)}})
+			row.TraceEvents += len(run.Trace.Events)
+			preps = append(preps, prepared{p: p, mod: moduleWithTrace{m, run.Trace, run.Check}})
 		}
 		var ms1, ms2 runtime.MemStats
 		runtime.GC()

@@ -50,8 +50,11 @@ func (p *PipelineResult) Fixed() bool {
 // the recorded PM trace. As the paper does for trace generation (§5.1),
 // the module is used as-is, unoptimized.
 func TraceModule(mod *ir.Module, entry string, args ...uint64) (*trace.Trace, error) {
-	tr, _, err := traceModule(nil, mod, entry, Options{}, args)
-	return tr, err
+	run, err := traceModule(nil, mod, entry, Options{}, args, nil)
+	if err != nil {
+		return nil, err
+	}
+	return run.Trace, nil
 }
 
 // Run is one traced, tracked execution of a module's entry as the
@@ -66,32 +69,37 @@ type Run struct {
 }
 
 // TraceAndCheck is TraceModule under a "trace" child span of sp, with
-// the pipeline's resource limits applied to the interpreter run, followed
-// by the detector under a "detect" child span. The interpreter's run
+// the pipeline's resource limits applied to the interpreter run and the
+// detector running on the run's own tracker as it executes; its verdict
+// is published under a "detect" child span. The interpreter's run
 // statistics (steps, per-opcode counts) and the trace's PM-event
 // breakdown are published into the span's recorder (a nil span records
 // nothing). Interpreter panics are recovered into a *PanicError.
 func TraceAndCheck(sp *obs.Span, mod *ir.Module, entry string, opts Options, args ...uint64) (*Run, error) {
-	tr, simNs, err := traceModule(sp, mod, entry, opts, args)
+	d := pmcheck.NewDetector()
+	run, err := traceModule(sp, mod, entry, opts, args, d)
 	if err != nil {
 		return nil, err
 	}
-	return &Run{Trace: tr, Check: pmcheck.CheckObs(sp, tr), SimNs: simNs}, nil
+	run.Check = d.ResultObs(sp)
+	return run, nil
 }
 
 // traceModule runs mod's entry traced and tracked under a "trace" child
-// span of sp, returning the trace and the run's simulated time.
-func traceModule(sp *obs.Span, mod *ir.Module, entry string, opts Options, args []uint64) (out *trace.Trace, simNs float64, err error) {
+// span of sp, returning the trace and the run's simulated time. With a
+// detector d the run detects online; without one it tracks with a
+// tracker of its own.
+func traceModule(sp *obs.Span, mod *ir.Module, entry string, opts Options, args []uint64, d *pmcheck.Detector) (out *Run, err error) {
 	defer guard("trace", &err)
 	tsp := sp.Start("trace")
 	defer tsp.End()
 	tsp.SetAttr("entry", entry)
 	tr := &trace.Trace{Program: mod.Name}
 	mach, err := interp.New(mod, interp.Options{
-		Trace: tr, StepLimit: opts.StepLimit, Deadline: opts.Deadline,
+		Trace: tr, Detector: d, StepLimit: opts.StepLimit, Deadline: opts.Deadline,
 	})
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	_, err = mach.Run(entry, args...)
 	mach.RecordObs(tsp)
@@ -102,9 +110,9 @@ func traceModule(sp *obs.Span, mod *ir.Module, entry string, opts Options, args 
 		}
 	}
 	if err != nil {
-		return nil, 0, fmt.Errorf("tracing @%s: %w", entry, err)
+		return nil, fmt.Errorf("tracing @%s: %w", entry, err)
 	}
-	return tr, mach.SimTime(), nil
+	return &Run{Trace: tr, SimNs: mach.SimTime()}, nil
 }
 
 // RunAndRepair runs the whole Hippocrates workflow on mod, mutating it in

@@ -155,9 +155,7 @@ func (m *Machine) pmStoreChunks(addr uint64, buf []byte, callIn *ir.Instr) error
 		a := addr + off
 		data := buf[off : off+chunk]
 		seq := m.emit(callIn, trace.Event{Kind: trace.KindStore, Addr: a, Size: int(chunk)})
-		if m.Track != nil {
-			m.Track.OnStoreT(seq, m.curTid(), a, data)
-		}
+		m.trackStore(seq, a, data, false)
 		m.Clock.Advance(m.cost.StorePM)
 		if err := m.pmEvent(EvStore); err != nil {
 			return err
@@ -243,9 +241,7 @@ func biFlushRange(m *Machine, args []uint64) (uint64, error) {
 			continue
 		}
 		seq := m.emit(callIn, trace.Event{Kind: trace.KindFlush, FlushK: ir.CLWB, Addr: line})
-		if m.Track != nil {
-			m.Track.OnFlushT(seq, m.curTid(), false, line) // weakly ordered: pays at the fence
-		}
+		m.trackFlush(seq, false, line) // weakly ordered: pays at the fence
 		if err := m.pmEvent(EvFlush); err != nil {
 			return 0, err
 		}

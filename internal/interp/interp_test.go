@@ -897,3 +897,36 @@ func TestMachinesShareModulesReadOnly(t *testing.T) {
 		}
 	}
 }
+
+// TestDetectorNeedsEmptyTrace: a detector numbers events by trace index,
+// so New rejects one without a trace, with a trace already holding
+// events, or alongside NoTrack; given an empty trace, the machine's
+// tracker is the detector's.
+func TestDetectorNeedsEmptyTrace(t *testing.T) {
+	m := buildPersistStore(false, false)
+	d := pmcheck.NewDetector()
+	used := &trace.Trace{}
+	used.Append(&trace.Event{Kind: trace.KindFence})
+	for name, opts := range map[string]Options{
+		"no trace":     {Detector: d},
+		"non-empty":    {Detector: d, Trace: used},
+		"with NoTrack": {Detector: d, Trace: &trace.Trace{}, NoTrack: true},
+	} {
+		if _, err := New(m, opts); err == nil {
+			t.Errorf("%s: New accepted the detector", name)
+		}
+	}
+	mach, err := New(m, Options{Detector: d, Trace: &trace.Trace{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mach.Track != d.Tracker() {
+		t.Fatal("machine tracks with a tracker other than the detector's")
+	}
+	if _, err := mach.Run("main"); err != nil {
+		t.Fatal(err)
+	}
+	if res := d.Result(); mach.NumViolations() != 1 || len(res.Reports) != 1 || res.Reports[0].Class() != pmem.MissingFlushFence {
+		t.Fatalf("violations %d, reports %v; want one missing-flush&fence", mach.NumViolations(), res.Reports)
+	}
+}

@@ -3,7 +3,8 @@
 // pmemcheck/Valgrind plays in the paper: it runs the program, applies the
 // durability state machine to every PM operation, accumulates simulated
 // time from the cost model, and (optionally) records the pmemcheck-style
-// event trace that the bug detector and the fixer consume.
+// event trace the fixer consumes, with the bug detector
+// (internal/pmcheck) running on the machine's own tracker as it goes.
 package interp
 
 import (
@@ -13,6 +14,7 @@ import (
 
 	"hippocrates/internal/arena"
 	"hippocrates/internal/ir"
+	"hippocrates/internal/pmcheck"
 	"hippocrates/internal/pmem"
 	"hippocrates/internal/trace"
 )
@@ -65,11 +67,18 @@ type Options struct {
 	// unchanged — stores still hit Mem — only the shadow durability
 	// state is skipped. The trace, the decision log and the return value
 	// are the same as a tracked run's. Crash-validation recovery boots
-	// use this: they only need the entry's verdict. So do the runs of
-	// interleaving exploration (internal/schedule): the detector replays
-	// each run's trace with its own tracker. In both, the tracker's
-	// per-store records would be the bulk of a run's allocation.
+	// use this: they only need the entry's verdict, and the tracker's
+	// per-store records would be the bulk of a boot's allocation. It
+	// excludes Detector.
 	NoTrack bool
+	// Detector, when non-nil, detects durability bugs as the run
+	// executes: New resets it onto Trace, which must be non-nil and
+	// empty (the detector numbers events by trace index), and the
+	// machine's Track is the detector's tracker, so SimTime,
+	// NumViolations, crash states and OnPMEvent see the state they see
+	// without one. Detector.Result is the verdict pmcheck.Check would
+	// reach on the recorded trace, without replaying it.
+	Detector *pmcheck.Detector
 	// Stacks, when non-nil, is the table a traced run interns its call
 	// stacks in; nil gives the machine a table of its own on its first
 	// traced event. Runs that share a table share its stacks, so share
@@ -179,10 +188,12 @@ type Machine struct {
 	deadline    time.Time
 	hasDeadline bool
 	checkpoints int
-	// violations counts the pending stores seen at durability points:
-	// the online verdict. internal/pmcheck recomputes the violations
-	// themselves offline from the trace.
+	// violations counts the pending stores seen at durability points.
+	// The violations themselves are Options.Detector's to report.
 	violations int
+	// det is Options.Detector; when set, Track is its tracker and every
+	// PM event's durability effect goes through it.
+	det *pmcheck.Detector
 
 	// pmEventLog records the kind of every PM event boundary, one byte
 	// per event; its length is the OnPMEvent coordinate space.
@@ -283,7 +294,18 @@ func New(mod *ir.Module, opts Options) (*Machine, error) {
 		events:     arena.New[trace.Event](16, 512),
 		stacks:     opts.Stacks,
 	}
-	if !opts.NoTrack {
+	switch {
+	case opts.Detector != nil:
+		if opts.NoTrack {
+			return nil, fmt.Errorf("interp: Options.Detector and NoTrack are exclusive")
+		}
+		if opts.Trace == nil || len(opts.Trace.Events) > 0 {
+			return nil, fmt.Errorf("interp: Options.Detector needs an empty Trace to record into")
+		}
+		opts.Detector.Reset(opts.Trace)
+		m.det = opts.Detector
+		m.Track = m.det.Tracker()
+	case !opts.NoTrack:
 		m.Track = pmem.NewTracker()
 	}
 	m.hasDeadline = !opts.Deadline.IsZero()
@@ -538,9 +560,12 @@ func (m *Machine) checkpoint(in *ir.Instr) error {
 	if err := m.yieldPM(PendCheckpoint, 0); err != nil {
 		return err
 	}
-	m.emit(in, trace.Event{Kind: trace.KindCheckpoint})
+	seq := m.emit(in, trace.Event{Kind: trace.KindCheckpoint})
 	if m.Track != nil {
 		m.violations += m.Track.NumPending()
+	}
+	if m.det != nil {
+		m.det.Checkpoint(seq)
 	}
 	m.checkpoints++
 	return m.pmEvent(EvCheckpoint)
@@ -552,7 +577,7 @@ func (m *Machine) Checkpoints() int { return m.checkpoints }
 // NumViolations returns the durability violations observed online so far:
 // the stores found non-durable, summed over the durability points passed
 // (a store pending at two points counts twice). It is 0 when tracking is
-// off. Run internal/pmcheck on the trace for the violations themselves.
+// off. Options.Detector reports the violations themselves.
 func (m *Machine) NumViolations() int { return m.violations }
 
 // pmEvent logs one PM event boundary and fires Options.OnPMEvent.
@@ -730,13 +755,7 @@ func (m *Machine) exec(f *frame, in *ir.Instr) error {
 			if in.Op == ir.OpNTStore {
 				ev = EvNTStore
 			}
-			if m.Track != nil {
-				if in.Op == ir.OpNTStore {
-					m.Track.OnNTStoreT(seq, m.curTid(), addr, data)
-				} else {
-					m.Track.OnStoreT(seq, m.curTid(), addr, data)
-				}
-			}
+			m.trackStore(seq, addr, data, in.Op == ir.OpNTStore)
 			m.Clock.Advance(m.cost.StorePM)
 			if err := m.pmEvent(ev); err != nil {
 				return err
@@ -783,10 +802,7 @@ func (m *Machine) exec(f *frame, in *ir.Instr) error {
 				return err
 			}
 			seq := m.emit(in, trace.Event{Kind: trace.KindFlush, FlushK: in.FlushK, Addr: addr})
-			moved := 0
-			if m.Track != nil {
-				moved = m.Track.OnFlushT(seq, m.curTid(), in.FlushK.Ordered(), addr)
-			}
+			moved := m.trackFlush(seq, in.FlushK.Ordered(), addr)
 			if moved > 0 && in.FlushK.Ordered() {
 				// CLFLUSH commits immediately; CLWB/CLFLUSHOPT park the
 				// line in the write-pending queue and pay at the fence.
@@ -805,10 +821,7 @@ func (m *Machine) exec(f *frame, in *ir.Instr) error {
 			return err
 		}
 		seq := m.emit(in, trace.Event{Kind: trace.KindFence, FenceK: in.FenceK})
-		drained := 0
-		if m.Track != nil {
-			drained = m.Track.OnFenceT(seq, m.curTid())
-		}
+		drained := m.trackFence(seq)
 		m.Clock.Advance(m.cost.FenceBase + float64(drained)*m.cost.FenceDrainPerLine)
 		if err := m.pmEvent(EvFence); err != nil {
 			return err
@@ -972,11 +985,42 @@ func (m *Machine) atomicWrite(in *ir.Instr, addr, val uint64) error {
 		e.Val = val
 	}
 	seq := m.emit(in, e)
-	if m.Track != nil {
-		m.Track.OnStoreT(seq, m.curTid(), addr, data)
-	}
+	m.trackStore(seq, addr, data, false)
 	m.Clock.Advance(m.cost.StorePM)
 	return m.pmEvent(EvStore)
+}
+
+// trackStore applies PM store event seq (data at addr, by the running
+// thread) to the durability state: through the detector when the run has
+// one, else to the tracker, if any.
+func (m *Machine) trackStore(seq int, addr uint64, data []byte, nt bool) {
+	if m.det != nil {
+		m.det.Store(seq, data)
+	} else if m.Track != nil {
+		m.Track.Store(seq, m.curTid(), addr, data, nt, true)
+	}
+}
+
+// trackFlush applies flush event seq and returns the stores it moved.
+func (m *Machine) trackFlush(seq int, ordered bool, addr uint64) int {
+	if m.det != nil {
+		return m.det.Flush(seq)
+	}
+	if m.Track != nil {
+		return m.Track.OnFlushT(seq, m.curTid(), ordered, addr)
+	}
+	return 0
+}
+
+// trackFence applies fence event seq and returns the lines it drained.
+func (m *Machine) trackFence(seq int) int {
+	if m.det != nil {
+		return m.det.Fence(seq)
+	}
+	if m.Track != nil {
+		return m.Track.OnFenceT(seq, m.curTid())
+	}
+	return 0
 }
 
 func (m *Machine) checkAccess(addr uint64, size int64, op string) error {

@@ -36,6 +36,7 @@ import (
 	"hippocrates/internal/crashsim"
 	"hippocrates/internal/ir"
 	"hippocrates/internal/obs"
+	"hippocrates/internal/pmcheck"
 	"hippocrates/internal/static"
 )
 
@@ -228,6 +229,9 @@ func Optimize(mod *ir.Module, opts Options) (*Result, error) {
 	// the caller's run serves and no candidate needs more of it.
 	baselineRuns := int64(0)
 	defer func() { sp.Add("optimize.baseline_runs", baselineRuns) }()
+	// Every run of the pass is of this module, one at a time, so they
+	// share one detector.
+	det := pmcheck.NewDetector()
 	var base *progSig
 	var err error
 	if b := opts.Baseline; b != nil {
@@ -235,7 +239,7 @@ func Optimize(mod *ir.Module, opts Options) (*Result, error) {
 		err = base.analyze(mod, entry)
 	} else {
 		baselineRuns++
-		base, err = measure(mod, entry, opts)
+		base, err = measure(mod, entry, opts, det)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("optimize: baseline run: %w", err)
@@ -262,7 +266,7 @@ func Optimize(mod *ir.Module, opts Options) (*Result, error) {
 		// The proofs compare return values, PM event logs and durability
 		// states, which the caller's run does not carry.
 		baselineRuns++
-		if err := base.execute(mod, entry, opts); err != nil {
+		if err := base.execute(mod, entry, opts, det); err != nil {
 			return nil, fmt.Errorf("optimize: baseline run: %w", err)
 		}
 	}
@@ -311,7 +315,7 @@ func Optimize(mod *ir.Module, opts Options) (*Result, error) {
 		blk := c.in.Block()
 		idx := blk.RemoveInstr(c.in)
 
-		after, err := measure(mod, entry, opts)
+		after, err := measure(mod, entry, opts, det)
 		ok, reason := true, ""
 		if err != nil {
 			ok, reason = false, "workload failed after edit: "+firstLine(err.Error())

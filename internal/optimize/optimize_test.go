@@ -9,6 +9,7 @@ import (
 	"hippocrates/internal/ir"
 	"hippocrates/internal/lang"
 	"hippocrates/internal/obs"
+	"hippocrates/internal/pmcheck"
 )
 
 func mustModule(t *testing.T, src string) *ir.Module {
@@ -364,7 +365,7 @@ int main() {
 	return 0;
 }
 `)
-	sig, err := measure(mod, "main", Options{})
+	sig, err := measure(mod, "main", Options{}, pmcheck.NewDetector())
 	if err != nil {
 		t.Fatal(err)
 	}

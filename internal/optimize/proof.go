@@ -40,29 +40,29 @@ type progSig struct {
 	tr    *trace.Trace
 }
 
-// measure executes mod's workload once under full instrumentation and
-// runs both detectors on the result.
-func measure(mod *ir.Module, entry string, opts Options) (*progSig, error) {
+// measure executes mod's workload once under full instrumentation, the
+// dynamic detector d running with it, then runs the static detector.
+func measure(mod *ir.Module, entry string, opts Options, d *pmcheck.Detector) (*progSig, error) {
 	sig := &progSig{}
-	if err := sig.execute(mod, entry, opts); err != nil {
+	if err := sig.execute(mod, entry, opts, d); err != nil {
 		return nil, err
 	}
-	sig.dyn = dynSig(pmcheck.Check(sig.tr))
 	if err := sig.analyze(mod, entry); err != nil {
 		return nil, err
 	}
 	return sig, nil
 }
 
-// execute runs mod's workload once, traced and tracked, filling the
-// signature's trace, return value, simulated time, PM event log and
-// durability-point signatures.
-func (sig *progSig) execute(mod *ir.Module, entry string, opts Options) error {
+// execute runs mod's workload once, traced and with d detecting online,
+// filling the signature's trace, return value, simulated time, PM event
+// log, durability-point signatures and dynamic report multiset.
+func (sig *progSig) execute(mod *ir.Module, entry string, opts Options, d *pmcheck.Detector) error {
 	tr := &trace.Trace{Program: mod.Name}
 	sig.tr = tr
 	var m *interp.Machine
 	m, err := interp.New(mod, interp.Options{
 		Trace:     tr,
+		Detector:  d,
 		StepLimit: opts.StepLimit,
 		Deadline:  opts.Deadline,
 		OnPMEvent: func(k int, kind interp.PMEventKind) error {
@@ -82,6 +82,7 @@ func (sig *progSig) execute(mod *ir.Module, entry string, opts Options) error {
 	sig.ret = ret
 	sig.simNs = m.SimTime()
 	sig.events = append([]interp.PMEventKind(nil), m.PMEventLog()...)
+	sig.dyn = dynSig(d.Result())
 	return nil
 }
 
@@ -179,8 +180,8 @@ func stateSig(cs *pmem.CrashState) uint64 {
 		h = mix(h, ln.Line)
 		for _, st := range ln.Stores {
 			h = mix(h, st.Addr)
-			h = mix(h, uint64(len(st.Data)))
-			for _, b := range st.Data {
+			h = mix(h, uint64(st.Size()))
+			for _, b := range st.Data() {
 				h = mix(h, uint64(b))
 			}
 		}

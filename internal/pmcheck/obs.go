@@ -7,11 +7,22 @@ import (
 
 // CheckObs runs Check under a "detect" child span of sp, publishing the
 // replay statistics as pmcheck.* counters and a per-report occurrence
-// histogram. With a nil span it is exactly Check.
+// histogram. With a nil span it is exactly Check. It is for loaded
+// traces; a run the pipeline makes itself detects online (ResultObs).
 func CheckObs(sp *obs.Span, t *trace.Trace) *Result {
 	dsp := sp.Start("detect")
 	defer dsp.End()
 	res := Check(t)
+	res.RecordObs(dsp)
+	return res
+}
+
+// ResultObs is Result under a "detect" child span of sp, publishing the
+// counters CheckObs publishes. With a nil span it is exactly Result.
+func (d *Detector) ResultObs(sp *obs.Span) *Result {
+	dsp := sp.Start("detect")
+	defer dsp.End()
+	res := d.Result()
 	res.RecordObs(dsp)
 	return res
 }

@@ -8,6 +8,7 @@
 package pmcheck
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -159,120 +160,187 @@ func (res *Result) Summary() string {
 	return b.String()
 }
 
-// Check replays the trace and aggregates durability violations by store
-// site. Reports are ordered by the first violating store's sequence.
+// Check replays a recorded trace through a Detector and aggregates
+// durability violations by store site. Reports are ordered by the first
+// violating store's sequence.
 //
 // The replay orders events by their position in the trace (which is
-// sequence order for every recorded trace): the tracker is fed event
+// sequence order for every recorded trace): the detector is fed event
 // indices as sequence numbers, so a violation's store and flush map back
-// to their events by slice indexing.
+// to their events by slice indexing. Store payloads are rebuilt from the
+// events (see Detector.Store), so a replay reaches the verdict the
+// recording run's online detector reached.
 func Check(t *trace.Trace) *Result {
-	res := &Result{}
-	tracker := pmem.NewTracker()
-	lines := make(map[uint64]bool)
-	touch := func(addr uint64, size int) {
-		last := addr
-		if size > 0 {
-			last = addr + uint64(size) - 1
-		}
-		for l := pmem.LineOf(addr); l <= pmem.LineOf(last); l += pmem.LineSize {
-			lines[l] = true
-		}
-	}
-	in := newInterner(len(t.Events))
-
-	maxTid := 0
-	seeTid := func(tid int) {
-		if tid > maxTid {
-			maxTid = tid
-		}
-	}
-	// storeData reconstructs a store's payload for replay: bytes are zero
-	// except when the event carries a value (8-byte stores of PM addresses
-	// record Val so publish detection can follow the pointer). The tracker
-	// copies the payload, so one buffer serves every store.
-	var buf []byte
-	storeData := func(e *trace.Event) []byte {
-		if cap(buf) < e.Size {
-			buf = make([]byte, e.Size)
-		}
-		data := buf[:e.Size]
-		clear(data)
-		if e.Val != 0 && e.Size == 8 {
-			v := e.Val
-			for i := 0; i < 8; i++ {
-				data[i] = byte(v)
-				v >>= 8
-			}
-		}
-		return data
-	}
-
+	d := NewDetector()
+	d.Reset(t)
+	d.in.size(len(t.Events))
 	for i, e := range t.Events {
 		switch e.Kind {
-		case trace.KindStore:
-			res.Stores++
-			touch(e.Addr, e.Size)
-			seeTid(e.Tid)
-			tracker.OnStoreT(i, e.Tid, e.Addr, storeData(e))
-		case trace.KindNTStore:
-			res.Stores++
-			touch(e.Addr, e.Size)
-			seeTid(e.Tid)
-			tracker.OnNTStoreT(i, e.Tid, e.Addr, storeData(e))
+		case trace.KindStore, trace.KindNTStore:
+			d.Store(i, nil)
 		case trace.KindFlush:
-			res.Flushes++
-			seeTid(e.Tid)
-			before := len(tracker.RedundantFlushes)
-			tracker.OnFlushT(i, e.Tid, e.FlushK.Ordered(), e.Addr)
-			if len(tracker.RedundantFlushes) > before {
-				res.RedundantFlushes = append(res.RedundantFlushes, e)
-			}
+			d.Flush(i)
 		case trace.KindFence:
-			res.Fences++
-			seeTid(e.Tid)
-			before := tracker.RedundantFences
-			tracker.OnFenceT(i, e.Tid)
-			if tracker.RedundantFences > before {
-				res.RedundantFences = append(res.RedundantFences, e)
-			}
+			d.Fence(i)
 		case trace.KindCheckpoint:
-			res.Checkpoints++
-			ck := in.site(t.Events, i)
-			for _, v := range tracker.OnCheckpoint(i) {
-				id := in.report(t.Events, v.Store.Seq)
-				rep := in.reports[id]
-				rep.Occurrences++
-				switch v.Class {
-				case pmem.MissingFlush:
-					rep.NeedFlush = true
-				case pmem.MissingFence:
-					rep.NeedFence = true
-				case pmem.MissingFlushFence:
-					rep.NeedFlush = true
-					rep.NeedFence = true
-				}
-				if v.Class == pmem.MissingFence && v.Store.FlushSeq >= 0 {
-					fs := in.site(t.Events, v.Store.FlushSeq)
-					if in.flushSeen.add(fs, id) {
-						rep.FlushSites = append(rep.FlushSites, t.Events[v.Store.FlushSeq].Site())
-					}
-				}
-				if in.ckptSeen.add(ck, id) {
-					rep.Checkpoints = append(rep.Checkpoints, e)
-				}
-			}
+			d.Checkpoint(i)
 		}
 	}
+	return d.Result()
+}
+
+// Detector is the durability-bug detector fed one PM event at a time, as
+// pmemcheck runs alongside the program: it owns the durability tracker,
+// reports at each durability point, and aggregates the violations by
+// store site. An interpreter run given a Detector (interp.Options) feeds
+// it as it executes and uses its tracker as the machine's own; Check
+// feeds it a recorded trace. Both number events by their index in the
+// trace the detector was reset onto.
+//
+// A Detector serves one run at a time: Reset binds it to the run's
+// trace, the event methods feed it, and Result ends the run. Reset keeps
+// the tracker's and the interner's buffers, so sequential runs (the
+// interleavings of one exploration) pay for their set-up once.
+type Detector struct {
+	track *pmem.Tracker
+	tr    *trace.Trace
+	res   *Result
+	// lines is the set of cache lines the run's stores wrote.
+	lines  map[uint64]struct{}
+	in     interner
+	maxTid int
+	// buf rebuilds a replayed store's payload; the tracker copies it.
+	buf [8]byte
+}
+
+// NewDetector returns a detector ready for Reset.
+func NewDetector() *Detector {
+	return &Detector{
+		track: pmem.NewTracker(),
+		lines: make(map[uint64]struct{}),
+		in: interner{
+			siteOf:  make(map[int]int32),
+			byStack: make(map[uint64][]int32),
+			siteID:  make(map[SiteKey]int32),
+		},
+	}
+}
+
+// Reset readies d for a run whose events are recorded in tr, dropping the
+// previous run's state but keeping its buffers. Results returned before
+// stay valid: their reports are never reused.
+func (d *Detector) Reset(tr *trace.Trace) {
+	d.track.Reset()
+	clear(d.lines)
+	d.in.reset()
+	d.tr = tr
+	d.res = &Result{}
+	d.maxTid = 0
+}
+
+// Tracker returns the durability tracker the detector drives. A machine
+// running with the detector uses it for its simulated costs and crash
+// states; it must not be fed events except through the detector.
+func (d *Detector) Tracker() *pmem.Tracker { return d.track }
+
+func (d *Detector) seeTid(tid int) {
+	if tid > d.maxTid {
+		d.maxTid = tid
+	}
+}
+
+// Store feeds event seq, a store or NT store, with its payload data. A nil
+// data rebuilds the payload from the event, as a replay must: zeros,
+// except an 8-byte store whose value the trace recorded (Event.Val).
+// Either way publish detection follows only a recorded value, so an online
+// run and a replay of its trace agree.
+func (d *Detector) Store(seq int, data []byte) {
+	e := d.tr.Events[seq]
+	d.res.Stores++
+	d.lines[pmem.LineOf(e.Addr)] = struct{}{}
+	d.seeTid(e.Tid)
+	if data == nil {
+		data = d.buf[:e.Size]
+		clear(data)
+		if e.Size == 8 {
+			binary.LittleEndian.PutUint64(data, e.Val)
+		}
+	}
+	d.track.Store(seq, e.Tid, e.Addr, data, e.Kind == trace.KindNTStore, e.Val != 0)
+}
+
+// Flush feeds event seq, a cache-line flush, and returns the number of
+// stores it moved (0 marks it redundant).
+func (d *Detector) Flush(seq int) int {
+	e := d.tr.Events[seq]
+	d.res.Flushes++
+	d.seeTid(e.Tid)
+	moved := d.track.OnFlushT(seq, e.Tid, e.FlushK.Ordered(), e.Addr)
+	if moved == 0 {
+		d.res.RedundantFlushes = append(d.res.RedundantFlushes, e)
+	}
+	return moved
+}
+
+// Fence feeds event seq, a fence, and returns the number of cache lines
+// it drained.
+func (d *Detector) Fence(seq int) int {
+	e := d.tr.Events[seq]
+	d.res.Fences++
+	d.seeTid(e.Tid)
+	before := d.track.RedundantFences
+	lines := d.track.OnFenceT(seq, e.Tid)
+	if d.track.RedundantFences > before {
+		d.res.RedundantFences = append(d.res.RedundantFences, e)
+	}
+	return lines
+}
+
+// Checkpoint feeds event seq, a durability point: every store still
+// pending is a violation, folded into its site's report.
+func (d *Detector) Checkpoint(seq int) {
+	events := d.tr.Events
+	d.res.Checkpoints++
+	in := &d.in
+	ck := in.site(events, seq)
+	for v := range d.track.Violations(seq) {
+		id := in.report(events, v.Store.Seq)
+		rep := in.reports[id]
+		rep.Occurrences++
+		switch v.Class {
+		case pmem.MissingFlush:
+			rep.NeedFlush = true
+		case pmem.MissingFence:
+			rep.NeedFence = true
+		case pmem.MissingFlushFence:
+			rep.NeedFlush = true
+			rep.NeedFence = true
+		}
+		if v.Class == pmem.MissingFence && v.Store.FlushSeq >= 0 {
+			fs := in.site(events, v.Store.FlushSeq)
+			if in.flushSeen.add(fs, id) {
+				rep.FlushSites = append(rep.FlushSites, events[v.Store.FlushSeq].Site())
+			}
+		}
+		if in.ckptSeen.add(ck, id) {
+			rep.Checkpoints = append(rep.Checkpoints, events[seq])
+		}
+	}
+}
+
+// Result ends the run and returns the detector's verdict on it. Call it
+// once per Reset.
+func (d *Detector) Result() *Result {
+	res, in := d.res, &d.in
 	// Cross-thread unordered publishes: the tracker flagged stores that
 	// were still pending when another thread durably published a pointer
 	// to their cache line. Each folds into the referent store's site
 	// report — the fix (flush + fence in the issuing thread) is the same
 	// mechanism as any unordered store, but the provenance explains why
 	// program order alone never exposes it.
-	res.CrossThreadPublishes = len(tracker.Publishes)
-	for _, p := range tracker.Publishes {
-		rep := in.reports[in.report(t.Events, p.Referent.Seq)]
+	res.CrossThreadPublishes = len(d.track.Publishes)
+	for _, p := range d.track.Publishes {
+		rep := in.reports[in.report(d.tr.Events, p.Referent.Seq)]
 		rep.Occurrences++
 		rep.NeedFlush = true
 		rep.NeedFence = true
@@ -281,28 +349,33 @@ func Check(t *trace.Trace) *Result {
 		rep.PubTid = p.PubTid
 	}
 	res.Reports = in.reports
+	in.reports = nil
 	sort.Slice(res.Reports, func(i, j int) bool {
 		return res.Reports[i].Store.Seq < res.Reports[j].Store.Seq
 	})
-	res.LinesTouched = len(lines)
-	res.Threads = maxTid + 1
+	res.LinesTouched = len(d.lines)
+	res.Threads = d.maxTid + 1
+	d.res = nil
 	return res
 }
 
-// interner gives Check's per-violation work dense integer ids. Reports
-// deduplicate by (store site, call stack): the same static store reached
-// through two different call chains is two bugs — each chain needs its
-// own (possibly hoisted) fix, and the persistent subprogram
+// interner gives the detector's per-violation work dense integer ids.
+// Reports deduplicate by (store site, call stack): the same static store
+// reached through two different call chains is two bugs — each chain
+// needs its own (possibly hoisted) fix, and the persistent subprogram
 // transformation naturally shares clones between them. The site is the
 // stack's innermost frame, so the stack alone is the key. A store event's
 // report id is interned at its first violation, by a hash of its stack;
 // every later violation of the same pending store is a slice index.
 type interner struct {
-	// reportOf / siteOf memoize, per event index, the event's report id
-	// and site id (-1 until first asked).
+	// reportOf memoizes, per event index, a store event's report id (-1
+	// until its first violation). An online run grows it on demand; a
+	// replay sizes it to its trace up front.
 	reportOf []int32
-	siteOf   []int32
-	reports  []*Report
+	// siteOf memoizes the site ids of the few events asked for theirs:
+	// durability points and the flushes of missing-fence stores.
+	siteOf  map[int]int32
+	reports []*Report
 	// byStack maps a stackHash to the reports whose stacks hash to it.
 	byStack map[uint64][]int32
 	siteID  map[SiteKey]int32
@@ -311,23 +384,46 @@ type interner struct {
 	ckptSeen, flushSeen pairSet
 }
 
-func newInterner(events int) *interner {
-	in := &interner{
-		reportOf: make([]int32, events),
-		siteOf:   make([]int32, events),
-		byStack:  make(map[uint64][]int32),
-		siteID:   make(map[SiteKey]int32),
+// reset forgets the last run's ids, keeping every buffer but the reports
+// (the last Result owns them).
+func (in *interner) reset() {
+	fillUnset(in.reportOf)
+	clear(in.siteOf)
+	in.reports = nil
+	clear(in.byStack)
+	clear(in.siteID)
+	in.ckptSeen.reset()
+	in.flushSeen.reset()
+}
+
+// size makes the per-event memo cover exactly n events.
+func (in *interner) size(n int) {
+	in.reportOf = resize(in.reportOf, n)
+}
+
+func fillUnset(ids []int32) {
+	for i := range ids {
+		ids[i] = -1
 	}
-	for i := range in.reportOf {
-		in.reportOf[i] = -1
-		in.siteOf[i] = -1
+}
+
+// resize returns ids with length n, new entries unset.
+func resize(ids []int32, n int) []int32 {
+	if n <= len(ids) {
+		return ids[:n]
 	}
-	return in
+	old := len(ids)
+	ids = slices.Grow(ids, n-old)[:n]
+	fillUnset(ids[old:])
+	return ids
 }
 
 // report returns the id of the report for store event i, creating the
 // report at the first violation of its (site, stack).
 func (in *interner) report(events []*trace.Event, i int) int32 {
+	if i >= len(in.reportOf) {
+		in.reportOf = resize(in.reportOf, max(i+1, 2*len(in.reportOf)))
+	}
 	if id := in.reportOf[i]; id >= 0 {
 		return id
 	}
@@ -373,7 +469,7 @@ func sameStack(a, b []trace.Frame) bool {
 
 // site returns the id of event i's static site.
 func (in *interner) site(events []*trace.Event, i int) int32 {
-	if id := in.siteOf[i]; id >= 0 {
+	if id, ok := in.siteOf[i]; ok {
 		return id
 	}
 	s := events[i].Site()
@@ -389,6 +485,13 @@ func (in *interner) site(events []*trace.Event, i int) int32 {
 
 // pairSet is a dense set of (site id, report id) pairs.
 type pairSet [][]bool
+
+// reset empties the set, keeping its rows.
+func (s pairSet) reset() {
+	for _, row := range s {
+		clear(row)
+	}
+}
 
 // add inserts the pair and reports whether it was absent.
 func (s *pairSet) add(site, report int32) bool {

@@ -130,7 +130,7 @@ func (cs *CrashState) HashCuts(cuts []int) uint64 {
 		cs.Durable.Read(pl.Line, old[:])
 		cur = old
 		for _, st := range pl.Stores[:cut] {
-			copy(cur[st.Addr-pl.Line:], st.Data)
+			copy(cur[st.Addr-pl.Line:], st.Data())
 		}
 		if cur == old {
 			continue // prefix reproduced the durable bytes exactly
@@ -181,7 +181,7 @@ func (b *ImageBuilder) Seek(cuts []int) {
 			have = 0
 		}
 		for _, st := range pl.Stores[have:want] {
-			b.img.Write(st.Addr, st.Data)
+			b.img.Write(st.Addr, st.Data())
 		}
 		b.cuts[i] = want
 	}

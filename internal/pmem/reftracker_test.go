@@ -33,9 +33,10 @@ func (t *refTracker) OnStoreT(seq, tid int, addr uint64, data []byte) *TrackedSt
 		}
 	}
 	st := &TrackedStore{
-		Addr: addr, Data: append([]byte(nil), data...), Seq: seq,
+		Addr: addr, Seq: seq, size: uint8(len(data)),
 		State: StoreDirty, FlushSeq: -1, Tid: tid, FlushTid: -1,
 	}
+	copy(st.data[:], data)
 	t.pending[line] = append(list, st)
 	return st
 }
@@ -109,14 +110,14 @@ func (t *refTracker) OnFenceT(seq, tid int) int {
 
 func (t *refTracker) commit(st *TrackedStore) {
 	st.State = StoreDurable
-	t.durable.Write(st.Addr, st.Data)
+	t.durable.Write(st.Addr, st.Data())
 	t.DurableStores++
-	if len(st.Data) != 8 {
+	if len(st.Data()) != 8 {
 		return
 	}
 	val := uint64(0)
 	for i := 7; i >= 0; i-- {
-		val = val<<8 | uint64(st.Data[i])
+		val = val<<8 | uint64(st.Data()[i])
 	}
 	if !IsPM(val) {
 		return

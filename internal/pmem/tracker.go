@@ -2,7 +2,9 @@ package pmem
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
+	"iter"
 	"slices"
 
 	"hippocrates/internal/arena"
@@ -12,7 +14,7 @@ import (
 // paper's §4.2 definitions: a store is volatile (dirty) until a flush of
 // its cache line is issued, and the flush itself only creates a durability
 // ordering once a subsequent fence executes.
-type StoreState int
+type StoreState uint8
 
 // The durability states.
 const (
@@ -38,24 +40,18 @@ func (s StoreState) String() string {
 }
 
 // TrackedStore is one store to persistent memory that has not yet become
-// durable. Stores never span cache lines in this model (all IR scalars are
-// naturally aligned and at most 8 bytes), which the tracker checks.
+// durable. Stores never span cache lines in this model and carry at most
+// 8 bytes (all IR scalars are naturally aligned and at most 8 bytes wide;
+// the trace parsers reject anything else), which the tracker checks. The
+// payload sits inline in the record, so a store costs one 56-byte arena
+// slot and no separate payload allocation.
 type TrackedStore struct {
 	Addr uint64
-	Data []byte
 	// Seq is the global event sequence number of the store.
 	Seq int
-	// State is the current durability state.
-	State StoreState
 	// FlushSeq is the sequence number of the flush that moved the store
 	// to StoreFlushed, or -1.
 	FlushSeq int
-	// NT marks a non-temporal store (born flushed).
-	NT bool
-	// logIdx is the store's slot in Tracker.log while it is pending, and
-	// -1 once it has left pending (committed or exactly overwritten). It
-	// sits in NT's padding, so records stay 80 bytes.
-	logIdx int32
 	// Tid is the simulated thread that issued the store (0 = main).
 	Tid int
 	// FlushTid is the thread that issued the flush that moved the store
@@ -64,10 +60,27 @@ type TrackedStore struct {
 	// drains the issuing core's flushes, so a fence commits a flushed
 	// store only when FlushTid matches the fencing thread.
 	FlushTid int
+	// logIdx is the store's slot in Tracker.log while it is pending, and
+	// -1 once it has left pending (committed or exactly overwritten).
+	logIdx int32
+	// data[:size] is the payload; it never changes after the store.
+	data [8]byte
+	size uint8
+	// State is the current durability state.
+	State StoreState
+	// NT marks a non-temporal store (born flushed).
+	NT bool
+	// pub marks an 8-byte store of a PM address: publish detection
+	// follows it once the store is durable.
+	pub bool
 }
 
+// Data returns the store's payload. The slice aliases the record and must
+// not be modified.
+func (s *TrackedStore) Data() []byte { return s.data[:s.size] }
+
 // Size returns the store width in bytes.
-func (s *TrackedStore) Size() int { return len(s.Data) }
+func (s *TrackedStore) Size() int { return int(s.size) }
 
 // Line returns the base address of the cache line holding the store.
 func (s *TrackedStore) Line() uint64 { return LineOf(s.Addr) }
@@ -186,15 +199,13 @@ type Tracker struct {
 	// missing-flush — a flush-only fix would park the line forever.
 	lastFence []int
 
-	// stores and payloads back TrackedStore records and their payload
-	// copies in chunks, so the per-store cost on the interpreter hot path
-	// is two bump allocations instead of two heap allocations. Chunks
-	// grow from 16 to 256 records and from 128 bytes to 4 KiB, so the
-	// many short runs of crash validation and exploration do not each
-	// pay for a full chunk. Pointers stay valid for the tracker's
-	// lifetime.
-	stores   arena.Chunks[TrackedStore]
-	payloads arena.Chunks[byte]
+	// stores backs TrackedStore records (payload inline) in chunks, so
+	// the per-store cost on the interpreter hot path is one bump
+	// allocation instead of a heap allocation. Chunks grow from 16 to 256
+	// records, so the many short runs of crash validation and
+	// exploration do not each pay for a full chunk. Pointers stay valid
+	// for the tracker's lifetime: Reset hands out only fresh slots.
+	stores arena.Chunks[TrackedStore]
 	// commitScratch and violations are reused across fences and
 	// checkpoints, so neither allocates in steady state.
 	commitScratch []*TrackedStore
@@ -211,7 +222,8 @@ type Tracker struct {
 }
 
 // durableWrite is one queued write to the durable image. data is the
-// store's arena copy (or the caller's seed), never modified afterwards.
+// store record's payload (or the caller's seed), never modified
+// afterwards.
 type durableWrite struct {
 	addr uint64
 	data []byte
@@ -235,8 +247,42 @@ func NewTracker() *Tracker {
 		durable:  NewMemory(),
 		durableQ: make([]durableWrite, 0, durableQueueLen),
 		stores:   arena.New[TrackedStore](16, 256),
-		payloads: arena.New[byte](128, 4096),
 	}
+}
+
+// Reset empties the tracker for a new run, keeping what it allocated for
+// the last one: line records, log, fence queues, map buckets and scratch.
+// Store records are never recycled (a crash state or violation captured
+// before the reset may still point at them); new stores take fresh slots
+// of the current arena chunk. A durable image that was snapshotted is
+// replaced, since snapshots share its pages.
+func (t *Tracker) Reset() {
+	for line, pl := range t.lines {
+		delete(t.lines, line)
+		t.releaseLine(pl)
+	}
+	clear(t.log)
+	t.log = t.log[:0]
+	t.nPending = 0
+	for i, q := range t.flushed {
+		clear(q)
+		t.flushed[i] = q[:0]
+	}
+	if t.writeThrough || len(t.durable.chunks) > 0 {
+		t.durable = NewMemory()
+	}
+	clear(t.durableQ)
+	t.durableQ = t.durableQ[:0]
+	t.writeThrough = false
+	t.lastFence = t.lastFence[:0]
+	clear(t.violations)
+	t.violations = t.violations[:0]
+	t.RedundantFlushes = t.RedundantFlushes[:0]
+	t.RedundantFences = 0
+	t.DurableStores = 0
+	t.TotalStores = 0
+	clear(t.Publishes)
+	t.Publishes = t.Publishes[:0]
 }
 
 // writeDurable makes data at addr part of the durable image, queueing the
@@ -346,8 +392,19 @@ func (t *Tracker) OnStore(seq int, addr uint64, data []byte) *TrackedStore {
 
 // OnStoreT is OnStore with an explicit issuing thread.
 func (t *Tracker) OnStoreT(seq, tid int, addr uint64, data []byte) *TrackedStore {
-	if LineOf(addr) != LineOf(addr+uint64(len(data))-1) {
-		panic(fmt.Sprintf("pmem: store at %#x size %d spans cache lines", addr, len(data)))
+	return t.Store(seq, tid, addr, data, false, true)
+}
+
+// Store records a store of data (1 to 8 bytes, within one cache line) at
+// addr by thread tid; nt makes it a non-temporal store. pub says whether
+// publish detection follows the stored value once the store is durable
+// (it does only for an 8-byte store of a PM address): OnStoreT and
+// OnNTStoreT always let it, and a detector fed from a trace lets it only
+// where the trace recorded the value (trace.Event.Val), so a replay and
+// the run that recorded the trace agree.
+func (t *Tracker) Store(seq, tid int, addr uint64, data []byte, nt, pub bool) *TrackedStore {
+	if len(data) == 0 || len(data) > 8 || LineOf(addr) != LineOf(addr+uint64(len(data))-1) {
+		panic(fmt.Sprintf("pmem: store at %#x size %d is not 1-8 bytes within one cache line", addr, len(data)))
 	}
 	t.TotalStores++
 	pl := t.lineFor(LineOf(addr))
@@ -361,18 +418,25 @@ func (t *Tracker) OnStoreT(seq, tid int, addr uint64, data []byte) *TrackedStore
 			break
 		}
 	}
-	payload := t.payloads.Take(len(data))
-	copy(payload, data)
 	st := &t.stores.Take(1)[0]
 	*st = TrackedStore{
 		Addr:     addr,
-		Data:     payload,
 		Seq:      seq,
 		State:    StoreDirty,
 		FlushSeq: -1,
 		Tid:      tid,
 		FlushTid: -1,
 		logIdx:   int32(len(t.log)),
+		size:     uint8(len(data)),
+		pub:      pub && len(data) == 8,
+	}
+	copy(st.data[:], data)
+	if nt {
+		st.State = StoreFlushed
+		st.FlushSeq = seq
+		st.FlushTid = tid
+		st.NT = true
+		t.enqueueFlushed(tid, st)
 	}
 	t.log = append(t.log, st)
 	pl.stores = append(pl.stores, st)
@@ -391,13 +455,7 @@ func (t *Tracker) OnNTStore(seq int, addr uint64, data []byte) *TrackedStore {
 
 // OnNTStoreT is OnNTStore with an explicit issuing thread.
 func (t *Tracker) OnNTStoreT(seq, tid int, addr uint64, data []byte) *TrackedStore {
-	st := t.OnStoreT(seq, tid, addr, data)
-	st.State = StoreFlushed
-	st.FlushSeq = seq
-	st.FlushTid = tid
-	st.NT = true
-	t.enqueueFlushed(tid, st)
-	return st
+	return t.Store(seq, tid, addr, data, true, true)
 }
 
 // OnFlush records a cache-line flush by thread 0 of the line containing
@@ -521,7 +579,7 @@ func (t *Tracker) OnFenceT(seq, tid int) int {
 
 func (t *Tracker) commit(st *TrackedStore) {
 	st.State = StoreDurable
-	t.writeDurable(st.Addr, st.Data)
+	t.writeDurable(st.Addr, st.Data())
 	t.DurableStores++
 	t.checkPublish(st)
 }
@@ -531,13 +589,10 @@ func (t *Tracker) commit(st *TrackedStore) {
 // line still has pending stores from other threads, the publish made
 // data reachable that a crash can lose.
 func (t *Tracker) checkPublish(st *TrackedStore) {
-	if len(st.Data) != 8 {
+	if !st.pub {
 		return
 	}
-	val := uint64(0)
-	for i := 7; i >= 0; i-- {
-		val = val<<8 | uint64(st.Data[i])
-	}
+	val := binary.LittleEndian.Uint64(st.data[:])
 	if !IsPM(val) {
 		return
 	}
@@ -569,23 +624,36 @@ func (t *Tracker) lastFenceOf(tid int) int {
 // belongs to the tracker and is overwritten by the next OnCheckpoint.
 func (t *Tracker) OnCheckpoint(seq int) []Violation {
 	out := t.violations[:0]
-	for _, st := range t.log {
-		if st == nil {
-			continue
-		}
-		v := Violation{Store: st, CheckpointSeq: seq}
-		switch {
-		case st.State == StoreFlushed:
-			v.Class = MissingFence
-		case t.lastFenceOf(st.Tid) > st.Seq:
-			v.Class = MissingFlush
-		default:
-			v.Class = MissingFlushFence
-		}
+	for v := range t.Violations(seq) {
 		out = append(out, v)
 	}
 	t.violations = out
 	return out
+}
+
+// Violations yields the violations OnCheckpoint(seq) returns, in the same
+// order, without collecting them. The tracker must not be fed events
+// while the sequence is iterated.
+func (t *Tracker) Violations(seq int) iter.Seq[Violation] {
+	return func(yield func(Violation) bool) {
+		for _, st := range t.log {
+			if st == nil {
+				continue
+			}
+			v := Violation{Store: st, CheckpointSeq: seq}
+			switch {
+			case st.State == StoreFlushed:
+				v.Class = MissingFence
+			case t.lastFenceOf(st.Tid) > st.Seq:
+				v.Class = MissingFlush
+			default:
+				v.Class = MissingFlushFence
+			}
+			if !yield(v) {
+				return
+			}
+		}
+	}
 }
 
 // NumPending returns the count of non-durable stores.
@@ -614,7 +682,7 @@ func (t *Tracker) CrashImage(keep func(*TrackedStore) bool) *Memory {
 	img := t.durable.Clone()
 	for _, st := range t.log {
 		if st != nil && keep(st) {
-			img.Write(st.Addr, st.Data)
+			img.Write(st.Addr, st.Data())
 		}
 	}
 	return img
@@ -674,7 +742,7 @@ func (t *Tracker) CrashImagePrefix(cuts []int) *Memory {
 			cut = len(pl.Stores)
 		}
 		for _, st := range pl.Stores[:cut] {
-			img.Write(st.Addr, st.Data)
+			img.Write(st.Addr, st.Data())
 		}
 	}
 	return img

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // diffLines is the small line set the differential streams hit, so exact
@@ -262,5 +263,73 @@ func TestFenceAllocFree(t *testing.T) {
 	}
 	if total != 0 {
 		t.Errorf("%d fences committing %d stores allocated %d times, want 0", rounds, k, total)
+	}
+}
+
+// TestTrackedStoreSize pins the store record at 56 bytes: the payload
+// sits inline and the narrow fields share one word, so a long traced run
+// pays 56 bytes per pending store and no payload allocation.
+func TestTrackedStoreSize(t *testing.T) {
+	if n := unsafe.Sizeof(TrackedStore{}); n > 56 {
+		t.Errorf("TrackedStore is %d bytes, want <= 56", n)
+	}
+}
+
+// TestTrackerResetMatchesFresh: a tracker reset after a run behaves as a
+// new one on the next, and the records it handed out before the reset
+// keep their contents.
+func TestTrackerResetMatchesFresh(t *testing.T) {
+	reused := NewTracker()
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		fresh := NewTracker()
+		var kept []*TrackedStore
+		var keptData [][]byte
+		for seq := 0; seq < 200; seq++ {
+			tid := rng.Intn(3)
+			switch r := rng.Intn(10); {
+			case r == 0:
+				if g, w := reused.OnFenceT(seq, tid), fresh.OnFenceT(seq, tid); g != w {
+					t.Fatalf("seed %d seq %d: fence drained %d, want %d", seed, seq, g, w)
+				}
+			case r < 3:
+				addr := PMBase + uint64(1+rng.Intn(diffLines))*LineSize
+				if g, w := reused.OnFlushT(seq, tid, r == 1, addr), fresh.OnFlushT(seq, tid, r == 1, addr); g != w {
+					t.Fatalf("seed %d seq %d: flush moved %d, want %d", seed, seq, g, w)
+				}
+			case r == 3:
+				if g, w := violationView(reused.OnCheckpoint(seq)), violationView(fresh.OnCheckpoint(seq)); !reflect.DeepEqual(g, w) {
+					t.Fatalf("seed %d seq %d: violations %v, want %v", seed, seq, g, w)
+				}
+			default:
+				addr, data := randStore(rng)
+				st := reused.OnStoreT(seq, tid, addr, data)
+				fresh.OnStoreT(seq, tid, addr, data)
+				kept = append(kept, st)
+				keptData = append(keptData, data)
+			}
+		}
+		if g, w := linesView(reused.PendingLines()), linesView(fresh.PendingLines()); !reflect.DeepEqual(g, w) {
+			t.Fatalf("seed %d: pending lines %v, want %v", seed, g, w)
+		}
+		if g, w := publishView(reused.Publishes), publishView(fresh.Publishes); !slices.Equal(g, w) {
+			t.Fatalf("seed %d: publishes %v, want %v", seed, g, w)
+		}
+		if reused.RedundantFences != fresh.RedundantFences || !slices.Equal(reused.RedundantFlushes, fresh.RedundantFlushes) ||
+			reused.DurableStores != fresh.DurableStores || reused.TotalStores != fresh.TotalStores {
+			t.Fatalf("seed %d: counters differ from a fresh tracker", seed)
+		}
+		var got, want [(diffLines + 2) * LineSize]byte
+		reused.DurableImage().Read(PMBase, got[:])
+		fresh.DurableImage().Read(PMBase, want[:])
+		if got != want {
+			t.Fatalf("seed %d: durable images differ", seed)
+		}
+		reused.Reset()
+		for i, st := range kept {
+			if !slices.Equal(st.Data(), keptData[i]) {
+				t.Fatalf("seed %d: record %d changed after Reset", seed, i)
+			}
+		}
 	}
 }

@@ -183,9 +183,10 @@ func runTraced(t *testing.T, tc target, choices []int, noTrack bool) (ret uint64
 	return ret, errText, tr.String(), pmcheck.Check(tr).Summary()
 }
 
-// TestUntrackedRunsRecordSameTrace: an explored run is untracked, so
-// every explored schedule must record the same trace, return value and
-// detector report with and without the online tracker.
+// TestUntrackedRunsRecordSameTrace: tracking must not change a run
+// (crash-validation recovery boots run untracked), so every explored
+// schedule must record the same trace, return value and detector report
+// with and without the online tracker.
 func TestUntrackedRunsRecordSameTrace(t *testing.T) {
 	for _, tc := range exploreTargets() {
 		res, err := schedule.Explore(tc.mod, tc.entry, nil, schedule.Options{})

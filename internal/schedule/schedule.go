@@ -61,11 +61,10 @@ type Options struct {
 	// soundness: both modes must produce the same verdict set.
 	NoPOR bool
 	// Interp is the per-run interpreter option template. Trace, Schedule,
-	// NoTrack and Stacks are overwritten for every run; everything else
-	// (step limit, deadline, cost model) passes through. Explored runs are
-	// always untracked: the detector replays each run's trace with its
-	// own durability tracker, and no exploration result reads what an
-	// online tracker would add (the simulated clock).
+	// Detector, NoTrack and Stacks are overwritten for every run;
+	// everything else (step limit, deadline, cost model) passes through.
+	// Every explored run detects online with the call's one detector,
+	// reset between runs, so its tracker is the only one the run has.
 	Interp interp.Options
 	// Obs, when non-nil, receives schedule.explored / schedule.pruned /
 	// schedule.truncated counters.
@@ -190,6 +189,11 @@ func Explore(mod *ir.Module, entry string, args []uint64, opts Options) (*Result
 	// never share one.
 	tmpl := opts.Interp
 	tmpl.Stacks = interp.NewStackTable()
+	// Likewise one detector serves every run: each interp.New resets it,
+	// keeping its tracker's and interner's buffers, and the results it
+	// returned stay the runs' own.
+	tmpl.Detector = pmcheck.NewDetector()
+	tmpl.NoTrack = false
 	// The frontier is a FIFO queue advanced by index; its first entry
 	// (no parent) is the round-robin run.
 	frontier := []branch{{}}
@@ -250,14 +254,17 @@ func (b branch) prefix(buf []int) []int {
 	return append(append(buf, b.parent.Choices[:b.at]...), b.alt)
 }
 
-// runOne executes a single interleaving from a choice prefix, untracked
-// (see Options.Interp). The machine does not keep prefix past the run.
+// runOne executes a single interleaving from a choice prefix, detecting
+// online with tmpl's detector (a fresh one if tmpl has none; see
+// Options.Interp). The machine does not keep prefix past the run.
 func runOne(mod *ir.Module, entry string, args []uint64, prefix []int, tmpl *interp.Options) (*Run, error) {
 	io := *tmpl
+	if io.Detector == nil {
+		io.Detector = pmcheck.NewDetector()
+	}
 	tr := &trace.Trace{Program: mod.Name}
 	io.Trace = tr
 	io.Schedule = prefix
-	io.NoTrack = true
 	m, err := interp.New(mod, io)
 	if err != nil {
 		return nil, err
@@ -279,7 +286,7 @@ func runOne(mod *ir.Module, entry string, args []uint64, prefix []int, tmpl *int
 		r.Err = rerr
 	} else {
 		r.Ret = ret
-		r.Check = pmcheck.Check(tr)
+		r.Check = io.Detector.Result()
 	}
 	return r, nil
 }

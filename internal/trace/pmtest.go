@@ -51,6 +51,9 @@ func ParsePMTest(r io.Reader) (*Trace, error) {
 			continue
 		}
 		e, err := parsePMTestLine(line)
+		if err == nil {
+			err = e.validate()
+		}
 		if err != nil {
 			return nil, fmt.Errorf("pmtest: line %d: %w", ln, err)
 		}

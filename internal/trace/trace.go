@@ -16,6 +16,7 @@ import (
 	"strings"
 
 	"hippocrates/internal/ir"
+	"hippocrates/internal/pmem"
 )
 
 // Kind is the event type.
@@ -215,6 +216,9 @@ func Parse(r io.Reader) (*Trace, error) {
 			continue
 		}
 		e, err := parseEvent(line)
+		if err == nil {
+			err = e.validate()
+		}
 		if err != nil {
 			return nil, fmt.Errorf("trace: line %d: %w", ln, err)
 		}
@@ -224,6 +228,26 @@ func Parse(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("trace: %w", err)
 	}
 	return t, nil
+}
+
+// validate rejects a parsed event the durability model cannot replay: a
+// store or NT store is 1 to 8 bytes wide and stays within one cache line,
+// as every store the interpreter records does, and a thread id is not
+// negative.
+func (e *Event) validate() error {
+	if e.Tid < 0 {
+		return fmt.Errorf("negative thread id %d", e.Tid)
+	}
+	if e.Kind != KindStore && e.Kind != KindNTStore {
+		return nil
+	}
+	if e.Size < 1 || e.Size > 8 {
+		return fmt.Errorf("store size %d outside 1..8", e.Size)
+	}
+	if pmem.LineOf(e.Addr) != pmem.LineOf(e.Addr+uint64(e.Size)-1) {
+		return fmt.Errorf("store at 0x%x size %d crosses a %d-byte cache line", e.Addr, e.Size, pmem.LineSize)
+	}
+	return nil
 }
 
 // ParseString parses a serialized trace from a string.

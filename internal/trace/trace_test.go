@@ -162,3 +162,65 @@ func TestKindCountsAllocFree(t *testing.T) {
 		t.Fatal("sample trace lost its store events")
 	}
 }
+
+// TestParsersRejectUnreplayableStores: a store the durability model
+// cannot hold — no bytes, a negative or above-8 width, or bytes on two
+// cache lines — and a negative thread id are parse errors naming the
+// line, in both dialects, so a replayed trace never reaches the detector
+// malformed.
+func TestParsersRejectUnreplayableStores(t *testing.T) {
+	cases := []struct {
+		name, native, pmtest, want string
+	}{
+		{"zero size",
+			"#1 store addr=0x100000000040 size=0",
+			"STORE 0x100000000040 0",
+			"store size 0 outside 1..8"},
+		{"missing size",
+			"#1 store addr=0x100000000040",
+			"NTSTORE 0x100000000040 0",
+			"store size 0 outside 1..8"},
+		{"negative size",
+			"#1 ntstore addr=0x100000000040 size=-3",
+			"STORE 0x100000000040 -3",
+			"store size -3 outside 1..8"},
+		{"wider than 8",
+			"#1 store addr=0x100000000040 size=16",
+			"NTSTORE 0x100000000040 16",
+			"store size 16 outside 1..8"},
+		{"crosses a line",
+			"#1 store addr=0x10000000007c size=8",
+			"STORE 0x10000000007c 8",
+			"store at 0x10000000007c size 8 crosses a 64-byte cache line"},
+		{"wraps the address space",
+			"#1 store addr=0xffffffffffffffff size=2",
+			"STORE 0xffffffffffffffff 2",
+			"store at 0xffffffffffffffff size 2 crosses a 64-byte cache line"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := ParseString("pmtrace x\n#0 fence sfence\n" + c.native + "\n")
+			if err == nil || !strings.Contains(err.Error(), "line 3: "+c.want) {
+				t.Errorf("native: err = %v, want line 3: %s", err, c.want)
+			}
+			_, err = ParsePMTestString("PMTest v1 x\nFENCE sfence\n" + c.pmtest + "\n")
+			if err == nil || !strings.Contains(err.Error(), "line 3: "+c.want) {
+				t.Errorf("pmtest: err = %v, want line 3: %s", err, c.want)
+			}
+		})
+	}
+	for _, tid := range []string{"store addr=0x100000000040 size=8", "flush clwb addr=0x100000000040", "fence sfence", "checkpoint"} {
+		if _, err := ParseString("pmtrace x\n#0 " + tid + " tid=-1\n"); err == nil || !strings.Contains(err.Error(), "line 2: negative thread id") {
+			t.Errorf("native %q with tid=-1: err = %v", tid, err)
+		}
+	}
+	// The boundaries stay accepted: 1 and 8 bytes, a store ending on the
+	// line's last byte.
+	ok := "pmtrace x\n#0 store addr=0x100000000040 size=1\n#1 store addr=0x100000000078 size=8\n#2 ntstore addr=0x10000000007e size=2 tid=1\n"
+	if _, err := ParseString(ok); err != nil {
+		t.Errorf("native boundary stores rejected: %v", err)
+	}
+	if _, err := ParsePMTestString("PMTest v1 x\nSTORE 0x100000000040 1\nNTSTORE 0x100000000078 8\n"); err != nil {
+		t.Errorf("pmtest boundary stores rejected: %v", err)
+	}
+}
