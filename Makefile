@@ -36,8 +36,10 @@ metrics-smoke:
 # cli.Request.Validate rejects is a usage error (exit 2) in each of
 # hippocrates, pmcheck and pmvm, a clean run exits 0 and a buggy one 1.
 # A replayed trace holding a store the durability model cannot hold
-# (testdata/bad_store.trace crosses a cache line) is an input error, exit
-# 1; a panic would exit 2. It also drives pmcheck's in-memory shadow repair with every telemetry
+# (testdata/bad_store.trace crosses a cache line) or a thread id no
+# machine can run (testdata/huge_tid.trace, which would size the
+# tracker's per-thread state) is an input error, exit 1; a panic would
+# exit 2. It also drives pmcheck's in-memory shadow repair with every telemetry
 # flag on and requires its span tree to hold plan, apply and revalidate.
 usage-smoke:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
@@ -52,6 +54,8 @@ usage-smoke:
 	want_exit 0 pmcheck $$dir/fixed.pmir && \
 	want_exit 1 pmcheck testdata/metrics_smoke.pmc && \
 	want_exit 1 hippocrates -trace testdata/bad_store.trace testdata/metrics_smoke.pmc && \
+	want_exit 1 hippocrates -trace testdata/huge_tid.trace testdata/metrics_smoke.pmc && \
+	want_exit 1 pmcheck -replay testdata/huge_tid.trace && \
 	want_exit 1 pmcheck -metrics $$dir/metrics.json -spans $$dir/spans.json -audit testdata/metrics_smoke.pmc && \
 	for span in plan apply revalidate; do \
 		grep -q "\"name\": \"$$span\"" $$dir/spans.json || \

@@ -212,25 +212,63 @@ int fib(int n) {
 int main() { return fib(18); }
 `
 
-// BenchmarkInterpreter measures raw simulated execution speed.
+// redisCommands is hippobench long-trace's redis command loop: a seeded
+// LCG picks keys and arguments, the opcode walks all eight commands in
+// turn, and a durability point follows every command.
+const redisCommands = `
+int bench_drive(int seed, int n) {
+	int s = seed;
+	int acc = 0;
+	for (int i = 0; i < n; i++) {
+		s = (s * 1103515245 + 12345) % 2147483648;
+		int op = 1 + i % 8;
+		int key = (s / 256) % 48;
+		int arg = s % 1000;
+		if (op == 4) { arg = arg % 16; }
+		int r = cmd_exec(op, key, arg);
+		acc = (acc * 31 + r + 7) % 1000000007;
+		pm_checkpoint();
+	}
+	return acc;
+}
+`
+
+// BenchmarkInterpreter measures raw simulated execution speed in IR
+// instructions per second: fib is calls and arithmetic and touches no
+// memory; redis-flushfree runs long-trace's redis command loop (seed 3, 200
+// commands) untracked (NoTrack), so its loads and stores measure the
+// interpreter and its page map without the durability tracker.
 func BenchmarkInterpreter(b *testing.B) {
-	m, err := lang.Compile("fib.pmc", fibSrc)
-	if err != nil {
-		b.Fatal(err)
+	cases := []struct {
+		name, file, src, entry string
+		args                   []uint64
+		opts                   interp.Options
+	}{
+		{"fib", "fib.pmc", fibSrc, "main", nil, interp.Options{}},
+		{"redis-flushfree", "redis-flushfree.pmc", corpus.ByName("redis-flushfree").Source() + redisCommands,
+			"bench_drive", []uint64{3, 200}, interp.Options{NoTrack: true}},
 	}
-	var steps int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mach, err := interp.New(m, interp.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := mach.Run("main"); err != nil {
-			b.Fatal(err)
-		}
-		steps = mach.Steps()
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			m, err := lang.Compile(c.file, c.src)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var steps int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				mach, err := interp.New(m, c.opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := mach.Run(c.entry, c.args...); err != nil {
+					b.Fatal(err)
+				}
+				steps = mach.Steps()
+			}
+			b.ReportMetric(float64(steps)*float64(b.N)/b.Elapsed().Seconds(), "instrs/s")
+		})
 	}
-	b.ReportMetric(float64(steps)*float64(b.N)/b.Elapsed().Seconds(), "instrs/s")
 }
 
 // BenchmarkTracedRun measures one traced, tracked run of a corpus

@@ -409,3 +409,37 @@ func TestSharedCacheAcrossRuns(t *testing.T) {
 		t.Error("Reset did not invalidate the cache")
 	}
 }
+
+// TestWorkersDecodeOneModule: the crash-point workers boot recovery
+// machines on one shared clean module, so its recovery entries are
+// decoded by whichever worker calls them first, concurrently (run under
+// -race). The report equals a one-worker validation of a fresh compile,
+// and a second validation reuses the decoded forms the first published.
+func TestWorkersDecodeOneModule(t *testing.T) {
+	opts := crashsim.Options{Workers: 4, NoDedup: true}
+	mod := lang.MustCompile("publish.pmc", srcPublish)
+	rep, err := crashsim.Validate(mod, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := mod.Func("invariant_check")
+	decoded := check.Decoded()
+	if decoded == nil {
+		t.Fatal("the workers left @invariant_check undecoded")
+	}
+	one := opts
+	one.Workers = 1
+	ref, err := crashsim.Validate(lang.MustCompile("publish.pmc", srcPublish), one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rep, ref) {
+		t.Fatalf("4 workers report %+v, 1 worker %+v", rep, ref)
+	}
+	if _, err := crashsim.Validate(mod, opts); err != nil {
+		t.Fatal(err)
+	}
+	if check.Decoded() != decoded {
+		t.Fatal("a second validation of the unchanged module decoded @invariant_check again")
+	}
+}

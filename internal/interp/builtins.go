@@ -35,27 +35,24 @@ import (
 // instruction as their innermost frame (there is no IR body to point
 // into); corpus code that wants fixable per-store events uses the
 // pmc-level copy loops from the mini-libpmem instead.
-var stdBuiltins map[string]builtin
-
-// The table is filled in init rather than by a map literal: the handlers
-// reach exec, which reads the table, so a literal would be an
-// initialization cycle. It is never written afterwards, so every machine
-// shares it.
-func init() {
-	stdBuiltins = map[string]builtin{
-		"pm_alloc":      biPMAlloc,
-		"pm_root":       biPMRoot,
-		"malloc":        biMalloc,
-		"free":          func(*Machine, []uint64) (uint64, error) { return 0, nil },
-		"memcpy":        biMemcpy,
-		"memset":        biMemset,
-		"flush_range":   biFlushRange,
-		"pm_checkpoint": biCheckpoint,
-		"pm_assert":     biPMAssert,
-		"print_int":     biPrintInt,
-		"print_str":     biPrintStr,
-		"abort_msg":     biAbort,
-	}
+//
+// The table is never written, so every machine shares it; decoding
+// resolves each call site's handler from it once. A handler reads its
+// arguments before anything that may yield to another thread: they sit
+// on the machine's argument stack, which the next thread may reuse.
+var stdBuiltins = map[string]builtin{
+	"pm_alloc":      biPMAlloc,
+	"pm_root":       biPMRoot,
+	"malloc":        biMalloc,
+	"free":          func(*Machine, []uint64) (uint64, error) { return 0, nil },
+	"memcpy":        biMemcpy,
+	"memset":        biMemset,
+	"flush_range":   biFlushRange,
+	"pm_checkpoint": biCheckpoint,
+	"pm_assert":     biPMAssert,
+	"print_int":     biPrintInt,
+	"print_str":     biPrintStr,
+	"abort_msg":     biAbort,
 }
 
 // StdDecls returns fresh declarations for the standard externals, for

@@ -8,8 +8,10 @@
 package interp
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"hippocrates/internal/arena"
@@ -164,14 +166,19 @@ type Machine struct {
 	opts Options
 	cost *pmem.CostModel
 
-	globalAddr map[string]uint64
-	heapNext   uint64
-	pmNext     uint64
-	rootAddr   uint64
-	rootSize   uint64
+	// globals holds the address of every module global, by its index
+	// in Mod.Globals; decoded code names globals by that index.
+	globals  []uint64
+	heapNext uint64
+	pmNext   uint64
+	rootAddr uint64
+	rootSize uint64
 
 	frames    []*frame
 	framePool []*frame
+	// argStack carries call arguments from a caller's registers to the
+	// callee, so a call allocates nothing.
+	argStack []uint64
 	// mt is the scheduler state, allocated lazily on first spawn;
 	// single-threaded runs keep it nil and skip every scheduling branch.
 	mt *mtState
@@ -181,10 +188,13 @@ type Machine struct {
 	stackLimit uint64
 	// threadEv counts PM event boundaries per thread and kind, feeding
 	// the per-thread observability counters.
-	threadEv    [][numPMEventKinds]int64
-	seq         int
-	steps       int64
-	max         int64
+	threadEv [][numPMEventKinds]int64
+	seq      int
+	steps    int64
+	max      int64
+	// checkAt is the step count at which checkLimits next runs: the
+	// dispatch loop pays one comparison per step for both limits.
+	checkAt     int64
 	deadline    time.Time
 	hasDeadline bool
 	checkpoints int
@@ -213,6 +223,11 @@ type Machine struct {
 	// privateStacks makes emit copy the stack per event instead of
 	// interning it: the pre-table behaviour, kept as the tests' oracle.
 	privateStacks bool
+	// dec holds the decoder's buffers, made on the machine's first decode.
+	dec *decoder
+	// walk, set only by the package's tests, runs each thread's entry
+	// function on the tree-walking reference interpreter instead.
+	walk func(fn *ir.Func, args []uint64) (uint64, error)
 
 	// ops counts executed instructions per opcode. A dense array indexed
 	// by ir.Op keeps the dispatch-loop cost to one increment; RecordObs
@@ -221,11 +236,16 @@ type Machine struct {
 }
 
 type frame struct {
-	fn *ir.Func
+	fn   *ir.Func
+	code *code // fn's decoded body (nil on the reference interpreter)
 	// regs is the dense register file: parameters first, then
-	// result-producing instructions, indexed by ir's Renumber slots.
+	// result-producing instructions, indexed by ir's Renumber slots,
+	// then the decoded body's global addresses and constants.
 	regs []uint64
-	cur  *ir.Instr // instruction being executed (for stack traces)
+	// cur is the active instruction, for stack traces. The dispatch loop
+	// sets it only before what may read it: faults, events, yields and
+	// calls.
+	cur *ir.Instr
 	// outer is the interned stack of the frame's callers, valid once
 	// outerSet; internStack fills it on the first event recorded at or
 	// below this frame.
@@ -240,9 +260,10 @@ type frame struct {
 
 func (f *frame) stackLow() uint64 { return f.stackTop - f.stackUsed }
 
-// getFrame recycles call frames: register slots need no clearing because
-// well-formed IR defines every value before its first use.
-func (m *Machine) getFrame(fn *ir.Func) *frame {
+// getFrame recycles call frames, sized for n registers: register slots
+// need no clearing because well-formed IR defines every value before its
+// first use.
+func (m *Machine) getFrame(fn *ir.Func, n int) *frame {
 	var f *frame
 	if n := len(m.framePool); n > 0 {
 		f = m.framePool[n-1]
@@ -251,15 +272,16 @@ func (m *Machine) getFrame(fn *ir.Func) *frame {
 		f = &frame{}
 	}
 	f.fn = fn
+	f.code = nil
 	f.cur = nil
 	f.outer = nil
 	f.outerSet = false
 	f.stackTop = 0
 	f.stackUsed = 0
-	if cap(f.regs) >= fn.NumSlots() {
-		f.regs = f.regs[:fn.NumSlots()]
+	if cap(f.regs) >= n {
+		f.regs = f.regs[:n]
 	} else {
-		f.regs = make([]uint64, fn.NumSlots())
+		f.regs = make([]uint64, n)
 	}
 	return f
 }
@@ -285,7 +307,7 @@ func New(mod *ir.Module, opts Options) (*Machine, error) {
 		Mod:        mod,
 		opts:       opts,
 		cost:       opts.Cost,
-		globalAddr: make(map[string]uint64),
+		globals:    make([]uint64, len(mod.Globals)),
 		heapNext:   pmem.HeapBase,
 		max:        opts.StepLimit,
 		deadline:   opts.Deadline,
@@ -315,6 +337,7 @@ func New(mod *ir.Module, opts Options) (*Machine, error) {
 	if m.max == 0 {
 		m.max = 100_000_000
 	}
+	m.checkAt = m.nextCheck()
 	if opts.Memory != nil {
 		m.Mem = opts.Memory
 	} else {
@@ -335,7 +358,7 @@ func New(mod *ir.Module, opts Options) (*Machine, error) {
 	// from PMBase (after one reserved allocator-metadata line).
 	volNext := uint64(pmem.GlobalBase)
 	pmNext := uint64(pmem.PMBase) + pmem.LineSize
-	for _, g := range mod.Globals {
+	for gi, g := range mod.Globals {
 		size := uint64(g.Elem.Size())
 		align := uint64(g.Elem.Align())
 		if g.PM && align < pmem.LineSize {
@@ -353,7 +376,7 @@ func New(mod *ir.Module, opts Options) (*Machine, error) {
 			addr = volNext
 			volNext += size
 		}
-		m.globalAddr[g.Name] = addr
+		m.globals[gi] = addr
 		if g.PM {
 			// Announce the persistent region to the trace (bug finders
 			// know registered pools; Trace-AA consumes these events).
@@ -398,11 +421,22 @@ func alignUp(n, a uint64) uint64 {
 
 // GlobalAddr returns the simulated address of a global.
 func (m *Machine) GlobalAddr(name string) uint64 {
-	a, ok := m.globalAddr[name]
+	a, ok := m.globalAddrOf(name)
 	if !ok {
 		panic("interp: unknown global @" + name)
 	}
 	return a
+}
+
+// globalAddrOf returns the address of the global named name, laid out
+// by New.
+func (m *Machine) globalAddrOf(name string) (uint64, bool) {
+	for i, g := range m.Mod.Globals[:len(m.globals)] {
+		if g.Name == name {
+			return m.globals[i], true
+		}
+	}
+	return 0, false
 }
 
 // Run executes the named entry function with integer/pointer arguments and
@@ -455,6 +489,14 @@ func (m *Machine) runMain(fn *ir.Func, args []uint64) (ret uint64, err error) {
 			ret, err = 0, m.mt.err
 		}
 	}()
+	return m.enter(fn, args)
+}
+
+// enter runs a thread's entry function.
+func (m *Machine) enter(fn *ir.Func, args []uint64) (uint64, error) {
+	if m.walk != nil {
+		return m.walk(fn, args)
+	}
 	return m.call(fn, args)
 }
 
@@ -609,201 +651,327 @@ func (m *Machine) PMEvents() int { return len(m.pmEventLog) }
 // machine's own log; callers must not mutate it.
 func (m *Machine) PMEventLog() []PMEventKind { return m.pmEventLog }
 
+// call runs fn on args in a new frame of the running thread.
 func (m *Machine) call(fn *ir.Func, args []uint64) (uint64, error) {
 	if len(m.frames) >= 10_000 {
 		return 0, m.fault("stack overflow calling @%s", fn.Name)
 	}
-	f := m.getFrame(fn)
+	c := m.codeOf(fn)
+	f := m.pushFrame(fn, c.nregs)
+	f.code = c
+	regs := f.regs
+	copy(regs, args)
+	g := regs[c.nslots : c.nslots+len(c.globals)]
+	for i, gi := range c.globals {
+		g[i] = m.globals[gi]
+	}
+	copy(regs[c.nslots+len(c.globals):], c.consts)
+	m.Clock.Advance(m.cost.Call)
+	ret, err := m.run(f)
+	m.popFrame(f)
+	return ret, err
+}
+
+// pushFrame makes a frame of n registers for fn on top of the running
+// thread's stack.
+func (m *Machine) pushFrame(fn *ir.Func, n int) *frame {
+	f := m.getFrame(fn, n)
 	if len(m.frames) == 0 {
 		f.stackTop = m.stackBase
 	} else {
 		f.stackTop = m.frames[len(m.frames)-1].stackLow()
 	}
-	copy(f.regs, args)
 	m.frames = append(m.frames, f)
-	defer func() {
-		m.frames = m.frames[:len(m.frames)-1]
-		m.framePool = append(m.framePool, f)
-	}()
-	m.Clock.Advance(m.cost.Call)
+	return f
+}
 
-	blk := fn.Entry()
+// popFrame removes the top frame f and recycles it.
+func (m *Machine) popFrame(f *frame) {
+	m.frames = m.frames[:len(m.frames)-1]
+	m.framePool = append(m.framePool, f)
+}
+
+// run executes the decoded body of the top frame f until it returns.
+//
+// Only the ops that may fault, yield to the scheduler, record an event
+// or call set f.cur, the frame's active instruction: nothing reads it
+// anywhere else.
+func (m *Machine) run(f *frame) (uint64, error) {
+	ops := f.code.ops
+	regs := f.regs
+	pc, next := int32(0), int32(-1)
 	for {
-		var next *ir.Block
-		for _, in := range blk.Instrs {
-			m.steps++
-			m.ops[in.Op]++
-			if m.steps > m.max {
-				return 0, &LimitError{Resource: "steps", Steps: m.steps, Limit: m.max, Stack: m.stack(in)}
-			}
-			if m.hasDeadline && m.steps&8191 == 0 && time.Now().After(m.deadline) {
-				return 0, &LimitError{Resource: "deadline", Steps: m.steps, Stack: m.stack(in)}
-			}
-			f.cur = in
-			switch in.Op {
-			case ir.OpRet:
-				if len(in.Args) == 0 {
-					return 0, nil
-				}
-				return m.eval(f, in.Args[0]), nil
-			case ir.OpJmp:
-				next = in.Succs[0]
-			case ir.OpBr:
-				m.Clock.Advance(m.cost.ALUOp)
-				if m.eval(f, in.Args[0]) != 0 {
-					next = in.Succs[0]
-				} else {
-					next = in.Succs[1]
-				}
-			default:
-				if err := m.exec(f, in); err != nil {
-					return 0, err
-				}
+		o := &ops[pc]
+		pc++
+		m.steps++
+		m.ops[o.iop]++
+		if m.steps >= m.checkAt && o.code < opCur {
+			if err := m.checkLimits(o.in); err != nil {
+				return 0, err
 			}
 		}
-		if next == nil {
-			return 0, m.fault("block ^%s in @%s fell through", blk.Name, fn.Name)
+		switch o.code {
+		case opLoad:
+			addr := regs[o.a]
+			if pmem.RegionOf(addr) == pmem.RegionInvalid {
+				f.cur = o.in
+				return 0, m.accessFault("load", uint64(o.x), addr)
+			}
+			regs[o.dst] = m.Mem.ReadUint(addr, int(o.x)) & o.mask()
+			m.loadCost(addr)
+		case opStore:
+			if err := m.store(f, o, regs[o.a], regs[o.b]); err != nil {
+				return 0, err
+			}
+		case opPtrAdd:
+			regs[o.dst] = regs[o.a] + regs[o.b]*uint64(int64(o.c)) + uint64(int64(o.x))
+			m.Clock.Advance(m.cost.ALUOp)
+		case opPtrAddR:
+			regs[o.dst] = regs[o.a] + regs[o.b]*regs[o.c] + regs[o.x]
+			m.Clock.Advance(m.cost.ALUOp)
+		case opAdd:
+			regs[o.dst] = (regs[o.a] + regs[o.b]) & o.mask()
+			m.Clock.Advance(m.cost.ALUOp)
+		case opSub:
+			regs[o.dst] = (regs[o.a] - regs[o.b]) & o.mask()
+			m.Clock.Advance(m.cost.ALUOp)
+		case opMul:
+			regs[o.dst] = (regs[o.a] * regs[o.b]) & o.mask()
+			m.Clock.Advance(m.cost.ALUOp)
+		case opSDiv, opSRem:
+			x, y := int64(regs[o.a]), int64(regs[o.b])
+			if y == 0 {
+				f.cur = o.in
+				if o.code == opSDiv {
+					return 0, m.fault("division by zero")
+				}
+				return 0, m.fault("remainder by zero")
+			}
+			if o.code == opSDiv {
+				regs[o.dst] = uint64(x/y) & o.mask()
+			} else {
+				regs[o.dst] = uint64(x%y) & o.mask()
+			}
+			m.Clock.Advance(m.cost.ALUOp)
+		case opAnd:
+			regs[o.dst] = regs[o.a] & regs[o.b] & o.mask()
+			m.Clock.Advance(m.cost.ALUOp)
+		case opOr:
+			regs[o.dst] = (regs[o.a] | regs[o.b]) & o.mask()
+			m.Clock.Advance(m.cost.ALUOp)
+		case opXor:
+			regs[o.dst] = (regs[o.a] ^ regs[o.b]) & o.mask()
+			m.Clock.Advance(m.cost.ALUOp)
+		case opShl:
+			regs[o.dst] = (regs[o.a] << (regs[o.b] & 63)) & o.mask()
+			m.Clock.Advance(m.cost.ALUOp)
+		case opAShr:
+			regs[o.dst] = uint64(int64(regs[o.a])>>(regs[o.b]&63)) & o.mask()
+			m.Clock.Advance(m.cost.ALUOp)
+		case opEq:
+			regs[o.dst] = boolVal(regs[o.a] == regs[o.b])
+			m.Clock.Advance(m.cost.ALUOp)
+		case opNe:
+			regs[o.dst] = boolVal(regs[o.a] != regs[o.b])
+			m.Clock.Advance(m.cost.ALUOp)
+		case opLt:
+			regs[o.dst] = boolVal(int64(regs[o.a]) < int64(regs[o.b]))
+			m.Clock.Advance(m.cost.ALUOp)
+		case opLe:
+			regs[o.dst] = boolVal(int64(regs[o.a]) <= int64(regs[o.b]))
+			m.Clock.Advance(m.cost.ALUOp)
+		case opGt:
+			regs[o.dst] = boolVal(int64(regs[o.a]) > int64(regs[o.b]))
+			m.Clock.Advance(m.cost.ALUOp)
+		case opGe:
+			regs[o.dst] = boolVal(int64(regs[o.a]) >= int64(regs[o.b]))
+			m.Clock.Advance(m.cost.ALUOp)
+		case opCast:
+			regs[o.dst] = regs[o.a] & o.mask()
+			m.Clock.Advance(m.cost.ALUOp)
+		case opCall:
+			f.cur = o.in
+			ret, err := m.callSite(f.code, &f.code.sites[o.x], regs)
+			if err != nil {
+				return 0, err
+			}
+			if o.dst >= 0 {
+				regs[o.dst] = ret
+			}
+		case opBr:
+			m.Clock.Advance(m.cost.ALUOp)
+			if regs[o.a] != 0 {
+				pc = o.b
+			} else {
+				pc = o.c
+			}
+		case opJmp:
+			pc = o.b
+		case opRet:
+			return regs[o.a], nil
+		case opAlloca:
+			addr := m.allocStack(regs[o.x])
+			if addr == 0 {
+				f.cur = o.in
+				return 0, m.fault("stack overflow in alloca")
+			}
+			regs[o.dst] = addr
+			m.Clock.Advance(m.cost.ALUOp)
+		case opBrLate:
+			m.Clock.Advance(m.cost.ALUOp)
+			if regs[o.a] != 0 {
+				next = o.b
+			} else {
+				next = o.c
+			}
+		case opJmpLate:
+			next = o.b
+		case opCur:
+			m.steps--
+			m.ops[o.iop]--
+			f.cur = o.in
+		case opBlockEnd:
+			m.steps--
+			m.ops[o.iop]--
+			if o.in != nil {
+				f.cur = o.in
+			}
+			if next < 0 {
+				return 0, m.fault("block ^%s in @%s fell through", f.fn.Blocks[o.a].Name, f.fn.Name)
+			}
+			pc, next = next, -1
+		default:
+			f.cur = o.in
+			if err := m.exec(f, o); err != nil {
+				return 0, err
+			}
 		}
-		blk = next
 	}
 }
 
-// eval computes an operand's runtime value.
-func (m *Machine) eval(f *frame, v ir.Value) uint64 {
-	switch x := v.(type) {
-	case *ir.Instr:
-		return f.regs[x.Slot]
-	case *ir.Const:
-		return uint64(x.Val)
-	case *ir.Param:
-		return f.regs[x.Index]
-	case *ir.Global:
-		return m.globalAddr[x.Name]
+// checkLimits runs when the step count reaches checkAt: it enforces the
+// step budget and, every 8,192 steps, the wall-clock deadline, then sets
+// the next step to check at. in is the instruction about to execute.
+func (m *Machine) checkLimits(in *ir.Instr) error {
+	if m.steps > m.max {
+		return &LimitError{Resource: "steps", Steps: m.steps, Limit: m.max, Stack: m.stack(in)}
+	}
+	if m.hasDeadline && m.steps&8191 == 0 && time.Now().After(m.deadline) {
+		return &LimitError{Resource: "deadline", Steps: m.steps, Stack: m.stack(in)}
+	}
+	m.checkAt = m.nextCheck()
+	return nil
+}
+
+// nextCheck is the first step after the current one at which a limit
+// can fire: past the step budget, or the next deadline poll.
+func (m *Machine) nextCheck() int64 {
+	at := m.max
+	if at < math.MaxInt64 {
+		at++
+	}
+	if m.hasDeadline {
+		if d := (m.steps | 8191) + 1; d < at {
+			at = d
+		}
+	}
+	return at
+}
+
+// callSite runs a decoded call from a frame whose registers are regs.
+// The arguments go through the machine's argument stack; an interpreted
+// callee copies them into its frame before it runs, and a builtin reads
+// them before anything that may yield to another thread.
+func (m *Machine) callSite(c *code, cs *callSite, regs []uint64) (uint64, error) {
+	base := len(m.argStack)
+	for _, r := range c.args[cs.off : cs.off+cs.n] {
+		m.argStack = append(m.argStack, regs[r])
+	}
+	args := m.argStack[base:]
+	var ret uint64
+	var err error
+	switch {
+	case !cs.callee.IsDecl():
+		ret, err = m.call(cs.callee, args)
+	case cs.bi != nil:
+		ret, err = cs.bi(m, args)
 	default:
-		panic(fmt.Sprintf("interp: unknown operand kind %T in @%s", v, f.fn.Name))
+		err = m.fault("call to unregistered external @%s", cs.callee.Name)
+	}
+	m.argStack = m.argStack[:base]
+	return ret, err
+}
+
+func (m *Machine) accessFault(op string, size, addr uint64) error {
+	return m.fault("invalid %s of %d bytes at %#x", op, int64(size), addr)
+}
+
+// loadCost charges a load from addr.
+func (m *Machine) loadCost(addr uint64) {
+	if pmem.IsPM(addr) {
+		m.Clock.Advance(m.cost.LoadPM)
+	} else {
+		m.Clock.Advance(m.cost.LoadDRAM)
 	}
 }
 
-func truncTo(ty ir.Type, v uint64) uint64 {
-	switch ty {
-	case ir.I1:
-		return v & 1
-	case ir.I8:
-		return v & 0xff
-	default:
-		return v
+// store runs a store or ntstore of val to addr.
+func (m *Machine) store(f *frame, o *op, val, addr uint64) error {
+	size := uint64(o.x)
+	if pmem.RegionOf(addr) == pmem.RegionInvalid {
+		f.cur = o.in
+		return m.accessFault("store", size, addr)
 	}
+	if !pmem.IsPM(addr) {
+		m.Mem.WriteUint(addr, int(size), val)
+		m.Clock.Advance(m.cost.StoreDRAM)
+		return nil
+	}
+	f.cur = o.in
+	nt := o.flags&flagNT != 0
+	pend, kind, ev := PendStore, trace.KindStore, EvStore
+	if nt {
+		pend, kind, ev = PendNTStore, trace.KindNTStore, EvNTStore
+	}
+	if err := m.yieldPM(pend, addr); err != nil {
+		return err
+	}
+	m.Mem.WriteUint(addr, int(size), val)
+	// The payload is the bytes just written: val, little-endian. IR
+	// scalars are at most 8 bytes, so it fits a stack buffer; the tracker
+	// makes its own durable copy.
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], val)
+	data := buf[:size]
+	e := trace.Event{Kind: kind, Addr: addr, Size: int(size)}
+	if size == 8 && pmem.IsPM(val) {
+		// The stored value names a PM location: record it so the
+		// offline detector can replay pointer publications.
+		e.Val = val
+	}
+	seq := m.emit(o.in, e)
+	m.trackStore(seq, addr, data, nt)
+	m.Clock.Advance(m.cost.StorePM)
+	return m.pmEvent(ev)
 }
 
-// exec runs one non-terminator instruction.
-func (m *Machine) exec(f *frame, in *ir.Instr) error {
-	switch in.Op {
-	case ir.OpAlloca:
-		size := alignUp(uint64(in.AllocTy.Size()), 16)
-		addr := m.allocStack(size)
-		if addr == 0 {
-			return m.fault("stack overflow in alloca")
-		}
-		f.regs[in.Slot] = addr
-		m.Clock.Advance(m.cost.ALUOp)
-
-	case ir.OpLoad:
-		addr := m.eval(f, in.Args[0])
-		if err := m.checkAccess(addr, in.Ty.Size(), "load"); err != nil {
-			return err
-		}
-		f.regs[in.Slot] = truncTo(in.Ty, m.Mem.ReadUint(addr, int(in.Ty.Size())))
-		if pmem.IsPM(addr) {
-			m.Clock.Advance(m.cost.LoadPM)
-		} else {
-			m.Clock.Advance(m.cost.LoadDRAM)
-		}
-
-	case ir.OpStore, ir.OpNTStore:
-		val := m.eval(f, in.Args[0])
-		addr := m.eval(f, in.Args[1])
-		size := in.StoreTy.Size()
-		if err := m.checkAccess(addr, size, "store"); err != nil {
-			return err
-		}
-		if pmem.IsPM(addr) {
-			pend := PendStore
-			if in.Op == ir.OpNTStore {
-				pend = PendNTStore
-			}
-			if err := m.yieldPM(pend, addr); err != nil {
-				return err
-			}
-			m.Mem.WriteUint(addr, int(size), val)
-			// IR scalars are at most 8 bytes, so the payload fits a stack
-			// buffer; the tracker makes its own durable copy.
-			var buf [8]byte
-			data := buf[:size]
-			m.Mem.Read(addr, data)
-			kind := trace.KindStore
-			if in.Op == ir.OpNTStore {
-				kind = trace.KindNTStore
-			}
-			e := trace.Event{Kind: kind, Addr: addr, Size: int(size)}
-			if size == 8 && pmem.IsPM(val) {
-				// The stored value names a PM location: record it so the
-				// offline detector can replay pointer publications.
-				e.Val = val
-			}
-			seq := m.emit(in, e)
-			ev := EvStore
-			if in.Op == ir.OpNTStore {
-				ev = EvNTStore
-			}
-			m.trackStore(seq, addr, data, in.Op == ir.OpNTStore)
-			m.Clock.Advance(m.cost.StorePM)
-			if err := m.pmEvent(ev); err != nil {
-				return err
-			}
-		} else {
-			m.Mem.WriteUint(addr, int(size), val)
-			m.Clock.Advance(m.cost.StoreDRAM)
-		}
-
-	case ir.OpPtrAdd:
-		base := m.eval(f, in.Args[0])
-		idx := m.eval(f, in.Args[1])
-		f.regs[in.Slot] = base + idx*uint64(in.Scale) + uint64(in.Disp)
-		m.Clock.Advance(m.cost.ALUOp)
-
-	case ir.OpCall:
-		args := make([]uint64, len(in.Args))
-		for i, a := range in.Args {
-			args[i] = m.eval(f, a)
-		}
-		var ret uint64
-		var err error
-		if in.Callee.IsDecl() {
-			b, ok := stdBuiltins[in.Callee.Name]
-			if !ok {
-				return m.fault("call to unregistered external @%s", in.Callee.Name)
-			}
-			ret, err = b(m, args)
-		} else {
-			ret, err = m.call(in.Callee, args)
-		}
-		if err != nil {
-			return err
-		}
-		if in.HasResult() {
-			f.regs[in.Slot] = ret
-		}
-
-	case ir.OpFlush:
-		addr := m.eval(f, in.Args[0])
+// exec runs the ops the dispatch loop leaves out: flushes, fences,
+// threads, atomics and what cannot execute. f.cur is o.in.
+func (m *Machine) exec(f *frame, o *op) error {
+	regs := f.regs
+	in := o.in
+	switch o.code {
+	case opFlush:
+		addr := regs[o.a]
 		m.Clock.Advance(m.cost.Flush)
 		if pmem.IsPM(addr) {
-			if err := m.yieldFlush(addr, in.FlushK.Ordered()); err != nil {
+			ordered := o.flags&flagOrdered != 0
+			if err := m.yieldFlush(addr, ordered); err != nil {
 				return err
 			}
 			seq := m.emit(in, trace.Event{Kind: trace.KindFlush, FlushK: in.FlushK, Addr: addr})
-			moved := m.trackFlush(seq, in.FlushK.Ordered(), addr)
-			if moved > 0 && in.FlushK.Ordered() {
+			moved := m.trackFlush(seq, ordered, addr)
+			if moved > 0 && ordered {
 				// CLFLUSH commits immediately; CLWB/CLFLUSHOPT park the
 				// line in the write-pending queue and pay at the fence.
 				m.Clock.Advance(m.cost.FlushWriteback)
@@ -816,7 +984,7 @@ func (m *Machine) exec(f *frame, in *ir.Instr) error {
 		// durability effect — this is the waste the hoisting heuristic
 		// exists to avoid (§3.2).
 
-	case ir.OpFence:
+	case opFence:
 		if err := m.yieldPM(PendFence, 0); err != nil {
 			return err
 		}
@@ -827,24 +995,26 @@ func (m *Machine) exec(f *frame, in *ir.Instr) error {
 			return err
 		}
 
-	case ir.OpSpawn:
-		args := make([]uint64, len(in.Args))
-		for i, a := range in.Args {
-			args[i] = m.eval(f, a)
+	case opSpawn:
+		// The thread keeps its arguments, so they get their own slice.
+		cs := &f.code.sites[o.x]
+		args := make([]uint64, cs.n)
+		for i, r := range f.code.args[cs.off : cs.off+cs.n] {
+			args[i] = regs[r]
 		}
 		m.ensureMT()
 		if err := m.yieldPM(PendSpawn, 0); err != nil {
 			return err
 		}
-		tid, err := m.spawnThread(in.Callee, args)
+		tid, err := m.spawnThread(cs.callee, args)
 		if err != nil {
 			return err
 		}
-		f.regs[in.Slot] = uint64(tid)
+		regs[o.dst] = uint64(tid)
 		m.Clock.Advance(m.cost.Call)
 
-	case ir.OpJoin:
-		h := m.eval(f, in.Args[0])
+	case opJoin:
+		h := regs[o.a]
 		if m.mt == nil {
 			return m.fault("join before any spawn")
 		}
@@ -865,42 +1035,34 @@ func (m *Machine) exec(f *frame, in *ir.Instr) error {
 			return m.fault("thread %d joined twice", tid)
 		}
 		t.joined = true
-		f.regs[in.Slot] = t.result
+		regs[o.dst] = t.result
 		m.Clock.Advance(m.cost.Call)
 
-	case ir.OpAtomicLoad:
-		addr := m.eval(f, in.Args[0])
-		if err := m.checkAccess(addr, 8, "atomic load"); err != nil {
-			return err
+	case opAtomicLoad:
+		addr := regs[o.a]
+		if pmem.RegionOf(addr) == pmem.RegionInvalid {
+			return m.accessFault("atomic load", 8, addr)
 		}
 		if err := m.yieldPM(PendAtomic, addr); err != nil {
 			return err
 		}
-		f.regs[in.Slot] = m.Mem.ReadUint(addr, 8)
-		if pmem.IsPM(addr) {
-			m.Clock.Advance(m.cost.LoadPM)
-		} else {
-			m.Clock.Advance(m.cost.LoadDRAM)
-		}
+		regs[o.dst] = m.Mem.ReadUint(addr, 8)
+		m.loadCost(addr)
 
-	case ir.OpAtomicStore:
-		val := m.eval(f, in.Args[0])
-		addr := m.eval(f, in.Args[1])
-		if err := m.checkAccess(addr, 8, "atomic store"); err != nil {
-			return err
+	case opAtomicStore:
+		val, addr := regs[o.a], regs[o.b]
+		if pmem.RegionOf(addr) == pmem.RegionInvalid {
+			return m.accessFault("atomic store", 8, addr)
 		}
 		if err := m.yieldPM(PendAtomic, addr); err != nil {
 			return err
 		}
-		if err := m.atomicWrite(in, addr, val); err != nil {
-			return err
-		}
+		return m.atomicWrite(in, addr, val)
 
-	case ir.OpAtomicRMW:
-		operand := m.eval(f, in.Args[0])
-		addr := m.eval(f, in.Args[1])
-		if err := m.checkAccess(addr, 8, "atomic rmw"); err != nil {
-			return err
+	case opAtomicRMW:
+		operand, addr := regs[o.a], regs[o.b]
+		if pmem.RegionOf(addr) == pmem.RegionInvalid {
+			return m.accessFault("atomic rmw", 8, addr)
 		}
 		if err := m.yieldPM(PendAtomic, addr); err != nil {
 			return err
@@ -918,14 +1080,12 @@ func (m *Machine) exec(f *frame, in *ir.Instr) error {
 		if err := m.atomicWrite(in, addr, nv); err != nil {
 			return err
 		}
-		f.regs[in.Slot] = old
+		regs[o.dst] = old
 
-	case ir.OpAtomicCAS:
-		expect := m.eval(f, in.Args[0])
-		nv := m.eval(f, in.Args[1])
-		addr := m.eval(f, in.Args[2])
-		if err := m.checkAccess(addr, 8, "atomic cas"); err != nil {
-			return err
+	case opAtomicCAS:
+		expect, nv, addr := regs[o.a], regs[o.b], regs[o.c]
+		if pmem.RegionOf(addr) == pmem.RegionInvalid {
+			return m.accessFault("atomic cas", 8, addr)
 		}
 		if err := m.yieldPM(PendAtomic, addr); err != nil {
 			return err
@@ -938,31 +1098,10 @@ func (m *Machine) exec(f *frame, in *ir.Instr) error {
 		} else {
 			m.Clock.Advance(m.cost.LoadDRAM)
 		}
-		f.regs[in.Slot] = old
+		regs[o.dst] = old
 
 	default:
-		switch {
-		case in.Op.IsBinary():
-			x := m.eval(f, in.Args[0])
-			y := m.eval(f, in.Args[1])
-			v, err := binOp(in.Op, x, y, in.Ty)
-			if err != nil {
-				return m.fault("%s", err)
-			}
-			f.regs[in.Slot] = truncTo(in.Ty, v)
-			m.Clock.Advance(m.cost.ALUOp)
-		case in.Op.IsCmp():
-			x := int64(m.eval(f, in.Args[0]))
-			y := int64(m.eval(f, in.Args[1]))
-			f.regs[in.Slot] = boolVal(cmpOp(in.Op, x, y))
-			m.Clock.Advance(m.cost.ALUOp)
-		case in.Op.IsCast():
-			v := m.eval(f, in.Args[0])
-			f.regs[in.Slot] = truncTo(in.Ty, v)
-			m.Clock.Advance(m.cost.ALUOp)
-		default:
-			return m.fault("cannot execute %s", ir.FormatInstr(in))
-		}
+		return m.fault("cannot execute %s", ir.FormatInstr(in))
 	}
 	return nil
 }
@@ -978,8 +1117,8 @@ func (m *Machine) atomicWrite(in *ir.Instr, addr, val uint64) error {
 		return nil
 	}
 	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], val)
 	data := buf[:]
-	m.Mem.Read(addr, data)
 	e := trace.Event{Kind: trace.KindStore, Addr: addr, Size: 8}
 	if pmem.IsPM(val) {
 		e.Val = val
@@ -1021,63 +1160,6 @@ func (m *Machine) trackFence(seq int) int {
 		return m.Track.OnFenceT(seq, m.curTid())
 	}
 	return 0
-}
-
-func (m *Machine) checkAccess(addr uint64, size int64, op string) error {
-	if pmem.RegionOf(addr) == pmem.RegionInvalid {
-		return m.fault("invalid %s of %d bytes at %#x", op, size, addr)
-	}
-	return nil
-}
-
-func binOp(op ir.Op, x, y uint64, ty ir.Type) (uint64, error) {
-	switch op {
-	case ir.OpAdd:
-		return x + y, nil
-	case ir.OpSub:
-		return x - y, nil
-	case ir.OpMul:
-		return x * y, nil
-	case ir.OpSDiv:
-		if y == 0 {
-			return 0, fmt.Errorf("division by zero")
-		}
-		return uint64(int64(x) / int64(y)), nil
-	case ir.OpSRem:
-		if y == 0 {
-			return 0, fmt.Errorf("remainder by zero")
-		}
-		return uint64(int64(x) % int64(y)), nil
-	case ir.OpAnd:
-		return x & y, nil
-	case ir.OpOr:
-		return x | y, nil
-	case ir.OpXor:
-		return x ^ y, nil
-	case ir.OpShl:
-		return x << (y & 63), nil
-	case ir.OpAShr:
-		return uint64(int64(x) >> (y & 63)), nil
-	}
-	return 0, fmt.Errorf("bad binary op %s", op)
-}
-
-func cmpOp(op ir.Op, x, y int64) bool {
-	switch op {
-	case ir.OpEq:
-		return x == y
-	case ir.OpNe:
-		return x != y
-	case ir.OpLt:
-		return x < y
-	case ir.OpLe:
-		return x <= y
-	case ir.OpGt:
-		return x > y
-	case ir.OpGe:
-		return x >= y
-	}
-	panic("interp: bad comparison " + op.String())
 }
 
 func boolVal(b bool) uint64 {

@@ -31,12 +31,9 @@ import (
 // reproduces the run bit-for-bit, which is what makes schedule IDs
 // replayable crash coordinates.
 
-// maxThreads bounds live threads per machine; the simulated stack is
-// statically partitioned into this many segments.
-const maxThreads = 16
-
-// threadStackSeg is the simulated stack carved out for each thread.
-const threadStackSeg = uint64(pmem.StackMax) / maxThreads
+// threadStackSeg is the simulated stack carved out for each thread: the
+// stack is statically partitioned into pmem.MaxThreads segments.
+const threadStackSeg = uint64(pmem.StackMax) / pmem.MaxThreads
 
 // PendKind classifies the visible operation a thread has announced.
 type PendKind uint8
@@ -232,8 +229,8 @@ type threadStart struct {
 func (m *Machine) spawnThread(fn *ir.Func, args []uint64) (int, error) {
 	mt := m.ensureMT()
 	tid := len(mt.threads)
-	if tid >= maxThreads {
-		return 0, m.fault("too many threads spawning @%s (max %d)", fn.Name, maxThreads)
+	if tid >= pmem.MaxThreads {
+		return 0, m.fault("too many threads spawning @%s (max %d)", fn.Name, pmem.MaxThreads)
 	}
 	t := &thread{
 		tid:     tid,
@@ -437,7 +434,7 @@ func (m *Machine) threadBody(t *thread, fn *threadStart) {
 	if mt.killed {
 		panic(killSentinel{})
 	}
-	ret, err := m.call(fn.fn, fn.args)
+	ret, err := m.enter(fn.fn, fn.args)
 	t.result, t.err = ret, err
 	m.threadExit(t)
 }

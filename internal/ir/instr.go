@@ -308,6 +308,15 @@ func (in *Instr) HasResult() bool {
 	return in.Ty != nil && in.Ty != Void
 }
 
+// SetCallee retargets a call or spawn to f in place, marking the
+// containing function edited (see Func's decoded translation).
+func (in *Instr) SetCallee(f *Func) {
+	in.Callee = f
+	if in.blk != nil {
+		in.blk.fn.mutated()
+	}
+}
+
 // StorePtr returns the address operand of a store-like instruction (see
 // Op.IsStoreLike): the last operand of every form.
 func (in *Instr) StorePtr() Value {

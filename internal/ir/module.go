@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Module is a whole program: struct type definitions, globals and
@@ -135,6 +136,14 @@ type Func struct {
 	// followed by Renumber before re-fingerprinting (the same contract
 	// Renumber's own doc already imposes on passes that change bodies).
 	fp string
+	// decoded memoizes an executor's translation of the current body
+	// (the interpreter's flat op array). It is dropped exactly where fp
+	// is, under the same contract: an edit made in place (an operand, a
+	// callee, a successor) must go through a Block helper, SetCallee or
+	// Renumber before the function runs again. The first executor to
+	// translate a clean body publishes it atomically, so machines
+	// sharing one clean module may decode it concurrently.
+	decoded atomic.Pointer[any]
 }
 
 // NewFunc creates a detached function. Use Module.AddFunc to register it.
@@ -159,6 +168,7 @@ func (f *Func) Entry() *Block {
 // AddBlock appends a new basic block with the given name.
 func (f *Func) AddBlock(name string) *Block {
 	b := &Block{Name: name, fn: f}
+	f.mutated()
 	f.Blocks = append(f.Blocks, b)
 	return b
 }
@@ -199,6 +209,7 @@ func (f *Func) Renumber() {
 	f.numSlots = slot
 	f.dirty = false
 	f.fp = ""
+	f.decoded.Store(nil)
 }
 
 // NumSlots returns the register-file size assigned by Renumber.
@@ -208,10 +219,31 @@ func (f *Func) NumSlots() int { return f.numSlots }
 func (f *Func) NeedsRenumber() bool { return f.dirty }
 
 // mutated records a structural body change: the function needs
-// renumbering and any memoized fingerprint is stale.
+// renumbering, and any memoized fingerprint or translation is stale.
 func (f *Func) mutated() {
 	f.dirty = true
 	f.fp = ""
+	f.decoded.Store(nil)
+}
+
+// Decoded returns the executor translation published for the current
+// body, or nil if there is none.
+func (f *Func) Decoded() any {
+	if p := f.decoded.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// PublishDecoded publishes d as the translation of the current body
+// unless another is already published, and returns the one that stands.
+// The translation must be derived from the body alone (and from the
+// module's global and function declarations), never from one run.
+func (f *Func) PublishDecoded(d any) any {
+	if f.decoded.CompareAndSwap(nil, &d) {
+		return d
+	}
+	return f.Decoded()
 }
 
 // InstrByID returns the instruction with the given ID, or nil. IDs are

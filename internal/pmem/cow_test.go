@@ -289,3 +289,140 @@ func TestBuilderImagesStayPristine(t *testing.T) {
 		t.Fatal("handed-out image changed under later Seek/writes")
 	}
 }
+
+// The one-entry chunk cache must be invisible: mixed accesses through it
+// read what a byte-map model of the same writes holds, and what a Clone
+// (a fresh map, walked without the cache) holds.
+
+// byteModel is the reference contents of one memory.
+type byteModel map[uint64]byte
+
+func (bm byteModel) copy() byteModel {
+	out := make(byteModel, len(bm))
+	for a, b := range bm {
+		out[a] = b
+	}
+	return out
+}
+
+// cacheAddr picks an address in one of a few chunks, on or near page and
+// chunk edges, so consecutive accesses alternate between hitting and
+// missing the cache and 8-byte accesses cross pages.
+func cacheAddr(rng *rand.Rand) uint64 {
+	chunk := uint64(rng.Intn(3)) * chunkSize
+	page := uint64(rng.Intn(chunkPages)) * pageSize
+	offs := []uint64{0, 1, 7, 8, pageSize - 9, pageSize - 8, pageSize - 5, pageSize - 1}
+	off := offs[rng.Intn(len(offs))]
+	if rng.Intn(4) == 0 {
+		off = uint64(rng.Intn(pageSize))
+	}
+	return PMBase + chunk + page + off
+}
+
+// mixedOps applies n random Read/Write/ReadUint/WriteUint/Load8/Store8
+// accesses to m, mirroring writes into bm and checking every read.
+func mixedOps(t *testing.T, rng *rand.Rand, m *Memory, bm byteModel, n int, where string) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		addr := cacheAddr(rng)
+		switch rng.Intn(6) {
+		case 0:
+			buf := make([]byte, 1+rng.Intn(20))
+			rng.Read(buf)
+			m.Write(addr, buf)
+			for j, b := range buf {
+				bm[addr+uint64(j)] = b
+			}
+		case 1:
+			buf := make([]byte, 1+rng.Intn(20))
+			m.Read(addr, buf)
+			for j, b := range buf {
+				if b != bm[addr+uint64(j)] {
+					t.Fatalf("%s: op %d: Read byte %#x = %d, want %d", where, i, addr+uint64(j), b, bm[addr+uint64(j)])
+				}
+			}
+		case 2:
+			size := []int{1, 4, 8, 8}[rng.Intn(4)]
+			v := rng.Uint64()
+			m.WriteUint(addr, size, v)
+			for j := 0; j < size; j++ {
+				bm[addr+uint64(j)] = byte(v >> (8 * j))
+			}
+		case 3:
+			size := []int{1, 4, 8, 8}[rng.Intn(4)]
+			want := uint64(0)
+			for j := size - 1; j >= 0; j-- {
+				want = want<<8 | uint64(bm[addr+uint64(j)])
+			}
+			if got := m.ReadUint(addr, size); got != want {
+				t.Fatalf("%s: op %d: ReadUint(%#x, %d) = %#x, want %#x", where, i, addr, size, got, want)
+			}
+		case 4:
+			b := byte(rng.Intn(256))
+			m.Store8(addr, b)
+			bm[addr] = b
+		case 5:
+			if got := m.Load8(addr); got != bm[addr] {
+				t.Fatalf("%s: op %d: Load8(%#x) = %d, want %d", where, i, addr, got, bm[addr])
+			}
+		}
+	}
+}
+
+// sameAsModel checks m, and a Clone of it, against bm over the chunks
+// cacheAddr touches.
+func sameAsModel(t *testing.T, m *Memory, bm byteModel, where string) {
+	t.Helper()
+	for _, mm := range []*Memory{m, m.Clone()} {
+		buf := make([]byte, 3*chunkSize+8)
+		mm.Read(PMBase, buf)
+		for j, b := range buf {
+			if b != bm[PMBase+uint64(j)] {
+				t.Fatalf("%s: byte %#x = %d, want %d", where, PMBase+uint64(j), b, bm[PMBase+uint64(j)])
+			}
+		}
+	}
+}
+
+func TestChunkCacheMatchesModel(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+
+		// Mixed accesses, in-page and page-crossing, on one memory.
+		m, bm := NewMemory(), byteModel{}
+		mixedOps(t, rng, m, bm, 400, "root")
+		sameAsModel(t, m, bm, "root")
+
+		// A cached chunk, then Snapshot, then writes on both sides.
+		m.WriteUint(PMBase+8, 8, rng.Uint64()) // the cache now holds chunk 0
+		for j := 0; j < 8; j++ {
+			bm[PMBase+8+uint64(j)] = m.Load8(PMBase + 8 + uint64(j))
+		}
+		snap, sbm := m.Snapshot(), bm.copy()
+		for k := 0; k < 4; k++ {
+			mixedOps(t, rng, m, bm, 50, "snapshot parent")
+			mixedOps(t, rng, snap, sbm, 50, "snapshot")
+		}
+		sameAsModel(t, m, bm, "snapshot parent")
+		sameAsModel(t, snap, sbm, "snapshot")
+
+		// Overlay copy-up over a cached base: the overlay's writes never
+		// reach the base, whose cache still holds the chunk.
+		base, bbm := snap, sbm
+		base.Load8(PMBase)
+		frozen := bbm.copy()
+		ov, obm := base.Overlay(), bbm.copy()
+		mixedOps(t, rng, ov, obm, 300, "overlay")
+		sameAsModel(t, ov, obm, "overlay")
+		sameAsModel(t, base, frozen, "overlay base")
+
+		// Reads through a base chain: a snapshot of the overlay, and an
+		// overlay of that snapshot, each written on top.
+		chain, cbm := ov.Snapshot(), obm.copy()
+		top, tbm := chain.Overlay(), cbm.copy()
+		mixedOps(t, rng, top, tbm, 300, "chain top")
+		sameAsModel(t, top, tbm, "chain top")
+		sameAsModel(t, chain, cbm, "chain middle")
+		sameAsModel(t, base, frozen, "chain base")
+	}
+}

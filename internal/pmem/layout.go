@@ -40,6 +40,12 @@ const (
 	// StackMax is the maximum stack depth in bytes.
 	StackMax = 0x1000_0000
 
+	// MaxThreads bounds the threads of one simulated machine, main
+	// included: the stack is partitioned into this many segments, and
+	// thread ids (which size the tracker's per-thread state) lie in
+	// [0, MaxThreads). A replayed trace naming a larger id is rejected.
+	MaxThreads = 16
+
 	// PMBase is the start of the persistent-memory range; pm globals and
 	// pm_alloc allocations live here.
 	PMBase = 0x1000_0000_0000

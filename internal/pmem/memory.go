@@ -33,6 +33,9 @@ var (
 // chunk holds one chunk's materialized pages.
 type chunk struct {
 	pages [chunkPages]*[pageSize]byte
+	// cn is the chunk's number (address / chunkSize), so a Memory's
+	// one-entry chunk cache is a single pointer.
+	cn uint64
 	// shared has bit i set while pages[i] is co-owned with a snapshot:
 	// a write must copy the page before mutating it.
 	shared uint16
@@ -62,8 +65,18 @@ type CowStats struct {
 // touched page. Overlay layers an empty page map over a frozen base, so
 // many images can share one durable base; the base must not be written
 // while overlays of it are live.
+//
+// A Memory remembers the last chunk of its own map that an access
+// resolved, so consecutive accesses to one 4 KiB chunk skip the map.
+// Reads update that cache, so a Memory is used from one goroutine at a
+// time; concurrent readers of a frozen image each take an Overlay of it
+// (reads through a base chain never touch the base's cache).
 type Memory struct {
 	chunks map[uint64]*chunk
+	// last is the chunk the most recent access resolved in chunks, or
+	// nil. Entries of chunks are only ever added, never replaced, so a
+	// cached chunk stays the map's entry for its number.
+	last *chunk
 	// base is the frozen lower layer for overlays (nil for roots).
 	// Reads fall through to it; writes copy the page up.
 	base *Memory
@@ -93,12 +106,26 @@ func (m *Memory) lookup(pn uint64) *[pageSize]byte {
 	return nil
 }
 
-// chunkFor returns chunk cn, creating it if absent.
+// chunkFor returns chunk cn, creating it if absent, and caches it.
 func (m *Memory) chunkFor(cn uint64) *chunk {
 	c := m.chunks[cn]
 	if c == nil {
-		c = new(chunk)
+		c = &chunk{cn: cn}
 		m.chunks[cn] = c
+	}
+	m.last = c
+	return c
+}
+
+// chunkAt returns chunk cn of m's own map (nil if absent) through the
+// one-entry cache.
+func (m *Memory) chunkAt(cn uint64) *chunk {
+	if c := m.last; c != nil && c.cn == cn {
+		return c
+	}
+	c := m.chunks[cn]
+	if c != nil {
+		m.last = c
 	}
 	return c
 }
@@ -107,7 +134,7 @@ func (m *Memory) page(addr uint64, create bool) (*[pageSize]byte, uint64) {
 	pn := addr / pageSize
 	off := addr % pageSize
 	cn, i := pn/chunkPages, pn%chunkPages
-	c := m.chunks[cn]
+	c := m.chunkAt(cn)
 	if c != nil {
 		if pg := c.pages[i]; pg != nil {
 			if create && c.shared&(1<<i) != 0 {
@@ -148,8 +175,10 @@ func (m *Memory) page(addr uint64, create bool) (*[pageSize]byte, uint64) {
 
 // Snapshot returns a copy-on-write copy of the memory: both sides keep
 // reading the shared pages for free and the first write to a page (from
-// either side) copies just that page. The receiver and the snapshot must
-// be used from a single goroutine each unless neither is written.
+// either side) copies just that page. The receiver and the snapshot are
+// used from a single goroutine each. The receiver keeps its chunks (and
+// its cached one); the snapshot gets chunks of its own and an empty
+// cache.
 func (m *Memory) Snapshot() *Memory {
 	nm := &Memory{
 		chunks: make(map[uint64]*chunk, len(m.chunks)),
@@ -262,6 +291,14 @@ func (m *Memory) ReadUint(addr uint64, size int) uint64 {
 	case 1:
 		return uint64(m.Load8(addr))
 	case 8:
+		if addr%pageSize <= pageSize-8 {
+			// Inside one page: read it in place.
+			pg, off := m.page(addr, false)
+			if pg == nil {
+				return 0
+			}
+			return binary.LittleEndian.Uint64(pg[off:])
+		}
 		var buf [8]byte
 		m.Read(addr, buf[:])
 		return binary.LittleEndian.Uint64(buf[:])
@@ -282,6 +319,11 @@ func (m *Memory) WriteUint(addr uint64, size int, v uint64) {
 	case 1:
 		m.Store8(addr, byte(v))
 	case 8:
+		if addr%pageSize <= pageSize-8 {
+			pg, off := m.page(addr, true)
+			binary.LittleEndian.PutUint64(pg[off:], v)
+			return
+		}
 		var buf [8]byte
 		binary.LittleEndian.PutUint64(buf[:], v)
 		m.Write(addr, buf[:])

@@ -232,11 +232,14 @@ func Parse(r io.Reader) (*Trace, error) {
 
 // validate rejects a parsed event the durability model cannot replay: a
 // store or NT store is 1 to 8 bytes wide and stays within one cache line,
-// as every store the interpreter records does, and a thread id is not
-// negative.
+// as every store the interpreter records does, and a thread id is one a
+// machine can run (the tracker sizes per-thread state by it).
 func (e *Event) validate() error {
 	if e.Tid < 0 {
 		return fmt.Errorf("negative thread id %d", e.Tid)
+	}
+	if e.Tid >= pmem.MaxThreads {
+		return fmt.Errorf("thread id %d not below the %d-thread limit", e.Tid, pmem.MaxThreads)
 	}
 	if e.Kind != KindStore && e.Kind != KindNTStore {
 		return nil

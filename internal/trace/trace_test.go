@@ -1,10 +1,12 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"hippocrates/internal/ir"
+	"hippocrates/internal/pmem"
 )
 
 func sampleTrace() *Trace {
@@ -212,6 +214,18 @@ func TestParsersRejectUnreplayableStores(t *testing.T) {
 	for _, tid := range []string{"store addr=0x100000000040 size=8", "flush clwb addr=0x100000000040", "fence sfence", "checkpoint"} {
 		if _, err := ParseString("pmtrace x\n#0 " + tid + " tid=-1\n"); err == nil || !strings.Contains(err.Error(), "line 2: negative thread id") {
 			t.Errorf("native %q with tid=-1: err = %v", tid, err)
+		}
+		// A huge id would size the tracker's per-thread state by it.
+		for _, big := range []int{pmem.MaxThreads, 2000000000} {
+			in := fmt.Sprintf("pmtrace x\n#0 %s tid=%d\n", tid, big)
+			want := fmt.Sprintf("line 2: thread id %d not below the %d-thread limit", big, pmem.MaxThreads)
+			if _, err := ParseString(in); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("native %q with tid=%d: err = %v", tid, big, err)
+			}
+		}
+		last := fmt.Sprintf("pmtrace x\n#0 %s tid=%d\n", tid, pmem.MaxThreads-1)
+		if _, err := ParseString(last); err != nil {
+			t.Errorf("native %q with the last thread id: %v", tid, err)
 		}
 	}
 	// The boundaries stay accepted: 1 and 8 bytes, a store ending on the
