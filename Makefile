@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet verify agreement bench bench-smoke hippobench hippobench-build metrics-smoke usage-smoke crash-smoke server-smoke optimize-smoke fleet-smoke incremental-smoke mt-smoke
+.PHONY: build test vet verify agreement bench bench-smoke hippobench hippobench-build metrics-smoke usage-smoke crash-smoke server-smoke optimize-smoke incremental-smoke mt-smoke
 
 build:
 	$(GO) build ./...
@@ -93,16 +93,6 @@ optimize-smoke:
 server-smoke:
 	$(GO) run ./cmd/hippocratesd -smoke -quiet
 
-# fleet-smoke runs the fault-injection suite against real in-process
-# backends behind the hippocratesfleet router — a backend hard-killed
-# mid-load, a SIGTERM drain, injected latency with hedging armed, and
-# TCP connection resets — and requires every scenario to finish with
-# zero harm: all jobs accepted, every accepted response byte-identical
-# to a sequential run, every rejection an honest 429/503 + Retry-After.
-# It also lints the router's own Prometheus /metrics exposition.
-fleet-smoke:
-	$(GO) run ./cmd/hippocratesfleet -smoke -quiet
-
 # incremental-smoke proves the summary-cached incremental analysis does
 # no harm: warm re-analyses over progen's deterministic edit sequence
 # must be byte-identical to cold runs with exact invalidation footprints,
@@ -151,7 +141,9 @@ hippobench-build:
 # full suite under the race detector, the agreement harness, and the
 # telemetry, exit-code, crash-validation, interleaving, incremental-analysis,
 # repair-service and benchmark smoke tests, and the hippobench modules'
-# vet and build.
+# vet and build. The daemon's serving guarantees (responses byte-identical
+# to sequential runs under load, nothing lost in a drain, every 429/503
+# carrying Retry-After) are server tests in the race-run suite.
 verify: vet build
 	$(GO) test -race ./...
 	$(MAKE) agreement
@@ -162,7 +154,6 @@ verify: vet build
 	$(MAKE) incremental-smoke
 	$(MAKE) mt-smoke
 	$(MAKE) server-smoke
-	$(MAKE) fleet-smoke
 	$(MAKE) bench-smoke
 	$(MAKE) hippobench-build
 

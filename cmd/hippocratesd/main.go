@@ -18,13 +18,10 @@
 //	-workers N        worker pool size (default GOMAXPROCS, max 8)
 //	-queue N          per-worker queue depth (default 32)
 //	-retention N      finished jobs retrievable by ID (default 256)
-//	-timeout DUR      default per-job wall-clock budget (default 60s)
-//	-job-timeout DUR  server-enforced per-job deadline: kills runaway jobs
-//	                  via the interpreter's wall-clock plumbing and answers
-//	                  504 with a typed {"kind":"deadline"} error doc
-//	                  (overrides -timeout and caps -max-timeout)
-//	-id NAME          fleet identity: /healthz reports it and every submit
-//	                  outcome carries X-Hippocrates-Backend
+//	-timeout DUR      default per-job wall-clock budget (default 60s); a
+//	                  job that exceeds its budget is killed via the
+//	                  interpreter's wall-clock plumbing and answered 504
+//	                  with a typed {"kind":"deadline"} error doc
 //	-max-timeout DUR  ceiling on requested job timeouts (default 5m)
 //	-steplimit N      default instruction budget per interpreter run
 //	-pprof HOST:PORT  serve net/http/pprof on a separate listener
@@ -69,8 +66,6 @@ func main() {
 	queue := flag.Int("queue", 0, "per-worker queue depth (0 = 32)")
 	retention := flag.Int("retention", 0, "finished jobs retrievable by ID (0 = 256)")
 	timeout := flag.Duration("timeout", 0, "default per-job wall-clock budget (0 = 60s)")
-	jobTimeout := flag.Duration("job-timeout", 0, "server-enforced per-job deadline: jobs exceeding it are killed via the interpreter's wall-clock plumbing and answered 504 (overrides -timeout; 0 = use -timeout)")
-	backendID := flag.String("id", "", "fleet identity: reported by /healthz and stamped as X-Hippocrates-Backend on every submit outcome")
 	maxTimeout := flag.Duration("max-timeout", 0, "ceiling on requested job timeouts (0 = 5m)")
 	stepLimit := flag.Int64("steplimit", 0, "default instruction budget per interpreter run (0 = 100M)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this address (empty = off)")
@@ -87,17 +82,6 @@ func main() {
 		MaxTimeout:     *maxTimeout,
 		StepLimit:      *stepLimit,
 		TrackAllocs:    *trackAllocs,
-		BackendID:      *backendID,
-	}
-	if *jobTimeout > 0 {
-		// -job-timeout is the fleet-facing name for the server-side
-		// deadline: it bounds every job (including ones that ask for
-		// more) so a router's retry policy can rely on the worker being
-		// back within a known horizon.
-		cfg.DefaultTimeout = *jobTimeout
-		if cfg.MaxTimeout <= 0 || cfg.MaxTimeout > *jobTimeout {
-			cfg.MaxTimeout = *jobTimeout
-		}
 	}
 	if !*quiet {
 		cfg.Log = os.Stderr

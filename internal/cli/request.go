@@ -251,7 +251,7 @@ func (q *Request) Key() string {
 // SourceKey is the content-address of the program alone (name + text):
 // the artifact-cache key under which compiled modules and crash-verdict
 // caches are shared across requests that differ only in options, and the
-// key the fleet router hashes onto its ring.
+// key the daemon hashes to pick a request's worker shard.
 func (q *Request) SourceKey() string {
 	name := q.Program
 	if name == "" {

@@ -13,10 +13,11 @@ import (
 
 const keySource = "pm int g[4];\nint main() {\n  g[0] = 1;\n  return 0;\n}\n"
 
-// TestSourceKeyPinned pins SourceKey to fixed values: the fleet router
-// places programs on its ring by this key, so a change here silently
-// moves every program to another backend. The long source spans several
-// of the hash's input buffers.
+// TestSourceKeyPinned pins SourceKey to fixed values: the daemon picks a
+// program's worker shard and artifact-cache entry by this key, so a
+// change here silently moves every program to another shard. The long
+// source spans several of the hash's input buffers, so the pin also
+// proves the streamed digest equals the one-shot one.
 func TestSourceKeyPinned(t *testing.T) {
 	for _, c := range []struct {
 		req  cli.Request

@@ -17,13 +17,13 @@ import (
 	"hippocrates/internal/obs"
 )
 
-// TestDrainUnderLoadLosesNothing is the single-node zero-loss proof the
-// fleet chaos harness builds on: a daemon drained mid-soak (BeginDrain is
-// exactly what the SIGTERM handler runs first) must complete every job it
-// accepted with a response byte-identical to a sequential cli.Run of the
-// same request, and must answer everything it rejects with 503 +
-// jittered Retry-After — nothing hangs, nothing is dropped, nothing is
-// corrupted. Runs under -race in the tier-1 suite.
+// TestDrainUnderLoadLosesNothing is the daemon's zero-loss proof: a
+// daemon drained mid-soak (BeginDrain is exactly what the SIGTERM handler
+// runs first) must complete every job it accepted with a response
+// byte-identical to a sequential cli.Run of the same request, and must
+// answer everything it rejects with 503 + jittered Retry-After — nothing
+// hangs, nothing is dropped, nothing is corrupted. Runs under -race in
+// the tier-1 suite.
 func TestDrainUnderLoadLosesNothing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drain soak in -short mode")

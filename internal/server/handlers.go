@@ -47,8 +47,8 @@ func (s *Server) Handler() http.Handler {
 // errorDoc is the JSON body of every non-2xx answer. Kind is set for
 // typed failures a client can act on programmatically: "deadline" (the
 // job exceeded its wall-clock budget — HTTP 504; retrying the identical
-// request elsewhere will time out identically, so routers relay it) and
-// "steplimit" (the instruction budget — same determinism argument).
+// request will time out identically) and "steplimit" (the instruction
+// budget — same determinism argument).
 type errorDoc struct {
 	Error string `json:"error"`
 	Kind  string `json:"kind,omitempty"`
@@ -86,9 +86,6 @@ func (s *Server) decodeAndSubmit(w http.ResponseWriter, r *http.Request) *Job {
 		traceID = NewTraceID()
 	}
 	w.Header().Set(TraceHeader, traceID)
-	if s.cfg.BackendID != "" {
-		w.Header().Set(BackendHeader, s.cfg.BackendID)
-	}
 	var req cli.Request
 	body := http.MaxBytesReader(w, r.Body, MaxRequestBytes)
 	dec := json.NewDecoder(body)
@@ -145,11 +142,12 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeJobError maps a failed job onto its status code: a wall-clock
-// deadline expiry is the server-enforced per-job timeout (-job-timeout),
-// answered 504 with a typed error doc so clients and routers can tell
-// "this job is too slow by policy" from "this job is broken" (422). Both
-// limit kinds are deterministic for a given request, so neither is
-// retryable — the fleet router relays them as-is.
+// deadline expiry is the server-enforced per-job budget (the request's
+// timeout_ms, else -timeout, capped by -max-timeout), answered 504 with
+// a typed error doc so clients can tell "this job is too slow by policy"
+// from "this job is broken" (422). Both limit kinds are deterministic for
+// a given request, so a client that retries the identical request gets
+// the identical failure; neither carries Retry-After.
 func writeJobError(w http.ResponseWriter, jobID string, err error) {
 	var le *interp.LimitError
 	if errors.As(err, &le) {
@@ -257,20 +255,13 @@ func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
 	w.Write(data)
 }
 
-// BackendHeader carries the daemon's fleet identity (Config.BackendID)
-// on every submit outcome and /healthz body, so the router and the chaos
-// harness can attribute each response to the node that produced it.
-const BackendHeader = "X-Hippocrates-Backend"
-
 // healthzDoc is the GET /healthz body: liveness plus the load signals a
-// balancer or autoscaler actually routes on. BackendID identifies the
-// node inside a fleet (empty when standalone).
+// balancer or autoscaler actually routes on.
 type healthzDoc struct {
-	Status    string     `json:"status"`
-	BackendID string     `json:"backend_id,omitempty"`
-	Draining  bool       `json:"draining"`
-	InFlight  int64      `json:"in_flight"`
-	Shards    []ShardDoc `json:"shards"`
+	Status   string     `json:"status"`
+	Draining bool       `json:"draining"`
+	InFlight int64      `json:"in_flight"`
+	Shards   []ShardDoc `json:"shards"`
 }
 
 // handleHealthz reports drain state and per-shard queue depth. While
@@ -278,16 +269,12 @@ type healthzDoc struct {
 // path uses, so clients back off uniformly (and unsynchronized).
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	doc := healthzDoc{
-		Status:    "ok",
-		BackendID: s.cfg.BackendID,
-		Draining:  s.Draining(),
-		InFlight:  s.inFlight.Load(),
-		Shards:    s.shardDocs(),
+		Status:   "ok",
+		Draining: s.Draining(),
+		InFlight: s.inFlight.Load(),
+		Shards:   s.shardDocs(),
 	}
 	w.Header().Set("Content-Type", "application/json")
-	if s.cfg.BackendID != "" {
-		w.Header().Set(BackendHeader, s.cfg.BackendID)
-	}
 	if doc.Draining {
 		doc.Status = "draining"
 		setRetryAfter(w.Header())

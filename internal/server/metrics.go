@@ -50,7 +50,8 @@ type QueueDoc struct {
 	Rejected int64 `json:"rejected"`
 	Draining bool  `json:"draining"`
 	// Shards is the per-worker queue state, index-aligned with the pool;
-	// saturation is depth/capacity, the signal the fleet router shards on.
+	// saturation is depth/capacity, the signal a load balancer or
+	// autoscaler in front of the daemon reads.
 	Shards []ShardDoc `json:"shards"`
 }
 

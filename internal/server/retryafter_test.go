@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -10,6 +12,7 @@ import (
 	"time"
 
 	"hippocrates/internal/cli"
+	"hippocrates/internal/obs"
 )
 
 // validRetryAfter reports whether s is an integer inside the jitter
@@ -34,7 +37,9 @@ func spinReq() *cli.Request {
 // TestRetryAfterJitter: 429 rejections must carry a Retry-After inside
 // the jitter range, and repeated rejections must not all carry the same
 // value — a constant would re-synchronize every backed-off client onto
-// the same retry instant and re-stampede a recovering shard.
+// the same retry instant and re-stampede a recovering shard. A rejected
+// request retried until the shard frees up must then be answered
+// exactly as a sequential run answers it.
 func TestRetryAfterJitter(t *testing.T) {
 	// One worker, one queue slot, and spin jobs that park it: once the
 	// shard is saturated every further submit is a deterministic 429.
@@ -88,5 +93,60 @@ func TestRetryAfterJitter(t *testing.T) {
 	// 40 draws from a 3-value jitter: P(all equal) = 3^-39.
 	if len(seen) < 2 {
 		t.Errorf("%d rejections all carried the same Retry-After — jitter missing", got429)
+	}
+
+	// A rejection does no harm: a real repair the full shard turns away is
+	// accepted once the spins die, and answers exactly as a sequential
+	// cli.Run of the same request does.
+	pub := publishReq()
+	pub.TimeoutMS = 60_000
+	pubBody, err := json.Marshal(pub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var accepted []byte
+	rejected := 0
+	for deadline := time.Now().Add(time.Minute); accepted == nil; {
+		resp, err := http.Post(ts.URL+"/api/v1/repair", "application/json", bytes.NewReader(pubBody))
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode == http.StatusOK {
+			accepted = data
+			continue
+		}
+		if resp.StatusCode != http.StatusTooManyRequests {
+			t.Fatalf("repair retry: HTTP %d: %.200s", resp.StatusCode, data)
+		}
+		if ra := resp.Header.Get("Retry-After"); !validRetryAfter(ra) {
+			t.Fatalf("429 Retry-After %q outside [%d,%d]", ra, RetryAfterMin, RetryAfterMax)
+		}
+		rejected++
+		if time.Now().After(deadline) {
+			t.Fatalf("repair still rejected after %d retries", rejected)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	if rejected == 0 {
+		t.Error("the saturated shard accepted the repair at once — the retry case proved nothing")
+	}
+	rec := obs.New()
+	root := rec.StartSpan("job")
+	seq, err := cli.Run(pub, root)
+	root.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqJSON, err := seq.EncodeJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if normalizeResponse(t, accepted) != normalizeResponse(t, seqJSON) {
+		t.Error("a repair accepted after a 429 diverged from the sequential run")
 	}
 }

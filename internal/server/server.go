@@ -72,11 +72,6 @@ type Config struct {
 	FlightSlow     int
 	FlightFailed   int
 	FlightRejected int
-	// BackendID names this daemon instance in a fleet: /healthz reports
-	// it and every submit outcome carries it as X-Hippocrates-Backend, so
-	// a router (cmd/hippocratesfleet) and the chaos harness can attribute
-	// responses to nodes. Empty means standalone (no header, no field).
-	BackendID string
 	// Log receives one line per job (nil = silent).
 	Log io.Writer
 }
@@ -637,9 +632,9 @@ func (s *Server) artifactFor(req *cli.Request, key string) (*artifact, error) {
 // submissions fail with ErrDraining (503 + Retry-After over HTTP),
 // /healthz reports "draining", and the shard queues are closed so the
 // workers exit once the accepted backlog is done. Idempotent. It is the
-// SIGTERM handler's first move and the handoff hook a fleet router
-// observes: the instant /healthz flips, the router stops hashing new
-// keys here while in-flight jobs run to completion.
+// SIGTERM handler's first move: the instant /healthz flips, a load
+// balancer in front stops sending work here while in-flight jobs run to
+// completion.
 func (s *Server) BeginDrain() {
 	s.drainMu.Lock()
 	defer s.drainMu.Unlock()

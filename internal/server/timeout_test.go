@@ -13,9 +13,10 @@ import (
 )
 
 // TestJobTimeoutReturns504: the server-side per-job deadline
-// (-job-timeout / Config.DefaultTimeout) must kill a runaway job via the
-// interpreter's deadline plumbing and surface as a typed 504 error doc —
-// not occupy the worker forever, and not masquerade as a generic 422.
+// (hippocratesd -timeout, Config.DefaultTimeout) must kill a runaway job
+// via the interpreter's deadline plumbing and surface as a typed 504
+// error doc — not occupy the worker forever, and not masquerade as a
+// generic 422.
 func TestJobTimeoutReturns504(t *testing.T) {
 	s := New(Config{Workers: 1, DefaultTimeout: 300 * time.Millisecond})
 	defer shutdown(t, s)

@@ -11,8 +11,9 @@ import (
 // the submit's HTTP response header, the job's span-tree root attribute,
 // the per-job log line, and (for slow/failed/rejected requests) the
 // flight-recorder entry all carry the same ID, so a single grep follows a
-// job from enqueue through the shard worker to its outcome — and, once
-// the fleet is sharded, across nodes.
+// job from enqueue through the shard worker to its outcome. An inbound
+// ID is kept, so a proxy or client that already traces the request
+// carries the same ID through the daemon.
 
 // TraceHeader is the request/response header carrying the trace ID.
 const TraceHeader = "X-Trace-Id"
