@@ -7,6 +7,8 @@
 package repro_test
 
 import (
+	"context"
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -21,6 +23,7 @@ import (
 	"hippocrates/internal/pmcheck"
 	"hippocrates/internal/progen"
 	"hippocrates/internal/schedule"
+	"hippocrates/internal/server"
 	"hippocrates/internal/study"
 	"hippocrates/internal/trace"
 	"hippocrates/internal/ycsb"
@@ -436,8 +439,8 @@ func BenchmarkTraceRoundTrip(b *testing.B) {
 // daemon's static-edits requests, about 400 KB of IR text.
 func layeredModule() *ir.Module { return progen.Layered(progen.DefaultLayeredConfig()) }
 
-// BenchmarkCloneModule measures the private copy the daemon takes of its
-// cached compile for every job.
+// BenchmarkCloneModule measures the private copy the daemon takes of a
+// source's cached compile for each of its jobs from the second on.
 func BenchmarkCloneModule(b *testing.B) {
 	m := layeredModule()
 	b.ReportAllocs()
@@ -460,8 +463,9 @@ func BenchmarkParseModule(b *testing.B) {
 }
 
 // BenchmarkStaticRepair measures one static repair of the layered module
-// as a daemon job runs it: on a private clone of a parsed module, with no
-// fingerprint memoized and no summary store shared between runs.
+// on a clone of a parsed module, which stands in for the fresh parse a
+// daemon job repairs, with no fingerprint memoized and no summary store
+// shared between runs.
 func BenchmarkStaticRepair(b *testing.B) {
 	parsed, err := ir.ParseModule(ir.Print(layeredModule()))
 	if err != nil {
@@ -475,6 +479,32 @@ func BenchmarkStaticRepair(b *testing.B) {
 		}
 		if res.Fix == nil || !res.After.Clean() {
 			b.Fatal("static repair did not leave the layered module clean")
+		}
+	}
+}
+
+// BenchmarkServerStaticJob measures one daemon static repair end to end
+// through server.Submit, as a static-edits request runs it: every op
+// submits a layered source no earlier op sent (a leading IR comment
+// differs), so it misses the response and artifact caches and pays for
+// compile, repair and encoding, against a summary store the earlier ops
+// warmed. Building the 400 KB source counts against each op.
+func BenchmarkServerStaticJob(b *testing.B) {
+	text := ir.Print(layeredModule())
+	srv := server.New(server.Config{Workers: 1})
+	defer srv.Shutdown(context.Background())
+	b.ReportAllocs()
+	op := 0
+	for b.Loop() {
+		op++
+		j, err := srv.Submit(&cli.Request{Program: "layered.pmir",
+			Source: fmt.Sprintf("; op %d\n%s", op, text), Mode: cli.ModeRepair, Static: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		<-j.Done()
+		if j.State() != server.StateDone || j.CacheHit() {
+			b.Fatalf("op %d: state %s, cache hit %v, err %v", op, j.State(), j.CacheHit(), j.Err())
 		}
 	}
 }

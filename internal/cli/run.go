@@ -190,9 +190,9 @@ func CompileRequest(q *Request, root *obs.Span) (*ir.Module, error) {
 	return lang.CompileObs(q.Program, q.Source, root)
 }
 
-// RunModule is Run for a pre-compiled module (the daemon's artifact
-// cache hands each job a private clone of a memoized compile). The
-// module is mutated in place by repair mode.
+// RunModule is Run for a pre-compiled module (the daemon hands a job its
+// own fresh compile or a private clone of a memoized one). The module is
+// mutated in place by repair mode.
 func RunModule(q *Request, mod *ir.Module, root *obs.Span) (*Response, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -350,7 +350,7 @@ func runCheck(q *Request, mod *ir.Module, opts core.Options, resp *Response) err
 }
 
 func runStaticCheck(q *Request, mod *ir.Module, root *obs.Span, resp *Response) error {
-	res, err := static.AnalyzeObsStore(mod, q.Entry, q.SummaryStore, root)
+	res, _, err := static.AnalyzeObsStore(mod, q.Entry, q.SummaryStore, root)
 	if err != nil {
 		return err
 	}

@@ -175,6 +175,10 @@ type Fixer struct {
 	marks *alias.Marks
 	index map[string]map[int]*ir.Instr
 
+	// queries0 is an's query count when the session began: an analysis
+	// handed over by the static pass has answered that pass's queries.
+	queries0 int64
+
 	clones      map[*ir.Func]*ir.Func
 	needsWork   map[*ir.Func]int // 0 unknown, 1 visiting, 2 yes, 3 no
 	transSites  map[*ir.Instr]*ir.Func
@@ -267,11 +271,18 @@ func NewFixer(mod *ir.Module, tr *trace.Trace, opts Options) *Fixer {
 	}
 	asp.SetAttr("marks", marks.Name)
 	asp.End()
+	return newFixer(mod, an, marks, opts)
+}
+
+// newFixer prepares a fixing session over an alias analysis already
+// solved for mod as it is now.
+func newFixer(mod *ir.Module, an *alias.Analysis, marks *alias.Marks, opts Options) *Fixer {
 	fx := &Fixer{
 		opts:        opts,
 		sp:          opts.Obs,
 		mod:         mod,
 		an:          an,
+		queries0:    an.Queries(),
 		marks:       marks,
 		index:       make(map[string]map[int]*ir.Instr),
 		clones:      make(map[*ir.Func]*ir.Func),
@@ -402,7 +413,7 @@ func (fx *Fixer) finish(asp *obs.Span) error {
 	asp.Add("fix.reduced", int64(fx.result.ReducedFixes))
 	asp.Add("fix.clones", int64(fx.result.ClonesCreated))
 	asp.Add("fix.instrs.added", int64(fx.result.InstrsAfter-fx.result.InstrsBefore))
-	asp.Add("alias.queries", fx.an.Queries())
+	asp.Add("alias.queries", fx.an.Queries()-fx.queries0)
 	for _, f := range fx.result.Fixes {
 		fx.sp.Observe("fix.hoist_depth", int64(f.HoistDepth))
 	}

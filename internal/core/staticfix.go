@@ -3,9 +3,9 @@ package core
 import (
 	"fmt"
 
+	"hippocrates/internal/alias"
 	"hippocrates/internal/ir"
 	"hippocrates/internal/static"
-	"hippocrates/internal/trace"
 )
 
 // StaticPipelineResult is the outcome of a static-analysis-driven repair.
@@ -23,7 +23,9 @@ type StaticPipelineResult struct {
 // convert the reports into the detector's shape, plan and apply fixes, then
 // re-analyze to validate. The fixer runs on whole-program alias facts
 // (Full-AA): with no trace there is nothing for Trace-AA to refine, so a
-// TraceAA request is overridden.
+// TraceAA request is overridden. It plans over the alias analysis the
+// first pass solved, since the module has not changed in between, so a
+// repair solves alias analysis twice: before the fix and after it.
 func StaticRepair(mod *ir.Module, entry string, opts Options) (out *StaticPipelineResult, err error) {
 	defer guard("static repair", &err)
 	sp := opts.Obs
@@ -35,7 +37,7 @@ func StaticRepair(mod *ir.Module, entry string, opts Options) (out *StaticPipeli
 	if store == nil {
 		store = static.NewStore(0)
 	}
-	sres, err := static.AnalyzeObsStore(mod, entry, store, sp)
+	sres, an, err := static.AnalyzeObsStore(mod, entry, store, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -45,14 +47,14 @@ func StaticRepair(mod *ir.Module, entry string, opts Options) (out *StaticPipeli
 		return out, nil
 	}
 	opts.Marks = FullAA
-	fx := NewFixer(mod, &trace.Trace{Program: mod.Name}, opts)
+	fx := newFixer(mod, an, alias.FullMarks(an), opts)
 	if err := fx.Apply(sres.PMCheckReports()); err != nil {
 		return nil, fmt.Errorf("static repair: %w", err)
 	}
 	out.Fix = fx.Result()
 	rsp := sp.Start("revalidate")
 	defer rsp.End()
-	after, err := static.AnalyzeObsStore(mod, entry, store, rsp)
+	after, _, err := static.AnalyzeObsStore(mod, entry, store, rsp)
 	if err != nil {
 		return nil, fmt.Errorf("static repair re-analysis: %w", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"hippocrates/internal/lang"
+	"hippocrates/internal/obs"
 	"hippocrates/internal/static"
 )
 
@@ -47,6 +48,62 @@ int main() {
 	}
 	if res.Before.Incr.SumMisses == 0 {
 		t.Errorf("before pass should prime the store: incr = %+v", res.Before.Incr)
+	}
+}
+
+// TestStaticRepairSolvesAliasTwice: a static repair solves alias
+// analysis once before the fix, and the fixer plans over that solution,
+// and once in the post-repair re-analysis. Every solve looks each
+// function's constraint list up in the store, so the store's constraint
+// traffic is exactly the two analysis passes' own; a third solve inside
+// the fixer would add a lookup per function. The span tree agrees: two
+// static-analyze spans and no alias-analyze span.
+func TestStaticRepairSolvesAliasTwice(t *testing.T) {
+	const src = `
+pm int cell[64];
+void put(int *p, int v) {
+	*p = v;
+	clwb(p);
+}
+int main() {
+	put(&cell[0], 1);
+	cell[8] = 9;
+	pm_checkpoint();
+	return cell[8];
+}
+`
+	m, err := lang.Compile("t.pmc", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := static.NewStore(0)
+	rec := obs.New()
+	root := rec.StartSpan("job")
+	res, err := StaticRepair(m, "main", Options{SummaryStore: store, Obs: root})
+	root.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Fix == nil || len(res.Fix.Fixes) == 0 || res.After == res.Before {
+		t.Fatal("expected a repair and a post-repair re-analysis")
+	}
+	before := res.Before.Incr.ConsHits + res.Before.Incr.ConsMisses
+	after := res.After.Incr.ConsHits + res.After.Incr.ConsMisses
+	if before == 0 || after == 0 {
+		t.Fatalf("an analysis pass made no constraint lookups: before %d, after %d", before, after)
+	}
+	st := store.Stats()
+	if got := st.ConsHits + st.ConsMisses; got != int64(before+after) {
+		t.Errorf("store saw %d constraint lookups, want %d (before %d + after %d): alias analysis ran more than twice",
+			got, before+after, before, after)
+	}
+	spans := map[string]int{}
+	for _, pt := range rec.PhaseTotals() {
+		spans[pt.Name] = pt.Spans
+	}
+	if spans["static-analyze"] != 2 || spans["alias-analyze"] != 0 {
+		t.Errorf("span counts: static-analyze %d, alias-analyze %d; want 2 and 0",
+			spans["static-analyze"], spans["alias-analyze"])
 	}
 }
 

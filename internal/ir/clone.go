@@ -21,8 +21,9 @@ func CloneFunc(fn *Func, newName string) *Func {
 	return nf
 }
 
-// CloneModule deep-copies a module by walking it. The daemon clones its
-// cached compile once per job, so a repair never mutates the master.
+// CloneModule deep-copies a module by walking it. The daemon clones a
+// source's cached compile for every job after the one that cached it, so
+// a repair never mutates the master.
 //
 // Struct types, array types, constants and global initializer bytes are
 // shared: nothing mutates them once built. Globals, functions, parameters,

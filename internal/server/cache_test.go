@@ -2,10 +2,12 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"testing"
 
 	"hippocrates/internal/cli"
+	"hippocrates/internal/obs"
 )
 
 // srcEcho is a minimal clean program whose entry takes an argument, so
@@ -90,6 +92,8 @@ func TestResponseCacheEvictsLRU(t *testing.T) {
 // TestArtifactCacheEvictsLRU fills the artifact cache with distinct
 // sources, overflows it by one, and checks through /metrics counters that
 // the least recently used source recompiles while a touched one does not.
+// Every compile is a miss, a source's second job included (it compiles
+// the master it keeps); only a job that clones a kept master is a hit.
 func TestArtifactCacheEvictsLRU(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer shutdown(t, s)
@@ -105,12 +109,13 @@ func TestArtifactCacheEvictsLRU(t *testing.T) {
 		t.Fatalf("after %d distinct sources: %d hits / %d misses", artifactCacheSize, h, m)
 	}
 	// A different request on source 0 misses the response cache but finds
-	// its artifact, which makes source 0 the most recently used.
+	// its artifact, which makes source 0 the most recently used. Being
+	// the source's second job, it compiles the master it keeps: a miss.
 	touch := variantReq(0)
 	touch.Args = []uint64{2}
 	run(t, s, touch)
-	if h, _ := artifacts(); h != 1 {
-		t.Fatalf("source 0 missed the artifact cache (%d hits)", h)
+	if h, m := artifacts(); h != 0 || m != artifactCacheSize+1 {
+		t.Fatalf("second job on source 0: %d hits / %d misses, want 0 / %d", h, m, artifactCacheSize+1)
 	}
 	run(t, s, variantReq(artifactCacheSize)) // evicts source 1
 	if n := s.artifacts.Len(); n != artifactCacheSize {
@@ -129,6 +134,95 @@ func TestArtifactCacheEvictsLRU(t *testing.T) {
 	run(t, s, lru)
 	if h, m := artifacts(); h != h0+1 || m != m0+1 {
 		t.Errorf("evicted source 1: %d hits / %d misses, want %d / %d", h, m, h0+1, m0+1)
+	}
+}
+
+// srcArgBug leaves a store of its argument unflushed, so a repair
+// rewrites the module and a check of the unrepaired module reports it.
+const srcArgBug = `
+pm int cell;
+pm int flag;
+
+int main(int a) {
+	cell = a;
+	flag = 1;
+	clwb(&flag);
+	sfence();
+	return a;
+}
+`
+
+// TestArtifactSecondUseKeepsMaster follows one source through the
+// artifact cache. Its first job, a static repair, runs on the module it
+// compiled and leaves an artifact with no module. The second job compiles
+// again and keeps that compile as the master; it and the later jobs run
+// on clones. Every job must answer byte-identically to a sequential
+// cli.Run: each check follows a repair meant to run on a clone, and
+// would come out clean had that repair rewritten the master instead.
+func TestArtifactSecondUseKeepsMaster(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer shutdown(t, s)
+
+	req := func(mode string, static bool, arg uint64) *cli.Request {
+		return &cli.Request{Program: "argbug.pmc", Source: srcArgBug, Mode: mode,
+			Static: static, Args: []uint64{arg}, TimeoutMS: 60_000}
+	}
+	artifacts := func() (hits, misses int64) {
+		c := s.Metrics().Cache
+		return c.ArtifactHits, c.ArtifactMisses
+	}
+	jobs := []struct {
+		req          *cli.Request
+		hits, misses int64
+	}{
+		{req(cli.ModeRepair, true, 1), 0, 1},
+		{req(cli.ModeRepair, false, 2), 0, 2},
+		{req(cli.ModeCheck, true, 1), 1, 2},
+		{req(cli.ModeRepair, true, 3), 2, 2},
+		{req(cli.ModeCheck, false, 2), 3, 2},
+	}
+	for i, jb := range jobs {
+		want := *jb.req
+		rec := obs.New()
+		root := rec.StartSpan("job")
+		resp, err := cli.Run(&want, root)
+		root.End()
+		if err != nil {
+			t.Fatalf("job %d: sequential run: %v", i, err)
+		}
+		wantJSON, err := resp.EncodeJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		j := run(t, s, jb.req)
+		if j.CacheHit() {
+			t.Fatalf("job %d hit the response cache", i)
+		}
+		if !bytes.Equal(j.ResponseJSON(), wantJSON) {
+			t.Errorf("job %d (%s, static %v) differs from a sequential run:\n%s\nvs\n%s",
+				i, jb.req.Mode, jb.req.Static, j.ResponseJSON(), wantJSON)
+		}
+		if h, m := artifacts(); h != jb.hits || m != jb.misses {
+			t.Errorf("after job %d: %d artifact hits / %d misses, want %d / %d", i, h, m, jb.hits, jb.misses)
+		}
+		art, ok := s.artifacts.Get(j.sourceKey)
+		if !ok {
+			t.Fatalf("job %d: no artifact cached for its source", i)
+		}
+		if kept := art.master() != nil; kept != (i > 0) {
+			t.Errorf("after job %d: artifact keeps a master = %v, want %v", i, kept, i > 0)
+		}
+	}
+	var first struct {
+		BugsBefore int  `json:"bugs_before"`
+		Fixed      bool `json:"fixed"`
+	}
+	if err := json.Unmarshal(run(t, s, jobs[0].req).ResponseJSON(), &first); err != nil {
+		t.Fatal(err)
+	}
+	if first.BugsBefore == 0 || !first.Fixed {
+		t.Errorf("static repair of srcArgBug: bugs_before=%d fixed=%v, want a repaired bug", first.BugsBefore, first.Fixed)
 	}
 }
 

@@ -79,6 +79,9 @@ type JobsDoc struct {
 type CacheDoc struct {
 	ResponseHits   int64 `json:"response_hits"`
 	ResponseMisses int64 `json:"response_misses"`
+	// ArtifactHits counts jobs that cloned a kept compile, ArtifactMisses
+	// jobs that compiled (a source's second job, which keeps the compile
+	// it makes, included).
 	ArtifactHits   int64 `json:"artifact_hits"`
 	ArtifactMisses int64 `json:"artifact_misses"`
 	VerdictHits    int64 `json:"verdict_hits"`
@@ -168,7 +171,7 @@ func (s *Server) Metrics() *MetricsDoc {
 		doc.Windows = []PhaseWindowDoc{}
 	}
 	rh, rm := s.responses.Stats()
-	ah, am := s.artifacts.Stats()
+	ah, am := s.artifactHits.Load(), s.artifactMisses.Load()
 	ss := s.summaries.Stats()
 	doc.Cache = CacheDoc{
 		ResponseHits: rh, ResponseMisses: rm,

@@ -13,10 +13,12 @@
 //   - Content-addressed caching: a response cache keyed by the canonical
 //     request hash serves repeated requests byte-identically without
 //     running anything, and an artifact cache keyed by the source hash
-//     memoizes the lex/parse/lower result (each job repairs a private
-//     clone) and shares the crashsim verdict cache across jobs of the same
-//     program. Jobs are sharded by source key, so same-source jobs
-//     serialize onto one worker and hit those caches warm.
+//     shares the crashsim verdict cache across jobs of the same program
+//     and, from a source's second job on, memoizes the lex/parse/lower
+//     result (the first job repairs the module it compiled; later jobs
+//     repair private clones of the kept master). Jobs are sharded by
+//     source key, so same-source jobs serialize onto one worker and hit
+//     those caches warm.
 //   - Isolation: every job runs under its own obs.Recorder (span trees and
 //     audit trails never interleave; retrievable per job ID), inside
 //     core.RunAndRepair's panic isolation, against a clamped wall-clock
@@ -174,6 +176,13 @@ type Server struct {
 
 	responses *lru.Cache[string, []byte]
 	artifacts *lru.Cache[string, *artifact]
+
+	// artifactHits counts jobs that cloned a kept compiled master;
+	// artifactMisses counts jobs that compiled, a source's second job
+	// included. The cache's own lookup counts would call that second job
+	// a hit although it compiled.
+	artifactHits   atomic.Int64
+	artifactMisses atomic.Int64
 
 	// verdictHits / verdictMisses accumulate every job's lookups in its
 	// artifact's shared crash-verdict cache. They are counted per job, not
@@ -474,9 +483,10 @@ func (s *Server) worker(ch chan *Job) {
 	}
 }
 
-// runJob executes one job end to end: artifact lookup (memoized compile +
-// shared verdict cache), a private module clone, the cli pipeline under
-// the job's own recorder, response serialization, and cache fills.
+// runJob executes one job end to end: artifact lookup (shared verdict
+// cache, and the module to run: a fresh compile or a clone of the kept
+// master), the cli pipeline under the job's own recorder, response
+// serialization, and cache fills.
 func (s *Server) runJob(job *Job) {
 	s.inFlight.Add(1)
 	started := time.Now()
@@ -546,14 +556,13 @@ func (s *Server) runJob(job *Job) {
 		close(job.done)
 	}
 
-	// Artifact cache: compile once per (program, source), clone per job —
-	// repair mutates the module, the cached master stays pristine.
-	art, err := s.artifactFor(req, job.sourceKey)
+	// The job repairs its own compile or a clone of the kept master, so
+	// the master stays pristine (see moduleFor).
+	art, mod, err := s.moduleFor(req, job.sourceKey)
 	if err != nil {
 		finish(nil, err)
 		return
 	}
-	mod := ir.CloneModule(art.mod)
 
 	// Share memoized crash verdicts across jobs of this source. Sound
 	// because verdict keys are image-content hashes and same-source jobs
@@ -608,24 +617,37 @@ func (s *Server) runJob(job *Job) {
 	finish(data, nil)
 }
 
-// artifactFor returns the artifact for the request's source (key is its
-// SourceKey), compiling on a miss. The compile runs outside the cache
-// lock: same-source jobs land on one shard (see shardOf), so two workers
-// never race to compile one source. Front-end telemetry of a fresh
-// compile is recorded on the aggregate recorder so the metrics still see
-// lex/parse/lower costs.
-func (s *Server) artifactFor(req *cli.Request, key string) (*artifact, error) {
-	if art, ok := s.artifacts.Get(key); ok {
-		return art, nil
+// moduleFor returns the artifact for the request's source (key is its
+// SourceKey) and the module the job runs on. A source's first job
+// compiles, caches an artifact without a module and runs on its own
+// compile: most sources are never submitted again, and a clone would
+// double the IR the job allocates. The second job compiles again, keeps
+// that module as the artifact's master and runs on a clone; every later
+// job clones the master. A clone counts as an artifact hit, each compile
+// as a miss. The compile runs outside the cache lock: same-source jobs
+// land on one shard (see shardOf), so two workers never race to compile
+// one source. Front-end telemetry of a compile is recorded on the
+// aggregate recorder so the metrics still see lex/parse/lower costs.
+func (s *Server) moduleFor(req *cli.Request, key string) (*artifact, *ir.Module, error) {
+	art, cached := s.artifacts.Get(key)
+	if cached {
+		if master := art.master(); master != nil {
+			s.artifactHits.Add(1)
+			return art, ir.CloneModule(master), nil
+		}
 	}
+	s.artifactMisses.Add(1)
 	sp := s.rec.StartSpan("compile")
 	sp.SetAttr("program", req.Program)
 	mod, err := cli.CompileRequest(req, sp)
 	sp.End()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return s.artifacts.Add(key, &artifact{mod: mod}), nil
+	if !cached {
+		return s.artifacts.Add(key, &artifact{}), mod, nil
+	}
+	return art, ir.CloneModule(art.keep(mod)), nil
 }
 
 // BeginDrain flips the daemon into drain mode without waiting: new

@@ -21,10 +21,10 @@ import (
 // -race, must produce responses byte-identical to sequential one-shot
 // cli.Run invocations of the same requests — all while every
 // observability endpoint is scraped continuously. The only tolerated
-// difference
-// is the crashsim `stats` accounting (cache hits, images built, COW page
-// counters), which legitimately depends on which jobs shared a verdict
-// cache; normalizeResponse zeroes it on both sides before comparing.
+// difference is the crashsim `stats` accounting (cache hits, images
+// built, COW page counters), which legitimately depends on which jobs
+// shared a verdict cache; normalizeResponse zeroes it on both sides
+// before comparing.
 func TestSoakConcurrentMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus soak in -short mode")
@@ -177,9 +177,6 @@ func TestSoakConcurrentMatchesSequential(t *testing.T) {
 	}
 }
 
-// normalizeResponse strips the crashsim stats accounting — the one
-// deliberately non-deterministic corner of the response — and re-marshals
-// with sorted keys, so equal pipelines compare equal regardless of cache
 // TestCorpusReplayWarmRoundHitsCache replays the crashsim-able corpus
 // against a live daemon twice: the warm round must be answered entirely
 // from the response cache, and must finish in less wall time than the
@@ -216,6 +213,9 @@ func TestCorpusReplayWarmRoundHitsCache(t *testing.T) {
 	t.Logf("%d jobs: cold %.1f ms (%d hits), warm %.1f ms", cold.Jobs, cold.WallMS, cold.CacheHits, warm.WallMS)
 }
 
+// normalizeResponse strips the crashsim stats accounting — the one
+// deliberately non-deterministic corner of the response — and re-marshals
+// with sorted keys, so equal pipelines compare equal regardless of cache
 // sharing.
 func normalizeResponse(t *testing.T, data []byte) string {
 	t.Helper()

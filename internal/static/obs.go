@@ -1,6 +1,7 @@
 package static
 
 import (
+	"hippocrates/internal/alias"
 	"hippocrates/internal/ir"
 	"hippocrates/internal/obs"
 )
@@ -9,11 +10,14 @@ import (
 // span of sp, publishing the analysis statistics as static.* counters;
 // with a store, the run's summary and constraint hit/miss counts are
 // published as static.sum_* / static.cons_* counters. With a nil store
-// and a nil span it is exactly Analyze.
-func AnalyzeObsStore(mod *ir.Module, entry string, store *Store, sp *obs.Span) (*Result, error) {
+// and a nil span it is exactly Analyze. It also returns the whole-program
+// alias analysis the run solved, valid until mod is next mutated, so a
+// repair of the same module version can plan over it instead of solving
+// it again.
+func AnalyzeObsStore(mod *ir.Module, entry string, store *Store, sp *obs.Span) (*Result, *alias.Analysis, error) {
 	asp := sp.Start("static-analyze")
 	defer asp.End()
-	res, err := AnalyzeWithStore(mod, entry, store)
+	res, an, err := analyze(mod, entry, store)
 	if res != nil {
 		asp.SetAttr("entry", res.Entry)
 		asp.Add("static.funcs", int64(res.Funcs))
@@ -35,5 +39,5 @@ func AnalyzeObsStore(mod *ir.Module, entry string, store *Store, sp *obs.Span) (
 			asp.Add("static.cons_misses", int64(res.Incr.ConsMisses))
 		}
 	}
-	return res, err
+	return res, an, err
 }

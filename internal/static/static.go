@@ -247,12 +247,19 @@ func Analyze(mod *ir.Module, entry string) (*Result, error) {
 // re-deriving what the key proves unchanged. A nil store analyzes from
 // scratch.
 func AnalyzeWithStore(mod *ir.Module, entry string, store *Store) (*Result, error) {
+	res, _, err := analyze(mod, entry, store)
+	return res, err
+}
+
+// analyze is AnalyzeWithStore that also returns the whole-program alias
+// analysis the run solved over mod.
+func analyze(mod *ir.Module, entry string, store *Store) (*Result, *alias.Analysis, error) {
 	entryFn := mod.Func(entry)
 	if entryFn == nil {
-		return nil, fmt.Errorf("static: entry function %q not found", entry)
+		return nil, nil, fmt.Errorf("static: entry function %q not found", entry)
 	}
 	if entryFn.IsDecl() {
-		return nil, fmt.Errorf("static: entry function %q has no body", entry)
+		return nil, nil, fmt.Errorf("static: entry function %q has no body", entry)
 	}
 	var an *alias.Analysis
 	az := &analyzer{
@@ -356,7 +363,7 @@ func AnalyzeWithStore(mod *ir.Module, entry string, store *Store) (*Result, erro
 		}
 		return a.Kind < b.Kind
 	})
-	return res, nil
+	return res, an, nil
 }
 
 // exportReport converts an internal report (absolute stack, rooted at the

@@ -414,7 +414,7 @@ int main() {
 	}
 	rec := obs.New()
 	sp := rec.StartSpan("test")
-	res, err := static.AnalyzeObsStore(m, "main", nil, sp)
+	res, _, err := static.AnalyzeObsStore(m, "main", nil, sp)
 	sp.End()
 	if err != nil {
 		t.Fatal(err)
