@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet verify agreement bench bench-smoke hippobench hippobench-build metrics-smoke usage-smoke crash-smoke server-smoke optimize-smoke incremental-smoke mt-smoke
+.PHONY: build test vet verify agreement bench bench-smoke hippobench hippobench-build metrics-smoke usage-smoke crash-smoke server-smoke optimize-smoke incremental-smoke mt-smoke fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -115,6 +115,14 @@ mt-smoke:
 	$(GO) test ./internal/schedule/ -count=1
 	$(GO) test ./internal/static/ -run TestProgenThreadedAgreement -count=1
 
+# fuzz-smoke fuzzes the schedule boundary for a short budget: random
+# decision prefixes on generated threaded programs must replay
+# identically on the decoded interpreter and the tree-walker, and a
+# choice out of range must fail the same way on both. The seed corpus
+# under internal/interp/testdata/fuzz/ also runs in the plain suite.
+fuzz-smoke:
+	$(GO) test ./internal/interp -run '^$$' -fuzz FuzzScheduleReplay -fuzztime 10s
+
 # bench-smoke runs every benchmark once, so a benchmark that no longer
 # builds or fails its own checks breaks the gate (BenchmarkCrashSweep/dedup
 # fails above a fifth of the pre-fast-path wall time). It measures
@@ -140,7 +148,7 @@ hippobench-build:
 # verify is the tier-1 gate (referenced from ROADMAP.md): vet, build, the
 # full suite under the race detector, the agreement harness, and the
 # telemetry, exit-code, crash-validation, interleaving, incremental-analysis,
-# repair-service and benchmark smoke tests, and the hippobench modules'
+# schedule-fuzzing, repair-service and benchmark smoke tests, and the hippobench modules'
 # vet and build. The daemon's serving guarantees (responses byte-identical
 # to sequential runs under load, nothing lost in a drain, every 429/503
 # carrying Retry-After) are server tests in the race-run suite.
@@ -153,6 +161,7 @@ verify: vet build
 	$(MAKE) optimize-smoke
 	$(MAKE) incremental-smoke
 	$(MAKE) mt-smoke
+	$(MAKE) fuzz-smoke
 	$(MAKE) server-smoke
 	$(MAKE) bench-smoke
 	$(MAKE) hippobench-build

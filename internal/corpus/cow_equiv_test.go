@@ -32,7 +32,7 @@ func TestCowImagesMatchDeepClones(t *testing.T) {
 			if _, err := probe.Run(p.Entry); err != nil {
 				t.Fatalf("workload: %v", err)
 			}
-			total := probe.PMEvents()
+			total := len(probe.PMEventLog())
 
 			// Sample up to 8 crash points, endpoints included.
 			var points []int

@@ -37,9 +37,10 @@ import (
 // pmc-level copy loops from the mini-libpmem instead.
 //
 // The table is never written, so every machine shares it; decoding
-// resolves each call site's handler from it once. A handler reads its
-// arguments before anything that may yield to another thread: they sit
-// on the machine's argument stack, which the next thread may reuse.
+// resolves each call site's handler from it once. A handler that
+// announces a visible operation does nothing before its announcement:
+// if the scheduler runs another thread first, the handler runs again
+// from the start when its thread is chosen again.
 var stdBuiltins = map[string]builtin{
 	"pm_alloc":      biPMAlloc,
 	"pm_root":       biPMRoot,
@@ -132,16 +133,28 @@ func biMalloc(m *Machine, args []uint64) (uint64, error) {
 	return addr, nil
 }
 
-// pmStoreChunks traces and tracks a bulk write of buf at addr, splitting
-// it into aligned chunks that never span cache lines. Each chunk is a PM
-// event boundary, so crash injection can land inside a builtin copy.
-func (m *Machine) pmStoreChunks(addr uint64, buf []byte, callIn *ir.Instr) error {
-	// The whole bulk write is one visible operation to the scheduler:
-	// announce once, then the chunks run without interleaving (a builtin
-	// memcpy is atomic at scheduling granularity).
-	if err := m.yieldPM(PendStore, addr); err != nil {
-		return err
+// announceBulk announces a builtin's bulk write to dst when dst is PM.
+// The whole write is one visible operation to the scheduler, announced
+// before its first byte lands, so a thread chosen to run first sees none
+// of it (a builtin memcpy is atomic at scheduling granularity).
+func (m *Machine) announceBulk(dst uint64) error {
+	if !pmem.IsPM(dst) {
+		return nil
 	}
+	return m.announce(PendingOp{Kind: PendStore, Addr: dst})
+}
+
+// bulkWrite writes a builtin's buf at addr. A PM destination is traced
+// and tracked in aligned chunks that never span cache lines; each chunk
+// is a PM event boundary, so crash injection can land inside a builtin
+// copy.
+func (m *Machine) bulkWrite(addr uint64, buf []byte) error {
+	m.Mem.Write(addr, buf)
+	if !pmem.IsPM(addr) {
+		m.Clock.Advance(float64(len(buf)) / 8 * m.cost.StoreDRAM)
+		return nil
+	}
+	callIn := m.callInstr()
 	off := uint64(0)
 	n := uint64(len(buf))
 	for off < n {
@@ -179,15 +192,13 @@ func biMemcpy(m *Machine, args []uint64) (uint64, error) {
 	if pmem.RegionOf(dst) == pmem.RegionInvalid || pmem.RegionOf(src) == pmem.RegionInvalid {
 		return 0, m.fault("memcpy with invalid address (dst=%#x src=%#x n=%d)", dst, src, n)
 	}
+	if err := m.announceBulk(dst); err != nil {
+		return 0, err
+	}
 	buf := make([]byte, n)
 	m.Mem.Read(src, buf)
-	m.Mem.Write(dst, buf)
-	if pmem.IsPM(dst) {
-		if err := m.pmStoreChunks(dst, buf, m.callInstr()); err != nil {
-			return 0, err
-		}
-	} else {
-		m.Clock.Advance(float64(n) / 8 * m.cost.StoreDRAM)
+	if err := m.bulkWrite(dst, buf); err != nil {
+		return 0, err
 	}
 	return dst, nil
 }
@@ -200,17 +211,15 @@ func biMemset(m *Machine, args []uint64) (uint64, error) {
 	if pmem.RegionOf(dst) == pmem.RegionInvalid {
 		return 0, m.fault("memset with invalid address (dst=%#x n=%d)", dst, n)
 	}
+	if err := m.announceBulk(dst); err != nil {
+		return 0, err
+	}
 	buf := make([]byte, n)
 	for i := range buf {
 		buf[i] = byte(c)
 	}
-	m.Mem.Write(dst, buf)
-	if pmem.IsPM(dst) {
-		if err := m.pmStoreChunks(dst, buf, m.callInstr()); err != nil {
-			return 0, err
-		}
-	} else {
-		m.Clock.Advance(float64(n) / 8 * m.cost.StoreDRAM)
+	if err := m.bulkWrite(dst, buf); err != nil {
+		return 0, err
 	}
 	return dst, nil
 }
@@ -227,7 +236,7 @@ func biFlushRange(m *Machine, args []uint64) (uint64, error) {
 	callIn := m.callInstr()
 	if pmem.IsPM(addr) {
 		// One announcement covers the whole range flush.
-		if err := m.yieldPM(PendFlush, addr); err != nil {
+		if err := m.announce(PendingOp{Kind: PendFlush, Addr: addr}); err != nil {
 			return 0, err
 		}
 	}

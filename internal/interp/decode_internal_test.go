@@ -82,7 +82,7 @@ func TestIrregularBodiesMatchTreeWalk(t *testing.T) {
 				t.Fatal(err)
 			}
 			if walk {
-				mach.walk = mach.walkCall
+				useTreeWalk(mach)
 			}
 			ret, err := mach.Run("main")
 			return ret, err, mach, tr
@@ -158,7 +158,7 @@ func TestArithmeticMatchesTreeWalk(t *testing.T) {
 						t.Fatal(err)
 					}
 					if walk {
-						mach.walk = mach.walkCall
+						useTreeWalk(mach)
 					}
 					ret, err := mach.Run("f", x, y)
 					return ret, err, mach

@@ -22,7 +22,7 @@ func NewTreeWalk(mod *ir.Module, opts Options) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.walk = m.walkCall
+	useTreeWalk(m)
 	return m, nil
 }
 

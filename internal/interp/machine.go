@@ -23,8 +23,6 @@ import (
 
 // Options configures a Machine.
 type Options struct {
-	// Cost is the latency model; nil selects pmem.DefaultCostModel.
-	Cost *pmem.CostModel
 	// Trace, when non-nil, receives every PM event.
 	Trace *trace.Trace
 	// Stdout receives output from the print builtins; nil discards it.
@@ -174,11 +172,12 @@ type Machine struct {
 	rootAddr uint64
 	rootSize uint64
 
+	// frames is the running thread's call stack, innermost last.
 	frames    []*frame
 	framePool []*frame
-	// argStack carries call arguments from a caller's registers to the
-	// callee, so a call allocates nothing.
-	argStack []uint64
+	// args carries a builtin's arguments from the caller's registers, so
+	// a builtin call allocates nothing.
+	args []uint64
 	// mt is the scheduler state, allocated lazily on first spawn;
 	// single-threaded runs keep it nil and skip every scheduling branch.
 	mt *mtState
@@ -225,8 +224,8 @@ type Machine struct {
 	privateStacks bool
 	// dec holds the decoder's buffers, made on the machine's first decode.
 	dec *decoder
-	// walk, set only by the package's tests, runs each thread's entry
-	// function on the tree-walking reference interpreter instead.
+	// walk, set only by the package's tests, runs the entry function,
+	// threads and all, on the tree-walking reference interpreter instead.
 	walk func(fn *ir.Func, args []uint64) (uint64, error)
 
 	// ops counts executed instructions per opcode. A dense array indexed
@@ -243,14 +242,19 @@ type frame struct {
 	// then the decoded body's global addresses and constants.
 	regs []uint64
 	// cur is the active instruction, for stack traces. The dispatch loop
-	// sets it only before what may read it: faults, events, yields and
+	// sets it only before what may read it: faults, events, announcements and
 	// calls.
 	cur *ir.Instr
-	// outer is the interned stack of the frame's callers, valid once
-	// outerSet; internStack fills it on the first event recorded at or
-	// below this frame.
-	outer    []trace.Frame
-	outerSet bool
+	// outer is the interned stack of the frame's callers, nil until
+	// internStack fills it on the first event recorded at or below this
+	// frame (a bottom frame's stays nil: it has no callers).
+	outer []trace.Frame
+
+	// pc and next are the dispatch loop's op index and late-branch
+	// target, saved while the frame is not running: the op to resume at
+	// when its callee returns (just after the call op, whose dst takes
+	// the result) or when its thread is chosen again.
+	pc, next int32
 
 	// Stack allocation bookkeeping: allocas carve from
 	// [stackTop-stackUsed, stackTop); storage is reclaimed on return.
@@ -275,7 +279,6 @@ func (m *Machine) getFrame(fn *ir.Func, n int) *frame {
 	f.code = nil
 	f.cur = nil
 	f.outer = nil
-	f.outerSet = false
 	f.stackTop = 0
 	f.stackUsed = 0
 	if cap(f.regs) >= n {
@@ -306,7 +309,7 @@ func New(mod *ir.Module, opts Options) (*Machine, error) {
 	m := &Machine{
 		Mod:        mod,
 		opts:       opts,
-		cost:       opts.Cost,
+		cost:       pmem.DefaultCostModel(),
 		globals:    make([]uint64, len(mod.Globals)),
 		heapNext:   pmem.HeapBase,
 		max:        opts.StepLimit,
@@ -331,9 +334,6 @@ func New(mod *ir.Module, opts Options) (*Machine, error) {
 		m.Track = pmem.NewTracker()
 	}
 	m.hasDeadline = !opts.Deadline.IsZero()
-	if m.cost == nil {
-		m.cost = pmem.DefaultCostModel()
-	}
 	if m.max == 0 {
 		m.max = 100_000_000
 	}
@@ -454,7 +454,14 @@ func (m *Machine) Run(entry string, args ...uint64) (uint64, error) {
 	if len(args) != len(fn.Params) {
 		return 0, fmt.Errorf("interp: entry @%s takes %d arguments, got %d", entry, len(fn.Params), len(args))
 	}
-	ret, err := m.runMain(fn, args)
+	var ret uint64
+	var err error
+	if m.walk != nil {
+		ret, err = m.walk(fn, args)
+	} else {
+		copy(m.pushCall(fn).regs, args)
+		ret, err = m.run()
+	}
 	if err == nil && m.mt != nil {
 		// pthread semantics without detach: every spawned thread must be
 		// joined (or at least have finished) before main returns.
@@ -465,9 +472,15 @@ func (m *Machine) Run(entry string, args ...uint64) (uint64, error) {
 			}
 		}
 	}
-	// Tear down any threads still parked (error paths and unjoined
-	// threads); a clean run has none and this is a no-op.
-	m.killThreads()
+	// Drop the frame stacks still parked (error paths and unjoined
+	// threads); a clean run has none.
+	if m.mt != nil {
+		for _, t := range m.mt.threads {
+			t.frames = nil
+		}
+		m.mt.cur = 0
+	}
+	m.frames = m.frames[:0]
 	if err != nil {
 		return 0, err
 	}
@@ -476,28 +489,6 @@ func (m *Machine) Run(entry string, args ...uint64) (uint64, error) {
 		return 0, err
 	}
 	return ret, nil
-}
-
-// runMain executes the entry function on the calling goroutine (thread
-// 0) and converts a scheduler teardown unwind into the run's verdict.
-func (m *Machine) runMain(fn *ir.Func, args []uint64) (ret uint64, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(killSentinel); !ok {
-				panic(r)
-			}
-			ret, err = 0, m.mt.err
-		}
-	}()
-	return m.enter(fn, args)
-}
-
-// enter runs a thread's entry function.
-func (m *Machine) enter(fn *ir.Func, args []uint64) (uint64, error) {
-	if m.walk != nil {
-		return m.walk(fn, args)
-	}
-	return m.call(fn, args)
 }
 
 // CrashImage builds a possible post-crash PM image: the durable bytes,
@@ -599,7 +590,7 @@ func (m *Machine) fillStack(out []trace.Frame, in *ir.Instr) {
 }
 
 func (m *Machine) checkpoint(in *ir.Instr) error {
-	if err := m.yieldPM(PendCheckpoint, 0); err != nil {
+	if err := m.announce(PendingOp{Kind: PendCheckpoint}); err != nil {
 		return err
 	}
 	seq := m.emit(in, trace.Event{Kind: trace.KindCheckpoint})
@@ -642,34 +633,27 @@ func (m *Machine) pmEvent(k PMEventKind) error {
 	return nil
 }
 
-// PMEvents returns the number of PM event boundaries passed so far —
-// the coordinate space Options.OnPMEvent's k indexes (1-based).
-func (m *Machine) PMEvents() int { return len(m.pmEventLog) }
-
 // PMEventLog returns the kind of every PM event boundary passed so far,
 // in order. Entry i is OnPMEvent's k = i+1. The slice is the
 // machine's own log; callers must not mutate it.
 func (m *Machine) PMEventLog() []PMEventKind { return m.pmEventLog }
 
-// call runs fn on args in a new frame of the running thread.
-func (m *Machine) call(fn *ir.Func, args []uint64) (uint64, error) {
-	if len(m.frames) >= 10_000 {
-		return 0, m.fault("stack overflow calling @%s", fn.Name)
-	}
+// pushCall pushes a frame for fn's decoded body onto the running
+// thread's stack, with fn's globals and constants in their registers,
+// and charges the call. The caller fills in the parameters.
+func (m *Machine) pushCall(fn *ir.Func) *frame {
 	c := m.codeOf(fn)
 	f := m.pushFrame(fn, c.nregs)
 	f.code = c
+	f.pc, f.next = 0, -1
 	regs := f.regs
-	copy(regs, args)
 	g := regs[c.nslots : c.nslots+len(c.globals)]
 	for i, gi := range c.globals {
 		g[i] = m.globals[gi]
 	}
 	copy(regs[c.nslots+len(c.globals):], c.consts)
 	m.Clock.Advance(m.cost.Call)
-	ret, err := m.run(f)
-	m.popFrame(f)
-	return ret, err
+	return f
 }
 
 // pushFrame makes a frame of n registers for fn on top of the running
@@ -691,15 +675,42 @@ func (m *Machine) popFrame(f *frame) {
 	m.framePool = append(m.framePool, f)
 }
 
-// run executes the decoded body of the top frame f until it returns.
+// top returns the running thread's top frame and the dispatch position
+// saved in it.
+func (m *Machine) top() (f *frame, ops []op, regs []uint64, pc, next int32) {
+	f = m.frames[len(m.frames)-1]
+	return f, f.code.ops, f.regs, f.pc, f.next
+}
+
+// switchIn readies the thread an announcement or a thread exit just
+// installed and returns its top(). A thread scheduled for the first time
+// gets its entry frame. A parked thread re-runs the op it announced,
+// whose step is uncounted here because the op counted it when it first
+// ran.
+func (m *Machine) switchIn() (*frame, []op, []uint64, int32, int32) {
+	if len(m.frames) == 0 {
+		t := m.mt.threads[m.mt.cur]
+		copy(m.pushCall(t.fn).regs, t.args)
+	} else {
+		f := m.frames[len(m.frames)-1]
+		m.steps--
+		m.ops[f.code.ops[f.pc].iop]--
+	}
+	return m.top()
+}
+
+// run executes the running thread from its top frame's saved op, and
+// every thread the scheduler switches to after it, until main's entry
+// function returns. A call, a return or a thread switch saves the
+// loop's position in the frame it leaves and reloads the position of
+// the frame it enters, so simulated calls never recurse on the Go
+// stack.
 //
-// Only the ops that may fault, yield to the scheduler, record an event
-// or call set f.cur, the frame's active instruction: nothing reads it
-// anywhere else.
-func (m *Machine) run(f *frame) (uint64, error) {
-	ops := f.code.ops
-	regs := f.regs
-	pc, next := int32(0), int32(-1)
+// Only the ops that may fault, announce, record an event or call set
+// f.cur, the frame's active instruction: nothing reads it anywhere
+// else.
+func (m *Machine) run() (uint64, error) {
+	f, ops, regs, pc, next := m.top()
 	for {
 		o := &ops[pc]
 		pc++
@@ -721,7 +732,11 @@ func (m *Machine) run(f *frame) (uint64, error) {
 			m.loadCost(addr)
 		case opStore:
 			if err := m.store(f, o, regs[o.a], regs[o.b]); err != nil {
-				return 0, err
+				if err != errSwitch {
+					return 0, err
+				}
+				f.pc, f.next = pc-1, next
+				f, ops, regs, pc, next = m.switchIn()
 			}
 		case opPtrAdd:
 			regs[o.dst] = regs[o.a] + regs[o.b]*uint64(int64(o.c)) + uint64(int64(o.x))
@@ -791,9 +806,28 @@ func (m *Machine) run(f *frame) (uint64, error) {
 			m.Clock.Advance(m.cost.ALUOp)
 		case opCall:
 			f.cur = o.in
-			ret, err := m.callSite(f.code, &f.code.sites[o.x], regs)
+			cs := &f.code.sites[o.x]
+			args := m.siteArgs(f.code, cs, regs)
+			if !cs.callee.IsDecl() {
+				if len(m.frames) >= 10_000 {
+					return 0, m.fault("stack overflow calling @%s", cs.callee.Name)
+				}
+				f.pc, f.next = pc, next
+				copy(m.pushCall(cs.callee).regs, args)
+				f, ops, regs, pc, next = m.top()
+				break
+			}
+			if cs.bi == nil {
+				return 0, m.fault("call to unregistered external @%s", cs.callee.Name)
+			}
+			ret, err := cs.bi(m, args)
 			if err != nil {
-				return 0, err
+				if err != errSwitch {
+					return 0, err
+				}
+				f.pc, f.next = pc-1, next
+				f, ops, regs, pc, next = m.switchIn()
+				break
 			}
 			if o.dst >= 0 {
 				regs[o.dst] = ret
@@ -808,7 +842,22 @@ func (m *Machine) run(f *frame) (uint64, error) {
 		case opJmp:
 			pc = o.b
 		case opRet:
-			return regs[o.a], nil
+			v := regs[o.a]
+			m.popFrame(f)
+			if n := len(m.frames); n > 0 {
+				f, ops, regs, pc, next = m.top()
+				if dst := ops[pc-1].dst; dst >= 0 {
+					regs[dst] = v
+				}
+				break
+			}
+			if m.curTid() == 0 {
+				return v, nil
+			}
+			if err := m.exitThread(v); err != nil {
+				return 0, err
+			}
+			f, ops, regs, pc, next = m.switchIn()
 		case opAlloca:
 			addr := m.allocStack(regs[o.x])
 			if addr == 0 {
@@ -843,7 +892,11 @@ func (m *Machine) run(f *frame) (uint64, error) {
 		default:
 			f.cur = o.in
 			if err := m.exec(f, o); err != nil {
-				return 0, err
+				if err != errSwitch {
+					return 0, err
+				}
+				f.pc, f.next = pc-1, next
+				f, ops, regs, pc, next = m.switchIn()
 			}
 		}
 	}
@@ -878,28 +931,18 @@ func (m *Machine) nextCheck() int64 {
 	return at
 }
 
-// callSite runs a decoded call from a frame whose registers are regs.
-// The arguments go through the machine's argument stack; an interpreted
-// callee copies them into its frame before it runs, and a builtin reads
-// them before anything that may yield to another thread.
-func (m *Machine) callSite(c *code, cs *callSite, regs []uint64) (uint64, error) {
-	base := len(m.argStack)
+// siteArgs gathers call site cs's arguments from the caller's
+// registers regs into the machine's argument buffer. An interpreted
+// callee copies them into its frame at once; a builtin reads them before
+// it announces, and if another thread goes first it re-runs from the
+// call, so the buffer is free again at every thread switch.
+func (m *Machine) siteArgs(c *code, cs *callSite, regs []uint64) []uint64 {
+	args := m.args[:0]
 	for _, r := range c.args[cs.off : cs.off+cs.n] {
-		m.argStack = append(m.argStack, regs[r])
+		args = append(args, regs[r])
 	}
-	args := m.argStack[base:]
-	var ret uint64
-	var err error
-	switch {
-	case !cs.callee.IsDecl():
-		ret, err = m.call(cs.callee, args)
-	case cs.bi != nil:
-		ret, err = cs.bi(m, args)
-	default:
-		err = m.fault("call to unregistered external @%s", cs.callee.Name)
-	}
-	m.argStack = m.argStack[:base]
-	return ret, err
+	m.args = args
+	return args
 }
 
 func (m *Machine) accessFault(op string, size, addr uint64) error {
@@ -933,7 +976,7 @@ func (m *Machine) store(f *frame, o *op, val, addr uint64) error {
 	if nt {
 		pend, kind, ev = PendNTStore, trace.KindNTStore, EvNTStore
 	}
-	if err := m.yieldPM(pend, addr); err != nil {
+	if err := m.announce(PendingOp{Kind: pend, Addr: addr}); err != nil {
 		return err
 	}
 	m.Mem.WriteUint(addr, int(size), val)
@@ -956,17 +999,21 @@ func (m *Machine) store(f *frame, o *op, val, addr uint64) error {
 }
 
 // exec runs the ops the dispatch loop leaves out: flushes, fences,
-// threads, atomics and what cannot execute. f.cur is o.in.
+// threads, atomics and what cannot execute. f.cur is o.in. An op that
+// announces has no effect before its announcement, except a PM flush's
+// issue latency, which it charges once.
 func (m *Machine) exec(f *frame, o *op) error {
 	regs := f.regs
 	in := o.in
 	switch o.code {
 	case opFlush:
 		addr := regs[o.a]
-		m.Clock.Advance(m.cost.Flush)
+		if !m.resuming() {
+			m.Clock.Advance(m.cost.Flush)
+		}
 		if pmem.IsPM(addr) {
 			ordered := o.flags&flagOrdered != 0
-			if err := m.yieldFlush(addr, ordered); err != nil {
+			if err := m.announce(PendingOp{Kind: PendFlush, Addr: addr, Ordered: ordered}); err != nil {
 				return err
 			}
 			seq := m.emit(in, trace.Event{Kind: trace.KindFlush, FlushK: in.FlushK, Addr: addr})
@@ -985,7 +1032,7 @@ func (m *Machine) exec(f *frame, o *op) error {
 		// exists to avoid (§3.2).
 
 	case opFence:
-		if err := m.yieldPM(PendFence, 0); err != nil {
+		if err := m.announce(PendingOp{Kind: PendFence}); err != nil {
 			return err
 		}
 		seq := m.emit(in, trace.Event{Kind: trace.KindFence, FenceK: in.FenceK})
@@ -996,15 +1043,15 @@ func (m *Machine) exec(f *frame, o *op) error {
 		}
 
 	case opSpawn:
+		m.ensureMT()
+		if err := m.announce(PendingOp{Kind: PendSpawn}); err != nil {
+			return err
+		}
 		// The thread keeps its arguments, so they get their own slice.
 		cs := &f.code.sites[o.x]
 		args := make([]uint64, cs.n)
 		for i, r := range f.code.args[cs.off : cs.off+cs.n] {
 			args[i] = regs[r]
-		}
-		m.ensureMT()
-		if err := m.yieldPM(PendSpawn, 0); err != nil {
-			return err
 		}
 		tid, err := m.spawnThread(cs.callee, args)
 		if err != nil {
@@ -1014,36 +1061,18 @@ func (m *Machine) exec(f *frame, o *op) error {
 		m.Clock.Advance(m.cost.Call)
 
 	case opJoin:
-		h := regs[o.a]
-		if m.mt == nil {
-			return m.fault("join before any spawn")
-		}
-		tid := int(h)
-		if tid <= 0 || tid >= len(m.mt.threads) {
-			return m.fault("join on invalid thread handle %d", int64(h))
-		}
-		t := m.mt.threads[tid]
-		if t.joined {
-			return m.fault("thread %d joined twice", tid)
-		}
-		if err := m.yieldJoin(tid); err != nil {
+		ret, err := m.join(regs[o.a])
+		if err != nil {
 			return err
 		}
-		if t.joined {
-			// Another thread won the race to join between our
-			// announcement and our turn.
-			return m.fault("thread %d joined twice", tid)
-		}
-		t.joined = true
-		regs[o.dst] = t.result
-		m.Clock.Advance(m.cost.Call)
+		regs[o.dst] = ret
 
 	case opAtomicLoad:
 		addr := regs[o.a]
 		if pmem.RegionOf(addr) == pmem.RegionInvalid {
 			return m.accessFault("atomic load", 8, addr)
 		}
-		if err := m.yieldPM(PendAtomic, addr); err != nil {
+		if err := m.announce(PendingOp{Kind: PendAtomic, Addr: addr}); err != nil {
 			return err
 		}
 		regs[o.dst] = m.Mem.ReadUint(addr, 8)
@@ -1054,7 +1083,7 @@ func (m *Machine) exec(f *frame, o *op) error {
 		if pmem.RegionOf(addr) == pmem.RegionInvalid {
 			return m.accessFault("atomic store", 8, addr)
 		}
-		if err := m.yieldPM(PendAtomic, addr); err != nil {
+		if err := m.announce(PendingOp{Kind: PendAtomic, Addr: addr}); err != nil {
 			return err
 		}
 		return m.atomicWrite(in, addr, val)
@@ -1064,7 +1093,7 @@ func (m *Machine) exec(f *frame, o *op) error {
 		if pmem.RegionOf(addr) == pmem.RegionInvalid {
 			return m.accessFault("atomic rmw", 8, addr)
 		}
-		if err := m.yieldPM(PendAtomic, addr); err != nil {
+		if err := m.announce(PendingOp{Kind: PendAtomic, Addr: addr}); err != nil {
 			return err
 		}
 		old := m.Mem.ReadUint(addr, 8)
@@ -1087,7 +1116,7 @@ func (m *Machine) exec(f *frame, o *op) error {
 		if pmem.RegionOf(addr) == pmem.RegionInvalid {
 			return m.accessFault("atomic cas", 8, addr)
 		}
-		if err := m.yieldPM(PendAtomic, addr); err != nil {
+		if err := m.announce(PendingOp{Kind: PendAtomic, Addr: addr}); err != nil {
 			return err
 		}
 		old := m.Mem.ReadUint(addr, 8)

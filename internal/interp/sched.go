@@ -1,10 +1,10 @@
 package interp
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
-	"sync"
 
 	"hippocrates/internal/ir"
 	"hippocrates/internal/pmem"
@@ -13,18 +13,24 @@ import (
 // Deterministic thread scheduling.
 //
 // The machine models concurrency the way deterministic model checkers
-// do: every spawned thread runs on its own goroutine, but an unbuffered
-// channel baton guarantees exactly one thread executes at a time, so
-// machine state needs no locks and replay is exact. Before each
-// *visible* operation — a PM store/NT-store, a PM flush, a fence, a
-// durability point, any atomic access, a spawn, or a join — the running
-// thread announces the operation and asks the scheduler who runs next.
-// Decisions are therefore taken only at PM-relevant boundaries, which
-// is exactly the granularity the interleaving explorer
-// (internal/schedule) wants: the volatile compute between visible ops
-// commutes and never needs splitting. Once scheduled, a thread runs
-// until its next announcement (or until its body returns, at which
-// point it retires and hands the baton on).
+// do: a simulated thread is data, its frame stack plus the visible
+// operation it has announced, and every thread runs on the goroutine
+// that called Run, so machine state needs no locks and replay is exact.
+// Before each *visible* operation — a PM store/NT-store, a PM flush, a
+// fence, a durability point, any atomic access, a spawn, a join, or a
+// PM bulk builtin — the running thread announces the operation, before
+// any of its effects, and asks the scheduler who runs next. Decisions
+// are therefore taken only at PM-relevant boundaries, which is exactly
+// the granularity the interleaving explorer (internal/schedule) wants:
+// the volatile compute between visible ops commutes and never needs
+// splitting.
+//
+// When the scheduler picks another thread, the announcing thread parks
+// at its op with nothing of it done, and the interpreter loop carries
+// on with the chosen thread's frames. When the parked thread is chosen
+// again it re-runs the op, which then neither announces again nor
+// counts again. A thread whose entry returns wakes its joiners and
+// hands on; an error in any thread ends the run.
 //
 // A schedule is a prefix of decision choices; past the prefix the
 // scheduler falls back to round-robin. Replaying the same choices
@@ -124,29 +130,32 @@ func ParseScheduleID(s string) ([]int, error) {
 const (
 	thRunnable = iota
 	thBlocked  // parked on a join whose target is still live
-	thDone     // body returned (or thread killed during teardown)
+	thDone     // entry function returned
 )
 
-// killSentinel is the panic value used to unwind a parked thread when
-// the run is torn down; threadBody and runMain recover it.
-type killSentinel struct{}
+// errSwitch is what an announcement returns when the scheduler chose
+// another thread to run first. The announcing thread is parked at its
+// op, with nothing of the op done, and the chosen thread is installed;
+// the caller returns errSwitch to the interpreter loop unchanged.
+var errSwitch = errors.New("interp: thread switch")
 
 type thread struct {
 	tid     int
 	state   int
 	pending PendingOp
+	// announced marks a thread parked at the op it announced: when it
+	// is chosen again, that op runs without announcing a second time.
+	announced bool
 	// frames holds the thread's simulated call stack while it is not
-	// running; the baton holder's stack lives in Machine.frames.
+	// running; the running thread's stack lives in Machine.frames.
 	frames []*frame
+	// fn and args are the thread's entry call. Its frame is pushed when
+	// the thread is first scheduled.
+	fn     *ir.Func
+	args   []uint64
 	joinOn int  // tid this thread waits on while thBlocked
 	joined bool // a join on this thread has completed
 	result uint64
-	err    error
-	// resume is the baton: an unbuffered handoff that wakes the thread.
-	// The waker installs the thread's frames and stack segment before
-	// sending, so the wakee (even one waking only to be killed) unwinds
-	// its own stack.
-	resume chan struct{}
 }
 
 // mtState exists only once a program spawns: single-threaded runs never
@@ -155,19 +164,13 @@ type thread struct {
 // machine.
 type mtState struct {
 	threads    []*thread // index == tid; threads[0] is main
-	cur        int       // tid holding the baton
+	cur        int       // tid of the running thread
 	choices    []int     // replayed decision prefix (Options.Schedule)
 	nextChoice int
 	decisions  []Decision
 	// runnable is pick's scratch list of runnable threads, reused
 	// across decisions.
 	runnable []*thread
-	killed   bool
-	err      error // first error from any thread; the run's verdict
-	// ack serializes the kill sweep: non-nil only while killThreads
-	// wakes parked threads one at a time.
-	ack chan struct{}
-	wg  sync.WaitGroup
 }
 
 func (m *Machine) curTid() int {
@@ -201,7 +204,7 @@ func (m *Machine) Decisions() []Decision {
 // confines main to its stack segment.
 func (m *Machine) ensureMT() *mtState {
 	if m.mt == nil {
-		main := &thread{tid: 0, state: thRunnable, joinOn: -1, resume: make(chan struct{})}
+		main := &thread{tid: 0, state: thRunnable}
 		m.mt = &mtState{threads: []*thread{main}, choices: m.opts.Schedule}
 		m.setStackSeg(0)
 	}
@@ -215,13 +218,6 @@ func (m *Machine) setStackSeg(tid int) {
 	m.stackLimit = m.stackBase - threadStackSeg
 }
 
-// threadStart carries a spawned thread's entry function and arguments
-// to its goroutine.
-type threadStart struct {
-	fn   *ir.Func
-	args []uint64
-}
-
 // spawnThread creates a thread executing fn(args) and returns its
 // handle (the thread id). The thread is runnable with a PendStart
 // announcement; it begins executing only when the scheduler first
@@ -232,75 +228,111 @@ func (m *Machine) spawnThread(fn *ir.Func, args []uint64) (int, error) {
 	if tid >= pmem.MaxThreads {
 		return 0, m.fault("too many threads spawning @%s (max %d)", fn.Name, pmem.MaxThreads)
 	}
-	t := &thread{
+	mt.threads = append(mt.threads, &thread{
 		tid:     tid,
 		state:   thRunnable,
 		pending: PendingOp{Tid: tid, Kind: PendStart},
-		joinOn:  -1,
-		resume:  make(chan struct{}),
-	}
-	mt.threads = append(mt.threads, t)
-	mt.wg.Add(1)
-	go m.threadBody(t, &threadStart{fn: fn, args: args})
+		fn:      fn,
+		args:    args,
+	})
 	return tid, nil
 }
 
-// yieldPM announces a pending visible operation and lets the scheduler
-// hand the baton to another thread first. Single-threaded runs return
-// immediately.
-func (m *Machine) yieldPM(kind PendKind, addr uint64) error {
+// announce declares the running thread's next visible operation p and
+// lets the scheduler choose who performs a visible operation next. It
+// returns nil when the running thread goes on with p now, and errSwitch
+// when another thread was chosen and installed. A thread re-running the
+// op it parked at gets nil without announcing again. A join announces
+// on its target in p.Addr and blocks while the target is live.
+// Single-threaded runs return nil at once.
+func (m *Machine) announce(p PendingOp) error {
 	mt := m.mt
 	if mt == nil {
 		return nil
 	}
 	self := mt.threads[mt.cur]
-	self.pending = PendingOp{Tid: self.tid, Kind: kind, Addr: addr}
-	return m.schedNext()
-}
-
-// yieldFlush announces a pending flush, carrying whether it commits its
-// line immediately (ordered) — the explorer needs the distinction.
-func (m *Machine) yieldFlush(addr uint64, ordered bool) error {
-	mt := m.mt
-	if mt == nil {
+	if self.announced {
+		self.announced = false
 		return nil
 	}
-	self := mt.threads[mt.cur]
-	self.pending = PendingOp{Tid: self.tid, Kind: PendFlush, Addr: addr, Ordered: ordered}
-	return m.schedNext()
-}
-
-// yieldJoin announces a join on target, blocking self if the target is
-// still live. On return the target has retired.
-func (m *Machine) yieldJoin(target int) error {
-	mt := m.mt
-	self := mt.threads[mt.cur]
-	self.pending = PendingOp{Tid: self.tid, Kind: PendJoin, Addr: uint64(target)}
-	if mt.threads[target].state != thDone {
+	p.Tid = self.tid
+	self.pending = p
+	if p.Kind == PendJoin && mt.threads[p.Addr].state != thDone {
 		self.state = thBlocked
-		self.joinOn = target
+		self.joinOn = int(p.Addr)
 	}
-	if err := m.schedNext(); err != nil {
-		return err
-	}
-	self.joinOn = -1
-	return nil
-}
-
-// schedNext picks the next thread to run and passes the baton. It is
-// the common tail of every announcement.
-func (m *Machine) schedNext() error {
-	mt := m.mt
-	self := mt.threads[mt.cur]
 	next, err := m.pick()
 	if err != nil {
-		return m.abortAll(err)
+		return err
 	}
 	if next == self {
 		return nil
 	}
-	m.passBaton(next)
+	self.announced = true
+	m.switchTo(next)
+	return errSwitch
+}
+
+// resuming reports whether the running thread is re-running the op it
+// parked at, for the one op (a PM flush) that charges time before its
+// announcement.
+func (m *Machine) resuming() bool {
+	return m.mt != nil && m.mt.threads[m.mt.cur].announced
+}
+
+// join waits for the thread with handle h to finish and returns its
+// result.
+func (m *Machine) join(h uint64) (uint64, error) {
+	mt := m.mt
+	if mt == nil {
+		return 0, m.fault("join before any spawn")
+	}
+	tid := int(h)
+	if tid <= 0 || tid >= len(mt.threads) {
+		return 0, m.fault("join on invalid thread handle %d", int64(h))
+	}
+	// A thread parked at this join re-runs the check when it is chosen
+	// again, so a thread that won the race to join in between is seen.
+	t := mt.threads[tid]
+	if t.joined {
+		return 0, m.fault("thread %d joined twice", tid)
+	}
+	if err := m.announce(PendingOp{Kind: PendJoin, Addr: uint64(tid)}); err != nil {
+		return 0, err
+	}
+	t.joined = true
+	m.Clock.Advance(m.cost.Call)
+	return t.result, nil
+}
+
+// exitThread retires the running spawned thread, whose entry function
+// returned ret: it wakes the thread's joiners and installs the thread
+// pick chooses next.
+func (m *Machine) exitThread(ret uint64) error {
+	mt := m.mt
+	t := mt.threads[mt.cur]
+	t.state, t.result = thDone, ret
+	for _, o := range mt.threads {
+		if o.state == thBlocked && o.joinOn == t.tid {
+			o.state = thRunnable
+		}
+	}
+	next, err := m.pick()
+	if err != nil {
+		return err
+	}
+	m.switchTo(next)
 	return nil
+}
+
+// switchTo parks the running thread's frames and installs next's frames
+// and stack segment.
+func (m *Machine) switchTo(next *thread) {
+	mt := m.mt
+	mt.threads[mt.cur].frames = m.frames
+	m.frames, next.frames = next.frames, nil
+	mt.cur = next.tid
+	m.setStackSeg(next.tid)
 }
 
 // pick chooses the next runnable thread: the replayed schedule prefix
@@ -360,144 +392,4 @@ func (m *Machine) deadlockErr() error {
 		}
 	}
 	return m.fault("deadlock: no runnable thread (%s)", strings.Join(parts, ", "))
-}
-
-// passBaton hands execution to next and parks the caller until it is
-// scheduled again. The caller installs next's frames and stack segment
-// before waking it, so every thread — including one woken only to be
-// killed — unwinds its own simulated stack.
-func (m *Machine) passBaton(next *thread) {
-	mt := m.mt
-	self := mt.threads[mt.cur]
-	self.frames = m.frames
-	m.frames = next.frames
-	next.frames = nil
-	mt.cur = next.tid
-	m.setStackSeg(next.tid)
-	next.resume <- struct{}{}
-	<-self.resume
-	if mt.killed {
-		panic(killSentinel{})
-	}
-}
-
-// wakeForAbort hands the baton to a parked thread (always main) so it
-// can unwind with mt.err. The caller's goroutine must touch no machine
-// state afterwards.
-func (m *Machine) wakeForAbort(t *thread) {
-	mt := m.mt
-	m.frames = t.frames
-	t.frames = nil
-	mt.cur = t.tid
-	m.setStackSeg(t.tid)
-	t.resume <- struct{}{}
-}
-
-// abortAll records err as the run's verdict and tears the run down. On
-// main it simply returns the error (Run's teardown sweeps the rest); on
-// a spawned thread it unwinds via the kill sentinel, whose recovery
-// hands the baton to main.
-func (m *Machine) abortAll(err error) error {
-	mt := m.mt
-	if mt.err == nil {
-		mt.err = err
-	}
-	mt.killed = true
-	if mt.cur == 0 {
-		return err
-	}
-	panic(killSentinel{})
-}
-
-// threadBody is the goroutine running one spawned thread. It parks
-// until first scheduled, runs the function, then retires.
-func (m *Machine) threadBody(t *thread, fn *threadStart) {
-	mt := m.mt
-	defer mt.wg.Done()
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		if _, ok := r.(killSentinel); !ok {
-			panic(r)
-		}
-		t.state = thDone
-		t.frames = nil
-		if mt.ack != nil {
-			mt.ack <- struct{}{} // killThreads sweep: acknowledge and exit
-		} else {
-			m.wakeForAbort(mt.threads[0]) // we held the baton; main unwinds
-		}
-	}()
-	<-t.resume
-	if mt.killed {
-		panic(killSentinel{})
-	}
-	ret, err := m.enter(fn.fn, fn.args)
-	t.result, t.err = ret, err
-	m.threadExit(t)
-}
-
-// threadExit retires a thread whose body returned: it wakes joiners,
-// hands the baton on, and lets the goroutine end. An error verdict
-// aborts the whole run instead.
-func (m *Machine) threadExit(t *thread) {
-	mt := m.mt
-	t.state = thDone
-	t.frames = nil
-	if t.err != nil {
-		if mt.err == nil {
-			mt.err = t.err
-		}
-		mt.killed = true
-		m.wakeForAbort(mt.threads[0])
-		return
-	}
-	for _, o := range mt.threads {
-		if o.state == thBlocked && o.joinOn == t.tid {
-			o.state = thRunnable
-		}
-	}
-	next, err := m.pick()
-	if err != nil {
-		if mt.err == nil {
-			mt.err = err
-		}
-		mt.killed = true
-		m.wakeForAbort(mt.threads[0])
-		return
-	}
-	m.frames = next.frames
-	next.frames = nil
-	mt.cur = next.tid
-	m.setStackSeg(next.tid)
-	next.resume <- struct{}{}
-}
-
-// killThreads tears down any still-parked threads after the run ends
-// (normally or with an error). Each parked thread is woken with its own
-// frames installed, unwinds via the kill sentinel, and acknowledges;
-// the sweep is strictly serial, so machine state stays single-owner.
-func (m *Machine) killThreads() {
-	mt := m.mt
-	if mt == nil {
-		return
-	}
-	mt.killed = true
-	mt.ack = make(chan struct{})
-	for _, t := range mt.threads[1:] {
-		if t.state == thDone {
-			continue
-		}
-		m.frames = t.frames
-		t.frames = nil
-		mt.cur = t.tid
-		t.resume <- struct{}{}
-		<-mt.ack
-	}
-	mt.ack = nil
-	mt.cur = 0
-	m.frames = m.frames[:0]
-	mt.wg.Wait()
 }

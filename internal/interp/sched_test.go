@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"bytes"
 	"fmt"
 	"reflect"
 	"strings"
@@ -394,5 +395,68 @@ func TestScheduleChoiceOutOfRange(t *testing.T) {
 func TestPendingOpSize(t *testing.T) {
 	if got := unsafe.Sizeof(PendingOp{}); got != 24 {
 		t.Errorf("PendingOp is %d bytes, want 24", got)
+	}
+}
+
+// TestBulkStoreInvisibleBeforeItsTurn: a PM bulk builtin announces its
+// store before it writes a byte. A worker memsets PM cell to all ones
+// (or memcpys all ones into it) while main atomically loads cell.
+// Round-robin's second decision runs main's load ahead of the worker's
+// pending store, so the load reads 0; the schedule that runs the store
+// first reads all ones. Both interpreters agree.
+func TestBulkStoreInvisibleBeforeItsTurn(t *testing.T) {
+	build := func(bulk string) *ir.Module {
+		m := newModule("bulk-" + bulk)
+		m.AddGlobal(&ir.Global{Name: "cell", Elem: ir.I64, PM: true})
+		m.AddGlobal(&ir.Global{Name: "ones", Elem: ir.I64, Init: bytes.Repeat([]byte{0xff}, 8)})
+		w := m.AddFunc(ir.NewFunc("worker", ir.I64))
+		wb := ir.NewBuilder(w)
+		if bulk == "memset" {
+			wb.Call(m.Func("memset"), m.Global("cell"), ir.ConstInt(0xff), ir.ConstInt(8))
+		} else {
+			wb.Call(m.Func("memcpy"), m.Global("cell"), m.Global("ones"), ir.ConstInt(8))
+		}
+		wb.Ret(ir.ConstInt(0))
+		f := m.AddFunc(ir.NewFunc("main", ir.I64))
+		b := ir.NewBuilder(f)
+		h := b.Spawn(w)
+		v := b.AtomicLoad(ir.OrderSeqCst, m.Global("cell"))
+		b.Join(h)
+		b.Ret(v)
+		if err := ir.Verify(m); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	for _, bulk := range []string{"memset", "memcpy"} {
+		for _, walk := range []bool{false, true} {
+			for _, tc := range []struct {
+				sched  []int
+				chosen int
+				want   uint64
+			}{{nil, 0, 0}, {[]int{1, 1}, 1, ^uint64(0)}} {
+				where := fmt.Sprintf("%s schedule %s (tree-walk %v)", bulk, ScheduleID(tc.sched), walk)
+				mach, err := New(build(bulk), Options{Schedule: tc.sched})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if walk {
+					useTreeWalk(mach)
+				}
+				got, err := mach.Run("main")
+				if err != nil {
+					t.Fatalf("%s: %v", where, err)
+				}
+				ds := mach.Decisions()
+				if len(ds) < 2 || len(ds[1].Runnable) != 2 ||
+					ds[1].Runnable[0].Kind != PendAtomic || ds[1].Runnable[1].Kind != PendStore {
+					t.Fatalf("%s: decisions %+v, want the load and the bulk store at decision 1", where, ds)
+				}
+				if ds[1].Chosen != tc.chosen || got != tc.want {
+					t.Errorf("%s: decision 1 chose %d and the load read %#x, want %d and %#x",
+						where, ds[1].Chosen, got, tc.chosen, tc.want)
+				}
+			}
+		}
 	}
 }

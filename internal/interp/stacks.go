@@ -89,13 +89,12 @@ func (m *Machine) internStack(in *ir.Instr) []trace.Frame {
 	// The bottom frame's outer stack is empty; find the deepest frame
 	// whose outer stack is already known and extend it to the top.
 	i := n - 1
-	for i > 0 && !m.frames[i].outerSet {
+	for i > 0 && m.frames[i].outer == nil {
 		i--
 	}
 	for ; i < n-1; i++ {
 		f, callee := m.frames[i], m.frames[i+1]
 		callee.outer = t.intern(f.outer, f.fn, f.cur)
-		callee.outerSet = true
 	}
 	top := m.frames[n-1]
 	if in == nil {

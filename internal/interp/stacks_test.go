@@ -61,7 +61,7 @@ func runWith(t *testing.T, tc stackTarget, newMachine func(*ir.Module, interp.Op
 	if err != nil {
 		out.err = err.Error()
 	}
-	out.steps, out.simNs, out.events = m.Steps(), m.SimTime(), m.PMEvents()
+	out.steps, out.simNs, out.events = m.Steps(), m.SimTime(), len(m.PMEventLog())
 	return out
 }
 

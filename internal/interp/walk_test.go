@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -10,14 +11,119 @@ import (
 )
 
 // The tree-walking interpreter, kept as the reference the decoded
-// interpreter is checked against (walk_oracle_test.go): it re-dispatches
-// on ir.Value interfaces and looks up builtins and globals by name at
+// interpreter is checked against (decode_test.go): it re-dispatches on
+// ir.Value interfaces and looks up builtins and globals by name at
 // every step, exactly as the interpreter did before decoding.
+//
+// The tree-walker recurses on the Go stack, so it cannot park a thread
+// as data. Each simulated thread runs on a goroutine of its own instead,
+// and a baton (a channel per thread) keeps exactly one of them running.
+// The scheduling is the machine's own: the walker announces through
+// Machine.announce, and the machine's pick, switchTo and exitThread
+// choose and install the next thread; the walker only wakes that
+// thread's goroutine.
 
-// walkCall is the tree-walking interpreter's call: the reference the
+// useTreeWalk makes m run on the tree-walking interpreter.
+func useTreeWalk(m *Machine) {
+	w := &walker{m: m, threads: []*walkThread{{wake: make(chan error)}}}
+	m.walk = w.run
+}
+
+// walker runs one machine on the tree-walking interpreter.
+type walker struct {
+	m *Machine
+	// threads is indexed by tid; threads[0] is main, which runs on the
+	// goroutine that called Run.
+	threads []*walkThread
+}
+
+// walkThread is the baton of one simulated thread's goroutine.
+type walkThread struct {
+	// wake resumes the thread: nil to run on, or the error the run ends
+	// with (errKilled unwinds a thread still parked at teardown).
+	wake chan error
+	// done is closed when a spawned thread's goroutine returns.
+	done chan struct{}
+	// ended is set once the goroutine no longer runs the thread.
+	ended bool
+}
+
+// errKilled unwinds the goroutine of a thread still parked when the run
+// ends.
+var errKilled = errors.New("interp: walker thread killed")
+
+// run runs the entry function as main, then unwinds the goroutines of
+// threads still parked, one at a time with their own frames installed.
+func (w *walker) run(fn *ir.Func, args []uint64) (uint64, error) {
+	ret, err := w.call(fn, args)
+	m := w.m
+	for i, t := range w.threads[1:] {
+		if !t.ended {
+			m.switchTo(m.mt.threads[i+1])
+			t.wake <- errKilled
+		}
+		<-t.done
+	}
+	return ret, err
+}
+
+// start runs spawned thread tid on a goroutine of its own, parked until
+// the machine first schedules it.
+func (w *walker) start(tid int, fn *ir.Func, args []uint64) {
+	t := &walkThread{wake: make(chan error), done: make(chan struct{})}
+	w.threads = append(w.threads, t)
+	go func() {
+		defer close(t.done)
+		err := <-t.wake
+		if err == nil {
+			var ret uint64
+			ret, err = w.call(fn, args)
+			if err == nil {
+				err = w.m.exitThread(ret)
+			}
+		}
+		t.ended = true
+		switch {
+		case err == errKilled:
+		case err != nil:
+			// The run ends with err: main unwinds with it.
+			w.m.switchTo(w.m.mt.threads[0])
+			w.threads[0].wake <- err
+		default:
+			w.threads[w.m.mt.cur].wake <- nil
+		}
+	}()
+}
+
+// retry runs op, which announces before any effect. While the machine
+// switches to another thread first, the walker hands that thread's
+// goroutine the baton, and runs op again once its own thread is chosen
+// again.
+func (w *walker) retry(op func() (uint64, error)) (uint64, error) {
+	for {
+		self := w.threads[w.m.curTid()]
+		ret, err := op()
+		if err != errSwitch {
+			return ret, err
+		}
+		w.threads[w.m.mt.cur].wake <- nil
+		if err := <-self.wake; err != nil {
+			return 0, err
+		}
+	}
+}
+
+// yield announces p and returns once the running thread may perform it.
+func (w *walker) yield(p PendingOp) error {
+	_, err := w.retry(func() (uint64, error) { return 0, w.m.announce(p) })
+	return err
+}
+
+// call is the tree-walking interpreter's call: the reference the
 // decoded ops are checked against. It walks the IR itself, dispatching
 // on ir.Value interfaces per operand.
-func (m *Machine) walkCall(fn *ir.Func, args []uint64) (uint64, error) {
+func (w *walker) call(fn *ir.Func, args []uint64) (uint64, error) {
+	m := w.m
 	if len(m.frames) >= 10_000 {
 		return 0, m.fault("stack overflow calling @%s", fn.Name)
 	}
@@ -64,7 +170,7 @@ func (m *Machine) walkCall(fn *ir.Func, args []uint64) (uint64, error) {
 					next = in.Succs[1]
 				}
 			default:
-				if err := m.walkExec(f, in); err != nil {
+				if err := w.exec(f, in); err != nil {
 					return 0, err
 				}
 			}
@@ -104,8 +210,9 @@ func truncTo(ty ir.Type, v uint64) uint64 {
 	}
 }
 
-// walkExec runs one non-terminator instruction.
-func (m *Machine) walkExec(f *frame, in *ir.Instr) error {
+// exec runs one non-terminator instruction.
+func (w *walker) exec(f *frame, in *ir.Instr) error {
+	m := w.m
 	switch in.Op {
 	case ir.OpAlloca:
 		size := alignUp(uint64(in.AllocTy.Size()), 16)
@@ -140,7 +247,7 @@ func (m *Machine) walkExec(f *frame, in *ir.Instr) error {
 			if in.Op == ir.OpNTStore {
 				pend = PendNTStore
 			}
-			if err := m.yieldPM(pend, addr); err != nil {
+			if err := w.yield(PendingOp{Kind: pend, Addr: addr}); err != nil {
 				return err
 			}
 			m.Mem.WriteUint(addr, int(size), val)
@@ -192,9 +299,9 @@ func (m *Machine) walkExec(f *frame, in *ir.Instr) error {
 			if !ok {
 				return m.fault("call to unregistered external @%s", in.Callee.Name)
 			}
-			ret, err = b(m, args)
+			ret, err = w.retry(func() (uint64, error) { return b(m, args) })
 		} else {
-			ret, err = m.walkCall(in.Callee, args)
+			ret, err = w.call(in.Callee, args)
 		}
 		if err != nil {
 			return err
@@ -207,7 +314,7 @@ func (m *Machine) walkExec(f *frame, in *ir.Instr) error {
 		addr := m.walkEval(f, in.Args[0])
 		m.Clock.Advance(m.cost.Flush)
 		if pmem.IsPM(addr) {
-			if err := m.yieldFlush(addr, in.FlushK.Ordered()); err != nil {
+			if err := w.yield(PendingOp{Kind: PendFlush, Addr: addr, Ordered: in.FlushK.Ordered()}); err != nil {
 				return err
 			}
 			seq := m.emit(in, trace.Event{Kind: trace.KindFlush, FlushK: in.FlushK, Addr: addr})
@@ -226,7 +333,7 @@ func (m *Machine) walkExec(f *frame, in *ir.Instr) error {
 		// exists to avoid (§3.2).
 
 	case ir.OpFence:
-		if err := m.yieldPM(PendFence, 0); err != nil {
+		if err := w.yield(PendingOp{Kind: PendFence}); err != nil {
 			return err
 		}
 		seq := m.emit(in, trace.Event{Kind: trace.KindFence, FenceK: in.FenceK})
@@ -242,47 +349,31 @@ func (m *Machine) walkExec(f *frame, in *ir.Instr) error {
 			args[i] = m.walkEval(f, a)
 		}
 		m.ensureMT()
-		if err := m.yieldPM(PendSpawn, 0); err != nil {
+		if err := w.yield(PendingOp{Kind: PendSpawn}); err != nil {
 			return err
 		}
 		tid, err := m.spawnThread(in.Callee, args)
 		if err != nil {
 			return err
 		}
+		w.start(tid, in.Callee, args)
 		f.regs[in.Slot] = uint64(tid)
 		m.Clock.Advance(m.cost.Call)
 
 	case ir.OpJoin:
 		h := m.walkEval(f, in.Args[0])
-		if m.mt == nil {
-			return m.fault("join before any spawn")
-		}
-		tid := int(h)
-		if tid <= 0 || tid >= len(m.mt.threads) {
-			return m.fault("join on invalid thread handle %d", int64(h))
-		}
-		t := m.mt.threads[tid]
-		if t.joined {
-			return m.fault("thread %d joined twice", tid)
-		}
-		if err := m.yieldJoin(tid); err != nil {
+		ret, err := w.retry(func() (uint64, error) { return m.join(h) })
+		if err != nil {
 			return err
 		}
-		if t.joined {
-			// Another thread won the race to join between our
-			// announcement and our turn.
-			return m.fault("thread %d joined twice", tid)
-		}
-		t.joined = true
-		f.regs[in.Slot] = t.result
-		m.Clock.Advance(m.cost.Call)
+		f.regs[in.Slot] = ret
 
 	case ir.OpAtomicLoad:
 		addr := m.walkEval(f, in.Args[0])
 		if err := m.checkAccess(addr, 8, "atomic load"); err != nil {
 			return err
 		}
-		if err := m.yieldPM(PendAtomic, addr); err != nil {
+		if err := w.yield(PendingOp{Kind: PendAtomic, Addr: addr}); err != nil {
 			return err
 		}
 		f.regs[in.Slot] = m.Mem.ReadUint(addr, 8)
@@ -298,7 +389,7 @@ func (m *Machine) walkExec(f *frame, in *ir.Instr) error {
 		if err := m.checkAccess(addr, 8, "atomic store"); err != nil {
 			return err
 		}
-		if err := m.yieldPM(PendAtomic, addr); err != nil {
+		if err := w.yield(PendingOp{Kind: PendAtomic, Addr: addr}); err != nil {
 			return err
 		}
 		if err := m.atomicWrite(in, addr, val); err != nil {
@@ -311,7 +402,7 @@ func (m *Machine) walkExec(f *frame, in *ir.Instr) error {
 		if err := m.checkAccess(addr, 8, "atomic rmw"); err != nil {
 			return err
 		}
-		if err := m.yieldPM(PendAtomic, addr); err != nil {
+		if err := w.yield(PendingOp{Kind: PendAtomic, Addr: addr}); err != nil {
 			return err
 		}
 		old := m.Mem.ReadUint(addr, 8)
@@ -336,7 +427,7 @@ func (m *Machine) walkExec(f *frame, in *ir.Instr) error {
 		if err := m.checkAccess(addr, 8, "atomic cas"); err != nil {
 			return err
 		}
-		if err := m.yieldPM(PendAtomic, addr); err != nil {
+		if err := w.yield(PendingOp{Kind: PendAtomic, Addr: addr}); err != nil {
 			return err
 		}
 		old := m.Mem.ReadUint(addr, 8)

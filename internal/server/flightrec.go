@@ -69,16 +69,16 @@ type flightRecorder struct {
 	rejected    []*RejectEntry // ring, newest last
 }
 
+// The daemon's flight recorder bounds: the slowest jobs kept with full
+// span trees and audit trails, the most recent failed jobs, and the most
+// recent 429/503 rejections.
+const (
+	flightSlow     = 16
+	flightFailed   = 32
+	flightRejected = 64
+)
+
 func newFlightRecorder(slowMax, failedMax, rejectedMax int) *flightRecorder {
-	if slowMax <= 0 {
-		slowMax = 16
-	}
-	if failedMax <= 0 {
-		failedMax = 32
-	}
-	if rejectedMax <= 0 {
-		rejectedMax = 64
-	}
 	return &flightRecorder{slowMax: slowMax, failedMax: failedMax, rejectedMax: rejectedMax}
 }
 

@@ -67,13 +67,6 @@ type Config struct {
 	// recorder (runtime.ReadMemStats per span — measurable overhead), so
 	// /metrics can serve per-phase alloc gauges. Off by default.
 	TrackAllocs bool
-	// FlightSlow / FlightFailed / FlightRejected bound the flight
-	// recorder: the N slowest jobs kept with full span trees and audit
-	// trails, the most recent failed jobs, and the most recent 429/503
-	// rejections (defaults 16 / 32 / 64).
-	FlightSlow     int
-	FlightFailed   int
-	FlightRejected int
 	// Log receives one line per job (nil = silent).
 	Log io.Writer
 }
@@ -264,7 +257,7 @@ func New(cfg Config) *Server {
 		artifacts:  lru.New[string, *artifact](artifactCacheSize),
 		summaries:  static.NewStore(0),
 		rec:        obs.New(),
-		flight:     newFlightRecorder(cfg.FlightSlow, cfg.FlightFailed, cfg.FlightRejected),
+		flight:     newFlightRecorder(flightSlow, flightFailed, flightRejected),
 		windows:    make(map[string]*obs.Windowed),
 		phaseAlloc: make(map[string]uint64),
 		jobs:       make(map[string]*Job),
