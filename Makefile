@@ -66,7 +66,11 @@ usage-smoke:
 # testdata/crash_smoke.pmc: the buggy build must FAIL `pmvm -crash`
 # (a mid-run schedule loses the published payload), and
 # `hippocrates -crashcheck` must repair it and revalidate every crash
-# schedule cleanly.
+# schedule cleanly. It then pins that a step-limited recovery is a
+# verdict: testdata/slow_recovery.pmc, whose recovery entry outruns 2000
+# steps, must exit 1 under `pmvm -crash -steplimit 2000` and 0 under
+# `pmvm -crash` (exit codes checked on a built binary, since `go run`
+# turns every failure into 1).
 crash-smoke:
 	@if $(GO) run ./cmd/pmvm -crash testdata/crash_smoke.pmc >/dev/null 2>&1; then \
 		echo "crash-smoke: buggy build unexpectedly survived -crash"; exit 1; \
@@ -74,6 +78,13 @@ crash-smoke:
 		echo "crash-smoke: buggy build fails -crash as expected"; \
 	fi
 	$(GO) run ./cmd/hippocrates -crashcheck testdata/crash_smoke.pmc
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o $$dir/pmvm ./cmd/pmvm && \
+	want_exit() { want=$$1; shift; "$$dir/pmvm" "$$@" >/dev/null 2>&1; got=$$?; \
+		if [ $$got -ne $$want ]; then echo "crash-smoke: pmvm $$* exited $$got, want $$want"; exit 1; fi; } && \
+	want_exit 1 -crash -steplimit 2000 testdata/slow_recovery.pmc && \
+	want_exit 0 -crash testdata/slow_recovery.pmc && \
+	echo "crash-smoke: slow recovery fails under -steplimit 2000 and passes without it"
 
 # optimize-smoke runs the repair-to-optimize pass over the whole corpus
 # (buggy targets are repaired first) and re-proves "do no harm"

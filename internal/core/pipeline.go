@@ -210,11 +210,10 @@ func crashOpts(opts Options, entry string, args []uint64) *crashsim.Options {
 // each applied fix but the last, the partially repaired module is
 // crash-validated with the shared verdict cache, so the caller gets a
 // per-fix account of how the schedule failures shrink. (The last fix's
-// validation is the pipeline's final crashValidate stage.) The cache is
-// reset whenever a fix mutates code reachable from a recovery entry —
-// memoized verdicts describe recovery code that no longer exists then —
-// and survives otherwise: image hashes are content-addressed, so the
-// workload-side changes each fix makes simply hash to new keys.
+// validation is the pipeline's final crashValidate stage.) Verdict keys
+// hash the recovery-reachable code along with the image, so a fix that
+// leaves recovery code alone reuses every verdict of an image it leaves
+// unchanged, and one that rewrites it simply misses.
 func repairIncremental(mod *ir.Module, tr *trace.Trace, res *pmcheck.Result, opts Options,
 	copts *crashsim.Options, out *PipelineResult) (err error) {
 	defer guard("repair", &err)
@@ -225,15 +224,9 @@ func repairIncremental(mod *ir.Module, tr *trace.Trace, res *pmcheck.Result, opt
 	}
 	asp := fx.sp.Start("apply")
 	defer asp.End()
-	reach := recoveryReachable(mod, copts)
 	for i, p := range plans {
 		if err := fx.applyPlan(p); err != nil {
 			return err
-		}
-		if copts.Cache != nil && planTouchesRecovery(p, reach) {
-			copts.Cache.Reset()
-			// The fix may have made new code (clones) recovery-reachable.
-			reach = recoveryReachable(mod, copts)
 		}
 		if i == len(plans)-1 {
 			break
@@ -251,75 +244,6 @@ func repairIncremental(mod *ir.Module, tr *trace.Trace, res *pmcheck.Result, opt
 	}
 	out.Fix = fx.Result()
 	return nil
-}
-
-// recoveryReachable returns the names of the functions reachable (via
-// static calls) from the configured recovery entries — the code whose
-// mutation invalidates cached verdicts.
-func recoveryReachable(mod *ir.Module, copts *crashsim.Options) map[string]bool {
-	inv, rec := copts.Invariant, copts.Recovery
-	if inv == "" {
-		inv = "invariant_check" // Validate's own defaults
-	}
-	if rec == "" {
-		rec = "crash_check"
-	}
-	entries := make([]string, 0, 2)
-	for _, name := range []string{inv, rec} {
-		if name != "-" {
-			entries = append(entries, name)
-		}
-	}
-	reach := make(map[string]bool)
-	var walk func(name string)
-	walk = func(name string) {
-		if reach[name] {
-			return
-		}
-		fn := mod.Func(name)
-		if fn == nil || fn.IsDecl() {
-			return
-		}
-		reach[name] = true
-		for _, b := range fn.Blocks {
-			for _, in := range b.Instrs {
-				if (in.Op == ir.OpCall || in.Op == ir.OpSpawn) && in.Callee != nil {
-					walk(in.Callee.Name)
-				}
-			}
-		}
-	}
-	for _, e := range entries {
-		walk(e)
-	}
-	return reach
-}
-
-// planTouchesRecovery reports whether applying p mutated any function in
-// reach (the recovery-reachable set computed before the application).
-func planTouchesRecovery(p *plan, reach map[string]bool) bool {
-	touched := func(in *ir.Instr) bool {
-		if in == nil {
-			return false
-		}
-		blk := in.Block()
-		return blk != nil && reach[blk.Func().Name]
-	}
-	if touched(p.storeIn) {
-		return true
-	}
-	for _, fin := range p.fenceAfter {
-		if touched(fin) {
-			return true
-		}
-	}
-	if p.hoist != nil && touched(p.hoist.callIn) {
-		return true
-	}
-	if p.groupLeader != nil && touched(p.groupLeader.storeIn) {
-		return true
-	}
-	return false
 }
 
 // crashValidate runs the optional crash-schedule validation stage on the

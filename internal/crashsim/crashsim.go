@@ -53,9 +53,9 @@
 package crashsim
 
 import (
+	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"runtime"
 	"sort"
 	"strings"
@@ -118,7 +118,9 @@ type Options struct {
 	// as usual. internal/core sweeps one Validate per explored schedule.
 	Schedule []int
 	// StepLimit / Deadline bound every interpreter run the engine makes
-	// (the probe, the capture run, each recovery run).
+	// (the probe, the capture run, each recovery run). A recovery run
+	// that exhausts StepLimit fails its schedule; one cut short by
+	// Deadline fails the whole Validate with the *interp.LimitError.
 	StepLimit int64
 	Deadline  time.Time
 	// NoDedup disables the content-addressed verdict dedup: every
@@ -130,9 +132,9 @@ type Options struct {
 	// ablation benchmark compare against; no command exposes it.
 	NoDedup bool
 	// Cache, when non-nil, carries memoized recovery verdicts across
-	// Validate calls (the incremental-revalidation hook core.RunAndRepair
-	// uses between candidate fixes). Nil gives the run a private cache.
-	// Ignored with NoDedup.
+	// Validate calls of any module and options: between core's per-fix
+	// rounds, optimize's candidate edits, and a daemon artifact's jobs.
+	// Nil gives the run a private cache. Ignored with NoDedup.
 	Cache *VerdictCache
 	// Obs receives "crashsim" child spans and schedule counters.
 	Obs *obs.Span
@@ -249,10 +251,12 @@ func (r *Report) Summary() string {
 	return b.String()
 }
 
-// entrySpec is a resolved recovery entry.
+// entrySpec is a resolved recovery entry; ctx is its recoveryContext
+// (zero when dedup is off).
 type entrySpec struct {
 	name  string
 	arity int
+	ctx   uint64
 }
 
 // Validate crash-injects mod's workload and checks every enumerated
@@ -404,6 +408,13 @@ func Validate(mod *ir.Module, opts Options) (rep *Report, err error) {
 		}
 	}
 	lastEvent := len(log)
+	if cache != nil {
+		for _, e := range []*entrySpec{inv, rec} {
+			if e != nil {
+				e.ctx = recoveryContext(mod, mod.Func(e.name), opts.StepLimit)
+			}
+		}
+	}
 
 	results := make([]pointResult, len(points))
 	var wg sync.WaitGroup
@@ -412,12 +423,7 @@ func Validate(mod *ir.Module, opts Options) (rep *Report, err error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One reusable RNG per worker: Seed() reinitializes the
-			// source in place, producing the exact stream a fresh
-			// rand.NewSource(seed) would, without its ~5KB allocation
-			// per crash point.
-			src := rand.NewSource(1)
-			rng := rand.New(src)
+			var rng sampler
 			for idx := range work {
 				res := &results[idx]
 				func() {
@@ -428,8 +434,7 @@ func Validate(mod *ir.Module, opts Options) (rep *Report, err error) {
 							res.err = fmt.Errorf("crashsim: panic at crash point %d: %v\n%s", points[idx], r, buf)
 						}
 					}()
-					src.Seed(opts.Seed + int64(points[idx])*1_000_003)
-					crashPoint(mod, opts, cache, captures[idx], inv, rec, rng, points[idx],
+					crashPoint(mod, opts, cache, captures[idx], inv, rec, &rng, points[idx],
 						log[points[idx]-1], ckptsUpTo[points[idx]], points[idx] == lastEvent, res)
 				}()
 			}
@@ -494,16 +499,16 @@ type pointResult struct {
 
 // crashPoint enumerates the feasible images of one captured crash state
 // and recovers each distinct one. The first failing schedule fails the
-// point (enumeration stops there). cache is nil iff dedup is off. rng
-// must already be seeded with opts.Seed + k*1_000_003 (the per-point
+// point (enumeration stops there). cache is nil iff dedup is off. A
+// sampled point seeds rng with opts.Seed + k*1_000_003 (the per-point
 // formula the deflake guard pins).
 func crashPoint(mod *ir.Module, opts Options, cache *VerdictCache, cs *pmem.CrashState,
-	inv, rec *entrySpec, rng *rand.Rand, k int, kind interp.PMEventKind, completed int, last bool, res *pointResult) {
+	inv, rec *entrySpec, rng *sampler, k int, kind interp.PMEventKind, completed int, last bool, res *pointResult) {
 	sizes := make([]int, len(cs.Lines))
 	for i, pl := range cs.Lines {
 		sizes[i] = len(pl.Stores)
 	}
-	schedules, feasible := enumerateCuts(sizes, opts.MaxImages, rng)
+	schedules, feasible := enumerateCuts(sizes, opts.MaxImages, opts.Seed+int64(k)*1_000_003, rng)
 	res.pruned = feasible - int64(len(schedules))
 
 	// The promise entry is anchored at durability points: parameterized
@@ -535,7 +540,7 @@ func crashPoint(mod *ir.Module, opts Options, cache *VerdictCache, cs *pmem.Cras
 			var key verdictKey
 			var v cachedVerdict
 			if cache != nil {
-				key = verdictKey{image: hash, entry: e.name, arg: arg}
+				key = verdictKey{image: hash, ctx: e.ctx, entry: e.name, arg: arg}
 				var ok bool
 				if v, ok = cache.lookup(key); ok {
 					res.hits++
@@ -574,7 +579,9 @@ func crashPoint(mod *ir.Module, opts Options, cache *VerdictCache, cs *pmem.Cras
 // bootRecovery materializes the schedule's image (seeking the builder on
 // first need, then snapshotting per entry so each boot gets a pristine
 // image) and runs one recovery entry on a fresh machine. The returned
-// error is engine-level; recovery rejections land in the verdict.
+// error is engine-level, a wall-clock deadline included: the verdict of
+// a boot it cut short would depend on timing, not on the key. Recovery
+// rejections, a step-limit overrun among them, land in the verdict.
 func bootRecovery(mod *ir.Module, opts Options, builder *pmem.ImageBuilder, cuts []int,
 	sought *bool, e *entrySpec, args []uint64) (cachedVerdict, error) {
 	if !*sought {
@@ -591,6 +598,12 @@ func bootRecovery(mod *ir.Module, opts Options, builder *pmem.ImageBuilder, cuts
 		return cachedVerdict{}, err
 	}
 	ret, rerr := m2.Run(e.name, args...)
+	if rerr != nil {
+		var le *interp.LimitError
+		if errors.As(rerr, &le) && le.Resource == "deadline" {
+			return cachedVerdict{}, fmt.Errorf("crashsim: recovery @%s did not complete: %w", e.name, rerr)
+		}
+	}
 	return cachedVerdict{pass: rerr == nil && ret == 0, ret: ret, err: rerr}, nil
 }
 

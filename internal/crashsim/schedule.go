@@ -25,12 +25,13 @@ const maxFeasible = int64(1) << 40
 //     while the rest vanish, and vice versa), which exercise the
 //     "this line arrived without that one" orderings that break
 //     naive recovery code,
-//  3. seeded pseudo-random schedules to fill the remaining budget.
+//  3. pseudo-random schedules from rng, seeded with seed, to fill the
+//     remaining budget.
 //
 // The all-zero corner is always first: it is the schedule the repo's
 // historical end-of-run spot check used, so sampling can never be weaker
 // than that check was.
-func enumerateCuts(sizes []int, budget int, rng *rand.Rand) ([][]int, int64) {
+func enumerateCuts(sizes []int, budget int, seed int64, rng *sampler) ([][]int, int64) {
 	feasible := int64(1)
 	for _, n := range sizes {
 		feasible *= int64(n + 1)
@@ -79,14 +80,36 @@ func enumerateCuts(sizes []int, budget int, rng *rand.Rand) ([][]int, int64) {
 		dev2[i] = 0
 		add(dev2)
 	}
-	for tries := 0; len(out) < budget && tries < budget*20; tries++ {
-		cuts := make([]int, len(sizes))
-		for i, n := range sizes {
-			cuts[i] = rng.Intn(n + 1)
+	if len(out) < budget {
+		r := rng.seeded(seed)
+		for tries := 0; len(out) < budget && tries < budget*20; tries++ {
+			cuts := make([]int, len(sizes))
+			for i, n := range sizes {
+				cuts[i] = r.Intn(n + 1)
+			}
+			add(cuts)
 		}
-		add(cuts)
 	}
 	return out, feasible
+}
+
+// sampler is one worker's schedule-sampling RNG. enumerateCuts seeds it
+// only on reaching its random phase: a seed costs as much as hundreds of
+// draws, and most crash points enumerate exhaustively or fill their
+// budget from the corners.
+type sampler struct {
+	r *rand.Rand
+}
+
+// seeded returns the RNG reset to the stream rand.NewSource(seed)
+// yields, creating it on first use.
+func (s *sampler) seeded(seed int64) *rand.Rand {
+	if s.r == nil {
+		s.r = rand.New(rand.NewSource(seed))
+	} else {
+		s.r.Seed(seed)
+	}
+	return s.r
 }
 
 // exhaustiveCuts walks the full cuts space odometer-style.

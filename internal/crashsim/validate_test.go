@@ -375,38 +375,60 @@ func TestDedupAccounting(t *testing.T) {
 }
 
 // TestSharedCacheAcrossRuns: a second Validate of the same module with a
-// shared VerdictCache must serve (nearly) everything from the cache.
+// shared VerdictCache must serve everything from the cache, and the cache
+// needs no invalidation across edits: verdict keys cover the
+// recovery-reachable code, so an edit to it misses, a workload-only edit
+// that reproduces known images hits, and undoing the recovery edit finds
+// the original verdicts again.
 func TestSharedCacheAcrossRuns(t *testing.T) {
 	mod := lang.MustCompile("publish.pmc", srcPublish)
 	if _, err := core.RunAndRepair(mod, "main", core.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	cache := crashsim.NewVerdictCache()
-	opts := crashsim.Options{Cache: cache}
-	first, err := crashsim.Validate(mod, opts)
-	if err != nil {
-		t.Fatal(err)
+	opts := crashsim.Options{Cache: crashsim.NewVerdictCache()}
+	validate := func(step string) *crashsim.Report {
+		t.Helper()
+		rep, err := crashsim.Validate(mod, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		if !rep.Passed() {
+			t.Fatalf("%s: repaired build failed: %s", step, rep.Failures[0])
+		}
+		return rep
 	}
-	second, err := crashsim.Validate(mod, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	validate("cold")
+	second := validate("identical module")
 	if second.CacheMisses != 0 {
 		t.Errorf("re-validation of an identical module missed the shared cache %d time(s)", second.CacheMisses)
 	}
 	if second.ImagesBuilt != 0 {
 		t.Errorf("re-validation built %d image(s); want 0 (all verdicts cached)", second.ImagesBuilt)
 	}
-	if first.Passed() != second.Passed() {
-		t.Error("shared cache changed the verdict")
+
+	// A recovery edit: @invariant_check opens with a fence.
+	check := mod.Func("invariant_check").Entry()
+	check.InsertAt(0, &ir.Instr{Op: ir.OpFence, Ty: ir.Void, FenceK: ir.SFENCE})
+	if rep := validate("recovery edit"); rep.CacheMisses == 0 || rep.ImagesBuilt == 0 {
+		t.Errorf("an edit to recovery code missed %d time(s) and built %d image(s); want fresh boots",
+			rep.CacheMisses, rep.ImagesBuilt)
 	}
-	cache.Reset()
-	third, err := crashsim.Validate(mod, opts)
-	if err != nil {
-		t.Fatal(err)
+
+	// A workload-only edit: @main opens with a fence, a crash point whose
+	// image (nothing durable yet) every other run already judged.
+	body := mod.Func("main").Entry()
+	body.InsertAt(0, &ir.Instr{Op: ir.OpFence, Ty: ir.Void, FenceK: ir.SFENCE})
+	if rep := validate("workload edit"); rep.CacheMisses != 0 || rep.CacheHits == 0 {
+		t.Errorf("a workload-only edit made %d miss(es) and %d hit(s); want only hits on its unchanged images",
+			rep.CacheMisses, rep.CacheHits)
 	}
-	if third.ImagesBuilt == 0 {
-		t.Error("Reset did not invalidate the cache")
+
+	// Undoing the recovery edit restores its fingerprint, and with it
+	// every verdict cached before the edit.
+	check.RemoveInstr(check.Instrs[0])
+	if rep := validate("recovery edit undone"); rep.CacheMisses != 0 || rep.ImagesBuilt != 0 {
+		t.Errorf("undoing the recovery edit missed %d time(s) and built %d image(s); want every verdict cached",
+			rep.CacheMisses, rep.ImagesBuilt)
 	}
 }
 

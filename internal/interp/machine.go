@@ -27,7 +27,7 @@ type Options struct {
 	Trace *trace.Trace
 	// Stdout receives output from the print builtins; nil discards it.
 	Stdout io.Writer
-	// StepLimit bounds executed instructions (0 means the 100M default).
+	// StepLimit bounds executed instructions (0 means DefaultStepLimit).
 	// Exceeding it returns a *LimitError.
 	StepLimit int64
 	// Deadline, when non-zero, is the wall-clock instant after which
@@ -91,6 +91,10 @@ type Options struct {
 // crash the run at a PM event boundary; Run returns it and the machine
 // remains inspectable.
 var ErrSimulatedCrash = fmt.Errorf("interp: simulated crash at durability point")
+
+// DefaultStepLimit is the instruction budget of a run whose
+// Options.StepLimit is zero.
+const DefaultStepLimit = 100_000_000
 
 // LimitError reports that execution exceeded a configured resource
 // limit: the instruction budget (Options.StepLimit) or the wall-clock
@@ -335,7 +339,7 @@ func New(mod *ir.Module, opts Options) (*Machine, error) {
 	}
 	m.hasDeadline = !opts.Deadline.IsZero()
 	if m.max == 0 {
-		m.max = 100_000_000
+		m.max = DefaultStepLimit
 	}
 	m.checkAt = m.nextCheck()
 	if opts.Memory != nil {

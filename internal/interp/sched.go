@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"strings"
 
+	"hippocrates/internal/arena"
 	"hippocrates/internal/ir"
 	"hippocrates/internal/pmem"
 )
@@ -61,13 +62,14 @@ const (
 
 // PendingOp is a thread's announced next visible operation. Every
 // decision point copies one per runnable thread into the decision log,
-// so the fields are ordered to pack into 24 bytes.
+// so the fields are ordered to pack into 16 bytes (thread ids stay below
+// pmem.MaxThreads).
 type PendingOp struct {
-	Tid int
 	// Addr is the target address for store/nt-store/flush/atomic
 	// operations (its cache line decides commutativity in the explorer),
 	// the target thread id for join, and 0 otherwise.
 	Addr uint64
+	Tid  int32
 	Kind PendKind
 	// Ordered marks a flush that commits its line immediately (CLFLUSH /
 	// ordered flush_range). Ordered flushes change the durable image
@@ -171,6 +173,11 @@ type mtState struct {
 	// runnable is pick's scratch list of runnable threads, reused
 	// across decisions.
 	runnable []*thread
+	// pending is the arena the decisions' Runnable slices are carved
+	// from, so a decision costs no allocation of its own. It starts at
+	// 4 ops: an explored run makes a few dozen decisions among two or
+	// three threads, and a larger first chunk is mostly abandoned tail.
+	pending arena.Chunks[PendingOp]
 }
 
 func (m *Machine) curTid() int {
@@ -205,7 +212,8 @@ func (m *Machine) Decisions() []Decision {
 func (m *Machine) ensureMT() *mtState {
 	if m.mt == nil {
 		main := &thread{tid: 0, state: thRunnable}
-		m.mt = &mtState{threads: []*thread{main}, choices: m.opts.Schedule}
+		m.mt = &mtState{threads: []*thread{main}, choices: m.opts.Schedule,
+			pending: arena.New[PendingOp](4, 512)}
 		m.setStackSeg(0)
 	}
 	return m.mt
@@ -231,7 +239,7 @@ func (m *Machine) spawnThread(fn *ir.Func, args []uint64) (int, error) {
 	mt.threads = append(mt.threads, &thread{
 		tid:     tid,
 		state:   thRunnable,
-		pending: PendingOp{Tid: tid, Kind: PendStart},
+		pending: PendingOp{Tid: int32(tid), Kind: PendStart},
 		fn:      fn,
 		args:    args,
 	})
@@ -255,7 +263,7 @@ func (m *Machine) announce(p PendingOp) error {
 		self.announced = false
 		return nil
 	}
-	p.Tid = self.tid
+	p.Tid = int32(self.tid)
 	self.pending = p
 	if p.Kind == PendJoin && mt.threads[p.Addr].state != thDone {
 		self.state = thBlocked
@@ -353,7 +361,7 @@ func (m *Machine) pick() (*thread, error) {
 	if len(run) == 1 {
 		return run[0], nil
 	}
-	pend := make([]PendingOp, len(run))
+	pend := mt.pending.Take(len(run))
 	for i, t := range run {
 		pend[i] = t.pending
 	}

@@ -393,8 +393,8 @@ func TestScheduleChoiceOutOfRange(t *testing.T) {
 // TestPendingOpSize: every decision point copies one PendingOp per
 // runnable thread into the decision log, so the struct stays packed.
 func TestPendingOpSize(t *testing.T) {
-	if got := unsafe.Sizeof(PendingOp{}); got != 24 {
-		t.Errorf("PendingOp is %d bytes, want 24", got)
+	if got := unsafe.Sizeof(PendingOp{}); got != 16 {
+		t.Errorf("PendingOp is %d bytes, want 16", got)
 	}
 }
 

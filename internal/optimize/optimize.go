@@ -68,9 +68,7 @@ type Options struct {
 	// durability-point signatures).
 	Baseline *core.Run
 	// Cache, when non-nil, carries crashsim recovery verdicts across
-	// candidate validations (and across a preceding repair run). It is
-	// bypassed for any candidate that edits recovery-reachable code and
-	// reset when such an edit is accepted.
+	// candidate validations (and across a preceding repair run).
 	Cache *crashsim.VerdictCache
 	// Obs receives an "optimize" child span, the optimize.* counters,
 	// and one audit entry per candidate edit (applied or rejected).
@@ -278,7 +276,6 @@ func Optimize(mod *ir.Module, opts Options) (*Result, error) {
 	if cache == nil {
 		cache = crashsim.NewVerdictCache()
 	}
-	recSet := recoverySet(mod)
 	var keys []alignKey
 	var curCrash map[string]int
 	if res.CrashsimProven {
@@ -324,7 +321,7 @@ func Optimize(mod *ir.Module, opts Options) (*Result, error) {
 		}
 		var afterCrash map[string]int
 		if ok && res.CrashsimProven {
-			afterCrash, reason = crashCompare(mod, after, keys, curCrash, c, recSet, cache, opts, entry)
+			afterCrash, reason = crashCompare(mod, after, keys, curCrash, cache, opts, entry)
 			ok = reason == ""
 		}
 
@@ -332,15 +329,7 @@ func Optimize(mod *ir.Module, opts Options) (*Result, error) {
 			ed.Accepted = true
 			ed.SavedNs = cur.simNs - after.simNs
 			ed.Reason = proofSummary(res.CrashsimProven, len(keys))
-			cur = after
-			if res.CrashsimProven {
-				curCrash = afterCrash
-				if recSet[c.fn] {
-					// The accepted edit changed recovery code: every
-					// memoized verdict is stale.
-					cache.Reset()
-				}
-			}
+			cur, curCrash = after, afterCrash
 			res.SimNsAfter = after.simNs
 			switch c.kind {
 			case EditCoalesceFlush:
@@ -406,30 +395,6 @@ func definedFn(mod *ir.Module, name string) *ir.Func {
 		return f
 	}
 	return nil
-}
-
-// recoverySet is the set of functions reachable from the recovery
-// entries over the static call graph — the code whose verdicts the
-// crashsim cache memoizes.
-func recoverySet(mod *ir.Module) map[*ir.Func]bool {
-	seen := make(map[*ir.Func]bool)
-	var walk func(f *ir.Func)
-	walk = func(f *ir.Func) {
-		if f == nil || seen[f] {
-			return
-		}
-		seen[f] = true
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				if in.Op == ir.OpCall && in.Callee != nil {
-					walk(in.Callee)
-				}
-			}
-		}
-	}
-	walk(definedFn(mod, "invariant_check"))
-	walk(definedFn(mod, "crash_check"))
-	return seen
 }
 
 // siteOf renders an instruction's position as file:func:block:index,

@@ -387,8 +387,7 @@ int main() {
 			t.Errorf("failure signature %q does not end with the assertion's first line", key)
 		}
 	}
-	c := &candidate{fn: definedFn(mod, "main")}
-	got, reason := crashCompare(mod, sig, keys, map[string]int{}, c, recoverySet(mod), crashsim.NewVerdictCache(), Options{}, "main")
+	got, reason := crashCompare(mod, sig, keys, map[string]int{}, crashsim.NewVerdictCache(), Options{}, "main")
 	want := fmt.Sprintf("crashsim verdicts changed: 0 failing schedule(s) before, %d after", total(failures))
 	if got != nil || reason != want {
 		t.Errorf("crashCompare = (%v, %q), want a refusal %q", got, reason, want)

@@ -300,19 +300,15 @@ func failureSig(rep *crashsim.Report, events []interp.PMEventKind) map[string]in
 // crashCompare runs the edited build through crashsim at the aligned
 // points and demands verdict identity with the current build. It
 // returns the edited build's failure signature and an empty reason on
-// success. A candidate that edits recovery-reachable code is validated
-// against a private cache — its memoized verdicts would be stale.
+// success. The shared cache serves every candidate: a candidate that
+// edits recovery-reachable code changes its verdict keys.
 func crashCompare(mod *ir.Module, after *progSig, keys []alignKey, cur map[string]int,
-	c *candidate, recSet map[*ir.Func]bool, cache *crashsim.VerdictCache, opts Options, entry string) (map[string]int, string) {
+	cache *crashsim.VerdictCache, opts Options, entry string) (map[string]int, string) {
 	pts, err := keysToPoints(after.events, keys)
 	if err != nil {
 		return nil, "crash-point alignment failed: " + err.Error()
 	}
-	vcache := cache
-	if recSet[c.fn] {
-		vcache = crashsim.NewVerdictCache()
-	}
-	rep, err := crashsim.Validate(mod, csOptions(opts, entry, pts, vcache, nil))
+	rep, err := crashsim.Validate(mod, csOptions(opts, entry, pts, cache, nil))
 	if err != nil {
 		return nil, "crashsim failed after edit: " + firstLine(err.Error())
 	}

@@ -12,7 +12,9 @@ import (
 // The master is kept only from the source's second job on — the first
 // job repairs the module it compiled, since most sources are never
 // submitted again — and no job mutates it: each later job repairs a
-// private clone.
+// private clone. The verdict cache lives as long as the artifact: its
+// keys cover the recovery code and step limit each verdict was reached
+// under, so no job's repair or budget can make an entry stale.
 type artifact struct {
 	mu  sync.Mutex
 	mod *ir.Module
@@ -46,16 +48,4 @@ func (a *artifact) verdicts() *crashsim.VerdictCache {
 		a.vc = crashsim.NewVerdictCache()
 	}
 	return a.vc
-}
-
-// retireVerdicts drops the shared cache IF it is still the one the caller
-// was handed: a job's repair reset it after rewriting recovery-reachable
-// code, so the surviving entries describe recovery code future jobs of
-// this source won't run.
-func (a *artifact) retireVerdicts(old *crashsim.VerdictCache) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.vc == old {
-		a.vc = nil
-	}
 }

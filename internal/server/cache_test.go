@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
 	"testing"
 
 	"hippocrates/internal/cli"
@@ -249,5 +250,50 @@ func TestVerdictCountersMonotonic(t *testing.T) {
 			t.Fatalf("source %d made no verdict lookups", i)
 		}
 		lastHits, lastMisses = c.VerdictHits, c.VerdictMisses
+	}
+}
+
+// TestVerdictCacheSharedAcrossStepLimits: crash jobs on one source share
+// the artifact's verdict cache, and the step limit decides a recovery
+// boot — testdata/slow_recovery.pmc recovers within the default budget
+// but not within 2,000 steps. In either order, every job must answer
+// exactly what a sequential cli.Run of its request answers.
+func TestVerdictCacheSharedAcrossStepLimits(t *testing.T) {
+	src, err := os.ReadFile("../../testdata/slow_recovery.pmc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := func(limit int64) *cli.Request {
+		return &cli.Request{Program: "slow_recovery.pmc", Source: string(src), Mode: cli.ModeCrash,
+			StepLimit: limit, TimeoutMS: 60_000}
+	}
+	want := map[int64]string{}
+	for _, limit := range []int64{2000, 0} {
+		rec := obs.New()
+		root := rec.StartSpan("job")
+		resp, err := cli.Run(req(limit), root)
+		root.End()
+		if err != nil {
+			t.Fatalf("steplimit %d: sequential run: %v", limit, err)
+		}
+		if resp.Crash.Passed != (limit == 0) {
+			t.Fatalf("steplimit %d: sequential crash validation passed = %v", limit, resp.Crash.Passed)
+		}
+		data, err := resp.EncodeJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[limit] = normalizeResponse(t, data)
+	}
+	for _, order := range [][]int64{{2000, 0}, {0, 2000}} {
+		s := New(Config{Workers: 1})
+		for _, limit := range order {
+			j := run(t, s, req(limit))
+			if got := normalizeResponse(t, j.ResponseJSON()); got != want[limit] {
+				t.Errorf("order %v, steplimit %d: daemon answer differs from a sequential run:\n%s\nvs\n%s",
+					order, limit, got, want[limit])
+			}
+		}
+		shutdown(t, s)
 	}
 }

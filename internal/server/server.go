@@ -476,10 +476,11 @@ func (s *Server) worker(ch chan *Job) {
 	}
 }
 
-// runJob executes one job end to end: artifact lookup (shared verdict
-// cache, and the module to run: a fresh compile or a clone of the kept
-// master), the cli pipeline under the job's own recorder, response
-// serialization, and cache fills.
+// runJob executes one job end to end: artifact lookup (the module to
+// run — a fresh compile or a clone of the kept master — and, for crash
+// validation, the source's verdict cache, attached for the run and
+// detached after it), the cli pipeline under the job's own recorder,
+// response serialization, and cache fills.
 func (s *Server) runJob(job *Job) {
 	s.inFlight.Add(1)
 	started := time.Now()
@@ -557,17 +558,12 @@ func (s *Server) runJob(job *Job) {
 		return
 	}
 
-	// Share memoized crash verdicts across jobs of this source. Sound
-	// because verdict keys are image-content hashes and same-source jobs
-	// serialize on one shard; if this job's repair rewrites
-	// recovery-reachable code, the pipeline Resets the cache (bumping its
-	// generation) and we retire the shared instance — its surviving
-	// entries would describe the repaired module's recovery code, not the
-	// original's.
-	var gen, vHits, vMisses int64
+	// Share memoized crash verdicts across jobs of this source: a verdict
+	// key holds everything that decides the verdict (see
+	// crashsim.VerdictCache), whatever code, budget or repair a job runs.
+	var vHits, vMisses int64
 	if req.CrashCheck && req.CrashCache == nil {
 		req.CrashCache = art.verdicts()
-		gen = req.CrashCache.Generation()
 		vHits, vMisses = req.CrashCache.Stats()
 	}
 
@@ -582,14 +578,11 @@ func (s *Server) runJob(job *Job) {
 	resp, err := cli.RunModule(req, mod, root)
 	req.SummaryStore = nil
 	if req.CrashCache != nil {
-		// Reset keeps the cumulative stats and same-source jobs serialize,
-		// so the delta is exactly this job's lookups.
+		// Same-source jobs serialize, so the delta is exactly this job's
+		// lookups.
 		h, m := req.CrashCache.Stats()
 		s.verdictHits.Add(h - vHits)
 		s.verdictMisses.Add(m - vMisses)
-		if req.CrashCache.Generation() != gen {
-			art.retireVerdicts(req.CrashCache)
-		}
 		req.CrashCache = nil
 	}
 	if err != nil {
