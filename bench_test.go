@@ -362,10 +362,9 @@ func BenchmarkDetector(b *testing.B) {
 // BenchmarkExplore measures interleaving exploration, the many short
 // traced runs of threads repair: schedule.Explore over the concurrent
 // corpus plus a few generated threaded programs. B/run is the heap bytes
-// one explored interleaving costs (machine, trace, and the online
-// detector the call's runs share), the quantity the small first arena
-// chunks and the deferred durable image keep proportional to what a run
-// records.
+// one explored interleaving costs: its verdict, memory and tracker
+// records, since every run after the first records into the machine,
+// trace and online detector the run before it finished with.
 func BenchmarkExplore(b *testing.B) {
 	type target struct {
 		m     *ir.Module

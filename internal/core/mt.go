@@ -100,7 +100,7 @@ func RunAndRepairMT(mod *ir.Module, entry string, opts Options, args ...uint64) 
 	// single-threaded pipeline's trace (with the default full-AA marks it
 	// is consulted only to resolve report sites, which are
 	// schedule-independent instruction ids).
-	out.Fix, err = Repair(mod, ex.Runs[0].Trace, out.Before, opts)
+	out.Fix, err = Repair(mod, ex.Trace, out.Before, opts)
 	if err != nil {
 		return nil, err
 	}

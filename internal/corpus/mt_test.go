@@ -1,11 +1,13 @@
 package corpus
 
 import (
+	"reflect"
 	"testing"
 
 	"hippocrates/internal/core"
 	"hippocrates/internal/crashsim"
 	"hippocrates/internal/interp"
+	"hippocrates/internal/pmcheck"
 	"hippocrates/internal/schedule"
 	"hippocrates/internal/trace"
 )
@@ -14,7 +16,7 @@ import (
 // MT program the buggy build must fail under at least one explored
 // interleaving (crash validation included), the repaired build must pass
 // crash validation under every explored interleaving, and a buggy
-// schedule id must replay byte-identically.
+// schedule id must replay to the same verdict.
 func TestMTSmoke(t *testing.T) {
 	for _, p := range MTPrograms() {
 		p := p
@@ -64,20 +66,26 @@ func TestMTSmoke(t *testing.T) {
 			}
 
 			// Schedule ids are replayable coordinates: re-running the buggy
-			// run's choices must reproduce its trace byte-for-byte.
+			// run's choices on a fresh machine must reproduce its decisions,
+			// return value and verdict (report events and stacks, redundant
+			// flushes and fences), which the explorer recorded on a machine
+			// recycled from earlier runs.
 			tr := &trace.Trace{Program: mod.Name}
-			m, err := interp.New(mod, interp.Options{Trace: tr, Schedule: bad.Choices})
+			det := pmcheck.NewDetector()
+			m, err := interp.New(mod, interp.Options{Trace: tr, Schedule: bad.Choices, Detector: det})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := m.Run(p.Entry); err != nil {
+			ret, err := m.Run(p.Entry)
+			if err != nil {
 				t.Fatalf("replaying schedule %s: %v", bad.ID, err)
 			}
 			if got, want := interp.ScheduleID(replayChoices(m)), bad.ID; got != want {
 				t.Fatalf("replay schedule id = %s, want %s", got, want)
 			}
-			if got, want := tr.String(), bad.Trace.String(); got != want {
-				t.Fatalf("replay of schedule %s diverged:\n--- replay ---\n%s\n--- original ---\n%s", bad.ID, got, want)
+			if got := det.Result(); ret != bad.Ret || !reflect.DeepEqual(got, bad.Check) {
+				t.Fatalf("replay of schedule %s diverged: ret %d, want %d\n--- replay ---\n%s--- original ---\n%s",
+					bad.ID, ret, bad.Ret, got.Summary(), bad.Check.Summary())
 			}
 
 			// Repair on a fresh module, then the full acceptance bar: every

@@ -42,34 +42,66 @@ type cachedVerdict struct {
 // one limit outside the key, and a boot it cuts short is never stored.
 // The cache is safe for concurrent use; share one across Validate calls
 // (Options.Cache) to make incremental revalidation cheap.
+//
+// A key is booted at most once at a time: the first lookup that misses
+// claims it, and lookups of a claimed key wait for the claimer's verdict
+// and count as hits. So however the work is spread over workers, each key
+// misses once and is booted once, unless its boot fails with an error:
+// then nothing is stored, and the next waiter claims the key and boots it
+// itself.
 type VerdictCache struct {
-	mu     sync.Mutex
-	m      map[verdictKey]cachedVerdict
-	hits   int64
-	misses int64
+	mu sync.Mutex
+	m  map[verdictKey]cachedVerdict
+	// booting holds the claimed keys; ended wakes the lookups waiting on
+	// them whenever a claim ends.
+	booting map[verdictKey]bool
+	ended   sync.Cond
+	hits    int64
+	misses  int64
 }
 
 // NewVerdictCache returns an empty cache.
 func NewVerdictCache() *VerdictCache {
-	return &VerdictCache{m: make(map[verdictKey]cachedVerdict)}
+	c := &VerdictCache{m: make(map[verdictKey]cachedVerdict), booting: make(map[verdictKey]bool)}
+	c.ended.L = &c.mu
+	return c
 }
 
-func (c *VerdictCache) lookup(k verdictKey) (cachedVerdict, bool) {
+// verdict returns k's verdict, and whether the lookup hit: a cached
+// verdict, or one another lookup booted while this one waited. On a miss
+// it claims k and boots it with boot, storing the verdict unless boot
+// fails; the claim ends either way, a panic in boot included.
+func (c *VerdictCache) verdict(k verdictKey, boot func() (cachedVerdict, error)) (cachedVerdict, bool, error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	v, ok := c.m[k]
-	if ok {
-		c.hits++
-	} else {
-		c.misses++
+	for {
+		if v, ok := c.m[k]; ok {
+			c.hits++
+			c.mu.Unlock()
+			return v, true, nil
+		}
+		if !c.booting[k] {
+			break
+		}
+		c.ended.Wait()
 	}
-	return v, ok
-}
+	c.misses++
+	c.booting[k] = true
+	c.mu.Unlock()
 
-func (c *VerdictCache) store(k verdictKey, v cachedVerdict) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.m[k] = v
+	var v cachedVerdict
+	ok := false
+	defer func() {
+		c.mu.Lock()
+		if ok {
+			c.m[k] = v
+		}
+		delete(c.booting, k)
+		c.mu.Unlock()
+		c.ended.Broadcast()
+	}()
+	v, err := boot()
+	ok = err == nil
+	return v, false, err
 }
 
 // Stats returns the cumulative lookup hit / miss counts.

@@ -537,27 +537,25 @@ func crashPoint(mod *ir.Module, opts Options, cache *VerdictCache, cs *pmem.Cras
 				arg = completed
 				args = []uint64{uint64(completed)}
 			}
-			var key verdictKey
+			boot := func() (cachedVerdict, error) {
+				return bootRecovery(mod, opts, builder, cuts, &sought, e, args)
+			}
 			var v cachedVerdict
+			hit := false
 			if cache != nil {
-				key = verdictKey{image: hash, ctx: e.ctx, entry: e.name, arg: arg}
-				var ok bool
-				if v, ok = cache.lookup(key); ok {
-					res.hits++
-				} else {
-					res.misses++
-					v, res.err = bootRecovery(mod, opts, builder, cuts, &sought, e, args)
-					if res.err != nil {
-						return
-					}
-					res.built++
-					booted = true
-					cache.store(key, v)
-				}
+				key := verdictKey{image: hash, ctx: e.ctx, entry: e.name, arg: arg}
+				v, hit, res.err = cache.verdict(key, boot)
 			} else {
-				v, res.err = bootRecovery(mod, opts, builder, cuts, &sought, e, args)
-				if res.err != nil {
-					return
+				v, res.err = boot()
+			}
+			if res.err != nil {
+				return
+			}
+			if hit {
+				res.hits++
+			} else {
+				if cache != nil {
+					res.misses++
 				}
 				res.built++
 				booted = true

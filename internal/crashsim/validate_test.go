@@ -3,6 +3,7 @@ package crashsim_test
 import (
 	"errors"
 	"fmt"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -463,5 +464,66 @@ func TestWorkersDecodeOneModule(t *testing.T) {
 	}
 	if check.Decoded() != decoded {
 		t.Fatal("a second validation of the unchanged module decoded @invariant_check again")
+	}
+}
+
+// TestConcurrentMissesBootOnce: crash-point workers that miss one
+// verdict key at the same time boot it once — the first claims the key
+// and the others wait for its verdict — so the dedup counters do not
+// depend on how the points were spread over the workers. Twenty
+// four-worker validations of workloads full of identical images report
+// identical images built, hits and misses, every miss boots exactly one
+// image, and dedup still reaches the no-dedup verdicts.
+func TestConcurrentMissesBootOnce(t *testing.T) {
+	smoke, err := os.ReadFile("../../testdata/crash_smoke.pmc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		mod  func() *ir.Module
+	}{
+		{"repaired-publish", func() *ir.Module {
+			mod := lang.MustCompile("publish.pmc", srcPublish)
+			if _, err := core.RunAndRepair(mod, "main", core.Options{}); err != nil {
+				t.Fatal(err)
+			}
+			return mod
+		}},
+		{"crash-smoke", func() *ir.Module { return lang.MustCompile("crash_smoke.pmc", string(smoke)) }},
+	} {
+		opts := crashsim.Options{Workers: 4, MaxImages: 8}
+		var first *crashsim.Report
+		for i := 0; i < 20; i++ {
+			rep, err := crashsim.Validate(tc.mod(), opts)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if rep.ImagesBuilt != int(rep.CacheMisses) {
+				t.Fatalf("%s run %d: %d images built for %d misses", tc.name, i, rep.ImagesBuilt, rep.CacheMisses)
+			}
+			if first == nil {
+				first = rep
+				continue
+			}
+			if rep.ImagesBuilt != first.ImagesBuilt || rep.CacheHits != first.CacheHits || rep.CacheMisses != first.CacheMisses {
+				t.Fatalf("%s run %d: built/hits/misses %d/%d/%d, run 0 %d/%d/%d", tc.name, i,
+					rep.ImagesBuilt, rep.CacheHits, rep.CacheMisses, first.ImagesBuilt, first.CacheHits, first.CacheMisses)
+			}
+		}
+		if first.CacheHits == 0 {
+			t.Fatalf("%s: no cache hits; the workload exercises no dedup", tc.name)
+		}
+		opts.NoDedup = true
+		off, err := crashsim.Validate(tc.mod(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, b := failureKeys(first), failureKeys(off); !reflect.DeepEqual(a, b) || first.Schedules != off.Schedules {
+			t.Errorf("%s: dedup and no-dedup verdicts diverged:\n  dedup:    %v (%d schedules)\n  no-dedup: %v (%d schedules)",
+				tc.name, a, first.Schedules, b, off.Schedules)
+		}
+		t.Logf("%s: %d images built, %d hits, %d misses over %d schedules", tc.name,
+			first.ImagesBuilt, first.CacheHits, first.CacheMisses, first.Schedules)
 	}
 }

@@ -7,6 +7,8 @@ import (
 
 	"hippocrates/internal/interp"
 	"hippocrates/internal/ir"
+	"hippocrates/internal/obs"
+	"hippocrates/internal/pmcheck"
 	"hippocrates/internal/pmem"
 	"hippocrates/internal/schedule"
 	"hippocrates/internal/trace"
@@ -14,11 +16,17 @@ import (
 
 // oracleRun is everything a run reports that decoding must not change.
 type oracleRun struct {
-	ret       uint64
-	err       error
-	steps     int64
-	ops       [ir.NumOps]int64
-	simNs     float64
+	ret   uint64
+	err   error
+	steps int64
+	ops   [ir.NumOps]int64
+	simNs float64
+	// ckpts, violations and threads are the durability points passed,
+	// the pending stores seen at them, and the threads created.
+	ckpts, violations, threads int
+	// counters is what the run publishes through RecordObs, the
+	// per-thread PM event counters among them.
+	counters  map[string]int64
 	log       []interp.PMEventKind
 	decisions []interp.Decision
 	tr        *trace.Trace
@@ -41,6 +49,10 @@ func oracleRunOf(t *testing.T, mod *ir.Module, entry string, newMachine func(*ir
 	out := oracleRun{tr: tr}
 	out.ret, out.err = m.Run(entry)
 	out.steps, out.ops, out.simNs = m.Steps(), m.OpCounts(), m.SimTime()
+	out.ckpts, out.violations, out.threads = m.Checkpoints(), m.NumViolations(), m.ThreadCount()
+	rec := obs.New()
+	m.RecordObs(rec.StartSpan("run"))
+	out.counters = rec.Counters()
 	out.log = append(out.log, m.PMEventLog()...)
 	out.decisions = m.Decisions()
 	if images {
@@ -66,6 +78,13 @@ func sameOracleRun(t *testing.T, where string, got, want oracleRun) {
 	}
 	if got.ops != want.ops {
 		t.Fatalf("%s: per-opcode counts %v, tree-walk %v", where, got.ops, want.ops)
+	}
+	if got.ckpts != want.ckpts || got.violations != want.violations || got.threads != want.threads {
+		t.Fatalf("%s: checkpoints/violations/threads %d/%d/%d, tree-walk %d/%d/%d", where,
+			got.ckpts, got.violations, got.threads, want.ckpts, want.violations, want.threads)
+	}
+	if !reflect.DeepEqual(got.counters, want.counters) {
+		t.Fatalf("%s: published counters %v, tree-walk %v", where, got.counters, want.counters)
 	}
 	if !reflect.DeepEqual(got.log, want.log) || !reflect.DeepEqual(got.decisions, want.decisions) {
 		t.Fatalf("%s: PM event log or scheduling decisions differ", where)
@@ -107,7 +126,9 @@ func TestDecodedMatchesTreeWalk(t *testing.T) {
 // TestDecodedMatchesTreeWalkExplored: every schedule the explorer visits
 // (on the threaded generated programs and the concurrent corpus, and the
 // one schedule of every sequential target) replays identically on
-// decoded ops and on the tree-walker, and as the explorer recorded it.
+// decoded ops and on the tree-walker, and to the explorer's verdict: its
+// return value, and the detector result (report events and stacks,
+// redundant flushes and fences) of the replayed trace.
 func TestDecodedMatchesTreeWalkExplored(t *testing.T) {
 	ts := stackTargets()
 	runs := 0
@@ -122,8 +143,11 @@ func TestDecodedMatchesTreeWalkExplored(t *testing.T) {
 			want := oracleRunOf(t, tc.mod, tc.entry, interp.NewTreeWalk, opts, false)
 			got := oracleRunOf(t, tc.mod, tc.entry, interp.New, opts, false)
 			sameOracleRun(t, where, got, want)
-			if got.ret != r.Ret || (got.err == nil) != (r.Err == nil) || got.tr.String() != r.Trace.String() {
+			if got.ret != r.Ret || (got.err == nil) != (r.Err == nil) {
 				t.Fatalf("%s: replay differs from the explored run", where)
+			}
+			if r.Check != nil && !reflect.DeepEqual(r.Check, pmcheck.Check(got.tr)) {
+				t.Fatalf("%s: the explored verdict differs from the replay's", where)
 			}
 			runs++
 		}

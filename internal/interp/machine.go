@@ -72,8 +72,8 @@ type Options struct {
 	// excludes Detector.
 	NoTrack bool
 	// Detector, when non-nil, detects durability bugs as the run
-	// executes: New resets it onto Trace, which must be non-nil and
-	// empty (the detector numbers events by trace index), and the
+	// executes: New or Reset resets it onto Trace, which must be non-nil
+	// and empty (the detector numbers events by trace index), and the
 	// machine's Track is the detector's tracker, so SimTime,
 	// NumViolations, crash states and OnPMEvent see the state they see
 	// without one. Detector.Result is the verdict pmcheck.Check would
@@ -184,7 +184,9 @@ type Machine struct {
 	args []uint64
 	// mt is the scheduler state, allocated lazily on first spawn;
 	// single-threaded runs keep it nil and skip every scheduling branch.
-	mt *mtState
+	// idle is a previous run's scheduler state, kept by Reset for the
+	// next spawn to reuse.
+	mt, idle *mtState
 	// stackBase/stackLimit bound the running thread's simulated stack
 	// segment (the whole stack until a spawn partitions it).
 	stackBase  uint64
@@ -307,29 +309,44 @@ func (e *RuntimeError) Error() string {
 	return s
 }
 
-// New prepares a machine: lays out globals, seeds PM initializers as
-// durable content.
+// New prepares a machine for mod: it allocates the machine, then Reset
+// lays out globals and seeds PM initializers as durable content.
 func New(mod *ir.Module, opts Options) (*Machine, error) {
 	m := &Machine{
-		Mod:        mod,
-		opts:       opts,
-		cost:       pmem.DefaultCostModel(),
-		globals:    make([]uint64, len(mod.Globals)),
-		heapNext:   pmem.HeapBase,
-		max:        opts.StepLimit,
-		deadline:   opts.Deadline,
-		stackBase:  pmem.StackBase,
-		stackLimit: pmem.StackBase - pmem.StackMax,
-		events:     arena.New[trace.Event](16, 512),
-		stacks:     opts.Stacks,
+		Mod:    mod,
+		cost:   pmem.DefaultCostModel(),
+		events: arena.New[trace.Event](16, 512),
 	}
+	if err := m.Reset(opts); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// Reset readies the machine for a new run of its module under opts,
+// exactly as New would, so that a finished machine can record another
+// run into the buffers the last one finished with: the trace-event arena,
+// the decision log and its Runnable arena, the thread records, the frame
+// pool, the PM event log, the per-thread counters, and the decoder and
+// argument scratch. Memory and the tracker are never recycled (a crash
+// state or snapshot may still point into them): the run gets
+// opts.Memory or a fresh memory, and the detector's tracker or a fresh
+// one.
+//
+// Everything the last run handed out that lives in those buffers is
+// invalid afterwards: its trace's events, its Decisions and its
+// PMEventLog. A caller that keeps a result must copy it first (see
+// pmcheck.Result.OwnEvents). On error the machine must not run.
+func (m *Machine) Reset(opts Options) error {
+	mod := m.Mod
+	m.Track, m.det = nil, nil
 	switch {
 	case opts.Detector != nil:
 		if opts.NoTrack {
-			return nil, fmt.Errorf("interp: Options.Detector and NoTrack are exclusive")
+			return fmt.Errorf("interp: Options.Detector and NoTrack are exclusive")
 		}
 		if opts.Trace == nil || len(opts.Trace.Events) > 0 {
-			return nil, fmt.Errorf("interp: Options.Detector needs an empty Trace to record into")
+			return fmt.Errorf("interp: Options.Detector needs an empty Trace to record into")
 		}
 		opts.Detector.Reset(opts.Trace)
 		m.det = opts.Detector
@@ -337,10 +354,37 @@ func New(mod *ir.Module, opts Options) (*Machine, error) {
 	case !opts.NoTrack:
 		m.Track = pmem.NewTracker()
 	}
-	m.hasDeadline = !opts.Deadline.IsZero()
+	m.opts = opts
+	m.Clock.Reset()
+	if cap(m.globals) >= len(mod.Globals) {
+		m.globals = m.globals[:len(mod.Globals)]
+	} else {
+		m.globals = make([]uint64, len(mod.Globals))
+	}
+	m.heapNext = pmem.HeapBase
+	m.rootAddr, m.rootSize = 0, 0
+	if m.mt != nil {
+		// Keep the scheduler state for its buffers; the run brings it back
+		// on its first spawn.
+		m.mt.pending.Rewind()
+		m.idle, m.mt = m.mt, nil
+	}
+	m.frames = m.frames[:0]
+	m.stackBase = pmem.StackBase
+	m.stackLimit = pmem.StackBase - pmem.StackMax
+	m.threadEv = m.threadEv[:0]
+	m.seq, m.steps = 0, 0
+	m.checkpoints, m.violations = 0, 0
+	m.pmEventLog = m.pmEventLog[:0]
+	m.events.Rewind()
+	m.stacks = opts.Stacks
+	m.ops = [ir.NumOps]int64{}
+	m.max = opts.StepLimit
 	if m.max == 0 {
 		m.max = DefaultStepLimit
 	}
+	m.deadline = opts.Deadline
+	m.hasDeadline = !opts.Deadline.IsZero()
 	m.checkAt = m.nextCheck()
 	if opts.Memory != nil {
 		m.Mem = opts.Memory
@@ -407,7 +451,7 @@ func New(mod *ir.Module, opts Options) (*Machine, error) {
 	} else {
 		m.Mem.WriteUint(pmem.PMBase, 8, m.pmNext)
 	}
-	return m, nil
+	return nil
 }
 
 func initImage(g *ir.Global) []byte {
@@ -638,9 +682,15 @@ func (m *Machine) pmEvent(k PMEventKind) error {
 }
 
 // PMEventLog returns the kind of every PM event boundary passed so far,
-// in order. Entry i is OnPMEvent's k = i+1. The slice is the
-// machine's own log; callers must not mutate it.
-func (m *Machine) PMEventLog() []PMEventKind { return m.pmEventLog }
+// in order (nil before the first). Entry i is OnPMEvent's k = i+1. The
+// slice is the machine's own log: callers must not mutate it, and it is
+// valid until the machine is Reset.
+func (m *Machine) PMEventLog() []PMEventKind {
+	if len(m.pmEventLog) == 0 {
+		return nil
+	}
+	return m.pmEventLog
+}
 
 // pushCall pushes a frame for fn's decoded body onto the running
 // thread's stack, with fn's globals and constants in their registers,

@@ -199,24 +199,51 @@ func (m *Machine) ThreadCount() int {
 // Decisions returns the scheduling decision log of the run: one entry
 // per point where at least two threads were runnable, including those
 // replayed from Options.Schedule. The interleaving explorer branches on
-// this log. Callers must not mutate it.
+// this log. Callers must not mutate it, and it is valid until the
+// machine is Reset. A run without decisions returns nil, whether or not
+// the machine ran before.
 func (m *Machine) Decisions() []Decision {
-	if m.mt == nil {
+	if m.mt == nil || len(m.mt.decisions) == 0 {
 		return nil
 	}
 	return m.mt.decisions
 }
 
-// ensureMT lazily creates the scheduler state on first spawn and
-// confines main to its stack segment.
+// ensureMT lazily creates the scheduler state on first spawn, reusing
+// the state a previous run left idle, and confines main to its stack
+// segment.
 func (m *Machine) ensureMT() *mtState {
 	if m.mt == nil {
-		main := &thread{tid: 0, state: thRunnable}
-		m.mt = &mtState{threads: []*thread{main}, choices: m.opts.Schedule,
-			pending: arena.New[PendingOp](4, 512)}
+		mt := m.idle
+		if mt == nil {
+			mt = &mtState{pending: arena.New[PendingOp](4, 512)}
+		}
+		m.idle = nil
+		mt.threads = mt.threads[:0]
+		mt.newThread(PendingOp{})
+		mt.cur = 0
+		mt.choices, mt.nextChoice = m.opts.Schedule, 0
+		mt.decisions = mt.decisions[:0]
+		m.mt = mt
 		m.setStackSeg(0)
 	}
 	return m.mt
+}
+
+// newThread appends a runnable thread announcing p, reusing the record
+// a previous run left at its index, and returns it.
+func (mt *mtState) newThread(p PendingOp) *thread {
+	tid := len(mt.threads)
+	var t *thread
+	if tid < cap(mt.threads) {
+		t = mt.threads[:tid+1][tid]
+	}
+	if t == nil {
+		t = new(thread)
+	}
+	*t = thread{tid: tid, state: thRunnable, pending: p}
+	mt.threads = append(mt.threads, t)
+	return t
 }
 
 // setStackSeg points the stack allocator at tid's segment. Thread k
@@ -236,13 +263,8 @@ func (m *Machine) spawnThread(fn *ir.Func, args []uint64) (int, error) {
 	if tid >= pmem.MaxThreads {
 		return 0, m.fault("too many threads spawning @%s (max %d)", fn.Name, pmem.MaxThreads)
 	}
-	mt.threads = append(mt.threads, &thread{
-		tid:     tid,
-		state:   thRunnable,
-		pending: PendingOp{Tid: int32(tid), Kind: PendStart},
-		fn:      fn,
-		args:    args,
-	})
+	t := mt.newThread(PendingOp{Tid: int32(tid), Kind: PendStart})
+	t.fn, t.args = fn, args
 	return tid, nil
 }
 

@@ -10,7 +10,9 @@ import (
 	"hippocrates/internal/interp"
 	"hippocrates/internal/ir"
 	"hippocrates/internal/lang"
+	"hippocrates/internal/pmcheck"
 	"hippocrates/internal/progen"
+	"hippocrates/internal/trace"
 )
 
 // TestThreadedRunStartsNoGoroutine: a threaded run keeps every
@@ -92,18 +94,63 @@ func TestThreadedRunStartsNoGoroutine(t *testing.T) {
 // program: seed%200 picks progen.ThreadedConfig's program and each byte
 // of choices is one decision's choice. The decoded and tree-walking
 // machines must report the same run, and a choice out of range must
-// fail the same way on both, never panic.
+// fail the same way on both, never panic. The decoded run is made twice:
+// on a fresh machine, and on one recycled (Machine.Reset) from a run of
+// a different prefix, detected online, whose trace slice it reuses, so
+// no state of one run may leak into the next.
 func FuzzScheduleReplay(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed uint16, choices []byte) {
 		s := int64(seed % 200)
 		mod := progen.Generate(s, progen.ThreadedConfig(s))
 		sched := make([]int, len(choices))
+		other := []int{1}
 		for i, c := range choices {
 			sched[i] = int(c)
+			other = append(other, int(c)^1)
 		}
 		opts := interp.Options{Schedule: sched}
+		where := fmt.Sprintf("progen-threaded-%d schedule %s", s, interp.ScheduleID(sched))
 		want := oracleRunOf(t, mod, "main", interp.NewTreeWalk, opts, true)
 		got := oracleRunOf(t, mod, "main", interp.New, opts, true)
-		sameOracleRun(t, fmt.Sprintf("progen-threaded-%d schedule %s", s, interp.ScheduleID(sched)), got, want)
+		sameOracleRun(t, where, got, want)
+		recycled := oracleRunOf(t, mod, "main", recycledAfter("main", other), opts, true)
+		sameOracleRun(t, where+" (recycled after "+interp.ScheduleID(other)+")", recycled, want)
 	})
+}
+
+// recycledAfter returns a machine constructor that first runs the
+// module's entry under the schedule prefix other, with an online
+// detector, and then resets the machine for the run asked for, handing
+// that run's trace the first run's event slice. The first run's outcome,
+// an error included, does not matter.
+func recycledAfter(entry string, other []int) func(*ir.Module, interp.Options) (*interp.Machine, error) {
+	return func(mod *ir.Module, opts interp.Options) (*interp.Machine, error) {
+		first := &trace.Trace{Program: mod.Name}
+		m, err := interp.New(mod, interp.Options{Trace: first, Schedule: other,
+			StepLimit: opts.StepLimit, Detector: pmcheck.NewDetector()})
+		if err != nil {
+			return nil, err
+		}
+		m.Run(entry)
+		opts.Trace.Events = first.Events[:0]
+		if err := m.Reset(opts); err != nil {
+			return nil, err
+		}
+		return m, nil
+	}
+}
+
+// TestResetMatchesNew: over the corpus, the concurrent corpus and
+// generated programs, a machine reset after a run of its module reports
+// exactly what a new machine reports: return value, error, step and
+// per-opcode counts, simulated time, PM event log, decisions, trace text
+// and stacks, and crash images. The first run takes another schedule
+// where the program has one to take, and its pm_root, heap and PM
+// allocations must not leak into the second.
+func TestResetMatchesNew(t *testing.T) {
+	for _, tc := range stackTargets() {
+		want := oracleRunOf(t, tc.mod, tc.entry, interp.New, interp.Options{}, true)
+		got := oracleRunOf(t, tc.mod, tc.entry, recycledAfter(tc.entry, []int{1}), interp.Options{}, true)
+		sameOracleRun(t, tc.name+" (reset)", got, want)
+	}
 }

@@ -33,7 +33,8 @@ func requireSame(t *testing.T, what string, got, want *pmcheck.Result) {
 // core.TraceAndCheck (a fresh detector), a machine reusing one shared
 // detector (reset between runs), and every explored interleaving of the
 // threaded ones — and holds each verdict against pmcheck.Check's replay
-// of the run's recorded trace.
+// of the run's recorded trace (for an explored run, of the trace a fresh
+// machine records under its choices).
 type oracle struct {
 	t      *testing.T
 	shared *pmcheck.Detector
@@ -77,7 +78,18 @@ func (o *oracle) explore(name string, m *ir.Module, entry string) {
 		if r.Check == nil {
 			continue // the interleaving faulted: no verdict to compare
 		}
-		requireSame(t, name+" schedule "+r.ID, r.Check, pmcheck.Check(r.Trace))
+		// The explorer recorded the run into a machine recycled from
+		// earlier runs; a fresh machine replaying its choices records the
+		// trace to replay.
+		tr := &trace.Trace{Program: m.Name}
+		mach, err := interp.New(m, interp.Options{Trace: tr, Schedule: r.Choices})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, err := mach.Run(entry); err != nil {
+			t.Fatalf("%s schedule %s: replay: %v", name, r.ID, err)
+		}
+		requireSame(t, name+" schedule "+r.ID, r.Check, pmcheck.Check(tr))
 		o.explored++
 		o.reports += len(r.Check.Reports)
 		o.publishes += r.Check.CrossThreadPublishes

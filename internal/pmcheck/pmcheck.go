@@ -8,6 +8,7 @@
 package pmcheck
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"slices"
@@ -122,6 +123,71 @@ type Result struct {
 
 // Clean reports whether no durability bugs were found.
 func (res *Result) Clean() bool { return len(res.Reports) == 0 }
+
+// OwnEvents copies every trace event res names (report stores and
+// checkpoints, redundant flushes and fences) into one allocation of its
+// own, so that the buffers of the trace it was detected on may be
+// reused. Each distinct event is copied once and pointers that were
+// shared stay shared: a checkpoint several reports list is still one
+// event. The copies keep their call stacks, which belong to the
+// recording run's stack table, not to its trace.
+func (res *Result) OwnEvents() {
+	n := len(res.RedundantFlushes) + len(res.RedundantFences)
+	for _, r := range res.Reports {
+		n += 1 + len(r.Checkpoints)
+	}
+	if n == 0 {
+		return
+	}
+	named := make([]*trace.Event, 0, n)
+	for _, r := range res.Reports {
+		named = append(append(named, r.Store), r.Checkpoints...)
+	}
+	named = append(append(named, res.RedundantFlushes...), res.RedundantFences...)
+	// A pointer's duplicates share its Seq, so after sorting by Seq they
+	// sit in its run of equal Seqs.
+	slices.SortFunc(named, func(a, b *trace.Event) int { return cmp.Compare(a.Seq, b.Seq) })
+	uniq := named[:0]
+	for _, e := range named {
+		if !inSeqRun(uniq, e) {
+			uniq = append(uniq, e)
+		}
+	}
+	copies := make([]trace.Event, len(uniq))
+	for i, e := range uniq {
+		copies[i] = *e
+	}
+	own := func(e *trace.Event) *trace.Event {
+		i, _ := slices.BinarySearchFunc(uniq, e.Seq, func(x *trace.Event, seq int) int { return cmp.Compare(x.Seq, seq) })
+		for uniq[i] != e {
+			i++
+		}
+		return &copies[i]
+	}
+	for _, r := range res.Reports {
+		r.Store = own(r.Store)
+		for i, c := range r.Checkpoints {
+			r.Checkpoints[i] = own(c)
+		}
+	}
+	for i, e := range res.RedundantFlushes {
+		res.RedundantFlushes[i] = own(e)
+	}
+	for i, e := range res.RedundantFences {
+		res.RedundantFences[i] = own(e)
+	}
+}
+
+// inSeqRun reports whether e is among the trailing events of sorted
+// that share e's Seq.
+func inSeqRun(sorted []*trace.Event, e *trace.Event) bool {
+	for i := len(sorted) - 1; i >= 0 && sorted[i].Seq == e.Seq; i-- {
+		if sorted[i] == e {
+			return true
+		}
+	}
+	return false
+}
 
 // UniqueSites counts the distinct static store sites among the reports —
 // how pmemcheck (and the paper) counts bugs. A site reached through

@@ -43,27 +43,32 @@ func exploreTargets() []target {
 }
 
 // eagerExplore is the breadth-first search with eagerly copied frontier
-// prefixes: every branch copies its schedule prefix when it is found.
-// Explore builds a prefix only when its branch runs; this oracle pins
-// that the two visit the same schedules in the same order.
-func eagerExplore(mod *ir.Module, entry string, opts schedule.Options) (*schedule.Result, error) {
+// prefixes: every branch copies its schedule prefix when it is found,
+// and every run gets a fresh machine, trace, detector and stack table.
+// Explore builds a prefix only when its branch runs and records every
+// run after the first into one recycled machine; this oracle pins that
+// the two visit the same schedules in the same order. It returns the
+// printed trace of every run alongside the result.
+func eagerExplore(mod *ir.Module, entry string, opts schedule.Options) (*schedule.Result, []string, error) {
 	max := opts.MaxSchedules
 	if max <= 0 {
 		max = schedule.DefaultMaxSchedules
 	}
 	res := &schedule.Result{}
+	var traces []string
 	frontier := [][]int{nil}
 	for len(frontier) > 0 && res.Explored < max {
 		prefix := frontier[0]
 		frontier = frontier[1:]
-		run, err := schedule.RunOne(mod, entry, nil, prefix, &opts.Interp)
+		run, tr, ds, err := schedule.RunOne(mod, entry, nil, prefix, opts.Interp)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		res.Runs = append(res.Runs, run)
+		traces = append(traces, tr.String())
 		res.Explored++
-		for i := len(prefix); i < len(run.Decisions); i++ {
-			d := run.Decisions[i]
+		for i := len(prefix); i < len(ds); i++ {
+			d := ds[i]
 			for alt := range d.Runnable {
 				if alt == d.Chosen {
 					continue
@@ -80,38 +85,53 @@ func eagerExplore(mod *ir.Module, entry string, opts schedule.Options) (*schedul
 		}
 	}
 	res.Truncated = len(frontier) > 0
-	return res, nil
+	return res, traces, nil
+}
+
+// exploreTraces is Explore that also returns the printed trace of every
+// run, captured before the next run reuses the trace's buffers.
+func exploreTraces(mod *ir.Module, entry string, opts schedule.Options) (*schedule.Result, []string, error) {
+	var traces []string
+	res, err := schedule.ExploreObserved(mod, entry, nil, opts, func(_ *schedule.Run, tr *trace.Trace, _ []interp.Decision) {
+		traces = append(traces, tr.String())
+	})
+	return res, traces, err
 }
 
 // TestExploreMatchesEagerOracle: the lazy frontier runs exactly the
 // schedules the eager one does, in the same order, with the same
 // pruning and truncation accounting and the same verdicts, with
-// partial-order reduction on and off. The oracle's runs each intern
-// their call stacks in a table of their own, Explore's share one per
-// call, and every run's trace text must agree.
+// partial-order reduction on and off. The oracle's runs each get a fresh
+// machine and intern their call stacks in a table of their own;
+// Explore's recycle one machine and share one table per call, and every
+// run's trace text must agree. The round-robin run's trace is the
+// Result's.
 func TestExploreMatchesEagerOracle(t *testing.T) {
 	for _, tc := range exploreTargets() {
 		for _, noPOR := range []bool{false, true} {
 			opts := schedule.Options{NoPOR: noPOR}
-			got, err := schedule.Explore(tc.mod, tc.entry, nil, opts)
+			got, gotTraces, err := exploreTraces(tc.mod, tc.entry, opts)
 			if err != nil {
 				t.Fatalf("%s: Explore: %v", tc.name, err)
 			}
-			want, err := eagerExplore(tc.mod, tc.entry, opts)
+			want, wantTraces, err := eagerExplore(tc.mod, tc.entry, opts)
 			if err != nil {
 				t.Fatalf("%s: oracle: %v", tc.name, err)
 			}
 			where := fmt.Sprintf("%s (NoPOR=%v)", tc.name, noPOR)
-			if got.Explored != want.Explored || len(got.Runs) != len(want.Runs) {
-				t.Fatalf("%s: explored %d runs, oracle %d", where, got.Explored, want.Explored)
+			if got.Explored != want.Explored || len(got.Runs) != len(want.Runs) || len(gotTraces) != len(got.Runs) {
+				t.Fatalf("%s: explored %d runs (%d traces), oracle %d", where, got.Explored, len(gotTraces), want.Explored)
 			}
 			for i := range got.Runs {
 				if !reflect.DeepEqual(got.Runs[i].Choices, want.Runs[i].Choices) {
 					t.Fatalf("%s: run %d is %s, oracle %s", where, i, got.Runs[i].ID, want.Runs[i].ID)
 				}
-				if got.Runs[i].Trace.String() != want.Runs[i].Trace.String() {
+				if gotTraces[i] != wantTraces[i] {
 					t.Fatalf("%s: run %d (%s) traces differ from the oracle's", where, i, got.Runs[i].ID)
 				}
+			}
+			if got.Trace.String() != wantTraces[0] {
+				t.Fatalf("%s: Result.Trace is not the round-robin run's trace", where)
 			}
 			if got.Pruned != want.Pruned || got.Truncated != want.Truncated {
 				t.Errorf("%s: pruned/truncated %d/%v, oracle %d/%v", where,
@@ -124,26 +144,76 @@ func TestExploreMatchesEagerOracle(t *testing.T) {
 	}
 }
 
+// TestRecycledRunsKeepTheirVerdicts: after a whole exploration, during
+// which every run after the first recorded into buffers the run before
+// it finished with, every run still reports exactly what a fresh replay
+// of its choices reports: return value, error, thread count and the
+// whole detector result (report events, stacks, checkpoints, flush
+// sites, redundant flushes and fences, counters).
+func TestRecycledRunsKeepTheirVerdicts(t *testing.T) {
+	compared, reports := 0, 0
+	for _, tc := range exploreTargets() {
+		res, err := schedule.Explore(tc.mod, tc.entry, nil, schedule.Options{})
+		if err != nil {
+			t.Fatalf("%s: Explore: %v", tc.name, err)
+		}
+		for _, r := range res.Runs {
+			fresh, _, _, err := schedule.RunOne(tc.mod, tc.entry, nil, r.Choices, interp.Options{})
+			if err != nil {
+				t.Fatalf("%s %s: replay: %v", tc.name, r.ID, err)
+			}
+			where := tc.name + " " + r.ID
+			if fresh.ID != r.ID || fresh.Ret != r.Ret || fresh.Threads != r.Threads || fmt.Sprint(fresh.Err) != fmt.Sprint(r.Err) {
+				t.Fatalf("%s: replay %s ret %d threads %d err %v, explored ret %d threads %d err %v", where,
+					fresh.ID, fresh.Ret, fresh.Threads, fresh.Err, r.Ret, r.Threads, r.Err)
+			}
+			if !reflect.DeepEqual(r.Check, fresh.Check) {
+				t.Fatalf("%s: explored verdict differs from a fresh replay's\n--- explored\n%s--- replay\n%s",
+					where, r.Check.Summary(), fresh.Check.Summary())
+			}
+			compared++
+			if r.Check != nil {
+				reports += len(r.Check.Reports)
+			}
+		}
+	}
+	if compared < 500 || reports == 0 {
+		t.Fatalf("compared %d runs with %d reports, want a sweep that reaches reports", compared, reports)
+	}
+	t.Logf("%d explored runs, %d reports", compared, reports)
+}
+
 // TestConcurrentExploresShareNoTable: concurrent explorations of one
-// module each intern their stacks in a table of their own, and each
-// reports what a lone exploration does. The concurrent calls run first,
-// on a fresh module, so under -race two calls inserting into one shared
-// table would be reported as a data race.
+// module each intern their stacks in a table of their own and record
+// their runs into buffers of their own, and each reports what a lone
+// exploration does. The concurrent calls run first, on a fresh module,
+// so under -race two calls inserting into one shared table, or
+// recording into one recycled machine, would be reported as a data
+// race; and no event record is seen by two of them.
 func TestConcurrentExploresShareNoTable(t *testing.T) {
 	for _, tc := range mtCorpus() {
 		const workers = 4
 		got := make([]*schedule.Result, workers)
+		traces := make([][]string, workers)
+		events := make([]map[*trace.Event]bool, workers)
 		errs := make([]error, workers)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				got[w], errs[w] = schedule.Explore(tc.mod, tc.entry, nil, schedule.Options{})
+				events[w] = map[*trace.Event]bool{}
+				got[w], errs[w] = schedule.ExploreObserved(tc.mod, tc.entry, nil, schedule.Options{},
+					func(_ *schedule.Run, tr *trace.Trace, _ []interp.Decision) {
+						traces[w] = append(traces[w], tr.String())
+						for _, e := range tr.Events {
+							events[w][e] = true
+						}
+					})
 			}(w)
 		}
 		wg.Wait()
-		want, err := schedule.Explore(tc.mod, tc.entry, nil, schedule.Options{})
+		want, wantTraces, err := exploreTraces(tc.mod, tc.entry, schedule.Options{})
 		if err != nil {
 			t.Fatalf("%s: Explore: %v", tc.name, err)
 		}
@@ -156,12 +226,19 @@ func TestConcurrentExploresShareNoTable(t *testing.T) {
 					len(res.Runs), res.Pruned, res.Truncated, len(want.Runs), want.Pruned, want.Truncated)
 			}
 			for i, r := range res.Runs {
-				if r.ID != want.Runs[i].ID || r.Trace.String() != want.Runs[i].Trace.String() {
+				if r.ID != want.Runs[i].ID || traces[w][i] != wantTraces[i] {
 					t.Fatalf("%s: worker %d run %d (%s) differs from the lone exploration's", tc.name, w, i, r.ID)
 				}
 			}
 			if g, w2 := res.VerdictSet(), want.VerdictSet(); !reflect.DeepEqual(g, w2) {
 				t.Errorf("%s: worker %d verdict set %v, alone %v", tc.name, w, g, w2)
+			}
+			for v := w + 1; v < workers; v++ {
+				for e := range events[w] {
+					if events[v][e] {
+						t.Fatalf("%s: workers %d and %d recorded into one event record", tc.name, w, v)
+					}
+				}
 			}
 		}
 	}
@@ -186,14 +263,15 @@ func runTraced(t *testing.T, tc target, choices []int, noTrack bool) (ret uint64
 // TestUntrackedRunsRecordSameTrace: tracking must not change a run
 // (crash-validation recovery boots run untracked), so every explored
 // schedule must record the same trace, return value and detector report
-// with and without the online tracker.
+// with and without the online tracker, and the trace the explorer
+// recorded.
 func TestUntrackedRunsRecordSameTrace(t *testing.T) {
 	for _, tc := range exploreTargets() {
-		res, err := schedule.Explore(tc.mod, tc.entry, nil, schedule.Options{})
+		res, traces, err := exploreTraces(tc.mod, tc.entry, schedule.Options{})
 		if err != nil {
 			t.Fatalf("%s: Explore: %v", tc.name, err)
 		}
-		for _, r := range res.Runs {
+		for i, r := range res.Runs {
 			ret1, err1, tr1, ck1 := runTraced(t, tc, r.Choices, false)
 			ret2, err2, tr2, ck2 := runTraced(t, tc, r.Choices, true)
 			where := tc.name + " " + r.ID
@@ -206,7 +284,7 @@ func TestUntrackedRunsRecordSameTrace(t *testing.T) {
 			if ck1 != ck2 {
 				t.Fatalf("%s: detector reports differ\n--- tracked\n%s\n--- untracked\n%s", where, ck1, ck2)
 			}
-			if tr2 != r.Trace.String() {
+			if tr2 != traces[i] {
 				t.Fatalf("%s: explored trace differs from its replay", where)
 			}
 		}
@@ -214,13 +292,15 @@ func TestUntrackedRunsRecordSameTrace(t *testing.T) {
 }
 
 // TestExploredRunBytes pins the heap cost of one explored interleaving
-// over the concurrent corpus: machine, trace, decision log and the
-// detector's replay, with no online tracker, 256-byte memory pages,
-// branch prefixes built only for the schedules that run, and call stacks
-// interned in one table per exploration. Over the 135 runs it measures
-// about 12.8 KiB per run on amd64; with a private stack copy per event
-// it measured about 14.5 KiB, and with 4 KiB pages, an online tracker
-// per run and eagerly copied prefixes about 33 KiB.
+// over the concurrent corpus: with every run after the first recorded
+// into the trace events, decision log, thread records and frames the
+// run before it finished with, what remains is the verdict (choices,
+// id, detector reports and the events they name), the run's memory and
+// tracker records, and its branches. Over the 135 runs it measures
+// about 4.1 KiB per run on amd64; with a fresh machine and trace per
+// run it measured about 9.1 KiB, with a private stack copy per event
+// about 14.5 KiB, and with 4 KiB pages, an online tracker per run and
+// eagerly copied prefixes about 33 KiB.
 func TestExploredRunBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation sizes differ under the race runtime")
@@ -244,7 +324,7 @@ func TestExploredRunBytes(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perRun := float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 	t.Logf("%d explored runs, %.0f bytes per run", runs, perRun)
-	if perRun > 16<<10 {
-		t.Errorf("an explored run allocates %.0f bytes, want <= 16 KiB", perRun)
+	if perRun > 6<<10 {
+		t.Errorf("an explored run allocates %.0f bytes, want <= 6 KiB", perRun)
 	}
 }

@@ -71,25 +71,26 @@ type Options struct {
 	Obs *obs.Span
 }
 
-// Run is one executed interleaving.
+// Run is one executed interleaving. It keeps only the run's verdict:
+// the buffers the run recorded into (its trace, its decision log) are
+// reset and reused by the exploration's next run, and the one trace an
+// exploration keeps, the round-robin run's, is Result.Trace.
 type Run struct {
 	// Choices is the full decision log (not just the seed prefix);
 	// replaying it as a schedule reproduces this run bit-for-bit.
 	Choices []int
 	// ID is interp.ScheduleID(Choices) — the replayable coordinate.
 	ID string
-	// Decisions is the machine's decision log for this run.
-	Decisions []interp.Decision
 	// Ret is the entry function's return value (zero if Err != nil).
 	Ret uint64
 	// Err is the runtime verdict: non-nil when this interleaving
 	// faulted, deadlocked, or tripped an assertion.
 	Err error
-	// Trace holds the run's PM events.
-	Trace *trace.Trace
-	// Check is the detector result for Trace; nil when Err != nil (an
-	// aborted run never reached its final durability point, so the
-	// detector would report the abort, not the program).
+	// Check is the online detector's result for the run; nil when Err
+	// != nil (an aborted run never reached its final durability point,
+	// so the detector would report the abort, not the program). The
+	// events it names are its own (pmcheck.Result.OwnEvents), or
+	// Result.Trace's for the first run.
 	Check *pmcheck.Result
 	// Threads is how many threads the run spawned (including main).
 	Threads int
@@ -135,6 +136,10 @@ type Result struct {
 	// Runs holds every executed interleaving, in discovery order; the
 	// first entry is always the default round-robin schedule.
 	Runs []*Run
+	// Trace is the PM event trace of Runs[0], the round-robin run: the
+	// trace the concurrent repair resolves report sites against (report
+	// sites are schedule-independent instruction ids).
+	Trace *trace.Trace
 	// Explored == len(Runs).
 	Explored int
 	// Pruned counts alternatives skipped by partial-order reduction.
@@ -177,23 +182,20 @@ func (res *Result) VerdictSet() []string {
 // failures (entry missing, machine construction); per-interleaving
 // runtime errors are verdicts, recorded on the Run.
 func Explore(mod *ir.Module, entry string, args []uint64, opts Options) (*Result, error) {
+	return explore(mod, entry, args, opts, nil)
+}
+
+// explore is Explore; observe, when non-nil, sees every run with its
+// trace and decision log before the next run reuses their buffers (the
+// package's tests read explored traces through it).
+func explore(mod *ir.Module, entry string, args []uint64, opts Options,
+	observe func(*Run, *trace.Trace, []interp.Decision)) (*Result, error) {
 	max := opts.MaxSchedules
 	if max <= 0 {
 		max = DefaultMaxSchedules
 	}
 	res := &Result{}
-	// Every run of this call interns its call stacks in one table: the
-	// module does not change during the call and its runs are
-	// sequential, so the schedules share the stacks they have in common.
-	// The table never leaves the call, so concurrent calls on one module
-	// never share one.
-	tmpl := opts.Interp
-	tmpl.Stacks = interp.NewStackTable()
-	// Likewise one detector serves every run: each interp.New resets it,
-	// keeping its tracker's and interner's buffers, and the results it
-	// returned stay the runs' own.
-	tmpl.Detector = pmcheck.NewDetector()
-	tmpl.NoTrack = false
+	s := newSession(mod, entry, args, opts.Interp)
 	// The frontier is a FIFO queue advanced by index; its first entry
 	// (no parent) is the round-robin run.
 	frontier := []branch{{}}
@@ -202,16 +204,23 @@ func Explore(mod *ir.Module, entry string, args []uint64, opts Options) (*Result
 	for head < len(frontier) && res.Explored < max {
 		prefix = frontier[head].prefix(prefix[:0])
 		head++
-		run, err := runOne(mod, entry, args, prefix, &tmpl)
+		run, err := s.run(prefix)
 		if err != nil {
 			return nil, err
 		}
+		if res.Trace == nil {
+			res.Trace = s.tr
+		}
 		res.Runs = append(res.Runs, run)
 		res.Explored++
+		ds := s.m.Decisions()
+		if observe != nil {
+			observe(run, s.tr, ds)
+		}
 		// Branch only at or beyond this run's own prefix: earlier points
 		// were branched by the ancestor that discovered them.
-		for i := len(prefix); i < len(run.Decisions); i++ {
-			d := run.Decisions[i]
+		for i := len(prefix); i < len(ds); i++ {
+			d := ds[i]
 			for alt := range d.Runnable {
 				if alt == d.Chosen {
 					continue
@@ -254,33 +263,81 @@ func (b branch) prefix(buf []int) []int {
 	return append(append(buf, b.parent.Choices[:b.at]...), b.alt)
 }
 
-// runOne executes a single interleaving from a choice prefix, detecting
-// online with tmpl's detector (a fresh one if tmpl has none; see
-// Options.Interp). The machine does not keep prefix past the run.
-func runOne(mod *ir.Module, entry string, args []uint64, prefix []int, tmpl *interp.Options) (*Run, error) {
-	io := *tmpl
-	if io.Detector == nil {
-		io.Detector = pmcheck.NewDetector()
-	}
-	tr := &trace.Trace{Program: mod.Name}
-	io.Trace = tr
+// session runs the interleavings of one exploration, one at a time.
+// The first run records into a machine and a trace of its own, which the
+// Result keeps. Every later run records into one second machine and
+// trace, reset between runs, so an explored run allocates little beyond
+// its verdict; before a reset reuses them, the previous run's Check is
+// made to own its events.
+type session struct {
+	mod   *ir.Module
+	entry string
+	args  []uint64
+	// opts is the per-run option template.
+	opts interp.Options
+	// m and tr are the latest run's machine and trace; last is that run,
+	// whose Check may still name events in tr.
+	m    *interp.Machine
+	tr   *trace.Trace
+	last *Run
+	runs int
+}
+
+// newSession prepares the runs of one exploration under the option
+// template io (see Options.Interp).
+func newSession(mod *ir.Module, entry string, args []uint64, io interp.Options) *session {
+	// Every run of the session interns its call stacks in one table: the
+	// module does not change during the session and its runs are
+	// sequential, so the schedules share the stacks they have in common.
+	// The table never leaves the session, so concurrent explorations of
+	// one module never share one.
+	io.Stacks = interp.NewStackTable()
+	// Likewise one detector serves every run: each machine reset resets
+	// it, keeping its tracker's and interner's buffers, and the results it
+	// returned stay the runs' own.
+	io.Detector = pmcheck.NewDetector()
+	io.NoTrack = false
+	return &session{mod: mod, entry: entry, args: args, opts: io}
+}
+
+// run executes the interleaving that replays prefix and returns its
+// verdict; s.m and s.tr hold its machine and trace until the next run.
+// The machine reads prefix only during the run, so the caller may
+// rebuild the next prefix in the same buffer.
+func (s *session) run(prefix []int) (*Run, error) {
+	io := s.opts
 	io.Schedule = prefix
-	m, err := interp.New(mod, io)
-	if err != nil {
-		return nil, err
+	if s.runs < 2 {
+		// The first run's trace is the Result's, so the second run starts
+		// the machine and trace the rest of the session reuses.
+		s.tr = &trace.Trace{Program: s.mod.Name}
+		io.Trace = s.tr
+		m, err := interp.New(s.mod, io)
+		if err != nil {
+			return nil, err
+		}
+		s.m = m
+	} else {
+		if s.last.Check != nil {
+			s.last.Check.OwnEvents()
+		}
+		s.tr.Events = s.tr.Events[:0]
+		io.Trace = s.tr
+		if err := s.m.Reset(io); err != nil {
+			return nil, err
+		}
 	}
-	ret, rerr := m.Run(entry, args...)
-	ds := m.Decisions()
+	s.runs++
+	ret, rerr := s.m.Run(s.entry, s.args...)
+	ds := s.m.Decisions()
 	choices := make([]int, len(ds))
 	for i, d := range ds {
 		choices[i] = d.Chosen
 	}
 	r := &Run{
-		Choices:   choices,
-		ID:        interp.ScheduleID(choices),
-		Decisions: ds,
-		Trace:     tr,
-		Threads:   m.ThreadCount(),
+		Choices: choices,
+		ID:      interp.ScheduleID(choices),
+		Threads: s.m.ThreadCount(),
 	}
 	if rerr != nil {
 		r.Err = rerr
@@ -288,6 +345,7 @@ func runOne(mod *ir.Module, entry string, args []uint64, prefix []int, tmpl *int
 		r.Ret = ret
 		r.Check = io.Detector.Result()
 	}
+	s.last = r
 	return r, nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"hippocrates/internal/interp"
 	"hippocrates/internal/ir"
 	"hippocrates/internal/lang"
+	"hippocrates/internal/trace"
 )
 
 // maskedPublish is the minimal schedule-dependent unordered-publish
@@ -136,9 +137,18 @@ func TestExploreFindsScheduleDependentBug(t *testing.T) {
 	}
 }
 
+// TestExploreReplayIsDeterministic: replaying a buggy run's full choice
+// log on a fresh machine reproduces it bit-for-bit: the same decisions,
+// trace bytes and verdict as the explorer recorded, although the
+// explorer recorded the run into a machine recycled from earlier runs.
 func TestExploreReplayIsDeterministic(t *testing.T) {
 	mod := compile(t, maskedPublish)
-	res, err := Explore(mod, "main", nil, Options{})
+	traces := map[*Run]string{}
+	decisions := map[*Run][]interp.Decision{}
+	res, err := explore(mod, "main", nil, Options{}, func(r *Run, tr *trace.Trace, ds []interp.Decision) {
+		traces[r] = tr.String()
+		decisions[r] = copyDecisions(ds)
+	})
 	if err != nil {
 		t.Fatalf("Explore: %v", err)
 	}
@@ -146,21 +156,36 @@ func TestExploreReplayIsDeterministic(t *testing.T) {
 	if bad == nil {
 		t.Fatal("need a buggy schedule to replay")
 	}
-	// Replaying the full choice log must reproduce the run bit-for-bit:
-	// same decisions, same trace bytes, same verdict.
-	again, err := runOne(mod, "main", nil, bad.Choices, &interp.Options{})
+	if bad == res.Runs[0] {
+		t.Fatal("the buggy run is the round-robin one, which is never recycled")
+	}
+	s := newSession(mod, "main", nil, interp.Options{})
+	again, err := s.run(bad.Choices)
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
 	if again.ID != bad.ID {
 		t.Fatalf("replay drifted: %s vs %s", again.ID, bad.ID)
 	}
-	if got, want := again.Trace.String(), bad.Trace.String(); got != want {
+	if got, want := s.tr.String(), traces[bad]; got != want {
 		t.Fatalf("replayed trace differs:\n--- original\n%s\n--- replay\n%s", want, got)
 	}
-	if !reflect.DeepEqual(again.Decisions, bad.Decisions) {
+	if !reflect.DeepEqual(s.m.Decisions(), decisions[bad]) {
 		t.Fatal("replayed decision log differs")
 	}
+	if !reflect.DeepEqual(again.Check, bad.Check) {
+		t.Fatalf("replayed verdict differs:\n--- original\n%s--- replay\n%s", bad.Check.Summary(), again.Check.Summary())
+	}
+}
+
+// copyDecisions deep-copies a decision log out of the machine's
+// recycled buffers.
+func copyDecisions(ds []interp.Decision) []interp.Decision {
+	out := make([]interp.Decision, len(ds))
+	for i, d := range ds {
+		out[i] = interp.Decision{Runnable: append([]interp.PendingOp(nil), d.Runnable...), Chosen: d.Chosen}
+	}
+	return out
 }
 
 func TestPORPreservesVerdictSet(t *testing.T) {

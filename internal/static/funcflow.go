@@ -350,7 +350,9 @@ const (
 // pm_alloc/pm_root-rooted resolutions must NOT upgrade to must: the same
 // allocation site can produce several runtime objects (loops, recursion),
 // and a flush of one activation's line does not flush another's.
-func (fa *funcAnalysis) coverage(flushIn *ir.Instr, ptr ir.Value, length ir.Value, f *fact) coverKind {
+//
+// target is the flush's effect on alias objects.
+func (fa *funcAnalysis) coverage(flushIn *ir.Instr, ptr ir.Value, length ir.Value, target *flushEffect, f *fact) coverKind {
 	// Same-value rule.
 	if f.def != nil && f.def.Block() == flushIn.Block() && fa.pos[f.def] < fa.pos[flushIn] &&
 		fa.sameAddr(ptr, f.ptr, 0) {
@@ -392,9 +394,7 @@ func (fa *funcAnalysis) coverage(flushIn *ir.Instr, ptr ir.Value, length ir.Valu
 		return covMay
 	}
 
-	fe := flushEffect{all: false}
-	fe.objs, fe.all = fa.objsOf(ptr)
-	if fe.covers(f) {
+	if target.covers(f) {
 		return covMay
 	}
 	return covNone
@@ -490,10 +490,14 @@ func (fa *funcAnalysis) resolveFlushRange(ptr ir.Value, length ir.Value) (ir.Val
 // applyFlush is the transfer function of OpFlush and builtin flush_range.
 func (fa *funcAnalysis) applyFlush(st factState, in *ir.Instr, ptr ir.Value, length ir.Value, ordered bool, emit bool) {
 	fr := fa.frameOf(in)
+	// objsOf is pure, so one resolution of the flush's objects serves
+	// every fact it is tested against and the summary effect it emits.
+	target := flushEffect{site: fr}
+	target.objs, target.all = fa.objsOf(ptr)
 	coveredAny := false
 	coveredDirty := false
 	for f, bits := range st {
-		cov := fa.coverage(in, ptr, length, f)
+		cov := fa.coverage(in, ptr, length, &target, f)
 		if cov == covNone {
 			continue
 		}
@@ -522,16 +526,14 @@ func (fa *funcAnalysis) applyFlush(st factState, in *ir.Instr, ptr ir.Value, len
 	}
 	if emit {
 		if !ordered {
-			objs, anyObj := fa.objsOf(ptr)
-			fa.sum.addFlushEffect(flushEffect{objs: objs, all: anyObj, site: fr})
+			fa.sum.addFlushEffect(target)
 		}
 		// Redundant-flush lint: only for flushes whose target the analysis
 		// fully tracks. In a callee the flush may still cover a caller's
 		// dirty fact (a may-flush effect), so the lint survives only when
 		// every caller context excludes dirty facts; in the entry function
 		// there is no caller context and the local argument is complete.
-		_, anyObj := fa.objsOf(ptr)
-		if !anyObj && fa.az.an.MayPointToPM(ptr) {
+		if !target.all && fa.az.an.MayPointToPM(ptr) {
 			if (ordered && !coveredAny) || (!ordered && !coveredDirty) {
 				fa.lint(LintRedundantFlush, in, true, false)
 			}
