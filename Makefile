@@ -126,13 +126,20 @@ mt-smoke:
 	$(GO) test ./internal/schedule/ -count=1
 	$(GO) test ./internal/static/ -run TestProgenThreadedAgreement -count=1
 
-# fuzz-smoke fuzzes the schedule boundary for a short budget: random
-# decision prefixes on generated threaded programs must replay
-# identically on the decoded interpreter and the tree-walker, and a
-# choice out of range must fail the same way on both. The seed corpus
-# under internal/interp/testdata/fuzz/ also runs in the plain suite.
+# fuzz-smoke fuzzes for a short budget each:
+# - the schedule boundary: random decision prefixes on generated threaded
+#   programs must replay identically on the decoded interpreter and the
+#   tree-walker, and a choice out of range must fail the same way on both;
+# - the durability tracker: a random stream of stores, flushes, fences,
+#   checkpoints, captures and resets must match the reference tracker, and
+#   no capture or publish may change as the tracker recycles its records.
+#   Shrinking a new interesting stream is capped at 100 runs: uncapped, it
+#   can take the workers for the whole budget.
+# The seed corpora under internal/*/testdata/fuzz/ also run in the plain
+# suite.
 fuzz-smoke:
 	$(GO) test ./internal/interp -run '^$$' -fuzz FuzzScheduleReplay -fuzztime 10s
+	$(GO) test ./internal/pmem -run '^$$' -fuzz FuzzTrackerReference -fuzztime 10s -fuzzminimizetime 100x
 
 # bench-smoke runs every benchmark once, so a benchmark that no longer
 # builds or fails its own checks breaks the gate (BenchmarkCrashSweep/dedup

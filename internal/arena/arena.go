@@ -6,7 +6,10 @@
 // amortizes to a few large chunks. An owner that runs again (the
 // interpreter recording one explored schedule after another) rewinds its
 // arena instead of dropping it, and the next run's records reuse the
-// last chunk.
+// last chunk. An owner whose records die one at a time while others live
+// on (the durability tracker's store records, which crash states may
+// still hold) never rewinds: it keeps the dead records on a free list of
+// its own and takes from the arena only when that list is empty.
 package arena
 
 // Chunks hands out slices carved from chunk allocations. A slice returned

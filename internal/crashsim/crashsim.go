@@ -323,14 +323,17 @@ func Validate(mod *ir.Module, opts Options) (rep *Report, err error) {
 
 	// Probe run: learn the PM event stream (and renumber the module once,
 	// so the parallel workers below share it read-only).
-	probe, err := interp.New(mod, interp.Options{StepLimit: opts.StepLimit, Deadline: opts.Deadline, Schedule: opts.Schedule})
+	// The run tracks nothing: program behaviour reads neither the tracker
+	// nor the clock, so its event log is the tracked run's. The log is the
+	// probe machine's own buffer, which nothing reuses.
+	probe, err := interp.New(mod, interp.Options{StepLimit: opts.StepLimit, Deadline: opts.Deadline, Schedule: opts.Schedule, NoTrack: true})
 	if err != nil {
 		return nil, err
 	}
 	if _, err := probe.Run(opts.Entry, opts.Args...); err != nil {
 		return nil, fmt.Errorf("crashsim: workload @%s did not complete: %w", opts.Entry, err)
 	}
-	log := append([]interp.PMEventKind(nil), probe.PMEventLog()...)
+	log := probe.PMEventLog()
 
 	var points []int
 	if len(opts.Points) > 0 {
@@ -638,29 +641,40 @@ func selectPoints(log []interp.PMEventKind, budget int, invAll bool, rec *entryS
 			lastCkpt = i + 1
 		}
 	}
-	var ckpts, rest []int
+	// keepCkpt says whether the checkpoint at event i (0-based) is kept.
+	keepCkpt := func(i int) bool { return invAll || rec == nil || rec.arity != 0 || i+1 == lastCkpt }
+	ckpts, rest := 0, 0
 	for i, k := range log {
 		switch {
 		case k == interp.EvCheckpoint:
-			if !invAll && rec != nil && rec.arity == 0 && i+1 != lastCkpt {
-				continue
+			if keepCkpt(i) {
+				ckpts++
 			}
-			ckpts = append(ckpts, i+1)
 		case invAll:
-			rest = append(rest, i+1)
+			rest++
 		}
 	}
-	points := append([]int(nil), ckpts...)
-	room := budget - len(points)
-	if room >= len(rest) {
-		points = append(points, rest...)
-	} else if room > 0 {
-		// Evenly spaced sample over the non-checkpoint events.
-		for i := 0; i < room; i++ {
-			points = append(points, rest[i*len(rest)/room])
+	// Of the rest (the non-checkpoint events, when the invariant runs
+	// everywhere), take every one if the budget allows, else an evenly
+	// spaced sample of room: the j-th of them, for j = i*rest/room.
+	room := max(budget-ckpts, 0)
+	take := min(room, rest)
+	points := make([]int, 0, ckpts+take)
+	next, j := 0, 0 // next sample index, rank of the next rest event
+	for i, k := range log {
+		switch {
+		case k == interp.EvCheckpoint:
+			if keepCkpt(i) {
+				points = append(points, i+1)
+			}
+		case invAll:
+			if next < take && (room >= rest || j == next*rest/room) {
+				points = append(points, i+1)
+				next++
+			}
+			j++
 		}
 	}
-	sort.Ints(points)
 	return points
 }
 

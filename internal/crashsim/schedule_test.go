@@ -1,7 +1,9 @@
 package crashsim
 
 import (
+	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"hippocrates/internal/interp"
@@ -138,6 +140,63 @@ func TestSelectPointsKeepsEligibleCheckpoints(t *testing.T) {
 	got = selectPoints(log, 5, true, arity1)
 	if !sortedInts(got) {
 		t.Fatalf("points not sorted: %v", got)
+	}
+}
+
+// selectPointsRef is selectPoints as first written: the non-checkpoint
+// events collected into a slice, sampled by index, the union sorted.
+func selectPointsRef(log []interp.PMEventKind, budget int, invAll bool, rec *entrySpec) []int {
+	lastCkpt := 0
+	for i, k := range log {
+		if k == interp.EvCheckpoint {
+			lastCkpt = i + 1
+		}
+	}
+	var ckpts, rest []int
+	for i, k := range log {
+		switch {
+		case k == interp.EvCheckpoint:
+			if !invAll && rec != nil && rec.arity == 0 && i+1 != lastCkpt {
+				continue
+			}
+			ckpts = append(ckpts, i+1)
+		case invAll:
+			rest = append(rest, i+1)
+		}
+	}
+	points := append([]int{}, ckpts...)
+	room := budget - len(points)
+	if room >= len(rest) {
+		points = append(points, rest...)
+	} else if room > 0 {
+		for i := 0; i < room; i++ {
+			points = append(points, rest[i*len(rest)/room])
+		}
+	}
+	sort.Ints(points)
+	return points
+}
+
+// TestSelectPointsMatchesReference: selectPoints indexes its sample of
+// the non-checkpoint events arithmetically and picks the points the
+// collect-and-sort reference does, for random logs, budgets and entry
+// shapes.
+func TestSelectPointsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	kinds := []interp.PMEventKind{interp.EvStore, interp.EvFlush, interp.EvFence, interp.EvCheckpoint}
+	recs := []*entrySpec{nil, {name: "crash_check", arity: 0}, {name: "crash_check", arity: 1}}
+	for n := 0; n < 2000; n++ {
+		log := make([]interp.PMEventKind, rng.Intn(60))
+		for i := range log {
+			log[i] = kinds[rng.Intn(len(kinds))]
+		}
+		budget := rng.Intn(70) - 5
+		invAll := rng.Intn(2) == 0
+		rec := recs[rng.Intn(len(recs))]
+		got, want := selectPoints(log, budget, invAll, rec), selectPointsRef(log, budget, invAll, rec)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("log %v budget %d invAll %v rec %+v: selected %v, want %v", log, budget, invAll, rec, got, want)
+		}
 	}
 }
 

@@ -9,10 +9,12 @@ import (
 	"testing"
 
 	"hippocrates/internal/core"
+	"hippocrates/internal/corpus"
 	"hippocrates/internal/crashsim"
 	"hippocrates/internal/interp"
 	"hippocrates/internal/ir"
 	"hippocrates/internal/lang"
+	"hippocrates/internal/progen"
 )
 
 // srcPublish is a minimal unflushed-payload bug: the payload store never
@@ -525,5 +527,52 @@ func TestConcurrentMissesBootOnce(t *testing.T) {
 		}
 		t.Logf("%s: %d images built, %d hits, %d misses over %d schedules", tc.name,
 			first.ImagesBuilt, first.CacheHits, first.CacheMisses, first.Schedules)
+	}
+}
+
+// TestUntrackedRunLogsSameEvents: Validate learns the PM event stream
+// from an untracked probe run, so an untracked run's PMEventLog (and its
+// outcome) must equal a tracked run's: for every corpus target, for
+// generated programs, and for generated threaded programs under several
+// schedule prefixes, out-of-range choices included.
+func TestUntrackedRunLogsSameEvents(t *testing.T) {
+	type target struct {
+		name, entry string
+		mod         *ir.Module
+		sched       []int
+	}
+	var ts []target
+	for _, p := range corpus.All() {
+		ts = append(ts, target{p.Name, p.Entry, p.MustCompile(), nil})
+	}
+	for s := int64(0); s < 50; s++ {
+		ts = append(ts, target{fmt.Sprintf("progen-%d", s), "main", progen.Generate(s, progen.DefaultConfig()), nil})
+		mod := progen.Generate(s, progen.ThreadedConfig(s))
+		for _, sched := range [][]int{nil, {1}, {1, 0, 1}, {0, 1, 1, 0, 2}, {2, 2, 2}} {
+			ts = append(ts, target{fmt.Sprintf("progen-threaded-%d %s", s, interp.ScheduleID(sched)), "main", mod, sched})
+		}
+	}
+	events := 0
+	for _, tc := range ts {
+		run := func(noTrack bool) (uint64, string, []interp.PMEventKind) {
+			m, err := interp.New(tc.mod, interp.Options{Schedule: tc.sched, NoTrack: noTrack})
+			if err != nil {
+				t.Fatalf("%s: New: %v", tc.name, err)
+			}
+			ret, err := m.Run(tc.entry)
+			return ret, fmt.Sprint(err), m.PMEventLog()
+		}
+		ret1, err1, log1 := run(false)
+		ret2, err2, log2 := run(true)
+		if ret1 != ret2 || err1 != err2 {
+			t.Fatalf("%s: tracked run returned %d/%s, untracked %d/%s", tc.name, ret1, err1, ret2, err2)
+		}
+		if !reflect.DeepEqual(log1, log2) {
+			t.Fatalf("%s: untracked PM event log differs from the tracked one\n tracked %v\nuntracked %v", tc.name, log1, log2)
+		}
+		events += len(log1)
+	}
+	if events == 0 {
+		t.Fatal("no run logged a PM event")
 	}
 }

@@ -170,7 +170,13 @@ type Machine struct {
 
 	// globals holds the address of every module global, by its index
 	// in Mod.Globals; decoded code names globals by that index.
-	globals  []uint64
+	globals []uint64
+	// pmSeeds holds, by global index, each PM global's initial durable
+	// bytes: its initializer padded with zeros to its size. Built on the
+	// machine's first tracked run and never mutated, so every later run
+	// seeds its tracker from the same images (the module's globals must
+	// not change between runs of one machine).
+	pmSeeds  [][]byte
 	heapNext uint64
 	pmNext   uint64
 	rootAddr uint64
@@ -327,11 +333,11 @@ func New(mod *ir.Module, opts Options) (*Machine, error) {
 // exactly as New would, so that a finished machine can record another
 // run into the buffers the last one finished with: the trace-event arena,
 // the decision log and its Runnable arena, the thread records, the frame
-// pool, the PM event log, the per-thread counters, and the decoder and
-// argument scratch. Memory and the tracker are never recycled (a crash
-// state or snapshot may still point into them): the run gets
-// opts.Memory or a fresh memory, and the detector's tracker or a fresh
-// one.
+// pool, the PM event log, the per-thread counters, the PM globals' seed
+// images, and the decoder and argument scratch. Memory is never recycled
+// (a snapshot may still point into it): the run gets opts.Memory or a
+// fresh memory. The tracker is the detector's, reset by the detector (it
+// recycles only store records no crash state holds), or a fresh one.
 //
 // Everything the last run handed out that lives in those buffers is
 // invalid afterwards: its trace's events, its Decisions and its
@@ -439,7 +445,10 @@ func (m *Machine) Reset(opts Options) error {
 		}
 		if g.PM && m.Track != nil {
 			// Pre-existing PM content is durable by definition.
-			m.Track.SeedDurable(addr, initImage(g))
+			if len(m.pmSeeds) != len(mod.Globals) {
+				m.pmSeeds = pmSeedsOf(mod)
+			}
+			m.Track.SeedDurable(addr, m.pmSeeds[gi])
 		}
 	}
 	m.pmNext = alignUp(pmNext, pmem.LineSize)
@@ -454,10 +463,16 @@ func (m *Machine) Reset(opts Options) error {
 	return nil
 }
 
-func initImage(g *ir.Global) []byte {
-	img := make([]byte, g.Elem.Size())
-	copy(img, g.Init)
-	return img
+// pmSeedsOf builds Machine.pmSeeds for mod.
+func pmSeedsOf(mod *ir.Module) [][]byte {
+	seeds := make([][]byte, len(mod.Globals))
+	for gi, g := range mod.Globals {
+		if g.PM {
+			seeds[gi] = make([]byte, g.Elem.Size())
+			copy(seeds[gi], g.Init)
+		}
+	}
+	return seeds
 }
 
 func alignUp(n, a uint64) uint64 {

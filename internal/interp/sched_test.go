@@ -329,7 +329,7 @@ func TestCrossThreadPublish(t *testing.T) {
 		t.Fatalf("Publishes = %d records, want 1 (%v)", len(pubs), pubs)
 	}
 	p := pubs[0]
-	if p.PubTid != 0 || p.Referent == nil || p.Referent.Tid != 1 {
+	if p.PubTid != 0 || p.Referent.Tid != 1 {
 		t.Errorf("publish provenance wrong: pubTid=%d referent=%+v", p.PubTid, p.Referent)
 	}
 }

@@ -8,10 +8,11 @@ package pmem
 // the workload to the boundary or deep-cloning the durable bytes.
 //
 // The capture is cheap (page-map copy plus the pending-line grouping)
-// and stays valid as the originating tracker keeps running: tracker
-// writes privatize touched pages first, and image construction reads
-// only the immutable Addr/Data fields of the captured stores (State and
-// FlushSeq keep mutating in the live tracker).
+// and stays valid as the originating tracker keeps running and after it
+// is Reset: tracker writes privatize touched pages first, the tracker
+// never recycles a store record a capture holds (see Tracker.Store), and
+// image construction reads only the immutable Addr/Data fields of the
+// captured stores (State and FlushSeq keep mutating in the live tracker).
 type CrashState struct {
 	// Durable is the COW snapshot of the durable image. It is a frozen
 	// base for image overlays and must never be written.
@@ -32,6 +33,7 @@ type CrashState struct {
 // crash-image construction (Meta is filled in by the interpreter, which
 // owns the metadata line).
 func (t *Tracker) CaptureCrashState() *CrashState {
+	t.pin = t.lastStore
 	return &CrashState{Durable: t.snapshotDurable(), Lines: t.PendingLines()}
 }
 

@@ -125,7 +125,7 @@ func (t *refTracker) commit(st *TrackedStore) {
 	for _, ref := range t.pending[LineOf(val)] {
 		if ref.Tid != st.Tid {
 			t.Publishes = append(t.Publishes, CrossThreadPublish{
-				PubAddr: st.Addr, PubSeq: st.Seq, PubTid: st.Tid, Val: val, Referent: ref,
+				PubAddr: st.Addr, PubSeq: st.Seq, PubTid: st.Tid, Val: val, Referent: *ref,
 			})
 		}
 	}

@@ -44,7 +44,8 @@ func (s StoreState) String() string {
 // 8 bytes (all IR scalars are naturally aligned and at most 8 bytes wide;
 // the trace parsers reject anything else), which the tracker checks. The
 // payload sits inline in the record, so a store costs one 56-byte arena
-// slot and no separate payload allocation.
+// slot and no separate payload allocation. The tracker recycles a record
+// once no reader can reach it any more (see Tracker.Store).
 type TrackedStore struct {
 	Addr uint64
 	// Seq is the global event sequence number of the store.
@@ -142,9 +143,10 @@ type CrossThreadPublish struct {
 	PubTid  int
 	// Val is the published PM address.
 	Val uint64
-	// Referent is the cross-thread store on the published line that was
-	// still pending at publish time.
-	Referent *TrackedStore
+	// Referent is a copy of the cross-thread store on the published line
+	// that was still pending at publish time (the record itself may be
+	// recycled once it commits).
+	Referent TrackedStore
 }
 
 // Tracker implements the pmemcheck durability state machine over a stream
@@ -203,9 +205,22 @@ type Tracker struct {
 	// the per-store cost on the interpreter hot path is one bump
 	// allocation instead of a heap allocation. Chunks grow from 16 to 256
 	// records, so the many short runs of crash validation and
-	// exploration do not each pay for a full chunk. Pointers stay valid
-	// for the tracker's lifetime: Reset hands out only fresh slots.
+	// exploration do not each pay for a full chunk. The arena is never
+	// rewound: a record returns to use only through free.
 	stores arena.Chunks[TrackedStore]
+	// free holds retired records for Store to reuse before it takes an
+	// arena slot, at most freeMax of them. A record is retired once no
+	// reader can reach it: it has left pending, it sits in no fence queue
+	// (an entry there is skipped only while its record stays unpending),
+	// and its Seq is above pin, so no crash state holds it.
+	free []*TrackedStore
+	// pin is the newest store seq at the latest CaptureCrashState (-1
+	// before the first): a capture holds records at or below it, which
+	// are never recycled. lastStore is the newest store seq so far.
+	pin, lastStore int
+	// seeds holds the queued durable writes longer than 8 bytes (see
+	// durableWrite).
+	seeds [][]byte
 	// commitScratch and violations are reused across fences and
 	// checkpoints, so neither allocates in steady state.
 	commitScratch []*TrackedStore
@@ -221,13 +236,22 @@ type Tracker struct {
 	Publishes []CrossThreadPublish
 }
 
-// durableWrite is one queued write to the durable image. data is the
-// store record's payload (or the caller's seed), never modified
-// afterwards.
+// durableWrite is one queued write to the durable image. A payload of at
+// most 8 bytes (every store's) is carried by value, so the store record
+// may be recycled before the write is applied; a longer seed is
+// Tracker.seeds[seed], which the caller never modifies.
 type durableWrite struct {
 	addr uint64
-	data []byte
+	data [8]byte
+	// size is the width of data; 0 marks a seed.
+	size uint8
+	seed int32
 }
+
+// freeMax bounds the retired records a tracker keeps for reuse: one arena
+// chunk's worth. A record retired past it is left to the collector with
+// its chunk.
+const freeMax = 256
 
 // durableQueueLen bounds the deferred durable-image writes a tracker
 // holds before applying them.
@@ -243,37 +267,52 @@ type pendingList struct {
 // NewTracker returns an empty tracker.
 func NewTracker() *Tracker {
 	return &Tracker{
-		lines:    make(map[uint64]*pendingList),
-		durable:  NewMemory(),
-		durableQ: make([]durableWrite, 0, durableQueueLen),
-		stores:   arena.New[TrackedStore](16, 256),
+		lines:     make(map[uint64]*pendingList),
+		durable:   NewMemory(),
+		durableQ:  make([]durableWrite, 0, durableQueueLen),
+		stores:    arena.New[TrackedStore](16, freeMax),
+		pin:       -1,
+		lastStore: -1,
 	}
 }
 
 // Reset empties the tracker for a new run, keeping what it allocated for
-// the last one: line records, log, fence queues, map buckets and scratch.
-// Store records are never recycled (a crash state or violation captured
-// before the reset may still point at them); new stores take fresh slots
-// of the current arena chunk. A durable image that was snapshotted is
-// replaced, since snapshots share its pages.
+// the last one: line records, log, fence queues, map buckets, scratch and
+// the retired store records. The records still pending or queued leave
+// with the run and are retired too, except those a crash state captured
+// before the reset holds; then the pin restarts with the new run's
+// sequence numbers. A durable image that was snapshotted is replaced,
+// since snapshots share its pages.
 func (t *Tracker) Reset() {
 	for line, pl := range t.lines {
 		delete(t.lines, line)
 		t.releaseLine(pl)
 	}
+	// A pending dirty store sits in no fence queue; every other record
+	// the tracker still holds sits in exactly one, and is retired there.
+	for _, st := range t.log {
+		if st != nil && st.State == StoreDirty {
+			t.retire(st)
+		}
+	}
 	clear(t.log)
 	t.log = t.log[:0]
 	t.nPending = 0
 	for i, q := range t.flushed {
+		for _, st := range q {
+			t.retire(st)
+		}
 		clear(q)
 		t.flushed[i] = q[:0]
 	}
 	if t.writeThrough || len(t.durable.chunks) > 0 {
 		t.durable = NewMemory()
 	}
-	clear(t.durableQ)
 	t.durableQ = t.durableQ[:0]
+	clear(t.seeds)
+	t.seeds = t.seeds[:0]
 	t.writeThrough = false
+	t.pin, t.lastStore = -1, -1
 	t.lastFence = t.lastFence[:0]
 	clear(t.violations)
 	t.violations = t.violations[:0]
@@ -286,26 +325,44 @@ func (t *Tracker) Reset() {
 }
 
 // writeDurable makes data at addr part of the durable image, queueing the
-// write unless the image has been snapshotted.
+// write unless the image has been snapshotted. Data longer than 8 bytes
+// is queued by reference and must not be modified afterwards.
 func (t *Tracker) writeDurable(addr uint64, data []byte) {
 	if t.writeThrough {
 		t.durable.Write(addr, data)
 		return
 	}
+	if len(data) == 0 {
+		return
+	}
 	if len(t.durableQ) == cap(t.durableQ) {
 		t.syncDurable()
 	}
-	t.durableQ = append(t.durableQ, durableWrite{addr: addr, data: data})
+	w := durableWrite{addr: addr}
+	if len(data) <= len(w.data) {
+		w.size = uint8(copy(w.data[:], data))
+	} else {
+		w.seed = int32(len(t.seeds))
+		t.seeds = append(t.seeds, data)
+	}
+	t.durableQ = append(t.durableQ, w)
 }
 
 // syncDurable applies the queued durable writes in order. Every reader of
 // t.durable calls it first, so it sees the bytes eager writes would have
 // left.
 func (t *Tracker) syncDurable() {
-	for _, w := range t.durableQ {
-		t.durable.Write(w.addr, w.data)
+	for i := range t.durableQ {
+		w := &t.durableQ[i]
+		if w.size == 0 {
+			t.durable.Write(w.addr, t.seeds[w.seed])
+		} else {
+			t.durable.Write(w.addr, w.data[:w.size])
+		}
 	}
 	t.durableQ = t.durableQ[:0]
+	clear(t.seeds)
+	t.seeds = t.seeds[:0]
 }
 
 // snapshotDurable returns a copy-on-write snapshot of the up-to-date
@@ -339,6 +396,15 @@ func (t *Tracker) releaseLine(pl *pendingList) {
 	t.freeLines = append(t.freeLines, pl)
 }
 
+// retire hands st, which has left pending and sits in no fence queue, to
+// Store for reuse, unless a crash state may hold it or the free list is
+// full.
+func (t *Tracker) retire(st *TrackedStore) {
+	if st.Seq > t.pin && len(t.free) < freeMax {
+		t.free = append(t.free, st)
+	}
+}
+
 // unlink tombstones st's log entry: st is no longer pending.
 func (t *Tracker) unlink(st *TrackedStore) {
 	t.log[st.logIdx] = nil
@@ -364,8 +430,8 @@ func (t *Tracker) compactLog() {
 }
 
 // enqueueFlushed appends st to tid's fence queue. A full queue first
-// drops its stale entries, so a thread that rarely fences cannot grow
-// its queue past twice its live entries.
+// drops its stale entries, retiring their records, so a thread that
+// rarely fences cannot grow its queue past twice its live entries.
 func (t *Tracker) enqueueFlushed(tid int, st *TrackedStore) {
 	for len(t.flushed) <= tid {
 		t.flushed = append(t.flushed, nil)
@@ -376,6 +442,8 @@ func (t *Tracker) enqueueFlushed(tid int, st *TrackedStore) {
 		for _, s := range q {
 			if s.logIdx >= 0 {
 				live = append(live, s)
+			} else {
+				t.retire(s)
 			}
 		}
 		q = live
@@ -402,23 +470,40 @@ func (t *Tracker) OnStoreT(seq, tid int, addr uint64, data []byte) *TrackedStore
 // OnNTStoreT always let it, and a detector fed from a trace lets it only
 // where the trace recorded the value (trace.Event.Val), so a replay and
 // the run that recorded the trace agree.
+//
+// The returned record is valid only until the store leaves pending
+// (it is committed or exactly overwritten, or the tracker is Reset):
+// then the tracker may recycle it for a later store. Only a crash state
+// keeps its records for good.
 func (t *Tracker) Store(seq, tid int, addr uint64, data []byte, nt, pub bool) *TrackedStore {
 	if len(data) == 0 || len(data) > 8 || LineOf(addr) != LineOf(addr+uint64(len(data))-1) {
 		panic(fmt.Sprintf("pmem: store at %#x size %d is not 1-8 bytes within one cache line", addr, len(data)))
 	}
 	t.TotalStores++
+	t.lastStore = seq
 	pl := t.lineFor(LineOf(addr))
 	overwrote := false
 	for i, old := range pl.stores {
 		if old.Addr == addr && old.Size() == len(data) {
-			// Exact overwrite: drop the stale pending store.
+			// Exact overwrite: drop the stale pending store. A dirty one
+			// sits in no fence queue; a flushed one is retired when its
+			// queue drops it.
 			pl.stores = append(pl.stores[:i], pl.stores[i+1:]...)
 			t.unlink(old)
+			if old.State == StoreDirty {
+				t.retire(old)
+			}
 			overwrote = true
 			break
 		}
 	}
-	st := &t.stores.Take(1)[0]
+	var st *TrackedStore
+	if n := len(t.free); n > 0 {
+		st = t.free[n-1]
+		t.free = t.free[:n-1]
+	} else {
+		st = &t.stores.Take(1)[0]
+	}
 	*st = TrackedStore{
 		Addr:     addr,
 		Seq:      seq,
@@ -479,13 +564,19 @@ func (t *Tracker) OnFlushT(seq, tid int, ordered bool, addr uint64) int {
 	case ordered:
 		// CLFLUSH retires both dirty and previously flushed stores.
 		// Remove the line from pending before committing so publish
-		// detection never sees a same-pass store as still pending.
+		// detection never sees a same-pass store as still pending. A
+		// flushed store's record stays in its fence queue until the
+		// queue drops it.
 		delete(t.lines, line)
 		for _, st := range pl.stores {
 			t.unlink(st)
 		}
 		for _, st := range pl.stores {
+			queued := st.State == StoreFlushed
 			t.commit(st)
+			if !queued {
+				t.retire(st)
+			}
 			moved++
 		}
 		t.releaseLine(pl)
@@ -530,6 +621,8 @@ func (t *Tracker) OnFenceT(seq, tid int) int {
 		for _, st := range q {
 			if st.logIdx >= 0 {
 				commits = append(commits, st)
+			} else {
+				t.retire(st)
 			}
 		}
 		t.flushed[tid] = q[:0]
@@ -571,12 +664,15 @@ func (t *Tracker) OnFenceT(seq, tid int) int {
 	}
 	for _, st := range commits {
 		t.commit(st)
+		t.retire(st)
 	}
 	t.commitScratch = commits[:0]
 	t.compactLog()
 	return lines
 }
 
+// commit makes st durable. The caller retires st afterwards if it sits
+// in no fence queue.
 func (t *Tracker) commit(st *TrackedStore) {
 	st.State = StoreDurable
 	t.writeDurable(st.Addr, st.Data())
@@ -603,7 +699,7 @@ func (t *Tracker) checkPublish(st *TrackedStore) {
 	for _, ref := range pl.stores {
 		if ref.Tid != st.Tid {
 			t.Publishes = append(t.Publishes, CrossThreadPublish{
-				PubAddr: st.Addr, PubSeq: st.Seq, PubTid: st.Tid, Val: val, Referent: ref,
+				PubAddr: st.Addr, PubSeq: st.Seq, PubTid: st.Tid, Val: val, Referent: *ref,
 			})
 		}
 	}
@@ -621,7 +717,8 @@ func (t *Tracker) lastFenceOf(tid int) int {
 // violation, classified per the paper's bug taxonomy, in sequence order.
 // Pending stores are kept (the program may still persist them later; the
 // detector deduplicates reports by program location). The returned slice
-// belongs to the tracker and is overwritten by the next OnCheckpoint.
+// belongs to the tracker and is overwritten by the next OnCheckpoint; its
+// Store records are valid only until the next event.
 func (t *Tracker) OnCheckpoint(seq int) []Violation {
 	out := t.violations[:0]
 	for v := range t.Violations(seq) {
@@ -704,7 +801,8 @@ type PendingLine struct {
 // PendingLines returns the pending stores grouped by cache line, each
 // group sequence-ordered, groups ordered by line address. The result is
 // deterministic for a given tracker state, so an index into it is a
-// stable coordinate for crash-schedule enumeration.
+// stable coordinate for crash-schedule enumeration. Its records are valid
+// until they leave pending; CaptureCrashState keeps them for good.
 func (t *Tracker) PendingLines() []PendingLine {
 	out := make([]PendingLine, 0, len(t.lines))
 	// One backing array holds every line's stores; each line's slice is

@@ -88,6 +88,18 @@ func eagerExplore(mod *ir.Module, entry string, opts schedule.Options) (*schedul
 	return res, traces, nil
 }
 
+// benchTargets returns BenchmarkExplore's targets: the concurrent corpus
+// plus generated threaded programs for seeds 0–5, several of which the
+// default budget truncates.
+func benchTargets() []target {
+	ts := mtCorpus()
+	for s := int64(0); s < 6; s++ {
+		ts = append(ts, target{fmt.Sprintf("progen-threaded-%d", s),
+			progen.Generate(s, progen.ThreadedConfig(s)), "main"})
+	}
+	return ts
+}
+
 // exploreTraces is Explore that also returns the printed trace of every
 // run, captured before the next run reuses the trace's buffers.
 func exploreTraces(mod *ir.Module, entry string, opts schedule.Options) (*schedule.Result, []string, error) {
@@ -141,6 +153,59 @@ func TestExploreMatchesEagerOracle(t *testing.T) {
 				t.Errorf("%s: verdict sets differ\n got %v\nwant %v", where, g, w)
 			}
 		}
+	}
+}
+
+// TestFrontierKeepsOnlyRunnableBranches: Explore queues a branch only
+// while the budget can still run it, and still runs the schedules the
+// unbounded frontier of the eager oracle runs, with the same pruning and
+// truncation accounting, under tight and default budgets. After every
+// run's branching the frontier holds no more branches than the runs the
+// budget has left.
+func TestFrontierKeepsOnlyRunnableBranches(t *testing.T) {
+	ts := mtCorpus()
+	for s := int64(0); s < 20; s++ {
+		ts = append(ts, target{fmt.Sprintf("progen-threaded-%d", s),
+			progen.Generate(s, progen.ThreadedConfig(s)), "main"})
+	}
+	truncated, complete := 0, 0
+	for _, tc := range ts {
+		for _, max := range []int{1, 2, 8, 64} {
+			opts := schedule.Options{MaxSchedules: max}
+			where := fmt.Sprintf("%s (MaxSchedules=%d)", tc.name, max)
+			got, err := schedule.ExploreQueued(tc.mod, tc.entry, nil, opts, func(frontier, left int) {
+				if frontier > left {
+					t.Fatalf("%s: the frontier holds %d branches with %d runs left", where, frontier, left)
+				}
+			})
+			if err != nil {
+				t.Fatalf("%s: Explore: %v", where, err)
+			}
+			want, _, err := eagerExplore(tc.mod, tc.entry, opts)
+			if err != nil {
+				t.Fatalf("%s: oracle: %v", where, err)
+			}
+			if len(got.Runs) != len(want.Runs) {
+				t.Fatalf("%s: explored %d runs, oracle %d", where, len(got.Runs), len(want.Runs))
+			}
+			for i := range got.Runs {
+				if !reflect.DeepEqual(got.Runs[i].Choices, want.Runs[i].Choices) {
+					t.Fatalf("%s: run %d is %s, oracle %s", where, i, got.Runs[i].ID, want.Runs[i].ID)
+				}
+			}
+			if got.Pruned != want.Pruned || got.Truncated != want.Truncated {
+				t.Fatalf("%s: pruned/truncated %d/%v, oracle %d/%v", where,
+					got.Pruned, got.Truncated, want.Pruned, want.Truncated)
+			}
+			if got.Truncated {
+				truncated++
+			} else {
+				complete++
+			}
+		}
+	}
+	if truncated == 0 || complete == 0 {
+		t.Fatalf("%d truncated and %d complete explorations, want both", truncated, complete)
 	}
 }
 
@@ -292,20 +357,23 @@ func TestUntrackedRunsRecordSameTrace(t *testing.T) {
 }
 
 // TestExploredRunBytes pins the heap cost of one explored interleaving
-// over the concurrent corpus: with every run after the first recorded
-// into the trace events, decision log, thread records and frames the
-// run before it finished with, what remains is the verdict (choices,
-// id, detector reports and the events they name), the run's memory and
-// tracker records, and its branches. Over the 135 runs it measures
-// about 4.1 KiB per run on amd64; with a fresh machine and trace per
-// run it measured about 9.1 KiB, with a private stack copy per event
-// about 14.5 KiB, and with 4 KiB pages, an online tracker per run and
-// eagerly copied prefixes about 33 KiB.
+// over BenchmarkExplore's targets, where the budget truncates: with every
+// run after the first recorded into the trace events, decision log,
+// thread records, frames and tracker store records the run before it
+// finished with, what remains is the verdict (choices, id, detector
+// reports and the events they name), the run's memory, and the branches
+// the budget can still run. Over the 519 runs it measures about 4.7 KiB
+// per run on amd64; with a store record per store and every branch
+// queued it measured about 6.0 KiB. Over the concurrent corpus alone
+// (135 runs) it measured about 4.1 KiB with those, 9.1 KiB with a fresh
+// machine and trace per run, 14.5 KiB with a private stack copy per
+// event, and 33 KiB with 4 KiB pages, an online tracker per run and
+// eagerly copied prefixes.
 func TestExploredRunBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation sizes differ under the race runtime")
 	}
-	ts := mtCorpus()
+	ts := benchTargets()
 	explore := func() int {
 		runs := 0
 		for _, tc := range ts {
@@ -324,7 +392,7 @@ func TestExploredRunBytes(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perRun := float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 	t.Logf("%d explored runs, %.0f bytes per run", runs, perRun)
-	if perRun > 6<<10 {
-		t.Errorf("an explored run allocates %.0f bytes, want <= 6 KiB", perRun)
+	if perRun > 5376 {
+		t.Errorf("an explored run allocates %.0f bytes, want <= 5.25 KiB", perRun)
 	}
 }

@@ -182,14 +182,16 @@ func (res *Result) VerdictSet() []string {
 // failures (entry missing, machine construction); per-interleaving
 // runtime errors are verdicts, recorded on the Run.
 func Explore(mod *ir.Module, entry string, args []uint64, opts Options) (*Result, error) {
-	return explore(mod, entry, args, opts, nil)
+	return explore(mod, entry, args, opts, nil, nil)
 }
 
 // explore is Explore; observe, when non-nil, sees every run with its
 // trace and decision log before the next run reuses their buffers (the
-// package's tests read explored traces through it).
+// package's tests read explored traces through it), and queued, when
+// non-nil, sees after every run's branching how many branches the
+// frontier holds and how many runs the budget has left.
 func explore(mod *ir.Module, entry string, args []uint64, opts Options,
-	observe func(*Run, *trace.Trace, []interp.Decision)) (*Result, error) {
+	observe func(*Run, *trace.Trace, []interp.Decision), queued func(frontier, left int)) (*Result, error) {
 	max := opts.MaxSchedules
 	if max <= 0 {
 		max = DefaultMaxSchedules
@@ -197,7 +199,9 @@ func explore(mod *ir.Module, entry string, args []uint64, opts Options,
 	res := &Result{}
 	s := newSession(mod, entry, args, opts.Interp)
 	// The frontier is a FIFO queue advanced by index; its first entry
-	// (no parent) is the round-robin run.
+	// (no parent) is the round-robin run. It never holds more branches
+	// than the budget can still run: a branch found past that only marks
+	// the result truncated.
 	frontier := []branch{{}}
 	head := 0
 	var prefix []int
@@ -229,12 +233,20 @@ func explore(mod *ir.Module, entry string, args []uint64, opts Options,
 					res.Pruned++
 					continue
 				}
-				frontier = append(frontier, branch{parent: run, at: i, alt: alt})
+				if len(frontier)-head < max-res.Explored {
+					frontier = append(frontier, branch{parent: run, at: i, alt: alt})
+				} else {
+					res.Truncated = true
+				}
 			}
 		}
+		if queued != nil {
+			queued(len(frontier)-head, max-res.Explored)
+		}
 	}
-	frontier = frontier[head:]
-	res.Truncated = len(frontier) > 0
+	if head < len(frontier) {
+		res.Truncated = true
+	}
 	if sp := opts.Obs; sp != nil {
 		sp.Add("schedule.explored", int64(res.Explored))
 		sp.Add("schedule.pruned", int64(res.Pruned))

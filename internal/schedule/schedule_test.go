@@ -145,7 +145,7 @@ func TestExploreReplayIsDeterministic(t *testing.T) {
 	mod := compile(t, maskedPublish)
 	traces := map[*Run]string{}
 	decisions := map[*Run][]interp.Decision{}
-	res, err := explore(mod, "main", nil, Options{}, func(r *Run, tr *trace.Trace, ds []interp.Decision) {
+	res, err := ExploreObserved(mod, "main", nil, Options{}, func(r *Run, tr *trace.Trace, ds []interp.Decision) {
 		traces[r] = tr.String()
 		decisions[r] = copyDecisions(ds)
 	})
