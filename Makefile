@@ -132,14 +132,18 @@ mt-smoke:
 #   tree-walker, and a choice out of range must fail the same way on both;
 # - the durability tracker: a random stream of stores, flushes, fences,
 #   checkpoints, captures and resets must match the reference tracker, and
-#   no capture or publish may change as the tracker recycles its records.
-#   Shrinking a new interesting stream is capped at 100 runs: uncapped, it
-#   can take the workers for the whole budget.
+#   no capture or publish may change as the tracker recycles its records;
+# - the simulated memory: a random stream of writes, reads, snapshots,
+#   overlays and resets on one reused memory must read exactly like a fresh
+#   memory, and no snapshot may change as the memory is reset.
+#   Shrinking a new interesting stream of either is capped at 100 runs:
+#   uncapped, it can take the workers for the whole budget.
 # The seed corpora under internal/*/testdata/fuzz/ also run in the plain
 # suite.
 fuzz-smoke:
 	$(GO) test ./internal/interp -run '^$$' -fuzz FuzzScheduleReplay -fuzztime 10s
 	$(GO) test ./internal/pmem -run '^$$' -fuzz FuzzTrackerReference -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/pmem -run '^$$' -fuzz FuzzMemoryReset -fuzztime 10s -fuzzminimizetime 100x
 
 # bench-smoke runs every benchmark once, so a benchmark that no longer
 # builds or fails its own checks breaks the gate (BenchmarkCrashSweep/dedup

@@ -414,9 +414,11 @@ func (a *Analysis) ObjectByID(id int) *Object {
 	return a.objects[id]
 }
 
-// Pointers returns every pointer value the analysis tracked.
+// Pointers returns every pointer value the analysis tracked. The slice
+// is the analysis's own and must not be modified; an append to it never
+// reaches the analysis.
 func (a *Analysis) Pointers() []ir.Value {
-	return append([]ir.Value(nil), a.values...)
+	return a.values[:len(a.values):len(a.values)]
 }
 
 // Objects returns every abstract object.

@@ -31,9 +31,15 @@ type oracleRun struct {
 	decisions []interp.Decision
 	tr        *trace.Trace
 	// crashNone and crashAll are the crash images keeping no pending
-	// store and every pending store.
+	// store and every pending store; mem is what the run's memory reads
+	// over the globals, PM, heap and stacks at its end.
 	crashNone, crashAll *pmem.Memory
+	mem                 []byte
 }
+
+// memStackBytes is how much of each thread's stack segment a run's
+// memory comparison reads.
+const memStackBytes = 16 << 10
 
 func oracleRunOf(t *testing.T, mod *ir.Module, entry string, newMachine func(*ir.Module, interp.Options) (*interp.Machine, error), opts interp.Options, images bool) oracleRun {
 	t.Helper()
@@ -58,6 +64,7 @@ func oracleRunOf(t *testing.T, mod *ir.Module, entry string, newMachine func(*ir
 	if images {
 		out.crashNone = m.CrashImage(nil)
 		out.crashAll = m.CrashImage(func(*pmem.TrackedStore) bool { return true })
+		out.mem = m.MemoryWindows(memStackBytes)
 	}
 	return out
 }
@@ -97,6 +104,14 @@ func sameOracleRun(t *testing.T, where string, got, want oracleRun) {
 		if n := pmem.DiffPM(got.crashAll, want.crashAll); n != 0 {
 			t.Fatalf("%s: crash image (everything pending kept) differs in %d bytes", where, n)
 		}
+		if len(got.mem) != len(want.mem) {
+			t.Fatalf("%s: memory windows span %d bytes, want %d", where, len(got.mem), len(want.mem))
+		}
+		for i := range got.mem {
+			if got.mem[i] != want.mem[i] {
+				t.Fatalf("%s: memory windows differ first at byte %d: %#x, want %#x", where, i, got.mem[i], want.mem[i])
+			}
+		}
 	}
 }
 
@@ -104,7 +119,8 @@ func sameOracleRun(t *testing.T, where string, got, want oracleRun) {
 // generated programs, a decoded run reports exactly what the
 // tree-walking reference reports: return value, error (type, message,
 // stack), step and per-opcode counts, simulated time, PM event log,
-// scheduling decisions, trace text and stacks, and crash images. A run
+// scheduling decisions, trace text and stacks, crash images, and what
+// memory reads over the globals, PM, heap and stacks at the end. A run
 // cut at half its steps stops with the same *LimitError.
 func TestDecodedMatchesTreeWalk(t *testing.T) {
 	for _, tc := range stackTargets() {

@@ -167,6 +167,9 @@ type Machine struct {
 
 	opts Options
 	cost *pmem.CostModel
+	// ownMem is the memory the machine made for a run without
+	// Options.Memory; Reset rewinds it for the next such run.
+	ownMem *pmem.Memory
 
 	// globals holds the address of every module global, by its index
 	// in Mod.Globals; decoded code names globals by that index.
@@ -334,14 +337,16 @@ func New(mod *ir.Module, opts Options) (*Machine, error) {
 // run into the buffers the last one finished with: the trace-event arena,
 // the decision log and its Runnable arena, the thread records, the frame
 // pool, the PM event log, the per-thread counters, the PM globals' seed
-// images, and the decoder and argument scratch. Memory is never recycled
-// (a snapshot may still point into it): the run gets opts.Memory or a
-// fresh memory. The tracker is the detector's, reset by the detector (it
+// images, the decoder and argument scratch, and the simulated memory. The
+// run gets opts.Memory, which is never reset, or else the memory the
+// machine made for itself, rewound to read as a fresh one (pages a
+// snapshot of it shares are dropped, not zeroed, so the snapshot keeps
+// its bytes). The tracker is the detector's, reset by the detector (it
 // recycles only store records no crash state holds), or a fresh one.
 //
 // Everything the last run handed out that lives in those buffers is
-// invalid afterwards: its trace's events, its Decisions and its
-// PMEventLog. A caller that keeps a result must copy it first (see
+// invalid afterwards: its trace's events, its Decisions, its PMEventLog
+// and m.Mem. A caller that keeps a result must copy it first (see
 // pmcheck.Result.OwnEvents). On error the machine must not run.
 func (m *Machine) Reset(opts Options) error {
 	mod := m.Mod
@@ -392,10 +397,15 @@ func (m *Machine) Reset(opts Options) error {
 	m.deadline = opts.Deadline
 	m.hasDeadline = !opts.Deadline.IsZero()
 	m.checkAt = m.nextCheck()
-	if opts.Memory != nil {
+	switch {
+	case opts.Memory != nil:
 		m.Mem = opts.Memory
-	} else {
-		m.Mem = pmem.NewMemory()
+	case m.ownMem != nil:
+		m.ownMem.Reset()
+		m.Mem = m.ownMem
+	default:
+		m.ownMem = pmem.NewMemory()
+		m.Mem = m.ownMem
 	}
 
 	// The interpreter addresses values by their dense Renumber slots;

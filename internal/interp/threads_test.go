@@ -119,10 +119,11 @@ func FuzzScheduleReplay(f *testing.F) {
 }
 
 // recycledAfter returns a machine constructor that first runs the
-// module's entry under the schedule prefix other, with an online
-// detector, and then resets the machine for the run asked for, handing
-// that run's trace the first run's event slice. The first run's outcome,
-// an error included, does not matter.
+// module's function entry (the run's own entry, or another one) under
+// the schedule prefix other, with an online detector, and then resets
+// the machine for the run asked for, handing that run's trace the first
+// run's event slice. The first run's outcome, an error included, does
+// not matter.
 func recycledAfter(entry string, other []int) func(*ir.Module, interp.Options) (*interp.Machine, error) {
 	return func(mod *ir.Module, opts interp.Options) (*interp.Machine, error) {
 		first := &trace.Trace{Program: mod.Name}
@@ -144,13 +145,41 @@ func recycledAfter(entry string, other []int) func(*ir.Module, interp.Options) (
 // generated programs, a machine reset after a run of its module reports
 // exactly what a new machine reports: return value, error, step and
 // per-opcode counts, simulated time, PM event log, decisions, trace text
-// and stacks, and crash images. The first run takes another schedule
-// where the program has one to take, and its pm_root, heap and PM
-// allocations must not leak into the second.
+// and stacks, crash images, and what memory reads over the globals, PM,
+// heap and stacks. The first run takes another schedule where the program
+// has one to take, and its pm_root, heap and PM allocations must not leak
+// into the second. A last program's reset run reads heap, stack and a PM
+// global that only the run before it wrote, and must read zeros.
 func TestResetMatchesNew(t *testing.T) {
 	for _, tc := range stackTargets() {
 		want := oracleRunOf(t, tc.mod, tc.entry, interp.New, interp.Options{}, true)
 		got := oracleRunOf(t, tc.mod, tc.entry, recycledAfter(tc.entry, []int{1}), interp.Options{}, true)
 		sameOracleRun(t, tc.name+" (reset)", got, want)
 	}
+	mod := lang.MustCompile("unwritten.pmc", `
+pm int cell[8];
+int fill() {
+	int *p = (int*) malloc(64 * sizeof(int));
+	int x[16];
+	for (int i = 0; i < 64; i++) { p[i] = i + 1; }
+	for (int i = 0; i < 16; i++) { x[i] = i + 100; }
+	for (int i = 0; i < 8; i++) { cell[i] = i + 7; }
+	return x[3] + p[5];
+}
+int main() {
+	int *p = (int*) malloc(64 * sizeof(int));
+	int x[16];
+	int s = 0;
+	for (int i = 0; i < 64; i++) { s = s + p[i]; }
+	for (int i = 0; i < 16; i++) { s = s + x[i]; }
+	for (int i = 0; i < 8; i++) { s = s + cell[i]; }
+	return s;
+}
+`)
+	want := oracleRunOf(t, mod, "main", interp.New, interp.Options{}, true)
+	if want.err != nil || want.ret != 0 {
+		t.Fatalf("unwritten memory: a new machine returns %d, %v; want 0", want.ret, want.err)
+	}
+	got := oracleRunOf(t, mod, "main", recycledAfter("fill", nil), interp.Options{}, true)
+	sameOracleRun(t, "unwritten memory (reset after fill)", got, want)
 }

@@ -53,78 +53,6 @@ func DefaultCostModel() *CostModel {
 	}
 }
 
-// CostOp is one PM operation kind in a hand-built event sequence priced
-// by SequenceCost.
-type CostOp int
-
-// The sequence-cost operation kinds.
-const (
-	// CostStore is a cached PM store: the line turns dirty.
-	CostStore CostOp = iota
-	// CostNTStore is a non-temporal PM store: it bypasses the cache and
-	// parks the line in the write-pending queue (born flushed).
-	CostNTStore
-	// CostFlush is a weakly-ordered flush (CLWB/CLFLUSHOPT): a dirty
-	// line parks in the write-pending queue; re-flushing a parked or
-	// clean line still pays issue latency but moves nothing.
-	CostFlush
-	// CostCLFlush is a strongly-ordered CLFLUSH: a pending line writes
-	// back immediately.
-	CostCLFlush
-	// CostFence is SFENCE/MFENCE: it stalls for every parked line.
-	CostFence
-)
-
-// CostEvent is one PM operation at a cache line. Line identifies the
-// cache line operated on; its value only matters for equality between
-// events.
-type CostEvent struct {
-	Op   CostOp
-	Line uint64
-}
-
-// SequenceCost prices a PM event sequence under the model, mirroring the
-// interpreter's accounting exactly: stores pay StorePM; flushes pay issue
-// latency always and CLFLUSH write-back only when the line had pending
-// content; fences pay FenceBase plus FenceDrainPerLine per parked line.
-// This is the arithmetic behind the optimizer's per-edit savings
-// estimates, kept separate so it can be unit-tested against hand-built
-// traces.
-func (c *CostModel) SequenceCost(evs []CostEvent) float64 {
-	ns := 0.0
-	dirty := make(map[uint64]bool)
-	parked := make(map[uint64]bool)
-	for _, e := range evs {
-		switch e.Op {
-		case CostStore:
-			ns += c.StorePM
-			dirty[e.Line] = true
-		case CostNTStore:
-			ns += c.StorePM
-			parked[e.Line] = true
-		case CostFlush:
-			ns += c.Flush
-			if dirty[e.Line] {
-				delete(dirty, e.Line)
-				parked[e.Line] = true
-			}
-		case CostCLFlush:
-			ns += c.Flush
-			if dirty[e.Line] || parked[e.Line] {
-				ns += c.FlushWriteback
-				delete(dirty, e.Line)
-				delete(parked, e.Line)
-			}
-		case CostFence:
-			ns += c.FenceBase + float64(len(parked))*c.FenceDrainPerLine
-			for l := range parked {
-				delete(parked, l)
-			}
-		}
-	}
-	return ns
-}
-
 // Clock accumulates simulated time.
 type Clock struct {
 	ns float64

@@ -74,8 +74,9 @@ type CowStats struct {
 type Memory struct {
 	chunks map[uint64]*chunk
 	// last is the chunk the most recent access resolved in chunks, or
-	// nil. Entries of chunks are only ever added, never replaced, so a
-	// cached chunk stays the map's entry for its number.
+	// nil. Entries of chunks are only ever added, never replaced or
+	// removed (Reset keeps them), so a cached chunk stays the map's entry
+	// for its number.
 	last *chunk
 	// base is the frozen lower layer for overlays (nil for roots).
 	// Reads fall through to it; writes copy the page up.
@@ -87,6 +88,36 @@ type Memory struct {
 // NewMemory returns an empty memory.
 func NewMemory() *Memory {
 	return &Memory{chunks: make(map[uint64]*chunk), stats: new(CowStats)}
+}
+
+// Reset empties a root memory (one with no base) for another run,
+// keeping what it allocated: afterwards it reads exactly as NewMemory()
+// would. A page the memory owns alone is zeroed in place, and its chunk
+// and map entry stay for the next run; a page co-owned with a snapshot is
+// dropped, never zeroed, so every snapshot keeps its bytes. The memory
+// must not be the base of a live overlay. A memory whose snapshot family
+// counted anything gets new stats, so the family's own are left as they
+// are.
+func (m *Memory) Reset() {
+	if m.base != nil {
+		panic("pmem: Reset of an overlay")
+	}
+	for _, c := range m.chunks {
+		for i, pg := range c.pages {
+			switch {
+			case pg == nil:
+			case c.shared&(1<<i) != 0:
+				c.pages[i] = nil
+			default:
+				*pg = [pageSize]byte{}
+			}
+		}
+		c.shared = 0
+	}
+	m.last = nil
+	if s := m.stats; s.Snapshots.Load() != 0 || s.PagesCopied.Load() != 0 {
+		m.stats = new(CowStats)
+	}
 }
 
 // Stats returns the COW accounting shared by this memory's whole
@@ -259,9 +290,7 @@ func (m *Memory) Read(addr uint64, dst []byte) {
 			n = len(dst)
 		}
 		if pg == nil {
-			for i := 0; i < n; i++ {
-				dst[i] = 0
-			}
+			clear(dst[:n])
 		} else {
 			copy(dst[:n], pg[off:int(off)+n])
 		}

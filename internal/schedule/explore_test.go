@@ -359,12 +359,13 @@ func TestUntrackedRunsRecordSameTrace(t *testing.T) {
 // TestExploredRunBytes pins the heap cost of one explored interleaving
 // over BenchmarkExplore's targets, where the budget truncates: with every
 // run after the first recorded into the trace events, decision log,
-// thread records, frames and tracker store records the run before it
-// finished with, what remains is the verdict (choices, id, detector
-// reports and the events they name), the run's memory, and the branches
-// the budget can still run. Over the 519 runs it measures about 4.7 KiB
-// per run on amd64; with a store record per store and every branch
-// queued it measured about 6.0 KiB. Over the concurrent corpus alone
+// thread records, frames, tracker store records and simulated memory the
+// run before it finished with, what remains is the verdict (choices, id,
+// detector reports and the events they name) and the branches the budget
+// can still run. Over the 519 runs it measures about 3.6 KiB per run on
+// amd64; with a fresh memory per run it measured about 4.7 KiB, and with
+// a store record per store and every branch queued as well about
+// 6.0 KiB. Over the concurrent corpus alone
 // (135 runs) it measured about 4.1 KiB with those, 9.1 KiB with a fresh
 // machine and trace per run, 14.5 KiB with a private stack copy per
 // event, and 33 KiB with 4 KiB pages, an online tracker per run and
@@ -392,7 +393,7 @@ func TestExploredRunBytes(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perRun := float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 	t.Logf("%d explored runs, %.0f bytes per run", runs, perRun)
-	if perRun > 5376 {
-		t.Errorf("an explored run allocates %.0f bytes, want <= 5.25 KiB", perRun)
+	if perRun > 3840 {
+		t.Errorf("an explored run allocates %.0f bytes, want <= 3.75 KiB", perRun)
 	}
 }

@@ -280,7 +280,8 @@ func (b branch) prefix(buf []int) []int {
 // Result keeps. Every later run records into one second machine and
 // trace, reset between runs, so an explored run allocates little beyond
 // its verdict; before a reset reuses them, the previous run's Check is
-// made to own its events.
+// made to own its events. The reset also rewinds the machine's simulated
+// memory, which the session never reads once a run has returned.
 type session struct {
 	mod   *ir.Module
 	entry string

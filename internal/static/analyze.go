@@ -20,7 +20,9 @@ type analyzer struct {
 	// store, when non-nil, caches canonicalized function summaries across
 	// runs; sumHash holds each function's summary content hash for this
 	// run (cache keys of callers chain it in, which is what makes
-	// invalidation transitive without any explicit tracking).
+	// invalidation transitive without any explicit tracking). A run
+	// without a store builds no key, so it neither canonicalizes nor
+	// hashes a summary.
 	store     *lru.Cache[string, *FuncSummary]
 	sumHash   map[*ir.Func]string
 	sumHits   int
@@ -128,18 +130,21 @@ func (az *analyzer) runSingle(fn *ir.Func, succs map[*ir.Func][]*ir.Func) {
 	fa := newFuncAnalysis(az, fn)
 	fa.run()
 	az.sums[fn] = fa.sum
-	ps := canonicalize(fa.sum, az)
-	az.sumHash[fn] = ps.Hash
 	if az.store != nil {
+		ps := canonicalize(fa.sum, az)
+		az.sumHash[fn] = ps.Hash
 		az.store.Add(key, ps)
 	}
 }
 
 // finishHash assigns a recursive function's summary hash after its SCC
 // fixpoint, so non-recursive callers above it can still cache. The
-// summary itself is not stored.
+// summary itself is not stored. Without a store no key is built, so no
+// hash is needed.
 func (az *analyzer) finishHash(fn *ir.Func) {
-	az.sumHash[fn] = canonicalize(az.sums[fn], az).Hash
+	if az.store != nil {
+		az.sumHash[fn] = canonicalize(az.sums[fn], az).Hash
+	}
 }
 
 // fenceFlags solves the may/must-fence booleans for one SCC. Must starts

@@ -6,6 +6,7 @@ import (
 
 	"hippocrates/internal/core"
 	"hippocrates/internal/corpus"
+	"hippocrates/internal/ir"
 	"hippocrates/internal/lang"
 	"hippocrates/internal/pmcheck"
 	"hippocrates/internal/static"
@@ -191,4 +192,39 @@ func TestIncrementalCorpusByteIdentical(t *testing.T) {
 		t.Error("corpus replay produced no summary hits")
 	}
 	t.Logf("store after corpus x2: %+v", st)
+}
+
+// TestNoStoreMatchesColdStore: an analysis without a summary store skips
+// canonicalizing and hashing summaries, which only feed store keys, so
+// over the corpus its Result must deep-equal a cold store-backed run's,
+// all but the store traffic counters.
+func TestNoStoreMatchesColdStore(t *testing.T) {
+	type target struct {
+		name, entry string
+		compile     func() *ir.Module
+	}
+	var ts []target
+	for _, p := range corpus.All() {
+		ts = append(ts, target{p.Name, p.Entry, p.MustCompile})
+	}
+	for _, p := range corpus.MTPrograms() {
+		ts = append(ts, target{p.Name, p.Entry, p.MustCompile})
+	}
+	for _, tc := range ts {
+		bare, err := static.Analyze(tc.compile(), tc.entry)
+		if err != nil {
+			t.Fatalf("%s: no store: %v", tc.name, err)
+		}
+		cold, err := static.AnalyzeWithStore(tc.compile(), tc.entry, static.NewStore(0))
+		if err != nil {
+			t.Fatalf("%s: cold store: %v", tc.name, err)
+		}
+		if bare.Incr != (static.IncrStats{}) {
+			t.Errorf("%s: a run without a store counts store traffic %+v", tc.name, bare.Incr)
+		}
+		cold.Incr = static.IncrStats{}
+		if !reflect.DeepEqual(bare, cold) {
+			t.Errorf("%s: the result without a store differs from a cold store-backed one", tc.name)
+		}
+	}
 }
