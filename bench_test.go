@@ -119,48 +119,6 @@ func BenchmarkSizeImpact(b *testing.B) {
 	b.ReportMetric(float64(added), "IR-lines-added")
 }
 
-// BenchmarkCrashSweep measures crash-schedule validation over the whole
-// crashsim-able corpus (buggy and repaired build of every target), the
-// quantity the COW/dedup fast path optimizes. The dedup sub-benchmark is
-// the shipped configuration; no-dedup is the ablation arm that boots
-// every image from scratch. Repair happens once, outside the timed loop.
-// The dedup arm fails if it is not at least 5x faster per sweep than the
-// pre-fast-path baseline.
-func BenchmarkCrashSweep(b *testing.B) {
-	targets, err := bench.PrepareCrashSweep()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, cfg := range []struct {
-		name    string
-		noDedup bool
-	}{{"dedup", false}, {"no-dedup", true}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			var last *bench.CrashSweepOutcome
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				out, err := bench.RunCrashSweep(targets, cfg.noDedup)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = out
-			}
-			if !cfg.noDedup {
-				ns := b.Elapsed().Nanoseconds() / int64(b.N)
-				if limit := int64(bench.CrashSweepBaselineNsPerOp / 5); ns > limit {
-					b.Fatalf("dedup sweep took %d ns/op, want <= %d (a fifth of the pre-fast-path baseline)", ns, limit)
-				}
-			}
-			if last != nil {
-				b.ReportMetric(float64(last.Schedules), "schedules")
-				b.ReportMetric(float64(last.Failures), "failures")
-				b.ReportMetric(float64(last.DedupedSchedules), "deduped")
-				b.ReportMetric(float64(last.ImagesBuilt), "images")
-			}
-		})
-	}
-}
-
 // ---- ablations ----
 
 // BenchmarkAblationHoisting compares the full fixer against the
@@ -275,8 +233,8 @@ func BenchmarkInterpreter(b *testing.B) {
 }
 
 // BenchmarkTracedRun measures one traced, tracked run of a corpus
-// workload as the pipeline's trace step makes it: machine, durability
-// tracker, trace events and their call stacks. B/op is what a check
+// workload without the detector: machine, durability tracker, trace
+// events and their call stacks. B/op is what a check
 // request's interpreter run allocates; interned call stacks keep the
 // frames at one copy per distinct stack instead of one per event.
 func BenchmarkTracedRun(b *testing.B) {
@@ -288,8 +246,12 @@ func BenchmarkTracedRun(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				tr, err := core.TraceModule(m, p.Entry)
+				tr := &trace.Trace{Program: m.Name}
+				mach, err := interp.New(m, interp.Options{Trace: tr})
 				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := mach.Run(p.Entry); err != nil {
 					b.Fatal(err)
 				}
 				events = len(tr.Events)
@@ -346,10 +308,11 @@ func BenchmarkAndersen(b *testing.B) {
 func BenchmarkDetector(b *testing.B) {
 	p := corpus.ByName("redis-flushfree")
 	m := p.MustCompile()
-	tr, err := core.TraceModule(m, p.Entry)
+	run, err := core.TraceAndCheck(nil, m, p.Entry, core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
+	tr := run.Trace
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -401,10 +364,11 @@ func BenchmarkExplore(b *testing.B) {
 func BenchmarkFixPass(b *testing.B) {
 	p := corpus.ByName("redis-flushfree")
 	proto := p.MustCompile()
-	tr, err := core.TraceModule(proto, p.Entry)
+	run, err := core.TraceAndCheck(nil, proto, p.Entry, core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
+	tr := run.Trace
 	res := pmcheck.Check(tr)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -421,10 +385,11 @@ func BenchmarkFixPass(b *testing.B) {
 func BenchmarkTraceRoundTrip(b *testing.B) {
 	p := corpus.ByName("redis-flushfree")
 	m := p.MustCompile()
-	tr, err := core.TraceModule(m, p.Entry)
+	run, err := core.TraceAndCheck(nil, m, p.Entry, core.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
+	tr := run.Trace
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		text := tr.String()

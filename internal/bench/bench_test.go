@@ -4,11 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"hippocrates/internal/core"
-	"hippocrates/internal/corpus"
-	"hippocrates/internal/pmcheck"
 	"hippocrates/internal/study"
-	"hippocrates/internal/trace"
 )
 
 func TestRunEffectiveness(t *testing.T) {
@@ -157,34 +153,5 @@ func TestFig4Chart(t *testing.T) {
 	empty := &Fig4Result{}
 	if empty.Chart() != "no data" {
 		t.Error("empty chart should say so")
-	}
-}
-
-// TestDetectorEquivalenceAcrossDialects: the detector must produce the
-// same reports whether the trace arrives in the native or the PMTest
-// dialect (the §5.1 interoperability claim).
-func TestDetectorEquivalenceAcrossDialects(t *testing.T) {
-	p := corpus.ByName("pclht")
-	m := p.MustCompile()
-	tr, err := core.TraceModule(m, p.Entry)
-	if err != nil {
-		t.Fatal(err)
-	}
-	native := pmcheck.Check(tr)
-
-	var buf strings.Builder
-	if err := tr.WritePMTest(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := trace.ParsePMTestString(buf.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaPMTest := pmcheck.Check(back)
-	if native.UniqueSites() != viaPMTest.UniqueSites() ||
-		len(native.Reports) != len(viaPMTest.Reports) {
-		t.Errorf("dialects disagree: native %d/%d, pmtest %d/%d",
-			native.UniqueSites(), len(native.Reports),
-			viaPMTest.UniqueSites(), len(viaPMTest.Reports))
 	}
 }

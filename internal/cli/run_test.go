@@ -19,10 +19,11 @@ import (
 // buggy corpus target, the two paths must agree on the fixes, the After
 // verdict and the printed repaired IR.
 func TestReplayTraceRepairsLikeTracedRun(t *testing.T) {
-	tr, err := core.TraceModule(lang.MustCompile("publish.pmc", goldenPublish), "main")
+	out, err := core.TraceAndCheck(nil, lang.MustCompile("publish.pmc", goldenPublish), "main", core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := out.Trace
 	run := func(q *cli.Request) *cli.Response {
 		t.Helper()
 		resp, err := cli.Run(q, nil)
@@ -50,10 +51,11 @@ func TestReplayTraceRepairsLikeTracedRun(t *testing.T) {
 			continue
 		}
 		targets++
-		tr, err := core.TraceModule(p.MustCompile(), p.Entry)
+		out, err := core.TraceAndCheck(nil, p.MustCompile(), p.Entry, core.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", p.Name, err)
 		}
+		tr := out.Trace
 		q := cli.Request{Program: p.Name + ".pmc", Source: p.Source(), Mode: cli.ModeRepair, Entry: p.Entry}
 		traced := run(&q)
 		q.ReplayTrace = tr

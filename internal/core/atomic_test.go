@@ -106,7 +106,7 @@ func TestThreadedAtomicSeedsRepair(t *testing.T) {
 		for _, rep := range res.Before.Reports {
 			// Report sites name instruction ids of the module as it was
 			// explored: the original before repair, the repaired one after.
-			if in := resolveSite(orig, rep.Store.Site().Func, rep.Store.Site().InstrID); in != nil && in.Op.IsAtomic() {
+			if in := resolveSite(orig, rep.Store.Site().Func, rep.Store.Site().InstrID); in != nil && isAtomic(in.Op) {
 				reported = true
 			}
 		}
@@ -116,7 +116,7 @@ func TestThreadedAtomicSeedsRepair(t *testing.T) {
 		atomicSeeds++
 		for _, rep := range res.After.Reports {
 			in := resolveSite(mod, rep.Store.Site().Func, rep.Store.Site().InstrID)
-			if in == nil || !in.Op.IsAtomic() {
+			if in == nil || !isAtomic(in.Op) {
 				continue
 			}
 			fl, fe := nextInstr(in, 1), nextInstr(in, 2)
@@ -130,11 +130,14 @@ func TestThreadedAtomicSeedsRepair(t *testing.T) {
 	}
 }
 
+// isAtomic reports whether op is an atomic memory operation.
+func isAtomic(op ir.Op) bool { return op >= ir.OpAtomicLoad && op <= ir.OpAtomicCAS }
+
 func hasAtomicWrite(m *ir.Module) bool {
 	for _, f := range m.Funcs {
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
-				if in.Op.IsAtomic() && in.Op.IsStoreLike() {
+				if isAtomic(in.Op) && in.Op.IsStoreLike() {
 					return true
 				}
 			}

@@ -329,10 +329,10 @@ func Repair(mod *ir.Module, tr *trace.Trace, res *pmcheck.Result, opts Options) 
 func (fx *Fixer) Result() *Result { return fx.result }
 
 // Apply computes fixes for the reports (phases 1–3) and applies them.
-// Reports sharing a store site and bug class are merged first: a hot loop
-// that drives one buggy store through many dynamic violations (or several
-// call chains needing the same mechanisms) reaches the planner once, with
-// the stack union preserved for the hoisting heuristic.
+// Each report is planned as given: one detector run already yields one
+// report per (call stack, bug class), and a caller that combines several
+// runs' reports merges them first with pmcheck.DedupeByClass, as
+// UnionCheck does.
 //
 // Apply is the all-at-once composition of computePlans / applyPlan /
 // finish; the incremental crash-revalidation path in the pipeline drives
@@ -352,14 +352,11 @@ func (fx *Fixer) Apply(reports []*pmcheck.Report) error {
 	return fx.finish(asp)
 }
 
-// computePlans runs the planning phases (dedupe, per-report planning,
+// computePlans runs the planning phases (per-report planning,
 // deterministic ordering, fix reduction) under a "plan" span and returns
 // the plans in application order.
 func (fx *Fixer) computePlans(reports []*pmcheck.Report) ([]*plan, error) {
 	psp := fx.sp.Start("plan")
-	psp.Add("fix.reports.pre_dedupe", int64(len(reports)))
-	reports = pmcheck.DedupeByClass(reports)
-	psp.Add("fix.reports.post_dedupe", int64(len(reports)))
 	plans := make([]*plan, 0, len(reports))
 	for _, rep := range reports {
 		p, err := fx.plan(rep)

@@ -745,16 +745,18 @@ func buildHotLoop(n int64) *ir.Module {
 }
 
 // TestHotLoopDuplicateReportsFixedOnce is the dedupe regression: a store in
-// a hot loop violates at every iteration, and feeding the fixer several
-// detector passes worth of reports (as report-combining drivers do) must
-// still produce exactly one fix — not one flush/fence pair per observation.
+// a hot loop violates at every iteration, and several detector passes worth
+// of reports, merged by pmcheck.DedupeByClass as a report-combining caller
+// (UnionCheck) merges them, must still produce exactly one fix — not one
+// flush/fence pair per observation.
 func TestHotLoopDuplicateReportsFixedOnce(t *testing.T) {
 	const iters = 10
 	m := buildHotLoop(iters)
-	tr, err := TraceModule(m, "main")
+	run, err := TraceAndCheck(nil, m, "main", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := run.Trace
 	res := checkTrace(tr)
 	// iters violations at the in-loop checkpoint plus one more for the
 	// final store at the end-of-program durability point.
@@ -764,18 +766,23 @@ func TestHotLoopDuplicateReportsFixedOnce(t *testing.T) {
 
 	// Three detector passes over the same trace: 3x duplicate reports.
 	combined := append(append(checkTrace(tr).Reports, checkTrace(tr).Reports...), res.Reports...)
+	merged := pmcheck.DedupeByClass(combined)
+	if len(merged) != 1 {
+		t.Fatalf("merged reports = %d, want 1", len(merged))
+	}
 	fx := NewFixer(m, tr, Options{})
-	if err := fx.Apply(combined); err != nil {
+	if err := fx.Apply(merged); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(fx.Result().Fixes); got != 1 {
 		t.Fatalf("fixes = %d, want 1 (duplicates merged before planning)", got)
 	}
 
-	tr2, err := TraceModule(m, "main")
+	tr2Run, err := TraceAndCheck(nil, m, "main", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr2 := tr2Run.Trace
 	after := checkTrace(tr2)
 	if !after.Clean() {
 		t.Fatalf("not clean after repair:\n%s", after.Summary())

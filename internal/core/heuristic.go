@@ -42,7 +42,7 @@ func (fx *Fixer) chooseCandidate(rep *pmcheck.Report) candidate {
 	// A call site at depth d transforms the callee whose activation is
 	// stack[d-1]; that activation must not be live at any durability
 	// point that observed the bug (otherwise the clone's trailing fence
-	// would execute only after I). liveLimit is the maximum depth whose
+	// would execute only after I). maxDepth is the maximum depth whose
 	// callee frame is certainly dead at every checkpoint.
 	maxShared := 0
 	for _, ck := range rep.Checkpoints {
@@ -51,9 +51,6 @@ func (fx *Fixer) chooseCandidate(rep *pmcheck.Report) candidate {
 		}
 	}
 	maxDepth := len(stack) - maxShared
-	if d := commonStackDepth(rep.Stacks, stack); d < maxDepth {
-		maxDepth = d
-	}
 
 	best := intra
 	stop := ""
@@ -90,7 +87,7 @@ func (fx *Fixer) chooseCandidate(rep *pmcheck.Report) candidate {
 		if stop != "" {
 			best.why += "; " + stop
 		} else if maxDepth < len(stack)-1 {
-			best.why += fmt.Sprintf("; hoisting capped at depth %d by checkpoint liveness / stack divergence", maxDepth)
+			best.why += fmt.Sprintf("; hoisting capped at depth %d by checkpoint liveness", maxDepth)
 		}
 	} else {
 		best.why = fmt.Sprintf("call site at depth %d scored %d > store-site %d", best.depth, best.score, intra.score)
@@ -158,28 +155,6 @@ func sharedActivations(storeStack, ckptStack []trace.Frame) int {
 		k++
 	}
 	return k
-}
-
-// commonStackDepth returns the largest depth d such that every observed
-// stack agrees with the representative on frames 1..d — the transformation
-// clones the exact call chain, so every buggy path must share it.
-func commonStackDepth(stacks [][]trace.Frame, rep []trace.Frame) int {
-	max := len(rep) - 1
-	for _, s := range stacks {
-		d := 0
-		for d+1 < len(s) && d+1 < len(rep) &&
-			s[d+1].Func == rep[d+1].Func && s[d+1].InstrID == rep[d+1].InstrID {
-			d++
-		}
-		if len(s) != len(rep) || d+1 != len(s) {
-			// Diverging or different-length stacks: hoisting above the
-			// divergence point would leave the other paths unfixed.
-			if d < max {
-				max = d
-			}
-		}
-	}
-	return max
 }
 
 func reversed(fs []trace.Frame) []trace.Frame {

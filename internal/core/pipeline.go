@@ -46,17 +46,6 @@ func (p *PipelineResult) Fixed() bool {
 	return p.After.Clean() && (p.Crash == nil || p.Crash.Passed())
 }
 
-// TraceModule executes mod's entry function on the simulator and returns
-// the recorded PM trace. As the paper does for trace generation (§5.1),
-// the module is used as-is, unoptimized.
-func TraceModule(mod *ir.Module, entry string, args ...uint64) (*trace.Trace, error) {
-	run, err := traceModule(nil, mod, entry, Options{}, args, nil)
-	if err != nil {
-		return nil, err
-	}
-	return run.Trace, nil
-}
-
 // Run is one traced, tracked execution of a module's entry as the
 // pipeline makes it (default cost model, the pipeline's step limit): the
 // trace, the detector's verdict on it, and the simulated time the run
@@ -68,13 +57,16 @@ type Run struct {
 	SimNs float64
 }
 
-// TraceAndCheck is TraceModule under a "trace" child span of sp, with
-// the pipeline's resource limits applied to the interpreter run and the
+// TraceAndCheck executes mod's entry function on the simulator under a
+// "trace" child span of sp and returns the recorded PM trace, with the
+// pipeline's resource limits applied to the interpreter run and the
 // detector running on the run's own tracker as it executes; its verdict
-// is published under a "detect" child span. The interpreter's run
-// statistics (steps, per-opcode counts) and the trace's PM-event
-// breakdown are published into the span's recorder (a nil span records
-// nothing). Interpreter panics are recovered into a *PanicError.
+// is published under a "detect" child span. As the paper does for trace
+// generation (§5.1), the module is used as-is, unoptimized. The
+// interpreter's run statistics (steps, per-opcode counts) and the
+// trace's PM-event breakdown are published into the span's recorder (a
+// nil span records nothing). Interpreter panics are recovered into a
+// *PanicError.
 func TraceAndCheck(sp *obs.Span, mod *ir.Module, entry string, opts Options, args ...uint64) (*Run, error) {
 	d := pmcheck.NewDetector()
 	run, err := traceModule(sp, mod, entry, opts, args, d)
@@ -85,10 +77,9 @@ func TraceAndCheck(sp *obs.Span, mod *ir.Module, entry string, opts Options, arg
 	return run, nil
 }
 
-// traceModule runs mod's entry traced and tracked under a "trace" child
-// span of sp, returning the trace and the run's simulated time. With a
-// detector d the run detects online; without one it tracks with a
-// tracker of its own.
+// traceModule runs mod's entry traced under a "trace" child span of sp,
+// with d detecting online on the run's tracker, and returns the trace and
+// the run's simulated time.
 func traceModule(sp *obs.Span, mod *ir.Module, entry string, opts Options, args []uint64, d *pmcheck.Detector) (out *Run, err error) {
 	defer guard("trace", &err)
 	tsp := sp.Start("trace")

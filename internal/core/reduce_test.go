@@ -260,10 +260,11 @@ int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := TraceModule(m, "main")
+	run, err := TraceAndCheck(nil, m, "main", Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := run.Trace
 	// Sabotage the trace: point the store frame at a bogus function.
 	for _, e := range tr.Events {
 		for i := range e.Stack {

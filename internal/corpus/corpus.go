@@ -202,22 +202,3 @@ func All() []*Program {
 	all = append(all, OverpersistPrograms()...)
 	return all
 }
-
-// PaperBuggy returns the buggy programs of the paper's §6.1 targets.
-func PaperBuggy() []*Program {
-	var out []*Program
-	for _, t := range PaperTargets {
-		out = append(out, ByTarget(t)...)
-	}
-	return out
-}
-
-// TotalSeededBugs sums the seeded-bug counts over the paper's buggy
-// targets (pmdk + pclht + memcached): 23.
-func TotalSeededBugs() int {
-	n := 0
-	for _, p := range PaperBuggy() {
-		n += len(p.Bugs)
-	}
-	return n
-}

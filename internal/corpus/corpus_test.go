@@ -35,8 +35,12 @@ func TestProgramsCompileAndPass(t *testing.T) {
 }
 
 func TestSeededBugCountsMatchPaper(t *testing.T) {
-	if got := TotalSeededBugs(); got != 23 {
-		t.Errorf("total seeded bugs = %d, want the paper's 23", got)
+	total := 0
+	for _, p := range paperBuggy() {
+		total += len(p.Bugs)
+	}
+	if total != 23 {
+		t.Errorf("total seeded bugs = %d, want the paper's 23", total)
 	}
 	if got := len(ByTarget("pmdk")); got != 11 {
 		t.Errorf("pmdk programs = %d, want 11", got)
@@ -53,13 +57,14 @@ func TestSeededBugCountsMatchPaper(t *testing.T) {
 // detector reports exactly the seeded number of unique buggy store sites
 // per target.
 func TestDetectorFindsSeededBugs(t *testing.T) {
-	for _, p := range PaperBuggy() {
+	for _, p := range paperBuggy() {
 		t.Run(p.Name, func(t *testing.T) {
 			m := p.MustCompile()
-			tr, err := core.TraceModule(m, p.Entry)
+			run, err := core.TraceAndCheck(nil, m, p.Entry, core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
+			tr := run.Trace
 			res := pmcheckCheck(tr)
 			if got := res.UniqueSites(); got != len(p.Bugs) {
 				t.Errorf("unique buggy sites = %d, want %d\n%s", got, len(p.Bugs), res.Summary())
@@ -73,7 +78,7 @@ func TestDetectorFindsSeededBugs(t *testing.T) {
 // finder on the repaired program reports nothing.
 func TestHippocratesFixesAllSeededBugs(t *testing.T) {
 	totalFixedSites := 0
-	for _, p := range PaperBuggy() {
+	for _, p := range paperBuggy() {
 		t.Run(p.Name, func(t *testing.T) {
 			m := p.MustCompile()
 			res, err := core.RunAndRepair(m, p.Entry, core.Options{})
@@ -151,7 +156,7 @@ func TestFig3FixSpecies(t *testing.T) {
 // both marking strategies produce identical fixed binaries on every
 // target.
 func TestFullAAAndTraceAAAgreeOnCorpus(t *testing.T) {
-	for _, p := range PaperBuggy() {
+	for _, p := range paperBuggy() {
 		t.Run(p.Name, func(t *testing.T) {
 			mFull := p.MustCompile()
 			if _, err := core.RunAndRepair(mFull, p.Entry, core.Options{Marks: core.FullAA}); err != nil {
@@ -172,10 +177,11 @@ func TestRedisBaselineIsClean(t *testing.T) {
 	// §6.3: pmemcheck found no bugs in Redis-pmem.
 	p := ByName("redis-pmem")
 	m := p.MustCompile()
-	tr, err := core.TraceModule(m, p.Entry)
+	run, err := core.TraceAndCheck(nil, m, p.Entry, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := run.Trace
 	res := pmcheckCheck(tr)
 	if !res.Clean() {
 		t.Errorf("redis-pmem baseline has bugs:\n%s", res.Summary())
@@ -264,7 +270,16 @@ func TestProgramLookupsAndSources(t *testing.T) {
 	if strings.Contains(pm.Source(), "flush-free build") {
 		t.Error("baseline source must keep the real prelude")
 	}
-	if len(PaperBuggy()) != 13 { // 11 pmdk programs + pclht + memcached
-		t.Errorf("paper buggy programs = %d", len(PaperBuggy()))
+	if len(paperBuggy()) != 13 { // 11 pmdk programs + pclht + memcached
+		t.Errorf("paper buggy programs = %d", len(paperBuggy()))
 	}
+}
+
+// paperBuggy returns the buggy programs of the paper's §6.1 targets.
+func paperBuggy() []*Program {
+	var out []*Program
+	for _, t := range PaperTargets {
+		out = append(out, ByTarget(t)...)
+	}
+	return out
 }

@@ -40,10 +40,11 @@ func TestExtensionTargets(t *testing.T) {
 		t.Run(p.Name, func(t *testing.T) {
 			// Detector: seeded site count.
 			m := p.MustCompile()
-			tr, err := core.TraceModule(m, p.Entry)
+			run, err := core.TraceAndCheck(nil, m, p.Entry, core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
+			tr := run.Trace
 			res := pmcheckCheck(tr)
 			if got := res.UniqueSites(); got != len(p.Bugs) {
 				t.Errorf("unique buggy sites = %d, want %d\n%s", got, len(p.Bugs), res.Summary())

@@ -10,6 +10,12 @@ import (
 	"hippocrates/internal/trace"
 )
 
+// durableImage is the tracker's durable PM image: the crash image that
+// keeps no pending store.
+func durableImage(tk *pmem.Tracker) *pmem.Memory {
+	return tk.CrashImage(func(*pmem.TrackedStore) bool { return false })
+}
+
 // newModule builds a module with the standard declarations installed.
 func newModule(name string) *ir.Module {
 	m := ir.NewModule(name)
@@ -239,7 +245,7 @@ func TestPMStoreTracked(t *testing.T) {
 		t.Fatalf("violations = %d, want none", n)
 	}
 	addr := mach.GlobalAddr("cell")
-	if got := mach.Track.DurableImage().ReadUint(addr, 8); got != 42 {
+	if got := durableImage(mach.Track).ReadUint(addr, 8); got != 42 {
 		t.Errorf("durable cell = %d, want 42", got)
 	}
 }
@@ -392,7 +398,7 @@ func TestBuiltinsAllocAndMemops(t *testing.T) {
 		t.Errorf("violations = %d", n)
 	}
 	// PM allocations are cache-line aligned.
-	if a := mach.Track.DurableImage(); a == nil {
+	if a := durableImage(mach.Track); a == nil {
 		t.Error("no durable image")
 	}
 }
@@ -453,7 +459,7 @@ func TestPMGlobalInitIsDurable(t *testing.T) {
 	f.Renumber()
 	mach, _ := run(t, m, "main")
 	addr := mach.GlobalAddr("magic")
-	if got := mach.Track.DurableImage().ReadUint(addr, 8); got != 0xBEEF {
+	if got := durableImage(mach.Track).ReadUint(addr, 8); got != 0xBEEF {
 		t.Errorf("durable init = %#x, want 0xBEEF", got)
 	}
 }
@@ -484,7 +490,7 @@ func TestRestartResumesPMState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	img := mach1.Track.DurableImage()
+	img := durableImage(mach1.Track)
 	// Copy the allocator metadata line (hardware-consistent, untracked).
 	meta := make([]byte, pmem.LineSize)
 	mach1.Mem.Read(pmem.PMBase, meta)
@@ -810,7 +816,10 @@ func TestPMBuiltinsUntracked(t *testing.T) {
 		}
 		mems = append(mems, mach.Mem)
 	}
-	if !pmem.EqualRange(mems[0], mems[1], pmem.PMBase, 4096) {
+	var pm0, pm1 [4096]byte
+	mems[0].Read(pmem.PMBase, pm0[:])
+	mems[1].Read(pmem.PMBase, pm1[:])
+	if pm0 != pm1 {
 		t.Error("untracked run left different PM contents than the tracked run")
 	}
 }

@@ -1254,7 +1254,7 @@ func (m *Machine) trackFlush(seq int, ordered bool, addr uint64) int {
 		return m.det.Flush(seq)
 	}
 	if m.Track != nil {
-		return m.Track.OnFlushT(seq, m.curTid(), ordered, addr)
+		return m.Track.Flush(seq, m.curTid(), ordered, addr)
 	}
 	return 0
 }
@@ -1265,7 +1265,7 @@ func (m *Machine) trackFence(seq int) int {
 		return m.det.Fence(seq)
 	}
 	if m.Track != nil {
-		return m.Track.OnFenceT(seq, m.curTid())
+		return m.Track.Fence(seq, m.curTid())
 	}
 	return 0
 }

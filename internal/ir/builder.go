@@ -88,11 +88,6 @@ func (b *Builder) PtrAdd(base, index Value, scale, disp int64) *Instr {
 	return b.emit(&Instr{Op: OpPtrAdd, Ty: Ptr, Args: []Value{base, index}, Scale: scale, Disp: disp})
 }
 
-// FieldAddr computes the address of a struct field: base + field offset.
-func (b *Builder) FieldAddr(base Value, f *Field) *Instr {
-	return b.PtrAdd(base, ConstInt(0), 0, f.Offset)
-}
-
 // Bin emits a binary arithmetic/logic operation; both operands have type ty.
 func (b *Builder) Bin(op Op, ty Type, x, y Value) *Instr {
 	if !op.IsBinary() {

@@ -104,7 +104,10 @@ func checkClone(t *testing.T, name string, m *ir.Module) {
 		t.Errorf("%s: Print(CloneModule(m)) differs from Print(m)", name)
 		return
 	}
-	ref := ir.MustParseModule(text)
+	ref, err := ir.ParseModule(text)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
 	if len(c.Funcs) != len(ref.Funcs) {
 		t.Fatalf("%s: clone has %d funcs, round trip %d", name, len(c.Funcs), len(ref.Funcs))
 	}

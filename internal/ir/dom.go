@@ -43,13 +43,6 @@ func (b bitset) intersectWith(o bitset) bool {
 	return changed
 }
 
-// ComputeDominators analyzes fn's CFG.
-func ComputeDominators(fn *Func) *Dominators {
-	d := &Dominators{}
-	d.compute(fn)
-	return d
-}
-
 // compute analyzes fn's CFG into d, reusing the storage of d's previous
 // analysis: the verifier keeps one Dominators for a whole module.
 func (d *Dominators) compute(fn *Func) {

@@ -132,9 +132,6 @@ func (op Op) IsCast() bool { return op >= OpZExt && op <= OpIntToPtr }
 // IsTerminator reports whether op ends a basic block.
 func (op Op) IsTerminator() bool { return op == OpBr || op == OpJmp || op == OpRet }
 
-// IsAtomic reports whether op is an atomic memory operation.
-func (op Op) IsAtomic() bool { return op >= OpAtomicLoad && op <= OpAtomicCAS }
-
 // IsStoreLike reports whether op writes memory through a pointer operand:
 // store, ntstore, and the atomic writes (atomicstore, atomicrmw,
 // atomiccas). StorePtr returns that operand.

@@ -87,7 +87,7 @@ func buildSample(t testing.TB) *Module {
 	{
 		b := NewBuilder(callee)
 		b.SetLoc(Loc{File: "sample.pmc", Line: 3})
-		addr := b.FieldAddr(callee.Params[0], node.FieldByName("key"))
+		addr := b.PtrAdd(callee.Params[0], ConstInt(0), 0, node.FieldByName("key").Offset)
 		b.Store(I64, callee.Params[1], addr)
 		b.Flush(CLWB, addr)
 		b.Fence(SFENCE)
@@ -432,12 +432,6 @@ func TestModuleLookups(t *testing.T) {
 	if m.NumInstrs() == 0 {
 		t.Error("NumInstrs = 0")
 	}
-	names := m.SortedFuncNames()
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Errorf("SortedFuncNames not sorted: %v", names)
-		}
-	}
 	m.RemoveFunc("main")
 	if m.Func("main") != nil {
 		t.Error("RemoveFunc did not remove @main")
@@ -488,7 +482,8 @@ func TestDominators(t *testing.T) {
 	b.SetBlock(merge)
 	b.Ret(nil)
 	f.Renumber()
-	d := ComputeDominators(f)
+	var d Dominators
+	d.compute(f)
 	if !d.Dominates(entry, merge) || !d.Dominates(entry, then) {
 		t.Error("entry must dominate everything")
 	}

@@ -2,7 +2,6 @@ package ir
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync/atomic"
 )
@@ -98,16 +97,6 @@ func (m *Module) NumInstrs() int {
 		}
 	}
 	return n
-}
-
-// SortedFuncNames returns the defined function names in sorted order.
-func (m *Module) SortedFuncNames() []string {
-	var names []string
-	for _, f := range m.Funcs {
-		names = append(names, f.Name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Func is a function definition or declaration. Declarations (external

@@ -19,15 +19,6 @@ func ParseModule(src string) (*Module, error) {
 	return m, nil
 }
 
-// MustParseModule is ParseModule for known-good sources (tests, corpus).
-func MustParseModule(src string) *Module {
-	m, err := ParseModule(src)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 type irParser struct {
 	lines []string
 	ln    int // 1-based index of the line being parsed

@@ -43,7 +43,9 @@ func CompileObs(filename, src string, sp *obs.Span) (*ir.Module, error) {
 	return m, err
 }
 
-// MustCompile is Compile for known-good sources (tests, corpus).
+// MustCompile is Compile for known-good sources. Only tests call it, in
+// a dozen packages, so it lives here once rather than in each of them.
+// (The corpus compiles through corpus.Program.MustCompile.)
 func MustCompile(filename, src string) *ir.Module {
 	m, err := Compile(filename, src)
 	if err != nil {

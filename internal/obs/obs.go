@@ -191,7 +191,8 @@ func (r *Recorder) Add(name string, delta int64) {
 	r.mu.Unlock()
 }
 
-// Counter returns a counter's current value.
+// Counter returns a counter's current value. Product code exports the
+// Counters snapshot; this single-value reader is for tests.
 func (r *Recorder) Counter(name string) int64 {
 	if r == nil {
 		return 0
@@ -218,6 +219,8 @@ func (r *Recorder) SetGauge(name string, v int64) {
 }
 
 // Gauge returns a gauge's current level and whether it was ever set.
+// Product code exports the Gauges snapshot; this single-value reader is
+// for tests.
 func (r *Recorder) Gauge(name string) (int64, bool) {
 	if r == nil {
 		return 0, false

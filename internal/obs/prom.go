@@ -12,7 +12,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -139,23 +138,6 @@ func escapePromLabel(s string) string {
 // shortest round-trip float, integers without an exponent or point.
 func formatPromValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// SortPromSamples orders samples by their label values (then names), so
-// map-derived sample sets render deterministically.
-func SortPromSamples(samples []PromSample) {
-	sort.Slice(samples, func(i, j int) bool {
-		a, b := samples[i].Labels, samples[j].Labels
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if a[k].Name != b[k].Name {
-				return a[k].Name < b[k].Name
-			}
-			if a[k].Value != b[k].Value {
-				return a[k].Value < b[k].Value
-			}
-		}
-		return len(a) < len(b)
-	})
 }
 
 // LintProm re-parses a text exposition and returns the first defect: an

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 )
 
@@ -127,22 +126,5 @@ func TestPromName(t *testing.T) {
 		if got := PromName(in); got != want {
 			t.Errorf("PromName(%q) = %q, want %q", in, got, want)
 		}
-	}
-}
-
-// TestSortPromSamples: map-derived samples render deterministically.
-func TestSortPromSamples(t *testing.T) {
-	s := []PromSample{
-		{Labels: []PromLabel{{"shard", "2"}}, Value: 1},
-		{Labels: []PromLabel{{"shard", "0"}}, Value: 1},
-		{Labels: []PromLabel{{"shard", "1"}}, Value: 1},
-	}
-	SortPromSamples(s)
-	var order []string
-	for _, x := range s {
-		order = append(order, x.Labels[0].Value)
-	}
-	if strings.Join(order, ",") != "0,1,2" {
-		t.Errorf("sorted order %v", order)
 	}
 }

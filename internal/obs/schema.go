@@ -30,10 +30,13 @@ func mustSchema(name string) []byte {
 	return b
 }
 
-// ValidateMetrics checks a -metrics document against the schema.
+// ValidateMetrics checks a -metrics document against the schema. No
+// product path reads a -metrics document back; it stays as the schema's
+// executable check, which the telemetry smoke tests run.
 func ValidateMetrics(doc []byte) error { return ValidateJSON(MetricsSchema(), doc) }
 
-// ValidateSpans checks a -spans document against the schema.
+// ValidateSpans checks a -spans document against the schema. Like
+// ValidateMetrics, it is the schema's executable check for the tests.
 func ValidateSpans(doc []byte) error { return ValidateJSON(SpansSchema(), doc) }
 
 // ValidateJSON validates doc against schema, a JSON document using the

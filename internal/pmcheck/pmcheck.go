@@ -13,18 +13,18 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 
 	"hippocrates/internal/pmem"
 	"hippocrates/internal/trace"
 )
 
-// Report is one durability bug, aggregated over all dynamic occurrences of
-// the same static store site.
+// Report is one durability bug: one call stack reaching a store site,
+// aggregated over all dynamic occurrences of that stack.
 type Report struct {
 	// Store is a representative store event (the first dynamic instance
-	// that violated).
+	// that violated). Its Stack (innermost first) is the report's one
+	// call chain, which the hoisting heuristic walks.
 	Store *trace.Event
 	// NeedFlush / NeedFence record which mechanisms were missing across
 	// the observed violations (a site can be missing-flush at one
@@ -35,10 +35,6 @@ type Report struct {
 	// Checkpoints are the durability-point events at which the site was
 	// caught non-durable, deduplicated by site.
 	Checkpoints []*trace.Event
-	// Stacks are the distinct call stacks (innermost first) through which
-	// the site was reached, deduplicated; the hoisting heuristic only
-	// considers call sites common to all of them.
-	Stacks [][]trace.Frame
 	// FlushSites are the sites of flush instructions that flushed the
 	// store when a missing-fence violation was observed — the fence fix
 	// is inserted after them (for non-temporal stores the "flush site" is
@@ -341,7 +337,7 @@ func (d *Detector) Flush(seq int) int {
 	e := d.tr.Events[seq]
 	d.res.Flushes++
 	d.seeTid(e.Tid)
-	moved := d.track.OnFlushT(seq, e.Tid, e.FlushK.Ordered(), e.Addr)
+	moved := d.track.Flush(seq, e.Tid, e.FlushK.Ordered(), e.Addr)
 	if moved == 0 {
 		d.res.RedundantFlushes = append(d.res.RedundantFlushes, e)
 	}
@@ -355,7 +351,7 @@ func (d *Detector) Fence(seq int) int {
 	d.res.Fences++
 	d.seeTid(e.Tid)
 	before := d.track.RedundantFences
-	lines := d.track.OnFenceT(seq, e.Tid)
+	lines := d.track.Fence(seq, e.Tid)
 	if d.track.RedundantFences > before {
 		d.res.RedundantFences = append(d.res.RedundantFences, e)
 	}
@@ -503,12 +499,13 @@ func (in *interner) report(events []*trace.Event, i int) int32 {
 	}
 	id := int32(len(in.reports))
 	in.byStack[h] = append(in.byStack[h], id)
-	in.reports = append(in.reports, &Report{Store: se, Stacks: [][]trace.Frame{se.Stack}})
+	in.reports = append(in.reports, &Report{Store: se})
 	in.reportOf[i] = id
 	return id
 }
 
-// stackHash is FNV-1a over the (Func, InstrID) frames stackKey renders.
+// stackHash is FNV-1a over a stack's (Func, InstrID) frames, the part of
+// a stack that identifies a report.
 func stackHash(stack []trace.Frame) uint64 {
 	h := uint64(14695981039346656037)
 	mix := func(b byte) {
@@ -526,7 +523,8 @@ func stackHash(stack []trace.Frame) uint64 {
 	return h
 }
 
-// sameStack reports whether two stacks have the same stackKey.
+// sameStack reports whether two stacks agree frame by frame on (Func,
+// InstrID).
 func sameStack(a, b []trace.Frame) bool {
 	return slices.EqualFunc(a, b, func(x, y trace.Frame) bool {
 		return x.Func == y.Func && x.InstrID == y.InstrID
@@ -588,11 +586,6 @@ type Needs struct {
 	Fence bool
 }
 
-// Covers reports whether n provides at least everything o needs.
-func (n Needs) Covers(o Needs) bool {
-	return (n.Flush || !o.Flush) && (n.Fence || !o.Fence)
-}
-
 func (n Needs) String() string {
 	switch {
 	case n.Flush && n.Fence:
@@ -617,45 +610,35 @@ func (res *Result) NeedsBySite() map[SiteKey]Needs {
 	return out
 }
 
-// DedupeByClass merges duplicate reports of one (store site, bug class)
-// observation into one, so a hot loop that drives the same buggy store
-// through N dynamic violations reaches the fixer once. The merged report
-// keeps the earliest representative store, sums occurrences, and unions
-// stacks, checkpoints, and flush sites. Two reports stay separate when
-// their bug classes differ (they need different fixes) or when they were
-// reached through different call-chain sets: each chain may need its own,
-// differently hoisted fix, and collapsing them would artificially cap the
-// hoisting heuristic at the chains' common call suffix (defeating §4.2.4
-// clone reuse).
+// DedupeByClass merges the reports of one (call stack, bug class) into
+// one, for a caller that combines the reports of several detector runs:
+// the interleavings of one exploration reach the same buggy store again
+// and again, and the fixer should see it once. The merged report keeps
+// the earliest representative store, sums occurrences, and unions
+// checkpoints and flush sites. Reports stay separate when their bug
+// classes differ (they need different fixes) or when their call stacks
+// differ: each chain may need its own, differently hoisted fix (§4.2.4
+// clone reuse). The stack identity is the detector's own (stackHash,
+// sameStack), so one detector run's reports are already merged.
 func DedupeByClass(reports []*Report) []*Report {
 	type key struct {
-		site   SiteKey
-		flush  bool
-		fence  bool
-		stacks string
+		stack        uint64
+		flush, fence bool
 	}
-	stacksKeyOf := func(r *Report) string {
-		keys := make([]string, 0, len(r.Stacks))
-		for _, s := range r.Stacks {
-			keys = append(keys, stackKey(s))
-		}
-		sort.Strings(keys)
-		return strings.Join(keys, "|")
-	}
-	merged := make(map[key]*Report)
-	var order []key
+	byKey := make(map[key][]*Report)
+	out := make([]*Report, 0, len(reports))
 	for _, r := range reports {
-		k := key{site: r.Key(), flush: r.NeedFlush, fence: r.NeedFence, stacks: stacksKeyOf(r)}
-		m := merged[k]
-		if m == nil {
+		k := key{stack: stackHash(r.Store.Stack), flush: r.NeedFlush, fence: r.NeedFence}
+		i := slices.IndexFunc(byKey[k], func(m *Report) bool { return sameStack(m.Store.Stack, r.Store.Stack) })
+		if i < 0 {
 			cp := *r
-			cp.Stacks = append([][]trace.Frame(nil), r.Stacks...)
-			cp.Checkpoints = append([]*trace.Event(nil), r.Checkpoints...)
-			cp.FlushSites = append([]trace.Frame(nil), r.FlushSites...)
-			merged[k] = &cp
-			order = append(order, k)
+			cp.Checkpoints = slices.Clone(r.Checkpoints)
+			cp.FlushSites = slices.Clone(r.FlushSites)
+			byKey[k] = append(byKey[k], &cp)
+			out = append(out, &cp)
 			continue
 		}
+		m := byKey[k][i]
 		if r.Store.Seq < m.Store.Seq {
 			m.Store = r.Store
 		}
@@ -664,55 +647,26 @@ func DedupeByClass(reports []*Report) []*Report {
 			m.CrossThread = true
 			m.Tid, m.PubTid = r.Tid, r.PubTid
 		}
-		seenStack := make(map[string]bool, len(m.Stacks))
-		for _, s := range m.Stacks {
-			seenStack[stackKey(s)] = true
-		}
-		for _, s := range r.Stacks {
-			if !seenStack[stackKey(s)] {
-				seenStack[stackKey(s)] = true
-				m.Stacks = append(m.Stacks, s)
-			}
-		}
-		seenCkpt := make(map[SiteKey]bool, len(m.Checkpoints))
-		for _, c := range m.Checkpoints {
-			seenCkpt[SiteKey{Func: c.Site().Func, InstrID: c.Site().InstrID}] = true
-		}
-		for _, c := range r.Checkpoints {
-			ck := SiteKey{Func: c.Site().Func, InstrID: c.Site().InstrID}
-			if !seenCkpt[ck] {
-				seenCkpt[ck] = true
-				m.Checkpoints = append(m.Checkpoints, c)
-			}
-		}
-		seenFlush := make(map[SiteKey]bool, len(m.FlushSites))
-		for _, f := range m.FlushSites {
-			seenFlush[SiteKey{Func: f.Func, InstrID: f.InstrID}] = true
-		}
-		for _, f := range r.FlushSites {
-			fk := SiteKey{Func: f.Func, InstrID: f.InstrID}
-			if !seenFlush[fk] {
-				seenFlush[fk] = true
-				m.FlushSites = append(m.FlushSites, f)
-			}
-		}
-	}
-	out := make([]*Report, 0, len(order))
-	for _, k := range order {
-		out = append(out, merged[k])
+		m.Checkpoints = unionBySite(m.Checkpoints, r.Checkpoints, (*trace.Event).Site)
+		m.FlushSites = unionBySite(m.FlushSites, r.FlushSites, func(f trace.Frame) trace.Frame { return f })
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Store.Seq < out[j].Store.Seq })
 	return out
 }
 
-// stackKey renders a stack as a deduplication key.
-func stackKey(stack []trace.Frame) string {
-	var b strings.Builder
-	for _, f := range stack {
-		b.WriteString(f.Func)
-		b.WriteByte('@')
-		b.WriteString(strconv.Itoa(f.InstrID))
-		b.WriteByte(';')
+// unionBySite appends to dst the elements of src whose sites dst lacks.
+func unionBySite[T any](dst, src []T, site func(T) trace.Frame) []T {
+	seen := make(map[SiteKey]bool, len(dst)+len(src))
+	for _, x := range dst {
+		f := site(x)
+		seen[SiteKey{Func: f.Func, InstrID: f.InstrID}] = true
 	}
-	return b.String()
+	for _, x := range src {
+		f := site(x)
+		if k := (SiteKey{Func: f.Func, InstrID: f.InstrID}); !seen[k] {
+			seen[k] = true
+			dst = append(dst, x)
+		}
+	}
+	return dst
 }

@@ -134,17 +134,17 @@ func trackerScript(t *testing.T) *Tracker {
 	tr := NewTracker()
 	seq := 0
 	st := func(addr uint64, data ...byte) {
-		tr.OnStore(seq, addr, data)
+		onStore(tr, seq, addr, data)
 		seq++
 	}
 	// Durable prefix: two committed lines.
 	st(PMBase+LineSize, 0xAA, 0xBB)
 	st(PMBase+2*LineSize+8, 0xCC)
-	tr.OnFlush(seq, false, PMBase+LineSize)
+	onFlush(tr, seq, false, PMBase+LineSize)
 	seq++
-	tr.OnFlush(seq, false, PMBase+2*LineSize)
+	onFlush(tr, seq, false, PMBase+2*LineSize)
 	seq++
-	tr.OnFence(seq)
+	onFence(tr, seq)
 	seq++
 	// Pending tail: three lines, one of them overwriting durable bytes,
 	// one with a multi-store sequence including an intra-line overwrite.
@@ -172,7 +172,7 @@ func captureOf(tr *Tracker) *CrashState {
 // imagesEqual is full byte equality over PM including the metadata line
 // (DiffPM alone skips it).
 func imagesEqual(a, b *Memory) bool {
-	return DiffPM(a, b) == 0 && EqualRange(a, b, PMBase, LineSize)
+	return DiffPM(a, b) == 0 && equalRange(a, b, PMBase, LineSize)
 }
 
 func TestHashCutsMatchesImageContent(t *testing.T) {
@@ -196,7 +196,7 @@ func TestHashCutsMatchesImageContent(t *testing.T) {
 	rec = func(cuts []int, i int) {
 		if i == len(sizes) {
 			c := append([]int(nil), cuts...)
-			all = append(all, entry{cuts: c, img: tr.CrashImagePrefix(c), hash: cs.HashCuts(c)})
+			all = append(all, entry{cuts: c, img: crashImagePrefix(tr, c), hash: cs.HashCuts(c)})
 			return
 		}
 		for v := 0; v <= sizes[i]; v++ {
@@ -258,7 +258,7 @@ func TestImageBuilderMatchesCrashImagePrefix(t *testing.T) {
 		}
 		b.Seek(cuts)
 		got := b.Image()
-		want := tr.CrashImagePrefix(cuts)
+		want := crashImagePrefix(tr, cuts)
 		if !imagesEqual(got, want) {
 			t.Fatalf("step %d cuts %v: builder image diverges from CrashImagePrefix (%d PM bytes differ)",
 				step, cuts, DiffPM(got, want))
@@ -279,7 +279,7 @@ func TestBuilderImagesStayPristine(t *testing.T) {
 	}
 	b.Seek(one)
 	img := b.Image()
-	ref := tr.CrashImagePrefix(one)
+	ref := crashImagePrefix(tr, one)
 	// Later seeks and recovery-style writes to a second image must not
 	// disturb the first handed-out image.
 	b.Seek(make([]int, len(cs.Lines)))

@@ -13,10 +13,10 @@ func TestPendingLinesGrouping(t *testing.T) {
 	tr := NewTracker()
 	lineA := uint64(PMBase)
 	lineB := uint64(PMBase + 128)
-	tr.OnStore(1, lineB+8, val(1))
-	tr.OnStore(2, lineA, val(2))
-	tr.OnStore(3, lineB+16, val(3))
-	tr.OnStore(4, lineA+8, val(4))
+	onStore(tr, 1, lineB+8, val(1))
+	onStore(tr, 2, lineA, val(2))
+	onStore(tr, 3, lineB+16, val(3))
+	onStore(tr, 4, lineA+8, val(4))
 
 	pls := tr.PendingLines()
 	if len(pls) != 2 {
@@ -46,13 +46,13 @@ func TestPendingLinesGrouping(t *testing.T) {
 // reached PM, which is exactly what the schedule model explores).
 func TestPendingLinesAfterPersist(t *testing.T) {
 	tr := NewTracker()
-	tr.OnStore(1, PMBase, val(9))
-	tr.OnStore(2, PMBase+64, val(8))
-	tr.OnFlush(3, false, PMBase)
+	onStore(tr, 1, PMBase, val(9))
+	onStore(tr, 2, PMBase+64, val(8))
+	onFlush(tr, 3, false, PMBase)
 	if got := len(tr.PendingLines()); got != 2 {
 		t.Fatalf("after flush: %d pending lines, want 2 (flush alone is not durability)", got)
 	}
-	tr.OnFence(4)
+	onFence(tr, 4)
 	pls := tr.PendingLines()
 	if len(pls) != 1 || pls[0].Line != PMBase+64 {
 		t.Fatalf("after fence: pending = %+v, want only the unflushed line", pls)
@@ -64,27 +64,27 @@ func TestPendingLinesAfterPersist(t *testing.T) {
 func TestCrashImagePrefix(t *testing.T) {
 	tr := NewTracker()
 	addr := uint64(PMBase + 256)
-	tr.OnStore(1, addr, val(1))
-	tr.OnStore(2, addr+8, val(2))
-	tr.OnStore(3, addr+16, val(3))
+	onStore(tr, 1, addr, val(1))
+	onStore(tr, 2, addr+8, val(2))
+	onStore(tr, 3, addr+16, val(3))
 
-	if got := tr.CrashImagePrefix([]int{0}).Load8(addr); got != 0 {
+	if got := crashImagePrefix(tr, []int{0}).Load8(addr); got != 0 {
 		t.Errorf("cut 0: byte = %d, want durable zero", got)
 	}
-	img := tr.CrashImagePrefix([]int{2})
+	img := crashImagePrefix(tr, []int{2})
 	if img.Load8(addr) != 1 || img.Load8(addr+8) != 2 || img.Load8(addr+16) != 0 {
 		t.Errorf("cut 2: bytes = %d,%d,%d; want prefix 1,2,0",
 			img.Load8(addr), img.Load8(addr+8), img.Load8(addr+16))
 	}
 	// Clamping: negative and oversized cuts, and a missing entry.
-	if got := tr.CrashImagePrefix([]int{-5}).Load8(addr); got != 0 {
+	if got := crashImagePrefix(tr, []int{-5}).Load8(addr); got != 0 {
 		t.Errorf("negative cut: byte = %d, want 0", got)
 	}
-	img = tr.CrashImagePrefix([]int{99})
+	img = crashImagePrefix(tr, []int{99})
 	if img.Load8(addr+16) != 3 {
 		t.Errorf("oversized cut: byte = %d, want full prefix", img.Load8(addr+16))
 	}
-	if got := tr.CrashImagePrefix(nil).Load8(addr); got != 0 {
+	if got := crashImagePrefix(tr, nil).Load8(addr); got != 0 {
 		t.Errorf("nil cuts: byte = %d, want durable image", got)
 	}
 }
@@ -95,13 +95,13 @@ func TestCrashImagePrefix(t *testing.T) {
 func TestCrashImagePrefixCollapsesOverwrites(t *testing.T) {
 	tr := NewTracker()
 	addr := uint64(PMBase + 512)
-	tr.OnStore(1, addr, val(0xAA))
-	tr.OnStore(2, addr, val(0xBB))
+	onStore(tr, 1, addr, val(0xAA))
+	onStore(tr, 2, addr, val(0xBB))
 	pls := tr.PendingLines()
 	if len(pls) != 1 || len(pls[0].Stores) != 1 {
 		t.Fatalf("pending = %+v, want one collapsed store", pls)
 	}
-	if got := tr.CrashImagePrefix([]int{1}).Load8(addr); got != 0xBB {
+	if got := crashImagePrefix(tr, []int{1}).Load8(addr); got != 0xBB {
 		t.Errorf("prefix 1: byte = %#x, want the overwriting value", got)
 	}
 }
@@ -112,12 +112,12 @@ func TestCrashImagePrefixCollapsesOverwrites(t *testing.T) {
 // cut is the keep-everything image.
 func TestCrashImagePrefixAgreesWithCrashImage(t *testing.T) {
 	tr := NewTracker()
-	tr.OnStore(1, PMBase, val(1, 2, 3))
-	tr.OnStore(2, PMBase+64, val(4))
-	tr.OnStore(3, PMBase+70, val(5, 6))
-	tr.OnStore(4, PMBase+128, val(7))
-	tr.OnFlush(5, false, PMBase+128)
-	tr.OnFence(6)
+	onStore(tr, 1, PMBase, val(1, 2, 3))
+	onStore(tr, 2, PMBase+64, val(4))
+	onStore(tr, 3, PMBase+70, val(5, 6))
+	onStore(tr, 4, PMBase+128, val(7))
+	onFlush(tr, 5, false, PMBase+128)
+	onFence(tr, 6)
 
 	pls := tr.PendingLines()
 	zero := make([]int, len(pls))
@@ -128,9 +128,9 @@ func TestCrashImagePrefixAgreesWithCrashImage(t *testing.T) {
 	probe := []uint64{PMBase, PMBase + 64, PMBase + 70, PMBase + 128}
 
 	worst := tr.CrashImage(func(*TrackedStore) bool { return false })
-	gotWorst := tr.CrashImagePrefix(zero)
+	gotWorst := crashImagePrefix(tr, zero)
 	best := tr.CrashImage(func(*TrackedStore) bool { return true })
-	gotBest := tr.CrashImagePrefix(full)
+	gotBest := crashImagePrefix(tr, full)
 	for _, a := range probe {
 		if worst.Load8(a) != gotWorst.Load8(a) {
 			t.Errorf("all-zero cut differs from CrashImage(nil) at %#x", a)
@@ -142,4 +142,28 @@ func TestCrashImagePrefixAgreesWithCrashImage(t *testing.T) {
 	if gotBest.Load8(PMBase) != 1 || gotBest.Load8(PMBase+128) != 7 {
 		t.Error("all-max image lost stored bytes")
 	}
+}
+
+// crashImagePrefix is the reference post-crash image for one crash
+// schedule under the per-line prefix model, built from the tracker by
+// hand: for the i-th pending line (in PendingLines order), the first
+// cuts[i] stores reached PM before the crash and the rest were lost. Cut
+// values outside [0, len(Stores)] are clamped; missing entries mean 0
+// (nothing from that line survived). Exact overwrites collapse pending
+// stores (see Tracker.Store), so a prefix reflects the line's current
+// pending sequence, not every historical intermediate value — the same
+// approximation CrashImage makes. ImageBuilder must match it.
+func crashImagePrefix(t *Tracker, cuts []int) *Memory {
+	t.syncDurable()
+	img := t.durable.Clone()
+	for i, pl := range t.PendingLines() {
+		cut := 0
+		if i < len(cuts) {
+			cut = min(max(cuts[i], 0), len(pl.Stores))
+		}
+		for _, st := range pl.Stores[:cut] {
+			img.Write(st.Addr, st.Data())
+		}
+	}
+	return img
 }

@@ -97,8 +97,8 @@ func (cs *CrashState) BaseHash() uint64 {
 	return h
 }
 
-// cutAt clamps a cut vector entry exactly as Tracker.CrashImagePrefix
-// does: missing entries are 0, values outside [0, max] clamp.
+// cutAt reads entry i of a cut vector for a line of max pending stores:
+// missing entries are 0, values outside [0, max] clamp.
 func cutAt(cuts []int, i, max int) int {
 	c := 0
 	if i < len(cuts) {
@@ -167,7 +167,7 @@ func (cs *CrashState) NewBuilder() *ImageBuilder {
 // Seek moves the working image to the given schedule. Lines whose cut
 // grew replay only the new stores; lines whose cut shrank are restored
 // from the durable base and replay their shorter prefix. Cut values are
-// clamped exactly as Tracker.CrashImagePrefix clamps them.
+// clamped by cutAt.
 func (b *ImageBuilder) Seek(cuts []int) {
 	for i := range b.cs.Lines {
 		pl := &b.cs.Lines[i]

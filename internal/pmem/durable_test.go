@@ -15,8 +15,8 @@ func TestUnreadDurableImageStaysEmpty(t *testing.T) {
 	seq := 0
 	for i := 0; i < durableQueueLen-1; i++ {
 		addr := PMBase + 2*LineSize + uint64(i)*8
-		tr.OnStore(seq, addr, val(byte(i+1)))
-		tr.OnFlush(seq+1, true, addr) // CLFLUSH commits at once
+		onStore(tr, seq, addr, val(byte(i+1)))
+		onFlush(tr, seq+1, true, addr) // CLFLUSH commits at once
 		seq += 2
 	}
 	if tr.DurableStores != durableQueueLen-1 {
@@ -25,7 +25,7 @@ func TestUnreadDurableImageStaysEmpty(t *testing.T) {
 	if n := len(tr.durable.chunks); n != 0 {
 		t.Fatalf("unread tracker holds %d durable pages, want 0", n)
 	}
-	img := tr.DurableImage()
+	img := tr.snapshotDurable()
 	if got := img.Load8(PMBase + LineSize); got != 9 {
 		t.Errorf("seeded byte = %d, want 9", got)
 	}
@@ -60,14 +60,14 @@ func TestDeferredDurableMatchesEager(t *testing.T) {
 			switch r := rng.Intn(10); {
 			case r < 5:
 				data := []byte{byte(rng.Intn(256)), byte(seq)}
-				lazy.OnStore(seq, addr, data)
-				eager.OnStore(seq, addr, data)
+				onStore(lazy, seq, addr, data)
+				onStore(eager, seq, addr, data)
 			case r < 7:
-				lazy.OnFlush(seq, r == 5, addr)
-				eager.OnFlush(seq, r == 5, addr)
+				onFlush(lazy, seq, r == 5, addr)
+				onFlush(eager, seq, r == 5, addr)
 			case r < 9:
-				lazy.OnFence(seq)
-				eager.OnFence(seq)
+				onFence(lazy, seq)
+				onFence(eager, seq)
 			default:
 				caps = append(caps, [2]*CrashState{lazy.CaptureCrashState(), eager.CaptureCrashState()})
 			}

@@ -406,27 +406,3 @@ func DiffPM(a, b *Memory) int {
 	}
 	return diff
 }
-
-// EqualRange reports whether two memories hold identical bytes over
-// [addr, addr+n).
-func EqualRange(a, b *Memory, addr, n uint64) bool {
-	const chunk = 4096
-	bufA := make([]byte, chunk)
-	bufB := make([]byte, chunk)
-	for n > 0 {
-		c := uint64(chunk)
-		if c > n {
-			c = n
-		}
-		a.Read(addr, bufA[:c])
-		b.Read(addr, bufB[:c])
-		for i := uint64(0); i < c; i++ {
-			if bufA[i] != bufB[i] {
-				return false
-			}
-		}
-		addr += c
-		n -= c
-	}
-	return true
-}

@@ -1,6 +1,7 @@
 package pmem
 
 import (
+	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
@@ -98,12 +99,21 @@ func TestMemoryClone(t *testing.T) {
 	if m.ReadUint(PMBase, 8) != 42 {
 		t.Error("clone aliases original")
 	}
-	if !EqualRange(m, m.Clone(), PMBase, 4096) {
-		t.Error("EqualRange(false negative)")
+	if !equalRange(m, m.Clone(), PMBase, 4096) {
+		t.Error("equalRange(false negative)")
 	}
-	if EqualRange(m, c, PMBase, 4096) {
-		t.Error("EqualRange(false positive)")
+	if equalRange(m, c, PMBase, 4096) {
+		t.Error("equalRange(false positive)")
 	}
+}
+
+// equalRange reports whether two memories hold identical bytes over
+// [addr, addr+n).
+func equalRange(a, b *Memory, addr, n uint64) bool {
+	bufA, bufB := make([]byte, n), make([]byte, n)
+	a.Read(addr, bufA)
+	b.Read(addr, bufB)
+	return bytes.Equal(bufA, bufB)
 }
 
 func TestMemoryRoundTripQuick(t *testing.T) {
@@ -122,8 +132,8 @@ func val(b ...byte) []byte { return b }
 
 func TestTrackerMissingFlushFence(t *testing.T) {
 	tr := NewTracker()
-	tr.OnStore(1, PMBase, val(1, 2, 3, 4, 5, 6, 7, 8))
-	vs := tr.OnCheckpoint(2)
+	onStore(tr, 1, PMBase, val(1, 2, 3, 4, 5, 6, 7, 8))
+	vs := onCheckpoint(tr, 2)
 	if len(vs) != 1 {
 		t.Fatalf("violations = %d, want 1", len(vs))
 	}
@@ -134,9 +144,9 @@ func TestTrackerMissingFlushFence(t *testing.T) {
 
 func TestTrackerMissingFence(t *testing.T) {
 	tr := NewTracker()
-	tr.OnStore(1, PMBase, val(9))
-	tr.OnFlush(2, false, PMBase)
-	vs := tr.OnCheckpoint(3)
+	onStore(tr, 1, PMBase, val(9))
+	onFlush(tr, 2, false, PMBase)
+	vs := onCheckpoint(tr, 3)
 	if len(vs) != 1 || vs[0].Class != MissingFence {
 		t.Fatalf("violations = %+v, want one missing-fence", vs)
 	}
@@ -146,9 +156,9 @@ func TestTrackerMissingFlush(t *testing.T) {
 	// A fence exists after the store, but the store was never flushed:
 	// inserting only a flush (before that fence) would fix it.
 	tr := NewTracker()
-	tr.OnStore(1, PMBase, val(9))
-	tr.OnFence(2)
-	vs := tr.OnCheckpoint(3)
+	onStore(tr, 1, PMBase, val(9))
+	onFence(tr, 2)
+	vs := onCheckpoint(tr, 3)
 	if len(vs) != 1 || vs[0].Class != MissingFlush {
 		t.Fatalf("violations = %+v, want one missing-flush", vs)
 	}
@@ -156,17 +166,17 @@ func TestTrackerMissingFlush(t *testing.T) {
 
 func TestTrackerProperPersist(t *testing.T) {
 	tr := NewTracker()
-	tr.OnStore(1, PMBase+8, val(1, 2, 3, 4, 5, 6, 7, 8))
-	if n := tr.OnFlush(2, false, PMBase+8); n != 1 {
+	onStore(tr, 1, PMBase+8, val(1, 2, 3, 4, 5, 6, 7, 8))
+	if n := onFlush(tr, 2, false, PMBase+8); n != 1 {
 		t.Fatalf("flush moved %d stores, want 1", n)
 	}
-	if n := tr.OnFence(3); n != 1 {
+	if n := onFence(tr, 3); n != 1 {
 		t.Fatalf("fence drained %d stores, want 1", n)
 	}
-	if vs := tr.OnCheckpoint(4); len(vs) != 0 {
+	if vs := onCheckpoint(tr, 4); len(vs) != 0 {
 		t.Fatalf("violations after persist = %+v", vs)
 	}
-	img := tr.DurableImage()
+	img := tr.snapshotDurable()
 	if got := img.ReadUint(PMBase+8, 8); got != 0x0807060504030201 {
 		t.Errorf("durable image = %#x", got)
 	}
@@ -178,41 +188,41 @@ func TestTrackerProperPersist(t *testing.T) {
 func TestTrackerCLFLUSHIsOrdered(t *testing.T) {
 	// CLFLUSH needs no trailing fence.
 	tr := NewTracker()
-	tr.OnStore(1, PMBase, val(7))
-	if n := tr.OnFlush(2, true, PMBase); n != 1 {
+	onStore(tr, 1, PMBase, val(7))
+	if n := onFlush(tr, 2, true, PMBase); n != 1 {
 		t.Fatalf("clflush moved %d", n)
 	}
-	if vs := tr.OnCheckpoint(3); len(vs) != 0 {
+	if vs := onCheckpoint(tr, 3); len(vs) != 0 {
 		t.Fatalf("violations after clflush = %+v", vs)
 	}
-	if tr.DurableImage().Load8(PMBase) != 7 {
+	if tr.snapshotDurable().Load8(PMBase) != 7 {
 		t.Error("clflush did not commit the store")
 	}
 }
 
 func TestTrackerNTStore(t *testing.T) {
 	tr := NewTracker()
-	tr.OnNTStore(1, PMBase, val(5))
-	vs := tr.OnCheckpoint(2)
+	onNTStore(tr, 1, PMBase, val(5))
+	vs := onCheckpoint(tr, 2)
 	if len(vs) != 1 || vs[0].Class != MissingFence {
 		t.Fatalf("nt-store without fence: %+v, want missing-fence", vs)
 	}
-	tr.OnFence(3)
-	if vs := tr.OnCheckpoint(4); len(vs) != 0 {
+	onFence(tr, 3)
+	if vs := onCheckpoint(tr, 4); len(vs) != 0 {
 		t.Fatalf("nt-store after fence: %+v", vs)
 	}
 }
 
 func TestTrackerFlushCoversWholeLine(t *testing.T) {
 	tr := NewTracker()
-	tr.OnStore(1, PMBase, val(1))
-	tr.OnStore(2, PMBase+32, val(2))
-	tr.OnStore(3, PMBase+64, val(3)) // a different line
-	if n := tr.OnFlush(4, false, PMBase+16); n != 2 {
+	onStore(tr, 1, PMBase, val(1))
+	onStore(tr, 2, PMBase+32, val(2))
+	onStore(tr, 3, PMBase+64, val(3)) // a different line
+	if n := onFlush(tr, 4, false, PMBase+16); n != 2 {
 		t.Fatalf("flush moved %d stores, want 2 (whole line)", n)
 	}
-	tr.OnFence(5)
-	vs := tr.OnCheckpoint(6)
+	onFence(tr, 5)
+	vs := onCheckpoint(tr, 6)
 	if len(vs) != 1 || vs[0].Store.Addr != PMBase+64 {
 		t.Fatalf("violations = %+v, want only the second line's store", vs)
 	}
@@ -220,18 +230,18 @@ func TestTrackerFlushCoversWholeLine(t *testing.T) {
 
 func TestTrackerRedundantDiagnostics(t *testing.T) {
 	tr := NewTracker()
-	tr.OnFlush(1, false, PMBase) // nothing dirty
+	onFlush(tr, 1, false, PMBase) // nothing dirty
 	if len(tr.RedundantFlushes) != 1 {
 		t.Errorf("redundant flushes = %d, want 1", len(tr.RedundantFlushes))
 	}
-	tr.OnFence(2) // nothing flushed
+	onFence(tr, 2) // nothing flushed
 	if tr.RedundantFences != 1 {
 		t.Errorf("redundant fences = %d, want 1", tr.RedundantFences)
 	}
 	// A useful flush+fence is not redundant.
-	tr.OnStore(3, PMBase, val(1))
-	tr.OnFlush(4, false, PMBase)
-	tr.OnFence(5)
+	onStore(tr, 3, PMBase, val(1))
+	onFlush(tr, 4, false, PMBase)
+	onFence(tr, 5)
 	if len(tr.RedundantFlushes) != 1 || tr.RedundantFences != 1 {
 		t.Error("useful flush/fence misreported as redundant")
 	}
@@ -239,14 +249,14 @@ func TestTrackerRedundantDiagnostics(t *testing.T) {
 
 func TestTrackerExactOverwrite(t *testing.T) {
 	tr := NewTracker()
-	tr.OnStore(1, PMBase, val(1, 1, 1, 1, 1, 1, 1, 1))
-	tr.OnStore(2, PMBase, val(2, 2, 2, 2, 2, 2, 2, 2))
+	onStore(tr, 1, PMBase, val(1, 1, 1, 1, 1, 1, 1, 1))
+	onStore(tr, 2, PMBase, val(2, 2, 2, 2, 2, 2, 2, 2))
 	if tr.NumPending() != 1 {
 		t.Fatalf("pending = %d, want 1 (exact overwrite replaces)", tr.NumPending())
 	}
-	tr.OnFlush(3, false, PMBase)
-	tr.OnFence(4)
-	if got := tr.DurableImage().Load8(PMBase); got != 2 {
+	onFlush(tr, 3, false, PMBase)
+	onFence(tr, 4)
+	if got := tr.snapshotDurable().Load8(PMBase); got != 2 {
 		t.Errorf("durable byte = %d, want the newer store", got)
 	}
 }
@@ -254,10 +264,10 @@ func TestTrackerExactOverwrite(t *testing.T) {
 func TestTrackerCrashImage(t *testing.T) {
 	tr := NewTracker()
 	// One durable store, one pending.
-	tr.OnStore(1, PMBase, val(0xAA))
-	tr.OnFlush(2, false, PMBase)
-	tr.OnFence(3)
-	tr.OnStore(4, PMBase+128, val(0xBB))
+	onStore(tr, 1, PMBase, val(0xAA))
+	onFlush(tr, 2, false, PMBase)
+	onFence(tr, 3)
+	onStore(tr, 4, PMBase+128, val(0xBB))
 
 	none := tr.CrashImage(func(*TrackedStore) bool { return false })
 	if none.Load8(PMBase) != 0xAA || none.Load8(PMBase+128) != 0 {
@@ -273,8 +283,8 @@ func TestTrackerCrashImageOrder(t *testing.T) {
 	// Two pending stores to the same location: if both are kept, the
 	// later one must win.
 	tr := NewTracker()
-	tr.OnStore(1, PMBase, val(1, 0, 0, 0, 0, 0, 0, 0))
-	tr.OnStore(2, PMBase+1, val(9)) // different addr, same line; no replace
+	onStore(tr, 1, PMBase, val(1, 0, 0, 0, 0, 0, 0, 0))
+	onStore(tr, 2, PMBase+1, val(9)) // different addr, same line; no replace
 	img := tr.CrashImage(func(*TrackedStore) bool { return true })
 	if img.Load8(PMBase) != 1 || img.Load8(PMBase+1) != 9 {
 		t.Error("crash image does not apply stores in order")
@@ -288,7 +298,7 @@ func TestTrackerStoreSpanningLinesPanics(t *testing.T) {
 		}
 	}()
 	tr := NewTracker()
-	tr.OnStore(1, PMBase+60, val(1, 2, 3, 4, 5, 6, 7, 8))
+	onStore(tr, 1, PMBase+60, val(1, 2, 3, 4, 5, 6, 7, 8))
 }
 
 // TestTrackerQuickDurability is the detector-soundness property: after a
@@ -316,16 +326,16 @@ func TestTrackerQuickDurability(t *testing.T) {
 				// non-durable (the detector does not compare values), but
 				// losing it in a crash is invisible to this byte witness.
 				b := byte(i + 1)
-				tr.OnStore(seq, addr, []byte{b})
+				onStore(tr, seq, addr, []byte{b})
 				writes = append(writes, write{addr, b, seq})
 			case 2:
-				tr.OnFlush(seq, false, PMBase+uint64(rng.Intn(8))*64)
+				onFlush(tr, seq, false, PMBase+uint64(rng.Intn(8))*64)
 			case 3:
-				tr.OnFence(seq)
+				onFence(tr, seq)
 			}
 		}
 		seq++
-		vs := tr.OnCheckpoint(seq)
+		vs := onCheckpoint(tr, seq)
 		reported := map[uint64]bool{}
 		for _, v := range vs {
 			reported[v.Store.Addr] = true
@@ -404,7 +414,7 @@ func TestDiffPM(t *testing.T) {
 func TestSeedDurable(t *testing.T) {
 	tr := NewTracker()
 	tr.SeedDurable(PMBase+256, []byte{1, 2, 3})
-	img := tr.DurableImage()
+	img := tr.snapshotDurable()
 	if img.Load8(PMBase+256) != 1 || img.Load8(PMBase+258) != 3 {
 		t.Error("seeded bytes missing from the durable image")
 	}
@@ -415,7 +425,7 @@ func TestSeedDurable(t *testing.T) {
 
 func TestTrackedStoreAccessors(t *testing.T) {
 	tr := NewTracker()
-	st := tr.OnStore(1, PMBase+70, val(9, 9))
+	st := onStore(tr, 1, PMBase+70, val(9, 9))
 	if st.Size() != 2 {
 		t.Errorf("size = %d", st.Size())
 	}
@@ -425,11 +435,11 @@ func TestTrackedStoreAccessors(t *testing.T) {
 	if st.State.String() != "dirty" {
 		t.Errorf("state = %q", st.State)
 	}
-	tr.OnFlush(2, false, PMBase+70)
+	onFlush(tr, 2, false, PMBase+70)
 	if st.State.String() != "flushed" {
 		t.Errorf("state = %q", st.State)
 	}
-	tr.OnFence(3)
+	onFence(tr, 3)
 	if st.State.String() != "durable" {
 		t.Errorf("state = %q", st.State)
 	}

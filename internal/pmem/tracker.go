@@ -155,7 +155,7 @@ type CrossThreadPublish struct {
 // syncDurable).
 //
 // Callers pass strictly increasing sequence numbers; every ordered query
-// (OnCheckpoint, CrashImage, PendingLines, fence commit order) relies on
+// (Violations, CrashImage, PendingLines, fence commit order) relies on
 // it instead of sorting. Each event costs O(the stores it touches): a store
 // or flush O(stores pending on its line), a fence O(stores it commits,
 // plus the pending stores on their lines), a checkpoint O(pending).
@@ -221,10 +221,9 @@ type Tracker struct {
 	// seeds holds the queued durable writes longer than 8 bytes (see
 	// durableWrite).
 	seeds [][]byte
-	// commitScratch and violations are reused across fences and
-	// checkpoints, so neither allocates in steady state.
+	// commitScratch is reused across fences, so a fence does not
+	// allocate in steady state.
 	commitScratch []*TrackedStore
-	violations    []Violation
 
 	// Diagnostics and statistics.
 	RedundantFlushes []RedundantFlush
@@ -314,8 +313,6 @@ func (t *Tracker) Reset() {
 	t.writeThrough = false
 	t.pin, t.lastStore = -1, -1
 	t.lastFence = t.lastFence[:0]
-	clear(t.violations)
-	t.violations = t.violations[:0]
 	t.RedundantFlushes = t.RedundantFlushes[:0]
 	t.RedundantFences = 0
 	t.DurableStores = 0
@@ -451,25 +448,17 @@ func (t *Tracker) enqueueFlushed(tid int, st *TrackedStore) {
 	t.flushed[tid] = append(q, st)
 }
 
-// OnStore records a store of data at addr in persistent memory issued by
-// thread 0. A store that exactly overwrites a pending store replaces it
-// (the old update can no longer be observed after a crash).
-func (t *Tracker) OnStore(seq int, addr uint64, data []byte) *TrackedStore {
-	return t.OnStoreT(seq, 0, addr, data)
-}
-
-// OnStoreT is OnStore with an explicit issuing thread.
-func (t *Tracker) OnStoreT(seq, tid int, addr uint64, data []byte) *TrackedStore {
-	return t.Store(seq, tid, addr, data, false, true)
-}
-
 // Store records a store of data (1 to 8 bytes, within one cache line) at
-// addr by thread tid; nt makes it a non-temporal store. pub says whether
-// publish detection follows the stored value once the store is durable
-// (it does only for an 8-byte store of a PM address): OnStoreT and
-// OnNTStoreT always let it, and a detector fed from a trace lets it only
-// where the trace recorded the value (trace.Event.Val), so a replay and
-// the run that recorded the trace agree.
+// addr in persistent memory by thread tid. A store that exactly
+// overwrites a pending store replaces it (the old update can no longer be
+// observed after a crash). nt makes it a non-temporal store: it bypasses
+// the cache and is durable after the issuing thread's next fence (born in
+// the flushed state). pub says whether publish detection follows the
+// stored value once the store is durable (it does only for an 8-byte
+// store of a PM address): the machine always lets it, and a detector fed
+// from a trace lets it only where the trace recorded the value
+// (trace.Event.Val), so a replay and the run that recorded the trace
+// agree.
 //
 // The returned record is valid only until the store leaves pending
 // (it is committed or exactly overwritten, or the tracker is Reset):
@@ -532,30 +521,14 @@ func (t *Tracker) Store(seq, tid int, addr uint64, data []byte, nt, pub bool) *T
 	return st
 }
 
-// OnNTStore records a non-temporal store by thread 0: it bypasses the
-// cache and is durable after the next fence (born in the flushed state).
-func (t *Tracker) OnNTStore(seq int, addr uint64, data []byte) *TrackedStore {
-	return t.OnNTStoreT(seq, 0, addr, data)
-}
-
-// OnNTStoreT is OnNTStore with an explicit issuing thread.
-func (t *Tracker) OnNTStoreT(seq, tid int, addr uint64, data []byte) *TrackedStore {
-	return t.Store(seq, tid, addr, data, true, true)
-}
-
-// OnFlush records a cache-line flush by thread 0 of the line containing
-// addr and returns the number of stores it transitioned. CLFLUSH is
-// strongly ordered and commits affected stores immediately; CLWB and
-// CLFLUSHOPT move them to StoreFlushed pending a fence.
-func (t *Tracker) OnFlush(seq int, ordered bool, addr uint64) int {
-	return t.OnFlushT(seq, 0, ordered, addr)
-}
-
-// OnFlushT is OnFlush with an explicit issuing thread. Flushes act on
-// whole cache lines regardless of who dirtied them (cache coherence),
-// so a thread's flush writes back other threads' stores on the line;
-// the flusher is recorded so fences drain only their own core's flushes.
-func (t *Tracker) OnFlushT(seq, tid int, ordered bool, addr uint64) int {
+// Flush records a flush by thread tid of the cache line containing addr
+// and returns the number of stores it transitioned. An ordered flush
+// (CLFLUSH) commits affected stores immediately; CLWB and CLFLUSHOPT move
+// them to StoreFlushed pending a fence. Flushes act on whole cache lines
+// regardless of who dirtied them (cache coherence), so a thread's flush
+// writes back other threads' stores on the line; the flusher is recorded
+// so fences drain only their own core's flushes.
+func (t *Tracker) Flush(seq, tid int, ordered bool, addr uint64) int {
 	line := LineOf(addr)
 	moved := 0
 	pl := t.lines[line]
@@ -598,19 +571,13 @@ func (t *Tracker) OnFlushT(seq, tid int, ordered bool, addr uint64) int {
 	return moved
 }
 
-// OnFence records a store fence by thread 0: every flushed store becomes
-// durable. It returns the number of distinct cache lines drained (the
+// Fence records a store fence by thread tid: every store whose flush the
+// fencing thread issued becomes durable (SFENCE orders the issuing core's
+// own flushes; another thread's CLWB is not drained by this thread's
+// fence). It returns the number of distinct cache lines drained (the
 // unit the cost model charges for, since the memory controller retires
 // write-backs per line).
-func (t *Tracker) OnFence(seq int) int {
-	return t.OnFenceT(seq, 0)
-}
-
-// OnFenceT is OnFence with an explicit issuing thread: only stores whose
-// flush was issued by the fencing thread become durable (SFENCE orders
-// the issuing core's own flushes; another thread's CLWB is not drained
-// by this thread's fence).
-func (t *Tracker) OnFenceT(seq, tid int) int {
+func (t *Tracker) Fence(seq, tid int) int {
 	for len(t.lastFence) <= tid {
 		t.lastFence = append(t.lastFence, -1)
 	}
@@ -713,24 +680,12 @@ func (t *Tracker) lastFenceOf(tid int) int {
 	return -1
 }
 
-// OnCheckpoint evaluates a durability point: every pending store is a
-// violation, classified per the paper's bug taxonomy, in sequence order.
-// Pending stores are kept (the program may still persist them later; the
-// detector deduplicates reports by program location). The returned slice
-// belongs to the tracker and is overwritten by the next OnCheckpoint; its
-// Store records are valid only until the next event.
-func (t *Tracker) OnCheckpoint(seq int) []Violation {
-	out := t.violations[:0]
-	for v := range t.Violations(seq) {
-		out = append(out, v)
-	}
-	t.violations = out
-	return out
-}
-
-// Violations yields the violations OnCheckpoint(seq) returns, in the same
-// order, without collecting them. The tracker must not be fed events
-// while the sequence is iterated.
+// Violations evaluates durability point seq: it yields every pending
+// store as a violation, classified per the paper's bug taxonomy, in
+// sequence order. Pending stores are kept (the program may still persist
+// them later; the detector deduplicates reports by program location). A
+// violation's Store record is valid only until the next event, and the
+// tracker must not be fed events while the sequence is iterated.
 func (t *Tracker) Violations(seq int) iter.Seq[Violation] {
 	return func(yield func(Violation) bool) {
 		for _, st := range t.log {
@@ -763,11 +718,6 @@ func (t *Tracker) NumPending() int { return t.nPending }
 func (t *Tracker) SeedDurable(addr uint64, data []byte) {
 	t.writeDurable(addr, data)
 }
-
-// DurableImage returns a snapshot of the durable PM contents. The
-// snapshot is copy-on-write: both the tracker and the caller may keep
-// writing, each privatizing the pages it touches.
-func (t *Tracker) DurableImage() *Memory { return t.snapshotDurable() }
 
 // CrashImage builds a possible post-crash PM image: the durable bytes plus
 // any subset of the pending stores chosen by keep (cache lines may be
@@ -815,33 +765,4 @@ func (t *Tracker) PendingLines() []PendingLine {
 	}
 	slices.SortFunc(out, func(a, b PendingLine) int { return cmp.Compare(a.Line, b.Line) })
 	return out
-}
-
-// CrashImagePrefix builds the post-crash PM image for one crash schedule
-// under the per-line prefix model: for the i-th pending line (in
-// PendingLines order), the first cuts[i] stores reached PM before the
-// crash and the rest were lost. Cut values outside [0, len(Stores)] are
-// clamped; missing entries mean 0 (nothing from that line survived).
-// Exact overwrites collapse pending stores (see OnStore), so a prefix
-// reflects the line's current pending sequence, not every historical
-// intermediate value — the same approximation CrashImage makes.
-func (t *Tracker) CrashImagePrefix(cuts []int) *Memory {
-	t.syncDurable()
-	img := t.durable.Clone()
-	for i, pl := range t.PendingLines() {
-		cut := 0
-		if i < len(cuts) {
-			cut = cuts[i]
-		}
-		if cut < 0 {
-			cut = 0
-		}
-		if cut > len(pl.Stores) {
-			cut = len(pl.Stores)
-		}
-		for _, st := range pl.Stores[:cut] {
-			img.Write(st.Addr, st.Data())
-		}
-	}
-	return img
 }

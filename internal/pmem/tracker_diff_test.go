@@ -159,22 +159,22 @@ func (d *differ) step(op diffOp) error {
 	d.seq++
 	switch op.kind {
 	case opStore:
-		got.OnStoreT(seq, op.tid, op.addr, op.data)
+		got.Store(seq, op.tid, op.addr, op.data, false, true)
 		want.OnStoreT(seq, op.tid, op.addr, op.data)
 	case opNTStore:
-		got.OnNTStoreT(seq, op.tid, op.addr, op.data)
+		got.Store(seq, op.tid, op.addr, op.data, true, true)
 		want.OnNTStoreT(seq, op.tid, op.addr, op.data)
 	case opCLWB, opCLFLUSH:
 		ordered := op.kind == opCLFLUSH
-		if g, w := got.OnFlushT(seq, op.tid, ordered, op.addr), want.OnFlushT(seq, op.tid, ordered, op.addr); g != w {
+		if g, w := got.Flush(seq, op.tid, ordered, op.addr), want.OnFlushT(seq, op.tid, ordered, op.addr); g != w {
 			return fmt.Errorf("moved %d, want %d", g, w)
 		}
 	case opFence:
-		if g, w := got.OnFenceT(seq, op.tid), want.OnFenceT(seq, op.tid); g != w {
+		if g, w := got.Fence(seq, op.tid), want.OnFenceT(seq, op.tid); g != w {
 			return fmt.Errorf("drained lines %d, want %d", g, w)
 		}
 	case opCheckpoint:
-		if g, w := violationView(got.OnCheckpoint(seq)), violationView(want.OnCheckpoint(seq)); !reflect.DeepEqual(g, w) {
+		if g, w := violationView(onCheckpoint(got, seq)), violationView(want.OnCheckpoint(seq)); !reflect.DeepEqual(g, w) {
 			return fmt.Errorf("violations\n got %v\nwant %v", g, w)
 		}
 	case opCapture:
@@ -416,23 +416,27 @@ func isTrackerCode(fr runtime.Frame) bool {
 		!strings.HasSuffix(fr.File, "_test.go")
 }
 
-// TestCheckpointAllocFree: a checkpoint over ~1k pending stores reuses
-// the tracker's violation buffer.
+// TestCheckpointAllocFree: walking a checkpoint's violations over ~1k
+// pending stores, as the detector does, allocates nothing.
 func TestCheckpointAllocFree(t *testing.T) {
 	tr := NewTracker()
 	seq := 0
 	for i := 0; i < 1024; i++ {
-		tr.OnStore(seq, PMBase+LineSize+uint64(i)*8, val(1, 2, 3, 4, 5, 6, 7, 8))
+		onStore(tr, seq, PMBase+LineSize+uint64(i)*8, val(1, 2, 3, 4, 5, 6, 7, 8))
 		seq++
 		if i%3 == 0 {
-			tr.OnFlush(seq, false, PMBase+LineSize+uint64(i)*8)
+			onFlush(tr, seq, false, PMBase+LineSize+uint64(i)*8)
 			seq++
 		}
 	}
-	if n := len(tr.OnCheckpoint(seq)); n != 1024 {
+	if n := len(onCheckpoint(tr, seq)); n != 1024 {
 		t.Fatalf("violations = %d, want 1024", n)
 	}
-	if a := testing.AllocsPerRun(50, func() { tr.OnCheckpoint(seq) }); a != 0 {
+	walk := func() {
+		for range tr.Violations(seq) {
+		}
+	}
+	if a := testing.AllocsPerRun(50, walk); a != 0 {
 		t.Errorf("checkpoint allocates %v times per call, want 0", a)
 	}
 }
@@ -448,15 +452,15 @@ func TestFenceAllocFree(t *testing.T) {
 	round := func() func() {
 		for i := 0; i < k; i++ {
 			addr := PMBase + LineSize + uint64(i)*LineSize/2
-			tr.OnStore(seq, addr, val(byte(seq), 2, 3, 4, 5, 6, 7, 8))
+			onStore(tr, seq, addr, val(byte(seq), 2, 3, 4, 5, 6, 7, 8))
 			seq++
 		}
 		for i := k - 1; i >= 0; i-- { // reverse: commits need the sort
-			tr.OnFlush(seq, false, PMBase+LineSize+uint64(i)*LineSize/2)
+			onFlush(tr, seq, false, PMBase+LineSize+uint64(i)*LineSize/2)
 			seq++
 		}
 		return func() {
-			if n := tr.OnFenceT(seq, 0); n != k/2 {
+			if n := tr.Fence(seq, 0); n != k/2 {
 				t.Fatalf("fence drained %d lines, want %d", n, k/2)
 			}
 			seq++
@@ -500,16 +504,16 @@ func TestTrackerResetMatchesFresh(t *testing.T) {
 			tid := rng.Intn(3)
 			switch r := rng.Intn(20); {
 			case r < 2:
-				if g, w := reused.OnFenceT(seq, tid), fresh.OnFenceT(seq, tid); g != w {
+				if g, w := reused.Fence(seq, tid), fresh.Fence(seq, tid); g != w {
 					t.Fatalf("seed %d seq %d: fence drained %d, want %d", seed, seq, g, w)
 				}
 			case r < 6:
 				addr := PMBase + uint64(1+rng.Intn(diffLines))*LineSize
-				if g, w := reused.OnFlushT(seq, tid, r < 4, addr), fresh.OnFlushT(seq, tid, r < 4, addr); g != w {
+				if g, w := reused.Flush(seq, tid, r < 4, addr), fresh.Flush(seq, tid, r < 4, addr); g != w {
 					t.Fatalf("seed %d seq %d: flush moved %d, want %d", seed, seq, g, w)
 				}
 			case r < 8:
-				if g, w := violationView(reused.OnCheckpoint(seq)), violationView(fresh.OnCheckpoint(seq)); !reflect.DeepEqual(g, w) {
+				if g, w := violationView(onCheckpoint(reused, seq)), violationView(onCheckpoint(fresh, seq)); !reflect.DeepEqual(g, w) {
 					t.Fatalf("seed %d seq %d: violations %v, want %v", seed, seq, g, w)
 				}
 			case r < 9:
@@ -518,8 +522,8 @@ func TestTrackerResetMatchesFresh(t *testing.T) {
 				views = append(views, viewCapture(cs))
 			default:
 				addr, data := randStore(rng)
-				reused.OnStoreT(seq, tid, addr, data)
-				fresh.OnStoreT(seq, tid, addr, data)
+				reused.Store(seq, tid, addr, data, false, true)
+				fresh.Store(seq, tid, addr, data, false, true)
 			}
 			pubs = append(pubs, reused.Publishes[len(pubs):]...)
 		}
@@ -537,8 +541,8 @@ func TestTrackerResetMatchesFresh(t *testing.T) {
 			t.Fatalf("seed %d: counters differ from a fresh tracker", seed)
 		}
 		var got, want [(diffLines + 2) * LineSize]byte
-		reused.DurableImage().Read(PMBase, got[:])
-		fresh.DurableImage().Read(PMBase, want[:])
+		reused.snapshotDurable().Read(PMBase, got[:])
+		fresh.snapshotDurable().Read(PMBase, want[:])
 		if got != want {
 			t.Fatalf("seed %d: durable images differ", seed)
 		}
@@ -566,21 +570,21 @@ func TestTrackerResetMatchesFresh(t *testing.T) {
 func TestPersistLoopAllocFree(t *testing.T) {
 	const k, lines, rounds = 32, 8, 50
 	tr := NewTracker()
-	tr.OnStore(1<<20, PMBase+LineSize, val(1))
+	onStore(tr, 1<<20, PMBase+LineSize, val(1))
 	tr.CaptureCrashState()
 	tr.Reset()
 	seq := 0
 	addr := func(i int) uint64 { return PMBase + LineSize + uint64(i)*LineSize*lines/k }
 	round := func() {
 		for i := 0; i < k; i++ {
-			tr.OnStore(seq, addr(i), val(byte(seq), 2, 3, 4, 5, 6, 7, 8))
+			onStore(tr, seq, addr(i), val(byte(seq), 2, 3, 4, 5, 6, 7, 8))
 			seq++
 		}
 		for i := 0; i < k; i += k / lines {
-			tr.OnFlush(seq, false, addr(i))
+			onFlush(tr, seq, false, addr(i))
 			seq++
 		}
-		if n := tr.OnFence(seq); n != lines {
+		if n := onFence(tr, seq); n != lines {
 			t.Fatalf("fence drained %d lines, want %d", n, lines)
 		}
 		seq++

@@ -205,7 +205,8 @@ func (e EditStep) String() string { return e.Kind.String() + "@" + e.Target }
 // Edits returns the deterministic edit sequence for a Layered(cfg)
 // module: summary-neutral edits on scattered leaves with one
 // summary-changing edit in the middle, the mix an editing session
-// produces.
+// produces. Only tests replay it (the progen warm ≡ cold suite and the
+// core merge-invariant test), so it lives here once.
 func Edits(cfg LayeredConfig) []EditStep {
 	cfg.normalize()
 	pick := func(i int) string { return leafName(i % cfg.Leaves) }

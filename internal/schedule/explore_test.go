@@ -149,7 +149,7 @@ func TestExploreMatchesEagerOracle(t *testing.T) {
 				t.Errorf("%s: pruned/truncated %d/%v, oracle %d/%v", where,
 					got.Pruned, got.Truncated, want.Pruned, want.Truncated)
 			}
-			if g, w := got.VerdictSet(), want.VerdictSet(); !reflect.DeepEqual(g, w) {
+			if g, w := schedule.VerdictSet(got), schedule.VerdictSet(want); !reflect.DeepEqual(g, w) {
 				t.Errorf("%s: verdict sets differ\n got %v\nwant %v", where, g, w)
 			}
 		}
@@ -295,7 +295,7 @@ func TestConcurrentExploresShareNoTable(t *testing.T) {
 					t.Fatalf("%s: worker %d run %d (%s) differs from the lone exploration's", tc.name, w, i, r.ID)
 				}
 			}
-			if g, w2 := res.VerdictSet(), want.VerdictSet(); !reflect.DeepEqual(g, w2) {
+			if g, w2 := schedule.VerdictSet(res), schedule.VerdictSet(want); !reflect.DeepEqual(g, w2) {
 				t.Errorf("%s: worker %d verdict set %v, alone %v", tc.name, w, g, w2)
 			}
 			for v := w + 1; v < workers; v++ {

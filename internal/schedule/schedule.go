@@ -34,10 +34,6 @@
 package schedule
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-
 	"hippocrates/internal/interp"
 	"hippocrates/internal/ir"
 	"hippocrates/internal/obs"
@@ -102,35 +98,6 @@ func (r *Run) Buggy() bool {
 	return r.Err != nil || (r.Check != nil && !r.Check.Clean())
 }
 
-// Signature is an order-insensitive fingerprint of the run's verdict:
-// return value (or error), plus the sorted set of distinct report
-// classes and sites. Two interleavings with equal signatures found the
-// same bugs, which is what the POR equivalence test compares.
-func (r *Run) Signature() string {
-	if r.Err != nil {
-		return "err:" + firstLine(r.Err.Error())
-	}
-	parts := []string{fmt.Sprintf("ret:%d", r.Ret)}
-	set := map[string]bool{}
-	for _, rep := range r.Check.Reports {
-		k := rep.Key()
-		set[fmt.Sprintf("%s@%d|%s|xt=%v", k.Func, k.InstrID, rep.Class(), rep.CrossThread)] = true
-	}
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return strings.Join(append(parts, keys...), ";")
-}
-
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
-}
-
 // Result is the outcome of an exploration.
 type Result struct {
 	// Runs holds every executed interleaving, in discovery order; the
@@ -160,21 +127,6 @@ func (res *Result) FirstBuggy() *Run {
 		}
 	}
 	return nil
-}
-
-// VerdictSet returns the sorted distinct run signatures — the
-// order-insensitive summary POR must preserve.
-func (res *Result) VerdictSet() []string {
-	set := map[string]bool{}
-	for _, r := range res.Runs {
-		set[r.Signature()] = true
-	}
-	out := make([]string, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Explore systematically runs mod's entry under distinct interleavings

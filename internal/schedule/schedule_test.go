@@ -228,7 +228,7 @@ int main() {
 			if por.Explored > full.Explored {
 				t.Errorf("POR explored more than exhaustive: %d > %d", por.Explored, full.Explored)
 			}
-			if got, want := por.VerdictSet(), full.VerdictSet(); !reflect.DeepEqual(got, want) {
+			if got, want := VerdictSet(por), VerdictSet(full); !reflect.DeepEqual(got, want) {
 				t.Errorf("verdict sets diverge\nPOR:        %v\nexhaustive: %v", got, want)
 			}
 		})

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -195,12 +196,12 @@ func TestCorpusReplayWarmRoundHitsCache(t *testing.T) {
 	}()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	opts := loadgen.Options{BaseURL: ts.URL, Requests: loadgen.CorpusRequests()}
-	cold, err := loadgen.Round(opts)
+	reqs := loadgen.CorpusRequests()
+	cold, err := replayRound(ts.URL, reqs)
 	if err != nil {
 		t.Fatalf("cold round: %v", err)
 	}
-	warm, err := loadgen.Round(opts)
+	warm, err := replayRound(ts.URL, reqs)
 	if err != nil {
 		t.Fatalf("warm round: %v", err)
 	}
@@ -211,6 +212,93 @@ func TestCorpusReplayWarmRoundHitsCache(t *testing.T) {
 		t.Errorf("warm round took %.1f ms, not less than the cold round's %.1f ms", warm.WallMS, cold.WallMS)
 	}
 	t.Logf("%d jobs: cold %.1f ms (%d hits), warm %.1f ms", cold.Jobs, cold.WallMS, cold.CacheHits, warm.WallMS)
+}
+
+// roundStats is one replay round as the client observed it.
+type roundStats struct {
+	Jobs     int
+	Failures int
+	// CacheHits counts accepted jobs the response cache answered
+	// (X-Hippocrates-Cache: hit).
+	CacheHits int
+	WallMS    float64
+}
+
+// replayRound pushes every request through the daemon at baseURL once,
+// eight at a time, retrying 429 backpressure rejections with a short
+// backoff.
+func replayRound(baseURL string, reqs []*cli.Request) (*roundStats, error) {
+	const workers = 8
+	client := &http.Client{Timeout: 5 * time.Minute}
+	type outcome struct {
+		hit bool
+		err error
+	}
+	jobs := make(chan *cli.Request)
+	// Sized to the jobs, so no worker blocks on a send.
+	results := make(chan outcome, len(reqs))
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for req := range jobs {
+				hit, err := postRetrying(client, baseURL, req)
+				results <- outcome{hit, err}
+			}
+		}()
+	}
+	start := time.Now()
+	for _, req := range reqs {
+		jobs <- req
+	}
+	close(jobs)
+	wg.Wait()
+	close(results)
+	rs := &roundStats{Jobs: len(reqs), WallMS: float64(time.Since(start).Nanoseconds()) / 1e6}
+	for o := range results {
+		switch {
+		case o.err != nil:
+			rs.Failures++
+		case o.hit:
+			rs.CacheHits++
+		}
+	}
+	if rs.Failures > 0 {
+		return rs, fmt.Errorf("%d of %d jobs failed", rs.Failures, rs.Jobs)
+	}
+	return rs, nil
+}
+
+// postRetrying submits one repair request, retrying 429 rejections, and
+// reports whether the response cache answered it.
+func postRetrying(client *http.Client, baseURL string, req *cli.Request) (bool, error) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return false, err
+	}
+	for retries := 0; ; retries++ {
+		resp, err := client.Post(baseURL+"/api/v1/repair", "application/json", bytes.NewReader(body))
+		if err != nil {
+			return false, err
+		}
+		data, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			return false, err
+		}
+		switch resp.StatusCode {
+		case http.StatusOK:
+			return resp.Header.Get("X-Hippocrates-Cache") == "hit", nil
+		case http.StatusTooManyRequests:
+			if retries == 1000 {
+				return false, fmt.Errorf("gave up after %d backpressure retries", retries)
+			}
+			time.Sleep(50 * time.Millisecond)
+		default:
+			return false, fmt.Errorf("%s: HTTP %d: %s", req.Program, resp.StatusCode, data)
+		}
+	}
 }
 
 // normalizeResponse strips the crashsim stats accounting — the one

@@ -14,6 +14,29 @@ import (
 	"hippocrates/internal/static"
 )
 
+// covers reports whether need set n provides at least every mechanism o
+// needs.
+func covers(n, o pmcheck.Needs) bool {
+	return (n.Flush || !o.Flush) && (n.Fence || !o.Fence)
+}
+
+// TestNeedsCovers pins the agreement harness's unit: a need set covers
+// another when it provides every mechanism the other needs.
+func TestNeedsCovers(t *testing.T) {
+	none, flush, fence, both := pmcheck.Needs{}, pmcheck.Needs{Flush: true}, pmcheck.Needs{Fence: true}, pmcheck.Needs{Flush: true, Fence: true}
+	for _, c := range []struct {
+		n, o pmcheck.Needs
+		want bool
+	}{
+		{both, flush, true}, {both, fence, true}, {flush, none, true},
+		{flush, fence, false}, {fence, both, false}, {none, flush, false},
+	} {
+		if got := covers(c.n, c.o); got != c.want {
+			t.Errorf("covers(%s, %s) = %v, want %v", c.n, c.o, got, c.want)
+		}
+	}
+}
+
 // requireSuperset asserts the tentpole soundness contract: every store
 // site the dynamic detector reports appears in the static reports with
 // mechanism needs that cover the dynamic ones. It returns the number of
@@ -28,7 +51,7 @@ func requireSuperset(t *testing.T, sres *static.Result, dyn *pmcheck.Result) int
 			t.Errorf("dynamic site %s@%d (%s) missing from static reports", site.Func, site.InstrID, dn)
 			continue
 		}
-		if !sn.Covers(dn) {
+		if !covers(sn, dn) {
 			t.Errorf("site %s@%d: static needs %s do not cover dynamic %s", site.Func, site.InstrID, sn, dn)
 		}
 	}
@@ -43,10 +66,11 @@ func TestCorpusAgreement(t *testing.T) {
 	for _, p := range corpus.All() {
 		t.Run(p.Name, func(t *testing.T) {
 			m := p.MustCompile()
-			tr, err := core.TraceModule(m, p.Entry)
+			run, err := core.TraceAndCheck(nil, m, p.Entry, core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
+			tr := run.Trace
 			dyn := pmcheck.Check(tr)
 			sres, err := static.Analyze(m, p.Entry)
 			if err != nil {
@@ -74,10 +98,11 @@ func TestCorpusStaticRepairBothClean(t *testing.T) {
 			if !res.After.Clean() {
 				t.Errorf("static re-analysis not clean after static-driven repair:\n%s", res.After.Summary())
 			}
-			tr, err := core.TraceModule(m, p.Entry)
+			run, err := core.TraceAndCheck(nil, m, p.Entry, core.Options{})
 			if err != nil {
 				t.Fatalf("repaired module failed to run: %v", err)
 			}
+			tr := run.Trace
 			if dyn := pmcheck.Check(tr); !dyn.Clean() {
 				t.Errorf("dynamic detector not clean after static-driven repair:\n%s", dyn.Summary())
 			}
@@ -147,10 +172,11 @@ int main() {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tr, err := core.TraceModule(m, "main")
+			run, err := core.TraceAndCheck(nil, m, "main", core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
+			tr := run.Trace
 			dyn := pmcheck.Check(tr)
 			if dyn.Clean() {
 				t.Fatal("dynamic detector found no bug in a seeded-buggy program")
@@ -170,10 +196,11 @@ int main() {
 			if !res.After.Clean() {
 				t.Errorf("static re-analysis not clean after static-driven repair:\n%s", res.After.Summary())
 			}
-			tr, err = core.TraceModule(m, "main")
+			run, err = core.TraceAndCheck(nil, m, "main", core.Options{})
 			if err != nil {
 				t.Fatalf("repaired module failed to run: %v", err)
 			}
+			tr = run.Trace
 			if dyn := pmcheck.Check(tr); !dyn.Clean() {
 				t.Errorf("dynamic detector not clean after static-driven repair:\n%s", dyn.Summary())
 			}
@@ -250,10 +277,11 @@ int main() {
 		t.Fatalf("lint site %v does not resolve to a flush", lints[0].Site)
 	}
 	in.Block().RemoveInstr(in)
-	tr, err := core.TraceModule(clean, "main")
+	run, err := core.TraceAndCheck(nil, clean, "main", core.Options{})
 	if err != nil {
 		t.Fatalf("module broken after deleting the linted flush: %v", err)
 	}
+	tr := run.Trace
 	if dyn := pmcheck.Check(tr); !dyn.Clean() {
 		t.Errorf("dynamic detector disagrees with the lint:\n%s", dyn.Summary())
 	}
@@ -292,10 +320,11 @@ func TestProgenAgreement(t *testing.T) {
 	totalGap, maxGap := 0, 0
 	for seed := int64(0); seed < progenSeeds; seed++ {
 		m := progen.Generate(seed, progen.DefaultConfig())
-		tr, err := core.TraceModule(m, "main")
+		run, err := core.TraceAndCheck(nil, m, "main", core.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+		tr := run.Trace
 		dyn := pmcheck.Check(tr)
 		sres, err := static.Analyze(m, "main")
 		if err != nil {
@@ -308,7 +337,7 @@ func TestProgenAgreement(t *testing.T) {
 				t.Errorf("seed %d: dynamic site %s@%d (%s) missing from static reports", seed, site.Func, site.InstrID, dn)
 				continue
 			}
-			if !sn.Covers(dn) {
+			if !covers(sn, dn) {
 				t.Errorf("seed %d: site %s@%d: static needs %s do not cover dynamic %s", seed, site.Func, site.InstrID, sn, dn)
 			}
 		}
@@ -335,10 +364,11 @@ func TestProgenAgreement(t *testing.T) {
 		if !res.After.Clean() {
 			t.Errorf("seed %d: static re-analysis not clean:\n%s", seed, res.After.Summary())
 		}
-		rtr, err := core.TraceModule(m, "main")
+		rtrRun, err := core.TraceAndCheck(nil, m, "main", core.Options{})
 		if err != nil {
 			t.Fatalf("seed %d: repaired module failed to run: %v", seed, err)
 		}
+		rtr := rtrRun.Trace
 		if rdyn := pmcheck.Check(rtr); !rdyn.Clean() {
 			t.Errorf("seed %d: dynamic detector not clean after static repair:\n%s", seed, rdyn.Summary())
 		}
@@ -401,7 +431,7 @@ func TestProgenThreadedAgreement(t *testing.T) {
 				t.Errorf("seed %d: dynamic site %s@%d (%s) missing from static reports", seed, site.Func, site.InstrID, dn)
 				continue
 			}
-			if !sn.Covers(dn) {
+			if !covers(sn, dn) {
 				t.Errorf("seed %d: site %s@%d: static needs %s do not cover dynamic %s", seed, site.Func, site.InstrID, sn, dn)
 			}
 		}

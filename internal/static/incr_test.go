@@ -179,10 +179,11 @@ func TestIncrementalCorpusByteIdentical(t *testing.T) {
 				t.Errorf("%s: second round should replay everything, incr = %+v", p.Name, warm.Incr)
 			}
 			if round == 1 && i == 0 {
-				tr, err := core.TraceModule(m, p.Entry)
+				run, err := core.TraceAndCheck(nil, m, p.Entry, core.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
+				tr := run.Trace
 				requireSuperset(t, warm, pmcheck.Check(tr))
 			}
 		}

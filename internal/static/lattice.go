@@ -31,7 +31,7 @@ const (
 )
 
 // needs maps a state set to the mechanisms a fix must provide, matching
-// pmem.Tracker.OnCheckpoint's classification of each micro-state.
+// pmem.Tracker.Violations' classification of each micro-state.
 func (s stateBits) needs() pmcheck.Needs {
 	var n pmcheck.Needs
 	if s&stDirty != 0 {

@@ -206,7 +206,6 @@ func (res *Result) PMCheckReports() []*pmcheck.Report {
 			NeedFlush:   r.NeedFlush,
 			NeedFence:   r.NeedFence,
 			Checkpoints: ckpts,
-			Stacks:      [][]trace.Frame{r.Stack},
 			FlushSites:  append([]trace.Frame(nil), r.FlushSites...),
 			Occurrences: 1,
 		})

@@ -191,44 +191,3 @@ func parsePMTestFrame(s string) (Frame, error) {
 	f.InstrID = id
 	return f, nil
 }
-
-// WritePMTest serializes the trace in the PMTest dialect (used by tests
-// and by tools that want to exchange traces with PMTest-based pipelines).
-func (t *Trace) WritePMTest(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "PMTest v1 %s\n", t.Program)
-	for _, e := range t.Events {
-		switch e.Kind {
-		case KindStore:
-			fmt.Fprintf(bw, "STORE 0x%x %d", e.Addr, e.Size)
-		case KindNTStore:
-			fmt.Fprintf(bw, "NTSTORE 0x%x %d", e.Addr, e.Size)
-		case KindFlush:
-			fmt.Fprintf(bw, "FLUSH %s 0x%x", e.FlushK, e.Addr)
-		case KindFence:
-			fmt.Fprintf(bw, "FENCE %s", e.FenceK)
-		case KindCheckpoint:
-			bw.WriteString("CHECK")
-		case KindAlloc:
-			fmt.Fprintf(bw, "REGISTER 0x%x %d", e.Addr, e.Size)
-			if e.Sym != "" {
-				fmt.Fprintf(bw, " @%s", e.Sym)
-			}
-		}
-		if len(e.Stack) > 0 {
-			bw.WriteString(" @ ")
-			for i, f := range e.Stack {
-				if i > 0 {
-					bw.WriteString(" < ")
-				}
-				if f.Loc.IsZero() {
-					fmt.Fprintf(bw, "%s:%d", f.Func, f.InstrID)
-				} else {
-					fmt.Fprintf(bw, "%s:%d:%s:%d", f.Func, f.InstrID, f.Loc.File, f.Loc.Line)
-				}
-			}
-		}
-		fmt.Fprintln(bw)
-	}
-	return bw.Flush()
-}

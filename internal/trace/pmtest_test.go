@@ -1,6 +1,9 @@
 package trace
 
 import (
+	"bufio"
+	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -64,7 +67,7 @@ func TestPMTestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	if err := tr.WritePMTest(&sb); err != nil {
+	if err := tr.writePMTest(&sb); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ParsePMTestString(sb.String())
@@ -72,7 +75,7 @@ func TestPMTestRoundTrip(t *testing.T) {
 		t.Fatalf("reparse: %v\n%s", err, sb.String())
 	}
 	var sb2 strings.Builder
-	if err := back.WritePMTest(&sb2); err != nil {
+	if err := back.writePMTest(&sb2); err != nil {
 		t.Fatal(err)
 	}
 	if sb.String() != sb2.String() {
@@ -88,7 +91,7 @@ func TestPMTestEquivalentToNative(t *testing.T) {
 		t.Fatal(err)
 	}
 	var pmtest strings.Builder
-	if err := tr.WritePMTest(&pmtest); err != nil {
+	if err := tr.writePMTest(&pmtest); err != nil {
 		t.Fatal(err)
 	}
 	a, err := ParseString(native.String())
@@ -140,7 +143,7 @@ func TestParsersNeverPanic(t *testing.T) {
 	if err := tr.Write(&native); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.WritePMTest(&pmtest); err != nil {
+	if err := tr.writePMTest(&pmtest); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(7))
@@ -185,4 +188,45 @@ func min(a, b int) int {
 		return a
 	}
 	return b
+}
+
+// writePMTest serializes the trace in the PMTest dialect, the inverse of
+// ParsePMTest.
+func (t *Trace) writePMTest(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	fmt.Fprintf(bw, "PMTest v1 %s\n", t.Program)
+	for _, e := range t.Events {
+		switch e.Kind {
+		case KindStore:
+			fmt.Fprintf(bw, "STORE 0x%x %d", e.Addr, e.Size)
+		case KindNTStore:
+			fmt.Fprintf(bw, "NTSTORE 0x%x %d", e.Addr, e.Size)
+		case KindFlush:
+			fmt.Fprintf(bw, "FLUSH %s 0x%x", e.FlushK, e.Addr)
+		case KindFence:
+			fmt.Fprintf(bw, "FENCE %s", e.FenceK)
+		case KindCheckpoint:
+			bw.WriteString("CHECK")
+		case KindAlloc:
+			fmt.Fprintf(bw, "REGISTER 0x%x %d", e.Addr, e.Size)
+			if e.Sym != "" {
+				fmt.Fprintf(bw, " @%s", e.Sym)
+			}
+		}
+		if len(e.Stack) > 0 {
+			bw.WriteString(" @ ")
+			for i, f := range e.Stack {
+				if i > 0 {
+					bw.WriteString(" < ")
+				}
+				if f.Loc.IsZero() {
+					fmt.Fprintf(bw, "%s:%d", f.Func, f.InstrID)
+				} else {
+					fmt.Fprintf(bw, "%s:%d:%s:%d", f.Func, f.InstrID, f.Loc.File, f.Loc.Line)
+				}
+			}
+		}
+		fmt.Fprintln(bw)
+	}
+	return bw.Flush()
 }

@@ -77,16 +77,6 @@ var (
 	WorkloadF = Workload{Name: "F", ReadProp: 0.5, RMWProp: 0.5, Distribution: "zipfian"}
 )
 
-// Standard returns the named standard workload (A–F).
-func Standard(name string) (Workload, bool) {
-	for _, w := range []Workload{WorkloadA, WorkloadB, WorkloadC, WorkloadD, WorkloadE, WorkloadF} {
-		if w.Name == name {
-			return w, true
-		}
-	}
-	return Workload{}, false
-}
-
 // AllStandard returns the workloads A–F in order.
 func AllStandard() []Workload {
 	return []Workload{WorkloadA, WorkloadB, WorkloadC, WorkloadD, WorkloadE, WorkloadF}
@@ -120,9 +110,6 @@ func NewGenerator(wl Workload, recordCount int64, seed int64) *Generator {
 	}
 	return g
 }
-
-// RecordCount returns the current record count (grows with inserts).
-func (g *Generator) RecordCount() int64 { return g.recordCount }
 
 // LoadOps returns the load-phase operation stream: one insert per record.
 func LoadOps(recordCount int64) []Op {

@@ -2,6 +2,7 @@ package ycsb
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -58,8 +59,8 @@ func TestKeysInRange(t *testing.T) {
 		g := NewGenerator(wl, 500, 7)
 		for i := 0; i < 5000; i++ {
 			op := g.Next()
-			if op.Key < 0 || op.Key >= g.RecordCount() {
-				t.Fatalf("%s: key %d outside [0,%d)", wl.Name, op.Key, g.RecordCount())
+			if op.Key < 0 || op.Key >= g.recordCount {
+				t.Fatalf("%s: key %d outside [0,%d)", wl.Name, op.Key, g.recordCount)
 			}
 			if op.Kind == OpScan && (op.ScanLen < 1 || op.ScanLen > wl.MaxScanLen) {
 				t.Fatalf("%s: scan length %d", wl.Name, op.ScanLen)
@@ -70,14 +71,14 @@ func TestKeysInRange(t *testing.T) {
 
 func TestInsertsGrowKeyspace(t *testing.T) {
 	g := NewGenerator(WorkloadD, 100, 9)
-	before := g.RecordCount()
+	before := g.recordCount
 	inserts := 0
 	for i := 0; i < 4000; i++ {
 		if g.Next().Kind == OpInsert {
 			inserts++
 		}
 	}
-	if got := g.RecordCount(); got != before+int64(inserts) {
+	if got := g.recordCount; got != before+int64(inserts) {
 		t.Errorf("record count = %d, want %d", got, before+int64(inserts))
 	}
 	if inserts == 0 {
@@ -118,7 +119,7 @@ func TestLatestFavorsNewestKeys(t *testing.T) {
 			continue
 		}
 		reads++
-		if op.Key >= g.RecordCount()-100 {
+		if op.Key >= g.recordCount-100 {
 			newest++
 		}
 	}
@@ -161,16 +162,12 @@ func TestLoadOps(t *testing.T) {
 }
 
 func TestStandardLookup(t *testing.T) {
-	for _, name := range []string{"A", "B", "C", "D", "E", "F"} {
-		if _, ok := Standard(name); !ok {
-			t.Errorf("missing standard workload %s", name)
-		}
+	var names []string
+	for _, w := range AllStandard() {
+		names = append(names, w.Name)
 	}
-	if _, ok := Standard("Z"); ok {
-		t.Error("unexpected workload Z")
-	}
-	if len(AllStandard()) != 6 {
-		t.Error("AllStandard must return 6 workloads")
+	if got := strings.Join(names, ""); got != "ABCDEF" {
+		t.Errorf("standard workloads = %q, want A–F in order", got)
 	}
 }
 
