@@ -39,7 +39,9 @@ metrics-smoke:
 # (testdata/bad_store.trace crosses a cache line) or a thread id no
 # machine can run (testdata/huge_tid.trace, which would size the
 # tracker's per-thread state) is an input error, exit 1; a panic would
-# exit 2. It also drives pmcheck's in-memory shadow repair with every telemetry
+# exit 2. So is a .pmir module ir.Verify rejects (testdata/malformed.pmir,
+# whose block falls through after a fence), in the static check, repair
+# and execution alike. It also drives pmcheck's in-memory shadow repair with every telemetry
 # flag on and requires its span tree to hold plan, apply and revalidate.
 usage-smoke:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
@@ -56,6 +58,9 @@ usage-smoke:
 	want_exit 1 hippocrates -trace testdata/bad_store.trace testdata/metrics_smoke.pmc && \
 	want_exit 1 hippocrates -trace testdata/huge_tid.trace testdata/metrics_smoke.pmc && \
 	want_exit 1 pmcheck -replay testdata/huge_tid.trace && \
+	want_exit 1 pmcheck -static testdata/malformed.pmir && \
+	want_exit 1 hippocrates testdata/malformed.pmir && \
+	want_exit 1 pmvm testdata/malformed.pmir && \
 	want_exit 1 pmcheck -metrics $$dir/metrics.json -spans $$dir/spans.json -audit testdata/metrics_smoke.pmc && \
 	for span in plan apply revalidate; do \
 		grep -q "\"name\": \"$$span\"" $$dir/spans.json || \
@@ -135,15 +140,19 @@ mt-smoke:
 #   no capture or publish may change as the tracker recycles its records;
 # - the simulated memory: a random stream of writes, reads, snapshots,
 #   overlays and resets on one reused memory must read exactly like a fresh
-#   memory, and no snapshot may change as the memory is reset.
-#   Shrinking a new interesting stream of either is capped at 100 runs:
-#   uncapped, it can take the workers for the whole budget.
+#   memory, and no snapshot may change as the memory is reset;
+# - the IR boundary: random .pmir text run through cli.Run in check,
+#   static-check and repair mode must never panic out of it, and a module
+#   ir.Verify rejects must fail at compile, before any layer runs.
+#   Shrinking a new interesting input of the last three is capped at 100
+#   runs: uncapped, it can take the workers for the whole budget.
 # The seed corpora under internal/*/testdata/fuzz/ also run in the plain
 # suite.
 fuzz-smoke:
 	$(GO) test ./internal/interp -run '^$$' -fuzz FuzzScheduleReplay -fuzztime 10s
 	$(GO) test ./internal/pmem -run '^$$' -fuzz FuzzTrackerReference -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/pmem -run '^$$' -fuzz FuzzMemoryReset -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/cli -run '^$$' -fuzz FuzzCompileIR -fuzztime 10s -fuzzminimizetime 100x
 
 # bench-smoke runs every benchmark once, so a benchmark that no longer
 # builds or fails its own checks breaks the gate (BenchmarkCrashSweep/dedup

@@ -426,6 +426,18 @@ func BenchmarkParseModule(b *testing.B) {
 	}
 }
 
+// BenchmarkVerify measures the verify every .pmir module pays where it
+// enters the pipeline, and every repair pays on its output.
+func BenchmarkVerify(b *testing.B) {
+	m := layeredModule()
+	b.ReportAllocs()
+	for b.Loop() {
+		if err := ir.Verify(m); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkStaticRepair measures one static repair of the layered module
 // on a clone of a parsed module, which stands in for the fresh parse a
 // daemon job repairs, with no fingerprint memoized and no summary store

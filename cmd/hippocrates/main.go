@@ -83,8 +83,8 @@ func main() {
 	showDiff := flag.Bool("diff", false, "print a line diff of the repaired IR")
 	flushKind := flag.String("flush", "clwb", "inserted flush flavour: clwb | clflushopt | clflush")
 	crashCheck := flag.Bool("crashcheck", false, "crash-schedule validation of the repaired module")
-	invariant := flag.String("invariant", "", "structural recovery entry for -crashcheck (default invariant_check)")
-	recovery := flag.String("recovery", "", "durability-promise recovery entry for -crashcheck (default crash_check)")
+	invariant := flag.String("invariant", "", "structural recovery entry for -crashcheck and -optimize (default invariant_check)")
+	recovery := flag.String("recovery", "", "durability-promise recovery entry for -crashcheck and -optimize (default crash_check)")
 	optimizeFlag := flag.Bool("optimize", false, "prove-and-apply redundant flush/fence elimination after repair")
 	threads := flag.Bool("threads", false, "interleaving-aware repair across explored thread schedules")
 	maxSchedules := flag.Int("max-schedules", 0, "schedule budget for -threads (0 = default)")

@@ -5,10 +5,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"hippocrates/internal/cli"
 	"hippocrates/internal/obs"
+	"hippocrates/internal/optimize"
 )
 
 // The golden files pin the wire encodings the daemon's response cache and
@@ -287,6 +290,34 @@ func TestGoldenOptimizeResponse(t *testing.T) {
 		CrashWorkers: 1,
 	}
 	checkGolden(t, "optimize_overpersist.golden.json", runGolden(t, req))
+}
+
+// TestOptimizeRecoveryEntries: optimize proves verdict identity with the
+// recovery entries the request names. The golden program with its
+// entries renamed, and named so, optimizes exactly as the golden request
+// does; "-" for both entries leaves the pass no crashsim proof.
+func TestOptimizeRecoveryEntries(t *testing.T) {
+	run := func(src, inv, rec string) *optimize.Result {
+		t.Helper()
+		resp, err := cli.Run(&cli.Request{
+			Program: "overpersist.pmc", Source: src, Mode: cli.ModeCheck, Optimize: true,
+			Invariant: inv, Recovery: rec,
+			CrashPoints: 16, CrashImages: 4, StepLimit: 10_000_000, CrashWorkers: 1,
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.Optimize
+	}
+	want := run(goldenOverPersist, "", "")
+	renamed := strings.NewReplacer("invariant_check", "my_inv", "crash_check", "my_check").Replace(goldenOverPersist)
+	got := run(renamed, "my_inv", "my_check")
+	if !got.CrashsimProven || !reflect.DeepEqual(got, want) {
+		t.Errorf("renamed entries: crashsim proven %v, result %+v; want the golden request's %+v", got.CrashsimProven, got, want)
+	}
+	if off := run(goldenOverPersist, "-", "-"); off.CrashsimProven || off.CrashPoints != 0 {
+		t.Errorf(`entries "-": crashsim proven %v at %d points, want no crashsim proof`, off.CrashsimProven, off.CrashPoints)
+	}
 }
 
 // TestGoldenStableAcrossRuns re-runs the pinned repair request and

@@ -71,7 +71,8 @@ type Request struct {
 	// bound that proof's budgets.
 	Optimize bool `json:"optimize,omitempty"`
 	// Invariant / Recovery name the recovery entries for crash
-	// validation ("" = the crashsim defaults, "-" = disabled).
+	// validation and optimize's verdict-identity proof ("" = the
+	// crashsim defaults, "-" = disabled).
 	Invariant string `json:"invariant,omitempty"`
 	Recovery  string `json:"recovery,omitempty"`
 	// CrashPoints / CrashImages are the crash-point and per-point
@@ -177,20 +178,18 @@ func (q *Request) Validate() error {
 			return fmt.Errorf("optimize re-executes the program; it cannot consume a trace")
 		}
 	}
-	if !q.CrashCheck {
+	if !q.CrashCheck && !q.Optimize {
 		if q.Invariant != "" {
-			return fmt.Errorf("invariant only applies with crashcheck")
+			return fmt.Errorf("invariant only applies with crashcheck or optimize")
 		}
 		if q.Recovery != "" {
-			return fmt.Errorf("recovery only applies with crashcheck")
+			return fmt.Errorf("recovery only applies with crashcheck or optimize")
 		}
-		if !q.Optimize {
-			if q.CrashPoints != 0 {
-				return fmt.Errorf("crash_points only applies with crashcheck or optimize")
-			}
-			if q.CrashImages != 0 {
-				return fmt.Errorf("crash_images only applies with crashcheck or optimize")
-			}
+		if q.CrashPoints != 0 {
+			return fmt.Errorf("crash_points only applies with crashcheck or optimize")
+		}
+		if q.CrashImages != 0 {
+			return fmt.Errorf("crash_images only applies with crashcheck or optimize")
 		}
 	}
 	if q.CrashCheck && q.ReplayTrace != nil {

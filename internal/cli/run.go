@@ -172,8 +172,11 @@ func Run(q *Request, root *obs.Span) (*Response, error) {
 }
 
 // CompileRequest builds the request's module: pmc source is compiled,
-// ".pmir" programs are parsed as textual IR. Front-end telemetry lands
-// under root.
+// ".pmir" programs are parsed as textual IR. Either way the module is
+// verified here, where it enters the pipeline (lang.Compile verifies
+// its own output), so no later layer sees a module ir.Verify rejects: a
+// malformed one is an input error carrying the verifier's message.
+// Front-end telemetry lands under root.
 func CompileRequest(q *Request, root *obs.Span) (*ir.Module, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
@@ -182,18 +185,24 @@ func CompileRequest(q *Request, root *obs.Span) (*ir.Module, error) {
 		psp := root.Start("parse-ir")
 		defer psp.End()
 		m, err := ir.ParseModule(q.Source)
-		if m != nil {
-			psp.Add("ir.instrs", int64(m.NumInstrs()))
+		if err != nil {
+			return nil, err
 		}
-		return m, err
+		psp.Add("ir.instrs", int64(m.NumInstrs()))
+		if err := ir.Verify(m); err != nil {
+			return nil, fmt.Errorf("ir: malformed module: %w", err)
+		}
+		return m, nil
 	}
 	return lang.CompileObs(q.Program, q.Source, root)
 }
 
 // RunModule is Run for a pre-compiled module (the daemon hands a job its
 // own fresh compile or a private clone of a memoized one). The module is
-// mutated in place by repair mode.
-func RunModule(q *Request, mod *ir.Module, root *obs.Span) (*Response, error) {
+// mutated in place by repair mode. A panic in any layer, guarded or not,
+// fails the request with a *core.PanicError.
+func RunModule(q *Request, mod *ir.Module, root *obs.Span) (_ *Response, err error) {
+	defer core.Guard("run", &err)
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
@@ -211,7 +220,6 @@ func RunModule(q *Request, mod *ir.Module, root *obs.Span) (*Response, error) {
 		opts.Deadline = time.Now().Add(time.Duration(q.TimeoutMS) * time.Millisecond)
 	}
 
-	var err error
 	switch q.Mode {
 	case ModeRepair:
 		switch {
@@ -258,6 +266,8 @@ func runOptimize(q *Request, mod *ir.Module, opts core.Options, resp *Response) 
 	res, err := optimize.Optimize(mod, optimize.Options{
 		Entry:     q.Entry,
 		Args:      q.Args,
+		Invariant: q.Invariant,
+		Recovery:  q.Recovery,
 		MaxPoints: q.CrashPoints,
 		MaxImages: q.CrashImages,
 		Workers:   q.CrashWorkers,

@@ -317,7 +317,7 @@ func (fx *Fixer) resolve(f trace.Frame) *ir.Instr {
 // Internal panics (from the transform or the planner) are recovered into
 // a *PanicError, never propagated.
 func Repair(mod *ir.Module, tr *trace.Trace, res *pmcheck.Result, opts Options) (out *Result, err error) {
-	defer guard("repair", &err)
+	defer Guard("repair", &err)
 	fx := NewFixer(mod, tr, opts)
 	if err := fx.Apply(res.Reports); err != nil {
 		return nil, err

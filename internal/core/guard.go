@@ -24,9 +24,9 @@ func (e *PanicError) Error() string {
 	return fmt.Sprintf("hippocrates: internal panic in %s: %v", e.Phase, e.Value)
 }
 
-// guard converts a panic into a *PanicError in the caller's named return
-// slot. Use as: defer guard("repair", &err).
-func guard(phase string, errp *error) {
+// Guard converts a panic into a *PanicError in the caller's named return
+// slot. Use as: defer Guard("repair", &err).
+func Guard(phase string, errp *error) {
 	if r := recover(); r != nil {
 		if pe, ok := r.(*PanicError); ok {
 			// Already guarded deeper in the pipeline; keep the inner phase.

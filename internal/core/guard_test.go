@@ -16,7 +16,7 @@ import (
 // phase when a guarded frame re-panics through an outer guard.
 func TestGuardConvertsPanics(t *testing.T) {
 	inner := func() (err error) {
-		defer guard("trace", &err)
+		defer Guard("trace", &err)
 		panic("operand kind 37")
 	}
 	err := inner()
@@ -32,7 +32,7 @@ func TestGuardConvertsPanics(t *testing.T) {
 	}
 
 	outer := func() (err error) {
-		defer guard("repair", &err)
+		defer Guard("repair", &err)
 		panic(err2panic(inner()))
 	}
 	err = outer()

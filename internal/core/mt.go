@@ -84,7 +84,7 @@ func (r *MTResult) FinalExploration() *schedule.Result {
 // bug flush insertion can heal, so it surfaces as an error, before or
 // after repair.
 func RunAndRepairMT(mod *ir.Module, entry string, opts Options, args ...uint64) (out *MTResult, err error) {
-	defer guard("pipeline", &err)
+	defer Guard("pipeline", &err)
 	sp := opts.Obs
 	ex, err := exploreModule(mod, entry, opts, "explore", args)
 	if err != nil {

@@ -81,7 +81,7 @@ func TraceAndCheck(sp *obs.Span, mod *ir.Module, entry string, opts Options, arg
 // with d detecting online on the run's tracker, and returns the trace and
 // the run's simulated time.
 func traceModule(sp *obs.Span, mod *ir.Module, entry string, opts Options, args []uint64, d *pmcheck.Detector) (out *Run, err error) {
-	defer guard("trace", &err)
+	defer Guard("trace", &err)
 	tsp := sp.Start("trace")
 	defer tsp.End()
 	tsp.SetAttr("entry", entry)
@@ -115,7 +115,7 @@ func traceModule(sp *obs.Span, mod *ir.Module, entry string, opts Options, args 
 // RepairTrace's. Panics from any phase are recovered into a *PanicError:
 // the pipeline returns errors, it never takes the process down.
 func RunAndRepair(mod *ir.Module, entry string, opts Options, args ...uint64) (out *PipelineResult, err error) {
-	defer guard("pipeline", &err)
+	defer Guard("pipeline", &err)
 	run, err := TraceAndCheck(opts.Obs, mod, entry, opts, args...)
 	if err != nil {
 		return nil, err
@@ -140,7 +140,7 @@ func RunAndRepair(mod *ir.Module, entry string, opts Options, args ...uint64) (o
 // error). Spans under opts.Obs: plan, apply, revalidate (the second trace
 // and detect), and crashsim. Panics are recovered into a *PanicError.
 func RepairTrace(mod *ir.Module, tr *trace.Trace, before *pmcheck.Result, entry string, opts Options, args ...uint64) (out *PipelineResult, err error) {
-	defer guard("pipeline", &err)
+	defer Guard("pipeline", &err)
 	copts := crashOpts(opts, entry, args)
 	out = &PipelineResult{Trace: tr, Before: before}
 	if before.Clean() {
@@ -207,7 +207,7 @@ func crashOpts(opts Options, entry string, args []uint64) *crashsim.Options {
 // unchanged, and one that rewrites it simply misses.
 func repairIncremental(mod *ir.Module, tr *trace.Trace, res *pmcheck.Result, opts Options,
 	copts *crashsim.Options, out *PipelineResult) (err error) {
-	defer guard("repair", &err)
+	defer Guard("repair", &err)
 	fx := NewFixer(mod, tr, opts)
 	plans, err := fx.computePlans(res.Reports)
 	if err != nil {

@@ -27,7 +27,7 @@ type StaticPipelineResult struct {
 // first pass solved, since the module has not changed in between, so a
 // repair solves alias analysis twice: before the fix and after it.
 func StaticRepair(mod *ir.Module, entry string, opts Options) (out *StaticPipelineResult, err error) {
-	defer guard("static repair", &err)
+	defer Guard("static repair", &err)
 	sp := opts.Obs
 	// Both analysis passes share a summary store — the caller's long-lived
 	// one when provided, an ephemeral one otherwise — so the post-repair

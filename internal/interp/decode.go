@@ -23,7 +23,7 @@ type opcode uint8
 // The decoded opcodes. Arithmetic and comparisons get one code each, so
 // the dispatch switch is the only branch on the operation.
 const (
-	opBad opcode = iota // cannot execute: faults naming the instruction
+	opBad opcode = iota // cannot execute: faults naming the instruction (in nil: the malformed block a)
 	opAlloca
 	opLoad
 	opStore // store and ntstore (flagNT)
@@ -58,23 +58,6 @@ const (
 	opAtomicStore
 	opAtomicRMW
 	opAtomicCAS
-	// opBrLate and opJmpLate are the branches of an irregular function
-	// (one with a block that is empty, lacks a terminator or branches
-	// mid-block): they only choose the block that follows the current
-	// one, as the tree-walker's branches do.
-	opBrLate
-	opJmpLate
-
-	// The pseudo-ops below execute no instruction and cost no step;
-	// only irregular functions have them.
-
-	// opCur makes the frame's active instruction its in (before a
-	// branch, so an empty block's fault names the branch into it).
-	opCur
-	// opBlockEnd ends a block of an irregular function: it continues
-	// at the block a late branch chose, or faults that the block fell
-	// through.
-	opBlockEnd
 )
 
 // op flags.
@@ -170,17 +153,20 @@ type decoder struct {
 }
 
 // decode translates fn's body, resolving global operands by name in mod
-// (an unknown name reads as address 0).
+// (an unknown name reads as address 0). A body the verifier rejects for
+// its blocks decodes to one opBad naming the first such block, so it
+// faults on entry and never runs past the end of its ops.
 func (d *decoder) decode(mod *ir.Module, fn *ir.Func) *code {
 	fn.Entry() // a declaration has no body to run
+	for bi, b := range fn.Blocks {
+		if !regularBlock(b) {
+			return &code{mod: mod, ops: []op{{code: opBad, dst: -1, a: int32(bi)}}}
+		}
+	}
 	d.mod, d.fn = mod, fn
 	d.globals, d.consts = d.globals[:0], d.consts[:0]
-	regular := true
 	nsites, nargs := 0, 0
 	for _, b := range fn.Blocks {
-		if !regularBlock(b) {
-			regular = false
-		}
 		for _, in := range b.Instrs {
 			if in.Op == ir.OpCall || in.Op == ir.OpSpawn {
 				nsites++
@@ -199,20 +185,10 @@ func (d *decoder) decode(mod *ir.Module, fn *ir.Func) *code {
 		d.starts = make([]int32, len(fn.Blocks))
 	}
 	d.starts = d.starts[:len(fn.Blocks)]
-	// An irregular function keeps the tree-walker's block semantics with
-	// pseudo-ops: an opCur before each branch and an opBlockEnd per block.
 	pc := 0
 	for i, b := range fn.Blocks {
 		d.starts[i] = int32(pc)
 		pc += len(b.Instrs)
-		if !regular {
-			for _, in := range b.Instrs {
-				if in.Op == ir.OpBr || in.Op == ir.OpJmp {
-					pc++
-				}
-			}
-			pc++
-		}
 	}
 	c := &code{
 		mod:    mod,
@@ -224,10 +200,7 @@ func (d *decoder) decode(mod *ir.Module, fn *ir.Func) *code {
 	for bi, b := range fn.Blocks {
 		d.blk = bi
 		for _, in := range b.Instrs {
-			if !regular && (in.Op == ir.OpBr || in.Op == ir.OpJmp) {
-				c.ops = append(c.ops, op{in: in, code: opCur, dst: -1})
-			}
-			o := d.op(in, regular)
+			o := d.op(in)
 			if o.code == opCall || o.code == opSpawn {
 				cs := callSite{callee: in.Callee, bi: stdBuiltins[in.Callee.Name], off: int32(len(c.args)), n: int32(len(in.Args))}
 				for _, a := range in.Args {
@@ -237,13 +210,6 @@ func (d *decoder) decode(mod *ir.Module, fn *ir.Func) *code {
 				c.sites = append(c.sites, cs)
 			}
 			c.ops = append(c.ops, o)
-		}
-		if !regular {
-			end := op{code: opBlockEnd, dst: -1, a: int32(bi)}
-			if n := len(b.Instrs); n > 0 {
-				end.in = b.Instrs[n-1]
-			}
-			c.ops = append(c.ops, end)
 		}
 	}
 	if len(d.globals) > 0 {
@@ -257,14 +223,15 @@ func (d *decoder) decode(mod *ir.Module, fn *ir.Func) *code {
 }
 
 // regularBlock reports whether b is non-empty, ends in a terminator and
-// branches nowhere else (a return mid-block simply returns).
+// has no other: the block shape ir.Verify requires, and the one the
+// decoded ops rely on to never run off a block's end.
 func regularBlock(b *ir.Block) bool {
 	n := len(b.Instrs)
 	if n == 0 || !b.Instrs[n-1].Op.IsTerminator() {
 		return false
 	}
 	for _, in := range b.Instrs[:n-1] {
-		if in.Op == ir.OpBr || in.Op == ir.OpJmp {
+		if in.Op.IsTerminator() {
 			return false
 		}
 	}
@@ -272,7 +239,7 @@ func regularBlock(b *ir.Block) bool {
 }
 
 // op decodes one instruction (call sites are filled in by decode).
-func (d *decoder) op(in *ir.Instr, regular bool) op {
+func (d *decoder) op(in *ir.Instr) op {
 	o := op{in: in, iop: in.Op, dst: -1}
 	res := func() {
 		o.dst = int32(in.Slot)
@@ -306,14 +273,8 @@ func (d *decoder) op(in *ir.Instr, regular bool) op {
 	case ir.OpBr:
 		o.code, o.a = opBr, d.operand(in.Args[0])
 		o.b, o.c = d.target(in.Succs[0]), d.target(in.Succs[1])
-		if !regular {
-			o.code = opBrLate
-		}
 	case ir.OpJmp:
 		o.code, o.b = opJmp, d.target(in.Succs[0])
-		if !regular {
-			o.code = opJmpLate
-		}
 	case ir.OpRet:
 		// A void return returns 0.
 		o.code, o.a = opRet, d.constant(0)

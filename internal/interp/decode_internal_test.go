@@ -1,8 +1,10 @@
 package interp
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -10,18 +12,28 @@ import (
 	"hippocrates/internal/trace"
 )
 
-// TestIrregularBodiesMatchTreeWalk: bodies the verifier rejects (a block
-// that falls through, a branch mid-block, an empty block) and the faults
-// of well-formed ones run on decoded ops exactly as on the tree-walker:
-// same result, error and stack, steps, opcode counts, time and trace.
-func TestIrregularBodiesMatchTreeWalk(t *testing.T) {
+// buildBody makes a module with a PM global g and main built by build.
+func buildBody(name string, build func(m *ir.Module, f *ir.Func, b *ir.Builder)) *ir.Module {
+	m := newModule(name)
+	m.AddGlobal(&ir.Global{Name: "g", Elem: ir.I64, PM: true})
+	f := m.AddFunc(ir.NewFunc("main", ir.I64))
+	build(m, f, ir.NewBuilder(f))
+	return m
+}
+
+// TestMalformedBodyFaults: a body the verifier rejects for its blocks
+// (one that falls through, a branch or return mid-block, an empty
+// block), run in process without verifying, faults on entry with a
+// RuntimeError naming the function and the block, before any of its
+// instructions runs.
+func TestMalformedBodyFaults(t *testing.T) {
 	cases := map[string]func(m *ir.Module, f *ir.Func, b *ir.Builder){
 		"fall-through": func(m *ir.Module, f *ir.Func, b *ir.Builder) {
 			b.Store(ir.I64, ir.ConstInt(1), m.Global("g"))
 		},
-		"fall-through after arithmetic": func(m *ir.Module, f *ir.Func, b *ir.Builder) {
+		"fall-through after fence": func(m *ir.Module, f *ir.Func, b *ir.Builder) {
 			b.Store(ir.I64, ir.ConstInt(1), m.Global("g"))
-			b.Bin(ir.OpAdd, ir.I64, ir.ConstInt(1), ir.ConstInt(2))
+			b.Fence(ir.SFENCE)
 		},
 		"jmp mid-block": func(m *ir.Module, f *ir.Func, b *ir.Builder) {
 			x := b.NewBlock("x")
@@ -34,7 +46,7 @@ func TestIrregularBodiesMatchTreeWalk(t *testing.T) {
 			x, y := b.NewBlock("x"), b.NewBlock("y")
 			b.Br(ir.ConstBool(false), x, y)
 			b.Store(ir.I64, ir.ConstInt(3), m.Global("g"))
-			b.Jmp(x) // the last branch taken wins
+			b.Jmp(x)
 			b.SetBlock(x)
 			b.Ret(b.Load(ir.I64, m.Global("g")))
 			b.SetBlock(y)
@@ -50,6 +62,34 @@ func TestIrregularBodiesMatchTreeWalk(t *testing.T) {
 			b.Ret(ir.ConstInt(5))
 			b.Store(ir.I64, ir.ConstInt(5), m.Global("g"))
 		},
+	}
+	for name, build := range cases {
+		m := buildBody(name, build)
+		if ir.Verify(m) == nil {
+			t.Fatalf("%s: verifier accepts the body", name)
+		}
+		tr := &trace.Trace{Program: name}
+		mach, err := New(m, Options{Trace: tr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = mach.Run("main")
+		var re *RuntimeError
+		if !errors.As(err, &re) || !strings.Contains(re.Msg, "@main is malformed") {
+			t.Errorf("%s: err %v, want a RuntimeError naming @main", name, err)
+			continue
+		}
+		if mach.Steps() != 1 || len(tr.Events) != 1 { // the PM global's alloc event
+			t.Errorf("%s: %d steps, %d events before the fault", name, mach.Steps(), len(tr.Events))
+		}
+	}
+}
+
+// TestFaultsMatchTreeWalk: the faults of well-formed bodies happen on
+// decoded ops exactly as on the tree-walker: same result, error and
+// stack, steps, opcode counts, time and trace.
+func TestFaultsMatchTreeWalk(t *testing.T) {
+	cases := map[string]func(m *ir.Module, f *ir.Func, b *ir.Builder){
 		"cannot execute": func(m *ir.Module, f *ir.Func, b *ir.Builder) {
 			b.Block().Append(&ir.Instr{Op: ir.OpInvalid, Ty: ir.Void})
 			b.Ret(ir.ConstInt(0))
@@ -71,11 +111,7 @@ func TestIrregularBodiesMatchTreeWalk(t *testing.T) {
 	}
 	for name, build := range cases {
 		run := func(walk bool) (uint64, error, *Machine, *trace.Trace) {
-			m := newModule(name)
-			m.AddGlobal(&ir.Global{Name: "g", Elem: ir.I64, PM: true})
-			f := m.AddFunc(ir.NewFunc("main", ir.I64))
-			b := ir.NewBuilder(f)
-			build(m, f, b)
+			m := buildBody(name, build)
 			tr := &trace.Trace{Program: name}
 			mach, err := New(m, Options{Trace: tr})
 			if err != nil {

@@ -265,11 +265,11 @@ type frame struct {
 	// frame (a bottom frame's stays nil: it has no callers).
 	outer []trace.Frame
 
-	// pc and next are the dispatch loop's op index and late-branch
-	// target, saved while the frame is not running: the op to resume at
-	// when its callee returns (just after the call op, whose dst takes
-	// the result) or when its thread is chosen again.
-	pc, next int32
+	// pc is the dispatch loop's op index, saved while the frame is not
+	// running: the op to resume at when its callee returns (just after
+	// the call op, whose dst takes the result) or when its thread is
+	// chosen again.
+	pc int32
 
 	// Stack allocation bookkeeping: allocas carve from
 	// [stackTop-stackUsed, stackTop); storage is reclaimed on return.
@@ -724,7 +724,7 @@ func (m *Machine) pushCall(fn *ir.Func) *frame {
 	c := m.codeOf(fn)
 	f := m.pushFrame(fn, c.nregs)
 	f.code = c
-	f.pc, f.next = 0, -1
+	f.pc = 0
 	regs := f.regs
 	g := regs[c.nslots : c.nslots+len(c.globals)]
 	for i, gi := range c.globals {
@@ -756,9 +756,9 @@ func (m *Machine) popFrame(f *frame) {
 
 // top returns the running thread's top frame and the dispatch position
 // saved in it.
-func (m *Machine) top() (f *frame, ops []op, regs []uint64, pc, next int32) {
+func (m *Machine) top() (f *frame, ops []op, regs []uint64, pc int32) {
 	f = m.frames[len(m.frames)-1]
-	return f, f.code.ops, f.regs, f.pc, f.next
+	return f, f.code.ops, f.regs, f.pc
 }
 
 // switchIn readies the thread an announcement or a thread exit just
@@ -766,7 +766,7 @@ func (m *Machine) top() (f *frame, ops []op, regs []uint64, pc, next int32) {
 // gets its entry frame. A parked thread re-runs the op it announced,
 // whose step is uncounted here because the op counted it when it first
 // ran.
-func (m *Machine) switchIn() (*frame, []op, []uint64, int32, int32) {
+func (m *Machine) switchIn() (*frame, []op, []uint64, int32) {
 	if len(m.frames) == 0 {
 		t := m.mt.threads[m.mt.cur]
 		copy(m.pushCall(t.fn).regs, t.args)
@@ -789,13 +789,13 @@ func (m *Machine) switchIn() (*frame, []op, []uint64, int32, int32) {
 // f.cur, the frame's active instruction: nothing reads it anywhere
 // else.
 func (m *Machine) run() (uint64, error) {
-	f, ops, regs, pc, next := m.top()
+	f, ops, regs, pc := m.top()
 	for {
 		o := &ops[pc]
 		pc++
 		m.steps++
 		m.ops[o.iop]++
-		if m.steps >= m.checkAt && o.code < opCur {
+		if m.steps >= m.checkAt {
 			if err := m.checkLimits(o.in); err != nil {
 				return 0, err
 			}
@@ -814,8 +814,8 @@ func (m *Machine) run() (uint64, error) {
 				if err != errSwitch {
 					return 0, err
 				}
-				f.pc, f.next = pc-1, next
-				f, ops, regs, pc, next = m.switchIn()
+				f.pc = pc - 1
+				f, ops, regs, pc = m.switchIn()
 			}
 		case opPtrAdd:
 			regs[o.dst] = regs[o.a] + regs[o.b]*uint64(int64(o.c)) + uint64(int64(o.x))
@@ -891,9 +891,9 @@ func (m *Machine) run() (uint64, error) {
 				if len(m.frames) >= 10_000 {
 					return 0, m.fault("stack overflow calling @%s", cs.callee.Name)
 				}
-				f.pc, f.next = pc, next
+				f.pc = pc
 				copy(m.pushCall(cs.callee).regs, args)
-				f, ops, regs, pc, next = m.top()
+				f, ops, regs, pc = m.top()
 				break
 			}
 			if cs.bi == nil {
@@ -904,8 +904,8 @@ func (m *Machine) run() (uint64, error) {
 				if err != errSwitch {
 					return 0, err
 				}
-				f.pc, f.next = pc-1, next
-				f, ops, regs, pc, next = m.switchIn()
+				f.pc = pc - 1
+				f, ops, regs, pc = m.switchIn()
 				break
 			}
 			if o.dst >= 0 {
@@ -924,7 +924,7 @@ func (m *Machine) run() (uint64, error) {
 			v := regs[o.a]
 			m.popFrame(f)
 			if n := len(m.frames); n > 0 {
-				f, ops, regs, pc, next = m.top()
+				f, ops, regs, pc = m.top()
 				if dst := ops[pc-1].dst; dst >= 0 {
 					regs[dst] = v
 				}
@@ -936,7 +936,7 @@ func (m *Machine) run() (uint64, error) {
 			if err := m.exitThread(v); err != nil {
 				return 0, err
 			}
-			f, ops, regs, pc, next = m.switchIn()
+			f, ops, regs, pc = m.switchIn()
 		case opAlloca:
 			addr := m.allocStack(regs[o.x])
 			if addr == 0 {
@@ -945,37 +945,14 @@ func (m *Machine) run() (uint64, error) {
 			}
 			regs[o.dst] = addr
 			m.Clock.Advance(m.cost.ALUOp)
-		case opBrLate:
-			m.Clock.Advance(m.cost.ALUOp)
-			if regs[o.a] != 0 {
-				next = o.b
-			} else {
-				next = o.c
-			}
-		case opJmpLate:
-			next = o.b
-		case opCur:
-			m.steps--
-			m.ops[o.iop]--
-			f.cur = o.in
-		case opBlockEnd:
-			m.steps--
-			m.ops[o.iop]--
-			if o.in != nil {
-				f.cur = o.in
-			}
-			if next < 0 {
-				return 0, m.fault("block ^%s in @%s fell through", f.fn.Blocks[o.a].Name, f.fn.Name)
-			}
-			pc, next = next, -1
 		default:
 			f.cur = o.in
 			if err := m.exec(f, o); err != nil {
 				if err != errSwitch {
 					return 0, err
 				}
-				f.pc, f.next = pc-1, next
-				f, ops, regs, pc, next = m.switchIn()
+				f.pc = pc - 1
+				f, ops, regs, pc = m.switchIn()
 			}
 		}
 	}
@@ -1209,6 +1186,9 @@ func (m *Machine) exec(f *frame, o *op) error {
 		regs[o.dst] = old
 
 	default:
+		if in == nil {
+			return m.fault("@%s is malformed: block ^%s is empty, lacks a terminator or has one mid-block", f.fn.Name, f.fn.Blocks[o.a].Name)
+		}
 		return m.fault("cannot execute %s", ir.FormatInstr(in))
 	}
 	return nil

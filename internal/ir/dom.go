@@ -130,16 +130,9 @@ func (d *Dominators) Dominates(a, b *Block) bool {
 
 // dominance checks that every instruction-result operand is defined
 // in a position that dominates its use.
-func (v *verifier) dominance(f *Func, nInstrs int) error {
+func (v *verifier) dominance(f *Func) error {
 	doms := &v.doms
 	doms.compute(f)
-	// Position of each instruction within its block for same-block checks.
-	pos := v.pos.reset(nInstrs)
-	for _, b := range f.Blocks {
-		for i, in := range b.Instrs {
-			pos[in] = i
-		}
-	}
 	for _, b := range f.Blocks {
 		for i, in := range b.Instrs {
 			for _, a := range in.Args {
@@ -150,7 +143,7 @@ func (v *verifier) dominance(f *Func, nInstrs int) error {
 				db := def.Block()
 				switch {
 				case db == b:
-					if pos[def] >= i {
+					if p := v.position(def); p < 0 || p >= i {
 						return &domError{f, in, def, "use precedes definition in the same block"}
 					}
 				case !doms.Dominates(db, b):

@@ -3,6 +3,8 @@ package ir
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"strings"
 )
 
 // Verify checks module well-formedness: every block terminated exactly at
@@ -29,32 +31,62 @@ func Verify(m *Module) error {
 // verifier holds the scratch of one Verify call. function resets it
 // before each use; nothing in it outlives the function it describes.
 type verifier struct {
-	// defined holds f's parameters and result-producing instructions.
-	defined scratchMap[Value, bool]
-	// names holds the result names seen so far.
-	names scratchMap[string, bool]
-	// pos is each instruction's index within its block.
-	pos  scratchMap[*Instr, int]
-	doms Dominators
+	// results holds the function's named results sorted by name, then
+	// in layout order: equal names are neighbours, and dominance finds a
+	// result's position in its block by binary search.
+	results []result
+	doms    Dominators
+}
+
+// result is one named result-producing instruction of the function
+// being verified.
+type result struct {
+	name string
+	in   *Instr
+	// k is the result's index among the function's named results, in
+	// layout order; pos is its index in its block.
+	k, pos int32
+}
+
+// sortResults fills v.results from f and returns the k of the first
+// result, in layout order, whose name an earlier result already has (-1
+// if the names are unique).
+func (v *verifier) sortResults(f *Func) int32 {
+	res := slices.Grow(v.results[:0], f.NumInstrs())
+	for _, b := range f.Blocks {
+		for i, in := range b.Instrs {
+			if in.HasResult() && in.Name != "" {
+				res = append(res, result{name: in.Name, in: in, k: int32(len(res)), pos: int32(i)})
+			}
+		}
+	}
+	// Stable, so equal names stay in layout order.
+	slices.SortStableFunc(res, func(a, b result) int { return strings.Compare(a.name, b.name) })
+	v.results = res
+	dup := int32(-1)
+	for i := 1; i < len(res); i++ {
+		if res[i].name == res[i-1].name && (dup < 0 || res[i].k < dup) {
+			dup = res[i].k
+		}
+	}
+	return dup
+}
+
+// position returns the index of result def in its block, or -1 if def
+// is not one of the function's named results.
+func (v *verifier) position(def *Instr) int {
+	i, ok := slices.BinarySearchFunc(v.results, def.Name, func(r result, name string) int { return strings.Compare(r.name, name) })
+	if !ok || v.results[i].in != def {
+		return -1
+	}
+	return int(v.results[i].pos)
 }
 
 func (v *verifier) function(f *Func) error {
 	ctx := func(b *Block, in *Instr, format string, args ...any) error {
 		return fmt.Errorf("@%s/^%s: %s: %s", f.Name, b.Name, FormatInstr(in), fmt.Sprintf(format, args...))
 	}
-	n := f.NumInstrs()
-	// Collect all values defined in this function for scoping checks.
-	defined, seenNames := v.defined.reset(len(f.Params)+n), v.names.reset(n)
-	for _, p := range f.Params {
-		defined[p] = true
-	}
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.HasResult() {
-				defined[in] = true
-			}
-		}
-	}
+	dup, k := v.sortResults(f), int32(0)
 	for _, b := range f.Blocks {
 		if len(b.Instrs) == 0 {
 			return fmt.Errorf("@%s/^%s: empty block", f.Name, b.Name)
@@ -71,17 +103,17 @@ func (v *verifier) function(f *Func) error {
 				if in.Name == "" {
 					return ctx(b, in, "unnamed result")
 				}
-				if seenNames[in.Name] {
+				if k == dup {
 					return ctx(b, in, "duplicate result name %%%s", in.Name)
 				}
-				seenNames[in.Name] = true
+				k++
 			}
 			for _, a := range in.Args {
 				switch x := a.(type) {
 				case *Const, *Global:
 					// Always fine.
 				case *Param, *Instr:
-					if !defined[x] {
+					if !definedIn(f, x) {
 						return ctx(b, in, "operand %s defined outside @%s", a.OperandString(), f.Name)
 					}
 				default:
@@ -96,7 +128,20 @@ func (v *verifier) function(f *Func) error {
 			}
 		}
 	}
-	return v.dominance(f, n)
+	return v.dominance(f)
+}
+
+// definedIn reports whether v, a parameter or an instruction, is one of
+// f's parameters or result-producing instructions, by the back-pointers
+// the value keeps: a parameter's index, an instruction's block.
+func definedIn(f *Func, v Value) bool {
+	switch x := v.(type) {
+	case *Param:
+		return x.Index >= 0 && x.Index < len(f.Params) && f.Params[x.Index] == x
+	case *Instr:
+		return x.blk != nil && x.blk.fn == f && x.HasResult()
+	}
+	return false
 }
 
 func verifyInstr(f *Func, in *Instr) error {

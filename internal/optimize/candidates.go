@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"hippocrates/internal/ir"
-	"hippocrates/internal/pmem"
 	"hippocrates/internal/static"
 	"hippocrates/internal/trace"
 )
@@ -28,7 +27,7 @@ type candidate struct {
 // fences, with no barrier between them). Every source is a heuristic —
 // the proof in Optimize is the gate — but each instruction is claimed
 // by at most one candidate so edits compose without aliasing.
-func gather(mod *ir.Module, lints []*static.Lint, tr *trace.Trace) []*candidate {
+func gather(mod *ir.Module, base *progSig) []*candidate {
 	var out []*candidate
 	claimed := make(map[*ir.Instr]bool)
 	add := func(c *candidate) {
@@ -42,7 +41,7 @@ func gather(mod *ir.Module, lints []*static.Lint, tr *trace.Trace) []*candidate 
 		out = append(out, c)
 	}
 
-	for _, l := range lints {
+	for _, l := range base.lints {
 		fn := mod.Func(l.Site.Func)
 		if fn == nil || fn.IsDecl() {
 			continue
@@ -62,7 +61,7 @@ func gather(mod *ir.Module, lints []*static.Lint, tr *trace.Trace) []*candidate 
 		}
 	}
 
-	for _, ev := range traceEvidence(mod, tr) {
+	for _, ev := range traceEvidence(mod, base) {
 		kind, why := EditDeleteFlush, fmt.Sprintf("flush transitioned no store in any of %d execution(s)", ev.count)
 		if ev.in.Op == ir.OpFence {
 			kind, why = EditDeleteFence, fmt.Sprintf("fence drained no store in any of %d execution(s)", ev.count)
@@ -172,93 +171,43 @@ type siteEvidence struct {
 	count int
 }
 
-// traceEvidence replays the trace through the pmem.Tracker state
-// machine (per-line pending store lists; weak flushes park dirty
-// stores, ordered flushes commit the line, fences drain parked stores,
-// exact overwrites collapse) and returns the flush sites that never
-// transitioned a store and the fence sites that never drained one —
-// dynamically dead persistency operations under this workload. Only
-// bare flush/fence IR instructions in defined functions qualify;
-// events produced by builtins (flush_range) resolve to call sites and
-// are skipped.
-func traceEvidence(mod *ir.Module, tr *trace.Trace) []*siteEvidence {
-	type pstore struct {
-		addr    uint64
-		size    int
-		flushed bool
-	}
+// traceEvidence returns the flush sites none of whose executions moved
+// a store and the fence sites none of whose executions drained one:
+// dynamically dead persistency operations under this workload, as the
+// detector found them on the signature's run (pmcheck.Result's
+// RedundantFlushes and RedundantFences). Only bare flush/fence IR
+// instructions in defined functions qualify; events produced by
+// builtins (flush_range) resolve to call sites and are skipped.
+func traceEvidence(mod *ir.Module, sig *progSig) []*siteEvidence {
 	type siteKey struct {
 		fn string
 		id int
 	}
-	type stats struct {
-		count int
-		moved bool
+	keyOf := func(e *trace.Event) siteKey {
+		s := e.Site()
+		return siteKey{s.Func, s.InstrID}
 	}
-	lines := make(map[uint64][]pstore)
-	sites := make(map[siteKey]*stats)
-	record := func(e *trace.Event, moved bool) {
-		k := siteKey{e.Site().Func, e.Site().InstrID}
-		s := sites[k]
-		if s == nil {
-			s = &stats{}
-			sites[k] = s
-		}
-		s.count++
-		s.moved = s.moved || moved
+	// redundant counts each site's redundant events; executed counts all
+	// the events of those sites.
+	redundant := make(map[siteKey]int)
+	for _, e := range sig.check.RedundantFlushes {
+		redundant[keyOf(e)]++
 	}
-	for _, e := range tr.Events {
-		switch e.Kind {
-		case trace.KindStore, trace.KindNTStore:
-			line := pmem.LineOf(e.Addr)
-			list := lines[line]
-			for i := range list {
-				if list[i].addr == e.Addr && list[i].size == e.Size {
-					list = append(list[:i], list[i+1:]...)
-					break
-				}
+	for _, e := range sig.check.RedundantFences {
+		redundant[keyOf(e)]++
+	}
+	executed := make(map[siteKey]int, len(redundant))
+	for _, e := range sig.tr.Events {
+		if e.Kind == trace.KindFlush || e.Kind == trace.KindFence {
+			if k := keyOf(e); redundant[k] > 0 {
+				executed[k]++
 			}
-			lines[line] = append(list, pstore{e.Addr, e.Size, e.Kind == trace.KindNTStore})
-		case trace.KindFlush:
-			line := pmem.LineOf(e.Addr)
-			moved := 0
-			if e.FlushK.Ordered() {
-				moved = len(lines[line])
-				delete(lines, line)
-			} else {
-				list := lines[line]
-				for i := range list {
-					if !list[i].flushed {
-						list[i].flushed = true
-						moved++
-					}
-				}
-			}
-			record(e, moved > 0)
-		case trace.KindFence:
-			drained := 0
-			for line, list := range lines {
-				keep := list[:0]
-				for _, st := range list {
-					if st.flushed {
-						drained++
-					} else {
-						keep = append(keep, st)
-					}
-				}
-				if len(keep) == 0 {
-					delete(lines, line)
-				} else {
-					lines[line] = keep
-				}
-			}
-			record(e, drained > 0)
 		}
 	}
 
 	var keys []siteKey
-	for k, s := range sites {
-		if !s.moved {
+	for k, n := range redundant {
+		if executed[k] == n {
 			keys = append(keys, k)
 		}
 	}
@@ -278,7 +227,7 @@ func traceEvidence(mod *ir.Module, tr *trace.Trace) []*siteEvidence {
 		if in == nil || (in.Op != ir.OpFlush && in.Op != ir.OpFence) {
 			continue
 		}
-		out = append(out, &siteEvidence{in: in, fn: fn, count: sites[k].count})
+		out = append(out, &siteEvidence{in: in, fn: fn, count: redundant[k]})
 	}
 	return out
 }

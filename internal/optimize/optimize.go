@@ -46,13 +46,17 @@ type Options struct {
 	// integer arguments.
 	Entry string
 	Args  []uint64
+	// Invariant and Recovery name the recovery entries, as in
+	// crashsim.Options: "" for crashsim's defaults, "-" to disable one.
+	// The pass proves crashsim verdict identity when either is defined.
+	Invariant string
+	Recovery  string
 	// MaxPoints bounds the aligned crash points per verdict-identity
-	// check (0 = crashsim.DefaultMaxPoints); MaxImages, Workers and
-	// Seed are passed through to crashsim.
+	// check (0 = crashsim.DefaultMaxPoints); MaxImages and Workers are
+	// passed through to crashsim.
 	MaxPoints int
 	MaxImages int
 	Workers   int
-	Seed      int64
 	// StepLimit bounds every interpreter run the pass makes; Deadline,
 	// when non-zero, bounds them and every crashsim validation by wall
 	// clock. Past it, the pass fails with the interpreter's deadline
@@ -233,7 +237,7 @@ func Optimize(mod *ir.Module, opts Options) (*Result, error) {
 	var base *progSig
 	var err error
 	if b := opts.Baseline; b != nil {
-		base = &progSig{simNs: b.SimNs, tr: b.Trace, dyn: dynSig(b.Check)}
+		base = &progSig{simNs: b.SimNs, tr: b.Trace, check: b.Check, dyn: dynSig(b.Check)}
 		err = base.analyze(mod, entry)
 	} else {
 		baselineRuns++
@@ -249,10 +253,11 @@ func Optimize(mod *ir.Module, opts Options) (*Result, error) {
 	// set: it says whether any accepted edit carries (or would carry) a
 	// crashsim verdict-identity proof, so it is set before the
 	// zero-candidate early return.
-	inv, rec := definedFn(mod, "invariant_check"), definedFn(mod, "crash_check")
+	inv := recoveryEntry(mod, opts.Invariant, "invariant_check")
+	rec := recoveryEntry(mod, opts.Recovery, "crash_check")
 	res.CrashsimProven = inv != nil || rec != nil
 
-	cands := gather(mod, base.lints, base.tr)
+	cands := gather(mod, base)
 	res.Candidates = len(cands)
 	res.FinalLints = base.lints
 	sp.Add("optimize.candidates", int64(len(cands)))
@@ -272,9 +277,8 @@ func Optimize(mod *ir.Module, opts Options) (*Result, error) {
 	// Crashsim baseline: one verdict set at aligned points, refreshed on
 	// every accepted edit so each candidate is compared against the
 	// current build.
-	cache := opts.Cache
-	if cache == nil {
-		cache = crashsim.NewVerdictCache()
+	if opts.Cache == nil {
+		opts.Cache = crashsim.NewVerdictCache()
 	}
 	var keys []alignKey
 	var curCrash map[string]int
@@ -285,7 +289,7 @@ func Optimize(mod *ir.Module, opts Options) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("optimize: baseline crash points: %w", err)
 		}
-		rep, err := crashsim.Validate(mod, csOptions(opts, entry, pts, cache, sp))
+		rep, err := crashsim.Validate(mod, csOptions(opts, entry, pts, sp))
 		if err != nil {
 			return nil, fmt.Errorf("optimize: baseline crashsim: %w", err)
 		}
@@ -321,7 +325,7 @@ func Optimize(mod *ir.Module, opts Options) (*Result, error) {
 		}
 		var afterCrash map[string]int
 		if ok && res.CrashsimProven {
-			afterCrash, reason = crashCompare(mod, after, keys, curCrash, cache, opts, entry)
+			afterCrash, reason = crashCompare(mod, after, keys, curCrash, opts, entry)
 			ok = reason == ""
 		}
 
@@ -388,9 +392,16 @@ func audit(sp *obs.Span, ed *Edit) {
 	})
 }
 
-// definedFn returns the named function when the module defines a body
-// for it, else nil.
-func definedFn(mod *ir.Module, name string) *ir.Func {
+// recoveryEntry returns the recovery entry name selects as crashsim
+// resolves it (def when name is empty, none when it is "-"), when the
+// module defines a body for it, else nil.
+func recoveryEntry(mod *ir.Module, name, def string) *ir.Func {
+	switch name {
+	case "-":
+		return nil
+	case "":
+		name = def
+	}
 	if f := mod.Func(name); f != nil && !f.IsDecl() {
 		return f
 	}

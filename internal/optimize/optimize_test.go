@@ -369,12 +369,12 @@ int main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := alignKeys(sig.events, 0, false, definedFn(mod, "crash_check"))
+	keys := alignKeys(sig.events, 0, false, recoveryEntry(mod, "", "crash_check"))
 	pts, err := keysToPoints(sig.events, keys)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := crashsim.Validate(mod, csOptions(Options{}, "main", pts, nil, nil))
+	rep, err := crashsim.Validate(mod, csOptions(Options{}, "main", pts, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +387,7 @@ int main() {
 			t.Errorf("failure signature %q does not end with the assertion's first line", key)
 		}
 	}
-	got, reason := crashCompare(mod, sig, keys, map[string]int{}, crashsim.NewVerdictCache(), Options{}, "main")
+	got, reason := crashCompare(mod, sig, keys, map[string]int{}, Options{Cache: crashsim.NewVerdictCache()}, "main")
 	want := fmt.Sprintf("crashsim verdicts changed: 0 failing schedule(s) before, %d after", total(failures))
 	if got != nil || reason != want {
 		t.Errorf("crashCompare = (%v, %q), want a refusal %q", got, reason, want)

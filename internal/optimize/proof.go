@@ -38,6 +38,8 @@ type progSig struct {
 
 	lints []*static.Lint
 	tr    *trace.Trace
+	// check is the dynamic detector's verdict on the run that recorded tr.
+	check *pmcheck.Result
 }
 
 // measure executes mod's workload once under full instrumentation, the
@@ -82,7 +84,8 @@ func (sig *progSig) execute(mod *ir.Module, entry string, opts Options, d *pmche
 	sig.ret = ret
 	sig.simNs = m.SimTime()
 	sig.events = append([]interp.PMEventKind(nil), m.PMEventLog()...)
-	sig.dyn = dynSig(d.Result())
+	sig.check = d.Result()
+	sig.dyn = dynSig(sig.check)
 	return nil
 }
 
@@ -302,13 +305,12 @@ func failureSig(rep *crashsim.Report, events []interp.PMEventKind) map[string]in
 // returns the edited build's failure signature and an empty reason on
 // success. The shared cache serves every candidate: a candidate that
 // edits recovery-reachable code changes its verdict keys.
-func crashCompare(mod *ir.Module, after *progSig, keys []alignKey, cur map[string]int,
-	cache *crashsim.VerdictCache, opts Options, entry string) (map[string]int, string) {
+func crashCompare(mod *ir.Module, after *progSig, keys []alignKey, cur map[string]int, opts Options, entry string) (map[string]int, string) {
 	pts, err := keysToPoints(after.events, keys)
 	if err != nil {
 		return nil, "crash-point alignment failed: " + err.Error()
 	}
-	rep, err := crashsim.Validate(mod, csOptions(opts, entry, pts, cache, nil))
+	rep, err := crashsim.Validate(mod, csOptions(opts, entry, pts, nil))
 	if err != nil {
 		return nil, "crashsim failed after edit: " + firstLine(err.Error())
 	}
@@ -327,17 +329,18 @@ func total(m map[string]int) int {
 	return n
 }
 
-func csOptions(opts Options, entry string, pts []int, cache *crashsim.VerdictCache, sp *obs.Span) crashsim.Options {
+func csOptions(opts Options, entry string, pts []int, sp *obs.Span) crashsim.Options {
 	return crashsim.Options{
 		Entry:     entry,
 		Args:      opts.Args,
+		Invariant: opts.Invariant,
+		Recovery:  opts.Recovery,
 		Points:    pts,
 		MaxImages: opts.MaxImages,
 		Workers:   opts.Workers,
-		Seed:      opts.Seed,
 		StepLimit: opts.StepLimit,
 		Deadline:  opts.Deadline,
-		Cache:     cache,
+		Cache:     opts.Cache,
 		Obs:       sp,
 	}
 }

@@ -281,11 +281,7 @@ func reachableBlocks(fn *ir.Func) []*ir.Block {
 	seen := map[*ir.Block]bool{entry: true}
 	order := []*ir.Block{entry}
 	for i := 0; i < len(order); i++ {
-		term := order[i].Terminator()
-		if term == nil {
-			continue
-		}
-		for _, s := range term.Succs {
+		for _, s := range order[i].Terminator().Succs {
 			if !seen[s] {
 				seen[s] = true
 				order = append(order, s)

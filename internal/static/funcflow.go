@@ -71,11 +71,7 @@ func (fa *funcAnalysis) run() {
 		if dead {
 			continue
 		}
-		term := b.Terminator()
-		if term == nil {
-			continue
-		}
-		for _, s := range term.Succs {
+		for _, s := range b.Terminator().Succs {
 			first := fa.in[s] == nil
 			if first {
 				fa.in[s] = factState{}
