@@ -41,7 +41,9 @@ metrics-smoke:
 # tracker's per-thread state) is an input error, exit 1; a panic would
 # exit 2. So is a .pmir module ir.Verify rejects (testdata/malformed.pmir,
 # whose block falls through after a fence), in the static check, repair
-# and execution alike. It also drives pmcheck's in-memory shadow repair with every telemetry
+# and execution alike, and a global larger than its memory region
+# (testdata/huge_global.pmir, whose 80 GB PM global the interpreter
+# would otherwise allocate) in repair and execution. It also drives pmcheck's in-memory shadow repair with every telemetry
 # flag on and requires its span tree to hold plan, apply and revalidate.
 usage-smoke:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
@@ -61,6 +63,8 @@ usage-smoke:
 	want_exit 1 pmcheck -static testdata/malformed.pmir && \
 	want_exit 1 hippocrates testdata/malformed.pmir && \
 	want_exit 1 pmvm testdata/malformed.pmir && \
+	want_exit 1 hippocrates testdata/huge_global.pmir && \
+	want_exit 1 pmvm testdata/huge_global.pmir && \
 	want_exit 1 pmcheck -metrics $$dir/metrics.json -spans $$dir/spans.json -audit testdata/metrics_smoke.pmc && \
 	for span in plan apply revalidate; do \
 		grep -q "\"name\": \"$$span\"" $$dir/spans.json || \
@@ -143,8 +147,12 @@ mt-smoke:
 #   memory, and no snapshot may change as the memory is reset;
 # - the IR boundary: random .pmir text run through cli.Run in check,
 #   static-check and repair mode must never panic out of it, and a module
-#   ir.Verify rejects must fail at compile, before any layer runs.
-#   Shrinking a new interesting input of the last three is capped at 100
+#   ir.Verify rejects must fail at compile, before any layer runs;
+# - the shared verdicts: a generated threaded program explored under a
+#   random budget, its runs sharing one verdict table, must give every run
+#   the verdict a fresh replay of its choices gives, and a union that
+#   reads as the replays' DedupeByClass.
+#   Shrinking a new interesting input of the last four is capped at 100
 #   runs: uncapped, it can take the workers for the whole budget.
 # The seed corpora under internal/*/testdata/fuzz/ also run in the plain
 # suite.
@@ -153,6 +161,7 @@ fuzz-smoke:
 	$(GO) test ./internal/pmem -run '^$$' -fuzz FuzzTrackerReference -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/pmem -run '^$$' -fuzz FuzzMemoryReset -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/cli -run '^$$' -fuzz FuzzCompileIR -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/schedule -run '^$$' -fuzz FuzzExploreVerdicts -fuzztime 10s -fuzzminimizetime 100x
 
 # bench-smoke runs every benchmark once, so a benchmark that no longer
 # builds or fails its own checks breaks the gate (BenchmarkCrashSweep/dedup

@@ -1,6 +1,8 @@
 package interp
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -937,5 +939,52 @@ func TestDetectorNeedsEmptyTrace(t *testing.T) {
 	}
 	if res := d.Result(); mach.NumViolations() != 1 || len(res.Reports) != 1 || res.Reports[0].Class() != pmem.MissingFlushFence {
 		t.Fatalf("violations %d, reports %v; want one missing-flush&fence", mach.NumViolations(), res.Reports)
+	}
+}
+
+// TestGlobalsMustFitTheirRegion: a global larger than what is left of
+// its region (the PM range for a persistent one, the space below the heap
+// for a volatile one) is a *LayoutError naming it, returned by New before
+// the machine is built, so nothing of the global's size is allocated;
+// one that ends exactly at its region's end is laid out.
+func TestGlobalsMustFitTheirRegion(t *testing.T) {
+	pmRoom := int64(pmem.DefaultPMSize-pmem.LineSize) / 8
+	volRoom := int64(pmem.HeapBase-pmem.GlobalBase) / 8
+	for _, c := range []struct {
+		name string
+		pm   []int64 // array lengths of the PM globals, in order
+		vol  []int64
+		bad  string // the global New must reject, "" for none
+	}{
+		{name: "pm fits exactly", pm: []int64{pmRoom}},
+		{name: "pm one word over", pm: []int64{pmRoom + 1}, bad: "p0"},
+		{name: "pm second global over", pm: []int64{pmRoom - 8, 8, 1}, bad: "p2"},
+		{name: "pm 80 GB", pm: []int64{10_000_000_000}, bad: "p0"},
+		{name: "pm negative", pm: []int64{-1}, bad: "p0"},
+		{name: "volatile fits exactly", vol: []int64{volRoom}},
+		{name: "volatile one word over", vol: []int64{1, volRoom}, bad: "v1"},
+		{name: "volatile 80 GB", vol: []int64{10_000_000_000}, bad: "v0"},
+	} {
+		m := newModule("layout")
+		for i, n := range c.pm {
+			m.AddGlobal(&ir.Global{Name: fmt.Sprintf("p%d", i), Elem: ir.Array(ir.I64, n), PM: true})
+		}
+		for i, n := range c.vol {
+			m.AddGlobal(&ir.Global{Name: fmt.Sprintf("v%d", i), Elem: ir.Array(ir.I64, n)})
+		}
+		// NoTrack: a tracked machine would seed a fitting PM global's
+		// whole image.
+		_, err := New(m, Options{NoTrack: true})
+		var le *LayoutError
+		switch {
+		case c.bad == "" && err != nil:
+			t.Errorf("%s: New: %v", c.name, err)
+		case c.bad != "" && (!errors.As(err, &le) || le.Global != c.bad):
+			t.Errorf("%s: New error %v, want a *LayoutError for @%s", c.name, err, c.bad)
+		case c.bad != "" && !raceEnabled:
+			if n := testing.AllocsPerRun(3, func() { New(m, Options{}) }); n > 1 {
+				t.Errorf("%s: a rejected New allocates %v times, want only its error", c.name, n)
+			}
+		}
 	}
 }

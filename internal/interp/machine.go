@@ -321,6 +321,9 @@ func (e *RuntimeError) Error() string {
 // New prepares a machine for mod: it allocates the machine, then Reset
 // lays out globals and seeds PM initializers as durable content.
 func New(mod *ir.Module, opts Options) (*Machine, error) {
+	if _, err := layoutGlobals(mod, nil); err != nil {
+		return nil, err
+	}
 	m := &Machine{
 		Mod:    mod,
 		cost:   pmem.DefaultCostModel(),
@@ -346,8 +349,9 @@ func New(mod *ir.Module, opts Options) (*Machine, error) {
 //
 // Everything the last run handed out that lives in those buffers is
 // invalid afterwards: its trace's events, its Decisions, its PMEventLog
-// and m.Mem. A caller that keeps a result must copy it first (see
-// pmcheck.Result.OwnEvents). On error the machine must not run.
+// and m.Mem. A caller that keeps a result must copy it first (as a
+// pmcheck.VerdictTable copies the events it holds). On error the machine
+// must not run.
 func (m *Machine) Reset(opts Options) error {
 	mod := m.Mod
 	m.Track, m.det = nil, nil
@@ -418,29 +422,12 @@ func (m *Machine) Reset(opts Options) error {
 		}
 	}
 
-	// Lay out globals: volatile ones from GlobalBase, persistent ones
-	// from PMBase (after one reserved allocator-metadata line).
-	volNext := uint64(pmem.GlobalBase)
-	pmNext := uint64(pmem.PMBase) + pmem.LineSize
+	pmNext, err := layoutGlobals(mod, m.globals)
+	if err != nil {
+		return err
+	}
 	for gi, g := range mod.Globals {
-		size := uint64(g.Elem.Size())
-		align := uint64(g.Elem.Align())
-		if g.PM && align < pmem.LineSize {
-			// PM objects are cache-line aligned (as PMDK allocates),
-			// so a single object never shares a line with another.
-			align = pmem.LineSize
-		}
-		var addr uint64
-		if g.PM {
-			pmNext = alignUp(pmNext, align)
-			addr = pmNext
-			pmNext += size
-		} else {
-			volNext = alignUp(volNext, align)
-			addr = volNext
-			volNext += size
-		}
-		m.globals[gi] = addr
+		addr, size := m.globals[gi], uint64(g.Elem.Size())
 		if g.PM {
 			// Announce the persistent region to the trace (bug finders
 			// know registered pools; Trace-AA consumes these events).
@@ -471,6 +458,56 @@ func (m *Machine) Reset(opts Options) error {
 		m.Mem.WriteUint(pmem.PMBase, 8, m.pmNext)
 	}
 	return nil
+}
+
+// LayoutError rejects a module with a global that does not fit the
+// region it is laid out in: persistent globals must end within the PM
+// range (PMBase+DefaultPMSize, the bound pm_alloc applies), volatile
+// ones before the heap (HeapBase).
+type LayoutError struct {
+	Global string
+	// Size is the global's declared size in bytes (negative when its
+	// type's size is).
+	Size int64
+	PM   bool
+}
+
+func (e *LayoutError) Error() string {
+	region := "volatile globals end at the heap"
+	if e.PM {
+		region = "persistent memory is exhausted"
+	}
+	return fmt.Sprintf("interp: global @%s (%d bytes) does not fit: %s", e.Global, e.Size, region)
+}
+
+// layoutGlobals lays out mod's globals: volatile ones from GlobalBase,
+// persistent ones from PMBase (after one reserved allocator-metadata
+// line). It stores each global's address in addrs, when non-nil, and
+// returns where the persistent globals end. A global that does not fit
+// its region is a *LayoutError.
+func layoutGlobals(mod *ir.Module, addrs []uint64) (uint64, error) {
+	volNext := uint64(pmem.GlobalBase)
+	pmNext := uint64(pmem.PMBase) + pmem.LineSize
+	for gi, g := range mod.Globals {
+		size := g.Elem.Size()
+		align := uint64(g.Elem.Align())
+		next, end := &volNext, uint64(pmem.HeapBase)
+		if g.PM {
+			next, end = &pmNext, pmem.PMBase+pmem.DefaultPMSize
+			// PM objects are cache-line aligned (as PMDK allocates),
+			// so a single object never shares a line with another.
+			align = max(align, pmem.LineSize)
+		}
+		addr := alignUp(*next, align)
+		if size < 0 || addr > end || uint64(size) > end-addr {
+			return 0, &LayoutError{Global: g.Name, Size: size, PM: g.PM}
+		}
+		*next = addr + uint64(size)
+		if addrs != nil {
+			addrs[gi] = addr
+		}
+	}
+	return pmNext, nil
 }
 
 // pmSeedsOf builds Machine.pmSeeds for mod.

@@ -95,15 +95,30 @@ func ScheduleID(choices []int) string {
 	if len(choices) == 0 {
 		return "rr"
 	}
+	n := 1 // "c:" less the first choice's '.'
+	for _, c := range choices {
+		n += 1 + digits(c)
+	}
 	var b strings.Builder
+	b.Grow(n)
 	b.WriteString("c:")
+	var num [20]byte
 	for i, c := range choices {
 		if i > 0 {
 			b.WriteByte('.')
 		}
-		b.WriteString(strconv.Itoa(c))
+		b.Write(strconv.AppendInt(num[:0], int64(c), 10))
 	}
 	return b.String()
+}
+
+// digits is the length of choice c (never negative) in decimal.
+func digits(c int) int {
+	n := 1
+	for ; c >= 10; c /= 10 {
+		n++
+	}
+	return n
 }
 
 // ParseScheduleID inverts ScheduleID. The empty string is accepted as

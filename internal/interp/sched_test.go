@@ -3,7 +3,10 @@ package interp
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"unsafe"
@@ -355,6 +358,45 @@ func TestScheduleIDRoundTrip(t *testing.T) {
 	for _, bad := range []string{"x", "c:", "c:1..2", "c:-1", "c:a"} {
 		if _, err := ParseScheduleID(bad); err == nil {
 			t.Errorf("ParseScheduleID(%q) succeeded, want error", bad)
+		}
+	}
+}
+
+// TestScheduleIDOneAllocation: ScheduleID renders choices of every width
+// exactly as joining their decimal forms does, ParseScheduleID inverts
+// it, and the string is its only allocation.
+func TestScheduleIDOneAllocation(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 500; i++ {
+		choices := make([]int, 1+rng.Intn(80))
+		for j := range choices {
+			// Mostly small, as scheduler choices are, with every width up to
+			// the largest int.
+			choices[j] = rng.Intn(4)
+			if rng.Intn(8) == 0 {
+				choices[j] = rng.Intn(math.MaxInt) >> rng.Intn(63)
+			}
+		}
+		if i == 0 {
+			choices = append(choices, 9, 10, 99, 100, math.MaxInt)
+		}
+		parts := make([]string, len(choices))
+		for j, c := range choices {
+			parts[j] = strconv.Itoa(c)
+		}
+		id := ScheduleID(choices)
+		if want := "c:" + strings.Join(parts, "."); id != want {
+			t.Fatalf("ScheduleID(%v) = %q, want %q", choices, id, want)
+		}
+		got, err := ParseScheduleID(id)
+		if err != nil || !reflect.DeepEqual(got, choices) {
+			t.Fatalf("ParseScheduleID(%q) = %v, %v; want %v", id, got, err, choices)
+		}
+		if raceEnabled {
+			continue
+		}
+		if n := testing.AllocsPerRun(5, func() { ScheduleID(choices) }); n != 1 {
+			t.Fatalf("ScheduleID of %d choices allocates %v times, want 1", len(choices), n)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package optimize
 
 import (
-	"fmt"
 	"sort"
 
 	"hippocrates/internal/ir"
@@ -16,7 +15,6 @@ type candidate struct {
 	fn      *ir.Func
 	partner *ir.Instr // coalesce/sink: the surviving instruction
 	origin  string    // "static-lint", "trace-evidence", "scan"
-	why     string
 }
 
 // gather proposes candidate edits from three sources, in a fixed order:
@@ -52,21 +50,19 @@ func gather(mod *ir.Module, base *progSig) []*candidate {
 		}
 		switch {
 		case l.Kind == static.LintRedundantFence && in.Op == ir.OpFence:
-			add(&candidate{kind: EditDeleteFence, in: in, fn: fn, origin: "static-lint",
-				why: "static analysis proves no flushed store can be pending here on any path"})
+			add(&candidate{kind: EditDeleteFence, in: in, fn: fn, origin: "static-lint"})
 		case in.Op == ir.OpFlush:
 			// LintRedundantFlush and LintFlushAfterNT both delete the flush.
-			add(&candidate{kind: EditDeleteFlush, in: in, fn: fn, origin: "static-lint",
-				why: "static analysis proves the line is already flushed on every path"})
+			add(&candidate{kind: EditDeleteFlush, in: in, fn: fn, origin: "static-lint"})
 		}
 	}
 
 	for _, ev := range traceEvidence(mod, base) {
-		kind, why := EditDeleteFlush, fmt.Sprintf("flush transitioned no store in any of %d execution(s)", ev.count)
+		kind := EditDeleteFlush
 		if ev.in.Op == ir.OpFence {
-			kind, why = EditDeleteFence, fmt.Sprintf("fence drained no store in any of %d execution(s)", ev.count)
+			kind = EditDeleteFence
 		}
-		add(&candidate{kind: kind, in: ev.in, fn: ev.fn, origin: "trace-evidence", why: why})
+		add(&candidate{kind: kind, in: ev.in, fn: ev.fn, origin: "trace-evidence"})
 	}
 
 	for _, fn := range mod.Funcs {
@@ -106,8 +102,7 @@ func scanCoalesce(fn *ir.Func, b *ir.Block, add func(*candidate)) {
 			}
 			k := lineKey{root, line}
 			if prev := last[k]; prev != nil {
-				add(&candidate{kind: EditCoalesceFlush, in: prev, fn: fn, partner: in, origin: "scan",
-					why: "same cache line re-flushed in the same block with no fence or call between"})
+				add(&candidate{kind: EditCoalesceFlush, in: prev, fn: fn, partner: in, origin: "scan"})
 			}
 			last[k] = in
 		case ir.OpFence, ir.OpCall:
@@ -131,8 +126,7 @@ func scanSink(fn *ir.Func, b *ir.Block, add func(*candidate)) {
 		switch in.Op {
 		case ir.OpFence:
 			if open != nil {
-				add(&candidate{kind: EditSinkFence, in: open, fn: fn, partner: in, origin: "scan",
-					why: "next fence covers it: no store, flush, or call between them"})
+				add(&candidate{kind: EditSinkFence, in: open, fn: fn, partner: in, origin: "scan"})
 			}
 			open = in
 		case ir.OpStore, ir.OpNTStore, ir.OpFlush, ir.OpCall:
@@ -142,8 +136,7 @@ func scanSink(fn *ir.Func, b *ir.Block, add func(*candidate)) {
 				break
 			}
 			if f2 := leadingFence(in.Succs[0]); f2 != nil && f2 != open {
-				add(&candidate{kind: EditSinkFence, in: open, fn: fn, partner: f2, origin: "scan",
-					why: "join-point fence covers it: no store, flush, or call on the fall-through edge"})
+				add(&candidate{kind: EditSinkFence, in: open, fn: fn, partner: f2, origin: "scan"})
 			}
 		}
 	}
@@ -163,12 +156,11 @@ func leadingFence(b *ir.Block) *ir.Instr {
 	return nil
 }
 
-// siteEvidence aggregates a flush or fence site's dynamic behaviour
-// over the whole trace.
+// siteEvidence is a flush or fence site that did nothing over the whole
+// trace.
 type siteEvidence struct {
-	in    *ir.Instr
-	fn    *ir.Func
-	count int
+	in *ir.Instr
+	fn *ir.Func
 }
 
 // traceEvidence returns the flush sites none of whose executions moved
@@ -227,7 +219,7 @@ func traceEvidence(mod *ir.Module, sig *progSig) []*siteEvidence {
 		if in == nil || (in.Op != ir.OpFlush && in.Op != ir.OpFence) {
 			continue
 		}
-		out = append(out, &siteEvidence{in: in, fn: fn, count: redundant[k]})
+		out = append(out, &siteEvidence{in: in, fn: fn})
 	}
 	return out
 }

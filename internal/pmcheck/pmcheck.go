@@ -120,71 +120,6 @@ type Result struct {
 // Clean reports whether no durability bugs were found.
 func (res *Result) Clean() bool { return len(res.Reports) == 0 }
 
-// OwnEvents copies every trace event res names (report stores and
-// checkpoints, redundant flushes and fences) into one allocation of its
-// own, so that the buffers of the trace it was detected on may be
-// reused. Each distinct event is copied once and pointers that were
-// shared stay shared: a checkpoint several reports list is still one
-// event. The copies keep their call stacks, which belong to the
-// recording run's stack table, not to its trace.
-func (res *Result) OwnEvents() {
-	n := len(res.RedundantFlushes) + len(res.RedundantFences)
-	for _, r := range res.Reports {
-		n += 1 + len(r.Checkpoints)
-	}
-	if n == 0 {
-		return
-	}
-	named := make([]*trace.Event, 0, n)
-	for _, r := range res.Reports {
-		named = append(append(named, r.Store), r.Checkpoints...)
-	}
-	named = append(append(named, res.RedundantFlushes...), res.RedundantFences...)
-	// A pointer's duplicates share its Seq, so after sorting by Seq they
-	// sit in its run of equal Seqs.
-	slices.SortFunc(named, func(a, b *trace.Event) int { return cmp.Compare(a.Seq, b.Seq) })
-	uniq := named[:0]
-	for _, e := range named {
-		if !inSeqRun(uniq, e) {
-			uniq = append(uniq, e)
-		}
-	}
-	copies := make([]trace.Event, len(uniq))
-	for i, e := range uniq {
-		copies[i] = *e
-	}
-	own := func(e *trace.Event) *trace.Event {
-		i, _ := slices.BinarySearchFunc(uniq, e.Seq, func(x *trace.Event, seq int) int { return cmp.Compare(x.Seq, seq) })
-		for uniq[i] != e {
-			i++
-		}
-		return &copies[i]
-	}
-	for _, r := range res.Reports {
-		r.Store = own(r.Store)
-		for i, c := range r.Checkpoints {
-			r.Checkpoints[i] = own(c)
-		}
-	}
-	for i, e := range res.RedundantFlushes {
-		res.RedundantFlushes[i] = own(e)
-	}
-	for i, e := range res.RedundantFences {
-		res.RedundantFences[i] = own(e)
-	}
-}
-
-// inSeqRun reports whether e is among the trailing events of sorted
-// that share e's Seq.
-func inSeqRun(sorted []*trace.Event, e *trace.Event) bool {
-	for i := len(sorted) - 1; i >= 0 && sorted[i].Seq == e.Seq; i-- {
-		if sorted[i] == e {
-			return true
-		}
-	}
-	return false
-}
-
 // UniqueSites counts the distinct static store sites among the reports —
 // how pmemcheck (and the paper) counts bugs. A site reached through
 // several call chains yields several reports (each may need its own
@@ -234,6 +169,12 @@ func (res *Result) Summary() string {
 // recording run's online detector reached.
 func Check(t *trace.Trace) *Result {
 	d := NewDetector()
+	d.replay(t)
+	return d.Result()
+}
+
+// replay resets d onto t and feeds it t's events.
+func (d *Detector) replay(t *trace.Trace) {
 	d.Reset(t)
 	d.in.size(len(t.Events))
 	for i, e := range t.Events {
@@ -248,7 +189,6 @@ func Check(t *trace.Trace) *Result {
 			d.Checkpoint(i)
 		}
 	}
-	return d.Result()
 }
 
 // Detector is the durability-bug detector fed one PM event at a time, as
@@ -267,6 +207,10 @@ type Detector struct {
 	track *pmem.Tracker
 	tr    *trace.Trace
 	res   *Result
+	// spare is a result no verdict names (that of a run whose whole
+	// verdict a VerdictTable already held), which the next run records
+	// into.
+	spare *Result
 	// lines is the set of cache lines the run's stores wrote.
 	lines  map[uint64]struct{}
 	in     interner
@@ -282,7 +226,7 @@ func NewDetector() *Detector {
 		lines: make(map[uint64]struct{}),
 		in: interner{
 			siteOf:  make(map[int]int32),
-			byStack: make(map[uint64][]int32),
+			byStack: make(map[uint64]int32),
 			siteID:  make(map[SiteKey]int32),
 		},
 	}
@@ -290,14 +234,21 @@ func NewDetector() *Detector {
 
 // Reset readies d for a run whose events are recorded in tr, dropping the
 // previous run's state but keeping its buffers. Results returned before
-// stay valid: their reports are never reused.
+// stay valid: no record they name is reused.
 func (d *Detector) Reset(tr *trace.Trace) {
 	d.track.Reset()
 	clear(d.lines)
 	d.in.reset()
 	d.tr = tr
-	d.res = &Result{}
 	d.maxTid = 0
+	if r := d.spare; r != nil {
+		d.spare = nil
+		d.in.reports = r.Reports[:0]
+		*r = Result{RedundantFlushes: r.RedundantFlushes[:0], RedundantFences: r.RedundantFences[:0]}
+		d.res = r
+		return
+	}
+	d.res = &Result{}
 }
 
 // Tracker returns the durability tracker the detector drives. A machine
@@ -412,13 +363,26 @@ func (d *Detector) Result() *Result {
 	}
 	res.Reports = in.reports
 	in.reports = nil
-	sort.Slice(res.Reports, func(i, j int) bool {
-		return res.Reports[i].Store.Seq < res.Reports[j].Store.Seq
-	})
+	slices.SortFunc(res.Reports, func(a, b *Report) int { return cmp.Compare(a.Store.Seq, b.Store.Seq) })
+	// A recycled record or result lists nothing as a fresh one does: nil.
+	for _, r := range res.Reports {
+		r.Checkpoints = nilIfEmpty(r.Checkpoints)
+		r.FlushSites = nilIfEmpty(r.FlushSites)
+	}
+	res.Reports = nilIfEmpty(res.Reports)
+	res.RedundantFlushes = nilIfEmpty(res.RedundantFlushes)
+	res.RedundantFences = nilIfEmpty(res.RedundantFences)
 	res.LinesTouched = len(d.lines)
 	res.Threads = d.maxTid + 1
 	d.res = nil
 	return res
+}
+
+func nilIfEmpty[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	return s
 }
 
 // interner gives the detector's per-violation work dense integer ids.
@@ -438,12 +402,18 @@ type interner struct {
 	// durability points and the flushes of missing-fence stores.
 	siteOf  map[int]int32
 	reports []*Report
-	// byStack maps a stackHash to the reports whose stacks hash to it.
-	byStack map[uint64][]int32
-	siteID  map[SiteKey]int32
+	// byStack maps a stackHash to the last report whose stack hashes to
+	// it, and sameHash each report to the one before it with its hash
+	// (-1 for none).
+	byStack  map[uint64]int32
+	sameHash []int32
+	siteID   map[SiteKey]int32
 	// ckptSeen / flushSeen record which checkpoint and flush sites each
 	// report already lists.
 	ckptSeen, flushSeen pairSet
+	// free holds report records no verdict names any more (a run's
+	// records that a VerdictTable already held), for later runs.
+	free []*Report
 }
 
 // reset forgets the last run's ids, keeping every buffer but the reports
@@ -453,6 +423,7 @@ func (in *interner) reset() {
 	clear(in.siteOf)
 	in.reports = nil
 	clear(in.byStack)
+	in.sameHash = in.sameHash[:0]
 	clear(in.siteID)
 	in.ckptSeen.reset()
 	in.flushSeen.reset()
@@ -491,17 +462,35 @@ func (in *interner) report(events []*trace.Event, i int) int32 {
 	}
 	se := events[i]
 	h := stackHash(se.Stack)
-	for _, id := range in.byStack[h] {
+	last, ok := in.byStack[h]
+	if !ok {
+		last = -1
+	}
+	for id := last; id >= 0; id = in.sameHash[id] {
 		if sameStack(in.reports[id].Store.Stack, se.Stack) {
 			in.reportOf[i] = id
 			return id
 		}
 	}
 	id := int32(len(in.reports))
-	in.byStack[h] = append(in.byStack[h], id)
-	in.reports = append(in.reports, &Report{Store: se})
+	in.byStack[h] = id
+	in.sameHash = append(in.sameHash, last)
+	in.reports = append(in.reports, in.newReport(se))
 	in.reportOf[i] = id
 	return id
+}
+
+// newReport returns an empty report on store event se, recycling a free
+// record (and its lists' room) when there is one.
+func (in *interner) newReport(se *trace.Event) *Report {
+	n := len(in.free)
+	if n == 0 {
+		return &Report{Store: se}
+	}
+	r := in.free[n-1]
+	in.free = in.free[:n-1]
+	*r = Report{Store: se, Checkpoints: r.Checkpoints[:0], FlushSites: r.FlushSites[:0]}
+	return r
 }
 
 // stackHash is FNV-1a over a stack's (Func, InstrID) frames, the part of

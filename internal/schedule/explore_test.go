@@ -249,12 +249,13 @@ func TestRecycledRunsKeepTheirVerdicts(t *testing.T) {
 }
 
 // TestConcurrentExploresShareNoTable: concurrent explorations of one
-// module each intern their stacks in a table of their own and record
-// their runs into buffers of their own, and each reports what a lone
-// exploration does. The concurrent calls run first, on a fresh module,
-// so under -race two calls inserting into one shared table, or
-// recording into one recycled machine, would be reported as a data
-// race; and no event record is seen by two of them.
+// module each intern their stacks in a table of their own, enter their
+// verdicts into a verdict table of their own and record their runs into
+// buffers of their own, and each reports what a lone exploration does.
+// The concurrent calls run first, on a fresh module, so under -race two
+// calls inserting into one shared table, or recording into one recycled
+// machine, would be reported as a data race; and no event record is seen
+// by two of them.
 func TestConcurrentExploresShareNoTable(t *testing.T) {
 	for _, tc := range mtCorpus() {
 		const workers = 4
@@ -309,6 +310,83 @@ func TestConcurrentExploresShareNoTable(t *testing.T) {
 	}
 }
 
+// TestExploredVerdictsShareRecords: within one exploration, runs whose
+// verdicts hold content-identical records hold one record: one event,
+// one report, one whole result, which no later run changes. Two
+// explorations of one module share none of them.
+func TestExploredVerdictsShareRecords(t *testing.T) {
+	shared := 0
+	for _, tc := range exploreTargets() {
+		var recs [2]*verdictRecords
+		for i := range recs {
+			res, err := schedule.Explore(tc.mod, tc.entry, nil, schedule.Options{})
+			if err != nil {
+				t.Fatalf("%s: Explore: %v", tc.name, err)
+			}
+			recs[i] = &verdictRecords{content: map[any]string{}, record: map[string]any{}}
+			for _, r := range res.Runs {
+				if r.Check != nil {
+					shared += recs[i].add(t, tc.name+" "+r.ID, r.Check)
+				}
+			}
+		}
+		for p, c := range recs[0].content {
+			if _, ok := recs[1].content[p]; ok {
+				t.Fatalf("%s: two explorations share the record %s", tc.name, c)
+			}
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no run shared a record with an earlier run")
+	}
+	t.Logf("%d records shared with an earlier run", shared)
+}
+
+// verdictRecords maps every record the verdicts of one exploration name,
+// an event, report or result, to its content, and back.
+type verdictRecords struct {
+	content map[any]string
+	record  map[string]any
+}
+
+// add enters the records of res, failing when one's content changed or
+// equals another record's, and returns how many were entered before.
+func (v *verdictRecords) add(t *testing.T, where string, res *pmcheck.Result) int {
+	t.Helper()
+	seen := 0
+	see := func(p any, content string) string {
+		if c, ok := v.content[p]; ok {
+			if c != content {
+				t.Fatalf("%s: a shared record changed: %s, was %s", where, content, c)
+			}
+			seen++
+		} else if q, ok := v.record[content]; ok {
+			t.Fatalf("%s: %s is two records (%p, %p)", where, content, p, q)
+		}
+		v.content[p], v.record[content] = content, p
+		return content
+	}
+	event := func(e *trace.Event) string { return see(e, fmt.Sprintf("event %+v", *e)) }
+	var all []string
+	for _, r := range res.Reports {
+		c := fmt.Sprintf("report %s need=%v/%v occ=%d xt=%v tid=%d/%d sites=%v", event(r.Store),
+			r.NeedFlush, r.NeedFence, r.Occurrences, r.CrossThread, r.Tid, r.PubTid, r.FlushSites)
+		for _, e := range r.Checkpoints {
+			c += " ckpt " + event(e)
+		}
+		all = append(all, see(r, c))
+	}
+	for _, e := range res.RedundantFlushes {
+		all = append(all, "redundant flush "+event(e))
+	}
+	for _, e := range res.RedundantFences {
+		all = append(all, "redundant fence "+event(e))
+	}
+	see(res, fmt.Sprintf("result %d/%d/%d/%d/%d/%d/%d %q", res.Stores, res.Flushes, res.Fences,
+		res.Checkpoints, res.Threads, res.CrossThreadPublishes, res.LinesTouched, all))
+	return seen
+}
+
 // runTraced runs one schedule with the online tracker on or off and
 // returns the run's printed trace and detector digest.
 func runTraced(t *testing.T, tc target, choices []int, noTrack bool) (ret uint64, errText, traceText, check string) {
@@ -360,12 +438,14 @@ func TestUntrackedRunsRecordSameTrace(t *testing.T) {
 // over BenchmarkExplore's targets, where the budget truncates: with every
 // run after the first recorded into the trace events, decision log,
 // thread records, frames, tracker store records and simulated memory the
-// run before it finished with, what remains is the verdict (choices, id,
-// detector reports and the events they name) and the branches the budget
-// can still run. Over the 519 runs it measures about 3.6 KiB per run on
-// amd64; with a fresh memory per run it measured about 4.7 KiB, and with
-// a store record per store and every branch queued as well about
-// 6.0 KiB. Over the concurrent corpus alone
+// run before it finished with, and its verdict made of the records
+// earlier runs of the exploration already hold, what remains is the
+// choices, the id, the verdict records no earlier run held and the
+// branches the budget can still run. Over the 519 runs it measures about
+// 1.5 KiB per run on amd64; with every run's reports and the events they
+// name its own it measured about 3.3 KiB, with a fresh memory per run as
+// well about 4.7 KiB, and with a store record per store and every branch
+// queued as well about 6.0 KiB. Over the concurrent corpus alone
 // (135 runs) it measured about 4.1 KiB with those, 9.1 KiB with a fresh
 // machine and trace per run, 14.5 KiB with a private stack copy per
 // event, and 33 KiB with 4 KiB pages, an online tracker per run and
@@ -393,7 +473,7 @@ func TestExploredRunBytes(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perRun := float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 	t.Logf("%d explored runs, %.0f bytes per run", runs, perRun)
-	if perRun > 3840 {
-		t.Errorf("an explored run allocates %.0f bytes, want <= 3.75 KiB", perRun)
+	if perRun > 1600 {
+		t.Errorf("an explored run allocates %.0f bytes, want <= 1,600 B", perRun)
 	}
 }

@@ -84,9 +84,11 @@ type Run struct {
 	Err error
 	// Check is the online detector's result for the run; nil when Err
 	// != nil (an aborted run never reached its final durability point,
-	// so the detector would report the abort, not the program). The
-	// events it names are its own (pmcheck.Result.OwnEvents), or
-	// Result.Trace's for the first run.
+	// so the detector would report the abort, not the program). Runs of
+	// one exploration share the records their verdicts have in common
+	// (pmcheck.VerdictTable), which nothing changes: an equal report is
+	// one record, an equal whole result one Result. The events it names
+	// are Result.Trace's or copies the exploration's table owns.
 	Check *pmcheck.Result
 	// Threads is how many threads the run spawned (including main).
 	Threads int
@@ -231,21 +233,25 @@ func (b branch) prefix(buf []int) []int {
 // The first run records into a machine and a trace of its own, which the
 // Result keeps. Every later run records into one second machine and
 // trace, reset between runs, so an explored run allocates little beyond
-// its verdict; before a reset reuses them, the previous run's Check is
-// made to own its events. The reset also rewinds the machine's simulated
-// memory, which the session never reads once a run has returned.
+// its verdict, and takes its verdict through the session's verdict
+// table, which copies the events it sees first before a reset reuses
+// them. The reset also rewinds the machine's simulated memory, which
+// the session never reads once a run has returned.
 type session struct {
 	mod   *ir.Module
 	entry string
 	args  []uint64
 	// opts is the per-run option template.
 	opts interp.Options
-	// m and tr are the latest run's machine and trace; last is that run,
-	// whose Check may still name events in tr.
-	m    *interp.Machine
-	tr   *trace.Trace
-	last *Run
-	runs int
+	// m and tr are the latest run's machine and trace.
+	m  *interp.Machine
+	tr *trace.Trace
+	// table holds the verdicts of the runs after the first. The first
+	// run's verdict enters it, as it is, when the second run starts: its
+	// events are Result.Trace's.
+	table *pmcheck.VerdictTable
+	first *pmcheck.Result
+	runs  int
 }
 
 // newSession prepares the runs of one exploration under the option
@@ -272,6 +278,12 @@ func newSession(mod *ir.Module, entry string, args []uint64, io interp.Options) 
 func (s *session) run(prefix []int) (*Run, error) {
 	io := s.opts
 	io.Schedule = prefix
+	if s.runs == 1 {
+		s.table = pmcheck.NewVerdictTable()
+		if s.first != nil {
+			s.table.Adopt(s.first)
+		}
+	}
 	if s.runs < 2 {
 		// The first run's trace is the Result's, so the second run starts
 		// the machine and trace the rest of the session reuses.
@@ -283,9 +295,6 @@ func (s *session) run(prefix []int) (*Run, error) {
 		}
 		s.m = m
 	} else {
-		if s.last.Check != nil {
-			s.last.Check.OwnEvents()
-		}
 		s.tr.Events = s.tr.Events[:0]
 		io.Trace = s.tr
 		if err := s.m.Reset(io); err != nil {
@@ -304,13 +313,17 @@ func (s *session) run(prefix []int) (*Run, error) {
 		ID:      interp.ScheduleID(choices),
 		Threads: s.m.ThreadCount(),
 	}
-	if rerr != nil {
+	switch {
+	case rerr != nil:
 		r.Err = rerr
-	} else {
+	case s.table == nil:
 		r.Ret = ret
 		r.Check = io.Detector.Result()
+		s.first = r.Check
+	default:
+		r.Ret = ret
+		r.Check = io.Detector.SharedResult(s.table)
 	}
-	s.last = r
 	return r, nil
 }
 
