@@ -260,23 +260,8 @@ func analyze(mod *ir.Module, entry string, store *Store) (*Result, *alias.Analys
 	if entryFn.IsDecl() {
 		return nil, nil, fmt.Errorf("static: entry function %q has no body", entry)
 	}
-	var an *alias.Analysis
-	az := &analyzer{
-		mod:         mod,
-		entry:       entryFn,
-		sumHash:     make(map[*ir.Func]string),
-		sums:        make(map[*ir.Func]*summary),
-		fenceMay:    make(map[*ir.Func]bool),
-		fenceMust:   make(map[*ir.Func]bool),
-		escapeCache: make(map[*ir.Instr]bool),
-	}
-	if store != nil {
-		an = alias.AnalyzeWithStore(mod, store.Constraints)
-		az.store = store.Summaries
-	} else {
-		an = alias.Analyze(mod)
-	}
-	az.an = an
+	az := newAnalyzer(mod, entryFn, store)
+	an := az.an
 	az.run()
 
 	entrySum := az.sums[entryFn]
@@ -302,7 +287,9 @@ func analyze(mod *ir.Module, entry string, store *Store) (*Result, *alias.Analys
 		// site is reported needing flush+fence (see threads.go).
 		res.Reports = append(res.Reports, az.threadBlanketReports(res.NeedsBySite())...)
 	}
-	sort.Slice(res.Reports, func(i, j int) bool {
+	// Stable: a flow report and the blanket report of the same site and
+	// chain tie, and the flow's richer one, appended first, stays first.
+	sort.SliceStable(res.Reports, func(i, j int) bool {
 		a, b := res.Reports[i], res.Reports[j]
 		if a.Func != b.Func {
 			return a.Func < b.Func
@@ -363,6 +350,27 @@ func analyze(mod *ir.Module, entry string, store *Store) (*Result, *alias.Analys
 		return a.Kind < b.Kind
 	})
 	return res, an, nil
+}
+
+// newAnalyzer solves the module's alias analysis (its constraint lists
+// replayed from store when one is given) and readies the bottom-up pass.
+func newAnalyzer(mod *ir.Module, entryFn *ir.Func, store *Store) *analyzer {
+	az := &analyzer{
+		mod:         mod,
+		entry:       entryFn,
+		sumHash:     make(map[*ir.Func]string),
+		sums:        make(map[*ir.Func]*summary),
+		fenceMay:    make(map[*ir.Func]bool),
+		fenceMust:   make(map[*ir.Func]bool),
+		escapeCache: make(map[*ir.Instr]bool),
+	}
+	if store != nil {
+		az.an = alias.AnalyzeWithStore(mod, store.Constraints)
+		az.store = store.Summaries
+	} else {
+		az.an = alias.Analyze(mod)
+	}
+	return az
 }
 
 // exportReport converts an internal report (absolute stack, rooted at the
