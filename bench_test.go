@@ -24,6 +24,7 @@ import (
 	"hippocrates/internal/progen"
 	"hippocrates/internal/schedule"
 	"hippocrates/internal/server"
+	"hippocrates/internal/static"
 	"hippocrates/internal/study"
 	"hippocrates/internal/trace"
 	"hippocrates/internal/ycsb"
@@ -455,6 +456,19 @@ func BenchmarkStaticRepair(b *testing.B) {
 		}
 		if res.Fix == nil || !res.After.Clean() {
 			b.Fatal("static repair did not leave the layered module clean")
+		}
+	}
+}
+
+// BenchmarkStaticAnalyze measures one cold static analysis of corpus
+// redis-pmem from trace_main with no summary store: the alias solve and
+// the bottom-up persistency dataflow over every reachable function.
+func BenchmarkStaticAnalyze(b *testing.B) {
+	m := corpus.ByName("redis-pmem").MustCompile()
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := static.Analyze(m, "trace_main"); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -9,6 +9,7 @@ package alias
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -70,19 +71,27 @@ type Analysis struct {
 	mod     *ir.Module
 	objects []*Object
 
-	// nodeOf maps pointer values to dense node IDs.
-	nodeOf map[ir.Value]int
-	values []ir.Value
+	// instrNode and nodeOf map pointer values to dense node IDs:
+	// instructions, nearly all of them, under a pointer key, which hashes
+	// faster than an interface; parameters, globals and constants under
+	// nodeOf.
+	instrNode map[*ir.Instr]int
+	nodeOf    map[ir.Value]int
+	values    []ir.Value
 
-	// pts[n] is the points-to set of value node n, as an object-ID set.
-	pts []map[int]bool
+	// pts[n] is the points-to set of value node n.
+	pts []idSet
 	// objPts[o] is the points-to set of pointers stored inside object o.
-	objPts []map[int]bool
+	objPts []idSet
+	// setChunk is where empty sets take their first slots (see add).
+	setChunk []int32
+	// byID is applyConstraints' per-function instruction table.
+	byID []*ir.Instr
 
-	// constraint edges (by node IDs)
-	copyEdges  map[int][]int // src -> dsts: pts(dst) ⊇ pts(src)
-	loadEdges  map[int][]int // p -> dsts:   pts(dst) ⊇ pts(*p)
-	storeEdges map[int][]int // p -> srcs:   pts(*p) ⊇ pts(src)
+	// constraint edges as (from, to) node pairs
+	copyEdges  []edge // src -> dst: pts(dst) ⊇ pts(src)
+	loadEdges  []edge // p -> dst:   pts(dst) ⊇ pts(*p)
+	storeEdges []edge // p -> src:   pts(*p) ⊇ pts(src)
 
 	// queries counts alias/points-to lookups since construction (atomic:
 	// the fixer may consult the analysis from concurrent pipelines).
@@ -100,8 +109,10 @@ type Analysis struct {
 	refIndex map[string]int
 	refs     []string
 	refRank  []int
-	// digestBuf is FuncDigest's reusable encoding scratch.
+	// digestBuf is FuncDigest's reusable encoding scratch, and slotNodes
+	// its per-function node tables (see nodesBySlot).
 	digestBuf []byte
+	slotNodes map[*ir.Func][]int32
 
 	// consHits / consMisses count constraint-store traffic for this run.
 	consHits, consMisses int
@@ -137,13 +148,10 @@ func Analyze(mod *ir.Module) *Analysis {
 // share the apply step. Per-run traffic is reported by ConsStatsOf.
 func AnalyzeWithStore(mod *ir.Module, store *lru.Cache[string, []Cons]) *Analysis {
 	a := &Analysis{
-		mod:        mod,
-		nodeOf:     make(map[ir.Value]int),
-		copyEdges:  make(map[int][]int),
-		loadEdges:  make(map[int][]int),
-		storeEdges: make(map[int][]int),
-		retCache:   make(map[*ir.Func][]int),
-		fps:        make(map[*ir.Func]string),
+		mod:      mod,
+		nodeOf:   make(map[ir.Value]int),
+		retCache: make(map[*ir.Func][]int),
+		fps:      make(map[*ir.Func]string),
 	}
 	a.collect(store)
 	a.solve()
@@ -169,39 +177,114 @@ func (a *Analysis) Fingerprint(f *ir.Func) string {
 	return fp
 }
 
-// node interns a pointer value. Its points-to set starts nil and is
-// allocated by ptsAt on first write: most nodes never gain objects, and
-// eager empty maps dominated warm incremental runs.
+// node interns a pointer value with an empty points-to set.
 func (a *Analysis) node(v ir.Value) int {
-	if n, ok := a.nodeOf[v]; ok {
+	if n, ok := a.lookup(v); ok {
 		return n
 	}
 	n := len(a.values)
-	a.nodeOf[v] = n
+	if in, ok := v.(*ir.Instr); ok {
+		a.instrNode[in] = n
+	} else {
+		a.nodeOf[v] = n
+	}
 	a.values = append(a.values, v)
 	a.pts = append(a.pts, nil)
 	return n
 }
 
-// ptsAt returns node n's points-to set for writing, allocating it lazily.
-// Read sites index a.pts directly — ranging a nil map is fine.
-func (a *Analysis) ptsAt(n int) map[int]bool {
-	if a.pts[n] == nil {
-		a.pts[n] = make(map[int]bool, 2)
+// lookup returns v's node, if it has one.
+func (a *Analysis) lookup(v ir.Value) (int, bool) {
+	if in, ok := v.(*ir.Instr); ok {
+		n, ok := a.instrNode[in]
+		return n, ok
 	}
-	return a.pts[n]
+	n, ok := a.nodeOf[v]
+	return n, ok
+}
+
+// idSet is a sorted set of object IDs. Points-to sets are small (most
+// hold one object), so a sorted slice beats a map in both space and time.
+type idSet []int32
+
+func (s idSet) has(o int32) bool {
+	_, found := slices.BinarySearch(s, o)
+	return found
+}
+
+// add inserts o into *s and reports whether the set grew. An empty set
+// takes its first two slots from a shared chunk: most sets never grow
+// past one object, and an allocation per set dominated the solve.
+func (a *Analysis) add(s *idSet, o int32) bool {
+	i, found := slices.BinarySearch(*s, o)
+	if found {
+		return false
+	}
+	if cap(*s) == 0 {
+		if len(a.setChunk) < 2 {
+			a.setChunk = make([]int32, 1024)
+		}
+		*s, a.setChunk = a.setChunk[:0:2], a.setChunk[2:]
+	}
+	*s = slices.Insert(*s, i, o)
+	return true
+}
+
+// union adds every ID of src to *s and reports whether the set grew.
+func (a *Analysis) union(s *idSet, src idSet) bool {
+	changed := false
+	for _, o := range src {
+		if a.add(s, o) {
+			changed = true
+		}
+	}
+	return changed
 }
 
 func (a *Analysis) newObject(kind ObjKind, site ir.Value, fn *ir.Func, pm bool) *Object {
 	o := &Object{ID: len(a.objects), Kind: kind, Site: site, Func: fn, PM: pm}
 	a.objects = append(a.objects, o)
-	a.objPts = append(a.objPts, make(map[int]bool))
+	a.objPts = append(a.objPts, nil)
 	return o
 }
 
+// edge is one constraint edge between two nodes.
+type edge struct{ from, to int32 }
+
 func (a *Analysis) addCopy(src, dst int) {
-	a.copyEdges[src] = append(a.copyEdges[src], dst)
+	a.copyEdges = append(a.copyEdges, edge{int32(src), int32(dst)})
 }
+
+// adjacency is a compressed edge list: the targets of node n are
+// to[start[n]:start[n+1]].
+type adjacency struct {
+	start []int32
+	to    []int32
+}
+
+func newAdjacency(nodes int, edges []edge, reverse bool) adjacency {
+	adj := adjacency{start: make([]int32, nodes+1), to: make([]int32, len(edges))}
+	for _, e := range edges {
+		if reverse {
+			e.from = e.to
+		}
+		adj.start[e.from+1]++
+	}
+	for n := 0; n < nodes; n++ {
+		adj.start[n+1] += adj.start[n]
+	}
+	fill := slices.Clone(adj.start[:nodes])
+	for _, e := range edges {
+		if reverse {
+			e.from, e.to = e.to, e.from
+		}
+		adj.to[fill[e.from]] = e.to
+		fill[e.from]++
+	}
+	return adj
+}
+
+func (adj adjacency) of(n int32) []int32 { return adj.to[adj.start[n]:adj.start[n+1]] }
 
 // allocKind classifies a callee as an allocator.
 func allocKind(name string) (ObjKind, bool) {
@@ -218,15 +301,9 @@ func allocKind(name string) (ObjKind, bool) {
 // canonical constraint list (cached by body fingerprint when a store is
 // present, generated otherwise).
 func (a *Analysis) collect(store *lru.Cache[string, []Cons]) {
-	// Globals: the value @g points to the object g.
-	for _, g := range a.mod.Globals {
-		o := a.newObject(ObjGlobal, g, nil, g.PM)
-		a.ptsAt(a.node(g))[o.ID] = true
-	}
-	// One shared opaque object for pointers materialized from integers.
-	a.externID = a.newObject(ObjExtern, ir.Null(), nil, false).ID
-
-	for _, f := range a.mod.Funcs {
+	lists := make([][]Cons, len(a.mod.Funcs))
+	total := 0
+	for i, f := range a.mod.Funcs {
 		if f.IsDecl() {
 			continue
 		}
@@ -243,7 +320,29 @@ func (a *Analysis) collect(store *lru.Cache[string, []Cons]) {
 		} else {
 			cons = genConstraints(f)
 		}
-		if err := a.applyConstraints(f, cons); err != nil {
+		lists[i] = cons
+		total += len(cons)
+	}
+	// A constraint names at most two values, most of them shared, so the
+	// constraint count sizes the node tables and edge lists.
+	a.instrNode = make(map[*ir.Instr]int, total)
+	a.values = make([]ir.Value, 0, total)
+	a.pts = make([]idSet, 0, total)
+	a.copyEdges = make([]edge, 0, total)
+
+	// Globals: the value @g points to the object g.
+	for _, g := range a.mod.Globals {
+		o := a.newObject(ObjGlobal, g, nil, g.PM)
+		a.add(&a.pts[a.node(g)], int32(o.ID))
+	}
+	// One shared opaque object for pointers materialized from integers.
+	a.externID = a.newObject(ObjExtern, ir.Null(), nil, false).ID
+
+	for i, f := range a.mod.Funcs {
+		if f.IsDecl() {
+			continue
+		}
+		if err := a.applyConstraints(f, lists[i]); err != nil {
 			// A fingerprint-keyed list can only fail to resolve against a
 			// body it was not generated from; regenerating from the actual
 			// body cannot fail.
@@ -276,47 +375,74 @@ func returnsOfFunc(a *Analysis, f *ir.Func, cache map[*ir.Func][]int) []int {
 	return nodes
 }
 
-// solve iterates the inclusion constraints to a fixpoint. The corpus-scale
-// modules (≤ hundreds of KLOC-equivalent IR) solve in a handful of
-// rounds; the harness measures this as part of Fig. 5's offline overhead.
+// solve computes the least solution of the inclusion constraints with a
+// worklist: a node is revisited only after its points-to set grows, and a
+// stored-into object pushes only the loads known to read it.
 func (a *Analysis) solve() {
-	changed := true
-	for changed {
-		changed = false
-		union := func(dst map[int]bool, src map[int]bool) {
-			for o := range src {
-				if !dst[o] {
-					dst[o] = true
-					changed = true
+	nodes := len(a.values)
+	copies := newAdjacency(nodes, a.copyEdges, false)
+	loads := newAdjacency(nodes, a.loadEdges, false)    // p -> dsts
+	stores := newAdjacency(nodes, a.storeEdges, false)  // p -> srcs
+	storedBy := newAdjacency(nodes, a.storeEdges, true) // src -> ps
+	// readers[o] are the load destinations whose pointer may point to o.
+	readers := make([]map[int32]bool, len(a.objects))
+
+	queued := make([]bool, nodes)
+	var work []int32
+	push := func(n int32) {
+		if !queued[n] {
+			queued[n] = true
+			work = append(work, n)
+		}
+	}
+	// storeInto folds src's set into object o and passes what changed on
+	// to o's readers.
+	storeInto := func(o int32, src idSet) {
+		if a.union(&a.objPts[o], src) {
+			for dst := range readers[o] {
+				if a.union(&a.pts[dst], a.objPts[o]) {
+					push(dst)
 				}
 			}
 		}
-		for src, dsts := range a.copyEdges {
-			if len(a.pts[src]) == 0 {
-				continue
-			}
-			for _, dst := range dsts {
-				union(a.ptsAt(dst), a.pts[src])
+	}
+	for n := range a.pts {
+		if len(a.pts[n]) > 0 {
+			push(int32(n))
+		}
+	}
+	// Each loop below reads a.pts[n] afresh: storing into an object can
+	// grow n's own set, and n is then queued to run again.
+	for len(work) > 0 {
+		n := work[len(work)-1]
+		work = work[:len(work)-1]
+		queued[n] = false
+		for _, dst := range copies.of(n) {
+			if a.union(&a.pts[dst], a.pts[n]) {
+				push(dst)
 			}
 		}
-		for p, dsts := range a.loadEdges {
-			for o := range a.pts[p] {
-				if len(a.objPts[o]) == 0 {
-					continue
+		if dsts := loads.of(n); len(dsts) > 0 {
+			for _, o := range a.pts[n] {
+				if readers[o] == nil {
+					readers[o] = make(map[int32]bool)
 				}
 				for _, dst := range dsts {
-					union(a.ptsAt(dst), a.objPts[o])
+					readers[o][dst] = true
+					if a.union(&a.pts[dst], a.objPts[o]) {
+						push(dst)
+					}
 				}
 			}
 		}
-		for p, srcs := range a.storeEdges {
-			for o := range a.pts[p] {
-				for _, src := range srcs {
-					if len(a.pts[src]) == 0 {
-						continue
-					}
-					union(a.objPts[o], a.pts[src])
-				}
+		for _, src := range stores.of(n) {
+			for _, o := range a.pts[n] {
+				storeInto(o, a.pts[src])
+			}
+		}
+		for _, p := range storedBy.of(n) {
+			for _, o := range a.pts[p] {
+				storeInto(o, a.pts[n])
 			}
 		}
 	}
@@ -325,12 +451,12 @@ func (a *Analysis) solve() {
 // PointsTo returns the abstract objects v may point to.
 func (a *Analysis) PointsTo(v ir.Value) []*Object {
 	a.queries.Add(1)
-	n, ok := a.nodeOf[v]
+	n, ok := a.lookup(v)
 	if !ok {
 		return nil
 	}
 	var out []*Object
-	for o := range a.pts[n] {
+	for _, o := range a.pts[n] {
 		out = append(out, a.objects[o])
 	}
 	return out
@@ -340,20 +466,17 @@ func (a *Analysis) PointsTo(v ir.Value) []*Object {
 // object.
 func (a *Analysis) MayAlias(v, w ir.Value) bool {
 	a.queries.Add(1)
-	nv, ok := a.nodeOf[v]
+	nv, ok := a.lookup(v)
 	if !ok {
 		return false
 	}
-	nw, ok := a.nodeOf[w]
+	nw, ok := a.lookup(w)
 	if !ok {
 		return false
 	}
-	pv, pw := a.pts[nv], a.pts[nw]
-	if len(pw) < len(pv) {
-		pv, pw = pw, pv
-	}
-	for o := range pv {
-		if pw[o] {
+	pw := a.pts[nw]
+	for _, o := range a.pts[nv] {
+		if pw.has(o) {
 			return true
 		}
 	}
@@ -363,11 +486,11 @@ func (a *Analysis) MayAlias(v, w ir.Value) bool {
 // MayPointToPM reports whether v may reference a PM object.
 func (a *Analysis) MayPointToPM(v ir.Value) bool {
 	a.queries.Add(1)
-	n, ok := a.nodeOf[v]
+	n, ok := a.lookup(v)
 	if !ok {
 		return false
 	}
-	for o := range a.pts[n] {
+	for _, o := range a.pts[n] {
 		if a.objects[o].PM {
 			return true
 		}
@@ -378,11 +501,11 @@ func (a *Analysis) MayPointToPM(v ir.Value) bool {
 // MayPointToNonPM reports whether v may reference a volatile object.
 func (a *Analysis) MayPointToNonPM(v ir.Value) bool {
 	a.queries.Add(1)
-	n, ok := a.nodeOf[v]
+	n, ok := a.lookup(v)
 	if !ok {
 		return false
 	}
-	for o := range a.pts[n] {
+	for _, o := range a.pts[n] {
 		if !a.objects[o].PM && a.objects[o].Kind != ObjExtern {
 			return true
 		}
@@ -390,20 +513,19 @@ func (a *Analysis) MayPointToNonPM(v ir.Value) bool {
 	return false
 }
 
-// PointsToSet returns the IDs of the objects v may reference and whether
-// the analysis tracked v at all. An untracked value (known == false) must
-// be treated as possibly pointing anywhere; a tracked value with an empty
-// set provably points nowhere the module allocated.
-func (a *Analysis) PointsToSet(v ir.Value) (ids []int, known bool) {
+// PointsToSet returns the IDs of the objects v may reference, in
+// ascending order, and whether the analysis tracked v at all. An
+// untracked value (known == false) must be treated as possibly pointing
+// anywhere; a tracked value with an empty set provably points nowhere the
+// module allocated. The slice is the analysis's own and must not be
+// modified.
+func (a *Analysis) PointsToSet(v ir.Value) (ids []int32, known bool) {
 	a.queries.Add(1)
-	n, ok := a.nodeOf[v]
+	n, ok := a.lookup(v)
 	if !ok {
 		return nil, false
 	}
-	for o := range a.pts[n] {
-		ids = append(ids, o)
-	}
-	return ids, true
+	return a.pts[n][:len(a.pts[n]):len(a.pts[n])], true
 }
 
 // ObjectByID returns the abstract object with the given ID.

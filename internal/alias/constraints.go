@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -153,7 +154,10 @@ func (a *Analysis) applyConstraints(f *ir.Func, cons []Cons) error {
 			}
 		}
 	}
-	byID := make([]*ir.Instr, maxID+1)
+	// The table is scratch for this call: reused across functions.
+	byID := slices.Grow(a.byID[:0], maxID+1)[:maxID+1]
+	clear(byID)
+	a.byID = byID
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			if in.ID >= 0 {
@@ -203,16 +207,16 @@ func (a *Analysis) applyConstraints(f *ir.Func, cons []Cons) error {
 			switch c.Kind {
 			case CSeedAlloca:
 				o := a.newObject(ObjAlloca, in, f, false)
-				a.ptsAt(a.node(in))[o.ID] = true
+				a.add(&a.pts[a.node(in)], int32(o.ID))
 			case CSeedAlloc:
 				kind, ok := allocKind(c.Callee)
 				if !ok {
 					return fmt.Errorf("alias: %q is not an allocator", c.Callee)
 				}
 				o := a.newObject(kind, in, f, kind == ObjPM)
-				a.ptsAt(a.node(in))[o.ID] = true
+				a.add(&a.pts[a.node(in)], int32(o.ID))
 			case CSeedExtern:
-				a.ptsAt(a.node(in))[a.externID] = true
+				a.add(&a.pts[a.node(in)], int32(a.externID))
 			}
 		case CCopy:
 			src, err := resolve(c.A)
@@ -233,8 +237,7 @@ func (a *Analysis) applyConstraints(f *ir.Func, cons []Cons) error {
 			if err != nil {
 				return err
 			}
-			pn := a.node(p)
-			a.loadEdges[pn] = append(a.loadEdges[pn], a.node(dst))
+			a.loadEdges = append(a.loadEdges, edge{int32(a.node(p)), int32(a.node(dst))})
 		case CStore:
 			p, err := resolve(c.A)
 			if err != nil {
@@ -244,8 +247,7 @@ func (a *Analysis) applyConstraints(f *ir.Func, cons []Cons) error {
 			if err != nil {
 				return err
 			}
-			pn := a.node(p)
-			a.storeEdges[pn] = append(a.storeEdges[pn], a.node(src))
+			a.storeEdges = append(a.storeEdges, edge{int32(a.node(p)), int32(a.node(src))})
 		case CRetCopy:
 			dst, err := resolve(c.B)
 			if err != nil {
@@ -271,6 +273,11 @@ func (a *Analysis) applyConstraints(f *ir.Func, cons []Cons) error {
 // (function, instruction ID), the extern object as "x". Refs are unique
 // per object within one analysis (one object per allocation site).
 func (a *Analysis) ObjectRef(id int) string {
+	a.buildRefIndex()
+	return a.refs[id]
+}
+
+func (a *Analysis) objectRef(id int) string {
 	o := a.objects[id]
 	switch o.Kind {
 	case ObjGlobal:
@@ -294,7 +301,7 @@ func (a *Analysis) buildRefIndex() {
 		order := make([]int, len(a.objects))
 		a.refIndex = make(map[string]int, len(a.objects))
 		for i := range a.objects {
-			a.refs[i] = a.ObjectRef(i)
+			a.refs[i] = a.objectRef(i)
 			order[i] = i
 			a.refIndex[a.refs[i]] = i
 		}
@@ -314,6 +321,33 @@ func (a *Analysis) ObjectIDByRef(ref string) (int, bool) {
 	return id, ok
 }
 
+// nodesBySlot returns, for a function whose value slots are current, 1 +
+// the node of each of its instructions by slot (0: untracked), so
+// FuncDigest reads them without a map lookup per value. The tables are
+// built on first use for every such function; nil means f's slots are
+// stale and its values must be looked up.
+func (a *Analysis) nodesBySlot(f *ir.Func) []int32 {
+	if a.slotNodes == nil {
+		a.slotNodes = make(map[*ir.Func][]int32, len(a.mod.Funcs))
+		for _, fn := range a.mod.Funcs {
+			if !fn.IsDecl() && !fn.NeedsRenumber() {
+				a.slotNodes[fn] = make([]int32, fn.NumSlots())
+			}
+		}
+		for n, v := range a.values {
+			if in, ok := v.(*ir.Instr); ok && in.Block() != nil && in.Slot >= 0 {
+				if tab := a.slotNodes[in.Block().Func()]; in.Slot < len(tab) {
+					tab[in.Slot] = int32(n) + 1
+				}
+			}
+		}
+	}
+	if f.NeedsRenumber() {
+		return nil
+	}
+	return a.slotNodes[f]
+}
+
 // FuncDigest hashes the slice of the solved points-to relation that any
 // per-function analysis of f can observe: for every parameter and every
 // instruction result, whether the value is tracked at all (untracked
@@ -330,21 +364,17 @@ func (a *Analysis) FuncDigest(f *ir.Func) string {
 	// digest and building "p<n>"/"r<n>" tag strings per value dominated
 	// warm incremental runs.
 	buf := a.digestBuf[:0]
-	var ids []int
-	writeVal := func(tag byte, idx int, v ir.Value) {
+	var ids []int32
+	writeNode := func(tag byte, idx int, n int, ok bool) {
 		buf = append(buf, tag)
 		buf = binary.AppendUvarint(buf, uint64(idx))
-		n, ok := a.nodeOf[v]
 		if !ok {
 			buf = append(buf, '?')
 			return
 		}
 		// Rank order is lexicographic ref order, so the bytes hashed here
 		// are identical to sorting the ref strings themselves.
-		ids = ids[:0]
-		for o := range a.pts[n] {
-			ids = append(ids, o)
-		}
+		ids = append(ids[:0], a.pts[n]...)
 		// Points-to sets here are tiny; insertion sort by rank beats
 		// sort.Slice's per-call overhead across thousands of values.
 		for i := 1; i < len(ids); i++ {
@@ -360,12 +390,27 @@ func (a *Analysis) FuncDigest(f *ir.Func) string {
 		}
 	}
 	for _, p := range f.Params {
-		writeVal('p', p.Index, p)
+		n, ok := a.lookup(p)
+		writeNode('p', p.Index, n, ok)
 	}
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.HasResult() {
-				writeVal('r', in.ID, in)
+	if bySlot := a.nodesBySlot(f); bySlot != nil {
+		// Current slots: an instruction has one exactly when it has a
+		// result.
+		for _, b := range f.Blocks {
+			for _, in := range b.Instrs {
+				if in.Slot >= 0 {
+					n := bySlot[in.Slot]
+					writeNode('r', in.ID, int(n)-1, n != 0)
+				}
+			}
+		}
+	} else {
+		for _, b := range f.Blocks {
+			for _, in := range b.Instrs {
+				if in.HasResult() {
+					n, ok := a.lookup(in)
+					writeNode('r', in.ID, n, ok)
+				}
 			}
 		}
 	}

@@ -27,11 +27,15 @@ type analyzer struct {
 	sumHash   map[*ir.Func]string
 	sumHits   int
 	sumMisses int
+	// chains interns this run's frames and call chains; pts caches each
+	// pointer's points-to answer.
+	chains *chainTable
+	pts    map[ir.Value]ptsInfo
 	// objsCache interns resolved object-ID sets by their canonical refs
-	// key. Facts never mutate their objs maps after creation, and one
-	// points-to set recurs across most facts of a function, so warm runs
-	// share one map per distinct set instead of allocating thousands.
-	objsCache map[string]map[int]bool
+	// key. Object sets are never mutated, and one points-to set recurs
+	// across most facts of a function, so warm runs share one set per
+	// distinct refs list instead of allocating thousands.
+	objsCache map[string]objSet
 	// instrIdx is instrByID's per-function dense ID index.
 	instrIdx map[*ir.Func][]*ir.Instr
 
@@ -40,6 +44,8 @@ type analyzer struct {
 	fenceMust map[*ir.Func]bool
 
 	escapeCache map[*ir.Instr]bool
+	// threaded: a function reachable from the entry spawns a thread.
+	threaded bool
 }
 
 // sccIterCap bounds fixpoint rounds inside one recursive SCC; summaries
@@ -47,8 +53,13 @@ type analyzer struct {
 // a precision knob.
 const sccIterCap = 32
 
+// summaryOf returns fn's summary for a caller to read, replaying its flow
+// parts first if it came from the store.
 func (az *analyzer) summaryOf(fn *ir.Func) *summary {
 	if s := az.sums[fn]; s != nil {
+		if s.snap != nil {
+			az.replay(s, true)
+		}
 		return s
 	}
 	// Not yet computed (first round of a recursive SCC): the empty summary
@@ -62,7 +73,8 @@ func (az *analyzer) summaryOf(fn *ir.Func) *summary {
 // keep the iterative fixpoint and bypass the cache — their summaries
 // depend on their own ascending chain, not just on body + callee hashes.
 func (az *analyzer) run() {
-	nodes, succs := callGraph(az.entry)
+	nodes, succs, spawns := callGraph(az.entry)
+	az.threaded = spawns
 	for _, scc := range sccOrder(nodes, succs) {
 		if len(scc) == 1 && !callsSelf(scc[0], succs) {
 			az.runSingle(scc[0], succs)
@@ -260,10 +272,10 @@ func (az *analyzer) summaries(scc []*ir.Func) {
 			fa.run()
 			old := ""
 			if prev := az.sums[fn]; prev != nil {
-				old = prev.signature()
+				old = prev.signature(az.chains)
 			}
 			az.sums[fn] = fa.sum
-			if fa.sum.signature() != old {
+			if fa.sum.signature(az.chains) != old {
 				changed = true
 			}
 		}

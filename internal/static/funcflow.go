@@ -8,36 +8,74 @@ package static
 import (
 	"hippocrates/internal/alias"
 	"hippocrates/internal/ir"
-	"hippocrates/internal/pmcheck"
 	"hippocrates/internal/trace"
 )
 
 // funcAnalysis is the flow-sensitive pass over one function body.
+// Everything it keeps per block or per instruction is a slice indexed by
+// block position or by instruction ID (unique within a function, as every
+// frame the analysis emits already assumes).
 type funcAnalysis struct {
 	az *analyzer
 	fn *ir.Func
+	ct *chainTable
 
 	sum   *summary
-	facts map[string]*fact
-	next  int
-	in    map[*ir.Block]factState
-	pos   map[*ir.Instr]int
+	facts []*fact // by fact id; shared with sum.facts
+
+	// storeFact[id] is 1 + the fact of the store-like instruction with
+	// that ID (0: none yet); chainFact holds the facts adopted from callee
+	// exits by chain; callFacts[id][j] is 1 + the fact callee exit fact j
+	// becomes at the call instruction with that ID.
+	storeFact []int32
+	chainFact map[chainID]int32
+	callFacts [][]int32
+	// frameIDs[id] is 1 + the interned frame of the instruction with that
+	// ID; pos[id] is its position in its block.
+	frameIDs []int32
+	pos      []int32
+
+	// in[b] is the input state of the block at position b, and reached[b]
+	// whether any path has reached it yet; succs[b] are the positions of
+	// its successors.
+	in      []factState
+	reached []bool
+	succs   [][]int32
 }
 
 func newFuncAnalysis(az *analyzer, fn *ir.Func) *funcAnalysis {
 	fa := &funcAnalysis{
-		az:    az,
-		fn:    fn,
-		sum:   newSummary(fn),
-		facts: make(map[string]*fact),
-		in:    make(map[*ir.Block]factState),
-		pos:   make(map[*ir.Instr]int),
+		az:        az,
+		fn:        fn,
+		ct:        az.chains,
+		sum:       newSummary(fn),
+		chainFact: make(map[chainID]int32),
+		in:        make([]factState, len(fn.Blocks)),
+		reached:   make([]bool, len(fn.Blocks)),
+		succs:     make([][]int32, len(fn.Blocks)),
 	}
 	fa.sum.fenceMay = az.fenceMay[fn]
 	fa.sum.fenceMust = az.fenceMust[fn]
-	for _, b := range fn.Blocks {
-		for i, in := range b.Instrs {
-			fa.pos[in] = i
+	maxID := -1
+	blockPos := make(map[*ir.Block]int32, len(fn.Blocks))
+	for i, b := range fn.Blocks {
+		blockPos[b] = int32(i)
+		for _, in := range b.Instrs {
+			maxID = max(maxID, in.ID)
+		}
+	}
+	fa.pos = make([]int32, maxID+1)
+	fa.frameIDs = make([]int32, maxID+1)
+	fa.storeFact = make([]int32, maxID+1)
+	fa.callFacts = make([][]int32, maxID+1)
+	for i, b := range fn.Blocks {
+		for j, in := range b.Instrs {
+			fa.pos[in.ID] = int32(j)
+		}
+		if t := b.Terminator(); t != nil {
+			for _, s := range t.Succs {
+				fa.succs[i] = append(fa.succs[i], blockPos[s])
+			}
 		}
 	}
 	return fa
@@ -47,54 +85,61 @@ func (fa *funcAnalysis) frameOf(in *ir.Instr) trace.Frame {
 	return trace.Frame{Func: fa.fn.Name, InstrID: in.ID, Loc: in.Loc}
 }
 
+// frameID is in's interned frame.
+func (fa *funcAnalysis) frameID(in *ir.Instr) int32 {
+	if id := fa.frameIDs[in.ID]; id != 0 {
+		return id - 1
+	}
+	id := fa.ct.frame(fa.frameOf(in))
+	fa.frameIDs[in.ID] = id + 1
+	return id
+}
+
 // run solves the block-level fixpoint, then walks the stabilized states
 // once more to emit reports, lints, summary effects, and exit facts.
 func (fa *funcAnalysis) run() {
-	entry := fa.fn.Entry()
-	if entry == nil {
+	if fa.fn.Entry() == nil {
 		return
 	}
-	fa.in[entry] = factState{}
-	work := []*ir.Block{entry}
-	queued := map[*ir.Block]bool{entry: true}
+	fa.reached[0] = true
+	work := []int32{0}
+	queued := make([]bool, len(fa.fn.Blocks))
+	queued[0] = true
+	var st factState
 	for len(work) > 0 {
 		b := work[0]
 		work = work[1:]
 		queued[b] = false
-		st := fa.in[b].clone()
+		st = append(st[:0], fa.in[b]...)
 		dead := false
-		for _, in := range b.Instrs {
-			if dead = fa.transfer(st, in, false); dead {
+		for _, in := range fa.fn.Blocks[b].Instrs {
+			if dead = fa.transfer(&st, in, false); dead {
 				break
 			}
 		}
 		if dead {
 			continue
 		}
-		for _, s := range b.Terminator().Succs {
-			first := fa.in[s] == nil
-			if first {
-				fa.in[s] = factState{}
-			}
-			if (joinInto(fa.in[s], st) || first) && !queued[s] {
+		for _, s := range fa.succs[b] {
+			first := !fa.reached[s]
+			fa.reached[s] = true
+			if (joinInto(&fa.in[s], st) || first) && !queued[s] {
 				queued[s] = true
 				work = append(work, s)
 			}
 		}
 	}
 
-	for _, b := range fa.fn.Blocks {
-		if fa.in[b] == nil {
+	for b, blk := range fa.fn.Blocks {
+		if !fa.reached[b] {
 			continue // unreachable
 		}
-		st := fa.in[b].clone()
-		for _, in := range b.Instrs {
+		st = append(st[:0], fa.in[b]...)
+		for _, in := range blk.Instrs {
 			if in.Op == ir.OpRet {
-				for f, bits := range st {
-					fa.sum.exit[f] |= bits
-				}
+				joinInto(&fa.sum.exit, st)
 			}
-			if fa.transfer(st, in, true) {
+			if fa.transfer(&st, in, true) {
 				break
 			}
 		}
@@ -104,19 +149,19 @@ func (fa *funcAnalysis) run() {
 // transfer applies one instruction to the state, mutating st in place. In
 // the emit pass it also records reports, lints, and summary effects. It
 // returns true when the path dies (abort).
-func (fa *funcAnalysis) transfer(st factState, in *ir.Instr, emit bool) bool {
+func (fa *funcAnalysis) transfer(st *factState, in *ir.Instr, emit bool) bool {
 	switch in.Op {
 	case ir.OpStore, ir.OpNTStore:
 		ptr := in.StorePtr()
-		if !fa.mayPM(ptr) {
+		if !fa.az.ptsOf(ptr).mayPM {
 			return false
 		}
 		f := fa.internStoreFact(in, ptr, in.StoreTy.Size())
 		if in.Op == ir.OpNTStore {
-			st[f] |= stFlushed
-			f.addFlushSite(fa.frameOf(in))
+			st.or(f.id, stFlushed)
+			f.flushSites = f.flushSites.with(fa.frameID(in))
 		} else {
-			st[f] |= stDirty
+			st.or(f.id, stDirty)
 		}
 
 	case ir.OpAtomicStore, ir.OpAtomicRMW, ir.OpAtomicCAS:
@@ -125,9 +170,9 @@ func (fa *funcAnalysis) transfer(st factState, in *ir.Instr, emit bool) bool {
 		// (atomicity orders visibility, not persistence). The pointer is
 		// the last operand for all three forms. Atomic loads write nothing.
 		ptr := in.StorePtr()
-		if fa.mayPM(ptr) {
+		if fa.az.ptsOf(ptr).mayPM {
 			f := fa.internStoreFact(in, ptr, 8)
-			st[f] |= stDirty
+			st.or(f.id, stDirty)
 		}
 
 	case ir.OpSpawn, ir.OpJoin:
@@ -138,32 +183,17 @@ func (fa *funcAnalysis) transfer(st factState, in *ir.Instr, emit bool) bool {
 		// either — it orders execution, not durability.
 
 	case ir.OpFlush:
-		fa.applyFlush(st, in, in.Args[0], nil, in.FlushK.Ordered(), emit)
+		fa.applyFlush(*st, in, in.Args[0], nil, in.FlushK.Ordered(), emit)
 
 	case ir.OpFence:
-		if emit {
-			drains := false
-			for _, bits := range st {
-				if bits&stFlushed != 0 {
-					drains = true
-					break
-				}
-			}
-			if !drains {
-				// Locally nothing awaits this fence. A caller context with a
-				// flushed fact would be drained here, and one with a dirty
-				// fact changes classification (dirty → dirty-fenced), so the
-				// lint survives only when every caller context excludes both.
-				fa.lint(LintRedundantFence, in, true, true)
-			}
+		if emit && !st.any(laneFlushed) {
+			// Locally nothing awaits this fence. A caller context with a
+			// flushed fact would be drained here, and one with a dirty
+			// fact changes classification (dirty → dirty-fenced), so the
+			// lint survives only when every caller context excludes both.
+			fa.lint(LintRedundantFence, in, true, true)
 		}
-		for f, bits := range st {
-			if nb := bits.afterFence(); nb == 0 {
-				delete(st, f)
-			} else {
-				st[f] = nb
-			}
-		}
+		st.fence()
 
 	case ir.OpCall:
 		return fa.transferCall(st, in, emit)
@@ -171,30 +201,29 @@ func (fa *funcAnalysis) transfer(st factState, in *ir.Instr, emit bool) bool {
 	return false
 }
 
-func (fa *funcAnalysis) transferCall(st factState, in *ir.Instr, emit bool) bool {
+func (fa *funcAnalysis) transferCall(st *factState, in *ir.Instr, emit bool) bool {
 	callee := in.Callee
 	if callee.IsDecl() {
 		switch callee.Name {
 		case "memcpy", "memset":
 			dst := in.Args[0]
-			if fa.mayPM(dst) {
+			if fa.az.ptsOf(dst).mayPM {
 				size := int64(0)
 				if c, ok := in.Args[2].(*ir.Const); ok {
 					size = c.Val
 				}
 				f := fa.internStoreFact(in, dst, size)
-				st[f] |= stDirty
+				st.or(f.id, stDirty)
 			}
 		case "flush_range":
-			fa.applyFlush(st, in, in.Args[0], in.Args[1], false, emit)
+			fa.applyFlush(*st, in, in.Args[0], in.Args[1], false, emit)
 		case "pm_checkpoint":
-			fr := fa.frameOf(in)
 			if emit {
-				chain := []trace.Frame{fr}
-				fa.sum.addCkpt(chain)
-				for f, bits := range st {
-					fa.sum.mergeReport(f, bits, chain)
-				}
+				chain := fa.ct.push(0, fa.frameID(in))
+				fa.sum.ckpts.add(chain)
+				st.each(func(id int32, bits stateBits) {
+					fa.sum.mergeReport(fa.facts[id], bits, chain)
+				})
 			}
 		case "abort_msg":
 			return true // the interpreter halts here; the path dies
@@ -206,26 +235,30 @@ func (fa *funcAnalysis) transferCall(st factState, in *ir.Instr, emit bool) bool
 	sum := fa.az.summaryOf(callee)
 	fenceMay := fa.az.fenceMay[callee]
 	fenceMust := fa.az.fenceMust[callee]
-	fr := fa.frameOf(in)
+	fr := fa.frameID(in)
 
+	var ckpts []chainID
 	if emit {
 		// Record the caller-visible persistency context at this call for
 		// the top-down lint-context pass.
-		var c callCtx
-		for _, bits := range st {
-			c.dirty = c.dirty || bits&(stDirty|stDirtyFenced) != 0
-			c.flushed = c.flushed || bits&stFlushed != 0
+		fa.sum.mergeCallCtx(callee, callCtx{
+			dirty:   st.any(laneDirty | laneDirtyF),
+			flushed: st.any(laneFlushed),
+		})
+		ckpts = make([]chainID, len(sum.ckpts))
+		for i, c := range sum.ckpts {
+			ckpts[i] = fa.ct.push(c, fr)
 		}
-		fa.sum.mergeCallCtx(callee, c)
 	}
 
 	// Push the caller's live facts through the callee's summary.
-	for f, bits := range st {
+	st.each(func(id int32, bits stateBits) {
+		f := fa.facts[id]
 		mayCov := false
-		for i := range sum.flushes {
-			if sum.flushes[i].covers(f) {
+		for _, fe := range sum.flushes {
+			if fe.covers(f) {
 				mayCov = true
-				f.addFlushSite(sum.flushes[i].site)
+				f.flushSites = f.flushSites.with(fa.ct.siteOf(fe))
 			}
 		}
 		// Reach-closure over the callee's possible effects: a may-flush
@@ -245,12 +278,10 @@ func (fa *funcAnalysis) transferCall(st factState, in *ir.Instr, emit bool) bool
 				break
 			}
 		}
-		if emit {
-			// The callee's durability points observe the fact in any of
-			// the closure states.
-			for _, chain := range sum.ckpts {
-				fa.sum.mergeReport(f, c, appendFrame(chain, fr))
-			}
+		// The callee's durability points observe the fact in any of the
+		// closure states.
+		for _, chain := range ckpts {
+			fa.sum.mergeReport(f, c, chain)
 		}
 		post := c
 		if fenceMust {
@@ -262,12 +293,8 @@ func (fa *funcAnalysis) transferCall(st factState, in *ir.Instr, emit bool) bool
 				post &^= stFlushed
 			}
 		}
-		if post == 0 {
-			delete(st, f)
-		} else {
-			st[f] = post
-		}
-	}
+		st.set(id, post)
+	})
 
 	if emit {
 		// Adopt the callee's own violations, durability points, and flush
@@ -275,53 +302,39 @@ func (fa *funcAnalysis) transferCall(st factState, in *ir.Instr, emit bool) bool
 		for _, r := range sum.reports {
 			fa.adoptReport(r, fr)
 		}
-		for _, chain := range sum.ckpts {
-			fa.sum.addCkpt(appendFrame(chain, fr))
+		for _, c := range ckpts {
+			fa.sum.ckpts.add(c)
 		}
 		for _, fe := range sum.flushes {
-			fa.sum.addFlushEffect(fe)
+			fa.sum.addFlushEffect(fa.ct, fe)
 		}
 	}
 
 	// The callee's still-undurable stores become caller facts.
-	for ef, ebits := range sum.exit {
-		nf := fa.internInstantiated(ef, fr)
-		st[nf] |= ebits
+	links := fa.callFacts[in.ID]
+	if len(links) < len(sum.facts) {
+		links = append(links, make([]int32, len(sum.facts)-len(links))...)
+		fa.callFacts[in.ID] = links
 	}
+	sum.exit.each(func(j int32, ebits stateBits) {
+		if links[j] == 0 {
+			links[j] = fa.internInstantiated(sum.facts[j], fr).id + 1
+		}
+		st.or(links[j]-1, ebits)
+	})
 	return false
 }
 
 // adoptReport re-roots a callee-relative report at the given call frame
 // and merges it into this function's summary.
-func (fa *funcAnalysis) adoptReport(r *report, fr trace.Frame) {
-	stack := appendFrame(r.stack, fr)
-	k := stackKey(stack)
-	mine := fa.sum.reports[k]
-	if mine == nil {
-		mine = &report{
-			stack:      stack,
-			op:         r.op,
-			size:       r.size,
-			nt:         r.nt,
-			ckpts:      make(map[string][]trace.Frame),
-			flushSites: make(map[pmcheck.SiteKey]trace.Frame),
-		}
-		fa.sum.reports[k] = mine
-	}
+func (fa *funcAnalysis) adoptReport(r *report, fr int32) {
+	mine := fa.sum.reportFor(fa.ct.push(r.chain, fr), r.op, r.size, r.nt)
 	mine.needFlush = mine.needFlush || r.needFlush
 	mine.needFence = mine.needFence || r.needFence
-	for _, chain := range r.ckpts {
-		ext := appendFrame(chain, fr)
-		ck := stackKey(ext)
-		if _, ok := mine.ckpts[ck]; !ok {
-			mine.ckpts[ck] = ext
-		}
+	for _, c := range r.ckpts {
+		mine.ckpts.add(fa.ct.push(c, fr))
 	}
-	for sk, site := range r.flushSites {
-		if _, ok := mine.flushSites[sk]; !ok {
-			mine.flushSites[sk] = site
-		}
-	}
+	mine.flushSites = mine.flushSites.union(r.flushSites)
 }
 
 // coverage classifications for one flush against one fact.
@@ -350,7 +363,7 @@ const (
 // target is the flush's effect on alias objects.
 func (fa *funcAnalysis) coverage(flushIn *ir.Instr, ptr ir.Value, length ir.Value, target *flushEffect, f *fact) coverKind {
 	// Same-value rule.
-	if f.def != nil && f.def.Block() == flushIn.Block() && fa.pos[f.def] < fa.pos[flushIn] &&
+	if f.def != nil && f.def.Block() == flushIn.Block() && fa.pos[f.def.ID] < fa.pos[flushIn.ID] &&
 		fa.sameAddr(ptr, f.ptr, 0) {
 		if length == nil {
 			// Single-line flush: covers iff the fact fits one line. Plain
@@ -380,9 +393,9 @@ func (fa *funcAnalysis) coverage(flushIn *ir.Instr, ptr ir.Value, length ir.Valu
 			// the store and the flush. This recognizes the fixer's
 			// line-grouped flush, which covers several same-line stores
 			// through different derived pointers.
-			if f.def != nil && f.def.Block() == flushIn.Block() && fa.pos[f.def] < fa.pos[flushIn] {
+			if f.def != nil && f.def.Block() == flushIn.Block() && fa.pos[f.def.ID] < fa.pos[flushIn.ID] {
 				if rootIn, ok := fRoot.(*ir.Instr); ok &&
-					(rootIn.Block() != f.def.Block() || fa.pos[rootIn] < fa.pos[f.def]) {
+					(rootIn.Block() != f.def.Block() || fa.pos[rootIn.ID] < fa.pos[f.def.ID]) {
 					return covMust
 				}
 			}
@@ -485,17 +498,18 @@ func (fa *funcAnalysis) resolveFlushRange(ptr ir.Value, length ir.Value) (ir.Val
 
 // applyFlush is the transfer function of OpFlush and builtin flush_range.
 func (fa *funcAnalysis) applyFlush(st factState, in *ir.Instr, ptr ir.Value, length ir.Value, ordered bool, emit bool) {
-	fr := fa.frameOf(in)
-	// objsOf is pure, so one resolution of the flush's objects serves
-	// every fact it is tested against and the summary effect it emits.
-	target := flushEffect{site: fr}
-	target.objs, target.all = fa.objsOf(ptr)
+	fr := fa.frameID(in)
+	// The flush's objects resolve once per pointer per run, and serve every
+	// fact the flush is tested against and the summary effect it emits.
+	pts := fa.az.ptsOf(ptr)
+	target := flushEffect{objs: pts.objs, all: pts.anyObj, site: fr}
 	coveredAny := false
 	coveredDirty := false
-	for f, bits := range st {
+	st.each(func(id int32, bits stateBits) {
+		f := fa.facts[id]
 		cov := fa.coverage(in, ptr, length, &target, f)
 		if cov == covNone {
-			continue
+			return
 		}
 		coveredAny = true
 		if bits&(stDirty|stDirtyFenced) != 0 {
@@ -504,25 +518,26 @@ func (fa *funcAnalysis) applyFlush(st factState, in *ir.Instr, ptr ir.Value, len
 		switch {
 		case cov == covMust && ordered:
 			// CLFLUSH commits immediately: the fact is durable.
-			delete(st, f)
+			st.set(id, 0)
 		case cov == covMust:
 			if emit && f.nt && bits == stFlushed {
 				fa.lint(LintFlushAfterNT, in, true, false)
 			}
-			st[f] = stFlushed
-			f.addFlushSite(fr)
+			st.set(id, stFlushed)
+			f.flushSites = f.flushSites.with(fr)
 		case ordered:
 			// May-commit only removes possibilities; keep the state.
 		default:
 			if bits&(stDirty|stDirtyFenced) != 0 {
-				st[f] |= stFlushed
-				f.addFlushSite(fr)
+				st.set(id, bits|stFlushed)
+				f.flushSites = f.flushSites.with(fr)
 			}
 		}
-	}
+	})
 	if emit {
 		if !ordered {
-			fa.sum.addFlushEffect(target)
+			fe := target
+			fa.sum.addFlushEffect(fa.ct, &fe)
 		}
 		// Redundant-flush lint: only for flushes whose target the analysis
 		// fully tracks. In a callee the flush may still cover a caller's
@@ -557,101 +572,97 @@ func (fa *funcAnalysis) lint(kind LintKind, in *ir.Instr, needNoDirty, needNoFlu
 // internStoreFact creates (or returns) the fact for a store-like
 // instruction in this function.
 func (fa *funcAnalysis) internStoreFact(in *ir.Instr, ptr ir.Value, size int64) *fact {
-	stack := []trace.Frame{fa.frameOf(in)}
-	key := stackKey(stack)
-	if f, ok := fa.facts[key]; ok {
-		return f
+	if id := fa.storeFact[in.ID]; id != 0 {
+		return fa.facts[id-1]
 	}
-	f := &fact{
-		id:         fa.next,
-		stack:      stack,
-		key:        key,
-		op:         in.Op,
-		size:       size,
-		nt:         in.Op == ir.OpNTStore,
-		ptr:        ptr,
-		def:        in,
-		flushSites: make(map[pmcheck.SiteKey]trace.Frame),
-	}
-	fa.next++
-	f.objs, f.anyObj = fa.objsOf(ptr)
+	pts := fa.az.ptsOf(ptr)
+	f := fa.newFact(&fact{
+		chain:  fa.ct.push(0, fa.frameID(in)),
+		op:     in.Op,
+		size:   size,
+		nt:     in.Op == ir.OpNTStore,
+		ptr:    ptr,
+		def:    in,
+		objs:   pts.objs,
+		anyObj: pts.anyObj,
+	})
 	if size > 0 {
 		f.root, f.lineLo, f.lineHi, f.lineOK = fa.az.resolveRange(ptr, size)
 	}
-	fa.facts[key] = f
+	fa.storeFact[in.ID] = f.id + 1
 	return f
 }
 
 // internInstantiated adopts a callee exit fact as a caller fact with the
-// call frame appended to its chain.
-func (fa *funcAnalysis) internInstantiated(ef *fact, fr trace.Frame) *fact {
-	stack := appendFrame(ef.stack, fr)
-	key := stackKey(stack)
-	f, ok := fa.facts[key]
-	if !ok {
-		f = &fact{
-			id:         fa.next,
-			stack:      stack,
-			key:        key,
-			op:         ef.op,
-			size:       ef.size,
-			nt:         ef.nt,
-			ptr:        ef.ptr,
-			def:        nil, // callee instruction: same-block rule never applies here
-			objs:       ef.objs,
-			anyObj:     ef.anyObj,
-			lineOK:     ef.lineOK,
-			root:       ef.root,
-			lineLo:     ef.lineLo,
-			lineHi:     ef.lineHi,
-			flushSites: make(map[pmcheck.SiteKey]trace.Frame),
-		}
-		fa.next++
-		fa.facts[key] = f
+// call frame appended to its chain. The caller fact starts out sharing
+// the callee fact's flush sites.
+func (fa *funcAnalysis) internInstantiated(ef *fact, fr int32) *fact {
+	chain := fa.ct.push(ef.chain, fr)
+	if id, ok := fa.chainFact[chain]; ok {
+		f := fa.facts[id]
+		f.flushSites = f.flushSites.union(ef.flushSites)
+		return f
 	}
-	for k, site := range ef.flushSites {
-		if _, have := f.flushSites[k]; !have {
-			f.flushSites[k] = site
-		}
-	}
+	f := fa.newFact(&fact{
+		chain:      chain,
+		op:         ef.op,
+		size:       ef.size,
+		nt:         ef.nt,
+		ptr:        ef.ptr,
+		def:        nil, // callee instruction: same-block rule never applies here
+		objs:       ef.objs,
+		anyObj:     ef.anyObj,
+		lineOK:     ef.lineOK,
+		root:       ef.root,
+		lineLo:     ef.lineLo,
+		lineHi:     ef.lineHi,
+		flushSites: ef.flushSites,
+	})
+	fa.chainFact[chain] = f.id
 	return f
 }
 
-// mayPM reports whether a store through v must be tracked: it may point to
-// a PM object, or the analysis cannot bound where it points.
-func (fa *funcAnalysis) mayPM(v ir.Value) bool {
-	return fa.az.mayPM(v)
+// newFact numbers f as this function's next fact.
+func (fa *funcAnalysis) newFact(f *fact) *fact {
+	f.id = int32(len(fa.facts))
+	fa.facts = append(fa.facts, f)
+	fa.sum.facts = fa.facts
+	return f
 }
 
-func (az *analyzer) mayPM(v ir.Value) bool {
+// ptsInfo is what the analysis asks of one pointer's points-to set.
+type ptsInfo struct {
+	// objs are the objects it may point into; anyObj is set when it is
+	// untracked or may reach the opaque extern object (then every flush
+	// must be assumed to cover it, and it must be assumed to cover any
+	// line).
+	objs   objSet
+	anyObj bool
+	// mayPM: a store through it must be tracked, because it may point to
+	// a PM object or the analysis cannot bound where it points.
+	mayPM bool
+}
+
+// ptsOf answers ptsInfo for v, once per value per run.
+func (az *analyzer) ptsOf(v ir.Value) ptsInfo {
+	if p, ok := az.pts[v]; ok {
+		return p
+	}
+	var p ptsInfo
 	ids, known := az.an.PointsToSet(v)
 	if !known {
-		return true
-	}
-	for _, id := range ids {
-		o := az.an.ObjectByID(id)
-		if o != nil && (o.PM || o.Kind == alias.ObjExtern) {
-			return true
+		p = ptsInfo{anyObj: true, mayPM: true}
+	} else {
+		p.objs = ids
+		for _, id := range ids {
+			if o := az.an.ObjectByID(int(id)); o != nil {
+				if o.Kind == alias.ObjExtern {
+					p.anyObj, p.mayPM = true, true
+				}
+				p.mayPM = p.mayPM || o.PM
+			}
 		}
 	}
-	return false
-}
-
-// objsOf returns the alias objects v may point into; anyObj is set when v
-// is untracked or may reach the opaque extern object (then every flush
-// must be assumed to cover it, and it must be assumed to cover any line).
-func (fa *funcAnalysis) objsOf(v ir.Value) (map[int]bool, bool) {
-	ids, known := fa.az.an.PointsToSet(v)
-	if !known {
-		return nil, true
-	}
-	m := make(map[int]bool, len(ids))
-	anyObj := false
-	for _, id := range ids {
-		if o := fa.az.an.ObjectByID(id); o != nil && o.Kind == alias.ObjExtern {
-			anyObj = true
-		}
-		m[id] = true
-	}
-	return m, anyObj
+	az.pts[v] = p
+	return p
 }

@@ -1,6 +1,9 @@
 package static
 
 import (
+	"cmp"
+	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -14,7 +17,7 @@ import (
 // joins over CFG paths, a fact holds a SET of possible machine states; a
 // bit is set when some execution reaching the program point may leave an
 // instance of the store in that state. Durable is the absence of all bits:
-// a fact with no bits left is dropped from the dataflow state.
+// a fact with no bits left is durable.
 type stateBits uint8
 
 const (
@@ -46,15 +49,6 @@ func (s stateBits) needs() pmcheck.Needs {
 	return n
 }
 
-// afterFence is the state set after a fence certainly executes: flushed
-// instances drain to durable, dirty instances become dirty-fenced.
-func (s stateBits) afterFence() stateBits {
-	if s&(stDirty|stDirtyFenced) != 0 {
-		return stDirtyFenced
-	}
-	return 0
-}
-
 // maxStackDepth caps relative call-chain length so recursive programs
 // reach a summary fixpoint; frames beyond the cap are not appended (the
 // outermost context is dropped, which only coarsens report deduplication).
@@ -63,12 +57,12 @@ const maxStackDepth = 16
 // fact is one tracked may-PM store site, keyed by its (relative) call
 // chain within the function being analyzed. Facts created in callees enter
 // callers through exit facts with the call frame appended, so at the entry
-// function the stack is absolute and matches the dynamic trace's shape
-// (innermost frame first).
+// function the chain is absolute and matches the dynamic trace's shape
+// (innermost frame first). A function numbers its facts 0, 1, ... in the
+// order it first sees them; a state is indexed by that number.
 type fact struct {
-	id    int
-	stack []trace.Frame
-	key   string
+	id    int32
+	chain chainID
 
 	// op is the producing instruction kind: OpStore, OpNTStore, or OpCall
 	// for builtin memcpy/memset (the dynamic tracer also attributes those
@@ -88,7 +82,7 @@ type fact struct {
 	// objs are the alias objects the address may point into; anyObj marks
 	// an address that may point anywhere (extern or untracked), which every
 	// flush must be assumed to cover.
-	objs   map[int]bool
+	objs   objSet
 	anyObj bool
 
 	// Resolved static line range (root allocation + cache-line interval)
@@ -99,61 +93,311 @@ type fact struct {
 
 	// flushSites collects the flush instructions that may have flushed this
 	// fact — the insertion points for fence-only fixes. For non-temporal
-	// stores the site is the store itself.
-	flushSites map[pmcheck.SiteKey]trace.Frame
+	// stores the site is the store itself. A fact adopted from a callee
+	// shares the callee fact's set until it gains a site of its own.
+	flushSites siteSet
 }
 
-func (f *fact) addFlushSite(fr trace.Frame) {
-	k := pmcheck.SiteKey{Func: fr.Func, InstrID: fr.InstrID}
-	if _, ok := f.flushSites[k]; !ok {
-		f.flushSites[k] = fr
+// factState is a dense dataflow state over one function's facts: fact
+// i's stateBits are byte i%8 of word i/8, and words past the end are
+// zero. Dense beats sorted (id, bits) pairs on both shapes that matter:
+// at their fixpoints, redis-pmem's block states hold 58% of their
+// function's facts live (trace_main: 646 of 1,051) and the layered
+// module's 50%, so a byte per fact is smaller than an 8-byte pair per
+// live fact, and a join is a loop over words.
+type factState []uint64
+
+const (
+	// Per-byte masks of the state bits, replicated into all eight lanes.
+	laneDirty   = 0x0101010101010101 * uint64(stDirty)
+	laneDirtyF  = 0x0101010101010101 * uint64(stDirtyFenced)
+	laneFlushed = 0x0101010101010101 * uint64(stFlushed)
+)
+
+func (st factState) get(id int32) stateBits {
+	if w := int(id >> 3); w < len(st) {
+		return stateBits(st[w] >> (uint(id&7) * 8))
 	}
+	return 0
 }
 
-// factState maps live facts to their possible-state sets. Facts with zero
-// bits are removed (durable).
-type factState map[*fact]stateBits
-
-func (st factState) clone() factState {
-	out := make(factState, len(st))
-	for f, b := range st {
-		out[f] = b
+// set replaces fact id's bits, growing the state when needed.
+func (st *factState) set(id int32, b stateBits) {
+	w, sh := int(id>>3), uint(id&7)*8
+	if w >= len(*st) {
+		if b == 0 {
+			return
+		}
+		*st = append(*st, make(factState, w+1-len(*st))...)
 	}
-	return out
+	(*st)[w] = (*st)[w]&^(0xff<<sh) | uint64(b)<<sh
 }
+
+func (st *factState) or(id int32, b stateBits) { st.set(id, st.get(id)|b) }
 
 // joinInto unions src into dst and reports whether dst changed.
-func joinInto(dst, src factState) bool {
+func joinInto(dst *factState, src factState) bool {
+	if len(*dst) < len(src) {
+		*dst = append(*dst, make(factState, len(src)-len(*dst))...)
+	}
+	d := *dst
 	changed := false
-	for f, b := range src {
-		if dst[f]&b != b {
-			dst[f] |= b
+	for i, w := range src {
+		if n := d[i] | w; n != d[i] {
+			d[i] = n
 			changed = true
 		}
 	}
 	return changed
 }
 
-// stackKey renders a relative call chain as an interning key, in the same
-// func@id form pmcheck uses for dynamic stacks.
-func stackKey(stack []trace.Frame) string {
-	var b strings.Builder
-	for _, f := range stack {
-		b.WriteString(f.Func)
-		b.WriteByte('@')
-		b.WriteString(strconv.Itoa(f.InstrID))
-		b.WriteByte(';')
+// fence applies a certain fence to every fact: flushed instances drain
+// to durable, dirty instances become dirty-fenced.
+func (st factState) fence() {
+	for i, w := range st {
+		st[i] = ((w | w>>1) & laneDirty) << 1 // stDirty|stDirtyFenced → stDirtyFenced
 	}
-	return b.String()
 }
 
-// appendFrame extends a relative chain with the caller frame, respecting
-// the recursion depth cap.
-func appendFrame(stack []trace.Frame, fr trace.Frame) []trace.Frame {
-	if len(stack) >= maxStackDepth {
-		return stack
+// any reports whether some fact holds one of the bits in lanes.
+func (st factState) any(lanes uint64) bool {
+	for _, w := range st {
+		if w&lanes != 0 {
+			return true
+		}
 	}
-	out := make([]trace.Frame, 0, len(stack)+1)
-	out = append(out, stack...)
-	return append(out, fr)
+	return false
+}
+
+// each calls fn for every fact with bits set, in fact order; fn may
+// change the bits of the fact it is given.
+func (st factState) each(fn func(id int32, b stateBits)) {
+	for i := range st {
+		for w := st[i]; w != 0; {
+			lane := bits.TrailingZeros64(w) &^ 7
+			w &^= 0xff << lane
+			fn(int32(i*8+lane/8), stateBits(st[i]>>lane))
+		}
+	}
+}
+
+// objSet is a sorted set of alias object IDs. Sets are never mutated once
+// built, so facts and flush effects share them freely.
+type objSet []int32
+
+func (a objSet) intersects(b objSet) bool {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] == b[j]:
+			return true
+		case a[i] < b[j]:
+			i++
+		default:
+			j++
+		}
+	}
+	return false
+}
+
+// siteSet is a sorted set of interned frame IDs (flush sites). Like
+// objSet it is never mutated once built: adding to it returns a new set,
+// so a fact can share its callee fact's sites, and a report its fact's.
+type siteSet []int32
+
+// with returns s plus x, or s itself when x is already in it.
+func (s siteSet) with(x int32) siteSet {
+	i, found := slices.BinarySearch(s, x)
+	if found {
+		return s
+	}
+	out := make(siteSet, len(s)+1)
+	copy(out, s[:i])
+	out[i] = x
+	copy(out[i+1:], s[i:])
+	return out
+}
+
+// union returns s ∪ o, reusing s when o adds nothing and o when s is
+// empty.
+func (s siteSet) union(o siteSet) siteSet {
+	if len(s) == 0 {
+		return o
+	}
+	for _, x := range o {
+		s = s.with(x)
+	}
+	return s
+}
+
+// chainSet is a set of chains kept in chain-ID order. Unlike siteSet it
+// has one owner, which inserts in place.
+type chainSet []chainID
+
+func (s *chainSet) add(c chainID) {
+	i, found := slices.BinarySearch(*s, c)
+	if !found {
+		*s = slices.Insert(*s, i, c)
+	}
+}
+
+// chainID names an interned call chain; 0 is the empty chain.
+type chainID int32
+
+// chainTable interns frames and call chains for one analysis run. A chain
+// is a (frame, prefix chain) pair: its outermost frame and the chain it
+// extends, so appending a caller frame is one lookup and no copy. The
+// []trace.Frame and func@id; forms of a chain are built only on demand —
+// for the summary store's canonical form, the SCC signature and the
+// order reports are exported in — and cached.
+type chainTable struct {
+	frames   []trace.Frame
+	frameIdx map[pmcheck.SiteKey]int32
+	nodes    []chainNode
+	idx      map[uint64]chainID
+	stacks   [][]trace.Frame
+	keys     []string
+}
+
+type chainNode struct {
+	frame  int32
+	prefix chainID
+	depth  int32
+}
+
+func newChainTable() *chainTable {
+	return &chainTable{
+		frameIdx: make(map[pmcheck.SiteKey]int32),
+		nodes:    []chainNode{{frame: -1}},
+		idx:      make(map[uint64]chainID),
+	}
+}
+
+// frame interns fr by its (function, instruction) site.
+func (t *chainTable) frame(fr trace.Frame) int32 {
+	k := pmcheck.SiteKey{Func: fr.Func, InstrID: fr.InstrID}
+	if id, ok := t.frameIdx[k]; ok {
+		return id
+	}
+	id := int32(len(t.frames))
+	t.frames = append(t.frames, fr)
+	t.frameIdx[k] = id
+	return id
+}
+
+// siteOf interns fe's flush site on first use.
+func (t *chainTable) siteOf(fe *flushEffect) int32 {
+	if fe.site < 0 {
+		fe.site = t.frame(fe.canon.Site)
+	}
+	return fe.site
+}
+
+// push extends chain c with an outer frame, respecting the depth cap.
+func (t *chainTable) push(c chainID, frame int32) chainID {
+	n := t.nodes[c]
+	if n.depth >= maxStackDepth {
+		return c
+	}
+	k := uint64(uint32(c))<<32 | uint64(uint32(frame))
+	if id, ok := t.idx[k]; ok {
+		return id
+	}
+	id := chainID(len(t.nodes))
+	t.nodes = append(t.nodes, chainNode{frame: frame, prefix: c, depth: n.depth + 1})
+	t.idx[k] = id
+	return id
+}
+
+// intern returns the chain of a stack (innermost frame first). The stack
+// then serves as the chain's []trace.Frame form, so it must not be
+// modified afterwards.
+func (t *chainTable) intern(stack []trace.Frame) chainID {
+	c := chainID(0)
+	for _, fr := range stack {
+		c = t.push(c, t.frame(fr))
+	}
+	if c != 0 && int(t.nodes[c].depth) == len(stack) && (int(c) >= len(t.stacks) || t.stacks[c] == nil) {
+		t.cacheStack(c, stack[:len(stack):len(stack)])
+	}
+	return c
+}
+
+// stack returns chain c's frames, innermost first; nil for the empty
+// chain. The slice is shared and must not be modified.
+func (t *chainTable) stack(c chainID) []trace.Frame {
+	if c == 0 {
+		return nil
+	}
+	if int(c) < len(t.stacks) && t.stacks[c] != nil {
+		return t.stacks[c]
+	}
+	n := t.nodes[c]
+	out := make([]trace.Frame, n.depth)
+	for i, x := n.depth-1, c; i >= 0; i-- {
+		out[i] = t.frames[t.nodes[x].frame]
+		x = t.nodes[x].prefix
+	}
+	t.cacheStack(c, out)
+	return out
+}
+
+func (t *chainTable) cacheStack(c chainID, stack []trace.Frame) {
+	if len(t.stacks) < len(t.nodes) {
+		t.stacks = append(t.stacks, make([][]trace.Frame, len(t.nodes)-len(t.stacks))...)
+	}
+	t.stacks[c] = stack
+}
+
+// sites returns a site set's frames ordered by (function, instruction);
+// never nil.
+func (t *chainTable) sites(s siteSet) []trace.Frame {
+	out := make([]trace.Frame, 0, len(s))
+	for _, id := range s {
+		out = append(out, t.frames[id])
+	}
+	slices.SortFunc(out, func(a, b trace.Frame) int {
+		if c := strings.Compare(a.Func, b.Func); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.InstrID, b.InstrID)
+	})
+	return out
+}
+
+// siteSetOf interns frames as a site set.
+func (t *chainTable) siteSetOf(frames []trace.Frame) siteSet {
+	if len(frames) == 0 {
+		return nil
+	}
+	out := make(siteSet, len(frames))
+	for i, fr := range frames {
+		out[i] = t.frame(fr)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// key renders chain c in the func@id; form pmcheck uses for dynamic
+// stacks, whose string order is the order reports are exported in.
+func (t *chainTable) key(c chainID) string {
+	if c == 0 {
+		return ""
+	}
+	if int(c) < len(t.keys) && t.keys[c] != "" {
+		return t.keys[c]
+	}
+	n := t.nodes[c]
+	fr := t.frames[n.frame]
+	k := t.key(n.prefix) + fr.Func + "@" + strconv.Itoa(fr.InstrID) + ";"
+	if len(t.keys) < len(t.nodes) {
+		t.keys = append(t.keys, make([]string, len(t.nodes)-len(t.keys))...)
+	}
+	t.keys[c] = k
+	return k
+}
+
+// sortChains orders chains by their func@id; keys.
+func (t *chainTable) sortChains(cs []chainID) {
+	slices.SortFunc(cs, func(a, b chainID) int { return strings.Compare(t.key(a), t.key(b)) })
 }

@@ -19,8 +19,9 @@
 package static
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"hippocrates/internal/alias"
@@ -264,41 +265,58 @@ func analyze(mod *ir.Module, entry string, store *Store) (*Result, *alias.Analys
 	an := az.an
 	az.run()
 
+	// Only the entry's reports and exit facts are read from here on.
 	entrySum := az.sums[entryFn]
+	if entrySum.snap != nil {
+		az.replay(entrySum, false)
+	}
 	// The end of the program is an implicit durability point: every fact
 	// still live at the entry's returns is reported with an empty
 	// checkpoint chain (the dynamic trace's final checkpoint(nil)).
-	for f, bits := range entrySum.exit {
-		entrySum.mergeReport(f, bits, nil)
-	}
+	entrySum.exit.each(func(id int32, bits stateBits) {
+		entrySum.mergeReport(entrySum.facts[id], bits, 0)
+	})
 
 	cs := an.ConsStatsOf()
 	res := &Result{Entry: entry, Funcs: len(az.sums), Incr: IncrStats{
 		SumHits: az.sumHits, SumMisses: az.sumMisses,
 		ConsHits: cs.Hits, ConsMisses: cs.Misses,
 	}}
-	for _, r := range entrySum.reports {
-		res.Reports = append(res.Reports, exportReport(mod, r))
+	type keyed struct {
+		r     *Report
+		chain chainID
 	}
-	threaded := az.spawnReachable()
+	reps := make([]keyed, 0, len(entrySum.reports))
+	for _, r := range entrySum.reports {
+		out := az.exportReport(r)
+		res.Reports = append(res.Reports, out)
+		reps = append(reps, keyed{out, r.chain})
+	}
+	threaded := az.threaded
 	if threaded {
 		// Spawn-aware fallback: the sequential flow cannot bound what an
 		// interleaving leaves pending, so every reachable may-PM store
 		// site is reported needing flush+fence (see threads.go).
-		res.Reports = append(res.Reports, az.threadBlanketReports(res.NeedsBySite())...)
+		for _, r := range az.threadBlanketReports(res.NeedsBySite()) {
+			reps = append(reps, keyed{r, az.chains.intern(r.Stack)})
+		}
 	}
+	// Reports are ordered by site, then by their chains' func@id; keys.
 	// Stable: a flow report and the blanket report of the same site and
 	// chain tie, and the flow's richer one, appended first, stays first.
-	sort.SliceStable(res.Reports, func(i, j int) bool {
-		a, b := res.Reports[i], res.Reports[j]
-		if a.Func != b.Func {
-			return a.Func < b.Func
+	slices.SortStableFunc(reps, func(a, b keyed) int {
+		if c := strings.Compare(a.r.Func, b.r.Func); c != 0 {
+			return c
 		}
-		if a.InstrID != b.InstrID {
-			return a.InstrID < b.InstrID
+		if c := cmp.Compare(a.r.InstrID, b.r.InstrID); c != 0 {
+			return c
 		}
-		return stackKey(a.Stack) < stackKey(b.Stack)
+		return strings.Compare(az.chains.key(a.chain), az.chains.key(b.chain))
 	})
+	res.Reports = res.Reports[:0]
+	for _, k := range reps {
+		res.Reports = append(res.Reports, k.r)
+	}
 
 	// Top-down lint-context pass: propagate, entry-down over the call
 	// graph, whether some chain of calls may reach a function while a
@@ -339,15 +357,14 @@ func analyze(mod *ir.Module, entry string, store *Store) (*Result, *alias.Analys
 			res.Lints = append(res.Lints, l)
 		}
 	}
-	sort.Slice(res.Lints, func(i, j int) bool {
-		a, b := res.Lints[i], res.Lints[j]
-		if a.Site.Func != b.Site.Func {
-			return a.Site.Func < b.Site.Func
+	slices.SortFunc(res.Lints, func(a, b *Lint) int {
+		if c := strings.Compare(a.Site.Func, b.Site.Func); c != 0 {
+			return c
 		}
-		if a.Site.InstrID != b.Site.InstrID {
-			return a.Site.InstrID < b.Site.InstrID
+		if c := cmp.Compare(a.Site.InstrID, b.Site.InstrID); c != 0 {
+			return c
 		}
-		return a.Kind < b.Kind
+		return cmp.Compare(a.Kind, b.Kind)
 	})
 	return res, an, nil
 }
@@ -363,6 +380,8 @@ func newAnalyzer(mod *ir.Module, entryFn *ir.Func, store *Store) *analyzer {
 		fenceMay:    make(map[*ir.Func]bool),
 		fenceMust:   make(map[*ir.Func]bool),
 		escapeCache: make(map[*ir.Instr]bool),
+		chains:      newChainTable(),
+		pts:         make(map[ir.Value]ptsInfo),
 	}
 	if store != nil {
 		az.an = alias.AnalyzeWithStore(mod, store.Constraints)
@@ -375,42 +394,26 @@ func newAnalyzer(mod *ir.Module, entryFn *ir.Func, store *Store) *analyzer {
 
 // exportReport converts an internal report (absolute stack, rooted at the
 // entry) into the public shape.
-func exportReport(mod *ir.Module, r *report) *Report {
-	site := r.stack[0]
+func (az *analyzer) exportReport(r *report) *Report {
+	stack := az.chains.stack(r.chain)
+	site := stack[0]
 	out := &Report{
-		Func:      site.Func,
-		InstrID:   site.InstrID,
-		Loc:       site.Loc,
-		Op:        r.op,
-		Size:      r.size,
-		NT:        r.nt,
-		NeedFlush: r.needFlush,
-		NeedFence: r.needFence,
-		Stack:     r.stack,
+		Func:       site.Func,
+		InstrID:    site.InstrID,
+		Loc:        site.Loc,
+		Op:         r.op,
+		Size:       r.size,
+		NT:         r.nt,
+		NeedFlush:  r.needFlush,
+		NeedFence:  r.needFence,
+		Stack:      stack,
+		FlushSites: az.chains.sites(r.flushSites),
 	}
-	if fn := mod.Func(site.Func); fn != nil && !fn.IsDecl() {
-		if in := fn.InstrByID(site.InstrID); in != nil && in.Block() != nil {
+	if fn := az.mod.Func(site.Func); fn != nil && !fn.IsDecl() {
+		if in := az.instrByID(fn, site.InstrID); in != nil && in.Block() != nil {
 			out.Block = in.Block().Name
 		}
 	}
-	ckeys := make([]string, 0, len(r.ckpts))
-	for k := range r.ckpts {
-		ckeys = append(ckeys, k)
-	}
-	sort.Strings(ckeys)
-	for _, k := range ckeys {
-		out.Checkpoints = append(out.Checkpoints, r.ckpts[k])
-	}
-	sites := make([]trace.Frame, 0, len(r.flushSites))
-	for _, fr := range r.flushSites {
-		sites = append(sites, fr)
-	}
-	sort.Slice(sites, func(i, j int) bool {
-		if sites[i].Func != sites[j].Func {
-			return sites[i].Func < sites[j].Func
-		}
-		return sites[i].InstrID < sites[j].InstrID
-	})
-	out.FlushSites = sites
+	out.Checkpoints = az.chains.sortedStacks(r.ckpts)
 	return out
 }

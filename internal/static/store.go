@@ -24,12 +24,13 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
-	"sort"
+	"hash"
+	"slices"
+	"strings"
 
 	"hippocrates/internal/alias"
 	"hippocrates/internal/ir"
 	"hippocrates/internal/lru"
-	"hippocrates/internal/pmcheck"
 	"hippocrates/internal/trace"
 )
 
@@ -68,10 +69,9 @@ type PFact struct {
 	LineLo, LineHi int64
 	FlushSites     []trace.Frame // sorted by (func, instr)
 	Bits           stateBits
-	// key is Stack's stackKey and objsKey joins Objs for the resolved-set
-	// intern cache, both precomputed at canonicalize time so warm
-	// instantiation does not rebuild them. Derived, excluded from the hash.
-	key     string
+	// objsKey joins Objs for the resolved-set intern cache, precomputed
+	// at canonicalize time so warm instantiation does not rebuild it.
+	// Derived, excluded from the hash.
 	objsKey string
 }
 
@@ -83,11 +83,8 @@ type PReport struct {
 	NT         bool
 	NeedFlush  bool
 	NeedFence  bool
-	Ckpts      [][]trace.Frame // sorted by stackKey
+	Ckpts      [][]trace.Frame // sorted by func@id; key
 	FlushSites []trace.Frame   // sorted by (func, instr)
-	// key and ckptKeys precompute Stack's and each Ckpts chain's stackKey.
-	key      string
-	ckptKeys []string
 }
 
 // PLint is the portable lint, including the caller-context conditions the
@@ -114,27 +111,34 @@ type FuncSummary struct {
 	Fn        string
 	FenceMay  bool
 	FenceMust bool
-	Flushes   []PFlushEffect  // in emit order (deterministic)
-	Ckpts     [][]trace.Frame // sorted by stackKey
+	Flushes   []*PFlushEffect // in emit order (deterministic); shared with callees' snapshots
+	Ckpts     [][]trace.Frame // sorted by func@id; key
 	Exit      []PFact         // sorted by stack key
 	Reports   []PReport       // sorted by stack key
 	Lints     []PLint         // in emit order (deterministic)
 	Calls     []PCallCtx      // sorted by callee name
 	Hash      string
-	// ckptKeys precomputes each Ckpts chain's stackKey (same order).
-	ckptKeys []string
+	// objSets are the distinct object sets of Flushes and Exit, which a
+	// store hit resolves once each. Derived, excluded from the hash.
+	objSets []pObjs
+}
+
+// pObjs is one canonical object set with its intern-cache key.
+type pObjs struct {
+	refs []string
+	key  string
 }
 
 // refsOf renders an object-ID set in canonical sorted form.
-func refsOf(an *alias.Analysis, objs map[int]bool) []string {
+func refsOf(an *alias.Analysis, objs objSet) []string {
 	if len(objs) == 0 {
 		return nil
 	}
 	out := make([]string, 0, len(objs))
-	for id := range objs {
-		out = append(out, an.ObjectRef(id))
+	for _, id := range objs {
+		out = append(out, an.ObjectRef(int(id)))
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -155,26 +159,25 @@ func objsKeyOf(refs []string) string {
 
 // objsFromRefs resolves a canonical sorted ref list to this run's object
 // IDs. Resolved sets are interned on the analyzer under the precomputed
-// key (refs lists are sorted, so equal sets have equal keys); callers
-// treat the returned map as read-only, which every fact and flush effect
-// already does.
-func objsFromRefs(az *analyzer, refs []string, key string) (map[int]bool, bool) {
+// key (refs lists are sorted, so equal sets have equal keys).
+func objsFromRefs(az *analyzer, refs []string, key string) (objSet, bool) {
 	if len(refs) == 0 {
-		return map[int]bool{}, true
+		return nil, true
 	}
 	if m, ok := az.objsCache[key]; ok {
 		return m, true
 	}
-	m := make(map[int]bool, len(refs))
+	m := make(objSet, 0, len(refs))
 	for _, r := range refs {
 		id, ok := az.an.ObjectIDByRef(r)
 		if !ok {
 			return nil, false
 		}
-		m[id] = true
+		m = append(m, int32(id))
 	}
+	slices.Sort(m)
 	if az.objsCache == nil {
-		az.objsCache = make(map[string]map[int]bool)
+		az.objsCache = make(map[string]objSet)
 	}
 	az.objsCache[key] = m
 	return m, true
@@ -247,80 +250,55 @@ func (az *analyzer) instrByID(fn *ir.Func, id int) *ir.Instr {
 	return idx[id]
 }
 
-func sortFrames(frames []trace.Frame) {
-	sort.Slice(frames, func(i, j int) bool {
-		if frames[i].Func != frames[j].Func {
-			return frames[i].Func < frames[j].Func
-		}
-		return frames[i].InstrID < frames[j].InstrID
-	})
-}
-
-func siteList(m map[pmcheck.SiteKey]trace.Frame) []trace.Frame {
-	out := make([]trace.Frame, 0, len(m))
-	for _, fr := range m {
-		out = append(out, fr)
+// stacks renders a chain set as stacks in func@id; key order; nil when
+// empty.
+func (t *chainTable) sortedStacks(cs chainSet) [][]trace.Frame {
+	if len(cs) == 0 {
+		return nil
 	}
-	sortFrames(out)
+	sorted := slices.Clone(cs)
+	t.sortChains(sorted)
+	out := make([][]trace.Frame, len(sorted))
+	for i, c := range sorted {
+		out[i] = t.stack(c)
+	}
 	return out
 }
 
-func siteMap(frames []trace.Frame) map[pmcheck.SiteKey]trace.Frame {
-	m := make(map[pmcheck.SiteKey]trace.Frame, len(frames))
-	for _, fr := range frames {
-		m[pmcheck.SiteKey{Func: fr.Func, InstrID: fr.InstrID}] = fr
-	}
-	return m
-}
-
-func chainList(m map[string][]trace.Frame) ([][]trace.Frame, []string) {
-	if len(m) == 0 {
-		return nil, nil
-	}
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([][]trace.Frame, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, m[k])
-	}
-	return out, keys
-}
-
 // canonicalize deep-converts a finished live summary into its portable
-// snapshot and computes the content hash. Map-shaped fields are sorted so
+// snapshot and computes the content hash. Set-shaped fields are sorted so
 // the encoding (and so the hash) is deterministic.
 func canonicalize(s *summary, az *analyzer) *FuncSummary {
+	ct := az.chains
 	ps := &FuncSummary{
 		Fn:        s.fn.Name,
 		FenceMay:  s.fenceMay,
 		FenceMust: s.fenceMust,
+		Ckpts:     ct.sortedStacks(s.ckpts),
+	}
+	if len(s.flushes) > 0 {
+		ps.Flushes = make([]*PFlushEffect, 0, len(s.flushes))
 	}
 	for _, fe := range s.flushes {
-		refs := refsOf(az.an, fe.objs)
-		ps.Flushes = append(ps.Flushes, PFlushEffect{
-			Objs:    refs,
-			All:     fe.all,
-			Site:    fe.site,
-			objsKey: objsKeyOf(refs),
-		})
+		if fe.canon == nil {
+			refs := refsOf(az.an, fe.objs)
+			fe.canon = &PFlushEffect{
+				Objs:    refs,
+				All:     fe.all,
+				Site:    ct.frames[fe.site],
+				objsKey: objsKeyOf(refs),
+			}
+		}
+		ps.Flushes = append(ps.Flushes, fe.canon)
 	}
-	ps.Ckpts, ps.ckptKeys = chainList(s.ckpts)
 
-	exitKeys := make([]string, 0, len(s.exit))
-	byKey := make(map[string]*fact, len(s.exit))
-	for f := range s.exit {
-		exitKeys = append(exitKeys, f.key)
-		byKey[f.key] = f
-	}
-	sort.Strings(exitKeys)
-	for _, k := range exitKeys {
-		f := byKey[k]
+	var exit []*fact
+	s.exit.each(func(id int32, _ stateBits) { exit = append(exit, s.facts[id]) })
+	slices.SortFunc(exit, func(a, b *fact) int { return strings.Compare(ct.key(a.chain), ct.key(b.chain)) })
+	for _, f := range exit {
 		refs := refsOf(az.an, f.objs)
 		ps.Exit = append(ps.Exit, PFact{
-			Stack:      f.stack,
+			Stack:      ct.stack(f.chain),
 			Op:         f.op,
 			Size:       f.size,
 			NT:         f.nt,
@@ -330,32 +308,24 @@ func canonicalize(s *summary, az *analyzer) *FuncSummary {
 			Root:       pvalOf(f.root),
 			LineLo:     f.lineLo,
 			LineHi:     f.lineHi,
-			FlushSites: siteList(f.flushSites),
-			Bits:       s.exit[f],
-			key:        k,
+			FlushSites: ct.sites(f.flushSites),
+			Bits:       s.exit.get(f.id),
 			objsKey:    objsKeyOf(refs),
 		})
 	}
 
-	repKeys := make([]string, 0, len(s.reports))
-	for k := range s.reports {
-		repKeys = append(repKeys, k)
-	}
-	sort.Strings(repKeys)
-	for _, k := range repKeys {
-		r := s.reports[k]
-		chains, chainKeys := chainList(r.ckpts)
+	reps := slices.Clone(s.reports)
+	slices.SortFunc(reps, func(a, b *report) int { return strings.Compare(ct.key(a.chain), ct.key(b.chain)) })
+	for _, r := range reps {
 		ps.Reports = append(ps.Reports, PReport{
-			Stack:      r.stack,
+			Stack:      ct.stack(r.chain),
 			Op:         r.op,
 			Size:       r.size,
 			NT:         r.nt,
 			NeedFlush:  r.needFlush,
 			NeedFence:  r.needFence,
-			Ckpts:      chains,
-			FlushSites: siteList(r.flushSites),
-			key:        k,
-			ckptKeys:   chainKeys,
+			Ckpts:      ct.sortedStacks(r.ckpts),
+			FlushSites: ct.sites(r.flushSites),
 		})
 	}
 
@@ -369,16 +339,23 @@ func canonicalize(s *summary, az *analyzer) *FuncSummary {
 		})
 	}
 
-	callNames := make([]string, 0, len(s.calls))
-	ctxByName := make(map[string]callCtx, len(s.calls))
 	for callee, c := range s.calls {
-		callNames = append(callNames, callee.Name)
-		ctxByName[callee.Name] = c
+		ps.Calls = append(ps.Calls, PCallCtx{Callee: callee.Name, Dirty: c.dirty, Flushed: c.flushed})
 	}
-	sort.Strings(callNames)
-	for _, n := range callNames {
-		c := ctxByName[n]
-		ps.Calls = append(ps.Calls, PCallCtx{Callee: n, Dirty: c.dirty, Flushed: c.flushed})
+	slices.SortFunc(ps.Calls, func(a, b PCallCtx) int { return strings.Compare(a.Callee, b.Callee) })
+
+	seen := make(map[string]bool)
+	note := func(refs []string, key string) {
+		if !seen[key] {
+			seen[key] = true
+			ps.objSets = append(ps.objSets, pObjs{refs, key})
+		}
+	}
+	for _, fe := range ps.Flushes {
+		note(fe.Objs, fe.objsKey)
+	}
+	for i := range ps.Exit {
+		note(ps.Exit[i].Objs, ps.Exit[i].objsKey)
 	}
 
 	ps.Hash = ps.contentHash()
@@ -386,72 +363,27 @@ func canonicalize(s *summary, az *analyzer) *FuncSummary {
 }
 
 // instantiate rebuilds a live summary from a snapshot, resolving every
-// canonical name against the current module and alias analysis. All
-// returned structs (facts, reports, lints, maps) are freshly allocated;
-// frame slices are shared read-only with the snapshot (nothing in the
-// analysis mutates a chain in place — extension always copies). Returns
-// nil when any name fails to resolve.
+// canonical name against the current module and alias analysis. Returns
+// nil when any name fails to resolve. Only what every run reads is built
+// here — fence flags, lints and caller contexts; the flow parts (flush
+// effects, checkpoint chains, exit facts, reports) are read only by a
+// caller that is analyzed rather than replayed, so replay builds them
+// when summaryOf first hands the summary to one.
 func instantiate(ps *FuncSummary, fn *ir.Func, az *analyzer) *summary {
+	for _, o := range ps.objSets {
+		if _, ok := objsFromRefs(az, o.refs, o.key); !ok {
+			return nil
+		}
+	}
+	for i := range ps.Exit {
+		if _, ok := resolveVal(az, ps.Exit[i].Root); !ok {
+			return nil
+		}
+	}
 	s := newSummary(fn)
 	s.fenceMay = ps.FenceMay
 	s.fenceMust = ps.FenceMust
-	s.flushes = make([]flushEffect, 0, len(ps.Flushes))
-	for i := range ps.Flushes {
-		pfe := &ps.Flushes[i]
-		objs, ok := objsFromRefs(az, pfe.Objs, pfe.objsKey)
-		if !ok {
-			return nil
-		}
-		s.flushes = append(s.flushes, flushEffect{objs: objs, all: pfe.All, site: pfe.Site})
-	}
-	for i, chain := range ps.Ckpts {
-		s.ckpts[ps.ckptKeys[i]] = chain
-	}
-	facts := make([]fact, len(ps.Exit))
-	for i := range ps.Exit {
-		pf := &ps.Exit[i]
-		objs, ok := objsFromRefs(az, pf.Objs, pf.objsKey)
-		if !ok {
-			return nil
-		}
-		root, ok := resolveVal(az, pf.Root)
-		if !ok {
-			return nil
-		}
-		facts[i] = fact{
-			id:         i,
-			stack:      pf.Stack,
-			key:        pf.key,
-			op:         pf.Op,
-			size:       pf.Size,
-			nt:         pf.NT,
-			objs:       objs,
-			anyObj:     pf.AnyObj,
-			lineOK:     pf.LineOK,
-			root:       root,
-			lineLo:     pf.LineLo,
-			lineHi:     pf.LineHi,
-			flushSites: siteMap(pf.FlushSites),
-		}
-		s.exit[&facts[i]] = pf.Bits
-	}
-	for i := range ps.Reports {
-		pr := &ps.Reports[i]
-		r := &report{
-			stack:      pr.Stack,
-			op:         pr.Op,
-			size:       pr.Size,
-			nt:         pr.NT,
-			needFlush:  pr.NeedFlush,
-			needFence:  pr.NeedFence,
-			ckpts:      make(map[string][]trace.Frame, len(pr.Ckpts)),
-			flushSites: siteMap(pr.FlushSites),
-		}
-		for j, chain := range pr.Ckpts {
-			r.ckpts[pr.ckptKeys[j]] = chain
-		}
-		s.reports[pr.key] = r
-	}
+	s.snap = ps
 	for i := range ps.Lints {
 		pl := &ps.Lints[i]
 		s.lints = append(s.lints, &Lint{
@@ -469,10 +401,97 @@ func instantiate(ps *FuncSummary, fn *ir.Func, az *analyzer) *summary {
 	return s
 }
 
-// sumEncoder accumulates the canonical byte encoding for hashing; every
+// replay builds an instantiated summary's flow parts from its snapshot,
+// interning its chains and frames into this run's tables: its facts and
+// reports, and, for a summary a caller reads through a call, its flush
+// effects and checkpoint chains too. Facts and reports are freshly
+// allocated; frame slices are shared read-only with the snapshot.
+// instantiate has already resolved every name.
+func (az *analyzer) replay(s *summary, effects bool) {
+	ps, ct := s.snap, az.chains
+	s.snap = nil
+	resolved := func(objs objSet, ok bool) objSet {
+		if !ok {
+			panic("static: a replayed summary's objects no longer resolve")
+		}
+		return objs
+	}
+	if effects {
+		fes := make([]flushEffect, len(ps.Flushes))
+		s.flushes = make([]*flushEffect, len(ps.Flushes))
+		for i, pfe := range ps.Flushes {
+			fes[i] = flushEffect{
+				objs:  resolved(objsFromRefs(az, pfe.Objs, pfe.objsKey)),
+				all:   pfe.All,
+				site:  -1,
+				canon: pfe,
+			}
+			s.flushes[i] = &fes[i]
+		}
+		for _, chain := range ps.Ckpts {
+			s.ckpts.add(ct.intern(chain))
+		}
+	}
+	facts := make([]fact, len(ps.Exit))
+	s.facts = make([]*fact, len(ps.Exit))
+	for i := range ps.Exit {
+		pf := &ps.Exit[i]
+		root, _ := resolveVal(az, pf.Root)
+		facts[i] = fact{
+			id:         int32(i),
+			chain:      ct.intern(pf.Stack),
+			op:         pf.Op,
+			size:       pf.Size,
+			nt:         pf.NT,
+			objs:       resolved(objsFromRefs(az, pf.Objs, pf.objsKey)),
+			anyObj:     pf.AnyObj,
+			lineOK:     pf.LineOK,
+			root:       root,
+			lineLo:     pf.LineLo,
+			lineHi:     pf.LineHi,
+			flushSites: ct.siteSetOf(pf.FlushSites),
+		}
+		s.facts[i] = &facts[i]
+		s.exit.set(int32(i), pf.Bits)
+	}
+	reps := make([]report, len(ps.Reports))
+	s.reports = make([]*report, len(ps.Reports))
+	s.reportOf = make(map[chainID]*report, len(ps.Reports))
+	for i := range ps.Reports {
+		pr := &ps.Reports[i]
+		r := &reps[i]
+		*r = report{
+			chain:      ct.intern(pr.Stack),
+			op:         pr.Op,
+			size:       pr.Size,
+			nt:         pr.NT,
+			needFlush:  pr.NeedFlush,
+			needFence:  pr.NeedFence,
+			ckpts:      make(chainSet, 0, len(pr.Ckpts)),
+			flushSites: ct.siteSetOf(pr.FlushSites),
+		}
+		for _, chain := range pr.Ckpts {
+			r.ckpts.add(ct.intern(chain))
+		}
+		s.reports[i] = r
+		s.reportOf[r.chain] = r
+	}
+}
+
+// sumEncoder streams the canonical byte encoding into a hash; every
 // field is length- or tag-delimited.
 type sumEncoder struct {
+	h   hash.Hash
 	buf []byte
+}
+
+// spill hands the buffered bytes to the hash once they fill a chunk, so
+// a large summary never holds its whole encoding.
+func (e *sumEncoder) spill() {
+	if len(e.buf) >= 4096 {
+		e.h.Write(e.buf)
+		e.buf = e.buf[:0]
+	}
 }
 
 func (e *sumEncoder) str(s string) {
@@ -515,20 +534,21 @@ func (e *sumEncoder) strs(ss []string) {
 // sorted at canonicalize time or deterministic emit orders, so equal
 // summaries always encode — and hash — identically.
 func (ps *FuncSummary) contentHash() string {
-	e := &sumEncoder{buf: make([]byte, 0, 1024)}
+	e := &sumEncoder{h: sha256.New(), buf: make([]byte, 0, 4096+512)}
 	e.str(ps.Fn)
 	e.boolean(ps.FenceMay)
 	e.boolean(ps.FenceMust)
 	e.u64(uint64(len(ps.Flushes)))
-	for i := range ps.Flushes {
-		fe := &ps.Flushes[i]
+	for _, fe := range ps.Flushes {
 		e.strs(fe.Objs)
 		e.boolean(fe.All)
 		e.frame(fe.Site)
+		e.spill()
 	}
 	e.u64(uint64(len(ps.Ckpts)))
 	for _, chain := range ps.Ckpts {
 		e.frames(chain)
+		e.spill()
 	}
 	e.u64(uint64(len(ps.Exit)))
 	for i := range ps.Exit {
@@ -547,6 +567,7 @@ func (ps *FuncSummary) contentHash() string {
 		e.i64(pf.LineHi)
 		e.frames(pf.FlushSites)
 		e.u64(uint64(pf.Bits))
+		e.spill()
 	}
 	e.u64(uint64(len(ps.Reports)))
 	for i := range ps.Reports {
@@ -560,8 +581,10 @@ func (ps *FuncSummary) contentHash() string {
 		e.u64(uint64(len(pr.Ckpts)))
 		for _, chain := range pr.Ckpts {
 			e.frames(chain)
+			e.spill()
 		}
 		e.frames(pr.FlushSites)
+		e.spill()
 	}
 	e.u64(uint64(len(ps.Lints)))
 	for i := range ps.Lints {
@@ -571,6 +594,7 @@ func (ps *FuncSummary) contentHash() string {
 		e.str(pl.Block)
 		e.boolean(pl.NeedNoDirtyCtx)
 		e.boolean(pl.NeedNoFlushedCtx)
+		e.spill()
 	}
 	e.u64(uint64(len(ps.Calls)))
 	for _, pc := range ps.Calls {
@@ -578,8 +602,8 @@ func (ps *FuncSummary) contentHash() string {
 		e.boolean(pc.Dirty)
 		e.boolean(pc.Flushed)
 	}
-	sum := sha256.Sum256(e.buf)
-	return hex.EncodeToString(sum[:])
+	e.h.Write(e.buf)
+	return hex.EncodeToString(e.h.Sum(nil))
 }
 
 // Store is the bounded, concurrency-safe cache a daemon shares across

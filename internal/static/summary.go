@@ -2,12 +2,10 @@ package static
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"hippocrates/internal/ir"
-	"hippocrates/internal/pmcheck"
-	"hippocrates/internal/trace"
 )
 
 // summary is the bottom-up interprocedural abstraction of one function:
@@ -28,20 +26,25 @@ type summary struct {
 	// flushes, flush_range calls, and inherited callee effects). Strongly
 	// ordered CLFLUSHes are omitted: through a call they are only a may-
 	// commit, which cannot add a state a caller must track.
-	flushes []flushEffect
+	flushes []*flushEffect
+	// flushSeen is the set of flushes' sites, by frame ID.
+	flushSeen []uint64
 
 	// ckpts are the relative call chains (innermost first, ending at this
 	// function's frame-producing call) to every reachable durability point.
-	ckpts map[string][]trace.Frame
+	ckpts chainSet
 
-	// exit are the function's own (and adopted callee) facts still possibly
-	// undurable at return, with their state sets merged over all returns.
-	exit map[*fact]stateBits
+	// facts are the function's facts by id, and exit their state sets
+	// still possibly undurable at return, merged over all returns.
+	facts []*fact
+	exit  factState
 
 	// reports are durability violations rooted at this function's facts,
-	// with relative stacks; they become absolute when instantiated up the
-	// call graph to the entry.
-	reports map[string]*report
+	// with relative stacks, in the order they were first seen; they
+	// become absolute when instantiated up the call graph to the entry.
+	// reportOf indexes them by chain.
+	reports  []*report
+	reportOf map[chainID]*report
 
 	// lints are function-local performance diagnostics. They are emitted
 	// for every function and filtered against caller contexts (calls,
@@ -54,6 +57,10 @@ type summary struct {
 	// The top-down context pass in Analyze propagates these entry-down to
 	// decide which callee lints no caller context can revive.
 	calls map[*ir.Func]callCtx
+
+	// snap, when set, is the stored snapshot this summary replays, whose
+	// flow parts are not built yet (see replay).
+	snap *FuncSummary
 }
 
 // callCtx is the caller-side persistency context observed at a call: may
@@ -69,24 +76,22 @@ func (c callCtx) or(o callCtx) callCtx {
 	return callCtx{dirty: c.dirty || o.dirty, flushed: c.flushed || o.flushed}
 }
 
-// flushEffect is one may-flush a caller observes through a call.
+// flushEffect is one may-flush a caller observes through a call. Callers
+// share their callees' effects, so canon, the effect's portable form, is
+// built once however many summaries inherit it; a replayed effect starts
+// with its snapshot's. site is the flush's interned frame, or -1 until a
+// caller first needs it: most replayed summaries are never read through a
+// call.
 type flushEffect struct {
-	objs map[int]bool
-	all  bool
-	site trace.Frame
+	objs  objSet
+	all   bool
+	site  int32
+	canon *PFlushEffect
 }
 
 // covers reports whether the effect may cover the fact's cache line(s).
 func (fe *flushEffect) covers(f *fact) bool {
-	if fe.all || f.anyObj {
-		return true
-	}
-	for o := range fe.objs {
-		if f.objs[o] {
-			return true
-		}
-	}
-	return false
+	return fe.all || f.anyObj || fe.objs.intersects(f.objs)
 }
 
 // report accumulates the violations of one fact (one store site reached
@@ -94,111 +99,98 @@ func (fe *flushEffect) covers(f *fact) bool {
 // points exactly as the dynamic detector unions bug classes per (site,
 // stack).
 type report struct {
-	stack      []trace.Frame
+	chain      chainID
 	op         ir.Op
 	size       int64
 	nt         bool
 	needFlush  bool
 	needFence  bool
-	ckpts      map[string][]trace.Frame
-	flushSites map[pmcheck.SiteKey]trace.Frame
+	ckpts      chainSet
+	flushSites siteSet
 }
 
 func newSummary(fn *ir.Func) *summary {
-	return &summary{
-		fn:      fn,
-		ckpts:   make(map[string][]trace.Frame),
-		exit:    make(map[*fact]stateBits),
-		reports: make(map[string]*report),
-		calls:   make(map[*ir.Func]callCtx),
-	}
+	return &summary{fn: fn, calls: make(map[*ir.Func]callCtx)}
 }
 
 func (s *summary) mergeCallCtx(callee *ir.Func, c callCtx) {
 	s.calls[callee] = s.calls[callee].or(c)
 }
 
-func (s *summary) addCkpt(chain []trace.Frame) {
-	k := stackKey(chain)
-	if _, ok := s.ckpts[k]; !ok {
-		s.ckpts[k] = chain
+func (s *summary) addFlushEffect(ct *chainTable, fe *flushEffect) {
+	site := ct.siteOf(fe)
+	w, bit := int(site>>6), uint64(1)<<(site&63)
+	if w >= len(s.flushSeen) {
+		s.flushSeen = append(s.flushSeen, make([]uint64, w+1-len(s.flushSeen))...)
+	}
+	if s.flushSeen[w]&bit == 0 {
+		s.flushSeen[w] |= bit
+		s.flushes = append(s.flushes, fe)
 	}
 }
 
-func (s *summary) addFlushEffect(fe flushEffect) {
-	k := pmcheck.SiteKey{Func: fe.site.Func, InstrID: fe.site.InstrID}
-	for _, have := range s.flushes {
-		if (pmcheck.SiteKey{Func: have.site.Func, InstrID: have.site.InstrID}) == k {
-			return
+// reportFor returns the report of the given chain, creating it for a store
+// of the given shape.
+func (s *summary) reportFor(chain chainID, op ir.Op, size int64, nt bool) *report {
+	r := s.reportOf[chain]
+	if r == nil {
+		r = &report{chain: chain, op: op, size: size, nt: nt}
+		if s.reportOf == nil {
+			s.reportOf = make(map[chainID]*report)
 		}
+		s.reportOf[chain] = r
+		s.reports = append(s.reports, r)
 	}
-	s.flushes = append(s.flushes, fe)
+	return r
 }
 
 // mergeReport folds one observation (fact f in states bits at the given
-// relative checkpoint chain) into the summary's report map.
-func (s *summary) mergeReport(f *fact, bits stateBits, ckpt []trace.Frame) {
+// relative checkpoint chain) into the summary's reports.
+func (s *summary) mergeReport(f *fact, bits stateBits, ckpt chainID) {
 	if bits == 0 {
 		return
 	}
-	k := stackKey(f.stack)
-	r := s.reports[k]
-	if r == nil {
-		r = &report{
-			stack:      f.stack,
-			op:         f.op,
-			size:       f.size,
-			nt:         f.nt,
-			ckpts:      make(map[string][]trace.Frame),
-			flushSites: make(map[pmcheck.SiteKey]trace.Frame),
-		}
-		s.reports[k] = r
-	}
+	r := s.reportFor(f.chain, f.op, f.size, f.nt)
 	n := bits.needs()
 	r.needFlush = r.needFlush || n.Flush
 	r.needFence = r.needFence || n.Fence
-	ck := stackKey(ckpt)
-	if _, ok := r.ckpts[ck]; !ok {
-		r.ckpts[ck] = ckpt
-	}
-	for k, fr := range f.flushSites {
-		if _, ok := r.flushSites[k]; !ok {
-			r.flushSites[k] = fr
-		}
-	}
+	r.ckpts.add(ckpt)
+	r.flushSites = r.flushSites.union(f.flushSites)
 }
 
 // signature fingerprints the summary for SCC fixpoint detection: it covers
 // every field that can influence callers.
-func (s *summary) signature() string {
+func (s *summary) signature(ct *chainTable) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "may=%v must=%v;", s.fenceMay, s.fenceMust)
 	sites := make([]string, 0, len(s.flushes))
 	for _, fe := range s.flushes {
-		sites = append(sites, fmt.Sprintf("%s@%d/%v/%d", fe.site.Func, fe.site.InstrID, fe.all, len(fe.objs)))
+		site := ct.frames[ct.siteOf(fe)]
+		sites = append(sites, fmt.Sprintf("%s@%d/%v/%d", site.Func, site.InstrID, fe.all, len(fe.objs)))
 	}
-	sort.Strings(sites)
+	slices.Sort(sites)
 	b.WriteString(strings.Join(sites, ","))
 	b.WriteByte(';')
 	keys := make([]string, 0, len(s.ckpts))
-	for k := range s.ckpts {
-		keys = append(keys, k)
+	for _, c := range s.ckpts {
+		keys = append(keys, ct.key(c))
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
 	b.WriteString(strings.Join(keys, ","))
 	b.WriteByte(';')
-	exits := make([]string, 0, len(s.exit))
-	for f, bits := range s.exit {
-		exits = append(exits, fmt.Sprintf("%s=%d/%d", f.key, bits, len(f.flushSites)))
-	}
-	sort.Strings(exits)
+	var exits []string
+	s.exit.each(func(id int32, bits stateBits) {
+		f := s.facts[id]
+		exits = append(exits, fmt.Sprintf("%s=%d/%d", ct.key(f.chain), bits, len(f.flushSites)))
+	})
+	slices.Sort(exits)
 	b.WriteString(strings.Join(exits, ","))
 	b.WriteByte(';')
 	reps := make([]string, 0, len(s.reports))
-	for k, r := range s.reports {
-		reps = append(reps, fmt.Sprintf("%s=%v/%v/%d/%d", k, r.needFlush, r.needFence, len(r.ckpts), len(r.flushSites)))
+	for _, r := range s.reports {
+		reps = append(reps, fmt.Sprintf("%s=%v/%v/%d/%d", ct.key(r.chain), r.needFlush, r.needFence, len(r.ckpts), len(r.flushSites)))
 	}
-	sort.Strings(reps)
+	slices.Sort(reps)
 	b.WriteString(strings.Join(reps, ","))
 	return b.String()
 }
@@ -207,8 +199,9 @@ func (s *summary) signature() string {
 // reachable from entry. Calls are direct (the IR has no indirect calls), so
 // the graph is exact. Spawn edges are included: a spawned function is
 // reachable and needs a summary, even though the caller's flow never
-// applies it (the spawnee runs on another thread — see transfer).
-func callGraph(entry *ir.Func) (nodes []*ir.Func, succs map[*ir.Func][]*ir.Func) {
+// applies it (the spawnee runs on another thread — see transfer); spawns
+// reports whether there is one.
+func callGraph(entry *ir.Func) (nodes []*ir.Func, succs map[*ir.Func][]*ir.Func, spawns bool) {
 	succs = make(map[*ir.Func][]*ir.Func)
 	seen := map[*ir.Func]bool{entry: true}
 	work := []*ir.Func{entry}
@@ -217,13 +210,12 @@ func callGraph(entry *ir.Func) (nodes []*ir.Func, succs map[*ir.Func][]*ir.Func)
 		work = work[:len(work)-1]
 		nodes = append(nodes, fn)
 		var out []*ir.Func
-		dedup := map[*ir.Func]bool{}
 		for _, b := range fn.Blocks {
 			for _, in := range b.Instrs {
-				if (in.Op != ir.OpCall && in.Op != ir.OpSpawn) || in.Callee.IsDecl() || dedup[in.Callee] {
+				spawns = spawns || in.Op == ir.OpSpawn
+				if (in.Op != ir.OpCall && in.Op != ir.OpSpawn) || in.Callee.IsDecl() || slices.Contains(out, in.Callee) {
 					continue
 				}
-				dedup[in.Callee] = true
 				out = append(out, in.Callee)
 				if !seen[in.Callee] {
 					seen[in.Callee] = true
@@ -233,7 +225,7 @@ func callGraph(entry *ir.Func) (nodes []*ir.Func, succs map[*ir.Func][]*ir.Func)
 		}
 		succs[fn] = out
 	}
-	return nodes, succs
+	return nodes, succs, spawns
 }
 
 // sccOrder returns the strongly connected components of the call graph in

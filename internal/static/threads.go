@@ -23,21 +23,6 @@ import (
 // the sequential flow never considers, and the optimizer consumes lints
 // to delete instructions.
 
-// spawnReachable reports whether any function the analysis summarized
-// contains a spawn.
-func (az *analyzer) spawnReachable() bool {
-	for fn := range az.sums {
-		for _, b := range fn.Blocks {
-			for _, in := range b.Instrs {
-				if in.Op == ir.OpSpawn {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
 // threadBlanketReports builds the over-approximating report set for a
 // spawn module: one missing-flush&fence report per may-PM store site
 // reachable from the entry, each carrying one representative call chain.
@@ -92,7 +77,7 @@ func (az *analyzer) threadBlanketReports(have map[pmcheck.SiteKey]pmcheck.Needs)
 				default:
 					continue
 				}
-				if !az.mayPM(ptr) {
+				if !az.ptsOf(ptr).mayPM {
 					continue
 				}
 				key := pmcheck.SiteKey{Func: fn.Name, InstrID: in.ID}
