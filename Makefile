@@ -11,11 +11,15 @@ vet:
 test:
 	$(GO) test ./...
 
-# agreement runs the static/dynamic agreement harness on its own: superset
-# soundness on every corpus target and 250 generated programs, plus
-# static-driven repair leaving both detectors clean.
+# agreement runs the whole static gate on its own: superset soundness
+# against the dynamic detector on every corpus target, 250 generated
+# programs, 100 generated concurrent programs (over explored schedules)
+# and recursive call graphs; static-driven repair leaving both detectors
+# clean; a run without a summary store matching a cold store-backed one;
+# and the pinned results (internal/static/testdata/pinned_results.txt),
+# which hold every report, lint and summary hash fixed.
 agreement:
-	$(GO) test ./internal/static/ -run 'TestCorpusAgreement|TestCorpusStaticRepairBothClean|TestProgenAgreement' -v
+	$(GO) test ./internal/static/ -run 'TestCorpusAgreement|TestCorpusStaticRepairBothClean|TestProgenAgreement|TestProgenThreadedAgreement|TestRecursiveSCCAgreement|TestNoStoreMatchesColdStore|TestPinnedResults' -v
 
 # metrics-smoke repairs testdata/metrics_smoke.pmc with every telemetry
 # flag on and validates the exported JSON against the schemas checked in
@@ -43,7 +47,9 @@ metrics-smoke:
 # whose block falls through after a fence), in the static check, repair
 # and execution alike, and a global larger than its memory region
 # (testdata/huge_global.pmir, whose 80 GB PM global the interpreter
-# would otherwise allocate) in repair and execution. It also drives pmcheck's in-memory shadow repair with every telemetry
+# would otherwise allocate) in repair and execution. So is a global
+# whose byte size overflows int64 (testdata/overflow_global.pmir, which
+# ir.Verify rejects) in every command, the static check included. It also drives pmcheck's in-memory shadow repair with every telemetry
 # flag on and requires its span tree to hold plan, apply and revalidate.
 usage-smoke:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
@@ -65,6 +71,10 @@ usage-smoke:
 	want_exit 1 pmvm testdata/malformed.pmir && \
 	want_exit 1 hippocrates testdata/huge_global.pmir && \
 	want_exit 1 pmvm testdata/huge_global.pmir && \
+	want_exit 1 hippocrates testdata/overflow_global.pmir && \
+	want_exit 1 pmcheck testdata/overflow_global.pmir && \
+	want_exit 1 pmcheck -static testdata/overflow_global.pmir && \
+	want_exit 1 pmvm testdata/overflow_global.pmir && \
 	want_exit 1 pmcheck -metrics $$dir/metrics.json -spans $$dir/spans.json -audit testdata/metrics_smoke.pmc && \
 	for span in plan apply revalidate; do \
 		grep -q "\"name\": \"$$span\"" $$dir/spans.json || \

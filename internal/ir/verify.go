@@ -3,6 +3,7 @@ package ir
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 )
@@ -17,6 +18,11 @@ import (
 func Verify(m *Module) error {
 	var v verifier
 	var errs []error
+	for _, g := range m.Globals {
+		if _, err := layoutSize(g.Elem); err != nil {
+			errs = append(errs, fmt.Errorf("global @%s: %w", g.Name, err))
+		}
+	}
 	for _, f := range m.Funcs {
 		if f.IsDecl() {
 			continue
@@ -165,7 +171,12 @@ func verifyInstr(f *Func, in *Instr) error {
 	}
 	switch in.Op {
 	case OpAlloca:
-		if in.AllocTy == nil || in.AllocTy.Size() <= 0 {
+		if in.AllocTy == nil {
+			return fmt.Errorf("alloca of zero-size type")
+		}
+		if size, err := layoutSize(in.AllocTy); err != nil {
+			return err
+		} else if size <= 0 {
 			return fmt.Errorf("alloca of zero-size type")
 		}
 		return want(0)
@@ -414,4 +425,53 @@ func checkSuccs(f *Func, in *Instr, n int) error {
 		}
 	}
 	return nil
+}
+
+// layoutSize returns the byte size of an allocation layout, computed with
+// every product and sum checked: Size itself wraps, so an array whose
+// length is negative or whose size overflows int64, at any depth of
+// arrays and structs, would otherwise get a small or negative size and
+// be laid out on top of its neighbours.
+func layoutSize(t Type) (int64, error) {
+	switch x := t.(type) {
+	case *ArrayType:
+		if x.Len < 0 {
+			return 0, fmt.Errorf("array %s has a negative length", t)
+		}
+		elem, err := layoutSize(x.Elem)
+		if err != nil {
+			return 0, err
+		}
+		if x.Len > 0 && elem > math.MaxInt64/x.Len {
+			return 0, fmt.Errorf("array %s is larger than %d bytes", t, int64(math.MaxInt64))
+		}
+		return elem * x.Len, nil
+	case *StructType:
+		var off int64
+		for _, f := range x.Fields {
+			size, err := layoutSize(f.Type)
+			if err != nil {
+				return 0, err
+			}
+			if off, err = alignUp(off, f.Type.Align(), t); err != nil {
+				return 0, err
+			}
+			if size > math.MaxInt64-off {
+				return 0, fmt.Errorf("struct %s is larger than %d bytes", t, int64(math.MaxInt64))
+			}
+			off += size
+		}
+		return alignUp(off, x.Align(), t)
+	case nil:
+		return 0, nil
+	}
+	return t.Size(), nil
+}
+
+// alignUp is roundUp with an overflow check.
+func alignUp(n, a int64, t Type) (int64, error) {
+	if a > 1 && n > math.MaxInt64-(a-1) {
+		return 0, fmt.Errorf("struct %s is larger than %d bytes", t, int64(math.MaxInt64))
+	}
+	return roundUp(n, a), nil
 }

@@ -171,3 +171,48 @@ func TestVerifyScratchDoesNotLeak(t *testing.T) {
 		})
 	}
 }
+
+// TestVerifyRejectsOverflowingLayouts: a global or alloca layout whose
+// byte size overflows int64, or that holds a negative array length, is
+// malformed at any depth of arrays and structs; Size alone wraps, so
+// [2^61 x i64] would otherwise have size 0 and the next global would be
+// laid out on top of it. The largest sizes that do fit are accepted.
+func TestVerifyRejectsOverflowingLayouts(t *testing.T) {
+	body := "func @main() -> i64 {\nentry:\n  ret i64 0\n}\n"
+	alloca := func(ty string) string {
+		return "func @main() -> i64 {\nentry:\n  %a = alloca " + ty + "\n  ret i64 0\n}\n"
+	}
+	cases := []struct {
+		name, src, want string
+	}{
+		{"array wraps to zero", "pm global @g: [2305843009213693952 x i64]\npm global @h: i64\n" + body, "global @g: array [2305843009213693952 x i64] is larger than"},
+		{"negative length", "global @g: [-1 x i64]\n" + body, "global @g: array [-1 x i64] has a negative length"},
+		{"nested array", "global @g: [4 x [2305843009213693952 x i8]]\n" + body, "global @g: array [4 x [2305843009213693952 x i8]] is larger than"},
+		{"nested negative", "global @g: [2 x [-3 x i8]]\n" + body, "negative length"},
+		{"struct field", "struct %S { a: i64, b: [1152921504606846975 x i64] }\nglobal @g: %S\n" + body, "struct %S is larger than"},
+		{"struct of struct", "struct %T { a: [9223372036854775800 x i8] }\nstruct %S { t: %T, u: %T }\nglobal @g: [1 x %S]\n" + body, "struct %S is larger than"},
+		{"alloca", alloca("[1152921504606846976 x i64]"), "array [1152921504606846976 x i64] is larger than"},
+	}
+	for _, tc := range cases {
+		m, err := ParseModule("module t\n" + tc.src)
+		if err != nil {
+			t.Fatalf("%s: parse: %v", tc.name, err)
+		}
+		if err := Verify(m); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Verify = %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+	for _, ok := range []string{
+		"global @g: [1152921504606846975 x i64]\n" + body,
+		"struct %S { a: i8, b: [1152921504606846974 x i64] }\nglobal @g: %S\n" + body,
+		"global @g: [0 x i64]\n" + body,
+	} {
+		m, err := ParseModule("module t\n" + ok)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := Verify(m); err != nil {
+			t.Errorf("Verify rejected a layout that fits: %v\n%s", err, ok)
+		}
+	}
+}

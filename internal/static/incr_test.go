@@ -2,6 +2,7 @@ package static_test
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"hippocrates/internal/core"
@@ -227,5 +228,38 @@ func TestNoStoreMatchesColdStore(t *testing.T) {
 		if !reflect.DeepEqual(bare, cold) {
 			t.Errorf("%s: the result without a store differs from a cold store-backed one", tc.name)
 		}
+	}
+}
+
+// TestStaticAnalyzeBytes pins the heap cost of one cold analysis of
+// corpus redis-pmem from trace_main without a summary store, the
+// analysis BenchmarkStaticAnalyze times: the alias solve and the
+// bottom-up dataflow over every reachable function. With numbered facts
+// in dense word states, chains interned as (frame, prefix) pairs and
+// sorted points-to sets it measures about 2.06 MB on amd64; with facts
+// and states in maps, chains keyed by func@id; strings and map
+// points-to sets it measured about 16.6 MB. The bound is about 12% over.
+func TestStaticAnalyzeBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation sizes differ under the race runtime")
+	}
+	m := corpus.ByName("redis-pmem").MustCompile()
+	analyze := func() {
+		if _, err := static.Analyze(m, "trace_main"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	analyze() // warm up: lazily built fingerprints and the like
+	const runs = 3
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		analyze()
+	}
+	runtime.ReadMemStats(&after)
+	perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("%.0f bytes per analysis", perRun)
+	if perRun > 2_300_000 {
+		t.Errorf("a cold analysis of redis-pmem allocates %.0f bytes, want <= 2,300,000", perRun)
 	}
 }
