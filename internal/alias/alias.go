@@ -71,13 +71,18 @@ type Analysis struct {
 	mod     *ir.Module
 	objects []*Object
 
-	// instrNode and nodeOf map pointer values to dense node IDs:
-	// instructions, nearly all of them, under a pointer key, which hashes
-	// faster than an interface; parameters, globals and constants under
-	// nodeOf.
-	instrNode map[*ir.Instr]int
-	nodeOf    map[ir.Value]int
-	values    []ir.Value
+	// instrNodes and nodeOf map pointer values to dense node IDs. An
+	// instruction is found by its ID in its function's table, 1 + its
+	// node (0: none), whose value slot confirms it; every other value,
+	// and an instruction whose ID is out of range or taken by another
+	// (overflow records that one was), is in nodeOf. lastFn and lastTab
+	// cache the table node was last given, while constraints apply.
+	instrNodes map[*ir.Func][]int32
+	overflow   bool
+	lastFn     *ir.Func
+	lastTab    []int32
+	nodeOf     map[ir.Value]int
+	values     []ir.Value
 
 	// pts[n] is the points-to set of value node n.
 	pts []idSet
@@ -109,10 +114,8 @@ type Analysis struct {
 	refIndex map[string]int
 	refs     []string
 	refRank  []int
-	// digestBuf is FuncDigest's reusable encoding scratch, and slotNodes
-	// its per-function node tables (see nodesBySlot).
+	// digestBuf is FuncDigest's reusable encoding scratch.
 	digestBuf []byte
-	slotNodes map[*ir.Func][]int32
 
 	// consHits / consMisses count constraint-store traffic for this run.
 	consHits, consMisses int
@@ -183,21 +186,37 @@ func (a *Analysis) node(v ir.Value) int {
 		return n
 	}
 	n := len(a.values)
-	if in, ok := v.(*ir.Instr); ok {
-		a.instrNode[in] = n
-	} else {
-		a.nodeOf[v] = n
-	}
 	a.values = append(a.values, v)
 	a.pts = append(a.pts, nil)
+	if in, ok := v.(*ir.Instr); ok && in.Block() != nil {
+		if fn := in.Block().Func(); fn != a.lastFn {
+			a.lastFn, a.lastTab = fn, a.instrNodes[fn]
+			if a.lastTab == nil {
+				a.lastTab = make([]int32, fn.NumInstrs())
+				a.instrNodes[fn] = a.lastTab
+			}
+		}
+		if in.ID >= 0 && in.ID < len(a.lastTab) && a.lastTab[in.ID] == 0 {
+			a.lastTab[in.ID] = int32(n) + 1
+			return n
+		}
+		a.overflow = true
+	}
+	a.nodeOf[v] = n
 	return n
 }
 
 // lookup returns v's node, if it has one.
 func (a *Analysis) lookup(v ir.Value) (int, bool) {
-	if in, ok := v.(*ir.Instr); ok {
-		n, ok := a.instrNode[in]
-		return n, ok
+	if in, ok := v.(*ir.Instr); ok && in.Block() != nil {
+		if tab := a.instrNodes[in.Block().Func()]; in.ID >= 0 && in.ID < len(tab) {
+			if n := tab[in.ID]; n != 0 && a.values[n-1] == v {
+				return int(n - 1), true
+			}
+		}
+		if !a.overflow {
+			return 0, false
+		}
 	}
 	n, ok := a.nodeOf[v]
 	return n, ok
@@ -325,7 +344,7 @@ func (a *Analysis) collect(store *lru.Cache[string, []Cons]) {
 	}
 	// A constraint names at most two values, most of them shared, so the
 	// constraint count sizes the node tables and edge lists.
-	a.instrNode = make(map[*ir.Instr]int, total)
+	a.instrNodes = make(map[*ir.Func][]int32, len(a.mod.Funcs))
 	a.values = make([]ir.Value, 0, total)
 	a.pts = make([]idSet, 0, total)
 	a.copyEdges = make([]edge, 0, total)

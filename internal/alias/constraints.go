@@ -145,26 +145,23 @@ func (a *Analysis) applyConstraints(f *ir.Func, cons []Cons) error {
 	}
 	// IDs are dense after Renumber (the store only hands lists out for
 	// renumbered bodies), so a slice beats a map here; the sparse case
-	// just falls through to "does not resolve".
-	maxID := -1
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.ID > maxID {
-				maxID = in.ID
-			}
-		}
-	}
-	// The table is scratch for this call: reused across functions.
-	byID := slices.Grow(a.byID[:0], maxID+1)[:maxID+1]
+	// just falls through to "does not resolve". The table is scratch for
+	// this call, reused across functions, sized for dense IDs and grown
+	// in the same pass for any others.
+	n := f.NumInstrs()
+	byID := slices.Grow(a.byID[:0], n)[:n]
 	clear(byID)
-	a.byID = byID
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
+			if in.ID >= len(byID) {
+				byID = append(byID, make([]*ir.Instr, in.ID+1-len(byID))...)
+			}
 			if in.ID >= 0 {
 				byID[in.ID] = in
 			}
 		}
 	}
+	a.byID = byID
 	lookup := func(id int) *ir.Instr {
 		if id < 0 || id >= len(byID) {
 			return nil
@@ -321,33 +318,6 @@ func (a *Analysis) ObjectIDByRef(ref string) (int, bool) {
 	return id, ok
 }
 
-// nodesBySlot returns, for a function whose value slots are current, 1 +
-// the node of each of its instructions by slot (0: untracked), so
-// FuncDigest reads them without a map lookup per value. The tables are
-// built on first use for every such function; nil means f's slots are
-// stale and its values must be looked up.
-func (a *Analysis) nodesBySlot(f *ir.Func) []int32 {
-	if a.slotNodes == nil {
-		a.slotNodes = make(map[*ir.Func][]int32, len(a.mod.Funcs))
-		for _, fn := range a.mod.Funcs {
-			if !fn.IsDecl() && !fn.NeedsRenumber() {
-				a.slotNodes[fn] = make([]int32, fn.NumSlots())
-			}
-		}
-		for n, v := range a.values {
-			if in, ok := v.(*ir.Instr); ok && in.Block() != nil && in.Slot >= 0 {
-				if tab := a.slotNodes[in.Block().Func()]; in.Slot < len(tab) {
-					tab[in.Slot] = int32(n) + 1
-				}
-			}
-		}
-	}
-	if f.NeedsRenumber() {
-		return nil
-	}
-	return a.slotNodes[f]
-}
-
 // FuncDigest hashes the slice of the solved points-to relation that any
 // per-function analysis of f can observe: for every parameter and every
 // instruction result, whether the value is tracked at all (untracked
@@ -393,24 +363,18 @@ func (a *Analysis) FuncDigest(f *ir.Func) string {
 		n, ok := a.lookup(p)
 		writeNode('p', p.Index, n, ok)
 	}
-	if bySlot := a.nodesBySlot(f); bySlot != nil {
-		// Current slots: an instruction has one exactly when it has a
-		// result.
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				if in.Slot >= 0 {
-					n := bySlot[in.Slot]
-					writeNode('r', in.ID, int(n)-1, n != 0)
-				}
+	tab := a.instrNodes[f]
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if !in.HasResult() {
+				continue
 			}
-		}
-	} else {
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				if in.HasResult() {
-					n, ok := a.lookup(in)
-					writeNode('r', in.ID, n, ok)
-				}
+			// lookup, with f's table fetched once.
+			if in.ID >= 0 && in.ID < len(tab) && tab[in.ID] != 0 && a.values[tab[in.ID]-1] == ir.Value(in) {
+				writeNode('r', in.ID, int(tab[in.ID]-1), true)
+			} else {
+				n, ok := a.lookup(in)
+				writeNode('r', in.ID, n, ok)
 			}
 		}
 	}

@@ -397,7 +397,17 @@ func (t *chainTable) key(c chainID) string {
 	return k
 }
 
-// sortChains orders chains by their func@id; keys.
-func (t *chainTable) sortChains(cs []chainID) {
-	slices.SortFunc(cs, func(a, b chainID) int { return strings.Compare(t.key(a), t.key(b)) })
+// sortedStacks renders a chain set as stacks in the order of their
+// func@id; keys; nil when empty.
+func (t *chainTable) sortedStacks(cs chainSet) [][]trace.Frame {
+	if len(cs) == 0 {
+		return nil
+	}
+	sorted := slices.Clone(cs)
+	slices.SortFunc(sorted, func(a, b chainID) int { return strings.Compare(t.key(a), t.key(b)) })
+	out := make([][]trace.Frame, len(sorted))
+	for i, c := range sorted {
+		out[i] = t.stack(c)
+	}
+	return out
 }

@@ -292,8 +292,7 @@ func analyze(mod *ir.Module, entry string, store *Store) (*Result, *alias.Analys
 		res.Reports = append(res.Reports, out)
 		reps = append(reps, keyed{out, r.chain})
 	}
-	threaded := az.threaded
-	if threaded {
+	if az.threaded {
 		// Spawn-aware fallback: the sequential flow cannot bound what an
 		// interleaving leaves pending, so every reachable may-PM store
 		// site is reported needing flush+fence (see threads.go).
@@ -340,7 +339,7 @@ func analyze(mod *ir.Module, entry string, store *Store) (*Result, *alias.Analys
 		}
 	}
 	for _, s := range az.sums {
-		if threaded {
+		if az.threaded {
 			// No lints in spawn modules: a flush or fence the sequential
 			// flow calls redundant may be load-bearing under another
 			// interleaving, and the optimizer deletes what lints name.

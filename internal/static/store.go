@@ -250,21 +250,6 @@ func (az *analyzer) instrByID(fn *ir.Func, id int) *ir.Instr {
 	return idx[id]
 }
 
-// stacks renders a chain set as stacks in func@id; key order; nil when
-// empty.
-func (t *chainTable) sortedStacks(cs chainSet) [][]trace.Frame {
-	if len(cs) == 0 {
-		return nil
-	}
-	sorted := slices.Clone(cs)
-	t.sortChains(sorted)
-	out := make([][]trace.Frame, len(sorted))
-	for i, c := range sorted {
-		out[i] = t.stack(c)
-	}
-	return out
-}
-
 // canonicalize deep-converts a finished live summary into its portable
 // snapshot and computes the content hash. Set-shaped fields are sorted so
 // the encoding (and so the hash) is deterministic.
