@@ -206,6 +206,13 @@ func (a *Analysis) node(v ir.Value) int {
 	return n
 }
 
+// seed adds object o to v's points-to set. The node is interned first,
+// apart from the set it grows: interning can move a.pts.
+func (a *Analysis) seed(v ir.Value, o int) {
+	n := a.node(v)
+	a.add(&a.pts[n], int32(o))
+}
+
 // lookup returns v's node, if it has one.
 func (a *Analysis) lookup(v ir.Value) (int, bool) {
 	if in, ok := v.(*ir.Instr); ok && in.Block() != nil {
@@ -352,7 +359,7 @@ func (a *Analysis) collect(store *lru.Cache[string, []Cons]) {
 	// Globals: the value @g points to the object g.
 	for _, g := range a.mod.Globals {
 		o := a.newObject(ObjGlobal, g, nil, g.PM)
-		a.add(&a.pts[a.node(g)], int32(o.ID))
+		a.seed(g, o.ID)
 	}
 	// One shared opaque object for pointers materialized from integers.
 	a.externID = a.newObject(ObjExtern, ir.Null(), nil, false).ID

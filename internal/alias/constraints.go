@@ -204,16 +204,16 @@ func (a *Analysis) applyConstraints(f *ir.Func, cons []Cons) error {
 			switch c.Kind {
 			case CSeedAlloca:
 				o := a.newObject(ObjAlloca, in, f, false)
-				a.add(&a.pts[a.node(in)], int32(o.ID))
+				a.seed(in, o.ID)
 			case CSeedAlloc:
 				kind, ok := allocKind(c.Callee)
 				if !ok {
 					return fmt.Errorf("alias: %q is not an allocator", c.Callee)
 				}
 				o := a.newObject(kind, in, f, kind == ObjPM)
-				a.add(&a.pts[a.node(in)], int32(o.ID))
+				a.seed(in, o.ID)
 			case CSeedExtern:
-				a.add(&a.pts[a.node(in)], int32(a.externID))
+				a.seed(in, a.externID)
 			}
 		case CCopy:
 			src, err := resolve(c.A)
