@@ -6,6 +6,8 @@
 package static
 
 import (
+	"slices"
+
 	"hippocrates/internal/alias"
 	"hippocrates/internal/ir"
 	"hippocrates/internal/trace"
@@ -41,6 +43,9 @@ type funcAnalysis struct {
 	in      []factState
 	reached []bool
 	succs   [][]int32
+
+	// sites is transferCall's scratch list of flush sites.
+	sites []int32
 }
 
 func newFuncAnalysis(az *analyzer, fn *ir.Func) *funcAnalysis {
@@ -254,11 +259,24 @@ func (fa *funcAnalysis) transferCall(st *factState, in *ir.Instr, emit bool) boo
 	// Push the caller's live facts through the callee's summary.
 	st.each(func(id int32, bits stateBits) {
 		f := fa.facts[id]
-		mayCov := false
+		covering := fa.sites[:0]
 		for _, fe := range sum.flushes {
 			if fe.covers(f) {
-				mayCov = true
-				f.flushSites = f.flushSites.with(fa.ct.siteOf(fe))
+				covering = append(covering, fa.ct.siteOf(fe))
+			}
+		}
+		fa.sites = covering
+		mayCov := len(covering) > 0
+		if mayCov {
+			// One merge per fact and call: a callee can flush a fact at
+			// hundreds of sites, and adding them one by one copies the
+			// set each time.
+			slices.Sort(covering)
+			covering = slices.Compact(covering)
+			if len(f.flushSites) == 0 {
+				f.flushSites = slices.Clone(covering) // covering is scratch
+			} else {
+				f.flushSites = f.flushSites.union(covering)
 			}
 		}
 		// Reach-closure over the callee's possible effects: a may-flush

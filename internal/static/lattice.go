@@ -224,10 +224,31 @@ func (s siteSet) union(o siteSet) siteSet {
 	if len(s) == 0 {
 		return o
 	}
+	missing := 0
 	for _, x := range o {
-		s = s.with(x)
+		if _, found := slices.BinarySearch(s, x); !found {
+			missing++
+		}
 	}
-	return s
+	if missing == 0 {
+		return s
+	}
+	out := make(siteSet, 0, len(s)+missing)
+	i, j := 0, 0
+	for i < len(s) || j < len(o) {
+		switch {
+		case j == len(o) || i < len(s) && s[i] < o[j]:
+			out = append(out, s[i])
+			i++
+		case i == len(s) || o[j] < s[i]:
+			out = append(out, o[j])
+			j++
+		default:
+			out = append(out, s[i])
+			i, j = i+1, j+1
+		}
+	}
+	return out
 }
 
 // chainSet is a set of chains kept in chain-ID order. Unlike siteSet it
@@ -251,12 +272,17 @@ type chainID int32
 // for the summary store's canonical form, the SCC signature and the
 // order reports are exported in — and cached.
 type chainTable struct {
-	frames   []trace.Frame
-	frameIdx map[pmcheck.SiteKey]int32
-	nodes    []chainNode
-	idx      map[uint64]chainID
-	stacks   [][]trace.Frame
-	keys     []string
+	frames []trace.Frame
+	// frameRows[f][id] is 1 + the frame of function f's instruction id
+	// (0: none yet); lastFunc and lastRow cache the row last used, since
+	// frames come in runs from one function.
+	frameRows map[string][]int32
+	lastFunc  string
+	lastRow   []int32
+	nodes     []chainNode
+	idx       map[uint64]chainID
+	stacks    [][]trace.Frame
+	keys      []string
 }
 
 type chainNode struct {
@@ -267,21 +293,30 @@ type chainNode struct {
 
 func newChainTable() *chainTable {
 	return &chainTable{
-		frameIdx: make(map[pmcheck.SiteKey]int32),
-		nodes:    []chainNode{{frame: -1}},
-		idx:      make(map[uint64]chainID),
+		frameRows: make(map[string][]int32),
+		nodes:     []chainNode{{frame: -1}},
+		idx:       make(map[uint64]chainID),
 	}
 }
 
-// frame interns fr by its (function, instruction) site.
+// frame interns fr by its (function, instruction) site. Instruction IDs
+// are small and dense (ir.Func.Renumber), so each function's frames are
+// a row indexed by ID.
 func (t *chainTable) frame(fr trace.Frame) int32 {
-	k := pmcheck.SiteKey{Func: fr.Func, InstrID: fr.InstrID}
-	if id, ok := t.frameIdx[k]; ok {
-		return id
+	if fr.Func != t.lastFunc || t.lastRow == nil {
+		t.lastFunc, t.lastRow = fr.Func, t.frameRows[fr.Func]
+	}
+	if fr.InstrID < len(t.lastRow) {
+		if id := t.lastRow[fr.InstrID]; id != 0 {
+			return id - 1
+		}
+	} else {
+		t.lastRow = append(t.lastRow, make([]int32, fr.InstrID+1-len(t.lastRow))...)
+		t.frameRows[fr.Func] = t.lastRow
 	}
 	id := int32(len(t.frames))
 	t.frames = append(t.frames, fr)
-	t.frameIdx[k] = id
+	t.lastRow[fr.InstrID] = id + 1
 	return id
 }
 

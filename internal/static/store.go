@@ -330,7 +330,12 @@ func canonicalize(s *summary, az *analyzer) *FuncSummary {
 	slices.SortFunc(ps.Calls, func(a, b PCallCtx) int { return strings.Compare(a.Callee, b.Callee) })
 
 	seen := make(map[string]bool)
+	last := ""
 	note := func(refs []string, key string) {
+		if key == last && len(ps.objSets) > 0 {
+			return // runs of effects and facts share one set
+		}
+		last = key
 		if !seen[key] {
 			seen[key] = true
 			ps.objSets = append(ps.objSets, pObjs{refs, key})
