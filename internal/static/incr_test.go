@@ -236,7 +236,7 @@ func TestNoStoreMatchesColdStore(t *testing.T) {
 // analysis BenchmarkStaticAnalyze times: the alias solve and the
 // bottom-up dataflow over every reachable function. With numbered facts
 // in dense word states, chains interned as (frame, prefix) pairs and
-// sorted points-to sets it measures about 2.06 MB on amd64; with facts
+// sorted points-to sets it measures about 2.04 MB on amd64; with facts
 // and states in maps, chains keyed by func@id; strings and map
 // points-to sets it measured about 16.6 MB. The bound is about 12% over.
 func TestStaticAnalyzeBytes(t *testing.T) {
