@@ -161,8 +161,12 @@ mt-smoke:
 # - the shared verdicts: a generated threaded program explored under a
 #   random budget, its runs sharing one verdict table, must give every run
 #   the verdict a fresh replay of its choices gives, and a union that
-#   reads as the replays' DedupeByClass.
-#   Shrinking a new interesting input of the last four is capped at 100
+#   reads as the replays' DedupeByClass;
+# - the daemon's request decode: a random request body must be accepted
+#   or rejected as the json.Decoder decode it replaced accepts or rejects
+#   it (bytes after the object are now always rejected), decode to the
+#   same cli.Request, and never panic Validate.
+#   Shrinking a new interesting input of the last five is capped at 100
 #   runs: uncapped, it can take the workers for the whole budget.
 # The seed corpora under internal/*/testdata/fuzz/ also run in the plain
 # suite.
@@ -172,6 +176,7 @@ fuzz-smoke:
 	$(GO) test ./internal/pmem -run '^$$' -fuzz FuzzMemoryReset -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/cli -run '^$$' -fuzz FuzzCompileIR -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/schedule -run '^$$' -fuzz FuzzExploreVerdicts -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/server -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 10s -fuzzminimizetime 100x
 
 # bench-smoke runs every benchmark once, so a benchmark that no longer
 # builds or fails its own checks breaks the gate (BenchmarkCrashSweep/dedup

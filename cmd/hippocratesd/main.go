@@ -105,7 +105,7 @@ func main() {
 // port never exposes it.
 func serve(cfg server.Config, addr, pprofAddr string) error {
 	srv := server.New(cfg)
-	httpSrv := &http.Server{Addr: addr, Handler: srv.Handler()}
+	httpSrv := srv.HTTPServer(addr)
 
 	errCh := make(chan error, 1)
 	var pprofSrv *http.Server
@@ -165,7 +165,7 @@ func boot(cfg server.Config) (string, func(), error) {
 	if err != nil {
 		return "", nil, err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := srv.HTTPServer("")
 	go httpSrv.Serve(ln)
 	stop := func() {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)

@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"net/http"
 	"strconv"
+	"time"
 
 	"hippocrates/internal/cli"
 	"hippocrates/internal/interp"
@@ -14,6 +15,31 @@ import (
 
 // MaxRequestBytes bounds the request body (a pmc program plus options).
 const MaxRequestBytes = 4 << 20
+
+// ReadHeaderTimeout and ReadTimeout bound how long a connection may take
+// to deliver a request's header and its whole request. A body is read
+// into a buffer of its declared length, so without them a client that
+// declares MaxRequestBytes and sends nothing would hold that buffer for
+// as long as it kept the connection open. An idle keep-alive connection
+// is closed after ReadTimeout too. Once a body is read, net/http clears
+// the read deadline, so a job that outlasts ReadTimeout still answers.
+// There is no write timeout: a synchronous repair answers when its job
+// ends, under the job's own deadline.
+const (
+	ReadHeaderTimeout = 10 * time.Second
+	ReadTimeout       = 30 * time.Second
+)
+
+// HTTPServer returns the http.Server that serves s.Handler() on addr
+// under the read timeouts above.
+func (s *Server) HTTPServer(addr string) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           s.Handler(),
+		ReadHeaderTimeout: ReadHeaderTimeout,
+		ReadTimeout:       ReadTimeout,
+	}
+}
 
 // Handler returns the daemon's HTTP API:
 //
@@ -87,10 +113,7 @@ func (s *Server) decodeAndSubmit(w http.ResponseWriter, r *http.Request) *Job {
 	}
 	w.Header().Set(TraceHeader, traceID)
 	var req cli.Request
-	body := http.MaxBytesReader(w, r.Body, MaxRequestBytes)
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := readRequest(w, r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, "bad request body: %v", err)
 		return nil
 	}
