@@ -156,8 +156,13 @@ mt-smoke:
 #   overlays and resets on one reused memory must read exactly like a fresh
 #   memory, and no snapshot may change as the memory is reset;
 # - the IR boundary: random .pmir text run through cli.Run in check,
-#   static-check and repair mode must never panic out of it, and a module
-#   ir.Verify rejects must fail at compile, before any layer runs;
+#   static-check and repair mode must never panic out of it, a module
+#   ir.Verify rejects must fail at compile, before any layer runs, and a
+#   module that parses must print to text that parses back to the same
+#   text;
+# - the IR parser: random text must be accepted or rejected (on the same
+#   line) as the line-splitting parser it replaced accepts or rejects it,
+#   and parse to the same module in every field;
 # - the shared verdicts: a generated threaded program explored under a
 #   random budget, its runs sharing one verdict table, must give every run
 #   the verdict a fresh replay of its choices gives, and a union that
@@ -166,15 +171,16 @@ mt-smoke:
 #   or rejected as the json.Decoder decode it replaced accepts or rejects
 #   it (bytes after the object are now always rejected), decode to the
 #   same cli.Request, and never panic Validate.
-#   Shrinking a new interesting input of the last five is capped at 100
-#   runs: uncapped, it can take the workers for the whole budget.
+#   Shrinking a new interesting input is capped at 100 runs: uncapped, it
+#   can take the workers for the whole budget.
 # The seed corpora under internal/*/testdata/fuzz/ also run in the plain
 # suite.
 fuzz-smoke:
-	$(GO) test ./internal/interp -run '^$$' -fuzz FuzzScheduleReplay -fuzztime 10s
+	$(GO) test ./internal/interp -run '^$$' -fuzz FuzzScheduleReplay -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/pmem -run '^$$' -fuzz FuzzTrackerReference -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/pmem -run '^$$' -fuzz FuzzMemoryReset -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/cli -run '^$$' -fuzz FuzzCompileIR -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/ir -run '^$$' -fuzz FuzzParseModule -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/schedule -run '^$$' -fuzz FuzzExploreVerdicts -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 10s -fuzzminimizetime 100x
 

@@ -196,7 +196,7 @@ func (a *Analysis) node(v ir.Value) int {
 				a.instrNodes[fn] = a.lastTab
 			}
 		}
-		if in.ID >= 0 && in.ID < len(a.lastTab) && a.lastTab[in.ID] == 0 {
+		if in.ID >= 0 && int(in.ID) < len(a.lastTab) && a.lastTab[in.ID] == 0 {
 			a.lastTab[in.ID] = int32(n) + 1
 			return n
 		}
@@ -216,7 +216,7 @@ func (a *Analysis) seed(v ir.Value, o int) {
 // lookup returns v's node, if it has one.
 func (a *Analysis) lookup(v ir.Value) (int, bool) {
 	if in, ok := v.(*ir.Instr); ok && in.Block() != nil {
-		if tab := a.instrNodes[in.Block().Func()]; in.ID >= 0 && in.ID < len(tab) {
+		if tab := a.instrNodes[in.Block().Func()]; in.ID >= 0 && int(in.ID) < len(tab) {
 			if n := tab[in.ID]; n != 0 && a.values[n-1] == v {
 				return int(n - 1), true
 			}

@@ -62,8 +62,8 @@ type VRef struct {
 	Name string
 }
 
-func refInstr(in *ir.Instr) VRef        { return VRef{K: 'r', ID: in.ID} }
-func refArg(in *ir.Instr, idx int) VRef { return VRef{K: 'a', ID: in.ID, Idx: idx} }
+func refInstr(in *ir.Instr) VRef        { return VRef{K: 'r', ID: int(in.ID)} }
+func refArg(in *ir.Instr, idx int) VRef { return VRef{K: 'a', ID: int(in.ID), Idx: idx} }
 func refCalleeParam(name string, idx int) VRef {
 	return VRef{K: 'P', Name: name, Idx: idx}
 }
@@ -93,21 +93,22 @@ func genConstraints(f *ir.Func) []Cons {
 					out = append(out, Cons{Kind: CLoad, A: refArg(in, 0), B: refInstr(in)})
 				}
 			case ir.OpStore, ir.OpNTStore, ir.OpAtomicStore:
-				if ir.IsPtr(in.StoreTy) {
+				if ir.IsPtr(in.StoreTy()) {
 					out = append(out, Cons{Kind: CStore, A: refArg(in, 1), B: refArg(in, 0)})
 				}
 			case ir.OpSpawn:
 				// A spawned thread receives the arguments like a call; it
 				// has no pointer result (the handle is an integer).
+				callee := in.Callee()
 				for i := range in.Args {
-					if ir.IsPtr(in.Callee.Params[i].Ty) {
-						out = append(out, Cons{Kind: CCopy, A: refArg(in, i), B: refCalleeParam(in.Callee.Name, i)})
+					if ir.IsPtr(callee.Params[i].Ty) {
+						out = append(out, Cons{Kind: CCopy, A: refArg(in, i), B: refCalleeParam(callee.Name, i)})
 					}
 				}
 			case ir.OpIntToPtr:
 				out = append(out, Cons{Kind: CSeedExtern, A: refInstr(in)})
 			case ir.OpCall:
-				callee := in.Callee
+				callee := in.Callee()
 				if _, isAlloc := allocKind(callee.Name); isAlloc {
 					out = append(out, Cons{Kind: CSeedAlloc, A: refInstr(in), Callee: callee.Name})
 					continue
@@ -153,8 +154,8 @@ func (a *Analysis) applyConstraints(f *ir.Func, cons []Cons) error {
 	clear(byID)
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
-			if in.ID >= len(byID) {
-				byID = append(byID, make([]*ir.Instr, in.ID+1-len(byID))...)
+			if int(in.ID) >= len(byID) {
+				byID = append(byID, make([]*ir.Instr, int(in.ID)+1-len(byID))...)
 			}
 			if in.ID >= 0 {
 				byID[in.ID] = in
@@ -283,7 +284,7 @@ func (a *Analysis) objectRef(id int) string {
 		return "x"
 	default:
 		in := o.Site.(*ir.Instr)
-		return string('a'+byte(o.Kind)) + ":" + o.Func.Name + "#" + strconv.Itoa(in.ID)
+		return string('a'+byte(o.Kind)) + ":" + o.Func.Name + "#" + strconv.Itoa(int(in.ID))
 	}
 }
 
@@ -370,11 +371,11 @@ func (a *Analysis) FuncDigest(f *ir.Func) string {
 				continue
 			}
 			// lookup, with f's table fetched once.
-			if in.ID >= 0 && in.ID < len(tab) && tab[in.ID] != 0 && a.values[tab[in.ID]-1] == ir.Value(in) {
-				writeNode('r', in.ID, int(tab[in.ID]-1), true)
+			if in.ID >= 0 && int(in.ID) < len(tab) && tab[in.ID] != 0 && a.values[tab[in.ID]-1] == ir.Value(in) {
+				writeNode('r', int(in.ID), int(tab[in.ID]-1), true)
 			} else {
 				n, ok := a.lookup(in)
-				writeNode('r', in.ID, n, ok)
+				writeNode('r', int(in.ID), n, ok)
 			}
 		}
 	}

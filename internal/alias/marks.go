@@ -103,7 +103,7 @@ func newInstrIndex(mod *ir.Module) *instrIndex {
 		byID := make(map[int]*ir.Instr, f.NumInstrs())
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
-				byID[in.ID] = in
+				byID[int(in.ID)] = in
 			}
 		}
 		ix.byFun[f.Name] = byID

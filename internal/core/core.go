@@ -173,7 +173,9 @@ type Fixer struct {
 	mod   *ir.Module
 	an    *alias.Analysis
 	marks *alias.Marks
-	index map[string]map[int]*ir.Instr
+	// index maps a function name to its instructions by ID (see
+	// indexInstrs).
+	index map[string][]*ir.Instr
 
 	// queries0 is an's query count when the session began: an analysis
 	// handed over by the static pass has answered that pass's queries.
@@ -245,7 +247,7 @@ func siteOf(in *ir.Instr) string {
 			break
 		}
 	}
-	file := in.Loc.File
+	file := in.Loc().File
 	if file == "" {
 		file = "<generated>"
 	}
@@ -284,29 +286,59 @@ func newFixer(mod *ir.Module, an *alias.Analysis, marks *alias.Marks, opts Optio
 		an:          an,
 		queries0:    an.Queries(),
 		marks:       marks,
-		index:       make(map[string]map[int]*ir.Instr),
+		index:       indexInstrs(mod),
 		clones:      make(map[*ir.Func]*ir.Func),
 		needsWork:   make(map[*ir.Func]int),
 		transSites:  make(map[*ir.Instr]*ir.Func),
 		escapeCache: make(map[*ir.Instr]bool),
 		result:      &Result{Module: mod, MarksName: marks.Name, InstrsBefore: mod.NumInstrs()},
 	}
-	for _, f := range mod.Funcs {
-		byID := make(map[int]*ir.Instr, f.NumInstrs())
-		for _, b := range f.Blocks {
-			for _, in := range b.Instrs {
-				byID[in.ID] = in
-			}
-		}
-		fx.index[f.Name] = byID
-	}
 	return fx
 }
 
-// resolve maps a trace frame to its instruction.
+// indexInstrs maps each function of mod to a slice of its instructions
+// indexed by ID, every function's a run of one slab. As in a map, the
+// later of two instructions with one ID wins: a function edited since
+// Renumber holds its inserted instructions at ID 0.
+func indexInstrs(mod *ir.Module) map[string][]*ir.Instr {
+	size := 0
+	for _, f := range mod.Funcs {
+		size += idSpan(f)
+	}
+	slab := make([]*ir.Instr, size)
+	index := make(map[string][]*ir.Instr, len(mod.Funcs))
+	for _, f := range mod.Funcs {
+		n := idSpan(f)
+		byID := slab[:n:n]
+		slab = slab[n:]
+		for _, b := range f.Blocks {
+			for _, in := range b.Instrs {
+				if in.ID >= 0 {
+					byID[in.ID] = in
+				}
+			}
+		}
+		index[f.Name] = byID
+	}
+	return index
+}
+
+// idSpan returns one more than the largest instruction ID in f.
+func idSpan(f *ir.Func) int {
+	n := 0
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			n = max(n, int(in.ID)+1)
+		}
+	}
+	return n
+}
+
+// resolve maps a trace frame to its instruction, nil if none has its ID.
+// A frame read from a -trace file may carry any ID.
 func (fx *Fixer) resolve(f trace.Frame) *ir.Instr {
-	byID, ok := fx.index[f.Func]
-	if !ok {
+	byID := fx.index[f.Func]
+	if f.InstrID < 0 || f.InstrID >= len(byID) {
 		return nil
 	}
 	return byID[f.InstrID]
@@ -451,7 +483,7 @@ func (fx *Fixer) plan(rep *pmcheck.Report) (*plan, error) {
 	switch {
 	case in.Op.IsStoreLike():
 	case in.Op == ir.OpCall:
-		if n := in.Callee.Name; n != "memcpy" && n != "memset" {
+		if n := in.Callee().Name; n != "memcpy" && n != "memset" {
 			return nil, fmt.Errorf("hippocrates: store event points at call to @%s", n)
 		}
 	default:

@@ -346,13 +346,14 @@ func TestDoNoHarmOutputsUnchanged(t *testing.T) {
 		// main's %t1 is the pm_alloc result; find it.
 		var pmPtr ir.Value
 		for _, in := range f.Entry().Instrs {
-			if in.Op == ir.OpCall && in.Callee.Name == "pm_alloc" {
+			if in.Op == ir.OpCall && in.Callee().Name == "pm_alloc" {
 				pmPtr = in
 			}
 		}
 		ld := &ir.Instr{Op: ir.OpLoad, Name: "final", Ty: ir.I64, Args: []ir.Value{pmPtr}}
 		exit.InsertBefore(exit.Terminator(), ld)
-		pr := &ir.Instr{Op: ir.OpCall, Ty: ir.Void, Callee: m.Func("print_int"), Args: []ir.Value{ld}}
+		pr := &ir.Instr{Op: ir.OpCall, Ty: ir.Void, Args: []ir.Value{ld}}
+		pr.SetCallee(m.Func("print_int"))
 		exit.InsertBefore(exit.Terminator(), pr)
 		f.Renumber()
 		return m
@@ -794,5 +795,46 @@ func TestHotLoopDuplicateReportsFixedOnce(t *testing.T) {
 	}
 	if err := ir.Verify(m); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestResolveFrames pins the fixer's instruction index to the per-function
+// maps it replaced: frames resolve by (function, ID); in a function edited
+// since Renumber the later of two instructions with one ID wins (an
+// inserted one sits at ID 0); and an ID out of range, or a function that
+// is missing or only declared, resolves to nil, as a loaded trace may ask.
+func TestResolveFrames(t *testing.T) {
+	m := newModule("resolve")
+	f := m.AddFunc(ir.NewFunc("f", ir.Void))
+	b := ir.NewBuilder(f)
+	slot := b.Alloca(ir.I64)
+	st := b.Store(ir.I64, ir.ConstInt(1), slot)
+	ret := b.Ret(nil)
+	f.Renumber()
+	fx := &Fixer{index: indexInstrs(m)}
+	for id, want := range []*ir.Instr{slot, st, ret} {
+		if got := fx.resolve(trace.Frame{Func: "f", InstrID: id}); got != want {
+			t.Errorf("ID %d resolves to %v, want %s", id, got, ir.FormatInstr(want))
+		}
+	}
+
+	fence := &ir.Instr{Op: ir.OpFence, Ty: ir.Void, FenceK: ir.SFENCE}
+	f.Entry().InsertAfter(st, fence) // dirty: the fence keeps ID 0
+	fx = &Fixer{index: indexInstrs(m)}
+	for id, want := range []*ir.Instr{fence, st, ret} {
+		if got := fx.resolve(trace.Frame{Func: "f", InstrID: id}); got != want {
+			t.Errorf("dirty: ID %d resolves to %v, want %s", id, got, ir.FormatInstr(want))
+		}
+	}
+	for _, fr := range []trace.Frame{
+		{Func: "f", InstrID: -1},
+		{Func: "f", InstrID: 3},
+		{Func: "f", InstrID: 1 << 40},
+		{Func: "nope", InstrID: 0},
+		{Func: "pm_checkpoint", InstrID: 0},
+	} {
+		if got := fx.resolve(fr); got != nil {
+			t.Errorf("%s#%d resolves to %s, want nil", fr.Func, fr.InstrID, ir.FormatInstr(got))
+		}
 	}
 }

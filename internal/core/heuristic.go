@@ -57,7 +57,7 @@ func (fx *Fixer) chooseCandidate(rep *pmcheck.Report) candidate {
 	for d := 1; d <= maxDepth && d < len(stack); d++ {
 		frame := stack[d]
 		callIn := fx.resolve(frame)
-		if callIn == nil || callIn.Op != ir.OpCall || callIn.Callee.Name != stack[d-1].Func {
+		if callIn == nil || callIn.Op != ir.OpCall || callIn.Callee().Name != stack[d-1].Func {
 			// The stack does not resolve to a call chain in this module
 			// (e.g. renamed functions); stop hoisting here.
 			stop = fmt.Sprintf("call chain unresolvable at depth %d", d)

@@ -27,7 +27,7 @@ func (fx *Fixer) reduceFlushGroups(plans []*plan) {
 		if p.storeIn.Op != ir.OpStore && p.storeIn.Op != ir.OpNTStore {
 			continue
 		}
-		root, line, ok := fx.staticLine(p.storeIn.StorePtr(), p.storeIn.StoreTy.Size(), p.storeIn)
+		root, line, ok := fx.staticLine(p.storeIn.StorePtr(), p.storeIn.StoreTy().Size(), p.storeIn)
 		if !ok {
 			continue
 		}
@@ -120,10 +120,10 @@ func (fx *Fixer) staticLine(ptr ir.Value, size int64, use *ir.Instr) (ir.Value, 
 				if !ok {
 					return nil, 0, false
 				}
-				offset += idx.Val*x.Scale + x.Disp
+				offset += idx.Val*x.Scale() + x.Disp()
 				v = x.Args[0]
 			case ir.OpCall:
-				if n := x.Callee.Name; n != "pm_alloc" && n != "pm_root" {
+				if n := x.Callee().Name; n != "pm_alloc" && n != "pm_root" {
 					return nil, 0, false
 				}
 				if offset/pmem.LineSize != (offset+size-1)/pmem.LineSize {

@@ -227,7 +227,7 @@ int main() {
 		selfCall := false
 		for _, b := range clone.Blocks {
 			for _, in := range b.Instrs {
-				if in.Op == ir.OpCall && in.Callee == clone {
+				if in.Op == ir.OpCall && in.Callee() == clone {
 					selfCall = true
 				}
 			}

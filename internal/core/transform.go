@@ -69,7 +69,8 @@ func (fx *Fixer) insertFlushAfter(in *ir.Instr) *ir.Instr {
 			fx.audit("elide-flush", next.FlushK.String(), next)
 			return next
 		}
-		fl := &ir.Instr{Op: ir.OpFlush, Ty: ir.Void, FlushK: fx.opts.FlushKind, Args: []ir.Value{ptr}, Loc: in.Loc}
+		fl := &ir.Instr{Op: ir.OpFlush, Ty: ir.Void, FlushK: fx.opts.FlushKind, Args: []ir.Value{ptr}}
+		fl.SetLoc(in.Loc())
 		blk.InsertAfter(in, fl)
 		fx.audit("insert-flush", fl.FlushK.String(), fl)
 		return fl
@@ -78,13 +79,15 @@ func (fx *Fixer) insertFlushAfter(in *ir.Instr) *ir.Instr {
 		fr := fx.flushRangeFunc()
 		dst, n := in.Args[0], in.Args[2]
 		if next := instrAfter(blk, in); !fx.opts.DisableReduction &&
-			next != nil && next.Op == ir.OpCall && next.Callee == fr &&
+			next != nil && next.Op == ir.OpCall && next.Callee() == fr &&
 			next.Args[0] == dst && next.Args[1] == n {
 			fx.result.ReducedFixes++
 			fx.audit("elide-flush", "flush_range", next)
 			return next
 		}
-		call := &ir.Instr{Op: ir.OpCall, Ty: ir.Void, Callee: fr, Args: []ir.Value{dst, n}, Loc: in.Loc}
+		call := &ir.Instr{Op: ir.OpCall, Ty: ir.Void, Args: []ir.Value{dst, n}}
+		call.SetCallee(fr)
+		call.SetLoc(in.Loc())
 		blk.InsertAfter(in, call)
 		fx.audit("insert-flush-range", "flush_range", call)
 		return call
@@ -101,7 +104,8 @@ func (fx *Fixer) insertFenceAfter(in *ir.Instr) *ir.Instr {
 		fx.audit("elide-fence", next.FenceK.String(), next)
 		return nil
 	}
-	fe := &ir.Instr{Op: ir.OpFence, Ty: ir.Void, FenceK: ir.SFENCE, Loc: in.Loc}
+	fe := &ir.Instr{Op: ir.OpFence, Ty: ir.Void, FenceK: ir.SFENCE}
+	fe.SetLoc(in.Loc())
 	blk.InsertAfter(in, fe)
 	fx.audit("insert-fence", fe.FenceK.String(), fe)
 	return fe
@@ -147,7 +151,7 @@ func (fx *Fixer) applyInterproc(p *plan) error {
 		fx.audit("reuse-subprogram", clone.Name, callIn)
 	} else {
 		var err error
-		clone, err = fx.persistentClone(callIn.Callee)
+		clone, err = fx.persistentClone(callIn.Callee())
 		if err != nil {
 			return err
 		}
@@ -216,7 +220,7 @@ func (fx *Fixer) persistentClone(fn *ir.Func) (*ir.Func, error) {
 					continue
 				}
 				if (in.Op == ir.OpStore || in.Op == ir.OpNTStore) && fx.marks.PM(in.StorePtr()) {
-					root, line, ok := fx.staticLine(in.StorePtr(), in.StoreTy.Size(), in)
+					root, line, ok := fx.staticLine(in.StorePtr(), in.StoreTy().Size(), in)
 					if !ok {
 						continue
 					}
@@ -241,17 +245,17 @@ func (fx *Fixer) persistentClone(fn *ir.Func) (*ir.Func, error) {
 					if k, ok := storeGroup[in]; ok && lineLeader[k] != in {
 						continue // covered by the group leader's flush
 					}
-					edits = append(edits, edit{id: in.ID, kind: 0})
+					edits = append(edits, edit{id: int(in.ID), kind: 0})
 				}
 			case in.Op == ir.OpCall:
-				callee := in.Callee
+				callee := in.Callee()
 				switch {
 				case callee.IsDecl():
 					if (callee.Name == "memcpy" || callee.Name == "memset") && fx.marks.PM(in.Args[0]) {
-						edits = append(edits, edit{id: in.ID, kind: 1})
+						edits = append(edits, edit{id: int(in.ID), kind: 1})
 					}
 				case fx.modifiesPM(callee):
-					edits = append(edits, edit{id: in.ID, kind: 2, g: callee})
+					edits = append(edits, edit{id: int(in.ID), kind: 2, g: callee})
 				}
 			}
 		}
@@ -314,7 +318,7 @@ func (fx *Fixer) modifiesPM(fn *ir.Func) bool {
 					found = true
 				}
 			case in.Op == ir.OpCall:
-				callee := in.Callee
+				callee := in.Callee()
 				if callee.IsDecl() {
 					if (callee.Name == "memcpy" || callee.Name == "memset") && fx.marks.PM(in.Args[0]) {
 						found = true

@@ -133,7 +133,7 @@ func recoveryContext(mod *ir.Module, fn *ir.Func, stepLimit int64) uint64 {
 		str(ir.FuncFingerprint(f))
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
-				if c := in.Callee; c != nil && !seen[c] && (in.Op == ir.OpCall || in.Op == ir.OpSpawn) {
+				if c := in.Callee(); c != nil && !seen[c] && (in.Op == ir.OpCall || in.Op == ir.OpSpawn) {
 					seen[c] = true
 					work = append(work, c)
 				}

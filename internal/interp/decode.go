@@ -202,7 +202,8 @@ func (d *decoder) decode(mod *ir.Module, fn *ir.Func) *code {
 		for _, in := range b.Instrs {
 			o := d.op(in)
 			if o.code == opCall || o.code == opSpawn {
-				cs := callSite{callee: in.Callee, bi: stdBuiltins[in.Callee.Name], off: int32(len(c.args)), n: int32(len(in.Args))}
+				callee := in.Callee()
+				cs := callSite{callee: callee, bi: stdBuiltins[callee.Name], off: int32(len(c.args)), n: int32(len(in.Args))}
 				for _, a := range in.Args {
 					c.args = append(c.args, d.operand(a))
 				}
@@ -242,27 +243,27 @@ func regularBlock(b *ir.Block) bool {
 func (d *decoder) op(in *ir.Instr) op {
 	o := op{in: in, iop: in.Op, dst: -1}
 	res := func() {
-		o.dst = int32(in.Slot)
+		o.dst = in.Slot
 	}
 	switch in.Op {
 	case ir.OpAlloca:
 		o.code = opAlloca
-		o.x = d.constant(alignUp(uint64(in.AllocTy.Size()), 16))
+		o.x = d.constant(alignUp(uint64(in.AllocTy().Size()), 16))
 		res()
 	case ir.OpLoad:
 		o.code, o.a, o.c, o.x = opLoad, d.operand(in.Args[0]), truncMask(in.Ty), d.width(in.Ty)
 		res()
 	case ir.OpStore, ir.OpNTStore:
-		o.code, o.a, o.b, o.x = opStore, d.operand(in.Args[0]), d.operand(in.Args[1]), d.width(in.StoreTy)
+		o.code, o.a, o.b, o.x = opStore, d.operand(in.Args[0]), d.operand(in.Args[1]), d.width(in.StoreTy())
 		if in.Op == ir.OpNTStore {
 			o.flags |= flagNT
 		}
 	case ir.OpPtrAdd:
 		o.code, o.a, o.b = opPtrAdd, d.operand(in.Args[0]), d.operand(in.Args[1])
-		if in.Scale == int64(int32(in.Scale)) && in.Disp == int64(int32(in.Disp)) {
-			o.c, o.x = int32(in.Scale), int32(in.Disp)
+		if scale, disp := in.Scale(), in.Disp(); scale == int64(int32(scale)) && disp == int64(int32(disp)) {
+			o.c, o.x = int32(scale), int32(disp)
 		} else {
-			o.code, o.c, o.x = opPtrAddR, d.constant(uint64(in.Scale)), d.constant(uint64(in.Disp))
+			o.code, o.c, o.x = opPtrAddR, d.constant(uint64(scale)), d.constant(uint64(disp))
 		}
 		res()
 	case ir.OpCall:
@@ -272,9 +273,10 @@ func (d *decoder) op(in *ir.Instr) op {
 		}
 	case ir.OpBr:
 		o.code, o.a = opBr, d.operand(in.Args[0])
-		o.b, o.c = d.target(in.Succs[0]), d.target(in.Succs[1])
+		succs := in.Succs()
+		o.b, o.c = d.target(succs[0]), d.target(succs[1])
 	case ir.OpJmp:
-		o.code, o.b = opJmp, d.target(in.Succs[0])
+		o.code, o.b = opJmp, d.target(in.Succs()[0])
 	case ir.OpRet:
 		// A void return returns 0.
 		o.code, o.a = opRet, d.constant(0)
@@ -329,7 +331,7 @@ func (d *decoder) op(in *ir.Instr) op {
 func (d *decoder) operand(v ir.Value) int32 {
 	switch x := v.(type) {
 	case *ir.Instr:
-		return int32(x.Slot)
+		return x.Slot
 	case *ir.Param:
 		return int32(x.Index)
 	case *ir.Const:

@@ -64,8 +64,8 @@ func (t *StackTable) intern(outer []trace.Frame, fn *ir.Func, in *ir.Instr) []tr
 func frameAt(fn *ir.Func, in *ir.Instr) trace.Frame {
 	fr := trace.Frame{Func: fn.Name}
 	if in != nil {
-		fr.InstrID = in.ID
-		fr.Loc = in.Loc
+		fr.InstrID = int(in.ID)
+		fr.Loc = in.Loc()
 	}
 	return fr
 }

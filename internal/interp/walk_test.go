@@ -161,13 +161,13 @@ func (w *walker) call(fn *ir.Func, args []uint64) (uint64, error) {
 				}
 				return m.walkEval(f, in.Args[0]), nil
 			case ir.OpJmp:
-				next = in.Succs[0]
+				next = in.Succs()[0]
 			case ir.OpBr:
 				m.Clock.Advance(m.cost.ALUOp)
 				if m.walkEval(f, in.Args[0]) != 0 {
-					next = in.Succs[0]
+					next = in.Succs()[0]
 				} else {
-					next = in.Succs[1]
+					next = in.Succs()[1]
 				}
 			default:
 				if err := w.exec(f, in); err != nil {
@@ -215,7 +215,7 @@ func (w *walker) exec(f *frame, in *ir.Instr) error {
 	m := w.m
 	switch in.Op {
 	case ir.OpAlloca:
-		size := alignUp(uint64(in.AllocTy.Size()), 16)
+		size := alignUp(uint64(in.AllocTy().Size()), 16)
 		addr := m.allocStack(size)
 		if addr == 0 {
 			return m.fault("stack overflow in alloca")
@@ -238,7 +238,7 @@ func (w *walker) exec(f *frame, in *ir.Instr) error {
 	case ir.OpStore, ir.OpNTStore:
 		val := m.walkEval(f, in.Args[0])
 		addr := m.walkEval(f, in.Args[1])
-		size := in.StoreTy.Size()
+		size := in.StoreTy().Size()
 		if err := m.checkAccess(addr, size, "store"); err != nil {
 			return err
 		}
@@ -284,7 +284,7 @@ func (w *walker) exec(f *frame, in *ir.Instr) error {
 	case ir.OpPtrAdd:
 		base := m.walkEval(f, in.Args[0])
 		idx := m.walkEval(f, in.Args[1])
-		f.regs[in.Slot] = base + idx*uint64(in.Scale) + uint64(in.Disp)
+		f.regs[in.Slot] = base + idx*uint64(in.Scale()) + uint64(in.Disp())
 		m.Clock.Advance(m.cost.ALUOp)
 
 	case ir.OpCall:
@@ -294,14 +294,14 @@ func (w *walker) exec(f *frame, in *ir.Instr) error {
 		}
 		var ret uint64
 		var err error
-		if in.Callee.IsDecl() {
-			b, ok := stdBuiltins[in.Callee.Name]
+		if in.Callee().IsDecl() {
+			b, ok := stdBuiltins[in.Callee().Name]
 			if !ok {
-				return m.fault("call to unregistered external @%s", in.Callee.Name)
+				return m.fault("call to unregistered external @%s", in.Callee().Name)
 			}
 			ret, err = w.retry(func() (uint64, error) { return b(m, args) })
 		} else {
-			ret, err = w.call(in.Callee, args)
+			ret, err = w.call(in.Callee(), args)
 		}
 		if err != nil {
 			return err
@@ -352,11 +352,11 @@ func (w *walker) exec(f *frame, in *ir.Instr) error {
 		if err := w.yield(PendingOp{Kind: PendSpawn}); err != nil {
 			return err
 		}
-		tid, err := m.spawnThread(in.Callee, args)
+		tid, err := m.spawnThread(in.Callee(), args)
 		if err != nil {
 			return err
 		}
-		w.start(tid, in.Callee, args)
+		w.start(tid, in.Callee(), args)
 		f.regs[in.Slot] = uint64(tid)
 		m.Clock.Advance(m.cost.Call)
 

@@ -9,7 +9,7 @@ type Builder struct {
 	fn  *Func
 	blk *Block
 	// loc is attached to every emitted instruction until changed.
-	loc Loc
+	loc *Loc
 	// tmp feeds fresh value names (%t0, %t1, ...).
 	tmp int
 	// blkN feeds fresh block names.
@@ -34,8 +34,17 @@ func (b *Builder) Block() *Block { return b.blk }
 // SetBlock moves the insertion point to the end of blk.
 func (b *Builder) SetBlock(blk *Block) { b.blk = blk }
 
-// SetLoc sets the source location attached to subsequent instructions.
-func (b *Builder) SetLoc(loc Loc) { b.loc = loc }
+// SetLoc sets the source location attached to subsequent instructions,
+// which share it.
+func (b *Builder) SetLoc(loc Loc) {
+	switch {
+	case loc.IsZero():
+		b.loc = nil
+	case b.loc == nil || *b.loc != loc:
+		b.loc = new(Loc)
+		*b.loc = loc
+	}
+}
 
 // NewBlock creates a fresh block with a unique name derived from hint.
 func (b *Builder) NewBlock(hint string) *Block {
@@ -55,7 +64,7 @@ func (b *Builder) fresh() string {
 }
 
 func (b *Builder) emit(in *Instr) *Instr {
-	in.Loc = b.loc
+	in.loc = b.loc
 	if in.HasResult() && in.Name == "" {
 		in.Name = b.fresh()
 	}
@@ -65,7 +74,9 @@ func (b *Builder) emit(in *Instr) *Instr {
 
 // Alloca allocates a stack slot with the given layout and returns its address.
 func (b *Builder) Alloca(layout Type) *Instr {
-	return b.emit(&Instr{Op: OpAlloca, Ty: Ptr, AllocTy: layout})
+	in := &Instr{Op: OpAlloca, Ty: Ptr}
+	in.SetAllocTy(layout)
+	return b.emit(in)
 }
 
 // Load loads a scalar of type ty from ptr.
@@ -75,17 +86,23 @@ func (b *Builder) Load(ty Type, ptr Value) *Instr {
 
 // Store stores val (of type ty) to ptr.
 func (b *Builder) Store(ty Type, val, ptr Value) *Instr {
-	return b.emit(&Instr{Op: OpStore, Ty: Void, StoreTy: ty, Args: []Value{val, ptr}})
+	in := &Instr{Op: OpStore, Ty: Void, Args: []Value{val, ptr}}
+	in.SetStoreTy(ty)
+	return b.emit(in)
 }
 
 // NTStore is a non-temporal store of val (of type ty) to ptr.
 func (b *Builder) NTStore(ty Type, val, ptr Value) *Instr {
-	return b.emit(&Instr{Op: OpNTStore, Ty: Void, StoreTy: ty, Args: []Value{val, ptr}})
+	in := &Instr{Op: OpNTStore, Ty: Void, Args: []Value{val, ptr}}
+	in.SetStoreTy(ty)
+	return b.emit(in)
 }
 
 // PtrAdd computes base + index*scale + disp.
 func (b *Builder) PtrAdd(base, index Value, scale, disp int64) *Instr {
-	return b.emit(&Instr{Op: OpPtrAdd, Ty: Ptr, Args: []Value{base, index}, Scale: scale, Disp: disp})
+	in := &Instr{Op: OpPtrAdd, Ty: Ptr, Args: []Value{base, index}}
+	in.SetOffsets(scale, disp)
+	return b.emit(in)
 }
 
 // Bin emits a binary arithmetic/logic operation; both operands have type ty.
@@ -114,17 +131,23 @@ func (b *Builder) Cast(op Op, to Type, x Value) *Instr {
 
 // Call emits a direct call.
 func (b *Builder) Call(callee *Func, args ...Value) *Instr {
-	return b.emit(&Instr{Op: OpCall, Ty: callee.Ret, Callee: callee, Args: args})
+	in := &Instr{Op: OpCall, Ty: callee.Ret, Args: args}
+	in.SetCallee(callee)
+	return b.emit(in)
 }
 
 // Br emits a conditional branch.
 func (b *Builder) Br(cond Value, then, els *Block) *Instr {
-	return b.emit(&Instr{Op: OpBr, Ty: Void, Args: []Value{cond}, Succs: []*Block{then, els}})
+	in := &Instr{Op: OpBr, Ty: Void, Args: []Value{cond}}
+	in.SetSuccs(then, els)
+	return b.emit(in)
 }
 
 // Jmp emits an unconditional branch.
 func (b *Builder) Jmp(dest *Block) *Instr {
-	return b.emit(&Instr{Op: OpJmp, Ty: Void, Succs: []*Block{dest}})
+	in := &Instr{Op: OpJmp, Ty: Void}
+	in.SetSuccs(dest)
+	return b.emit(in)
 }
 
 // Ret emits a return; val is nil for void functions.
@@ -148,7 +171,9 @@ func (b *Builder) Fence(kind FenceKind) *Instr {
 
 // Spawn emits a thread spawn of callee; the result is the thread handle.
 func (b *Builder) Spawn(callee *Func, args ...Value) *Instr {
-	return b.emit(&Instr{Op: OpSpawn, Ty: I64, Callee: callee, Args: args})
+	in := &Instr{Op: OpSpawn, Ty: I64, Args: args}
+	in.SetCallee(callee)
+	return b.emit(in)
 }
 
 // Join emits a join on a thread handle; the result is the thread's
@@ -164,7 +189,9 @@ func (b *Builder) AtomicLoad(order MemOrder, ptr Value) *Instr {
 
 // AtomicStore emits an atomic i64 store of val to ptr.
 func (b *Builder) AtomicStore(order MemOrder, val, ptr Value) *Instr {
-	return b.emit(&Instr{Op: OpAtomicStore, Ty: Void, StoreTy: I64, Order: order, Args: []Value{val, ptr}})
+	in := &Instr{Op: OpAtomicStore, Ty: Void, Order: order, Args: []Value{val, ptr}}
+	in.SetStoreTy(I64)
+	return b.emit(in)
 }
 
 // AtomicRMW emits an atomic read-modify-write on ptr; the result is the

@@ -116,7 +116,7 @@ func (c *cloner) body(dst, src *Func) {
 		nInstrs += len(b.Instrs)
 		for _, in := range b.Instrs {
 			nArgs += len(in.Args)
-			nSuccs += len(in.Succs)
+			nSuccs += len(in.Succs())
 		}
 	}
 	if c.instrs == nil {
@@ -148,22 +148,24 @@ func (c *cloner) body(dst, src *Func) {
 		for j, in := range b.Instrs {
 			ni := &copies[k]
 			*ni = *in
-			ni.blk, ni.Args, ni.Succs = nb, nil, nil
+			ni.blk, ni.Args = nb, nil
 			if n := len(in.Args); n > 0 {
 				ni.Args, args = args[:n:n], args[n:]
 				for a, v := range in.Args {
 					ni.Args[a] = c.value(v)
 				}
 			}
-			if n := len(in.Succs); n > 0 {
-				ni.Succs, succs = succs[:n:n], succs[n:]
-				for s, sb := range in.Succs {
-					ni.Succs[s] = c.blocks[sb]
+			if ss := in.Succs(); len(ss) > 0 {
+				var dst []*Block
+				dst, succs = succs[:len(ss):len(ss)], succs[len(ss):]
+				for s, sb := range ss {
+					dst[s] = c.blocks[sb]
 				}
+				ni.ext = succArray(dst)
 			}
-			if in.Callee != nil && c.into != nil {
-				if f := c.into.funcsByName[in.Callee.Name]; f != nil {
-					ni.Callee = f
+			if callee := in.Callee(); callee != nil && c.into != nil {
+				if f := c.into.funcsByName[callee.Name]; f != nil {
+					ni.ext = f
 				}
 			}
 			nb.Instrs[j] = ni

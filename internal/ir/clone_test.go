@@ -201,10 +201,10 @@ func checkDisjoint(t *testing.T, name string, src, clone *ir.Module) {
 				if in.Block() != b {
 					t.Errorf("%s @%s: instruction %s belongs elsewhere", name, f.Name, ir.FormatInstr(in))
 				}
-				if in.Callee != nil {
-					bad("callee", in.Callee)
+				if in.Callee() != nil {
+					bad("callee", in.Callee())
 				}
-				for _, s := range in.Succs {
+				for _, s := range in.Succs() {
 					bad("successor", s)
 				}
 				for _, a := range in.Args {

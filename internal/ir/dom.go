@@ -60,7 +60,7 @@ func (d *Dominators) compute(fn *Func) {
 	clear(d.predAt)
 	for _, b := range fn.Blocks {
 		if term := b.Terminator(); term != nil {
-			for _, s := range term.Succs {
+			for _, s := range term.Succs() {
 				d.predAt[index[s]]++
 			}
 		}
@@ -71,8 +71,9 @@ func (d *Dominators) compute(fn *Func) {
 	d.preds = resize(d.preds, d.predAt[n])
 	for i := n - 1; i >= 0; i-- {
 		if term := fn.Blocks[i].Terminator(); term != nil {
-			for k := len(term.Succs) - 1; k >= 0; k-- {
-				j := index[term.Succs[k]]
+			succs := term.Succs()
+			for k := len(succs) - 1; k >= 0; k-- {
+				j := index[succs[k]]
 				d.predAt[j]--
 				d.preds[d.predAt[j]] = i
 			}

@@ -63,30 +63,31 @@ func FuncFingerprint(f *Func) string {
 				h.operand(a)
 				noteVal(a)
 			}
-			if in.AllocTy != nil {
-				h.typ(in.AllocTy)
+			if t := in.AllocTy(); t != nil {
+				h.typ(t)
 			}
-			if in.StoreTy != nil {
-				h.typ(in.StoreTy)
+			if t := in.StoreTy(); t != nil {
+				h.typ(t)
 			}
-			h.i64(in.Scale)
-			h.i64(in.Disp)
+			h.i64(in.Scale())
+			h.i64(in.Disp())
 			h.u64(uint64(in.FlushK))
 			h.u64(uint64(in.FenceK))
 			h.u64(uint64(in.Order))
 			h.u64(uint64(in.RMWK))
-			if in.Callee != nil {
-				h.str2("@", in.Callee.Name)
-				if !seenF[in.Callee] {
-					seenF[in.Callee] = true
-					callees = append(callees, in.Callee)
+			if callee := in.Callee(); callee != nil {
+				h.str2("@", callee.Name)
+				if !seenF[callee] {
+					seenF[callee] = true
+					callees = append(callees, callee)
 				}
 			}
-			for _, s := range in.Succs {
+			for _, s := range in.Succs() {
 				h.str2("^", s.Name)
 			}
-			h.str(in.Loc.File)
-			h.u64(uint64(in.Loc.Line))
+			loc := in.Loc()
+			h.str(loc.File)
+			h.u64(uint64(loc.Line))
 		}
 	}
 

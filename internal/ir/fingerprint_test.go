@@ -264,30 +264,30 @@ func refFingerprint(f *ir.Func) string {
 					globals = append(globals, g)
 				}
 			}
-			if in.AllocTy != nil {
-				h.typ(in.AllocTy)
+			if in.AllocTy() != nil {
+				h.typ(in.AllocTy())
 			}
-			if in.StoreTy != nil {
-				h.typ(in.StoreTy)
+			if in.StoreTy() != nil {
+				h.typ(in.StoreTy())
 			}
-			h.i64(in.Scale)
-			h.i64(in.Disp)
+			h.i64(in.Scale())
+			h.i64(in.Disp())
 			h.u64(uint64(in.FlushK))
 			h.u64(uint64(in.FenceK))
 			h.u64(uint64(in.Order))
 			h.u64(uint64(in.RMWK))
-			if in.Callee != nil {
-				h.str("@" + in.Callee.Name)
-				if !seenF[in.Callee] {
-					seenF[in.Callee] = true
-					callees = append(callees, in.Callee)
+			if in.Callee() != nil {
+				h.str("@" + in.Callee().Name)
+				if !seenF[in.Callee()] {
+					seenF[in.Callee()] = true
+					callees = append(callees, in.Callee())
 				}
 			}
-			for _, s := range in.Succs {
+			for _, s := range in.Succs() {
 				h.str("^" + s.Name)
 			}
-			h.str(in.Loc.File)
-			h.u64(uint64(in.Loc.Line))
+			h.str(in.Loc().File)
+			h.u64(uint64(in.Loc().Line))
 		}
 	}
 	h.str("globals")

@@ -256,9 +256,13 @@ func (l Loc) String() string {
 // Instr is a single IR instruction. A uniform representation (opcode plus
 // operand slice) keeps cloning, printing, parsing and interpretation
 // simple; opcode-specific fields are only meaningful for their opcode.
+//
+// Every parse, lowering and clone allocates one Instr per instruction, so
+// it is kept at 104 bytes: the one-byte opcode and kinds share one word,
+// the opcode-specific operand lives in one field read through accessors
+// (AllocTy, StoreTy, Scale, Disp, Callee, Succs), the location is a
+// shared pointer read through Loc, and ID and Slot are 32-bit.
 type Instr struct {
-	// The one-byte opcode and its attributes sit together at the top,
-	// so they pack into one word and Instr stays at 192 bytes.
 	Op     Op
 	FlushK FlushKind // OpFlush
 	FenceK FenceKind // OpFence
@@ -270,25 +274,51 @@ type Instr struct {
 
 	Args []Value // operands
 
-	// Opcode-specific attributes.
-	AllocTy     Type     // OpAlloca: layout of the allocated object
-	StoreTy     Type     // OpStore/OpNTStore: type of the stored value
-	Scale, Disp int64    // OpPtrAdd: %q = base + index*Scale + Disp
-	Callee      *Func    // OpCall / OpSpawn
-	Succs       []*Block // OpBr (then, else) / OpJmp (dest)
+	// ext is the opcode-specific operand. No opcode has two, so they
+	// share one field:
+	//   - OpAlloca: the allocated layout (a Type);
+	//   - store, ntstore, atomicstore: the stored type (a Type);
+	//   - OpPtrAdd: *ptrOffsets, never written through, so clones
+	//     share it, and so do consecutive parsed ptradds;
+	//   - OpCall, OpSpawn: the callee (*Func);
+	//   - OpBr: *[2]*Block (then, else); OpJmp: *[1]*Block (dest).
+	ext any
 
-	// Loc is the source location the instruction was lowered from.
-	Loc Loc
+	// loc is the source location the instruction was lowered from (nil
+	// if unknown). It is never written through, so instructions lowered
+	// from one line, and clones, share it.
+	loc *Loc
 
 	// ID is a stable per-function instruction number assigned by
 	// (*Func).Renumber; traces refer to instructions by (function, ID).
-	ID int
+	ID int32
 	// Slot is the dense register-file index of the result, assigned by
 	// Renumber (-1 for void results).
-	Slot int
+	Slot int32
 
 	blk *Block
 }
+
+// Loc returns the source location the instruction was lowered from (the
+// zero Loc if unknown).
+func (in *Instr) Loc() Loc {
+	if in.loc == nil {
+		return Loc{}
+	}
+	return *in.loc
+}
+
+// SetLoc sets the source location the instruction was lowered from.
+func (in *Instr) SetLoc(l Loc) {
+	if l.IsZero() {
+		in.loc = nil
+		return
+	}
+	in.loc = &l
+}
+
+// ptrOffsets are an OpPtrAdd's constants: %q = base + index*scale + disp.
+type ptrOffsets struct{ scale, disp int64 }
 
 // Type implements Value. Void-result instructions must not be used as
 // operands; the verifier enforces this.
@@ -305,12 +335,100 @@ func (in *Instr) HasResult() bool {
 	return in.Ty != nil && in.Ty != Void
 }
 
+// AllocTy returns an alloca's allocated layout (nil for other opcodes).
+func (in *Instr) AllocTy() Type {
+	if in.Op != OpAlloca {
+		return nil
+	}
+	t, _ := in.ext.(Type)
+	return t
+}
+
+// StoreTy returns the stored type of a store, ntstore or atomicstore
+// (nil for other opcodes).
+func (in *Instr) StoreTy() Type {
+	if in.Op != OpStore && in.Op != OpNTStore && in.Op != OpAtomicStore {
+		return nil
+	}
+	t, _ := in.ext.(Type)
+	return t
+}
+
+// SetAllocTy sets an alloca's allocated layout.
+func (in *Instr) SetAllocTy(t Type) { in.ext = t }
+
+// SetStoreTy sets the stored type of a store, ntstore or atomicstore.
+func (in *Instr) SetStoreTy(t Type) { in.ext = t }
+
+// Scale returns a ptradd's index scale (0 for other opcodes).
+func (in *Instr) Scale() int64 {
+	if o, ok := in.ext.(*ptrOffsets); ok {
+		return o.scale
+	}
+	return 0
+}
+
+// Disp returns a ptradd's displacement (0 for other opcodes).
+func (in *Instr) Disp() int64 {
+	if o, ok := in.ext.(*ptrOffsets); ok {
+		return o.disp
+	}
+	return 0
+}
+
+// SetOffsets sets a ptradd's index scale and displacement.
+func (in *Instr) SetOffsets(scale, disp int64) { in.ext = &ptrOffsets{scale, disp} }
+
+// Callee returns the function a call or spawn targets (nil for other
+// opcodes).
+func (in *Instr) Callee() *Func {
+	f, _ := in.ext.(*Func)
+	return f
+}
+
 // SetCallee retargets a call or spawn to f in place, marking the
 // containing function edited (see Func's decoded translation).
 func (in *Instr) SetCallee(f *Func) {
-	in.Callee = f
+	in.ext = f
 	if in.blk != nil {
 		in.blk.fn.mutated()
+	}
+}
+
+// Succs returns a branch's successors: then and else for OpBr, the
+// destination for OpJmp, none for other opcodes. The slice aliases the
+// instruction, so storing into it retargets the branch.
+func (in *Instr) Succs() []*Block {
+	switch s := in.ext.(type) {
+	case *[2]*Block:
+		return s[:]
+	case *[1]*Block:
+		return s[:]
+	}
+	return nil
+}
+
+// succArray returns the ext of a branch whose one or two successors
+// are s, sharing s's array.
+func succArray(s []*Block) any {
+	if len(s) == 2 {
+		return (*[2]*Block)(s)
+	}
+	return (*[1]*Block)(s)
+}
+
+// SetSuccs sets a branch's successors: then and else for OpBr, the
+// destination for OpJmp. It panics on more than two.
+func (in *Instr) SetSuccs(succs ...*Block) {
+	switch len(succs) {
+	case 0:
+		in.ext = nil
+	case 1:
+		in.ext = &[1]*Block{succs[0]}
+	case 2:
+		in.ext = &[2]*Block{succs[0], succs[1]}
+	default:
+		panic(fmt.Sprintf("ir: %d successors", len(succs)))
 	}
 }
 

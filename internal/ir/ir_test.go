@@ -172,7 +172,7 @@ func TestParsePreservesSemantics(t *testing.T) {
 		fOrig, fClone := m.Func(name), m2.Func(name)
 		for _, b := range fOrig.Blocks {
 			for _, in := range b.Instrs {
-				ci := fClone.InstrByID(in.ID)
+				ci := fClone.InstrByID(int(in.ID))
 				if ci == nil || ci.Op != in.Op {
 					t.Errorf("@%s: instruction ID %d not preserved", name, in.ID)
 				}
@@ -185,8 +185,8 @@ func TestParseLocations(t *testing.T) {
 	m := buildSample(t)
 	m2 := CloneModule(m)
 	in := m2.Func("store_key").Entry().Instrs[1]
-	if in.Loc.File != "sample.pmc" || in.Loc.Line != 3 {
-		t.Errorf("loc = %v, want sample.pmc:3", in.Loc)
+	if loc := in.Loc(); loc.File != "sample.pmc" || loc.Line != 3 {
+		t.Errorf("loc = %v, want sample.pmc:3", loc)
 	}
 }
 
@@ -281,7 +281,7 @@ func TestVerifyCatchesErrors(t *testing.T) {
 				for _, b := range f.Blocks {
 					for _, in := range b.Instrs {
 						if in.Op == OpStore {
-							in.StoreTy = I8
+							in.SetStoreTy(I8)
 						}
 					}
 				}
@@ -309,7 +309,7 @@ func TestVerifyCatchesErrors(t *testing.T) {
 				f := m.Func("main")
 				for _, b := range f.Blocks {
 					for _, in := range b.Instrs {
-						if in.Op == OpCall && in.Callee.Name == "store_key" {
+						if in.Op == OpCall && in.Callee().Name == "store_key" {
 							in.Args = in.Args[:1]
 						}
 					}
@@ -345,10 +345,14 @@ func TestVerifyCatchesErrors(t *testing.T) {
 
 // TestInstrSize: every parse, lowering and clone allocates one Instr per
 // instruction, so the one-byte opcode and kind fields stay packed into
-// one word at the top of the struct.
+// one word at the top of the struct, the opcode-specific operands (alloca
+// and store types, ptradd offsets, callee, successors), of which no
+// opcode has two, share one interface field, the source location is a
+// pointer that instructions lowered from one line share, and ID and Slot
+// are 32-bit.
 func TestInstrSize(t *testing.T) {
-	if got := unsafe.Sizeof(Instr{}); got != 192 {
-		t.Errorf("Instr is %d bytes, want 192", got)
+	if got := unsafe.Sizeof(Instr{}); got != 104 {
+		t.Errorf("Instr is %d bytes, want 104", got)
 	}
 }
 
@@ -407,14 +411,14 @@ func TestRenumberAndInstrByID(t *testing.T) {
 	m := buildSample(t)
 	f := m.Func("main")
 	f.Renumber()
-	seen := map[int]bool{}
+	seen := map[int32]bool{}
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			if seen[in.ID] {
 				t.Fatalf("duplicate ID %d", in.ID)
 			}
 			seen[in.ID] = true
-			if got := f.InstrByID(in.ID); got != in {
+			if got := f.InstrByID(int(in.ID)); got != in {
 				t.Fatalf("InstrByID(%d) = %v, want %v", in.ID, got, in)
 			}
 		}

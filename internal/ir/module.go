@@ -184,10 +184,10 @@ func (f *Func) Renumber() {
 	slot := len(f.Params)
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
-			in.ID = id
+			in.ID = int32(id)
 			id++
 			if in.HasResult() {
-				in.Slot = slot
+				in.Slot = int32(slot)
 				slot++
 			} else {
 				in.Slot = -1
@@ -240,7 +240,7 @@ func (f *Func) PublishDecoded(d any) any {
 func (f *Func) InstrByID(id int) *Instr {
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
-			if in.ID == id {
+			if int(in.ID) == id {
 				return in
 			}
 		}

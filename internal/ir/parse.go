@@ -5,13 +5,25 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // ParseModule parses the textual IR form produced by Print. It exists so
 // corpus programs and fixed modules can be stored, diffed and reloaded as
 // text, mirroring how the paper's artifact works with LLVM bitcode files.
+//
+// It scans the text in place. A first pass reads the top-level lines in
+// order (structs, globals, declarations and function headers, so bodies
+// can call forward) and walks each function body to its closing brace,
+// counting its blocks, instructions, operands, successors, constants and
+// ptradd offsets. The module's slabs are allocated once from the sums,
+// and a second pass parses each body into its own run of them, as
+// CloneModule copies one body into per-function slabs: a parse makes a
+// few allocations per function instead of several per instruction.
+// Names and locations are substrings of src.
 func ParseModule(src string) (*Module, error) {
-	p := &irParser{lines: strings.Split(src, "\n")}
+	p := &parser{src: src}
 	m, err := p.parse()
 	if err != nil {
 		return nil, fmt.Errorf("ir: line %d: %w", p.ln, err)
@@ -19,44 +31,53 @@ func ParseModule(src string) (*Module, error) {
 	return m, nil
 }
 
-type irParser struct {
-	lines []string
-	ln    int // 1-based index of the line being parsed
-	mod   *Module
+type parser struct {
+	src string
+	pos int // offset of the next unread line; len(src)+1 once all are read
+	ln  int // 1-based number of the last line read
+	mod *Module
 	// body is the per-body state, reused from one function body to the
-	// next so a module parse allocates it once.
-	body bodyEnv
+	// next so a module parse allocates its maps once.
+	body bodyState
 }
 
-func (p *irParser) next() (string, bool) {
-	for p.ln < len(p.lines) {
-		line := strings.TrimSpace(p.lines[p.ln])
+// pendingBody is a function body found by the first pass.
+type pendingBody struct {
+	fn      *Func
+	pos, ln int // the parser's position just after the header line
+	close   int // line number of the closing brace
+	n       bodyCounts
+}
+
+// next returns the next line that is neither blank nor a comment, with
+// surrounding white space and any trailing " ;" comment removed.
+func (p *parser) next() (string, bool) {
+	for p.pos <= len(p.src) {
+		rest := p.src[p.pos:]
+		end := strings.IndexByte(rest, '\n')
+		if end < 0 {
+			end = len(rest)
+		}
+		p.pos += end + 1
 		p.ln++
-		if line == "" || strings.HasPrefix(line, ";") {
+		line := trimSpace(rest[:end])
+		if line == "" || line[0] == ';' {
 			continue
 		}
 		if i := strings.Index(line, " ;"); i >= 0 {
-			line = strings.TrimSpace(line[:i])
+			line = trimSpace(line[:i])
 		}
 		return line, true
 	}
 	return "", false
 }
 
-func (p *irParser) parse() (*Module, error) {
+func (p *parser) parse() (*Module, error) {
 	line, ok := p.next()
 	if !ok || !strings.HasPrefix(line, "module ") {
 		return nil, fmt.Errorf("expected 'module <name>' header")
 	}
-	p.mod = NewModule(strings.TrimSpace(strings.TrimPrefix(line, "module ")))
-
-	// First pass: collect everything line-wise, creating function headers
-	// so bodies can call forward. Bodies are remembered and parsed second.
-	type pendingBody struct {
-		fn    *Func
-		start int // line index of first body line
-		end   int // line index just past the body
-	}
+	p.mod = NewModule(trimSpace(line[len("module "):]))
 	var bodies []pendingBody
 	for {
 		line, ok := p.next()
@@ -73,74 +94,79 @@ func (p *irParser) parse() (*Module, error) {
 				return nil, err
 			}
 		case strings.HasPrefix(line, "declare @"):
-			fn, err := p.parseSig(strings.TrimPrefix(line, "declare "))
-			if err != nil {
+			if _, err := p.addFunc(line[len("declare "):]); err != nil {
 				return nil, err
 			}
-			if p.mod.Func(fn.Name) != nil {
-				return nil, fmt.Errorf("duplicate function @%s", fn.Name)
-			}
-			p.mod.AddFunc(fn)
 		case strings.HasPrefix(line, "func @"):
-			header := strings.TrimSuffix(strings.TrimPrefix(line, "func "), "{")
-			fn, err := p.parseSig(strings.TrimSpace(header))
+			fn, err := p.addFunc(trimSpace(strings.TrimSuffix(line[len("func "):], "{")))
 			if err != nil {
 				return nil, err
 			}
-			if p.mod.Func(fn.Name) != nil {
-				return nil, fmt.Errorf("duplicate function @%s", fn.Name)
-			}
-			p.mod.AddFunc(fn)
-			start := p.ln
-			depth := 1
-			for depth > 0 {
+			pb := pendingBody{fn: fn, pos: p.pos, ln: p.ln}
+			var sc bodyScan
+			for {
 				l, ok := p.next()
 				if !ok {
 					return nil, fmt.Errorf("unterminated body of @%s", fn.Name)
 				}
 				if l == "}" {
-					depth--
+					break
 				}
+				sc.add(l)
 			}
-			bodies = append(bodies, pendingBody{fn: fn, start: start, end: p.ln - 1})
+			pb.n, pb.close = sc.n, p.ln
+			bodies = append(bodies, pb)
 		default:
 			return nil, fmt.Errorf("unexpected top-level line %q", line)
 		}
 	}
+	var total bodyCounts
 	for _, pb := range bodies {
-		if err := p.parseBody(pb.fn, pb.start, pb.end); err != nil {
+		total.blocks += pb.n.blocks
+		total.instrs += pb.n.instrs
+		total.args += pb.n.args
+		total.consts += pb.n.consts
+		total.succs += pb.n.succs
+		total.offsets += pb.n.offsets
+		total.locs += pb.n.locs
+	}
+	p.body.alloc(total)
+	for i := range bodies {
+		if err := p.parseBody(&bodies[i]); err != nil {
 			return nil, err
 		}
-		pb.fn.Renumber()
+		bodies[i].fn.Renumber()
 	}
 	return p.mod, nil
 }
 
 // parseStruct handles: struct %Name { f1: ty, f2: ty }
-func (p *irParser) parseStruct(line string) error {
-	rest := strings.TrimPrefix(line, "struct %")
-	open := strings.Index(rest, "{")
-	close := strings.LastIndex(rest, "}")
+func (p *parser) parseStruct(line string) error {
+	rest := line[len("struct %"):]
+	open := strings.IndexByte(rest, '{')
+	close := strings.LastIndexByte(rest, '}')
 	if open < 0 || close < open {
 		return fmt.Errorf("malformed struct definition %q", line)
 	}
-	name := strings.TrimSpace(rest[:open])
+	name := trimSpace(rest[:open])
 	if p.mod.Struct(name) != nil {
 		return fmt.Errorf("duplicate struct %%%s", name)
 	}
 	var fields []Field
-	inner := strings.TrimSpace(rest[open+1 : close])
-	if inner != "" {
-		for _, part := range strings.Split(inner, ",") {
-			nv := strings.SplitN(part, ":", 2)
-			if len(nv) != 2 {
-				return fmt.Errorf("malformed struct field %q", part)
+	if inner := trimSpace(rest[open+1 : close]); inner != "" {
+		fields = make([]Field, 0, strings.Count(inner, ",")+1)
+		for part, more := inner, true; more; {
+			var f string
+			f, part, more = strings.Cut(part, ",")
+			colon := strings.IndexByte(f, ':')
+			if colon < 0 {
+				return fmt.Errorf("malformed struct field %q", f)
 			}
-			ty, err := p.parseType(strings.TrimSpace(nv[1]))
+			ty, err := p.parseType(trimSpace(f[colon+1:]))
 			if err != nil {
 				return err
 			}
-			fields = append(fields, Field{Name: strings.TrimSpace(nv[0]), Type: ty})
+			fields = append(fields, Field{Name: trimSpace(f[:colon]), Type: ty})
 		}
 	}
 	p.mod.AddStruct(NewStruct(name, fields))
@@ -148,23 +174,23 @@ func (p *irParser) parseStruct(line string) error {
 }
 
 // parseGlobal handles: [pm] global @name: type [= x"hex"]
-func (p *irParser) parseGlobal(line string) error {
+func (p *parser) parseGlobal(line string) error {
 	g := &Global{}
 	rest := line
 	if strings.HasPrefix(rest, "pm ") {
 		g.PM = true
-		rest = strings.TrimPrefix(rest, "pm ")
+		rest = rest[len("pm "):]
 	}
-	rest = strings.TrimPrefix(rest, "global @")
-	colon := strings.Index(rest, ":")
+	rest = rest[len("global @"):]
+	colon := strings.IndexByte(rest, ':')
 	if colon < 0 {
 		return fmt.Errorf("malformed global %q", line)
 	}
-	g.Name = strings.TrimSpace(rest[:colon])
-	rest = strings.TrimSpace(rest[colon+1:])
-	if eq := strings.Index(rest, "="); eq >= 0 {
-		init := strings.TrimSpace(rest[eq+1:])
-		rest = strings.TrimSpace(rest[:eq])
+	g.Name = trimSpace(rest[:colon])
+	rest = trimSpace(rest[colon+1:])
+	if eq := strings.IndexByte(rest, '='); eq >= 0 {
+		init := trimSpace(rest[eq+1:])
+		rest = trimSpace(rest[:eq])
 		if !strings.HasPrefix(init, `x"`) || !strings.HasSuffix(init, `"`) {
 			return fmt.Errorf("malformed global initializer %q", init)
 		}
@@ -186,43 +212,61 @@ func (p *irParser) parseGlobal(line string) error {
 	return nil
 }
 
+// addFunc parses a signature and registers the function it declares.
+func (p *parser) addFunc(sig string) (*Func, error) {
+	fn, err := p.parseSig(sig)
+	if err != nil {
+		return nil, err
+	}
+	if p.mod.Func(fn.Name) != nil {
+		return nil, fmt.Errorf("duplicate function @%s", fn.Name)
+	}
+	return p.mod.AddFunc(fn), nil
+}
+
 // parseSig handles: @name(%p: ty, ...) -> ty
-func (p *irParser) parseSig(s string) (*Func, error) {
+func (p *parser) parseSig(s string) (*Func, error) {
 	s = strings.TrimPrefix(s, "@")
-	open := strings.Index(s, "(")
-	close := strings.LastIndex(s, ")")
+	open := strings.IndexByte(s, '(')
+	close := strings.LastIndexByte(s, ')')
 	arrow := strings.LastIndex(s, "->")
 	if open < 0 || close < open || arrow < close {
 		return nil, fmt.Errorf("malformed signature %q", s)
 	}
-	name := strings.TrimSpace(s[:open])
-	ret, err := p.parseType(strings.TrimSpace(s[arrow+2:]))
+	name := trimSpace(s[:open])
+	ret, err := p.parseType(trimSpace(s[arrow+2:]))
 	if err != nil {
 		return nil, err
 	}
 	var params []*Param
-	inner := strings.TrimSpace(s[open+1 : close])
-	if inner != "" {
-		for _, part := range strings.Split(inner, ",") {
-			nv := strings.SplitN(part, ":", 2)
-			if len(nv) != 2 {
-				return nil, fmt.Errorf("malformed parameter %q", part)
+	if inner := trimSpace(s[open+1 : close]); inner != "" {
+		n := strings.Count(inner, ",") + 1
+		slab := make([]Param, n)
+		params = make([]*Param, n)
+		i := 0
+		for part, more := inner, true; more; i++ {
+			var f string
+			f, part, more = strings.Cut(part, ",")
+			colon := strings.IndexByte(f, ':')
+			if colon < 0 {
+				return nil, fmt.Errorf("malformed parameter %q", f)
 			}
-			pname := strings.TrimSpace(nv[0])
+			pname := trimSpace(f[:colon])
 			if !strings.HasPrefix(pname, "%") {
 				return nil, fmt.Errorf("parameter name %q must start with %%", pname)
 			}
-			ty, err := p.parseType(strings.TrimSpace(nv[1]))
+			ty, err := p.parseType(trimSpace(f[colon+1:]))
 			if err != nil {
 				return nil, err
 			}
-			params = append(params, &Param{Name: pname[1:], Ty: ty})
+			slab[i] = Param{Name: pname[1:], Ty: ty}
+			params[i] = &slab[i]
 		}
 	}
 	return NewFunc(name, ret, params...), nil
 }
 
-func (p *irParser) parseType(s string) (Type, error) {
+func (p *parser) parseType(s string) (Type, error) {
 	switch s {
 	case "void":
 		return Void, nil
@@ -244,15 +288,15 @@ func (p *irParser) parseType(s string) (Type, error) {
 	}
 	if strings.HasPrefix(s, "[") && strings.HasSuffix(s, "]") {
 		inner := s[1 : len(s)-1]
-		x := strings.SplitN(inner, " x ", 2)
-		if len(x) != 2 {
+		x := strings.Index(inner, " x ")
+		if x < 0 {
 			return nil, fmt.Errorf("malformed array type %q", s)
 		}
-		n, err := strconv.ParseInt(strings.TrimSpace(x[0]), 10, 64)
+		n, err := strconv.ParseInt(trimSpace(inner[:x]), 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("malformed array length in %q", s)
 		}
-		elem, err := p.parseType(strings.TrimSpace(x[1]))
+		elem, err := p.parseType(trimSpace(inner[x+len(" x "):]))
 		if err != nil {
 			return nil, err
 		}
@@ -261,15 +305,164 @@ func (p *irParser) parseType(s string) (Type, error) {
 	return nil, fmt.Errorf("unknown type %q", s)
 }
 
-// bodyEnv is the parser state for one function body.
-type bodyEnv struct {
-	fn   *Func
-	vals scratchMap[string, Value]
-	// fixups are (^name, instr, succ-slot) block references resolved at
-	// the end of the body.
+// bodyCounts sizes a body's slabs. The first pass counts blocks and
+// instructions exactly; the rest are upper bounds for printed IR, and a
+// body that needs more (only hand-written text can) allocates the excess
+// one object at a time.
+type bodyCounts struct {
+	blocks, instrs, results, args, consts, succs, offsets, locs int
+}
+
+// bodyScan counts a body's lines.
+type bodyScan struct {
+	n bodyCounts
+	// lastLoc is the location text of the last instruction that had one,
+	// and lastOffsets the offsets text of the last ptradd: consecutive
+	// instructions share equal ones, so only a change takes a new one.
+	lastLoc, lastOffsets string
+}
+
+// add counts line, a body line other than the closing brace.
+func (sc *bodyScan) add(line string) {
+	c := &sc.n
+	if isLabel(line) {
+		c.blocks++
+		return
+	}
+	c.instrs++
+	if i := strings.LastIndex(line, " !"); i >= 0 {
+		if loc := line[i+2:]; loc != sc.lastLoc {
+			sc.lastLoc = loc
+			c.locs++
+		}
+		line = line[:i]
+	}
+	if strings.HasPrefix(line, "%") {
+		c.results++
+		if eq := strings.IndexByte(line, '='); eq >= 0 {
+			line = trimSpace(line[eq+1:])
+		}
+	}
+	mnemonic, rest, _ := strings.Cut(line, " ")
+	args, consts := 2, constTokens(rest)
+	switch mnemonic {
+	case "alloca", "fence":
+		return
+	case "jmp":
+		c.succs++
+		return
+	case "br":
+		args = 1
+		c.succs += 2
+	case "ret":
+		if rest == "void" {
+			return
+		}
+		args = 1
+	case "load", "flush", "join", "atomicload", "zext", "trunc", "ptrtoint", "inttoptr":
+		args = 1
+	case "ptradd":
+		consts -= 2 // the scale and displacement
+		_, offsets, _ := strings.Cut(rest, ",")
+		_, offsets, _ = strings.Cut(offsets, ",")
+		if offsets == "" || offsets != sc.lastOffsets {
+			sc.lastOffsets = offsets
+			c.offsets++
+		}
+	case "atomiccas":
+		args = 3
+	case "call", "spawn":
+		args = 0
+		if open := strings.IndexByte(rest, '('); open >= 0 && open+1 < len(rest) && rest[open+1] != ')' {
+			args = strings.Count(rest[open:], ",") + 1
+		}
+	}
+	c.args += args
+	c.consts += max(0, min(args, consts))
+}
+
+// constTokens counts the words of an instruction's operand text that
+// read as constants: those that start with a digit or sign, or are null.
+func constTokens(s string) int {
+	n := 0
+	for i := 0; i < len(s); i++ {
+		if i > 0 && s[i-1] != ' ' && s[i-1] != ',' && s[i-1] != '(' {
+			continue
+		}
+		if c := s[i]; c >= '0' && c <= '9' || c == '-' || c == '+' || strings.HasPrefix(s[i:], "null") {
+			n++
+		}
+	}
+	return n
+}
+
+// isLabel reports whether a body line is a block label.
+func isLabel(line string) bool {
+	return strings.HasSuffix(line, ":") && strings.IndexByte(line, ' ') < 0
+}
+
+// bodyState is the parser state for one function body: the maps from
+// names to values and to blocks, the block references to resolve at the
+// end of the body, and the slabs the body's objects are carved from.
+type bodyState struct {
+	vals   scratchMap[string, Value]
+	labels scratchMap[string, *Block] // the first block of each name
 	fixups []blockFixup
 	// parts backs splitArgs' result.
 	parts []string
+
+	// The unused rest of the module's slabs, sized by the first pass.
+	instrs    []Instr
+	ptrs      []*Instr
+	blocks    []Block
+	blockPtrs []*Block
+	args      []Value
+	consts    []Const
+	succs     []*Block
+	offsets   []ptrOffsets
+	locs      []Loc
+
+	// loc was parsed from locText, the location of the body's last
+	// instruction that had one, and offs belongs to its last ptradd.
+	locText string
+	loc     *Loc
+	offs    *ptrOffsets
+}
+
+// alloc allocates slabs for n.
+func (st *bodyState) alloc(n bodyCounts) {
+	st.instrs = make([]Instr, n.instrs)
+	st.ptrs = make([]*Instr, n.instrs)
+	st.blocks = make([]Block, n.blocks)
+	st.blockPtrs = make([]*Block, n.blocks)
+	st.args = make([]Value, n.args)
+	st.consts = make([]Const, n.consts)
+	st.succs = make([]*Block, n.succs)
+	st.offsets = make([]ptrOffsets, n.offsets)
+	st.locs = make([]Loc, n.locs)
+}
+
+// carve takes the first n elements of *slab, with capacity n, so that
+// appending to one function's or block's slice never runs into the next.
+// It returns nil when *slab holds fewer than n.
+func carve[S ~[]E, E any](slab *S, n int) S {
+	if len(*slab) < n {
+		return nil
+	}
+	s := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return s
+}
+
+// take returns the first element of *slab and drops it from the slab, or
+// a new element once the slab is used up.
+func take[E any](slab *[]E) *E {
+	if len(*slab) == 0 {
+		return new(E)
+	}
+	e := &(*slab)[0]
+	*slab = (*slab)[1:]
+	return e
 }
 
 type blockFixup struct {
@@ -278,35 +471,102 @@ type blockFixup struct {
 	name string
 }
 
-func (p *irParser) parseBody(fn *Func, start, end int) error {
-	env := &p.body
-	env.fn = fn
-	vals := env.vals.reset(len(fn.Params) + end - start)
-	env.fixups = env.fixups[:0]
+// takeArgs returns an operand slice of length n with capped capacity.
+func (st *bodyState) takeArgs(n int) []Value {
+	if a := carve(&st.args, n); a != nil {
+		return a
+	}
+	return make([]Value, n)
+}
+
+// constant returns a new constant, so no two operands share one.
+func (st *bodyState) constant(ty Type, v int64) *Const {
+	c := take(&st.consts)
+	*c = Const{Ty: ty, Val: v}
+	return c
+}
+
+// setSuccs gives a branch n unresolved successors, to be filled in by
+// the body's fixups.
+func (st *bodyState) setSuccs(in *Instr, n int) {
+	succs := carve(&st.succs, n)
+	if succs == nil {
+		succs = make([]*Block, n)
+	}
+	in.ext = succArray(succs)
+}
+
+// newLoc returns a new location, nil for the zero one.
+func (st *bodyState) newLoc(l Loc) *Loc {
+	if l.IsZero() {
+		return nil
+	}
+	p := take(&st.locs)
+	*p = l
+	return p
+}
+
+// setOffsets sets a ptradd's scale and displacement, shared with the
+// body's previous ptradd when they are equal.
+func (st *bodyState) setOffsets(in *Instr, scale, disp int64) {
+	o := ptrOffsets{scale, disp}
+	if st.offs == nil || *st.offs != o {
+		st.offs = take(&st.offsets)
+		*st.offs = o
+	}
+	in.ext = st.offs
+}
+
+func (p *parser) parseBody(pb *pendingBody) error {
+	fn, n := pb.fn, pb.n
+	st := &p.body
+	vals := st.vals.reset(len(fn.Params) + n.results)
+	labels := st.labels.reset(n.blocks)
+	st.fixups = st.fixups[:0]
+	st.locText, st.loc, st.offs = "", nil, nil
 	for _, prm := range fn.Params {
 		vals[prm.Name] = prm
 	}
+	// The first pass counted this body's blocks and instructions exactly.
+	instrs := carve(&st.instrs, n.instrs)
+	ptrs := carve(&st.ptrs, n.instrs)[:0]
+	blocks := carve(&st.blocks, n.blocks)
+	if n.blocks > 0 {
+		fn.Blocks = carve(&st.blockPtrs, n.blocks)[:0]
+	}
+	// cur's instructions are ptrs[first:] until the next label.
 	var cur *Block
-	for p.ln = start; p.ln < end; {
-		line, ok := p.next()
-		if !ok || p.ln > end {
-			// Only blank and comment lines were left before the
-			// closing brace, and next skipped to it.
+	first := 0
+	endBlock := func() {
+		if cur != nil {
+			cur.Instrs = ptrs[first:len(ptrs):len(ptrs)]
+		}
+	}
+	p.pos, p.ln = pb.pos, pb.ln
+	for {
+		line, _ := p.next()
+		if p.ln >= pb.close {
 			break
 		}
-		if strings.HasSuffix(line, ":") && !strings.Contains(line, " ") {
-			name := strings.TrimSuffix(line, ":")
-			cur = fn.AddBlock(name)
+		if isLabel(line) {
+			endBlock()
+			cur, first = &blocks[len(fn.Blocks)], len(ptrs)
+			*cur = Block{Name: line[:len(line)-1], fn: fn}
+			fn.Blocks = append(fn.Blocks, cur)
+			if _, dup := labels[cur.Name]; !dup {
+				labels[cur.Name] = cur
+			}
 			continue
 		}
 		if cur == nil {
 			return fmt.Errorf("instruction before first block label in @%s", fn.Name)
 		}
-		in, err := p.parseInstr(env, line)
-		if err != nil {
+		in := &instrs[len(ptrs)]
+		in.blk = cur
+		if err := p.parseInstr(st, in, line); err != nil {
 			return fmt.Errorf("in @%s: %w", fn.Name, err)
 		}
-		cur.Append(in)
+		ptrs = append(ptrs, in)
 		if in.HasResult() {
 			if _, dup := vals[in.Name]; dup {
 				return fmt.Errorf("in @%s: duplicate value %%%s", fn.Name, in.Name)
@@ -314,168 +574,154 @@ func (p *irParser) parseBody(fn *Func, start, end int) error {
 			vals[in.Name] = in
 		}
 	}
-	p.ln = end + 1
-	for _, fx := range env.fixups {
-		blk := fn.Block(fx.name)
+	endBlock()
+	p.ln = pb.close
+	for _, fx := range st.fixups {
+		blk := labels[fx.name]
 		if blk == nil {
 			return fmt.Errorf("in @%s: unknown block ^%s", fn.Name, fx.name)
 		}
-		fx.in.Succs[fx.slot] = blk
+		fx.in.Succs()[fx.slot] = blk
 	}
 	return nil
 }
 
-// parseInstr parses one instruction line.
-func (p *irParser) parseInstr(env *bodyEnv, line string) (*Instr, error) {
-	// Split off the !file:line location suffix.
-	loc := Loc{}
+// parseInstr parses one instruction line into in, whose block is set.
+func (p *parser) parseInstr(st *bodyState, in *Instr, line string) error {
+	// Split off the !file:line location suffix. Consecutive instructions
+	// with the same location share it.
 	if i := strings.LastIndex(line, " !"); i >= 0 {
 		locStr := line[i+2:]
-		line = strings.TrimSpace(line[:i])
-		if j := strings.LastIndex(locStr, ":"); j >= 0 {
-			n, err := strconv.Atoi(locStr[j+1:])
-			if err != nil {
-				return nil, fmt.Errorf("malformed location %q", locStr)
+		line = trimSpace(line[:i])
+		if locStr != st.locText {
+			st.locText, st.loc = locStr, nil
+			if j := strings.LastIndexByte(locStr, ':'); j >= 0 {
+				n, err := strconv.Atoi(locStr[j+1:])
+				if err != nil {
+					return fmt.Errorf("malformed location %q", locStr)
+				}
+				st.loc = st.newLoc(Loc{File: locStr[:j], Line: n})
 			}
-			loc = Loc{File: locStr[:j], Line: n}
 		}
+		in.loc = st.loc
 	}
 	// Split off the result name.
-	name := ""
 	if strings.HasPrefix(line, "%") {
-		eq := strings.Index(line, "=")
+		eq := strings.IndexByte(line, '=')
 		if eq < 0 {
-			return nil, fmt.Errorf("malformed instruction %q", line)
+			return fmt.Errorf("malformed instruction %q", line)
 		}
-		name = strings.TrimSpace(line[1:eq])
-		line = strings.TrimSpace(line[eq+1:])
+		in.Name = trimSpace(line[1:eq])
+		line = trimSpace(line[eq+1:])
 	}
-	sp := strings.IndexByte(line, ' ')
-	mnemonic := line
-	rest := ""
-	if sp >= 0 {
-		mnemonic = line[:sp]
-		rest = strings.TrimSpace(line[sp+1:])
+	mnemonic, rest := line, ""
+	if sp := strings.IndexByte(line, ' '); sp >= 0 {
+		mnemonic, rest = line[:sp], trimSpace(line[sp+1:])
 	}
-	in := &Instr{Name: name, Loc: loc, Ty: Void}
+	in.Ty = Void
 	switch mnemonic {
 	case "alloca":
 		ty, err := p.parseType(rest)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		in.Op, in.Ty, in.AllocTy = OpAlloca, Ptr, ty
+		in.Op, in.Ty = OpAlloca, Ptr
+		in.SetAllocTy(ty)
 	case "load":
-		parts := env.splitArgs(rest)
+		parts := st.splitArgs(rest)
 		if len(parts) != 2 {
-			return nil, fmt.Errorf("malformed load %q", rest)
+			return fmt.Errorf("malformed load %q", rest)
 		}
 		ty, err := p.parseType(parts[0])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		ptr, err := p.parseOperand(env, parts[1])
-		if err != nil {
-			return nil, err
-		}
-		in.Op, in.Ty, in.Args = OpLoad, ty, []Value{ptr}
+		in.Op, in.Ty = OpLoad, ty
+		return p.parseArgs(st, in, parts[1:])
 	case "store", "ntstore":
-		parts := env.splitArgs(rest)
+		parts := st.splitArgs(rest)
 		if len(parts) != 2 {
-			return nil, fmt.Errorf("malformed store %q", rest)
+			return fmt.Errorf("malformed store %q", rest)
 		}
-		val, err := p.parseOperand(env, parts[0])
-		if err != nil {
-			return nil, err
-		}
-		ptr, err := p.parseOperand(env, parts[1])
-		if err != nil {
-			return nil, err
-		}
-		in.Op, in.StoreTy, in.Args = OpStore, val.Type(), []Value{val, ptr}
+		in.Op = OpStore
 		if mnemonic == "ntstore" {
 			in.Op = OpNTStore
 		}
+		if err := p.parseArgs(st, in, parts); err != nil {
+			return err
+		}
+		in.SetStoreTy(in.Args[0].Type())
 	case "ptradd":
-		parts := env.splitArgs(rest)
+		parts := st.splitArgs(rest)
 		if len(parts) != 4 {
-			return nil, fmt.Errorf("malformed ptradd %q", rest)
+			return fmt.Errorf("malformed ptradd %q", rest)
 		}
-		base, err := p.parseOperand(env, parts[0])
-		if err != nil {
-			return nil, err
-		}
-		idx, err := p.parseOperand(env, parts[1])
-		if err != nil {
-			return nil, err
+		in.Op, in.Ty = OpPtrAdd, Ptr
+		if err := p.parseArgs(st, in, parts[:2]); err != nil {
+			return err
 		}
 		scale, err := strconv.ParseInt(parts[2], 10, 64)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		disp, err := strconv.ParseInt(parts[3], 10, 64)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		in.Op, in.Ty, in.Args, in.Scale, in.Disp = OpPtrAdd, Ptr, []Value{base, idx}, scale, disp
-	case "call":
-		open := strings.Index(rest, "(")
-		close := strings.LastIndex(rest, ")")
+		st.setOffsets(in, scale, disp)
+	case "call", "spawn":
+		open := strings.IndexByte(rest, '(')
+		close := strings.LastIndexByte(rest, ')')
 		if !strings.HasPrefix(rest, "@") || open < 0 || close < open {
-			return nil, fmt.Errorf("malformed call %q", rest)
+			return fmt.Errorf("malformed %s %q", mnemonic, rest)
 		}
 		callee := p.mod.Func(rest[1:open])
 		if callee == nil {
-			return nil, fmt.Errorf("unknown callee %s", rest[:open])
-		}
-		var args []Value
-		if inner := strings.TrimSpace(rest[open+1 : close]); inner != "" {
-			parts := env.splitArgs(inner)
-			args = make([]Value, 0, len(parts))
-			for _, part := range parts {
-				a, err := p.parseOperand(env, part)
-				if err != nil {
-					return nil, err
-				}
-				args = append(args, a)
+			if mnemonic == "spawn" {
+				return fmt.Errorf("unknown spawn callee %s", rest[:open])
 			}
+			return fmt.Errorf("unknown callee %s", rest[:open])
 		}
-		in.Op, in.Ty, in.Callee, in.Args = OpCall, callee.Ret, callee, args
+		in.Op, in.Ty = OpCall, callee.Ret
+		if mnemonic == "spawn" {
+			in.Op, in.Ty = OpSpawn, I64
+		}
+		in.ext = callee
+		if inner := trimSpace(rest[open+1 : close]); inner != "" {
+			return p.parseArgs(st, in, st.splitArgs(inner))
+		}
 	case "br":
-		parts := env.splitArgs(rest)
+		parts := st.splitArgs(rest)
 		if len(parts) != 3 {
-			return nil, fmt.Errorf("malformed br %q", rest)
+			return fmt.Errorf("malformed br %q", rest)
 		}
-		cond, err := p.parseOperand(env, parts[0])
-		if err != nil {
-			return nil, err
+		in.Op = OpBr
+		if err := p.parseArgs(st, in, parts[:1]); err != nil {
+			return err
 		}
-		in.Op, in.Args, in.Succs = OpBr, []Value{cond}, make([]*Block, 2)
+		st.setSuccs(in, 2)
 		for i, bn := range parts[1:] {
 			if !strings.HasPrefix(bn, "^") {
-				return nil, fmt.Errorf("malformed branch target %q", bn)
+				return fmt.Errorf("malformed branch target %q", bn)
 			}
-			env.fixups = append(env.fixups, blockFixup{in: in, slot: i, name: bn[1:]})
+			st.fixups = append(st.fixups, blockFixup{in: in, slot: i, name: bn[1:]})
 		}
 	case "jmp":
 		if !strings.HasPrefix(rest, "^") {
-			return nil, fmt.Errorf("malformed jmp %q", rest)
+			return fmt.Errorf("malformed jmp %q", rest)
 		}
-		in.Op, in.Succs = OpJmp, make([]*Block, 1)
-		env.fixups = append(env.fixups, blockFixup{in: in, slot: 0, name: rest[1:]})
+		in.Op = OpJmp
+		st.setSuccs(in, 1)
+		st.fixups = append(st.fixups, blockFixup{in: in, slot: 0, name: rest[1:]})
 	case "ret":
 		in.Op = OpRet
 		if rest != "void" {
-			v, err := p.parseOperand(env, rest)
-			if err != nil {
-				return nil, err
-			}
-			in.Args = []Value{v}
+			return p.parseArgs(st, in, []string{rest})
 		}
 	case "flush":
-		parts := env.splitArgs(rest)
+		parts := st.splitArgs(rest)
 		if len(parts) != 2 {
-			return nil, fmt.Errorf("malformed flush %q", rest)
+			return fmt.Errorf("malformed flush %q", rest)
 		}
 		switch parts[0] {
 		case "clwb":
@@ -485,13 +731,10 @@ func (p *irParser) parseInstr(env *bodyEnv, line string) (*Instr, error) {
 		case "clflush":
 			in.FlushK = CLFLUSH
 		default:
-			return nil, fmt.Errorf("unknown flush kind %q", parts[0])
+			return fmt.Errorf("unknown flush kind %q", parts[0])
 		}
-		ptr, err := p.parseOperand(env, parts[1])
-		if err != nil {
-			return nil, err
-		}
-		in.Op, in.Args = OpFlush, []Value{ptr}
+		in.Op = OpFlush
+		return p.parseArgs(st, in, parts[1:])
 	case "fence":
 		switch rest {
 		case "sfence":
@@ -499,153 +742,99 @@ func (p *irParser) parseInstr(env *bodyEnv, line string) (*Instr, error) {
 		case "mfence":
 			in.FenceK = MFENCE
 		default:
-			return nil, fmt.Errorf("unknown fence kind %q", rest)
+			return fmt.Errorf("unknown fence kind %q", rest)
 		}
 		in.Op = OpFence
-	case "spawn":
-		open := strings.Index(rest, "(")
-		close := strings.LastIndex(rest, ")")
-		if !strings.HasPrefix(rest, "@") || open < 0 || close < open {
-			return nil, fmt.Errorf("malformed spawn %q", rest)
-		}
-		callee := p.mod.Func(rest[1:open])
-		if callee == nil {
-			return nil, fmt.Errorf("unknown spawn callee %s", rest[:open])
-		}
-		var args []Value
-		if inner := strings.TrimSpace(rest[open+1 : close]); inner != "" {
-			parts := env.splitArgs(inner)
-			args = make([]Value, 0, len(parts))
-			for _, part := range parts {
-				a, err := p.parseOperand(env, part)
-				if err != nil {
-					return nil, err
-				}
-				args = append(args, a)
-			}
-		}
-		in.Op, in.Ty, in.Callee, in.Args = OpSpawn, I64, callee, args
 	case "join":
-		t, err := p.parseOperand(env, rest)
-		if err != nil {
-			return nil, err
-		}
-		in.Op, in.Ty, in.Args = OpJoin, I64, []Value{t}
+		in.Op, in.Ty = OpJoin, I64
+		return p.parseArgs(st, in, []string{rest})
 	case "atomicload":
-		parts := env.splitArgs(rest)
+		parts := st.splitArgs(rest)
 		if len(parts) != 2 {
-			return nil, fmt.Errorf("malformed atomicload %q", rest)
+			return fmt.Errorf("malformed atomicload %q", rest)
 		}
-		ordTy := strings.Fields(parts[0])
-		if len(ordTy) != 2 {
-			return nil, fmt.Errorf("malformed atomicload %q", rest)
+		ordStr, tail := field(parts[0])
+		tyStr, tail := field(tail)
+		if extra, _ := field(tail); tyStr == "" || extra != "" {
+			return fmt.Errorf("malformed atomicload %q", rest)
 		}
-		ord, err := parseOrder(ordTy[0])
+		ord, err := parseOrder(ordStr)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		ty, err := p.parseType(ordTy[1])
+		ty, err := p.parseType(tyStr)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		ptr, err := p.parseOperand(env, parts[1])
+		in.Op, in.Order, in.Ty = OpAtomicLoad, ord, ty
+		return p.parseArgs(st, in, parts[1:])
+	case "atomicstore", "atomiccas":
+		sp := strings.IndexByte(rest, ' ')
+		if sp < 0 {
+			return fmt.Errorf("malformed %s %q", mnemonic, rest)
+		}
+		ord, err := parseOrder(rest[:sp])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		in.Op, in.Order, in.Ty, in.Args = OpAtomicLoad, ord, ty, []Value{ptr}
-	case "atomicstore":
-		sp2 := strings.IndexByte(rest, ' ')
-		if sp2 < 0 {
-			return nil, fmt.Errorf("malformed atomicstore %q", rest)
+		in.Op, in.Order, in.Ty = OpAtomicCAS, ord, I64
+		operands := 3
+		if mnemonic == "atomicstore" {
+			in.Op, in.Ty, operands = OpAtomicStore, Void, 2
 		}
-		ord, err := parseOrder(rest[:sp2])
-		if err != nil {
-			return nil, err
+		parts := st.splitArgs(trimSpace(rest[sp+1:]))
+		if len(parts) != operands {
+			return fmt.Errorf("malformed %s %q", mnemonic, rest)
 		}
-		parts := env.splitArgs(strings.TrimSpace(rest[sp2+1:]))
-		if len(parts) != 2 {
-			return nil, fmt.Errorf("malformed atomicstore %q", rest)
+		if err := p.parseArgs(st, in, parts); err != nil {
+			return err
 		}
-		val, err := p.parseOperand(env, parts[0])
-		if err != nil {
-			return nil, err
+		if in.Op == OpAtomicStore {
+			in.SetStoreTy(in.Args[0].Type())
 		}
-		ptr, err := p.parseOperand(env, parts[1])
-		if err != nil {
-			return nil, err
-		}
-		in.Op, in.Order, in.StoreTy, in.Args = OpAtomicStore, ord, val.Type(), []Value{val, ptr}
 	case "atomicrmw":
-		fields := strings.Fields(rest)
-		if len(fields) < 3 {
-			return nil, fmt.Errorf("malformed atomicrmw %q", rest)
+		kind, tail := field(rest)
+		ordStr, tail := field(tail)
+		if third, _ := field(tail); third == "" {
+			return fmt.Errorf("malformed atomicrmw %q", rest)
 		}
-		var rmw RMWKind
-		switch fields[0] {
+		switch kind {
 		case "add":
-			rmw = RMWAdd
+			in.RMWK = RMWAdd
 		case "xchg":
-			rmw = RMWXchg
+			in.RMWK = RMWXchg
 		default:
-			return nil, fmt.Errorf("unknown rmw kind %q", fields[0])
+			return fmt.Errorf("unknown rmw kind %q", kind)
 		}
-		ord, err := parseOrder(fields[1])
+		ord, err := parseOrder(ordStr)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		parts := env.splitArgs(strings.TrimSpace(strings.TrimPrefix(strings.TrimPrefix(rest, fields[0]), " "+fields[1])))
+		// The operands follow "<kind> <order>" when one space separates
+		// them; otherwise the order is taken for an operand's type.
+		ops := rest[len(kind):]
+		if len(ops) > len(ordStr) && ops[0] == ' ' && ops[1:1+len(ordStr)] == ordStr {
+			ops = ops[1+len(ordStr):]
+		}
+		parts := st.splitArgs(trimSpace(ops))
 		if len(parts) != 2 {
-			return nil, fmt.Errorf("malformed atomicrmw operands %q", rest)
+			return fmt.Errorf("malformed atomicrmw operands %q", rest)
 		}
-		val, err := p.parseOperand(env, parts[0])
-		if err != nil {
-			return nil, err
-		}
-		ptr, err := p.parseOperand(env, parts[1])
-		if err != nil {
-			return nil, err
-		}
-		in.Op, in.RMWK, in.Order, in.Ty, in.Args = OpAtomicRMW, rmw, ord, I64, []Value{val, ptr}
-	case "atomiccas":
-		sp2 := strings.IndexByte(rest, ' ')
-		if sp2 < 0 {
-			return nil, fmt.Errorf("malformed atomiccas %q", rest)
-		}
-		ord, err := parseOrder(rest[:sp2])
-		if err != nil {
-			return nil, err
-		}
-		parts := env.splitArgs(strings.TrimSpace(rest[sp2+1:]))
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("malformed atomiccas %q", rest)
-		}
-		expect, err := p.parseOperand(env, parts[0])
-		if err != nil {
-			return nil, err
-		}
-		nv, err := p.parseOperand(env, parts[1])
-		if err != nil {
-			return nil, err
-		}
-		ptr, err := p.parseOperand(env, parts[2])
-		if err != nil {
-			return nil, err
-		}
-		in.Op, in.Order, in.Ty, in.Args = OpAtomicCAS, ord, I64, []Value{expect, nv, ptr}
+		in.Op, in.Order, in.Ty = OpAtomicRMW, ord, I64
+		return p.parseArgs(st, in, parts)
 	case "zext", "trunc", "ptrtoint", "inttoptr":
 		toIdx := strings.LastIndex(rest, " to ")
 		if toIdx < 0 {
-			return nil, fmt.Errorf("malformed cast %q", rest)
+			return fmt.Errorf("malformed cast %q", rest)
 		}
-		v, err := p.parseOperand(env, strings.TrimSpace(rest[:toIdx]))
+		if err := p.parseArgs(st, in, []string{rest[:toIdx]}); err != nil {
+			return err
+		}
+		to, err := p.parseType(trimSpace(rest[toIdx+len(" to "):]))
 		if err != nil {
-			return nil, err
+			return err
 		}
-		to, err := p.parseType(strings.TrimSpace(rest[toIdx+4:]))
-		if err != nil {
-			return nil, err
-		}
-		in.Ty, in.Args = to, []Value{v}
+		in.Ty = to
 		switch mnemonic {
 		case "zext":
 			in.Op = OpZExt
@@ -659,37 +848,48 @@ func (p *irParser) parseInstr(env *bodyEnv, line string) (*Instr, error) {
 	default:
 		op := opByName(mnemonic)
 		if op == OpInvalid {
-			return nil, fmt.Errorf("unknown mnemonic %q", mnemonic)
+			return fmt.Errorf("unknown mnemonic %q", mnemonic)
 		}
 		// Binary op or comparison: "<op> <ty> %a, %b".
 		sp := strings.IndexByte(rest, ' ')
 		if sp < 0 {
-			return nil, fmt.Errorf("malformed %s %q", mnemonic, rest)
+			return fmt.Errorf("malformed %s %q", mnemonic, rest)
 		}
 		ty, err := p.parseType(rest[:sp])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		parts := env.splitArgs(rest[sp+1:])
+		parts := st.splitArgs(rest[sp+1:])
 		if len(parts) != 2 {
-			return nil, fmt.Errorf("malformed %s operands %q", mnemonic, rest)
+			return fmt.Errorf("malformed %s operands %q", mnemonic, rest)
 		}
-		a, err := p.parseBare(env, parts[0], ty)
-		if err != nil {
-			return nil, err
-		}
-		b, err := p.parseBare(env, parts[1], ty)
-		if err != nil {
-			return nil, err
-		}
-		in.Op, in.Args = op, []Value{a, b}
+		in.Op, in.Ty = op, ty
 		if op.IsCmp() {
 			in.Ty = I1
-		} else {
-			in.Ty = ty
+		}
+		in.Args = st.takeArgs(2)
+		for i, part := range parts {
+			v, err := p.parseBare(st, part, ty)
+			if err != nil {
+				return err
+			}
+			in.Args[i] = v
 		}
 	}
-	return in, nil
+	return nil
+}
+
+// parseArgs parses typed operands into in.Args.
+func (p *parser) parseArgs(st *bodyState, in *Instr, parts []string) error {
+	in.Args = st.takeArgs(len(parts))
+	for i, part := range parts {
+		v, err := p.parseOperand(st, part)
+		if err != nil {
+			return err
+		}
+		in.Args[i] = v
+	}
+	return nil
 }
 
 func parseOrder(s string) (MemOrder, error) {
@@ -716,8 +916,8 @@ func opByName(s string) Op {
 // splitArgs splits on top-level commas (the grammar has no nested commas
 // outside call argument lists, which are handled separately). The result
 // shares one buffer and is valid until the next call.
-func (env *bodyEnv) splitArgs(s string) []string {
-	out := env.parts[:0]
+func (st *bodyState) splitArgs(s string) []string {
+	out := st.parts[:0]
 	depth := 0
 	last := 0
 	for i := 0; i < len(s); i++ {
@@ -728,21 +928,21 @@ func (env *bodyEnv) splitArgs(s string) []string {
 			depth--
 		case ',':
 			if depth == 0 {
-				out = append(out, strings.TrimSpace(s[last:i]))
+				out = append(out, trimSpace(s[last:i]))
 				last = i + 1
 			}
 		}
 	}
-	out = append(out, strings.TrimSpace(s[last:]))
-	env.parts = out
+	out = append(out, trimSpace(s[last:]))
+	st.parts = out
 	return out
 }
 
 // parseOperand parses a typed operand: "<ty> <val>" or the literal "null".
-func (p *irParser) parseOperand(env *bodyEnv, s string) (Value, error) {
-	s = strings.TrimSpace(s)
+func (p *parser) parseOperand(st *bodyState, s string) (Value, error) {
+	s = trimSpace(s)
 	if s == "null" || s == "ptr null" {
-		return Null(), nil
+		return st.constant(Ptr, 0), nil
 	}
 	sp := strings.IndexByte(s, ' ')
 	if sp < 0 {
@@ -752,17 +952,17 @@ func (p *irParser) parseOperand(env *bodyEnv, s string) (Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.parseBare(env, strings.TrimSpace(s[sp+1:]), ty)
+	return p.parseBare(st, s[sp+1:], ty)
 }
 
 // parseBare parses an operand whose type is already known.
-func (p *irParser) parseBare(env *bodyEnv, s string, ty Type) (Value, error) {
-	s = strings.TrimSpace(s)
+func (p *parser) parseBare(st *bodyState, s string, ty Type) (Value, error) {
+	s = trimSpace(s)
 	switch {
 	case s == "null":
-		return Null(), nil
+		return st.constant(Ptr, 0), nil
 	case strings.HasPrefix(s, "%"):
-		v, ok := env.vals.m[s[1:]]
+		v, ok := st.vals.m[s[1:]]
 		if !ok {
 			return nil, fmt.Errorf("undefined value %s", s)
 		}
@@ -777,6 +977,55 @@ func (p *irParser) parseBare(env *bodyEnv, s string, ty Type) (Value, error) {
 		if err != nil {
 			return nil, fmt.Errorf("malformed constant %q", s)
 		}
-		return &Const{Ty: ty, Val: n}, nil
+		return st.constant(ty, n), nil
 	}
+}
+
+// trimSpace is strings.TrimSpace: it trims ASCII white space bytewise
+// and hands an edge that is not ASCII to unicode.IsSpace.
+func trimSpace(s string) string {
+	start := 0
+	for ; start < len(s); start++ {
+		c := s[start]
+		if c >= utf8.RuneSelf {
+			return strings.TrimFunc(s[start:], unicode.IsSpace)
+		}
+		if !isASCIISpace(c) {
+			break
+		}
+	}
+	stop := len(s)
+	for ; stop > start; stop-- {
+		c := s[stop-1]
+		if c >= utf8.RuneSelf {
+			return strings.TrimRightFunc(s[start:stop], unicode.IsSpace)
+		}
+		if !isASCIISpace(c) {
+			break
+		}
+	}
+	return s[start:stop]
+}
+
+func isASCIISpace(c byte) bool {
+	return c == ' ' || c == '\t' || c == '\n' || c == '\v' || c == '\f' || c == '\r'
+}
+
+// field returns the first white-space-separated word of s, as
+// strings.Fields splits, and the text after it.
+func field(s string) (word, rest string) {
+	start := -1
+	for i, r := range s {
+		if unicode.IsSpace(r) {
+			if start >= 0 {
+				return s[start:i], s[i:]
+			}
+		} else if start < 0 {
+			start = i
+		}
+	}
+	if start < 0 {
+		return "", ""
+	}
+	return s[start:], ""
 }

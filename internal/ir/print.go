@@ -77,7 +77,7 @@ func printSizeHint(m *Module) int {
 	for _, f := range m.Funcs {
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
-				n += 40 + len(in.Loc.File)
+				n += 40 + len(in.Loc().File)
 			}
 		}
 	}
@@ -101,7 +101,7 @@ func writeInstr(b *strings.Builder, in *Instr) {
 	switch in.Op {
 	case OpAlloca:
 		b.WriteString("alloca ")
-		writeType(b, in.AllocTy)
+		writeType(b, in.AllocTy())
 	case OpLoad:
 		b.WriteString("load ")
 		writeType(b, in.Ty)
@@ -110,7 +110,7 @@ func writeInstr(b *strings.Builder, in *Instr) {
 	case OpStore, OpNTStore:
 		b.WriteString(in.Op.String())
 		b.WriteByte(' ')
-		writeType(b, in.StoreTy)
+		writeType(b, in.StoreTy())
 		b.WriteByte(' ')
 		writeValue(b, in.Args[0])
 		b.WriteString(", ")
@@ -121,13 +121,13 @@ func writeInstr(b *strings.Builder, in *Instr) {
 		b.WriteString(", ")
 		writeOperand(b, in.Args[1])
 		b.WriteString(", ")
-		writeInt(b, in.Scale)
+		writeInt(b, in.Scale())
 		b.WriteString(", ")
-		writeInt(b, in.Disp)
+		writeInt(b, in.Disp())
 	case OpCall, OpSpawn:
 		b.WriteString(in.Op.String())
 		b.WriteString(" @")
-		b.WriteString(in.Callee.Name)
+		b.WriteString(in.Callee().Name)
 		b.WriteByte('(')
 		for i, a := range in.Args {
 			if i > 0 {
@@ -140,12 +140,12 @@ func writeInstr(b *strings.Builder, in *Instr) {
 		b.WriteString("br ")
 		writeOperand(b, in.Args[0])
 		b.WriteString(", ^")
-		b.WriteString(in.Succs[0].Name)
+		b.WriteString(in.Succs()[0].Name)
 		b.WriteString(", ^")
-		b.WriteString(in.Succs[1].Name)
+		b.WriteString(in.Succs()[1].Name)
 	case OpJmp:
 		b.WriteString("jmp ^")
-		b.WriteString(in.Succs[0].Name)
+		b.WriteString(in.Succs()[0].Name)
 	case OpRet:
 		if len(in.Args) == 0 {
 			b.WriteString("ret void")
@@ -175,7 +175,7 @@ func writeInstr(b *strings.Builder, in *Instr) {
 		b.WriteString("atomicstore ")
 		b.WriteString(in.Order.String())
 		b.WriteByte(' ')
-		writeType(b, in.StoreTy)
+		writeType(b, in.StoreTy())
 		b.WriteByte(' ')
 		writeValue(b, in.Args[0])
 		b.WriteString(", ")
@@ -225,11 +225,11 @@ func writeInstr(b *strings.Builder, in *Instr) {
 			b.WriteString("?>")
 		}
 	}
-	if !in.Loc.IsZero() {
+	if loc := in.loc; loc != nil {
 		b.WriteString(" !")
-		b.WriteString(in.Loc.File)
+		b.WriteString(loc.File)
 		b.WriteByte(':')
-		writeInt(b, int64(in.Loc.Line))
+		writeInt(b, int64(loc.Line))
 	}
 }
 

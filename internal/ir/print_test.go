@@ -111,17 +111,17 @@ func oracleFormatInstr(in *ir.Instr) string {
 	}
 	switch in.Op {
 	case ir.OpAlloca:
-		fmt.Fprintf(&b, "alloca %s", oracleType(in.AllocTy))
+		fmt.Fprintf(&b, "alloca %s", oracleType(in.AllocTy()))
 	case ir.OpLoad:
 		fmt.Fprintf(&b, "load %s, %s", oracleType(in.Ty), oracleOperand(in.Args[0]))
 	case ir.OpStore:
-		fmt.Fprintf(&b, "store %s %s, %s", oracleType(in.StoreTy), oracleValue(in.Args[0]), oracleOperand(in.Args[1]))
+		fmt.Fprintf(&b, "store %s %s, %s", oracleType(in.StoreTy()), oracleValue(in.Args[0]), oracleOperand(in.Args[1]))
 	case ir.OpNTStore:
-		fmt.Fprintf(&b, "ntstore %s %s, %s", oracleType(in.StoreTy), oracleValue(in.Args[0]), oracleOperand(in.Args[1]))
+		fmt.Fprintf(&b, "ntstore %s %s, %s", oracleType(in.StoreTy()), oracleValue(in.Args[0]), oracleOperand(in.Args[1]))
 	case ir.OpPtrAdd:
-		fmt.Fprintf(&b, "ptradd %s, %s, %d, %d", oracleOperand(in.Args[0]), oracleOperand(in.Args[1]), in.Scale, in.Disp)
+		fmt.Fprintf(&b, "ptradd %s, %s, %d, %d", oracleOperand(in.Args[0]), oracleOperand(in.Args[1]), in.Scale(), in.Disp())
 	case ir.OpCall:
-		fmt.Fprintf(&b, "call @%s(", in.Callee.Name)
+		fmt.Fprintf(&b, "call @%s(", in.Callee().Name)
 		for i, a := range in.Args {
 			if i > 0 {
 				b.WriteString(", ")
@@ -130,9 +130,9 @@ func oracleFormatInstr(in *ir.Instr) string {
 		}
 		b.WriteString(")")
 	case ir.OpBr:
-		fmt.Fprintf(&b, "br %s, ^%s, ^%s", oracleOperand(in.Args[0]), in.Succs[0].Name, in.Succs[1].Name)
+		fmt.Fprintf(&b, "br %s, ^%s, ^%s", oracleOperand(in.Args[0]), in.Succs()[0].Name, in.Succs()[1].Name)
 	case ir.OpJmp:
-		fmt.Fprintf(&b, "jmp ^%s", in.Succs[0].Name)
+		fmt.Fprintf(&b, "jmp ^%s", in.Succs()[0].Name)
 	case ir.OpRet:
 		if len(in.Args) == 0 {
 			b.WriteString("ret void")
@@ -144,7 +144,7 @@ func oracleFormatInstr(in *ir.Instr) string {
 	case ir.OpFence:
 		fmt.Fprintf(&b, "fence %s", in.FenceK)
 	case ir.OpSpawn:
-		fmt.Fprintf(&b, "spawn @%s(", in.Callee.Name)
+		fmt.Fprintf(&b, "spawn @%s(", in.Callee().Name)
 		for i, a := range in.Args {
 			if i > 0 {
 				b.WriteString(", ")
@@ -157,7 +157,7 @@ func oracleFormatInstr(in *ir.Instr) string {
 	case ir.OpAtomicLoad:
 		fmt.Fprintf(&b, "atomicload %s %s, %s", in.Order, oracleType(in.Ty), oracleOperand(in.Args[0]))
 	case ir.OpAtomicStore:
-		fmt.Fprintf(&b, "atomicstore %s %s %s, %s", in.Order, oracleType(in.StoreTy), oracleValue(in.Args[0]), oracleOperand(in.Args[1]))
+		fmt.Fprintf(&b, "atomicstore %s %s %s, %s", in.Order, oracleType(in.StoreTy()), oracleValue(in.Args[0]), oracleOperand(in.Args[1]))
 	case ir.OpAtomicRMW:
 		fmt.Fprintf(&b, "atomicrmw %s %s %s, %s", in.RMWK, in.Order, oracleOperand(in.Args[0]), oracleOperand(in.Args[1]))
 	case ir.OpAtomicCAS:
@@ -176,8 +176,8 @@ func oracleFormatInstr(in *ir.Instr) string {
 			fmt.Fprintf(&b, "<%s?>", in.Op)
 		}
 	}
-	if !in.Loc.IsZero() {
-		fmt.Fprintf(&b, " !%s:%d", in.Loc.File, in.Loc.Line)
+	if !in.Loc().IsZero() {
+		fmt.Fprintf(&b, " !%s:%d", in.Loc().File, in.Loc().Line)
 	}
 	return b.String()
 }
@@ -219,9 +219,11 @@ func TestPrintMatchesOracle(t *testing.T) {
 		}
 	}
 	// Malformed instructions still format (the verifier quotes them).
+	bad := &ir.Instr{Op: ir.Op(99), Ty: ir.Void}
+	bad.SetLoc(ir.Loc{File: "bad.pmc", Line: 3})
 	for _, in := range []*ir.Instr{
 		{Op: ir.OpAlloca, Name: "x", Ty: ir.Ptr},
-		{Op: ir.Op(99), Ty: ir.Void, Loc: ir.Loc{File: "bad.pmc", Line: 3}},
+		bad,
 	} {
 		if got, want := ir.FormatInstr(in), oracleFormatInstr(in); got != want {
 			t.Errorf("malformed: FormatInstr %q, oracle %q", got, want)

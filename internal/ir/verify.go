@@ -171,10 +171,10 @@ func verifyInstr(f *Func, in *Instr) error {
 	}
 	switch in.Op {
 	case OpAlloca:
-		if in.AllocTy == nil {
+		if in.AllocTy() == nil {
 			return fmt.Errorf("alloca of zero-size type")
 		}
-		if size, err := layoutSize(in.AllocTy); err != nil {
+		if size, err := layoutSize(in.AllocTy()); err != nil {
 			return err
 		} else if size <= 0 {
 			return fmt.Errorf("alloca of zero-size type")
@@ -195,8 +195,8 @@ func verifyInstr(f *Func, in *Instr) error {
 		if err := noResult(); err != nil {
 			return err
 		}
-		if !TypeEqual(in.Args[0].Type(), in.StoreTy) {
-			return fmt.Errorf("stored value type %s != store type %s", in.Args[0].Type(), in.StoreTy)
+		if !TypeEqual(in.Args[0].Type(), in.StoreTy()) {
+			return fmt.Errorf("stored value type %s != store type %s", in.Args[0].Type(), in.StoreTy())
 		}
 		return ptrArg(1)
 	case OpPtrAdd:
@@ -211,22 +211,23 @@ func verifyInstr(f *Func, in *Instr) error {
 		}
 		return nil
 	case OpCall:
-		if in.Callee == nil {
+		callee := in.Callee()
+		if callee == nil {
 			return fmt.Errorf("call without callee")
 		}
-		if f.Mod != nil && f.Mod.Func(in.Callee.Name) != in.Callee {
-			return fmt.Errorf("callee @%s not in module", in.Callee.Name)
+		if f.Mod != nil && f.Mod.Func(callee.Name) != callee {
+			return fmt.Errorf("callee @%s not in module", callee.Name)
 		}
-		if len(in.Args) != len(in.Callee.Params) {
-			return fmt.Errorf("call to %s with %d args", in.Callee.Sig(), len(in.Args))
+		if len(in.Args) != len(callee.Params) {
+			return fmt.Errorf("call to %s with %d args", callee.Sig(), len(in.Args))
 		}
 		for i, a := range in.Args {
-			if !TypeEqual(a.Type(), in.Callee.Params[i].Ty) {
-				return fmt.Errorf("arg %d: have %s, want %s", i, a.Type(), in.Callee.Params[i].Ty)
+			if !TypeEqual(a.Type(), callee.Params[i].Ty) {
+				return fmt.Errorf("arg %d: have %s, want %s", i, a.Type(), callee.Params[i].Ty)
 			}
 		}
-		if !TypeEqual(in.Ty, in.Callee.Ret) {
-			return fmt.Errorf("call result type %s != return type %s", in.Ty, in.Callee.Ret)
+		if !TypeEqual(in.Ty, callee.Ret) {
+			return fmt.Errorf("call result type %s != return type %s", in.Ty, callee.Ret)
 		}
 		return nil
 	case OpBr:
@@ -279,21 +280,22 @@ func verifyInstr(f *Func, in *Instr) error {
 		}
 		return nil
 	case OpSpawn:
-		if in.Callee == nil {
+		callee := in.Callee()
+		if callee == nil {
 			return fmt.Errorf("spawn without callee")
 		}
-		if f.Mod != nil && f.Mod.Func(in.Callee.Name) != in.Callee {
-			return fmt.Errorf("spawn callee @%s not in module", in.Callee.Name)
+		if f.Mod != nil && f.Mod.Func(callee.Name) != callee {
+			return fmt.Errorf("spawn callee @%s not in module", callee.Name)
 		}
-		if in.Callee.IsDecl() {
-			return fmt.Errorf("spawn of declared-only @%s", in.Callee.Name)
+		if callee.IsDecl() {
+			return fmt.Errorf("spawn of declared-only @%s", callee.Name)
 		}
-		if len(in.Args) != len(in.Callee.Params) {
-			return fmt.Errorf("spawn of %s with %d args", in.Callee.Sig(), len(in.Args))
+		if len(in.Args) != len(callee.Params) {
+			return fmt.Errorf("spawn of %s with %d args", callee.Sig(), len(in.Args))
 		}
 		for i, a := range in.Args {
-			if !TypeEqual(a.Type(), in.Callee.Params[i].Ty) {
-				return fmt.Errorf("spawn arg %d: have %s, want %s", i, a.Type(), in.Callee.Params[i].Ty)
+			if !TypeEqual(a.Type(), callee.Params[i].Ty) {
+				return fmt.Errorf("spawn arg %d: have %s, want %s", i, a.Type(), callee.Params[i].Ty)
 			}
 		}
 		if !TypeEqual(in.Ty, I64) {
@@ -329,7 +331,7 @@ func verifyInstr(f *Func, in *Instr) error {
 		if err := noResult(); err != nil {
 			return err
 		}
-		if !TypeEqual(in.Args[0].Type(), I64) || !TypeEqual(in.StoreTy, I64) {
+		if !TypeEqual(in.Args[0].Type(), I64) || !TypeEqual(in.StoreTy(), I64) {
 			return fmt.Errorf("atomicstore value must be i64")
 		}
 		if in.Order != OrderRelease && in.Order != OrderSeqCst {
@@ -413,10 +415,10 @@ func verifyInstr(f *Func, in *Instr) error {
 }
 
 func checkSuccs(f *Func, in *Instr, n int) error {
-	if len(in.Succs) != n {
-		return fmt.Errorf("want %d successors, have %d", n, len(in.Succs))
+	if len(in.Succs()) != n {
+		return fmt.Errorf("want %d successors, have %d", n, len(in.Succs()))
 	}
-	for _, s := range in.Succs {
+	for _, s := range in.Succs() {
 		if s == nil {
 			return fmt.Errorf("nil successor")
 		}

@@ -132,7 +132,7 @@ func refDominators(fn *Func) (map[*Block]int, []bitset) {
 	preds := make([][]int, n)
 	for i, b := range fn.Blocks {
 		if term := b.Terminator(); term != nil {
-			for _, s := range term.Succs {
+			for _, s := range term.Succs() {
 				j := index[s]
 				preds[j] = append(preds[j], i)
 			}

@@ -480,8 +480,8 @@ void f() {
 	var storeLoc ir.Loc
 	for _, b := range m.Func("f").Blocks {
 		for _, in := range b.Instrs {
-			if in.Op == ir.OpStore && in.StoreTy == ir.I64 {
-				storeLoc = in.Loc
+			if in.Op == ir.OpStore && in.StoreTy() == ir.I64 {
+				storeLoc = in.Loc()
 			}
 		}
 	}

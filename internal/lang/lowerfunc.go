@@ -76,7 +76,9 @@ func (lo *lowerer) errf(line int, format string, args ...any) error {
 // emitAlloca places an alloca at the head of the entry block so a
 // declaration inside a loop does not grow the frame per iteration.
 func (lo *lowerer) emitAlloca(layout ir.Type, line int) *ir.Instr {
-	in := &ir.Instr{Op: ir.OpAlloca, Ty: ir.Ptr, AllocTy: layout, Loc: ir.Loc{File: lo.c.file, Line: line}}
+	in := &ir.Instr{Op: ir.OpAlloca, Ty: ir.Ptr}
+	in.SetAllocTy(layout)
+	in.SetLoc(ir.Loc{File: lo.c.file, Line: line})
 	in.Name = fmt.Sprintf("slot%d", lo.fi.fn.NumInstrs())
 	entry := lo.fi.fn.Entry()
 	if len(entry.Instrs) == 0 {

@@ -132,10 +132,10 @@ func scanSink(fn *ir.Func, b *ir.Block, add func(*candidate)) {
 		case ir.OpStore, ir.OpNTStore, ir.OpFlush, ir.OpCall:
 			open = nil
 		case ir.OpJmp:
-			if open == nil || len(in.Succs) != 1 {
+			if open == nil || len(in.Succs()) != 1 {
 				break
 			}
-			if f2 := leadingFence(in.Succs[0]); f2 != nil && f2 != open {
+			if f2 := leadingFence(in.Succs()[0]); f2 != nil && f2 != open {
 				add(&candidate{kind: EditSinkFence, in: open, fn: fn, partner: f2, origin: "scan"})
 			}
 		}

@@ -422,7 +422,7 @@ func siteOf(in *ir.Instr) string {
 			break
 		}
 	}
-	file := in.Loc.File
+	file := in.Loc().File
 	if file == "" {
 		file = "<generated>"
 	}
@@ -430,10 +430,10 @@ func siteOf(in *ir.Instr) string {
 }
 
 func locString(in *ir.Instr) string {
-	if in.Loc.IsZero() {
-		return ""
+	if loc := in.Loc(); !loc.IsZero() {
+		return loc.String()
 	}
-	return in.Loc.String()
+	return ""
 }
 
 func firstLine(s string) string {

@@ -267,10 +267,13 @@ func ApplyEdit(m *ir.Module, step EditStep) error {
 		if len(fn.Params) > 1 && fn.Params[1].Ty == ir.I64 {
 			val = fn.Params[1]
 		}
-		slot := &ir.Instr{Op: ir.OpPtrAdd, Ty: ir.Ptr, Name: fmt.Sprintf("edit%d", fn.NumInstrs()), Loc: ret.Loc,
-			Args: []ir.Value{base, ir.ConstInt(5)}, Scale: 8}
-		st := &ir.Instr{Op: ir.OpStore, Ty: ir.Void, StoreTy: ir.I64, Loc: ret.Loc,
-			Args: []ir.Value{val, slot}}
+		slot := &ir.Instr{Op: ir.OpPtrAdd, Ty: ir.Ptr, Name: fmt.Sprintf("edit%d", fn.NumInstrs()),
+			Args: []ir.Value{base, ir.ConstInt(5)}}
+		slot.SetOffsets(8, 0)
+		slot.SetLoc(ret.Loc())
+		st := &ir.Instr{Op: ir.OpStore, Ty: ir.Void, Args: []ir.Value{val, slot}}
+		st.SetStoreTy(ir.I64)
+		st.SetLoc(ret.Loc())
 		last.InsertBefore(ret, slot)
 		last.InsertBefore(ret, st)
 		fn.Renumber()

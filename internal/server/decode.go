@@ -17,10 +17,11 @@ import (
 )
 
 // readRequest reads and decodes one request body into req. The body is
-// read once, into a buffer of its declared Content-Length (a chunked
-// body grows its buffer as it arrives), under http.MaxBytesReader; the
-// source is then unescaped from that buffer straight into its string,
-// so a request costs one copy of the body and one of the source.
+// read once, into a buffer of its declared Content-Length (a body of
+// undeclared length is read in chunks and joined once), under
+// http.MaxBytesReader; the source is then unescaped from that buffer
+// straight into its string, so a request costs one copy of the body and
+// one of the source.
 func readRequest(w http.ResponseWriter, r *http.Request, req *cli.Request) error {
 	body, err := readBody(w, r)
 	if err != nil {
@@ -36,11 +37,40 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 	}
 	body := http.MaxBytesReader(w, r.Body, MaxRequestBytes)
 	if r.ContentLength < 0 {
-		return io.ReadAll(body)
+		return readChunks(body)
 	}
 	buf := make([]byte, r.ContentLength)
 	if _, err := io.ReadFull(body, buf); err != nil {
 		return nil, err
+	}
+	return buf, nil
+}
+
+// bodyChunk is the size of the chunks readChunks reads.
+const bodyChunk = 8 << 10
+
+// readChunks reads r to its end in chunks of bodyChunk bytes and joins
+// them once into a buffer of exactly the body's length. io.ReadAll grows
+// one buffer instead, copying the body about twice more on the way and
+// returning up to twice its length.
+func readChunks(r io.Reader) ([]byte, error) {
+	var chunks [][]byte
+	size := 0
+	for {
+		chunk := make([]byte, bodyChunk)
+		n, err := io.ReadFull(r, chunk)
+		chunks = append(chunks, chunk[:n])
+		size += n
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	buf := make([]byte, 0, size)
+	for _, c := range chunks {
+		buf = append(buf, c...)
 	}
 	return buf, nil
 }

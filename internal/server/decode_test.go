@@ -301,28 +301,42 @@ func BenchmarkDecodeRequest(b *testing.B) {
 // the layered request, the decode BenchmarkDecodeRequest times: one copy
 // of the body and one of the source make it about 2x the body. The
 // json.Decoder decode it replaced took about 4.4x. The bound is 2.1x.
+// Sent without a Content-Length, the body is read in chunks and then
+// joined, one more copy: about 3x, against 5.5x through io.ReadAll. The
+// bound is 3.1x.
 func TestDecodeRequestBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation sizes differ under the race runtime")
 	}
 	body := layeredBody(t)
-	decode := func() {
-		var req cli.Request
-		if err := readRequest(nil, postRequest(body), &req); err != nil {
-			t.Fatal(err)
+	for _, c := range []struct {
+		name          string
+		contentLength int64
+		bound         float64
+	}{
+		{"declared length", int64(len(body)), 2.1},
+		{"undeclared length", -1, 3.1},
+	} {
+		decode := func() {
+			r := postRequest(body)
+			r.ContentLength = c.contentLength
+			var req cli.Request
+			if err := readRequest(nil, r, &req); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	decode()
-	const runs = 3
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range runs {
 		decode()
-	}
-	runtime.ReadMemStats(&after)
-	perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
-	t.Logf("%.0f bytes per decode of a %d-byte body (%.2fx)", perRun, len(body), perRun/float64(len(body)))
-	if limit := 2.1 * float64(len(body)); perRun > limit {
-		t.Errorf("decoding the layered request allocates %.0f bytes, want <= %.0f", perRun, limit)
+		const runs = 3
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			decode()
+		}
+		runtime.ReadMemStats(&after)
+		perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
+		t.Logf("%s: %.0f bytes per decode of a %d-byte body (%.2fx)", c.name, perRun, len(body), perRun/float64(len(body)))
+		if limit := c.bound * float64(len(body)); perRun > limit {
+			t.Errorf("%s: decoding the layered request allocates %.0f bytes, want <= %.0f", c.name, perRun, limit)
+		}
 	}
 }

@@ -187,7 +187,7 @@ func (az *analyzer) scanFenceMay(fn *ir.Func) bool {
 			case ir.OpFence:
 				return true
 			case ir.OpCall:
-				if !in.Callee.IsDecl() && az.fenceMay[in.Callee] {
+				if callee := in.Callee(); !callee.IsDecl() && az.fenceMay[callee] {
 					return true
 				}
 			}
@@ -216,7 +216,7 @@ func (az *analyzer) fenceMustOf(fn *ir.Func) bool {
 			case ir.OpFence:
 				v = true
 			case ir.OpCall:
-				c := i.Callee
+				c := i.Callee()
 				if c.IsDecl() {
 					if c.Name == "abort_msg" {
 						v = true
@@ -236,7 +236,7 @@ func (az *analyzer) fenceMustOf(fn *ir.Func) bool {
 		work = work[1:]
 		queued[b] = false
 		v := out(b)
-		for _, s := range b.Terminator().Succs {
+		for _, s := range b.Terminator().Succs() {
 			if in[s] && !v {
 				in[s] = false
 				if !queued[s] {
@@ -293,7 +293,7 @@ func reachableBlocks(fn *ir.Func) []*ir.Block {
 	seen := map[*ir.Block]bool{entry: true}
 	order := []*ir.Block{entry}
 	for i := 0; i < len(order); i++ {
-		for _, s := range order[i].Terminator().Succs {
+		for _, s := range order[i].Terminator().Succs() {
 			if !seen[s] {
 				seen[s] = true
 				order = append(order, s)
@@ -334,10 +334,10 @@ func (az *analyzer) resolveRange(ptr ir.Value, size int64) (ir.Value, int64, int
 				if !ok {
 					return nil, 0, 0, false
 				}
-				offset += c.Val*x.Scale + x.Disp
+				offset += c.Val*x.Scale() + x.Disp()
 				v = x.Args[0]
 			case ir.OpCall:
-				if n := x.Callee.Name; n != "pm_alloc" && n != "pm_root" {
+				if n := x.Callee().Name; n != "pm_alloc" && n != "pm_root" {
 					return nil, 0, 0, false
 				}
 				return x, offset / pmem.LineSize, (offset + size - 1) / pmem.LineSize, true

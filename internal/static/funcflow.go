@@ -66,7 +66,7 @@ func newFuncAnalysis(az *analyzer, fn *ir.Func) *funcAnalysis {
 	for i, b := range fn.Blocks {
 		blockPos[b] = int32(i)
 		for _, in := range b.Instrs {
-			maxID = max(maxID, in.ID)
+			maxID = max(maxID, int(in.ID))
 		}
 	}
 	fa.pos = make([]int32, maxID+1)
@@ -78,7 +78,7 @@ func newFuncAnalysis(az *analyzer, fn *ir.Func) *funcAnalysis {
 			fa.pos[in.ID] = int32(j)
 		}
 		if t := b.Terminator(); t != nil {
-			for _, s := range t.Succs {
+			for _, s := range t.Succs() {
 				fa.succs[i] = append(fa.succs[i], blockPos[s])
 			}
 		}
@@ -87,7 +87,7 @@ func newFuncAnalysis(az *analyzer, fn *ir.Func) *funcAnalysis {
 }
 
 func (fa *funcAnalysis) frameOf(in *ir.Instr) trace.Frame {
-	return trace.Frame{Func: fa.fn.Name, InstrID: in.ID, Loc: in.Loc}
+	return trace.Frame{Func: fa.fn.Name, InstrID: int(in.ID), Loc: in.Loc()}
 }
 
 // frameID is in's interned frame.
@@ -161,7 +161,7 @@ func (fa *funcAnalysis) transfer(st *factState, in *ir.Instr, emit bool) bool {
 		if !fa.az.ptsOf(ptr).mayPM {
 			return false
 		}
-		f := fa.internStoreFact(in, ptr, in.StoreTy.Size())
+		f := fa.internStoreFact(in, ptr, in.StoreTy().Size())
 		if in.Op == ir.OpNTStore {
 			st.or(f.id, stFlushed)
 			f.flushSites = f.flushSites.with(fa.frameID(in))
@@ -207,7 +207,7 @@ func (fa *funcAnalysis) transfer(st *factState, in *ir.Instr, emit bool) bool {
 }
 
 func (fa *funcAnalysis) transferCall(st *factState, in *ir.Instr, emit bool) bool {
-	callee := in.Callee
+	callee := in.Callee()
 	if callee.IsDecl() {
 		switch callee.Name {
 		case "memcpy", "memset":
@@ -466,7 +466,7 @@ func (fa *funcAnalysis) sameAddr(a, b ir.Value, depth int) bool {
 		// store separates the two loads within one block execution.
 		return reachingSlotStore(slot, av) == reachingSlotStore(slot, bv)
 	case av.Op == ir.OpPtrAdd:
-		if av.Scale != bv.Scale || av.Disp != bv.Disp {
+		if av.Scale() != bv.Scale() || av.Disp() != bv.Disp() {
 			return false
 		}
 	case av.Op.IsBinary() || av.Op.IsCmp() || av.Op.IsCast():

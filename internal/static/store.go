@@ -192,7 +192,7 @@ func pvalOf(v ir.Value) pVal {
 	case *ir.Global:
 		return pVal{Global: x.Name}
 	case *ir.Instr:
-		return pVal{Func: x.Block().Func().Name, ID: x.ID}
+		return pVal{Func: x.Block().Func().Name, ID: int(x.ID)}
 	}
 	panic(fmt.Sprintf("static: fact root %T is not a global or an instruction", v))
 }
@@ -226,8 +226,8 @@ func (az *analyzer) instrByID(fn *ir.Func, id int) *ir.Instr {
 		maxID := -1
 		for _, b := range fn.Blocks {
 			for _, in := range b.Instrs {
-				if in.ID > maxID {
-					maxID = in.ID
+				if int(in.ID) > maxID {
+					maxID = int(in.ID)
 				}
 			}
 		}

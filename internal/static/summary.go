@@ -213,13 +213,17 @@ func callGraph(entry *ir.Func) (nodes []*ir.Func, succs map[*ir.Func][]*ir.Func,
 		for _, b := range fn.Blocks {
 			for _, in := range b.Instrs {
 				spawns = spawns || in.Op == ir.OpSpawn
-				if (in.Op != ir.OpCall && in.Op != ir.OpSpawn) || in.Callee.IsDecl() || slices.Contains(out, in.Callee) {
+				if in.Op != ir.OpCall && in.Op != ir.OpSpawn {
 					continue
 				}
-				out = append(out, in.Callee)
-				if !seen[in.Callee] {
-					seen[in.Callee] = true
-					work = append(work, in.Callee)
+				callee := in.Callee()
+				if callee.IsDecl() || slices.Contains(out, callee) {
+					continue
+				}
+				out = append(out, callee)
+				if !seen[callee] {
+					seen[callee] = true
+					work = append(work, callee)
 				}
 			}
 		}

@@ -39,15 +39,16 @@ func (az *analyzer) threadBlanketReports(have map[pmcheck.SiteKey]pmcheck.Needs)
 		work = work[1:]
 		for _, b := range fn.Blocks {
 			for _, in := range b.Instrs {
-				if (in.Op != ir.OpCall && in.Op != ir.OpSpawn) || in.Callee == nil || in.Callee.IsDecl() {
+				callee := in.Callee()
+				if (in.Op != ir.OpCall && in.Op != ir.OpSpawn) || callee == nil || callee.IsDecl() {
 					continue
 				}
-				if _, seen := chains[in.Callee]; seen {
+				if _, seen := chains[callee]; seen {
 					continue
 				}
-				site := trace.Frame{Func: fn.Name, InstrID: in.ID, Loc: in.Loc}
-				chains[in.Callee] = append([]trace.Frame{site}, chains[fn]...)
-				work = append(work, in.Callee)
+				site := trace.Frame{Func: fn.Name, InstrID: int(in.ID), Loc: in.Loc()}
+				chains[callee] = append([]trace.Frame{site}, chains[fn]...)
+				work = append(work, callee)
 			}
 		}
 	}
@@ -63,11 +64,11 @@ func (az *analyzer) threadBlanketReports(have map[pmcheck.SiteKey]pmcheck.Needs)
 				)
 				switch in.Op {
 				case ir.OpStore, ir.OpNTStore:
-					ptr, size, nt = in.StorePtr(), in.StoreTy.Size(), in.Op == ir.OpNTStore
+					ptr, size, nt = in.StorePtr(), in.StoreTy().Size(), in.Op == ir.OpNTStore
 				case ir.OpAtomicStore, ir.OpAtomicRMW, ir.OpAtomicCAS:
 					ptr, size = in.StorePtr(), 8
 				case ir.OpCall:
-					if n := in.Callee.Name; n != "memcpy" && n != "memset" {
+					if n := in.Callee().Name; n != "memcpy" && n != "memset" {
 						continue
 					}
 					ptr = in.Args[0]
@@ -80,15 +81,15 @@ func (az *analyzer) threadBlanketReports(have map[pmcheck.SiteKey]pmcheck.Needs)
 				if !az.ptsOf(ptr).mayPM {
 					continue
 				}
-				key := pmcheck.SiteKey{Func: fn.Name, InstrID: in.ID}
+				key := pmcheck.SiteKey{Func: fn.Name, InstrID: int(in.ID)}
 				if n := have[key]; n.Flush && n.Fence {
 					continue
 				}
-				stack := append([]trace.Frame{{Func: fn.Name, InstrID: in.ID, Loc: in.Loc}}, chain...)
+				stack := append([]trace.Frame{{Func: fn.Name, InstrID: int(in.ID), Loc: in.Loc()}}, chain...)
 				out = append(out, &Report{
 					Func:      fn.Name,
-					InstrID:   in.ID,
-					Loc:       in.Loc,
+					InstrID:   int(in.ID),
+					Loc:       in.Loc(),
 					Op:        in.Op,
 					Size:      size,
 					NT:        nt,
