@@ -160,6 +160,10 @@ mt-smoke:
 #   ir.Verify rejects must fail at compile, before any layer runs, and a
 #   module that parses must print to text that parses back to the same
 #   text;
+# - the pmc boundary: random pmc source run through cli.Run in check,
+#   static-check and repair mode must never panic out of it, and a source
+#   that does not compile must fail before any pipeline layer runs (only
+#   the front end's lex, parse and lower spans are recorded);
 # - the IR parser: random text must be accepted or rejected (on the same
 #   line) as the line-splitting parser it replaced accepts or rejects it,
 #   and parse to the same module in every field;
@@ -180,6 +184,7 @@ fuzz-smoke:
 	$(GO) test ./internal/pmem -run '^$$' -fuzz FuzzTrackerReference -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/pmem -run '^$$' -fuzz FuzzMemoryReset -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/cli -run '^$$' -fuzz FuzzCompileIR -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/cli -run '^$$' -fuzz FuzzCompilePMC -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/ir -run '^$$' -fuzz FuzzParseModule -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/schedule -run '^$$' -fuzz FuzzExploreVerdicts -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 10s -fuzzminimizetime 100x

@@ -55,6 +55,7 @@ import (
 	"syscall"
 	"time"
 
+	"hippocrates/internal/ir"
 	"hippocrates/internal/obs"
 	"hippocrates/internal/server"
 	"hippocrates/internal/server/loadgen"
@@ -178,12 +179,13 @@ func boot(cfg server.Config) (string, func(), error) {
 
 // runSmoke boots the daemon, round-trips one buggy corpus program with
 // crash validation on, and schema-validates everything the API serves:
-// the repair response, the cache-hit replay (must be byte-identical),
-// trace-ID propagation (the supplied X-Trace-Id must come back on the
-// submit and reappear in the flight recorder), the Prometheus /metrics
-// exposition (content type + linter + the families a dashboard needs),
-// /metrics.json (must show a non-zero cache hit ratio), and the flight
-// recorder. It is the engine behind `make server-smoke`.
+// the repair response (whose repaired IR must parse and verify), the
+// cache-hit replay (must be byte-identical), trace-ID propagation (the
+// supplied X-Trace-Id must come back on the submit and reappear in the
+// flight recorder), the Prometheus /metrics exposition (content type +
+// linter + the families a dashboard needs), /metrics.json (must show a
+// non-zero cache hit ratio), and the flight recorder. It is the engine
+// behind `make server-smoke`.
 func runSmoke(cfg server.Config) error {
 	base, stop, err := boot(cfg)
 	if err != nil {
@@ -249,8 +251,15 @@ func runSmoke(cfg server.Config) error {
 	case doc.Crash == nil || !doc.Crash.Passed || doc.Crash.Schedules == 0:
 		return fmt.Errorf("smoke: crash validation missing or failing")
 	}
-	fmt.Printf("hippocratesd: smoke: %s repaired (%d bug(s), %d audit entries, %d crash schedule(s) pass)\n",
-		req.Program, doc.BugsBefore, len(doc.Audit), doc.Crash.Schedules)
+	repaired, err := ir.ParseModule(doc.RepairedIR)
+	if err == nil {
+		err = ir.Verify(repaired)
+	}
+	if err != nil {
+		return fmt.Errorf("smoke: the repaired IR does not read back: %w", err)
+	}
+	fmt.Printf("hippocratesd: smoke: %s repaired (%d bug(s), %d audit entries, %d crash schedule(s) pass; %d-instruction repaired IR reads back)\n",
+		req.Program, doc.BugsBefore, len(doc.Audit), doc.Crash.Schedules, repaired.NumInstrs())
 
 	second, hdr2, err := postOnce(client, base, body, "")
 	if err != nil {

@@ -2,6 +2,7 @@ package cli_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -71,28 +72,39 @@ func runGolden(t *testing.T, req *cli.Request) []byte {
 	return data
 }
 
-// checkGolden compares got against the named golden file, rewriting it
-// when UPDATE_GOLDEN is set.
+// checkGolden compares the wire bytes got against the named golden file,
+// rewriting it when UPDATE_GOLDEN is set. The files are stored indented,
+// so they stay readable; the wire is compact, so got must equal the
+// file compacted plus the trailing newline, byte for byte.
 func checkGolden(t *testing.T, name string, got []byte) {
 	t.Helper()
 	path := filepath.Join("testdata", name)
 	if os.Getenv("UPDATE_GOLDEN") != "" {
+		var file bytes.Buffer
+		if err := json.Indent(&file, got, "", "  "); err != nil {
+			t.Fatal(err)
+		}
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
+		if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("rewrote %s (%d bytes)", path, len(got))
+		t.Logf("rewrote %s (%d bytes)", path, file.Len())
 		return
 	}
-	want, err := os.ReadFile(path)
+	file, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("missing golden file (regenerate with UPDATE_GOLDEN=1): %v", err)
 	}
-	if !bytes.Equal(got, want) {
+	var want bytes.Buffer
+	if err := json.Compact(&want, file); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	want.WriteByte('\n')
+	if !bytes.Equal(got, want.Bytes()) {
 		t.Errorf("%s drifted from the golden encoding (UPDATE_GOLDEN=1 to accept):\n%s",
-			name, firstDiff(got, want))
+			name, firstDiff(got, want.Bytes()))
 	}
 }
 

@@ -146,10 +146,14 @@ type Response struct {
 	final *core.Run
 }
 
-// EncodeJSON renders the response's wire form: indented, deterministic,
-// newline-terminated.
+// EncodeJSON renders the response's wire form: compact, deterministic,
+// newline-terminated. It is json.Marshal's output, whose spare capacity
+// almost always takes the newline, so an encode allocates about the
+// response's length once (TestEncodeJSONBytes). The daemon's reply, its
+// response cache and its job documents all carry these bytes; the golden
+// files store them indented and compare them compacted.
 func (r *Response) EncodeJSON() ([]byte, error) {
-	data, err := json.MarshalIndent(r, "", "  ")
+	data, err := json.Marshal(r)
 	if err != nil {
 		return nil, err
 	}

@@ -261,12 +261,9 @@ func writeValue(b *strings.Builder, v Value) {
 		b.WriteByte('@')
 		b.WriteString(x.Name)
 	case *Const:
-		if IsPtr(x.Ty) {
-			if x.Val == 0 {
-				b.WriteString("null")
-				return
-			}
-			b.WriteString("ptraddr:")
+		if IsPtr(x.Ty) && x.Val == 0 {
+			b.WriteString("null")
+			return
 		}
 		writeInt(b, x.Val)
 	default:
