@@ -26,7 +26,8 @@ agreement:
 # under internal/obs/schema/ (plus pipeline-coverage and fix-count checks
 # in TestValidateSmokeArtifacts). It then gates the service telemetry:
 # the Prometheus writer/linter suite, the golden test pinning the exact
-# /metrics exposition format, and flight-recorder schema validation.
+# /metrics exposition format (the daemon's only metrics view), and
+# flight-recorder schema validation.
 metrics-smoke:
 	@dir=$$(mktemp -d) && \
 	$(GO) run ./cmd/hippocrates -metrics $$dir/metrics.json -spans $$dir/spans.json -audit testdata/metrics_smoke.pmc >$$dir/out.txt && \
@@ -116,10 +117,12 @@ optimize-smoke:
 
 # server-smoke boots hippocratesd on an ephemeral port, round-trips one
 # buggy corpus program (repair + crash validation), schema-validates the
-# response, /metrics.json, and the flight recorder against
-# internal/server/schema/, lints the Prometheus /metrics exposition,
-# checks trace-ID propagation, and proves an identical resubmit is served
-# byte-identically from the response cache.
+# response and the flight recorder against internal/server/schema/,
+# checks that the job's span tree covers the front end and the pipeline,
+# lints the Prometheus /metrics exposition and reads a response-cache hit
+# and zero failed jobs from it, checks trace-ID propagation, and proves
+# an identical resubmit is served byte-identically from the response
+# cache.
 server-smoke:
 	$(GO) run ./cmd/hippocratesd -smoke -quiet
 
@@ -174,7 +177,11 @@ mt-smoke:
 # - the daemon's request decode: a random request body must be accepted
 #   or rejected as the json.Decoder decode it replaced accepts or rejects
 #   it (bytes after the object are now always rejected), decode to the
-#   same cli.Request, and never panic Validate.
+#   same cli.Request, and never panic Validate;
+# - the trace boundary: random text read as a native or (after "PMTest ")
+#   a PMTest trace, as the CLIs read -trace and -replay files, must replay
+#   through the detector without panicking when it parses, and print to
+#   text that parses back to the same text.
 #   Shrinking a new interesting input is capped at 100 runs: uncapped, it
 #   can take the workers for the whole budget.
 # The seed corpora under internal/*/testdata/fuzz/ also run in the plain
@@ -188,6 +195,7 @@ fuzz-smoke:
 	$(GO) test ./internal/ir -run '^$$' -fuzz FuzzParseModule -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/schedule -run '^$$' -fuzz FuzzExploreVerdicts -fuzztime 10s -fuzzminimizetime 100x
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzDecodeRequest -fuzztime 10s -fuzzminimizetime 100x
+	$(GO) test ./internal/pmcheck -run '^$$' -fuzz FuzzParseTrace -fuzztime 10s -fuzzminimizetime 100x
 
 # bench-smoke runs every benchmark once, so a benchmark that no longer
 # builds or fails its own checks breaks the gate (BenchmarkCrashSweep/dedup

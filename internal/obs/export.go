@@ -11,7 +11,6 @@ import (
 // the checked-in contract `make metrics-smoke` validates against.
 type metricsDoc struct {
 	Counters     map[string]int64        `json:"counters"`
-	Gauges       map[string]int64        `json:"gauges"`
 	Histograms   map[string]histogramDoc `json:"histograms"`
 	OpcodesTop10 []opcodeDoc             `json:"opcodes_top10"`
 	Phases       []phaseDoc              `json:"phases"`
@@ -47,14 +46,12 @@ const OpcodeCounterPrefix = "interp.op."
 func (r *Recorder) MetricsJSON() ([]byte, error) {
 	doc := metricsDoc{
 		Counters:     map[string]int64{},
-		Gauges:       map[string]int64{},
 		Histograms:   map[string]histogramDoc{},
 		OpcodesTop10: []opcodeDoc{},
 		Phases:       []phaseDoc{},
 	}
 	if r != nil {
 		doc.Counters = r.Counters()
-		doc.Gauges = r.Gauges()
 		for name, h := range r.Histograms() {
 			hd := histogramDoc{Count: h.Count, Sum: h.Sum, Min: h.Min, Max: h.Max, Buckets: map[string]int64{}}
 			keys := make([]int, 0, len(h.Buckets))

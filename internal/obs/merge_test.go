@@ -1,6 +1,9 @@
 package obs
 
-import "testing"
+import (
+	"encoding/json"
+	"testing"
+)
 
 // TestQuantileEdgeCases pins Histogram.Quantile where estimation gets no
 // slack: empty and single-sample histograms, and the q=0 / q=1 extremes,
@@ -56,97 +59,72 @@ func TestQuantileEdgeCases(t *testing.T) {
 	}
 }
 
-// TestGaugeSetAndRead covers the gauge primitive, including the nil
-// recorder no-op.
-func TestGaugeSetAndRead(t *testing.T) {
-	var nilRec *Recorder
-	nilRec.SetGauge("g", 5) // must not panic
-	if _, ok := nilRec.Gauge("g"); ok {
-		t.Error("nil recorder claims a gauge")
-	}
-	if nilRec.Gauges() != nil {
-		t.Error("nil recorder returned a gauge map")
-	}
-
-	r := New()
-	if _, ok := r.Gauge("depth"); ok {
-		t.Error("unset gauge reported as present")
-	}
-	r.SetGauge("depth", 7)
-	r.SetGauge("depth", 3) // levels overwrite, never accumulate
-	if v, ok := r.Gauge("depth"); !ok || v != 3 {
-		t.Errorf("gauge = %d,%v, want 3,true", v, ok)
-	}
-	if got := r.Gauges()["depth"]; got != 3 {
-		t.Errorf("Gauges() = %d, want 3", got)
-	}
-}
-
-// TestMergeSemantics pins Merge's per-kind contract: counters SUM,
-// gauges are LAST-WRITE-WINS (the source overwrites), histograms fold.
+// TestMergeSemantics pins Merge's contract: counters sum, and nothing
+// else crosses over.
 func TestMergeSemantics(t *testing.T) {
 	dst := New()
 	dst.Add("jobs", 2)
-	dst.SetGauge("depth", 9)
-	dst.SetGauge("only_dst", 1)
 	dst.Observe("lat", 10)
 
 	src := New()
 	src.Add("jobs", 3)
-	src.SetGauge("depth", 4)
-	src.SetGauge("only_src", 8)
+	src.Add("only_src", 8)
 	src.Observe("lat", 1000)
+	src.Observe("src_hist", 1)
+	src.StartSpan("job").End()
+	src.RecordAudit(AuditEntry{Action: "insert-flush"})
 
 	dst.Merge(src)
 
 	if got := dst.Counter("jobs"); got != 5 {
 		t.Errorf("counter merged to %d, want sum 5", got)
 	}
-	if v, _ := dst.Gauge("depth"); v != 4 {
-		t.Errorf("gauge merged to %d, want last-write 4 (not 13)", v)
+	if got := dst.Counter("only_src"); got != 8 {
+		t.Errorf("counter new in src = %d, want 8", got)
 	}
-	if v, _ := dst.Gauge("only_dst"); v != 1 {
-		t.Errorf("gauge absent from src was clobbered: %d", v)
-	}
-	if v, ok := dst.Gauge("only_src"); !ok || v != 8 {
-		t.Errorf("gauge new in src = %d,%v, want 8,true", v, ok)
-	}
-	h := dst.Histograms()["lat"]
-	if h.Count != 2 || h.Sum != 1010 || h.Min != 10 || h.Max != 1000 {
-		t.Errorf("histogram merged to %+v", h)
-	}
-
-	// Merging again re-applies: counters keep summing, gauges stay at the
-	// source's level — the asymmetry that makes the semantics explicit.
+	// Merging again re-applies: counters keep summing.
 	dst.Merge(src)
 	if got := dst.Counter("jobs"); got != 8 {
 		t.Errorf("second merge: counter = %d, want 8", got)
 	}
-	if v, _ := dst.Gauge("depth"); v != 4 {
-		t.Errorf("second merge: gauge = %d, want 4", v)
-	}
 
-	// An empty source histogram must not disturb the destination's Min.
-	src2 := New()
-	src2.Observe("other", 1)
-	dst.Merge(src2)
-	if h := dst.Histograms()["lat"]; h.Min != 10 {
-		t.Errorf("empty-histogram merge disturbed Min: %+v", h)
+	// Histograms, spans and audit entries stay on the source.
+	hists := dst.Histograms()
+	if h := hists["lat"]; h.Count != 1 || h.Sum != 10 {
+		t.Errorf("destination histogram changed by the merge: %+v", h)
+	}
+	if _, ok := hists["src_hist"]; ok {
+		t.Error("a source histogram was merged")
+	}
+	if len(dst.Spans()) != 0 || dst.AuditLen() != 0 {
+		t.Errorf("merge copied %d spans and %d audit entries", len(dst.Spans()), dst.AuditLen())
 	}
 }
 
-// TestMergedGaugesExport: gauges survive the merge into the -metrics JSON
-// export (the path hippocratesd's aggregate recorder takes).
+// TestMergedGaugesExport: the daemon's merged aggregate exports as a
+// valid -metrics document, and that document no longer carries the
+// gauges key (the gauge kind is gone; Merge folds counters only).
 func TestMergedGaugesExport(t *testing.T) {
 	agg := New()
 	job := New()
-	job.SetGauge("job.queue_wait_ns", 123)
+	job.Add("jobs", 1)
+	job.Observe("job.ns", 123)
 	agg.Merge(job)
 	data, err := agg.MetricsJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := ValidateMetrics(data); err != nil {
-		t.Fatalf("metrics with gauges violate schema: %v", err)
+		t.Fatalf("merged metrics violate schema: %v", err)
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := doc["gauges"]; ok {
+		t.Errorf("merged metrics still carry a gauges key: %s", data)
+	}
+	if _, ok := doc["counters"]; !ok {
+		t.Errorf("merged metrics lack the counters key: %s", data)
 	}
 }

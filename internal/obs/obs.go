@@ -37,7 +37,6 @@ type Recorder struct {
 	epoch    time.Time
 	spans    []*Span
 	counters map[string]int64
-	gauges   map[string]int64
 	hists    map[string]*Histogram
 	audit    []*AuditEntry
 	allocs   bool
@@ -48,7 +47,6 @@ func New() *Recorder {
 	return &Recorder{
 		epoch:    time.Now(),
 		counters: make(map[string]int64),
-		gauges:   make(map[string]int64),
 		hists:    make(map[string]*Histogram),
 	}
 }
@@ -202,49 +200,6 @@ func (r *Recorder) Counter(name string) int64 {
 	return r.counters[name]
 }
 
-// SetGauge records a point-in-time level (queue depth, bytes in use,
-// jobs in flight). Unlike a counter, a gauge is not additive: Merge
-// overwrites the destination's gauge with the source's (last write wins),
-// because a level sampled later supersedes one sampled earlier.
-func (r *Recorder) SetGauge(name string, v int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	if r.gauges == nil {
-		r.gauges = make(map[string]int64)
-	}
-	r.gauges[name] = v
-	r.mu.Unlock()
-}
-
-// Gauge returns a gauge's current level and whether it was ever set.
-// Product code exports the Gauges snapshot; this single-value reader is
-// for tests.
-func (r *Recorder) Gauge(name string) (int64, bool) {
-	if r == nil {
-		return 0, false
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.gauges[name]
-	return v, ok
-}
-
-// Gauges returns a copy of all gauges.
-func (r *Recorder) Gauges() map[string]int64 {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]int64, len(r.gauges))
-	for k, v := range r.gauges {
-		out[k] = v
-	}
-	return out
-}
-
 // Counters returns a copy of all counters.
 func (r *Recorder) Counters() map[string]int64 {
 	if r == nil {
@@ -367,49 +322,30 @@ func (r *Recorder) Observe(name string, v int64) {
 	r.mu.Unlock()
 }
 
-// Merge folds src's counters, gauges, and histograms into r.
-// hippocratesd gives every job a private recorder (so span trees and
-// audit trails stay per-job) and merges each finished job into one
-// long-lived recorder for the /metrics aggregate. The per-kind semantics
-// are deliberate and pinned by tests:
+// Merge adds src's counters into r. hippocratesd gives every job a
+// private recorder (so span trees and audit trails stay per-job) and
+// merges each finished job's counters into one long-lived recorder for
+// the /metrics aggregate: counters count events, and events accumulate.
 //
-//   - counters SUM: they count events, and events accumulate;
-//   - gauges are LAST-WRITE-WINS: they sample levels, and the source's
-//     level (sampled later, at merge time) supersedes the destination's;
-//   - histograms fold bucket-wise (counts/sums add, min/max widen).
-//
-// Spans and audit entries are deliberately not merged: they belong to
-// the per-job recorder, whose IDs and Seq numbers would collide under
-// concatenation.
+// Nothing else is merged. The daemon observes the latencies it serves
+// itself; a job's own histograms, spans and audit entries stay on the
+// job's recorder, whose span IDs and audit Seq numbers would collide
+// under concatenation.
 func (r *Recorder) Merge(src *Recorder) {
 	if r == nil || src == nil {
 		return
 	}
-	for k, v := range src.Counters() {
-		r.Add(k, v)
-	}
-	for k, v := range src.Gauges() {
-		r.SetGauge(k, v)
-	}
-	for name, h := range src.Histograms() {
-		r.mergeHistogram(name, h)
-	}
-}
-
-func (r *Recorder) mergeHistogram(name string, src *Histogram) {
+	counters := src.Counters()
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := r.hists[name]
-	if h == nil {
-		h = &Histogram{}
-		r.hists[name] = h
+	for k, v := range counters {
+		r.counters[k] += v
 	}
-	h.merge(src)
+	r.mu.Unlock()
 }
 
 // merge folds src into h: counts and sums add, min/max widen, buckets
 // add pairwise. An empty src is a no-op (its zero Min/Max carry no
-// information).
+// information). Windowed.Snapshot folds its slots with it.
 func (h *Histogram) merge(src *Histogram) {
 	if src == nil || src.Count == 0 {
 		return

@@ -48,8 +48,8 @@ func (s *Server) HTTPServer(addr string) *http.Server {
 //	GET  /api/v1/jobs/{id}       job status (+ response when done)
 //	GET  /api/v1/jobs/{id}/spans the job's own span tree
 //	GET  /api/v1/debug/flightrecorder  slowest/failed/rejected jobs
-//	GET  /metrics             Prometheus text exposition (0.0.4)
-//	GET  /metrics.json        the same state as a JSON document
+//	GET  /metrics             Prometheus text exposition (0.0.4), the
+//	                          daemon's one view of its aggregate state
 //	GET  /healthz             liveness + drain state + shard depths
 //
 // Every submit answers with X-Hippocrates-Job (the job ID),
@@ -65,7 +65,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /api/v1/jobs/{id}/spans", s.handleJobSpans)
 	mux.HandleFunc("GET /api/v1/debug/flightrecorder", s.handleFlightRecorder)
 	mux.HandleFunc("GET /metrics", s.handlePromMetrics)
-	mux.HandleFunc("GET /metrics.json", s.handleMetricsJSON)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	return mux
 }
@@ -265,16 +264,6 @@ func (s *Server) handlePromMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", PromContentType)
-	w.Write(data)
-}
-
-func (s *Server) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
-	data, err := s.MetricsJSON()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
 	w.Write(data)
 }
 

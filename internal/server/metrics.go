@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"runtime"
 	"sort"
@@ -17,45 +16,40 @@ import (
 // /metrics serves.
 const PromContentType = "text/plain; version=0.0.4; charset=utf-8"
 
-// MetricsDoc is the /metrics.json shape; schema/metrics.schema.json is
-// the checked-in contract the server smoke test validates against.
-// (Scrapers get the same state in Prometheus text form at /metrics.)
+// MetricsDoc is the service's aggregate state: the in-process snapshot
+// that renderProm turns into the GET /metrics exposition.
 type MetricsDoc struct {
-	UptimeSeconds float64  `json:"uptime_seconds"`
-	Workers       int      `json:"workers"`
-	Queue         QueueDoc `json:"queue"`
-	Jobs          JobsDoc  `json:"jobs"`
-	Cache         CacheDoc `json:"cache"`
+	UptimeSeconds float64
+	Workers       int
+	Queue         QueueDoc
+	Jobs          JobsDoc
+	Cache         CacheDoc
 	// Flight reports the flight recorder's retained entry counts.
-	Flight FlightDoc `json:"flight"`
-	// Phases carries a since-boot latency histogram per pipeline phase
-	// plus the whole-job "job" row, sorted by name.
-	Phases []PhaseLatencyDoc `json:"phases"`
+	Flight FlightDoc
+	// Phases carries a since-boot run count and wall-time sum per pipeline
+	// phase plus the whole-job "job" row, sorted by name.
+	Phases []PhaseLatencyDoc
 	// Windows carries the rolling per-phase latency quantiles over the
 	// trailing 1m/5m windows — the scrape-friendly signals that decay
 	// when traffic stops, unlike the since-boot Phases rows.
-	Windows []PhaseWindowDoc `json:"windows"`
+	Windows []PhaseWindowDoc
 	// Counters is the merged counter space of every finished job
 	// (interp steps, trace events, fixes by mechanism, crashsim work...).
-	Counters map[string]int64 `json:"counters"`
-	// Gauges is the merged gauge space (levels, last-write-wins).
-	Gauges map[string]int64 `json:"gauges"`
+	Counters map[string]int64
 }
 
 // QueueDoc describes the worker pool's current load.
 type QueueDoc struct {
-	Depth    int   `json:"depth"`
-	Capacity int   `json:"capacity"`
-	InFlight int64 `json:"in_flight"`
-	Rejected int64 `json:"rejected"`
-	Draining bool  `json:"draining"`
+	InFlight int64
+	Rejected int64
+	Draining bool
 	// Shards is the per-worker queue state, index-aligned with the pool;
 	// saturation is depth/capacity, the signal a load balancer or
 	// autoscaler in front of the daemon reads.
-	Shards []ShardDoc `json:"shards"`
+	Shards []ShardDoc
 }
 
-// ShardDoc is one worker shard's queue state.
+// ShardDoc is one worker shard's queue state (also served by /healthz).
 type ShardDoc struct {
 	Shard      int     `json:"shard"`
 	Depth      int     `json:"depth"`
@@ -65,65 +59,57 @@ type ShardDoc struct {
 
 // JobsDoc counts job outcomes since boot.
 type JobsDoc struct {
-	Submitted int64 `json:"submitted"`
-	Completed int64 `json:"completed"`
-	Failed    int64 `json:"failed"`
-	Cached    int64 `json:"cached"`
+	Submitted int64
+	Completed int64
+	Failed    int64
+	Cached    int64
 }
 
-// CacheDoc reports the content-addressed caches. HitRatio is
-// response+artifact hits over response+artifact lookups (the service-level
-// ratio; verdict- and summary-store traffic is reported separately because
-// one job makes per-image or per-function lookups by the hundreds and
-// would drown the job-level signal).
+// CacheDoc reports the content-addressed caches' lookups.
 type CacheDoc struct {
-	ResponseHits   int64 `json:"response_hits"`
-	ResponseMisses int64 `json:"response_misses"`
+	ResponseHits   int64
+	ResponseMisses int64
 	// ArtifactHits counts jobs that cloned a kept compile, ArtifactMisses
 	// jobs that compiled (a source's second job, which keeps the compile
 	// it makes, included).
-	ArtifactHits   int64 `json:"artifact_hits"`
-	ArtifactMisses int64 `json:"artifact_misses"`
-	VerdictHits    int64 `json:"verdict_hits"`
-	VerdictMisses  int64 `json:"verdict_misses"`
+	ArtifactHits   int64
+	ArtifactMisses int64
+	VerdictHits    int64
+	VerdictMisses  int64
 	// Summary*/Constraint* count the incremental-analysis store's traffic:
 	// per-function static summaries and alias constraint lists replayed
 	// (hit) versus recomputed (miss) across all static jobs since boot.
-	SummaryHits      int64   `json:"summary_hits"`
-	SummaryMisses    int64   `json:"summary_misses"`
-	ConstraintHits   int64   `json:"constraint_hits"`
-	ConstraintMisses int64   `json:"constraint_misses"`
-	HitRatio         float64 `json:"hit_ratio"`
+	SummaryHits      int64
+	SummaryMisses    int64
+	ConstraintHits   int64
+	ConstraintMisses int64
 }
 
 // FlightDoc reports the flight recorder's retained entry counts.
 type FlightDoc struct {
-	Slow     int `json:"slow"`
-	Failed   int `json:"failed"`
-	Rejected int `json:"rejected"`
+	Slow     int
+	Failed   int
+	Rejected int
 }
 
-// PhaseLatencyDoc is one phase's since-boot latency distribution.
+// PhaseLatencyDoc is one phase's since-boot run count and summed wall
+// time.
 type PhaseLatencyDoc struct {
-	Name  string `json:"name"`
-	Count int64  `json:"count"`
-	P50NS int64  `json:"p50_ns"`
-	P99NS int64  `json:"p99_ns"`
-	MaxNS int64  `json:"max_ns"`
-	SumNS int64  `json:"sum_ns"`
+	Name  string
+	Count int64
+	SumNS int64
 }
 
 // PhaseWindowDoc is one phase's latency distribution over one trailing
 // window ("1m" or "5m").
 type PhaseWindowDoc struct {
-	Phase  string `json:"phase"`
-	Window string `json:"window"`
-	Count  int64  `json:"count"`
-	P50NS  int64  `json:"p50_ns"`
-	P95NS  int64  `json:"p95_ns"`
-	P99NS  int64  `json:"p99_ns"`
-	MaxNS  int64  `json:"max_ns"`
-	SumNS  int64  `json:"sum_ns"`
+	Phase  string
+	Window string
+	Count  int64
+	P50NS  int64
+	P95NS  int64
+	P99NS  int64
+	SumNS  int64
 }
 
 // shardDocs snapshots the per-shard queue state.
@@ -148,8 +134,6 @@ func (s *Server) Metrics() *MetricsDoc {
 		UptimeSeconds: time.Since(s.start).Seconds(),
 		Workers:       len(s.shards),
 		Queue: QueueDoc{
-			Depth:    s.QueueDepth(),
-			Capacity: len(s.shards) * s.cfg.QueueDepth,
 			InFlight: s.inFlight.Load(),
 			Rejected: s.rejected.Load(),
 			Draining: s.draining.Load(),
@@ -162,31 +146,23 @@ func (s *Server) Metrics() *MetricsDoc {
 			Cached:    s.cached.Load(),
 		},
 		Flight:   FlightDoc{Slow: fSlow, Failed: fFailed, Rejected: fRejected},
-		Phases:   []PhaseLatencyDoc{},
 		Windows:  s.windowSnapshots(),
 		Counters: s.rec.Counters(),
-		Gauges:   s.rec.Gauges(),
-	}
-	if doc.Windows == nil {
-		doc.Windows = []PhaseWindowDoc{}
 	}
 	rh, rm := s.responses.Stats()
-	ah, am := s.artifactHits.Load(), s.artifactMisses.Load()
 	ss := s.summaries.Stats()
 	doc.Cache = CacheDoc{
 		ResponseHits: rh, ResponseMisses: rm,
-		ArtifactHits: ah, ArtifactMisses: am,
+		ArtifactHits: s.artifactHits.Load(), ArtifactMisses: s.artifactMisses.Load(),
 		VerdictHits: s.verdictHits.Load(), VerdictMisses: s.verdictMisses.Load(),
 		SummaryHits: ss.SummaryHits, SummaryMisses: ss.SummaryMisses,
 		ConstraintHits: ss.ConsHits, ConstraintMisses: ss.ConsMisses,
 	}
-	if lookups := rh + rm + ah + am; lookups > 0 {
-		doc.Cache.HitRatio = float64(rh+ah) / float64(lookups)
-	}
-	// Histograms() returns a deep copy sorted here by name for a stable
-	// document. "server.job.ns" renders as phase "job".
-	names := []string{}
+	// The daemon observes these histograms itself (Merge folds counters
+	// only); sorted by name for a stable exposition. "server.job.ns"
+	// renders as phase "job".
 	hists := s.rec.Histograms()
+	names := make([]string, 0, len(hists))
 	for name := range hists {
 		if strings.HasPrefix(name, "server.phase.") || name == "server.job.ns" {
 			names = append(names, name)
@@ -194,30 +170,13 @@ func (s *Server) Metrics() *MetricsDoc {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		h := hists[name]
 		phase := strings.TrimSuffix(strings.TrimPrefix(name, "server.phase."), ".ns")
 		if name == "server.job.ns" {
 			phase = "job"
 		}
-		doc.Phases = append(doc.Phases, PhaseLatencyDoc{
-			Name:  phase,
-			Count: h.Count,
-			P50NS: h.Quantile(0.50),
-			P99NS: h.Quantile(0.99),
-			MaxNS: h.Max,
-			SumNS: h.Sum,
-		})
+		doc.Phases = append(doc.Phases, PhaseLatencyDoc{Name: phase, Count: hists[name].Count, SumNS: hists[name].Sum})
 	}
 	return doc
-}
-
-// MetricsJSON renders the snapshot as indented JSON (GET /metrics.json).
-func (s *Server) MetricsJSON() ([]byte, error) {
-	data, err := json.MarshalIndent(s.Metrics(), "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(data, '\n'), nil
 }
 
 // promRuntime is the Go runtime slice of a Prometheus snapshot.
@@ -233,9 +192,8 @@ type promRuntime struct {
 // as plain values so the renderer is a pure (and golden-testable)
 // function of the snapshot.
 type promSnapshot struct {
-	Doc        *MetricsDoc
-	PhaseAlloc map[string]uint64
-	Runtime    *promRuntime
+	Doc     *MetricsDoc
+	Runtime *promRuntime
 }
 
 // PromText renders the service state as a Prometheus text exposition
@@ -244,8 +202,7 @@ func (s *Server) PromText() ([]byte, error) {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return renderProm(&promSnapshot{
-		Doc:        s.Metrics(),
-		PhaseAlloc: s.phaseAllocs(),
+		Doc: s.Metrics(),
 		Runtime: &promRuntime{
 			HeapAllocBytes:  ms.HeapAlloc,
 			HeapObjects:     ms.HeapObjects,
@@ -349,20 +306,8 @@ func renderProm(snap *promSnapshot) ([]byte, error) {
 	}
 	fams = append(fams, pcount, psum)
 
-	// Per-phase allocation totals (present when TrackAllocs is on).
-	if len(snap.PhaseAlloc) > 0 {
-		alloc := obs.PromFamily{Name: "hippocratesd_phase_alloc_bytes_total", Help: "Bytes allocated inside each phase's spans since boot (TrackAllocs).", Type: "counter"}
-		for _, phase := range sortedKeys(snap.PhaseAlloc) {
-			alloc.Samples = append(alloc.Samples, obs.PromSample{
-				Labels: []obs.PromLabel{{Name: "phase", Value: phase}},
-				Value:  float64(snap.PhaseAlloc[phase]),
-			})
-		}
-		fams = append(fams, alloc)
-	}
-
-	// The merged pipeline counter/gauge spaces, one family each with the
-	// original dotted name as a label (sanitizing every counter into its
+	// The merged pipeline counter space, one family with the original
+	// dotted name as a label (sanitizing every counter into its
 	// own family would make thousands of HELP/TYPE lines).
 	events := obs.PromFamily{Name: "hippocratesd_pipeline_events_total", Help: "Merged pipeline counters over all finished jobs, by event name.", Type: "counter"}
 	for _, k := range sortedKeysI64(d.Counters) {
@@ -372,16 +317,6 @@ func renderProm(snap *promSnapshot) ([]byte, error) {
 		})
 	}
 	fams = append(fams, events)
-	if len(d.Gauges) > 0 {
-		gauges := obs.PromFamily{Name: "hippocratesd_pipeline_gauge", Help: "Merged pipeline gauges (last-write-wins levels), by gauge name.", Type: "gauge"}
-		for _, k := range sortedKeysI64(d.Gauges) {
-			gauges.Samples = append(gauges.Samples, obs.PromSample{
-				Labels: []obs.PromLabel{{Name: "gauge", Value: k}},
-				Value:  float64(d.Gauges[k]),
-			})
-		}
-		fams = append(fams, gauges)
-	}
 
 	if rt := snap.Runtime; rt != nil {
 		fams = append(fams,
@@ -407,15 +342,6 @@ func renderProm(snap *promSnapshot) ([]byte, error) {
 
 func cacheLabels(cache, result string) []obs.PromLabel {
 	return []obs.PromLabel{{Name: "cache", Value: cache}, {Name: "result", Value: result}}
-}
-
-func sortedKeys(m map[string]uint64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func sortedKeysI64(m map[string]int64) []string {

@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"hippocrates/internal/cli"
+	"hippocrates/internal/ir"
+	"hippocrates/internal/lang"
 	"hippocrates/internal/obs"
 )
 
@@ -27,7 +31,7 @@ func goldenSnapshot() *promSnapshot {
 			UptimeSeconds: 12.5,
 			Workers:       2,
 			Queue: QueueDoc{
-				Depth: 3, Capacity: 64, InFlight: 1, Rejected: 4, Draining: false,
+				InFlight: 1, Rejected: 4, Draining: false,
 				Shards: []ShardDoc{
 					{Shard: 0, Depth: 3, Capacity: 32, Saturation: 0.09375},
 					{Shard: 1, Depth: 0, Capacity: 32, Saturation: 0},
@@ -41,25 +45,20 @@ func goldenSnapshot() *promSnapshot {
 				VerdictHits: 900, VerdictMisses: 100,
 				SummaryHits: 40, SummaryMisses: 10,
 				ConstraintHits: 60, ConstraintMisses: 15,
-				HitRatio: 0.3888888888888889,
 			},
 			Phases: []PhaseLatencyDoc{
-				{Name: "detect", Count: 8, P50NS: 1000, P99NS: 2000, MaxNS: 2100, SumNS: 9000},
-				{Name: "job", Count: 8, P50NS: 50000, P99NS: 90000, MaxNS: 95000, SumNS: 420000},
+				{Name: "detect", Count: 8, SumNS: 9000},
+				{Name: "job", Count: 8, SumNS: 420000},
 			},
 			Windows: []PhaseWindowDoc{
-				{Phase: "job", Window: "1m", Count: 5, P50NS: 48000, P95NS: 80000, P99NS: 90000, MaxNS: 95000, SumNS: 260000},
-				{Phase: "job", Window: "5m", Count: 8, P50NS: 50000, P95NS: 85000, P99NS: 90000, MaxNS: 95000, SumNS: 420000},
+				{Phase: "job", Window: "1m", Count: 5, P50NS: 48000, P95NS: 80000, P99NS: 90000, SumNS: 260000},
+				{Phase: "job", Window: "5m", Count: 8, P50NS: 50000, P95NS: 85000, P99NS: 90000, SumNS: 420000},
 			},
 			Counters: map[string]int64{
 				"interp.steps":                    123456,
 				"server.jobs.response_cache_hits": 2,
 			},
-			Gauges: map[string]int64{
-				"server.job.last_latency_ns": 52000,
-			},
 		},
-		PhaseAlloc: map[string]uint64{"detect": 4096, "trace": 65536},
 		Runtime: &promRuntime{
 			HeapAllocBytes:  1 << 20,
 			HeapObjects:     5000,
@@ -101,11 +100,13 @@ func TestPromGolden(t *testing.T) {
 }
 
 // TestPromLiveExposition lints a real server's exposition after real
-// traffic and checks the families a dashboard would scrape are present.
+// traffic and checks the samples a dashboard would scrape. Three
+// identical submits are one compile (an artifact miss) and two response
+// hits; the job's front end shows up as phase rows.
 func TestPromLiveExposition(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer shutdown(t, s)
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ {
 		j, err := s.Submit(publishReq())
 		if err != nil {
 			t.Fatal(err)
@@ -119,45 +120,83 @@ func TestPromLiveExposition(t *testing.T) {
 	if err := obs.LintProm(prom); err != nil {
 		t.Fatalf("live exposition fails the linter: %v\n%s", err, prom)
 	}
+	lines := strings.Split(string(prom), "\n")
 	for _, want := range []string{
-		`hippocratesd_jobs_total{event="completed"} 2`,
-		`hippocratesd_queue_depth{shard="0"}`,
-		`hippocratesd_queue_depth{shard="1"}`,
-		`hippocratesd_cache_events_total{cache="response",result="hit"} 1`,
-		`hippocratesd_phase_latency_ns{phase="job",window="1m",quantile="0.5"}`,
+		`hippocratesd_jobs_total{event="completed"} 3`,
+		`hippocratesd_jobs_total{event="failed"} 0`,
+		`hippocratesd_queue_depth{shard="0"} 0`,
+		`hippocratesd_queue_depth{shard="1"} 0`,
+		`hippocratesd_cache_events_total{cache="response",result="hit"} 2`,
+		`hippocratesd_cache_events_total{cache="artifact",result="miss"} 1`,
 		`hippocratesd_phase_runs_total{phase="job"} 1`,
-		`hippocratesd_pipeline_events_total{event="server.jobs.response_cache_hits"} 1`,
-		`hippocratesd_pipeline_gauge{gauge="server.job.last_latency_ns"}`,
+		`hippocratesd_phase_runs_total{phase="lex"} 1`,
+		`hippocratesd_phase_runs_total{phase="parse"} 1`,
+		`hippocratesd_phase_runs_total{phase="lower"} 1`,
+	} {
+		if !slices.Contains(lines, want) {
+			t.Errorf("live exposition is missing the line %q", want)
+		}
+	}
+	for _, want := range []string{
+		`hippocratesd_phase_latency_ns{phase="job",window="1m",quantile="0.5"}`,
+		`hippocratesd_phase_ns_total{phase="job"}`,
 		"hippocratesd_go_goroutines",
 	} {
 		if !strings.Contains(string(prom), want) {
 			t.Errorf("live exposition is missing %q", want)
 		}
 	}
+	for _, gone := range []string{"hippocratesd_pipeline_gauge", "hippocratesd_phase_alloc_bytes_total", "server.jobs."} {
+		if strings.Contains(string(prom), gone) {
+			t.Errorf("live exposition still carries %q", gone)
+		}
+	}
 }
 
-// TestPromPhaseAllocs: with TrackAllocs (hippocratesd -track-allocs)
-// every job's per-phase allocation bytes accumulate into
-// hippocratesd_phase_alloc_bytes_total; without it the family is absent.
-func TestPromPhaseAllocs(t *testing.T) {
-	for _, track := range []bool{false, true} {
-		s := New(Config{Workers: 1, TrackAllocs: track})
-		j, err := s.Submit(publishReq())
-		if err != nil {
-			t.Fatal(err)
+// TestCompileSpansStayOnTheJob: a compile records its front-end spans
+// under the job's root span, never on the daemon-wide recorder, so
+// distinct sources leave nothing behind there and each job's span tree
+// holds its own lex, parse and lower (pmc) or parse-ir (.pmir).
+func TestCompileSpansStayOnTheJob(t *testing.T) {
+	s := New(Config{Workers: 2})
+	defer shutdown(t, s)
+	names := func(j *Job) map[string]bool {
+		seen := map[string]bool{}
+		for _, sp := range j.rec.Spans() {
+			seen[sp.Name] = true
 		}
-		waitDone(t, j)
-		prom, err := s.PromText()
-		shutdown(t, s)
-		if err != nil {
-			t.Fatal(err)
+		return seen
+	}
+	const n = 6
+	for i := 0; i < n; i++ {
+		seen := names(run(t, s, variantReq(i)))
+		for _, phase := range []string{"job", "lex", "parse", "lower"} {
+			if !seen[phase] {
+				t.Errorf("pmc job %d span tree lacks %q: %v", i, phase, seen)
+			}
 		}
-		if err := obs.LintProm(prom); err != nil {
-			t.Fatalf("exposition fails the linter: %v\n%s", err, prom)
+		if seen["compile"] {
+			t.Errorf("pmc job %d span tree holds a compile wrapper", i)
 		}
-		const family = `hippocratesd_phase_alloc_bytes_total{phase="trace"} `
-		if got := strings.Contains(string(prom), family); got != track {
-			t.Errorf("TrackAllocs=%v: exposition carries %q = %v", track, family, got)
+	}
+	pmir := &cli.Request{Program: "echo.pmir", Source: ir.Print(lang.MustCompile("echo.pmc", srcEcho)),
+		Mode: cli.ModeCheck, Args: []uint64{1}}
+	if seen := names(run(t, s, pmir)); !seen["parse-ir"] || seen["parse"] {
+		t.Errorf(".pmir job span tree: %v, want parse-ir and no pmc parse", seen)
+	}
+	if spans := s.rec.Spans(); len(spans) != 0 {
+		t.Errorf("%d jobs left %d spans on the daemon-wide recorder", n+1, len(spans))
+	}
+	prom, err := s.PromText()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		fmt.Sprintf(`hippocratesd_phase_runs_total{phase="parse"} %d`, n),
+		`hippocratesd_phase_runs_total{phase="parse-ir"} 1`,
+	} {
+		if !slices.Contains(strings.Split(string(prom), "\n"), want) {
+			t.Errorf("exposition is missing the line %q", want)
 		}
 	}
 }

@@ -54,7 +54,7 @@ func TestRetryAfterJitter(t *testing.T) {
 	// Wait for the worker to dequeue the first spin, then fill the slot
 	// behind it: one spin running, one queued — the shard is full.
 	deadline := time.Now().Add(5 * time.Second)
-	for s.QueueDepth() > 0 {
+	for s.ShardDepths()[0] > 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("worker never dequeued the first spin")
 		}

@@ -6,19 +6,17 @@ import (
 	"hippocrates/internal/obs"
 )
 
-// The HTTP API's output contract. `make server-smoke` round-trips a
+// The HTTP API's JSON output contract. `make server-smoke` round-trips a
 // corpus program through a live daemon and validates both the response
-// body and /metrics against these schemas, so a change to either shape
-// must update them in the same commit.
+// body and the flight recorder against these schemas, so a change to
+// either shape must update them in the same commit. /metrics is
+// Prometheus text, which obs.LintProm checks instead.
 //
-//go:embed schema/response.schema.json schema/metrics.schema.json schema/flightrecorder.schema.json
+//go:embed schema/response.schema.json schema/flightrecorder.schema.json
 var schemaFS embed.FS
 
 // ResponseSchema returns the checked-in schema for the repair response.
 func ResponseSchema() []byte { return mustSchema("schema/response.schema.json") }
-
-// MetricsSchema returns the checked-in schema for /metrics.json.
-func MetricsSchema() []byte { return mustSchema("schema/metrics.schema.json") }
 
 // FlightRecorderSchema returns the checked-in schema for
 // GET /api/v1/debug/flightrecorder.
@@ -35,9 +33,6 @@ func mustSchema(name string) []byte {
 // ValidateResponse checks a response document against the schema using
 // the obs package's embedded zero-dependency validator.
 func ValidateResponse(doc []byte) error { return obs.ValidateJSON(ResponseSchema(), doc) }
-
-// ValidateMetrics checks a /metrics.json document against the schema.
-func ValidateMetrics(doc []byte) error { return obs.ValidateJSON(MetricsSchema(), doc) }
 
 // ValidateFlightRecorder checks a flight-recorder document against the
 // schema.

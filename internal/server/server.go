@@ -63,10 +63,6 @@ type Config struct {
 	// StepLimit overrides the per-run instruction budget of jobs that
 	// specify none (0 keeps the interpreter's 100M default).
 	StepLimit int64
-	// TrackAllocs enables per-span allocation deltas on every job
-	// recorder (runtime.ReadMemStats per span — measurable overhead), so
-	// /metrics can serve per-phase alloc gauges. Off by default.
-	TrackAllocs bool
 	// Log receives one line per job (nil = silent).
 	Log io.Writer
 }
@@ -192,9 +188,10 @@ type Server struct {
 	// summary depends on), so sharing across tenants is safe.
 	summaries *static.Store
 
-	// rec aggregates counters, gauges, and latency histograms over all
-	// finished jobs (per-job span trees stay on the jobs' own recorders —
-	// merging them would interleave span IDs).
+	// rec aggregates every finished job's counters, plus the since-boot
+	// per-phase and whole-job latency histograms the daemon observes
+	// (per-job span trees stay on the jobs' own recorders — merging them
+	// would interleave span IDs).
 	rec *obs.Recorder
 
 	// flight retains the slowest and all failed/rejected jobs for
@@ -204,11 +201,9 @@ type Server struct {
 	// windows holds one rolling per-phase latency histogram (plus the
 	// whole-job "job" row and the pre-run "queue_wait" row) so /metrics
 	// serves 1m/5m quantiles that decay, unlike rec's since-boot
-	// histograms. phaseAlloc accumulates per-phase allocation bytes when
-	// cfg.TrackAllocs is on.
-	winMu      sync.Mutex
-	windows    map[string]*obs.Windowed
-	phaseAlloc map[string]uint64
+	// histograms.
+	winMu   sync.Mutex
+	windows map[string]*obs.Windowed
 
 	// drainMu serializes submits against BeginDrain: submitters hold the
 	// read side across the draining check and the shard send, so the
@@ -252,16 +247,15 @@ func New(cfg Config) *Server {
 		cfg.MaxTimeout = 5 * time.Minute
 	}
 	s := &Server{
-		cfg:        cfg,
-		responses:  lru.New[string, []byte](responseCacheSize),
-		artifacts:  lru.New[string, *artifact](artifactCacheSize),
-		summaries:  static.NewStore(0),
-		rec:        obs.New(),
-		flight:     newFlightRecorder(flightSlow, flightFailed, flightRejected),
-		windows:    make(map[string]*obs.Windowed),
-		phaseAlloc: make(map[string]uint64),
-		jobs:       make(map[string]*Job),
-		start:      time.Now(),
+		cfg:       cfg,
+		responses: lru.New[string, []byte](responseCacheSize),
+		artifacts: lru.New[string, *artifact](artifactCacheSize),
+		summaries: static.NewStore(0),
+		rec:       obs.New(),
+		flight:    newFlightRecorder(flightSlow, flightFailed, flightRejected),
+		windows:   make(map[string]*obs.Windowed),
+		jobs:      make(map[string]*Job),
+		start:     time.Now(),
 	}
 	s.shards = make([]chan *Job, cfg.Workers)
 	for i := range s.shards {
@@ -332,7 +326,6 @@ func (s *Server) SubmitTraced(req *cli.Request, traceID string) (*Job, error) {
 		job.mu.Unlock()
 		s.cached.Add(1)
 		s.completed.Add(1)
-		s.rec.Add("server.jobs.response_cache_hits", 1)
 		close(job.done)
 		s.remember(job)
 		s.logf("%s trace=%s %s %s: response cache hit", job.ID, job.TraceID, req.Mode, req.Program)
@@ -400,7 +393,6 @@ func (s *Server) windowSnapshots() []PhaseWindowDoc {
 				P50NS:  h.Quantile(0.50),
 				P95NS:  h.Quantile(0.95),
 				P99NS:  h.Quantile(0.99),
-				MaxNS:  h.Max,
 				SumNS:  h.Sum,
 			})
 		}
@@ -411,24 +403,6 @@ func (s *Server) windowSnapshots() []PhaseWindowDoc {
 		}
 		return out[i].Window < out[j].Window
 	})
-	return out
-}
-
-// addPhaseAlloc accumulates a phase's allocation bytes (TrackAllocs on).
-func (s *Server) addPhaseAlloc(phase string, bytes uint64) {
-	s.winMu.Lock()
-	s.phaseAlloc[phase] += bytes
-	s.winMu.Unlock()
-}
-
-// phaseAllocs returns a copy of the per-phase allocation totals.
-func (s *Server) phaseAllocs() map[string]uint64 {
-	s.winMu.Lock()
-	defer s.winMu.Unlock()
-	out := make(map[string]uint64, len(s.phaseAlloc))
-	for k, v := range s.phaseAlloc {
-		out[k] = v
-	}
 	return out
 }
 
@@ -488,9 +462,6 @@ func (s *Server) runJob(job *Job) {
 	job.state = StateRunning
 	req := job.req
 	rec := obs.New()
-	if s.cfg.TrackAllocs {
-		rec.SetTrackAllocs(true)
-	}
 	job.rec = rec
 	job.mu.Unlock()
 
@@ -514,15 +485,13 @@ func (s *Server) runJob(job *Job) {
 		elapsed := time.Since(started)
 		if err != nil {
 			s.failed.Add(1)
-			s.rec.Add("server.jobs.failed", 1)
 			s.logf("%s trace=%s %s %s: FAILED in %s: %v", job.ID, job.TraceID, req.Mode, req.Program, elapsed.Round(time.Millisecond), err)
 		} else {
 			s.completed.Add(1)
 			s.logf("%s trace=%s %s %s: done in %s", job.ID, job.TraceID, req.Mode, req.Program, elapsed.Round(time.Millisecond))
 		}
-		// Fold the job's counters, gauges, and per-phase wall times into
-		// the service-wide aggregate. Span trees stay on the job recorder.
-		rec.SetGauge("server.job.last_latency_ns", elapsed.Nanoseconds())
+		// Fold the job's counters and per-phase wall times into the
+		// service-wide aggregate. Span trees stay on the job recorder.
 		s.rec.Merge(rec)
 		s.rec.Observe("server.job.ns", elapsed.Nanoseconds())
 		s.observeWindow("job", elapsed.Nanoseconds())
@@ -532,9 +501,6 @@ func (s *Server) runJob(job *Job) {
 			}
 			s.rec.Observe("server.phase."+pt.Name+".ns", pt.Total.Nanoseconds())
 			s.observeWindow(pt.Name, pt.Total.Nanoseconds())
-			if s.cfg.TrackAllocs {
-				s.addPhaseAlloc(pt.Name, pt.Alloc)
-			}
 		}
 		// Flight recorder: failed jobs always, others when slow enough.
 		// The capture closure runs only when the entry is retained.
@@ -552,7 +518,7 @@ func (s *Server) runJob(job *Job) {
 
 	// The job repairs its own compile or a clone of the kept master, so
 	// the master stays pristine (see moduleFor).
-	art, mod, err := s.moduleFor(req, job.sourceKey)
+	art, mod, err := s.moduleFor(req, job.sourceKey, root)
 	if err != nil {
 		finish(nil, err)
 		return
@@ -612,9 +578,10 @@ func (s *Server) runJob(job *Job) {
 // job clones the master. A clone counts as an artifact hit, each compile
 // as a miss. The compile runs outside the cache lock: same-source jobs
 // land on one shard (see shardOf), so two workers never race to compile
-// one source. Front-end telemetry of a compile is recorded on the
-// aggregate recorder so the metrics still see lex/parse/lower costs.
-func (s *Server) moduleFor(req *cli.Request, key string) (*artifact, *ir.Module, error) {
+// one source. A compile records its front-end spans (lex, parse and
+// lower, or parse-ir) under the job's root span, so the job's span tree,
+// its /metrics phase rows and its flight-recorder entry all hold them.
+func (s *Server) moduleFor(req *cli.Request, key string, root *obs.Span) (*artifact, *ir.Module, error) {
 	art, cached := s.artifacts.Get(key)
 	if cached {
 		if master := art.master(); master != nil {
@@ -623,10 +590,7 @@ func (s *Server) moduleFor(req *cli.Request, key string) (*artifact, *ir.Module,
 		}
 	}
 	s.artifactMisses.Add(1)
-	sp := s.rec.StartSpan("compile")
-	sp.SetAttr("program", req.Program)
-	mod, err := cli.CompileRequest(req, sp)
-	sp.End()
+	mod, err := cli.CompileRequest(req, root)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -673,15 +637,6 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // Draining reports whether Shutdown has begun.
 func (s *Server) Draining() bool { return s.draining.Load() }
-
-// QueueDepth returns the total queued (not yet running) jobs.
-func (s *Server) QueueDepth() int {
-	n := 0
-	for _, ch := range s.shards {
-		n += len(ch)
-	}
-	return n
-}
 
 func (s *Server) logf(format string, args ...any) {
 	if s.cfg.Log == nil {

@@ -375,8 +375,8 @@ func TestThreadsRoundTripValidates(t *testing.T) {
 	}
 
 	// The exploration's accounting must surface in the service telemetry:
-	// the recorder merges each job's span counters, so /metrics and
-	// /metrics.json carry the schedule family after one threads job.
+	// the recorder merges each job's span counters, so /metrics carries
+	// the schedule family after one threads job.
 	counters := s.Metrics().Counters
 	for _, key := range []string{"schedule.explored", "schedule.crash_points"} {
 		if counters[key] <= 0 {
@@ -518,8 +518,10 @@ func TestDrain(t *testing.T) {
 	}
 }
 
-// TestMetricsSchema: a served /metrics document satisfies the checked-in
-// schema and reports the cache traffic the workload implies.
+// TestMetricsSchema: the in-process snapshot that GET /metrics renders
+// keeps the fields its readers use and reports the cache traffic the
+// workload implies, and the daemon serves its state at /metrics only
+// (the JSON twin route is gone).
 func TestMetricsSchema(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer shutdown(t, s)
@@ -530,28 +532,43 @@ func TestMetricsSchema(t *testing.T) {
 		}
 		waitDone(t, j)
 	}
-	data, err := s.MetricsJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateMetrics(data); err != nil {
-		t.Fatalf("/metrics violates schema: %v\n%s", err, data)
-	}
 	m := s.Metrics()
-	if m.Cache.HitRatio <= 0 {
-		t.Errorf("hit ratio %v after identical resubmits, want > 0", m.Cache.HitRatio)
-	}
 	if m.Cache.ResponseHits != 2 || m.Cache.ArtifactMisses != 1 {
 		t.Errorf("cache traffic: %+v, want 2 response hits, 1 artifact miss", m.Cache)
 	}
+	if m.Jobs.Completed != 3 || m.Jobs.Cached != 2 || m.Jobs.Failed != 0 {
+		t.Errorf("job counts: %+v, want 3 completed, 2 cached, 0 failed", m.Jobs)
+	}
+	if len(m.Phases) == 0 || m.Phases[0].Name != "job" || m.Phases[0].Count != 1 || m.Phases[0].SumNS <= 0 {
+		t.Errorf("no usable \"job\" phase row in %+v", m.Phases)
+	}
 	found := false
-	for _, p := range m.Phases {
-		if p.Name == "job" && p.Count >= 1 && p.P50NS > 0 {
+	for _, w := range m.Windows {
+		if w.Phase == "job" && w.Window == "1m" && w.Count >= 1 && w.P50NS > 0 {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("no usable \"job\" latency histogram in %+v", m.Phases)
+		t.Errorf("no usable \"job\" 1m latency window in %+v", m.Windows)
+	}
+
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != PromContentType {
+		t.Errorf("GET /metrics: %d %q, want 200 %q", resp.StatusCode, resp.Header.Get("Content-Type"), PromContentType)
+	}
+	resp, err = http.Get(ts.URL + "/metrics.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /metrics.json: %d, want 404 (the JSON twin is removed)", resp.StatusCode)
 	}
 }
 

@@ -85,7 +85,7 @@ func TestSoakConcurrentMatchesSequential(t *testing.T) {
 		default:
 		}
 	}
-	for _, path := range []string{"/metrics", "/metrics.json", "/healthz", "/api/v1/debug/flightrecorder"} {
+	for _, path := range []string{"/metrics", "/healthz", "/api/v1/debug/flightrecorder"} {
 		scrapeWG.Add(1)
 		go func(path string) {
 			defer scrapeWG.Done()
@@ -114,8 +114,6 @@ func TestSoakConcurrentMatchesSequential(t *testing.T) {
 				switch path {
 				case "/metrics":
 					check = obs.LintProm(body)
-				case "/metrics.json":
-					check = ValidateMetrics(body)
 				case "/api/v1/debug/flightrecorder":
 					check = ValidateFlightRecorder(body)
 				default:

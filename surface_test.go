@@ -20,7 +20,6 @@ import (
 var testOnlySurface = map[string]string{
 	"internal/lang.MustCompile":                "compile-or-panic for known-good sources; the tests of a dozen packages share it",
 	"internal/obs.Recorder.Counter":            "single-value reader for tests; product code exports the Counters snapshot",
-	"internal/obs.Recorder.Gauge":              "single-value reader for tests; product code exports the Gauges snapshot",
 	"internal/obs.ValidateMetrics":             "the -metrics schema's executable check, run by the telemetry smoke tests",
 	"internal/obs.ValidateSpans":               "the -spans schema's executable check, run by the telemetry smoke tests",
 	"internal/optimize.EditKind.MarshalJSON":   "encoding/json calls it through json.Marshaler",
