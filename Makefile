@@ -16,10 +16,13 @@ test:
 # programs, 100 generated concurrent programs (over explored schedules)
 # and recursive call graphs; static-driven repair leaving both detectors
 # clean; a run without a summary store matching a cold store-backed one;
-# and the pinned results (internal/static/testdata/pinned_results.txt),
-# which hold every report, lint and summary hash fixed.
+# the pinned results (internal/static/testdata/pinned_results.txt),
+# which hold every report, lint and summary hash fixed; and the cache-line
+# resolver the analysis shares with the fixer, with the fixer's phase-2
+# reduction tests that depend on it.
 agreement:
-	$(GO) test ./internal/static/ -run 'TestCorpusAgreement|TestCorpusStaticRepairBothClean|TestProgenAgreement|TestProgenThreadedAgreement|TestRecursiveSCCAgreement|TestNoStoreMatchesColdStore|TestPinnedResults' -v
+	$(GO) test ./internal/static/ -run 'TestCorpusAgreement|TestCorpusStaticRepairBothClean|TestProgenAgreement|TestProgenThreadedAgreement|TestRecursiveSCCAgreement|TestNoStoreMatchesColdStore|TestPinnedResults|TestLineResolver' -v
+	$(GO) test ./internal/core/ -run 'TestReduction|TestEscapingSlotBlocksReduction|TestClone|TestDisableReductionAblation' -v
 
 # metrics-smoke repairs testdata/metrics_smoke.pmc with every telemetry
 # flag on and validates the exported JSON against the schemas checked in

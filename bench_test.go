@@ -467,7 +467,7 @@ func BenchmarkStaticAnalyze(b *testing.B) {
 	m := corpus.ByName("redis-pmem").MustCompile()
 	b.ReportAllocs()
 	for b.Loop() {
-		if _, err := static.Analyze(m, "trace_main"); err != nil {
+		if _, err := static.AnalyzeWithStore(m, "trace_main", nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -181,10 +181,11 @@ type Fixer struct {
 	// handed over by the static pass has answered that pass's queries.
 	queries0 int64
 
-	clones      map[*ir.Func]*ir.Func
-	needsWork   map[*ir.Func]int // 0 unknown, 1 visiting, 2 yes, 3 no
-	transSites  map[*ir.Instr]*ir.Func
-	escapeCache map[*ir.Instr]bool
+	clones     map[*ir.Func]*ir.Func
+	needsWork  map[*ir.Func]int // 0 unknown, 1 visiting, 2 yes, 3 no
+	transSites map[*ir.Instr]*ir.Func
+	// lines resolves stores to PM cache lines for phase-2 reduction.
+	lines static.LineResolver
 
 	// sp is the telemetry parent span (nil when disabled); cur is the
 	// provenance of the plan currently being applied, consumed by the
@@ -211,7 +212,7 @@ func (fx *Fixer) audit(action, mechanism string, in *ir.Instr) {
 	if fx.sp == nil {
 		return
 	}
-	fx.auditSite(action, mechanism, siteOf(in))
+	fx.auditSite(action, mechanism, ir.FormatSite(in))
 }
 
 // auditSite is audit with an explicit site string (for actions — like
@@ -230,28 +231,6 @@ func (fx *Fixer) auditSite(action, mechanism, site string) {
 		e.HoistDepth = c.depth
 	}
 	fx.sp.Audit(e)
-}
-
-// siteOf renders an instruction's exact location as
-// file:func:block:index, where index is the instruction's position in
-// its basic block at the time of the call.
-func siteOf(in *ir.Instr) string {
-	blk := in.Block()
-	if blk == nil {
-		return "<detached>"
-	}
-	idx := -1
-	for i, x := range blk.Instrs {
-		if x == in {
-			idx = i
-			break
-		}
-	}
-	file := in.Loc().File
-	if file == "" {
-		file = "<generated>"
-	}
-	return fmt.Sprintf("%s:@%s:%s:%d", file, blk.Func().Name, blk.Name, idx)
 }
 
 // NewFixer analyzes the module and prepares a fixing session. The module
@@ -280,18 +259,17 @@ func NewFixer(mod *ir.Module, tr *trace.Trace, opts Options) *Fixer {
 // solved for mod as it is now.
 func newFixer(mod *ir.Module, an *alias.Analysis, marks *alias.Marks, opts Options) *Fixer {
 	fx := &Fixer{
-		opts:        opts,
-		sp:          opts.Obs,
-		mod:         mod,
-		an:          an,
-		queries0:    an.Queries(),
-		marks:       marks,
-		index:       indexInstrs(mod),
-		clones:      make(map[*ir.Func]*ir.Func),
-		needsWork:   make(map[*ir.Func]int),
-		transSites:  make(map[*ir.Instr]*ir.Func),
-		escapeCache: make(map[*ir.Instr]bool),
-		result:      &Result{Module: mod, MarksName: marks.Name, InstrsBefore: mod.NumInstrs()},
+		opts:       opts,
+		sp:         opts.Obs,
+		mod:        mod,
+		an:         an,
+		queries0:   an.Queries(),
+		marks:      marks,
+		index:      indexInstrs(mod),
+		clones:     make(map[*ir.Func]*ir.Func),
+		needsWork:  make(map[*ir.Func]int),
+		transSites: make(map[*ir.Instr]*ir.Func),
+		result:     &Result{Module: mod, MarksName: marks.Name, InstrsBefore: mod.NumInstrs()},
 	}
 	return fx
 }
@@ -366,7 +344,7 @@ func (fx *Fixer) Result() *Result { return fx.result }
 // runs' reports merges them first with pmcheck.DedupeByClass, as
 // UnionCheck does.
 //
-// Apply is the all-at-once composition of computePlans / applyPlan /
+// Apply is the all-at-once composition of computePlans / apply /
 // finish; the incremental crash-revalidation path in the pipeline drives
 // the three pieces itself so it can re-validate between fixes.
 func (fx *Fixer) Apply(reports []*pmcheck.Report) error {
@@ -377,7 +355,7 @@ func (fx *Fixer) Apply(reports []*pmcheck.Report) error {
 	asp := fx.sp.Start("apply")
 	defer asp.End()
 	for _, p := range plans {
-		if err := fx.applyPlan(p); err != nil {
+		if err := fx.apply(p); err != nil {
 			return err
 		}
 	}
@@ -419,11 +397,6 @@ func (fx *Fixer) computePlans(reports []*pmcheck.Report) ([]*plan, error) {
 	psp.End()
 	return plans, nil
 }
-
-// applyPlan applies one computed plan to the module. Plans hold
-// *ir.Instr pointers (not IDs), so interleaving applications with
-// renumbering — as incremental revalidation does — is safe.
-func (fx *Fixer) applyPlan(p *plan) error { return fx.apply(p) }
 
 // finish renumbers the mutated functions, verifies the repaired module,
 // and publishes the fix counters under the apply span.

@@ -62,7 +62,7 @@ func TestFixerInputsAreMerged(t *testing.T) {
 		m := p.MustCompile()
 		run, err := core.TraceAndCheck(nil, m, p.Entry, core.Options{})
 		detected(p.Name, run, err)
-		sres, err := static.Analyze(m, p.Entry)
+		sres, err := static.AnalyzeWithStore(m, p.Entry, nil)
 		analyzed(p.Name, sres, err)
 	}
 	for seed := int64(0); seed < 250; seed++ {
@@ -74,13 +74,13 @@ func TestFixerInputsAreMerged(t *testing.T) {
 	// The edit session of progen's warm ≡ cold test.
 	cfg := progen.LayeredConfig{Leaves: 12, Mids: 4, LeafOps: 8, PMCells: 2}
 	m := progen.Layered(cfg)
-	sres, err := static.Analyze(m, "main")
+	sres, err := static.AnalyzeWithStore(m, "main", nil)
 	analyzed("layered", sres, err)
 	for _, e := range progen.Edits(cfg) {
 		if err := progen.ApplyEdit(m, e); err != nil {
 			t.Fatal(err)
 		}
-		sres, err := static.Analyze(m, "main")
+		sres, err := static.AnalyzeWithStore(m, "main", nil)
 		analyzed("layered after "+e.String(), sres, err)
 	}
 

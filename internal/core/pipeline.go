@@ -216,7 +216,7 @@ func repairIncremental(mod *ir.Module, tr *trace.Trace, res *pmcheck.Result, opt
 	asp := fx.sp.Start("apply")
 	defer asp.End()
 	for i, p := range plans {
-		if err := fx.applyPlan(p); err != nil {
+		if err := fx.apply(p); err != nil {
 			return err
 		}
 		if i == len(plans)-1 {

@@ -10,7 +10,9 @@ import (
 // (and fence sites), or the persistent subprogram transformation at the
 // chosen call site. Fix reduction (§4.3 phase 2) happens here: an
 // insertion that would duplicate an adjacent identical flush or fence is
-// elided and counted in Result.ReducedFixes.
+// elided and counted in Result.ReducedFixes. Plans hold *ir.Instr
+// pointers (not IDs), so interleaving applications with renumbering — as
+// incremental revalidation does — is safe.
 func (fx *Fixer) apply(p *plan) error {
 	rep := p.report
 	if p.hoist != nil {
@@ -188,75 +190,42 @@ func (fx *Fixer) persistentClone(fn *ir.Func) (*ir.Func, error) {
 	for i := 2; fx.mod.Func(name) != nil; i++ {
 		name = fmt.Sprintf("%s__pm%d", fn.Name, i)
 	}
+	// Same-line store runs get one flush after their last member: the
+	// phase-2 reduction applied inside the subprogram. covered holds the
+	// stores an end-of-run flush makes durable.
+	var covered map[*ir.Instr]bool
+	if !fx.opts.DisableReduction {
+		pmStore := func(in *ir.Instr) bool { return fx.marks.PM(in.StorePtr()) }
+		for _, b := range fn.Blocks {
+			for _, run := range fx.sameLineRuns(b, pmStore) {
+				if covered == nil {
+					covered = make(map[*ir.Instr]bool)
+				}
+				for _, st := range run[:len(run)-1] {
+					covered[st] = true
+				}
+				fx.result.ReducedFixes += len(run) - 1
+			}
+		}
+	}
+
 	// Record PM-relevant instruction IDs on the ORIGINAL body (marks and
 	// aliasing are defined over original values), then rewrite the clone
 	// through the ID correspondence CloneFunc preserves.
 	type edit struct {
-		id   int
-		kind int // 0 flush-after-store, 1 flush_range-after-call, 2 retarget call
-		g    *ir.Func
+		id int
+		g  *ir.Func // nil: flush after the instruction; else retarget the call to g's clone
 	}
-	// Same-line store runs get one flush after their last member (the
-	// phase-2 reduction applied inside the subprogram): group provably
-	// same-line stores per block.
-	type lineKey struct {
-		blk  *ir.Block
-		root ir.Value
-		line int64
-		run  int // call-free run index within the block
-	}
-	lineLeader := map[lineKey]*ir.Instr{}
-	storeGroup := map[*ir.Instr]lineKey{}
-	grouped := 0
-	if !fx.opts.DisableReduction {
-		for _, b := range fn.Blocks {
-			// Runs reset at every call: a callee may reach a durability
-			// point that must already observe earlier same-line stores
-			// flushed.
-			runIdx := 0
-			for _, in := range b.Instrs {
-				if in.Op == ir.OpCall {
-					runIdx++
-					continue
-				}
-				if (in.Op == ir.OpStore || in.Op == ir.OpNTStore) && fx.marks.PM(in.StorePtr()) {
-					root, line, ok := fx.staticLine(in.StorePtr(), in.StoreTy().Size(), in)
-					if !ok {
-						continue
-					}
-					k := lineKey{blk: b, root: root, line: line, run: runIdx}
-					if lineLeader[k] != nil {
-						grouped++
-					}
-					lineLeader[k] = in // later stores overwrite: leader = last of the run
-					storeGroup[in] = k
-				}
-			}
-		}
-	}
-	fx.result.ReducedFixes += grouped
-
 	var edits []edit
 	for _, b := range fn.Blocks {
 		for _, in := range b.Instrs {
 			switch {
-			case in.Op.IsStoreLike():
-				if fx.marks.PM(in.StorePtr()) {
-					if k, ok := storeGroup[in]; ok && lineLeader[k] != in {
-						continue // covered by the group leader's flush
-					}
-					edits = append(edits, edit{id: int(in.ID), kind: 0})
+			case fx.writesPM(in):
+				if !covered[in] {
+					edits = append(edits, edit{id: int(in.ID)})
 				}
-			case in.Op == ir.OpCall:
-				callee := in.Callee()
-				switch {
-				case callee.IsDecl():
-					if (callee.Name == "memcpy" || callee.Name == "memset") && fx.marks.PM(in.Args[0]) {
-						edits = append(edits, edit{id: int(in.ID), kind: 1})
-					}
-				case fx.modifiesPM(callee):
-					edits = append(edits, edit{id: int(in.ID), kind: 2, g: callee})
-				}
+			case in.Op == ir.OpCall && !in.Callee().IsDecl() && fx.modifiesPM(in.Callee()):
+				edits = append(edits, edit{id: int(in.ID), g: in.Callee()})
 			}
 		}
 	}
@@ -272,19 +241,16 @@ func (fx *Fixer) persistentClone(fn *ir.Func) (*ir.Func, error) {
 		if in == nil {
 			return nil, fmt.Errorf("hippocrates: lost instruction %d while cloning @%s", e.id, fn.Name)
 		}
-		switch e.kind {
-		case 0:
+		if e.g == nil {
 			fx.insertFlushAfter(in)
-		case 1:
-			fx.insertFlushAfter(in)
-		case 2:
-			gClone, err := fx.persistentClone(e.g)
-			if err != nil {
-				return nil, err
-			}
-			in.SetCallee(gClone)
-			fx.audit("retarget-call", gClone.Name, in)
+			continue
 		}
+		gClone, err := fx.persistentClone(e.g)
+		if err != nil {
+			return nil, err
+		}
+		in.SetCallee(gClone)
+		fx.audit("retarget-call", gClone.Name, in)
 	}
 	return clone, nil
 }
@@ -313,23 +279,15 @@ func (fx *Fixer) modifiesPM(fn *ir.Func) bool {
 	for _, b := range fn.Blocks {
 		for _, in := range b.Instrs {
 			switch {
-			case in.Op.IsStoreLike():
-				if fx.marks.PM(in.StorePtr()) {
-					found = true
-				}
-			case in.Op == ir.OpCall:
+			case fx.writesPM(in):
+				found = true
+			case in.Op == ir.OpCall && !in.Callee().IsDecl():
 				callee := in.Callee()
-				if callee.IsDecl() {
-					if (callee.Name == "memcpy" || callee.Name == "memset") && fx.marks.PM(in.Args[0]) {
-						found = true
-					}
-				} else {
-					if fx.needsWork[callee] == stVisiting {
-						sawCycle = true
-					}
-					if fx.modifiesPM(callee) {
-						found = true
-					}
+				if fx.needsWork[callee] == stVisiting {
+					sawCycle = true
+				}
+				if fx.modifiesPM(callee) {
+					found = true
 				}
 			}
 		}
@@ -348,4 +306,19 @@ func (fx *Fixer) modifiesPM(fn *ir.Func) bool {
 		fx.needsWork[fn] = stNo
 	}
 	return found
+}
+
+// writesPM reports whether in itself writes persistent memory: a
+// store-like instruction to a PM-marked pointer, or a builtin memcpy or
+// memset into one. Whether a call to a defined function writes PM is
+// modifiesPM's question.
+func (fx *Fixer) writesPM(in *ir.Instr) bool {
+	switch {
+	case in.Op.IsStoreLike():
+		return fx.marks.PM(in.StorePtr())
+	case in.Op == ir.OpCall:
+		callee := in.Callee()
+		return callee.IsDecl() && (callee.Name == "memcpy" || callee.Name == "memset") && fx.marks.PM(in.Args[0])
+	}
+	return false
 }

@@ -76,6 +76,13 @@ const DefaultMaxPoints = 256
 // when Options.MaxImages is zero.
 const DefaultMaxImages = 16
 
+// DefaultInvariant and DefaultRecovery name the recovery entries
+// Options.Invariant and Options.Recovery select when left empty.
+const (
+	DefaultInvariant = "invariant_check"
+	DefaultRecovery  = "crash_check"
+)
+
 // Options configures one validation run.
 type Options struct {
 	// Entry is the workload entrypoint (default "main"); Args its
@@ -83,7 +90,7 @@ type Options struct {
 	Entry string
 	Args  []uint64
 	// Invariant and Recovery name the two recovery entries (defaults
-	// "invariant_check" and "crash_check"). A named entry that the
+	// DefaultInvariant and DefaultRecovery). A named entry that the
 	// module does not define is skipped; if neither exists, Validate
 	// returns an error. Set a name to "-" to disable that entry even
 	// when the module defines it.
@@ -167,7 +174,7 @@ type Failure struct {
 func (f Failure) String() string {
 	how := fmt.Sprintf("returned %d", int64(f.Ret))
 	if f.Err != nil {
-		how = firstLine(f.Err.Error())
+		how = FirstLine(f.Err.Error())
 	}
 	return fmt.Sprintf("crash at event %d (%s, %d checkpoint(s) done), schedule %v: @%s %s",
 		f.Event, f.Kind, f.Completed, f.Cuts, f.Entry, how)
@@ -276,10 +283,10 @@ func Validate(mod *ir.Module, opts Options) (rep *Report, err error) {
 		opts.Entry = "main"
 	}
 	if opts.Invariant == "" {
-		opts.Invariant = "invariant_check"
+		opts.Invariant = DefaultInvariant
 	}
 	if opts.Recovery == "" {
-		opts.Recovery = "crash_check"
+		opts.Recovery = DefaultRecovery
 	}
 	if opts.MaxPoints <= 0 {
 		opts.MaxPoints = DefaultMaxPoints
@@ -678,7 +685,9 @@ func selectPoints(log []interp.PMEventKind, budget int, invAll bool, rec *entryS
 	return points
 }
 
-func firstLine(s string) string {
+// FirstLine returns s up to its first newline: the one-line form of an
+// error in failure descriptions and verdict reasons.
+func FirstLine(s string) string {
 	if i := strings.IndexByte(s, '\n'); i >= 0 {
 		return s[:i]
 	}

@@ -86,7 +86,7 @@ func (r *Report) Doc() *ReportDoc {
 			Ret:       f.Ret,
 		}
 		if f.Err != nil {
-			fd.Error = firstLine(f.Err.Error())
+			fd.Error = FirstLine(f.Err.Error())
 		}
 		d.Failures = append(d.Failures, fd)
 	}

@@ -84,6 +84,29 @@ func printSizeHint(m *Module) int {
 	return n
 }
 
+// FormatSite renders an instruction's exact position as
+// file:@func:block:index, where index is the instruction's position in its
+// basic block at the time of the call: the site string of the fixer's
+// audit entries and of optimize's edits.
+func FormatSite(in *Instr) string {
+	blk := in.Block()
+	if blk == nil {
+		return "<detached>"
+	}
+	idx := -1
+	for i, x := range blk.Instrs {
+		if x == in {
+			idx = i
+			break
+		}
+	}
+	file := in.Loc().File
+	if file == "" {
+		file = "<generated>"
+	}
+	return file + ":@" + blk.Func().Name + ":" + blk.Name + ":" + strconv.Itoa(idx)
+}
+
 // FormatInstr renders one instruction (without indentation or newline).
 func FormatInstr(in *Instr) string {
 	var b strings.Builder

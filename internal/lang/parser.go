@@ -724,10 +724,3 @@ func (p *parser) parsePrimary() (Expr, error) {
 	}
 	return nil, p.errf("unexpected %s in expression", t)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -65,12 +65,13 @@ func gather(mod *ir.Module, base *progSig) []*candidate {
 		add(&candidate{kind: kind, in: ev.in, fn: ev.fn, origin: "trace-evidence"})
 	}
 
+	var lines static.LineResolver
 	for _, fn := range mod.Funcs {
 		if fn.IsDecl() {
 			continue
 		}
 		for _, b := range fn.Blocks {
-			scanCoalesce(fn, b, add)
+			scanCoalesce(fn, b, &lines, add)
 			scanSink(fn, b, add)
 		}
 	}
@@ -82,7 +83,7 @@ func gather(mod *ir.Module, base *progSig) []*candidate {
 // barrier between them: the earlier flush's stores are still pending at
 // the later flush (nothing can have drained without a fence), so the
 // later flush covers both and the earlier one can go.
-func scanCoalesce(fn *ir.Func, b *ir.Block, add func(*candidate)) {
+func scanCoalesce(fn *ir.Func, b *ir.Block, lines *static.LineResolver, add func(*candidate)) {
 	type lineKey struct {
 		root ir.Value
 		line int64
@@ -96,7 +97,7 @@ func scanCoalesce(fn *ir.Func, b *ir.Block, add func(*candidate)) {
 				// commit timing, so it never participates.
 				continue
 			}
-			root, line, ok := static.ResolveLine(in.Args[0])
+			root, line, ok := lines.Line(in.Args[0], 1)
 			if !ok {
 				continue
 			}

@@ -238,10 +238,10 @@ func Optimize(mod *ir.Module, opts Options) (*Result, error) {
 	var err error
 	if b := opts.Baseline; b != nil {
 		base = &progSig{simNs: b.SimNs, tr: b.Trace, check: b.Check, dyn: dynSig(b.Check)}
-		err = base.analyze(mod, entry)
+		err = base.analyze(mod, entry, sp)
 	} else {
 		baselineRuns++
-		base, err = measure(mod, entry, opts, det)
+		base, err = measure(mod, entry, opts, det, sp)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("optimize: baseline run: %w", err)
@@ -253,8 +253,8 @@ func Optimize(mod *ir.Module, opts Options) (*Result, error) {
 	// set: it says whether any accepted edit carries (or would carry) a
 	// crashsim verdict-identity proof, so it is set before the
 	// zero-candidate early return.
-	inv := recoveryEntry(mod, opts.Invariant, "invariant_check")
-	rec := recoveryEntry(mod, opts.Recovery, "crash_check")
+	inv := recoveryEntry(mod, opts.Invariant, crashsim.DefaultInvariant)
+	rec := recoveryEntry(mod, opts.Recovery, crashsim.DefaultRecovery)
 	res.CrashsimProven = inv != nil || rec != nil
 
 	cands := gather(mod, base)
@@ -298,10 +298,10 @@ func Optimize(mod *ir.Module, opts Options) (*Result, error) {
 
 	cur := base
 	for _, c := range cands {
-		site := siteOf(c.in)
+		site := ir.FormatSite(c.in)
 		into := ""
 		if c.partner != nil {
-			into = siteOf(c.partner)
+			into = ir.FormatSite(c.partner)
 		}
 		ed := &Edit{
 			Kind:   c.kind,
@@ -316,10 +316,10 @@ func Optimize(mod *ir.Module, opts Options) (*Result, error) {
 		blk := c.in.Block()
 		idx := blk.RemoveInstr(c.in)
 
-		after, err := measure(mod, entry, opts, det)
+		after, err := measure(mod, entry, opts, det, sp)
 		ok, reason := true, ""
 		if err != nil {
-			ok, reason = false, "workload failed after edit: "+firstLine(err.Error())
+			ok, reason = false, "workload failed after edit: "+crashsim.FirstLine(err.Error())
 		} else {
 			ok, reason = cur.compare(after)
 		}
@@ -408,37 +408,9 @@ func recoveryEntry(mod *ir.Module, name, def string) *ir.Func {
 	return nil
 }
 
-// siteOf renders an instruction's position as file:func:block:index,
-// the same shape the fixer's audit entries use.
-func siteOf(in *ir.Instr) string {
-	blk := in.Block()
-	if blk == nil {
-		return "<detached>"
-	}
-	idx := -1
-	for i, x := range blk.Instrs {
-		if x == in {
-			idx = i
-			break
-		}
-	}
-	file := in.Loc().File
-	if file == "" {
-		file = "<generated>"
-	}
-	return fmt.Sprintf("%s:@%s:%s:%d", file, blk.Func().Name, blk.Name, idx)
-}
-
 func locString(in *ir.Instr) string {
 	if loc := in.Loc(); !loc.IsZero() {
 		return loc.String()
 	}
 	return ""
-}
-
-func firstLine(s string) string {
-	if i := strings.IndexByte(s, '\n'); i >= 0 {
-		return s[:i]
-	}
-	return s
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"hippocrates/internal/core"
 	"hippocrates/internal/crashsim"
 	"hippocrates/internal/ir"
 	"hippocrates/internal/lang"
@@ -249,6 +250,59 @@ int main() {
 	}
 }
 
+// TestOptimizeStaticAnalyzeSpan: every static analysis the pass runs,
+// of its own baseline or of a caller's, and one per candidate, records
+// a static-analyze span under the pass's optimize span, so span trees,
+// -spans/-metrics output and the daemon's phase rows include it.
+func TestOptimizeStaticAnalyzeSpan(t *testing.T) {
+	const src = `
+struct cell { int a; };
+
+int main() {
+	cell *c = (cell*) pm_root(sizeof(cell));
+	c->a = 3;
+	clwb((byte*) &c->a);
+	clwb((byte*) &c->a);
+	sfence();
+	pm_checkpoint();
+	return c->a;
+}
+`
+	for _, withBaseline := range []bool{false, true} {
+		mod := mustModule(t, src)
+		opts := Options{}
+		if withBaseline {
+			run, err := core.TraceAndCheck(nil, mod, "main", core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Baseline = run
+		}
+		rec := obs.New()
+		opts.Obs = rec.StartSpan("test")
+		res, err := Optimize(mod, opts)
+		opts.Obs.End()
+		if err != nil {
+			t.Fatalf("baseline=%t: Optimize: %v", withBaseline, err)
+		}
+		optID, analyses := -1, 0
+		for _, s := range rec.Spans() {
+			switch s.Name {
+			case "optimize":
+				optID = s.ID
+			case "static-analyze":
+				if s.Parent != optID {
+					t.Errorf("baseline=%t: static-analyze span under span %d, want the optimize span %d", withBaseline, s.Parent, optID)
+				}
+				analyses++
+			}
+		}
+		if want := 1 + res.Candidates; analyses != want {
+			t.Errorf("baseline=%t: %d static-analyze spans under optimize, want %d (baseline plus %d candidate(s))", withBaseline, analyses, want, res.Candidates)
+		}
+	}
+}
+
 // TestOptimizeObsCountersAndAudit checks the provenance plumbing: the
 // pass publishes per-kind edit counters and records one audit entry per
 // candidate, applied or rejected, carrying its origin and proof.
@@ -365,11 +419,11 @@ int main() {
 	return 0;
 }
 `)
-	sig, err := measure(mod, "main", Options{}, pmcheck.NewDetector())
+	sig, err := measure(mod, "main", Options{}, pmcheck.NewDetector(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := alignKeys(sig.events, 0, false, recoveryEntry(mod, "", "crash_check"))
+	keys := alignKeys(sig.events, 0, false, recoveryEntry(mod, "", crashsim.DefaultRecovery))
 	pts, err := keysToPoints(sig.events, keys)
 	if err != nil {
 		t.Fatal(err)

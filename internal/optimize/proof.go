@@ -43,13 +43,14 @@ type progSig struct {
 }
 
 // measure executes mod's workload once under full instrumentation, the
-// dynamic detector d running with it, then runs the static detector.
-func measure(mod *ir.Module, entry string, opts Options, d *pmcheck.Detector) (*progSig, error) {
+// dynamic detector d running with it, then runs the static detector under
+// sp.
+func measure(mod *ir.Module, entry string, opts Options, d *pmcheck.Detector, sp *obs.Span) (*progSig, error) {
 	sig := &progSig{}
 	if err := sig.execute(mod, entry, opts, d); err != nil {
 		return nil, err
 	}
-	if err := sig.analyze(mod, entry); err != nil {
+	if err := sig.analyze(mod, entry, sp); err != nil {
 		return nil, err
 	}
 	return sig, nil
@@ -99,10 +100,13 @@ func dynSig(res *pmcheck.Result) map[string]int {
 	return dyn
 }
 
-// analyze runs the static analyzer, filling the signature's lints and
-// static report set.
-func (sig *progSig) analyze(mod *ir.Module, entry string) error {
-	sres, err := static.Analyze(mod, entry)
+// analyze runs the static analyzer under a static-analyze span of sp,
+// filling the signature's lints and static report set. It publishes no
+// static.* counters: those count the request's own static results.
+func (sig *progSig) analyze(mod *ir.Module, entry string, sp *obs.Span) error {
+	asp := sp.Start("static-analyze")
+	sres, err := static.AnalyzeWithStore(mod, entry, nil)
+	asp.End()
 	if err != nil {
 		return fmt.Errorf("static analysis: %w", err)
 	}
@@ -293,7 +297,7 @@ func failureSig(rep *crashsim.Report, events []interp.PMEventKind) map[string]in
 		}
 		how := fmt.Sprintf("ret=%d", f.Ret)
 		if f.Err != nil {
-			how = firstLine(f.Err.Error())
+			how = crashsim.FirstLine(f.Err.Error())
 		}
 		sig[fmt.Sprintf("%v#%d|done=%d|cuts=%v|@%s|%s", f.Kind, ord, f.Completed, f.Cuts, f.Entry, how)]++
 	}
@@ -312,7 +316,7 @@ func crashCompare(mod *ir.Module, after *progSig, keys []alignKey, cur map[strin
 	}
 	rep, err := crashsim.Validate(mod, csOptions(opts, entry, pts, nil))
 	if err != nil {
-		return nil, "crashsim failed after edit: " + firstLine(err.Error())
+		return nil, "crashsim failed after edit: " + crashsim.FirstLine(err.Error())
 	}
 	sig := failureSig(rep, after.events)
 	if !sameMultiset(cur, sig) {

@@ -50,7 +50,7 @@ func TestEditSequenceWarmIdentical(t *testing.T) {
 		if err := ApplyEdit(m, e); err != nil {
 			t.Fatal(err)
 		}
-		cold, err := static.Analyze(m, "main")
+		cold, err := static.AnalyzeWithStore(m, "main", nil)
 		if err != nil {
 			t.Fatalf("%s: cold: %v", e, err)
 		}

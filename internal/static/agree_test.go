@@ -72,7 +72,7 @@ func TestCorpusAgreement(t *testing.T) {
 			}
 			tr := run.Trace
 			dyn := pmcheck.Check(tr)
-			sres, err := static.Analyze(m, p.Entry)
+			sres, err := static.AnalyzeWithStore(m, p.Entry, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,7 +181,7 @@ int main() {
 			if dyn.Clean() {
 				t.Fatal("dynamic detector found no bug in a seeded-buggy program")
 			}
-			sres, err := static.Analyze(m, "main")
+			sres, err := static.AnalyzeWithStore(m, "main", nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -242,7 +242,7 @@ void persist_twice() {
 	}
 	calleeLints := func(m *ir.Module) []*static.Lint {
 		t.Helper()
-		res, err := static.Analyze(m, "main")
+		res, err := static.AnalyzeWithStore(m, "main", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -326,7 +326,7 @@ func TestProgenAgreement(t *testing.T) {
 		}
 		tr := run.Trace
 		dyn := pmcheck.Check(tr)
-		sres, err := static.Analyze(m, "main")
+		sres, err := static.AnalyzeWithStore(m, "main", nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -420,7 +420,7 @@ func TestProgenThreadedAgreement(t *testing.T) {
 				dynSites[site] = n
 			}
 		}
-		sres, err := static.Analyze(m, "main")
+		sres, err := static.AnalyzeWithStore(m, "main", nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -7,7 +7,6 @@ import (
 	"hippocrates/internal/alias"
 	"hippocrates/internal/ir"
 	"hippocrates/internal/lru"
-	"hippocrates/internal/pmem"
 )
 
 // analyzer drives the whole-module analysis: alias facts, fence flags, and
@@ -43,7 +42,9 @@ type analyzer struct {
 	fenceMay  map[*ir.Func]bool
 	fenceMust map[*ir.Func]bool
 
-	escapeCache map[*ir.Instr]bool
+	// lines resolves pointers to PM cache lines for store facts, flush
+	// coverage and address comparison.
+	lines LineResolver
 	// threaded: a function reachable from the entry spawns a thread.
 	threaded bool
 }
@@ -308,118 +309,4 @@ func reachableBlocks(fn *ir.Func) []*ir.Block {
 		}
 	}
 	return out
-}
-
-// resolveRange resolves ptr to (root allocation, inclusive cache-line
-// range) when the offset is a compile-time constant from a line-aligned PM
-// root, mirroring the fixer's staticLine walk (including seeing through
-// loads of non-escaping alloca slots).
-func (az *analyzer) resolveRange(ptr ir.Value, size int64) (ir.Value, int64, int64, bool) {
-	if size <= 0 {
-		size = 1
-	}
-	offset := int64(0)
-	v := ptr
-	for depth := 0; depth < 32; depth++ {
-		switch x := v.(type) {
-		case *ir.Global:
-			if !x.PM {
-				return nil, 0, 0, false
-			}
-			return x, offset / pmem.LineSize, (offset + size - 1) / pmem.LineSize, true
-		case *ir.Instr:
-			switch x.Op {
-			case ir.OpPtrAdd:
-				c, ok := x.Args[1].(*ir.Const)
-				if !ok {
-					return nil, 0, 0, false
-				}
-				offset += c.Val*x.Scale() + x.Disp()
-				v = x.Args[0]
-			case ir.OpCall:
-				if n := x.Callee().Name; n != "pm_alloc" && n != "pm_root" {
-					return nil, 0, 0, false
-				}
-				return x, offset / pmem.LineSize, (offset + size - 1) / pmem.LineSize, true
-			case ir.OpLoad:
-				slot, ok := x.Args[0].(*ir.Instr)
-				if !ok || slot.Op != ir.OpAlloca || az.slotEscapes(slot) {
-					return nil, 0, 0, false
-				}
-				def := reachingSlotStore(slot, x)
-				if def == nil {
-					return nil, 0, 0, false
-				}
-				v = def.StoreVal()
-			default:
-				return nil, 0, 0, false
-			}
-		default:
-			return nil, 0, 0, false
-		}
-	}
-	return nil, 0, 0, false
-}
-
-// ResolveLine resolves ptr to its (root allocation, cache-line index)
-// when ptr is a compile-time-constant offset from a line-aligned PM root
-// — a standalone entry point into the resolveRange walk for passes
-// outside the analyzer fixpoint. internal/optimize uses it to prove two
-// flushes target the same cache line before coalescing them; two
-// pointers resolve to the same line exactly when both roots and both
-// indices are equal.
-func ResolveLine(ptr ir.Value) (root ir.Value, line int64, ok bool) {
-	az := &analyzer{escapeCache: make(map[*ir.Instr]bool)}
-	r, lo, _, ok := az.resolveRange(ptr, 1)
-	if !ok {
-		return nil, 0, false
-	}
-	return r, lo, true
-}
-
-// slotEscapes reports whether an alloca's address is used anywhere other
-// than as the direct target of loads and stores.
-func (az *analyzer) slotEscapes(slot *ir.Instr) bool {
-	if esc, ok := az.escapeCache[slot]; ok {
-		return esc
-	}
-	esc := false
-	fn := slot.Block().Func()
-	for _, b := range fn.Blocks {
-		for _, in := range b.Instrs {
-			for i, a := range in.Args {
-				if a != slot {
-					continue
-				}
-				switch {
-				case in.Op == ir.OpLoad && i == 0:
-				case (in.Op == ir.OpStore || in.Op == ir.OpNTStore) && i == 1:
-				default:
-					esc = true
-				}
-			}
-		}
-	}
-	az.escapeCache[slot] = esc
-	return esc
-}
-
-// reachingSlotStore finds the same-block store a load of a non-escaping
-// slot observes (nil when the definition is outside the block).
-func reachingSlotStore(slot, load *ir.Instr) *ir.Instr {
-	blk := load.Block()
-	idx := -1
-	for i, in := range blk.Instrs {
-		if in == load {
-			idx = i
-			break
-		}
-	}
-	for i := idx - 1; i >= 0; i-- {
-		in := blk.Instrs[i]
-		if (in.Op == ir.OpStore || in.Op == ir.OpNTStore) && in.StorePtr() == slot {
-			return in
-		}
-	}
-	return nil
 }

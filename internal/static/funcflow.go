@@ -459,7 +459,7 @@ func (fa *funcAnalysis) sameAddr(a, b ir.Value, depth int) bool {
 	switch {
 	case av.Op == ir.OpLoad:
 		slot, ok := av.Args[0].(*ir.Instr)
-		if !ok || slot.Op != ir.OpAlloca || bv.Args[0] != slot || fa.az.slotEscapes(slot) {
+		if !ok || slot.Op != ir.OpAlloca || bv.Args[0] != slot || fa.az.lines.slotEscapes(slot) {
 			return false
 		}
 		// The same nearest in-block slot store (or none for both) means no
@@ -511,7 +511,7 @@ func (fa *funcAnalysis) resolveFlushRange(ptr ir.Value, length ir.Value) (ir.Val
 			size = c.Val
 		}
 	}
-	return fa.az.resolveRange(ptr, size)
+	return fa.az.lines.lineRange(ptr, size)
 }
 
 // applyFlush is the transfer function of OpFlush and builtin flush_range.
@@ -605,7 +605,7 @@ func (fa *funcAnalysis) internStoreFact(in *ir.Instr, ptr ir.Value, size int64) 
 		anyObj: pts.anyObj,
 	})
 	if size > 0 {
-		f.root, f.lineLo, f.lineHi, f.lineOK = fa.az.resolveRange(ptr, size)
+		f.root, f.lineLo, f.lineHi, f.lineOK = fa.az.lines.lineRange(ptr, size)
 	}
 	fa.storeFact[in.ID] = f.id + 1
 	return f

@@ -34,7 +34,7 @@ const pinnedResultsFile = "pinned_results.txt"
 func TestPinnedResults(t *testing.T) {
 	var b bytes.Buffer
 	line := func(name string, mod *ir.Module, entry string) {
-		res, err := static.Analyze(mod, entry)
+		res, err := static.AnalyzeWithStore(mod, entry, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

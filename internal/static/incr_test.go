@@ -166,7 +166,7 @@ func TestIncrementalCorpusByteIdentical(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		for i, p := range corpus.All() {
 			m := p.MustCompile()
-			cold, err := static.Analyze(m, p.Entry)
+			cold, err := static.AnalyzeWithStore(m, p.Entry, nil)
 			if err != nil {
 				t.Fatalf("%s: cold: %v", p.Name, err)
 			}
@@ -213,7 +213,7 @@ func TestNoStoreMatchesColdStore(t *testing.T) {
 		ts = append(ts, target{p.Name, p.Entry, p.MustCompile})
 	}
 	for _, tc := range ts {
-		bare, err := static.Analyze(tc.compile(), tc.entry)
+		bare, err := static.AnalyzeWithStore(tc.compile(), tc.entry, nil)
 		if err != nil {
 			t.Fatalf("%s: no store: %v", tc.name, err)
 		}
@@ -245,7 +245,7 @@ func TestStaticAnalyzeBytes(t *testing.T) {
 	}
 	m := corpus.ByName("redis-pmem").MustCompile()
 	analyze := func() {
-		if _, err := static.Analyze(m, "trace_main"); err != nil {
+		if _, err := static.AnalyzeWithStore(m, "trace_main", nil); err != nil {
 			t.Fatal(err)
 		}
 	}

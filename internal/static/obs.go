@@ -9,11 +9,11 @@ import (
 // AnalyzeObsStore runs AnalyzeWithStore under a "static-analyze" child
 // span of sp, publishing the analysis statistics as static.* counters;
 // with a store, the run's summary and constraint hit/miss counts are
-// published as static.sum_* / static.cons_* counters. With a nil store
-// and a nil span it is exactly Analyze. It also returns the whole-program
-// alias analysis the run solved, valid until mod is next mutated, so a
-// repair of the same module version can plan over it instead of solving
-// it again.
+// published as static.sum_* / static.cons_* counters. With a nil span it
+// is exactly AnalyzeWithStore. It also returns the whole-program alias
+// analysis the run solved, valid until mod is next mutated, so a repair
+// of the same module version can plan over it instead of solving it
+// again.
 func AnalyzeObsStore(mod *ir.Module, entry string, store *Store, sp *obs.Span) (*Result, *alias.Analysis, error) {
 	asp := sp.Start("static-analyze")
 	defer asp.End()

@@ -232,13 +232,8 @@ func (res *Result) Summary() string {
 	return b.String()
 }
 
-// Analyze runs the static persistency analysis on the module, rooted at
-// the named entry function.
-func Analyze(mod *ir.Module, entry string) (*Result, error) {
-	return AnalyzeWithStore(mod, entry, nil)
-}
-
-// AnalyzeWithStore is Analyze backed by a summary store: function
+// AnalyzeWithStore runs the static persistency analysis on the module,
+// rooted at the named entry function, backed by a summary store: function
 // summaries (and the alias layer's per-function constraint lists) are
 // replayed from the store when the cache key — body fingerprint, alias
 // digest, callee summary hashes — matches, and recomputed and stored
@@ -372,15 +367,14 @@ func analyze(mod *ir.Module, entry string, store *Store) (*Result, *alias.Analys
 // replayed from store when one is given) and readies the bottom-up pass.
 func newAnalyzer(mod *ir.Module, entryFn *ir.Func, store *Store) *analyzer {
 	az := &analyzer{
-		mod:         mod,
-		entry:       entryFn,
-		sumHash:     make(map[*ir.Func]string),
-		sums:        make(map[*ir.Func]*summary),
-		fenceMay:    make(map[*ir.Func]bool),
-		fenceMust:   make(map[*ir.Func]bool),
-		escapeCache: make(map[*ir.Instr]bool),
-		chains:      newChainTable(),
-		pts:         make(map[ir.Value]ptsInfo),
+		mod:       mod,
+		entry:     entryFn,
+		sumHash:   make(map[*ir.Func]string),
+		sums:      make(map[*ir.Func]*summary),
+		fenceMay:  make(map[*ir.Func]bool),
+		fenceMust: make(map[*ir.Func]bool),
+		chains:    newChainTable(),
+		pts:       make(map[ir.Value]ptsInfo),
 	}
 	if store != nil {
 		az.an = alias.AnalyzeWithStore(mod, store.Constraints)

@@ -15,7 +15,7 @@ func analyzeSrc(t *testing.T, src string) *static.Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := static.Analyze(m, "main")
+	res, err := static.AnalyzeWithStore(m, "main", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,7 +441,7 @@ func TestEntryNotFound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := static.Analyze(m, "nope"); err == nil {
+	if _, err := static.AnalyzeWithStore(m, "nope", nil); err == nil {
 		t.Error("expected an error for a missing entry function")
 	}
 }

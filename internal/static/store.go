@@ -183,7 +183,7 @@ func objsFromRefs(az *analyzer, refs []string, key string) (objSet, bool) {
 	return m, true
 }
 
-// pvalOf names a fact root. Roots come only from resolveRange and
+// pvalOf names a fact root. Roots come only from LineResolver and
 // resolveVal, which yield nil, a PM global, or a pm_alloc/pm_root call.
 func pvalOf(v ir.Value) pVal {
 	switch x := v.(type) {

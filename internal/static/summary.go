@@ -54,7 +54,7 @@ type summary struct {
 	// calls records, per defined callee, the join over this function's
 	// call sites of the caller-visible persistency context: whether some
 	// live fact may be dirty (or dirty-fenced) or flushed at the call.
-	// The top-down context pass in Analyze propagates these entry-down to
+	// The top-down context pass of the analysis propagates these entry-down to
 	// decide which callee lints no caller context can revive.
 	calls map[*ir.Func]callCtx
 
